@@ -10,25 +10,28 @@
  * ratio of the two runs is the engine speedup.
  *
  * Part 2 replays the same flow-activation churn through the current
- * dense-indexed FlowManager::reshare and through a reference
+ * dense-indexed FlowManager solve and through a reference
  * re-implementation of the previous algorithm (per-round std::map
  * lookups for capacity/users/bottleneck membership), and reports
  * microseconds per reshare for both.
  *
- * Part 3 is the network-model-tier scaling point: a standing
- * population of rack-local flows (10k / 100k / 1M concurrent) is
- * bulk-loaded on a fat tree, then a churn of abort+start updates is
- * replayed under the exact global solver and under the fluid
- * partial-invalidation solver, reporting microseconds per update for
- * each. Rack-local traffic keeps the fluid model's dirty component
- * at one rack while the exact model re-solves (and reschedules) the
- * whole population, so the gap is the lazy-invalidation win.
+ * Part 3 measures the two dirty-set scopes of FlowManager: a
+ * standing flow population is bulk-loaded on a fat tree, then a churn
+ * of abort+start updates is replayed under the exact scope (every
+ * active flow re-solved) and the fluid scope (only the changed flow's
+ * connected component), reporting microseconds per update for each.
+ * Rack-local populations (10k / 100k / 1M concurrent) keep the fluid
+ * component at one rack while exact re-solves (and reschedules) the
+ * whole population: the lazy-invalidation win. A dense point of 100
+ * inter-pod fan-out flows on fatTree(8) ties every flow into one
+ * component, where the fluid breadth-first walk finds the whole
+ * population anyway: the other side of the crossover.
  *
  * Usage: bench_engine_parallel [--json=FILE] [--jobs=N]
  *                              [--churn-max=FLOWS] [--churn-only]
  *
  * --churn-only skips parts 1 and 2 (and JSON output) for quick
- * iteration on the model-tier comparison.
+ * iteration on the scope comparison.
  */
 
 #include <chrono>
@@ -46,7 +49,6 @@
 #include "exp/experiment.hh"
 #include "exp/thread_pool.hh"
 #include "network/flow_manager.hh"
-#include "network/fluid/net_model.hh"
 #include "network/routing.hh"
 #include "network/topology.hh"
 #include "sim/logging.hh"
@@ -245,9 +247,10 @@ reshareChurn(std::size_t n_flows)
     return t;
 }
 
-// --------------------------- part 3: flow-churn scaling (model tiers)
+// ------------------------ part 3: flow-churn scaling (dirty-set scope)
 
 struct ChurnPoint {
+    const char *traffic = "";
     std::size_t flows = 0;
     std::size_t racks = 0;
     std::size_t ops = 0;
@@ -285,9 +288,33 @@ rackLocalRoutes(const Topology &topo, StaticRouting &routing,
 }
 
 /**
+ * Inter-pod fan-out routes on an Al-Fares fat tree of parameter
+ * @p k, the shape of perfbench's fattree_fanout: each group of four
+ * flows leaves one server for four servers in four other pods. The
+ * shared uplinks and the core tier tie (nearly) every flow into one
+ * component.
+ */
+std::vector<Route>
+interPodRoutes(const Topology &topo, StaticRouting &routing,
+               unsigned k, std::size_t n_flows)
+{
+    const std::size_t per_pod = (k / 2) * (k / 2);
+    const std::size_t n_srv = topo.numServers();
+    std::vector<Route> routes;
+    routes.reserve(n_flows);
+    for (std::size_t j = 0; j < n_flows; ++j) {
+        std::size_t src = (j / 4) * 5 % n_srv;
+        std::size_t dst = (src + per_pod * (1 + j % (k - 1))) % n_srv;
+        routes.push_back(routing.route(topo.serverNode(src),
+                                       topo.serverNode(dst), j));
+    }
+    return routes;
+}
+
+/**
  * Bulk-load the standing population, then replay @p ops abort+start
  * updates and return microseconds per update. @p dirty_out receives
- * the backend's mean dirty-set size per resolve during the churn.
+ * the mean dirty-set size per resolve during the churn.
  */
 double
 churnRun(NetModelKind kind, const Topology &topo,
@@ -297,26 +324,26 @@ churnRun(NetModelKind kind, const Topology &topo,
     Simulator sim;
     NetModelConfig cfg;
     cfg.kind = kind;
-    auto model = makeNetModel(sim, topo, cfg);
+    FlowManager model(sim, topo, cfg);
 
     constexpr Bytes huge = 1'000'000'000'000'000; // completions far out
     std::vector<FlowId> ids(routes.size());
     double t_load = now_s();
-    model->beginBulkLoad();
+    model.beginBulkLoad();
     for (std::size_t i = 0; i < routes.size(); ++i)
-        ids[i] = model->startFlow(routes[i], huge, [] {});
+        ids[i] = model.startFlow(routes[i], huge, [] {});
     sim.runUntil(0);
-    model->endBulkLoad();
+    model.endBulkLoad();
     std::printf("    %s: %zu flows bulk-loaded in %.1f s\n",
                 toString(kind), routes.size(), now_s() - t_load);
     std::fflush(stdout);
 
-    NetSolverStats before = model->solverStats();
+    NetSolverStats before = model.solverStats();
     double t0 = now_s();
     for (std::size_t op = 0; op < ops; ++op) {
         std::size_t i = op % ids.size();
-        model->abortFlow(ids[i]);
-        ids[i] = model->startFlow(routes[i], huge, [] {});
+        model.abortFlow(ids[i]);
+        ids[i] = model.startFlow(routes[i], huge, [] {});
         sim.runUntil(sim.curTick());
     }
     double us = (now_s() - t0) * 1e6 / ops;
@@ -324,7 +351,7 @@ churnRun(NetModelKind kind, const Topology &topo,
                 ops, (now_s() - t0));
     std::fflush(stdout);
     if (dirty_out) {
-        const NetSolverStats &after = model->solverStats();
+        const NetSolverStats &after = model.solverStats();
         std::uint64_t resolves = after.resolves - before.resolves;
         *dirty_out = resolves == 0
                          ? 0
@@ -336,7 +363,7 @@ churnRun(NetModelKind kind, const Topology &topo,
 }
 
 ChurnPoint
-churnPoint(std::size_t n_flows)
+churnPoint(std::size_t n_flows, bool inter_pod = false)
 {
     // 1M concurrent flows get the bigger fabric (1024 servers, 128
     // racks); the smaller points use fatTree(8) (128 servers, 32
@@ -344,12 +371,18 @@ churnPoint(std::size_t n_flows)
     const unsigned k = n_flows >= 1'000'000 ? 16 : 8;
     auto topo = Topology::fatTree(k, 1e9, 5 * usec);
     StaticRouting routing(topo);
-    auto routes = rackLocalRoutes(topo, routing, k, n_flows);
+    auto routes = inter_pod
+                      ? interPodRoutes(topo, routing, k, n_flows)
+                      : rackLocalRoutes(topo, routing, k, n_flows);
 
     ChurnPoint p;
+    p.traffic = inter_pod ? "inter_pod" : "rack_local";
     p.flows = n_flows;
     p.racks = topo.numServers() / (k / 2);
-    p.ops = n_flows >= 1'000'000 ? 4 : n_flows >= 100'000 ? 16 : 64;
+    p.ops = n_flows >= 1'000'000 ? 4
+            : n_flows >= 100'000 ? 16
+            : n_flows >= 10'000  ? 64
+                                 : 4096;
     p.fluid_us = churnRun(NetModelKind::fluid, topo, routes, p.ops,
                           &p.fluid_mean_dirty);
     p.exact_us = churnRun(NetModelKind::exact, topo, routes, p.ops);
@@ -421,19 +454,20 @@ main(int argc, char **argv)
                     rt.dense_us, rt.map_us, rt.map_us / rt.dense_us);
     }
 
-    std::printf("== flow churn: exact vs fluid model tier ==\n");
+    std::printf("== flow churn: exact vs fluid dirty-set scope ==\n");
     std::vector<ChurnPoint> churn;
+    churn.push_back(churnPoint(100, /*inter_pod=*/true));
     for (std::size_t n : {std::size_t{10'000}, std::size_t{100'000},
                           std::size_t{1'000'000}}) {
-        if (n > churn_max)
-            continue;
-        churn.push_back(churnPoint(n));
-        const ChurnPoint &p = churn.back();
-        std::printf("%8zu flows (%zu racks): exact %.1f us/update, "
-                    "fluid %.1f us/update (%.1fx, mean dirty set "
+        if (n <= churn_max)
+            churn.push_back(churnPoint(n));
+    }
+    for (const ChurnPoint &p : churn) {
+        std::printf("%8zu %s flows (%zu racks): exact %.1f us/update, "
+                    "fluid %.1f us/update (%.2fx, mean dirty set "
                     "%llu flows)\n",
-                    p.flows, p.racks, p.exact_us, p.fluid_us,
-                    p.exact_us / p.fluid_us,
+                    p.flows, p.traffic, p.racks, p.exact_us,
+                    p.fluid_us, p.exact_us / p.fluid_us,
                     static_cast<unsigned long long>(
                         p.fluid_mean_dirty));
     }
@@ -461,6 +495,7 @@ main(int argc, char **argv)
         for (std::size_t i = 0; i < churn.size(); ++i) {
             const ChurnPoint &p = churn[i];
             os << "    {\n"
+               << "      \"traffic\": \"" << p.traffic << "\",\n"
                << "      \"concurrent_flows\": " << p.flows << ",\n"
                << "      \"racks\": " << p.racks << ",\n"
                << "      \"updates\": " << p.ops << ",\n"

@@ -102,13 +102,13 @@ options:
   --sample-out=FILE     write long-format time-series CSV to FILE
   --sample-period=DUR   sampling period: a number with an optional
                         ns/us/ms/s suffix (default unit ms)
-  --net-model=M         flow-level network model tier: exact
-                        (default; global max-min re-solve), fluid
-                        (partial invalidation, scales to millions of
-                        flows) or hybrid (exact solver + fast path)
+  --net-model=M         which flows a change re-solves: exact
+                        (default; every active flow) or fluid (only
+                        the changed flow's connected component;
+                        scales to millions of local flows)
   --fast-path-kb=K      transfers of at most K KiB complete
                         analytically without entering the solver
-                        (fluid/hybrid tiers; default 0 = off)
+                        (either model; default 0 = off)
   --orch                run the container orchestration layer (as if
                         the config had an [orch] section): generated
                         jobs route through containers of a default

@@ -20,7 +20,6 @@
 #include "fault/fault_manager.hh"
 #include "metrics.hh"
 #include "network/network.hh"
-#include "network/partition_map.hh"
 #include "orch/orchestrator.hh"
 #include "sched/global_scheduler.hh"
 #include "server/power_controller.hh"
@@ -72,18 +71,6 @@ class DataCenter
     InvariantAuditor *auditor() { return _auditor.get(); }
     /** Null unless config.timerMode == TimerMode::wheel. */
     TimerWheel *timerWheel() { return _wheel.get(); }
-    /**
-     * The pod cut derived from the fabric (null unless
-     * config.pdes.enabled()). The monolithic DataCenter still
-     * executes on the sequential kernel -- the plan is derived and
-     * validated here so a mis-partitionable topology or an unsound
-     * lookahead override fails at construction, and so harnesses
-     * built on PodCluster (src/dc/pod_cluster.hh) can share it.
-     */
-    const PartitionMap *partitionPlan() const
-    {
-        return _partitionPlan.get();
-    }
     const DataCenterConfig &config() const { return _config; }
     ///@}
 
@@ -167,7 +154,6 @@ class DataCenter
     std::unique_ptr<KernelProfiler> _profiler;
     std::unique_ptr<Sampler> _sampler;
     std::unique_ptr<Network> _net;
-    std::unique_ptr<PartitionMap> _partitionPlan;
     std::vector<std::unique_ptr<Server>> _servers;
     std::vector<Server *> _serverPtrs;
     /** Jitter stream handed to the scheduler; must outlive it. */

@@ -94,13 +94,6 @@ DataCenterConfig::validate() const
     }
     if (wheelGranularity == 0)
         fatal("datacenter.wheel_granularity_us must be positive");
-    if (pdes.enabled()) {
-        if (pdes.partitions == 0)
-            fatal("datacenter.pdes_mode pods:N needs N >= 1");
-        if (fabric == Fabric::none)
-            fatal("datacenter.pdes_mode pods requires a fabric (the "
-                  "partition cut is derived from the topology)");
-    }
     if (mc.strategy != "boundary" && mc.strategy != "pairwise" &&
         mc.strategy != "exhaustive" && mc.strategy != "random") {
         fatal("unknown mc.strategy '", mc.strategy, "'");
@@ -141,28 +134,6 @@ DataCenterConfig::fromConfig(const Config &cfg)
     if (cfg.has("datacenter.wheel_granularity_us")) {
         out.wheelGranularity = static_cast<Tick>(
             cfg.getDouble("datacenter.wheel_granularity_us") *
-            static_cast<double>(usec));
-    }
-
-    std::string pm = cfg.getString("datacenter.pdes_mode", "off");
-    if (pm == "off") {
-        out.pdes.mode = PdesSettings::Mode::off;
-    } else if (pm.rfind("pods:", 0) == 0) {
-        out.pdes.mode = PdesSettings::Mode::pods;
-        try {
-            out.pdes.partitions =
-                static_cast<unsigned>(std::stoul(pm.substr(5)));
-        } catch (const std::exception &) {
-            fatal("bad datacenter.pdes_mode '", pm,
-                  "' (expected off or pods:N)");
-        }
-    } else {
-        fatal("unknown datacenter.pdes_mode '", pm,
-              "' (expected off or pods:N)");
-    }
-    if (cfg.has("datacenter.pdes_lookahead_us")) {
-        out.pdes.lookahead = static_cast<Tick>(
-            cfg.getDouble("datacenter.pdes_lookahead_us") *
             static_cast<double>(usec));
     }
 
@@ -440,7 +411,6 @@ const char *const knownConfigKeys[] = {
     // clang-format off
     "datacenter.servers", "datacenter.cores", "datacenter.seed",
     "datacenter.timer_mode", "datacenter.wheel_granularity_us",
-    "datacenter.pdes_mode", "datacenter.pdes_lookahead_us",
     "server.queue_mode", "server.core_pick", "server.allow_pkg_c6",
     "server.controller", "server.tau_ms",
     "scheduler.policy", "scheduler.global_queue",

@@ -199,7 +199,7 @@ PodCluster::partitionOf(unsigned pod) const
 {
     if (_nPartitions <= 1)
         return 0;
-    // Contiguous blocks, same convention as PartitionMap::partitionOfPod.
+    // Contiguous blocks of pods per partition.
     return static_cast<unsigned>(
         static_cast<std::size_t>(pod) * _nPartitions / _cfg.pods);
 }

@@ -3,15 +3,15 @@
  * Pod-partitioned data center: the execution harness for the
  * conservative parallel kernel (src/sim/pdes).
  *
- * The monolithic DataCenter owns a single Simulator, so it can only
- * validate a partition plan (see DataCenter::partitionPlan()). A
- * PodCluster actually executes one: it builds K identical pods --
- * each a star fabric, a 3-tier server group (web/app/db), a
- * least-loaded scheduler and a Poisson request pump -- and groups
- * them onto N partitions, one Simulator per partition, advanced in
- * lookahead windows by a WindowScheduler. Completed requests forward
- * to a random other pod with configurable probability, so pods
- * genuinely interact across partition boundaries.
+ * The monolithic DataCenter owns a single Simulator and always runs
+ * sequentially; partitioned execution lives here. A PodCluster
+ * builds K identical pods -- each a star fabric, a 3-tier server
+ * group (web/app/db), a least-loaded scheduler and a Poisson request
+ * pump -- and groups them onto N partitions, one Simulator per
+ * partition, advanced in lookahead windows by a WindowScheduler.
+ * Completed requests forward to a random other pod with configurable
+ * probability, so pods genuinely interact across partition
+ * boundaries.
  *
  * The central design property is statistics identity: for a fixed
  * seed, dumpStats() produces byte-identical output whether the

@@ -4,15 +4,63 @@
 #include <cmath>
 #include <iostream>
 #include <limits>
+#include <sstream>
 
 #include "sim/logging.hh"
 
 namespace holdcsim {
 
+const char *
+toString(NetModelKind kind)
+{
+    switch (kind) {
+      case NetModelKind::exact:
+        return "exact";
+      case NetModelKind::fluid:
+        return "fluid";
+    }
+    return "?";
+}
+
+NetModelKind
+parseNetModelKind(const std::string &s)
+{
+    if (s == "exact")
+        return NetModelKind::exact;
+    if (s == "fluid")
+        return NetModelKind::fluid;
+    if (s == "hybrid")
+        fatal("network model 'hybrid' was removed: use model = exact "
+              "plus fast_path_kb");
+    fatal("unknown network model '", s, "' (expected exact or fluid)");
+}
+
+Tick
+fastPathDuration(const Topology &topo, const Route &route, Bytes bytes)
+{
+    Tick latency = 0;
+    BitsPerSec bottleneck = std::numeric_limits<BitsPerSec>::infinity();
+    for (LinkId l : route.links) {
+        const LinkInfo &li = topo.link(l);
+        latency += li.latency;
+        bottleneck = std::min(bottleneck, li.rate);
+    }
+    if (route.links.empty() || bytes == 0)
+        return latency;
+    return latency + serializationDelay(bytes, bottleneck);
+}
+
 FlowManager::FlowManager(Simulator &sim, const Topology &topo,
-                         Bytes fast_path_bytes)
-    : _sim(sim), _topo(topo), _fastPathBytes(fast_path_bytes)
-{}
+                         const NetModelConfig &cfg)
+    : _sim(sim), _topo(topo), _cfg(cfg)
+{
+    const std::size_t n_dl = 2 * _topo.numLinks();
+    _linkFlows.resize(n_dl);
+    _linkEpoch.assign(n_dl, 0);
+    _capLeft.resize(n_dl);
+    _usersLeft.resize(n_dl);
+    _isBottleneck.assign(n_dl, 0);
+}
 
 FlowManager::~FlowManager()
 {
@@ -22,6 +70,17 @@ FlowManager::~FlowManager()
         if (flow.activation && flow.activation->scheduled())
             _sim.deschedule(*flow.activation);
     }
+}
+
+TraceManager *
+FlowManager::flowTracer()
+{
+    TraceManager *tr = _sim.tracer();
+    if (!tr || !tr->wants(TraceCategory::flow))
+        return nullptr;
+    if (_traceTrack == noTraceTrack)
+        _traceTrack = tr->track("network", "flows");
+    return tr;
 }
 
 FlowId
@@ -39,9 +98,9 @@ FlowManager::startFlow(Route route, Bytes bytes, FlowDoneFn on_done,
     for (std::size_t i = 0; i < route.links.size(); ++i) {
         LinkId l = route.links[i];
         bool forward = _topo.link(l).a == route.nodes[i];
-        flow.path.push_back(DirectedLink{l, forward});
         flow.pathIdx.push_back(l * 2 + (forward ? 1 : 0));
     }
+    flow.linkPos.resize(flow.pathIdx.size());
 
     flow.completion = std::make_unique<EventFunctionWrapper>(
         [this, id] { finish(id); }, "flow.completion");
@@ -49,44 +108,60 @@ FlowManager::startFlow(Route route, Bytes bytes, FlowDoneFn on_done,
     // Constant-latency fast path: a short transfer never contends
     // for bandwidth -- it completes analytically after the path
     // latency plus serialization at the bottleneck link rate.
-    bool fast = _fastPathBytes > 0 && bytes <= _fastPathBytes &&
+    bool fast = _cfg.fastPathBytes > 0 && bytes <= _cfg.fastPathBytes &&
                 !route.links.empty();
+    Tick delay = start_delay;
     if (fast) {
-        flow.fastPath = true;
         ++_solverStats.fastPathHits;
-        Tick eta = start_delay + fastPathDuration(_topo, route, bytes);
-        auto [it, inserted] = _flows.emplace(id, std::move(flow));
-        (void)inserted;
-        if (TraceManager *tr = flowTracer()) {
-            tr->asyncBegin(_traceTrack, TraceCategory::flow, "flow",
-                           id, _sim.curTick());
-        }
-        _sim.scheduleAfter(*it->second.completion, eta);
-        return id;
+        delay += fastPathDuration(_topo, route, bytes);
+    } else {
+        flow.activation = std::make_unique<EventFunctionWrapper>(
+            [this, id] { activate(id); }, "flow.activation");
     }
 
-    flow.activation = std::make_unique<EventFunctionWrapper>(
-        [this, id] { activate(id); }, "flow.activation");
-
-    auto [it, inserted] = _flows.emplace(id, std::move(flow));
-    (void)inserted;
+    Flow &stored = _flows.emplace(id, std::move(flow)).first->second;
     if (TraceManager *tr = flowTracer()) {
         tr->asyncBegin(_traceTrack, TraceCategory::flow, "flow", id,
                        _sim.curTick());
     }
-    _sim.scheduleAfter(*it->second.activation, start_delay);
+    _sim.scheduleAfter(fast ? *stored.completion : *stored.activation,
+                       delay);
     return id;
 }
 
-TraceManager *
-FlowManager::flowTracer()
+void
+FlowManager::enroll(Flow &flow)
 {
-    TraceManager *tr = _sim.tracer();
-    if (!tr || !tr->wants(TraceCategory::flow))
-        return nullptr;
-    if (_traceTrack == noTraceTrack)
-        _traceTrack = tr->track("network", "flows");
-    return tr;
+    for (std::size_t i = 0; i < flow.pathIdx.size(); ++i) {
+        auto &members = _linkFlows[flow.pathIdx[i]];
+        flow.linkPos[i] = static_cast<std::uint32_t>(members.size());
+        members.push_back(&flow);
+    }
+}
+
+void
+FlowManager::unenroll(Flow &flow)
+{
+    for (std::size_t i = 0; i < flow.pathIdx.size(); ++i) {
+        std::uint32_t dl = flow.pathIdx[i];
+        _seedLinks.push_back(dl);
+        auto &members = _linkFlows[dl];
+        std::uint32_t pos = flow.linkPos[i];
+        Flow *moved = members.back();
+        members[pos] = moved;
+        members.pop_back();
+        if (moved == &flow)
+            continue;
+        // Tell the flow that slid into our slot where it now lives.
+        // Shortest-path routes never repeat a directed link, so the
+        // first match is the right hop.
+        for (std::size_t j = 0; j < moved->pathIdx.size(); ++j) {
+            if (moved->pathIdx[j] == dl) {
+                moved->linkPos[j] = pos;
+                break;
+            }
+        }
+    }
 }
 
 void
@@ -96,29 +171,30 @@ FlowManager::activate(FlowId id)
     if (it == _flows.end())
         HOLDCSIM_PANIC("activation of unknown flow ", id);
     Flow &flow = it->second;
-    if (flow.path.empty() || flow.remainingBits <= 0.0) {
+    if (flow.pathIdx.empty() || flow.remainingBits <= 0.0) {
         // Local or empty transfer: complete immediately.
         finish(id);
         return;
     }
-    if (_bulk) {
-        // Warm-start: join silently; endBulkLoad() solves once.
-        flow.active = true;
-        flow.lastUpdate = _sim.curTick();
-        return;
-    }
-    settleProgress();
     flow.active = true;
     flow.lastUpdate = _sim.curTick();
-    reshare();
+    enroll(flow);
+    if (_bulk)
+        return; // endBulkLoad() solves once for everyone
+    _seedLinks.insert(_seedLinks.end(), flow.pathIdx.begin(),
+                      flow.pathIdx.end());
+    resolve();
 }
 
 void
 FlowManager::endBulkLoad()
 {
     _bulk = false;
-    settleProgress();
-    reshare();
+    for (std::uint32_t dl = 0; dl < _linkFlows.size(); ++dl) {
+        if (!_linkFlows[dl].empty())
+            _seedLinks.push_back(dl);
+    }
+    resolve();
 }
 
 void
@@ -127,40 +203,39 @@ FlowManager::finish(FlowId id)
     auto it = _flows.find(id);
     if (it == _flows.end())
         HOLDCSIM_PANIC("completion of unknown flow ", id);
-    bool was_active = it->second.active;
-    FlowDoneFn done = std::move(it->second.onDone);
-    _flowLatency.sample(toSeconds(_sim.curTick() - it->second.startedAt));
+    Flow &flow = it->second;
+    bool was_active = flow.active;
+    FlowDoneFn done = std::move(flow.onDone);
+    _flowLatency.sample(toSeconds(_sim.curTick() - flow.startedAt));
     ++_flowsCompleted;
     if (TraceManager *tr = flowTracer()) {
         tr->asyncEnd(_traceTrack, TraceCategory::flow, "flow", id,
                      _sim.curTick());
     }
     if (was_active)
-        settleProgress();
+        unenroll(flow);
     _flows.erase(it);
     if (was_active)
-        reshare();
+        resolve(); // the freed bandwidth goes to the survivors
     if (done)
         done();
 }
 
 void
-FlowManager::settleProgress()
+FlowManager::markDirty(Flow &flow)
 {
-    Tick now = _sim.curTick();
-    for (auto &[id, flow] : _flows) {
-        if (!flow.active)
-            continue;
-        double transferred =
-            flow.rate * toSeconds(now - flow.lastUpdate);
-        flow.remainingBits =
-            std::max(0.0, flow.remainingBits - transferred);
-        flow.lastUpdate = now;
+    flow.visitEpoch = _epoch;
+    _dirtyFlows.push_back(&flow);
+    for (std::uint32_t dl : flow.pathIdx) {
+        if (_linkEpoch[dl] != _epoch) {
+            _linkEpoch[dl] = _epoch;
+            _dirtyLinks.push_back(dl);
+        }
     }
 }
 
 void
-FlowManager::abortReshare(const std::string &what)
+FlowManager::abortSolve(const std::string &what)
 {
     // The solver wedged: an internal inconsistency, not a user
     // error. Name the flows and links still in play so the
@@ -190,56 +265,83 @@ FlowManager::abortReshare(const std::string &what)
 }
 
 void
-FlowManager::reshare()
+FlowManager::resolve()
 {
-    // Progressive filling: repeatedly saturate the most contended
-    // directed link and freeze its flows at the bottleneck share.
-    // All per-link state lives in dense vectors indexed by
-    // (link * 2 + forward); only the entries actually crossed by an
-    // active flow (collected in _touched) are initialized and
-    // scanned, so one call costs O(path hops * rounds), allocation
-    // free after warm-up.
-    const std::size_t n_dl = 2 * _topo.numLinks();
-    if (_capLeft.size() != n_dl) {
-        _capLeft.resize(n_dl);
-        _usersLeft.resize(n_dl);
-        _inUse.assign(n_dl, 0);
-        _isBottleneck.assign(n_dl, 0);
-    }
-    _touched.clear();
-    _unfrozen.clear();
-    for (auto &[id, flow] : _flows) {
-        if (!flow.active)
-            continue;
-        _unfrozen.push_back(&flow);
-        for (std::uint32_t dl : flow.pathIdx) {
-            if (!_inUse[dl]) {
-                _inUse[dl] = 1;
-                _touched.push_back(dl);
-                _capLeft[dl] = _topo.link(dl / 2).rate;
-                _usersLeft[dl] = 0;
+    // 1: form the dirty set.
+    ++_epoch;
+    _dirtyLinks.clear();
+    _dirtyFlows.clear();
+    if (_cfg.kind == NetModelKind::exact) {
+        for (auto &[id, flow] : _flows) {
+            if (flow.active)
+                markDirty(flow);
+        }
+    } else {
+        // Expand the seeds to their connected component: a dirty
+        // link makes its flows dirty, a dirty flow its links.
+        if (_seedLinks.empty())
+            return;
+        for (std::uint32_t dl : _seedLinks) {
+            if (_linkEpoch[dl] != _epoch) {
+                _linkEpoch[dl] = _epoch;
+                _dirtyLinks.push_back(dl);
             }
-            ++_usersLeft[dl];
+        }
+        for (std::size_t i = 0; i < _dirtyLinks.size(); ++i) {
+            for (Flow *f : _linkFlows[_dirtyLinks[i]]) {
+                if (f->visitEpoch != _epoch)
+                    markDirty(*f);
+            }
         }
     }
+    _seedLinks.clear();
+
     ++_solverStats.resolves;
-    _solverStats.resolvedFlows += _unfrozen.size();
-    _solverStats.dirtyLinks += _touched.size();
+    _solverStats.resolvedFlows += _dirtyFlows.size();
+    _solverStats.dirtyLinks += _dirtyLinks.size();
     _solverStats.maxDirtyFlows = std::max(
         _solverStats.maxDirtyFlows,
-        static_cast<std::uint64_t>(_unfrozen.size()));
+        static_cast<std::uint64_t>(_dirtyFlows.size()));
 
+    if (_dirtyFlows.empty())
+        return;
+
+    // 2: settle transferred bits for the dirty flows, whose rates
+    // are about to change.
+    Tick now = _sim.curTick();
+    for (Flow *f : _dirtyFlows) {
+        double transferred = f->rate * toSeconds(now - f->lastUpdate);
+        f->remainingBits =
+            std::max(0.0, f->remainingBits - transferred);
+        f->lastUpdate = now;
+    }
+
+    // 3: progressive filling over the dirty set: repeatedly saturate
+    // the most contended directed link and freeze its flows at the
+    // bottleneck share. Every active flow on a dirty link is dirty,
+    // so the restricted problem is self-contained and its solution
+    // equals the global max-min allocation on these flows.
+    for (std::uint32_t dl : _dirtyLinks) {
+        _capLeft[dl] = _topo.link(dl / 2).rate;
+        _usersLeft[dl] = 0;
+    }
+    for (Flow *f : _dirtyFlows) {
+        for (std::uint32_t dl : f->pathIdx)
+            ++_usersLeft[dl];
+    }
+
+    _unfrozen = _dirtyFlows;
     while (!_unfrozen.empty()) {
         // Find the directed link with the smallest per-flow share.
         double best_share = std::numeric_limits<double>::infinity();
-        for (std::uint32_t dl : _touched) {
+        for (std::uint32_t dl : _dirtyLinks) {
             if (_usersLeft[dl] == 0)
                 continue;
             double share = _capLeft[dl] / _usersLeft[dl];
             best_share = std::min(best_share, share);
         }
         if (!std::isfinite(best_share))
-            abortReshare("flow reshare found no bottleneck");
+            abortSolve("flow solve found no bottleneck");
 
         // Snapshot the bottleneck link set for this round *before*
         // freezing anything: freezing a flow debits the links it
@@ -247,9 +349,8 @@ FlowManager::reshare()
         // shares mis-classifies links that were epsilon-tied at the
         // round's start (flows frozen above or below their true
         // max-min rate).
-        double tolerance =
-            1e-9 * std::max(1.0, best_share);
-        for (std::uint32_t dl : _touched) {
+        double tolerance = 1e-9 * std::max(1.0, best_share);
+        for (std::uint32_t dl : _dirtyLinks) {
             _isBottleneck[dl] =
                 _usersLeft[dl] > 0 &&
                 _capLeft[dl] / _usersLeft[dl] <=
@@ -279,28 +380,21 @@ FlowManager::reshare()
         }
         if (kept == _unfrozen.size()) {
             _unfrozen.resize(kept);
-            abortReshare(detail::format(
-                "flow reshare made no progress at share ",
-                best_share));
+            abortSolve(detail::format(
+                "flow solve made no progress at share ", best_share));
         }
         _unfrozen.resize(kept);
     }
 
-    for (std::uint32_t dl : _touched)
-        _inUse[dl] = 0;
-
-    // Reschedule completion events at the new rates.
-    Tick now = _sim.curTick();
-    for (auto &[id, flow] : _flows) {
-        if (!flow.active)
-            continue;
-        if (flow.completion->scheduled())
-            _sim.deschedule(*flow.completion);
-        if (flow.rate <= 0.0)
-            HOLDCSIM_PANIC("active flow ", id, " got zero rate");
-        double seconds = flow.remainingBits / flow.rate;
+    // 4: reschedule completion events at the new rates.
+    for (Flow *f : _dirtyFlows) {
+        if (f->completion->scheduled())
+            _sim.deschedule(*f->completion);
+        if (f->rate <= 0.0)
+            HOLDCSIM_PANIC("active flow ", f->id, " got zero rate");
+        double seconds = f->remainingBits / f->rate;
         Tick eta = fromSeconds(seconds);
-        _sim.schedule(*flow.completion, now + (eta > 0 ? eta : 1));
+        _sim.schedule(*f->completion, now + (eta > 0 ? eta : 1));
     }
 }
 
@@ -318,7 +412,7 @@ FlowManager::abortFlow(FlowId flow)
     if (f.activation && f.activation->scheduled())
         _sim.deschedule(*f.activation);
     if (was_active)
-        settleProgress(); // other flows keep their progress to now
+        unenroll(f);
     _flows.erase(it);
     ++_flowsAborted;
     if (TraceManager *tr = flowTracer()) {
@@ -328,7 +422,7 @@ FlowManager::abortFlow(FlowId flow)
                      _sim.curTick());
     }
     if (was_active)
-        reshare(); // the freed bandwidth goes to the survivors
+        resolve(); // the freed bandwidth goes to the survivors
     if (aborted)
         aborted();
     return true;
@@ -337,10 +431,12 @@ FlowManager::abortFlow(FlowId flow)
 std::size_t
 FlowManager::abortFlowsOn(LinkId l)
 {
+    // Pending and fast-path flows are not enrolled on any link, so
+    // scan them all; this only runs on fault events.
     std::vector<FlowId> doomed;
     for (const auto &[id, flow] : _flows) {
-        for (const auto &dl : flow.path) {
-            if (dl.link == l) {
+        for (std::uint32_t dl : flow.pathIdx) {
+            if (dl / 2 == l) {
                 doomed.push_back(id);
                 break;
             }
@@ -373,15 +469,10 @@ double
 FlowManager::linkUtilization(LinkId l) const
 {
     double fwd = 0.0, rev = 0.0;
-    for (const auto &[id, flow] : _flows) {
-        if (!flow.active)
-            continue;
-        for (const auto &dl : flow.path) {
-            if (dl.link != l)
-                continue;
-            (dl.forward ? fwd : rev) += flow.rate;
-        }
-    }
+    for (const Flow *f : _linkFlows[2 * l + 1])
+        fwd += f->rate;
+    for (const Flow *f : _linkFlows[2 * l])
+        rev += f->rate;
     return std::max(fwd, rev) / _topo.link(l).rate;
 }
 

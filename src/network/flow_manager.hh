@@ -4,15 +4,35 @@
  * exchange data as flows that share link bandwidth max-min fairly.
  *
  * "Multiple flows or packets can simultaneously travel along a link
- * if it has not yet been saturated" -- the manager recomputes the
- * max-min fair allocation (progressive filling) whenever a flow
- * starts or finishes and reschedules each affected flow's completion
- * event accordingly.
+ * if it has not yet been saturated" -- whenever a flow starts,
+ * finishes or is aborted, FlowManager re-solves the max-min fair
+ * allocation (progressive filling) for the flows the change can
+ * affect and reschedules their completion events.
  *
- * FlowManager is the *exact* backend of the NetModel tier: every
- * change re-solves the global fair-share problem. With a nonzero
- * fast-path threshold it doubles as the *hybrid* tier (exact solver
- * for long flows, analytic completion for short ones).
+ * One solver serves both selectable models (`[network] model =
+ * exact | fluid`); they differ only in which flows a change marks
+ * dirty:
+ *
+ *  - exact: every active flow, in FlowId order. One update costs
+ *    O(active flows), with no bookkeeping beyond a scan.
+ *  - fluid: the connected component of the "shares a directed link"
+ *    relation around the changed flow, found by a breadth-first walk
+ *    of per-link membership lists (lazy partial invalidation, after
+ *    SimGrid's surf layer). The max-min solution decomposes over
+ *    these components, so rates outside the component are unchanged
+ *    and stay exact; one update costs O(component size). That wins
+ *    when traffic is local (rack-local services) and is pure overhead
+ *    when one component holds every flow (inter-pod ECMP traffic).
+ *    BENCH_engine.json measures both sides of the crossover.
+ *
+ * A resolve then settles transferred bits for the dirty flows (clean
+ * flows keep progressing linearly at their unchanged rates), water-
+ * fills them, and reschedules their completions.
+ *
+ * In either model, transfers of at most `fast_path_kb` never enter
+ * the solver: they complete after path latency plus serialization at
+ * the bottleneck link rate (constant-latency model, SimGrid's
+ * network_constant).
  */
 
 #ifndef HOLDCSIM_NETWORK_FLOW_MANAGER_HH
@@ -22,8 +42,9 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <string>
+#include <vector>
 
-#include "fluid/net_model.hh"
 #include "routing.hh"
 #include "sim/event.hh"
 #include "sim/simulator.hh"
@@ -33,105 +54,150 @@
 
 namespace holdcsim {
 
-/** Max-min fair flow scheduler over a topology (exact global solve). */
-class FlowManager : public NetModel
+/** Identifier of an in-flight flow. */
+using FlowId = std::uint64_t;
+
+/** Which flows a change re-solves (see the file comment). */
+enum class NetModelKind { exact, fluid };
+
+/** Canonical config-file spelling of @p kind. */
+const char *toString(NetModelKind kind);
+
+/** Parse "exact" | "fluid"; throws FatalError otherwise. */
+NetModelKind parseNetModelKind(const std::string &s);
+
+/** Flow-model selection and tuning. */
+struct NetModelConfig {
+    NetModelKind kind = NetModelKind::exact;
+    /**
+     * Transfers of at most this many bytes bypass the solver and
+     * complete analytically. 0 disables the fast path.
+     */
+    Bytes fastPathBytes = 0;
+};
+
+/**
+ * Solver cost counters, surfaced as `network.solver_*` stats so the
+ * two models can be compared on the same run.
+ */
+struct NetSolverStats {
+    /** Bandwidth-share solver invocations. */
+    std::uint64_t resolves = 0;
+    /** Flows whose rate was recomputed, summed over all resolves. */
+    std::uint64_t resolvedFlows = 0;
+    /** Directed links visited by the solver, summed. */
+    std::uint64_t dirtyLinks = 0;
+    /** Largest single resolve, in flows (dirty-set high-water). */
+    std::uint64_t maxDirtyFlows = 0;
+    /** Transfers completed analytically, never entering the solver. */
+    std::uint64_t fastPathHits = 0;
+
+    /** Mean dirty-set size per resolve (the invalidation win). */
+    double
+    meanDirtyFlows() const
+    {
+        return resolves == 0
+                   ? 0.0
+                   : static_cast<double>(resolvedFlows) /
+                         static_cast<double>(resolves);
+    }
+};
+
+/**
+ * Analytic completion time of a fast-path transfer along @p route:
+ * the sum of per-hop propagation latencies plus serialization of
+ * @p bytes at the slowest link on the path.
+ */
+Tick fastPathDuration(const Topology &topo, const Route &route,
+                      Bytes bytes);
+
+/** Max-min fair flow scheduler over a topology. */
+class FlowManager
 {
   public:
-    using FlowDoneFn = NetModel::FlowDoneFn;
+    using FlowDoneFn = std::function<void()>;
 
-    /**
-     * @param fast_path_bytes transfers of at most this size complete
-     *        analytically without entering the solver (0 = off; a
-     *        nonzero value makes this the "hybrid" tier).
-     */
     FlowManager(Simulator &sim, const Topology &topo,
-                Bytes fast_path_bytes = 0);
-    ~FlowManager() override;
+                const NetModelConfig &cfg = {});
+    ~FlowManager();
     FlowManager(const FlowManager &) = delete;
     FlowManager &operator=(const FlowManager &) = delete;
 
+    /**
+     * Start a flow of @p bytes along @p route. The flow joins the
+     * bandwidth competition after @p start_delay (switch wake time)
+     * and @p on_done fires when the last byte is delivered.
+     * A zero-hop route (local communication) completes after
+     * start_delay alone.
+     */
     FlowId startFlow(Route route, Bytes bytes, FlowDoneFn on_done,
-                     Tick start_delay = 0) override;
+                     Tick start_delay = 0);
+
+    /**
+     * Abort flow @p flow: its completion never fires and its abort
+     * callback (if set) is invoked. Returns whether the flow existed.
+     */
+    bool abortFlow(FlowId flow);
+
+    /**
+     * Abort every flow (active or pending) whose route traverses
+     * link @p l -- the link just failed. Returns how many died.
+     */
+    std::size_t abortFlowsOn(LinkId l);
+
+    /** Register the abort callback for flow @p flow. */
+    void setAbortCallback(FlowId flow, FlowDoneFn on_abort);
 
     /** Number of flows currently transferring or pending start. */
-    std::size_t activeFlows() const override { return _flows.size(); }
+    std::size_t activeFlows() const { return _flows.size(); }
 
     /** Current fair-share rate of @p flow (0 if pending/unknown). */
-    BitsPerSec flowRate(FlowId flow) const override;
+    BitsPerSec flowRate(FlowId flow) const;
 
     /**
      * Current utilization of link @p l in [0, 1]: the busier
      * direction's allocated share over capacity.
      */
-    double linkUtilization(LinkId l) const override;
-
-    bool abortFlow(FlowId flow) override;
-    std::size_t abortFlowsOn(LinkId l) override;
-    void setAbortCallback(FlowId flow, FlowDoneFn on_abort) override;
+    double linkUtilization(LinkId l) const;
 
     /**
-     * No-op: the exact model re-solves everything on every change,
-     * so there is no incremental state to invalidate.
+     * @name Bulk load (warm-start)
+     * Between beginBulkLoad() and endBulkLoad(), flow activations
+     * skip the per-change re-solve; endBulkLoad() settles and
+     * re-solves once. Intended for installing a large standing flow
+     * population at a single simulated instant (benchmarks, campaign
+     * warm starts): when no simulated time elapses inside the bulk
+     * window the resulting rates are identical to per-flow
+     * activation, at O(population) instead of O(population^2) cost.
      */
-    void linkHealthChanged(LinkId l, bool healthy) override
-    {
-        (void)l;
-        (void)healthy;
-    }
-
-    void beginBulkLoad() override { _bulk = true; }
-    void endBulkLoad() override;
+    ///@{
+    void beginBulkLoad() { _bulk = true; }
+    void endBulkLoad();
+    ///@}
 
     /** Completed-flow count and transfer-latency statistics. */
-    std::uint64_t flowsCompleted() const override
-    {
-        return _flowsCompleted;
-    }
+    std::uint64_t flowsCompleted() const { return _flowsCompleted; }
     /** Flows killed by faults/cancellation. */
-    std::uint64_t flowsAborted() const override
-    {
-        return _flowsAborted;
-    }
-    const Percentile &flowLatency() const override
-    {
-        return _flowLatency;
-    }
+    std::uint64_t flowsAborted() const { return _flowsAborted; }
+    const Percentile &flowLatency() const { return _flowLatency; }
 
-    const NetSolverStats &solverStats() const override
-    {
-        return _solverStats;
-    }
-
-    const char *modelName() const override
-    {
-        return _fastPathBytes > 0 ? "hybrid" : "exact";
-    }
+    /** Solver cost counters (resolves, dirty sets, fast-path hits). */
+    const NetSolverStats &solverStats() const { return _solverStats; }
 
   private:
-    /** A directed use of a link. */
-    struct DirectedLink {
-        LinkId link;
-        bool forward; // traversal from LinkInfo::a toward b
-
-        bool operator<(const DirectedLink &o) const
-        {
-            return link != o.link ? link < o.link
-                                  : forward < o.forward;
-        }
-    };
-
     struct Flow {
         FlowId id;
-        std::vector<DirectedLink> path;
-        /** path as dense directed-link indices (link * 2 + forward). */
+        /** Dense directed-link indices (link * 2 + forward). */
         std::vector<std::uint32_t> pathIdx;
-        double remainingBits;
+        /** This flow's slot in _linkFlows[pathIdx[i]] while active. */
+        std::vector<std::uint32_t> linkPos;
+        double remainingBits = 0.0;
         BitsPerSec rate = 0.0;
         Tick lastUpdate = 0;
         Tick startedAt = 0;
         bool active = false;
-        /** Completes analytically; never enters the solver. */
-        bool fastPath = false;
+        /** Dirty-set visit mark (epoch counter, never cleared). */
+        std::uint64_t visitEpoch = 0;
         FlowDoneFn onDone;
         FlowDoneFn onAbort;
         std::unique_ptr<EventFunctionWrapper> completion;
@@ -142,34 +208,54 @@ class FlowManager : public NetModel
     void finish(FlowId id);
     /** Tracer (and shared flows track) if flow tracing is on. */
     TraceManager *flowTracer();
-    /** Debit elapsed transfer from every active flow. */
-    void settleProgress();
-    /** Recompute the max-min allocation and reschedule completions. */
-    void reshare();
+
+    /** Insert @p flow into the membership list of every path link. */
+    void enroll(Flow &flow);
+    /**
+     * Swap-remove @p flow from its membership lists and seed its
+     * links for the next resolve(): the bandwidth it frees can only
+     * move flows reachable from them.
+     */
+    void unenroll(Flow &flow);
+    /** Mark @p flow (and its links) dirty for the current epoch. */
+    void markDirty(Flow &flow);
+
+    /**
+     * Form the dirty set (every active flow for exact, the component
+     * reachable from _seedLinks for fluid), settle, water-fill and
+     * reschedule it. Clears _seedLinks.
+     */
+    void resolve();
     /** Structured post-mortem + SimAbortError (solver got stuck). */
-    [[noreturn]] void abortReshare(const std::string &what);
+    [[noreturn]] void abortSolve(const std::string &what);
 
     Simulator &_sim;
     const Topology &_topo;
+    NetModelConfig _cfg;
+    /** Ordered by id: the exact model settles and reschedules so. */
     std::map<FlowId, Flow> _flows;
     FlowId _nextId = 0;
-    Bytes _fastPathBytes = 0;
     /** Inside a beginBulkLoad()/endBulkLoad() window. */
     bool _bulk = false;
 
+    /** Active flows crossing each directed link (swap-removal). */
+    std::vector<std::vector<Flow *>> _linkFlows;
+
     /**
-     * reshare() scratch state, indexed by dense directed-link index
-     * and reused across calls so the hot path never allocates after
-     * the first reshare. Only entries listed in _touched are live;
-     * _inUse marks them so each call touches O(active path hops)
-     * entries, not O(topology links).
+     * @name resolve() scratch
+     * Indexed by dense directed-link index and reused across calls,
+     * so the hot path never allocates after warm-up. Epoch marks make
+     * dirty-set membership O(1) with no clearing pass.
      */
     ///@{
+    std::uint64_t _epoch = 0;
+    std::vector<std::uint64_t> _linkEpoch;
+    std::vector<std::uint32_t> _seedLinks; // fluid BFS seeds
+    std::vector<std::uint32_t> _dirtyLinks;
+    std::vector<Flow *> _dirtyFlows;
     std::vector<double> _capLeft;      // remaining capacity
     std::vector<unsigned> _usersLeft;  // unfrozen flows crossing
-    std::vector<std::uint8_t> _inUse;  // member of _touched this call
     std::vector<std::uint8_t> _isBottleneck; // snapshot, per round
-    std::vector<std::uint32_t> _touched;     // live indices this call
     std::vector<Flow *> _unfrozen;           // round worklist
     ///@}
 

@@ -16,7 +16,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "fluid/net_model.hh"
+#include "flow_manager.hh"
 #include "packet.hh"
 #include "routing.hh"
 #include "sim/one_shot.hh"
@@ -45,8 +45,8 @@ struct NetworkConfig {
     /** MTU used when a bulk transfer is sent packet-by-packet. */
     Bytes mtuBytes = 1500;
     /**
-     * Flow-level model tier (exact | fluid | hybrid) and fast-path
-     * threshold; see net_model.hh for the accuracy/cost trade-off.
+     * Flow-level model (exact | fluid) and fast-path threshold; see
+     * flow_manager.hh for the cost trade-off.
      */
     NetModelConfig netModel;
 };
@@ -64,8 +64,8 @@ class Network
 
     const Topology &topology() const { return _topo; }
     StaticRouting &routing() { return _routing; }
-    /** The configured flow-level model backend. */
-    NetModel &flows() { return *_flowMgr; }
+    /** The flow-level model (max-min fair bandwidth sharing). */
+    FlowManager &flows() { return _flowMgr; }
 
     std::size_t numSwitches() const { return _switches.size(); }
     Switch &switchAt(std::size_t i) { return *_switches.at(i); }
@@ -186,7 +186,7 @@ class Network
     Topology _topo;
     NetworkConfig _config;
     StaticRouting _routing;
-    std::unique_ptr<NetModel> _flowMgr;
+    FlowManager _flowMgr;
 
     std::vector<std::unique_ptr<Switch>> _switches;
     /** node id -> (link id -> port ordinal) for switch nodes. */

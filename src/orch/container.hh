@@ -21,7 +21,7 @@
 #include <cstdint>
 #include <string>
 
-#include "network/fluid/net_model.hh"
+#include "network/flow_manager.hh"
 #include "sim/types.hh"
 
 namespace holdcsim {

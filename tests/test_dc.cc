@@ -97,6 +97,38 @@ TEST(DcConfig, RejectsBadValues)
                  FatalError);
 }
 
+TEST(DcConfig, HybridModelNamesItsReplacement)
+{
+    try {
+        DataCenterConfig::fromConfig(
+            Config::parseString("[network]\nmodel = hybrid\n"));
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        std::string what = e.what();
+        EXPECT_NE(what.find("model = exact"), std::string::npos) << what;
+        EXPECT_NE(what.find("fast_path_kb"), std::string::npos) << what;
+    }
+}
+
+TEST(DataCenter, ExactModelHonoursFastPath)
+{
+    auto ini = Config::parseString(R"(
+[network]
+fabric = star
+model = exact
+fast_path_kb = 64
+)");
+    DataCenter dc(DataCenterConfig::fromConfig(ini));
+    ASSERT_NE(dc.network(), nullptr);
+    bool done = false;
+    dc.network()->startFlow(0, 1, 32 * 1024, [&] { done = true; });
+    dc.run();
+    EXPECT_TRUE(done);
+    const NetSolverStats &ss = dc.network()->flows().solverStats();
+    EXPECT_EQ(ss.fastPathHits, 1u);
+    EXPECT_EQ(ss.resolves, 0u);
+}
+
 TEST(DataCenter, BuildsConfiguredFleet)
 {
     DataCenterConfig cfg;

@@ -1,23 +1,16 @@
 /**
  * @file
- * Differential tests for the selectable network-model tiers
- * (`[network] model = exact | fluid | hybrid`).
+ * Differential tests for the two dirty-set scopes of FlowManager
+ * (`[network] model = exact | fluid`) and the fast path both honour.
  *
- * The contract under test:
- *
- *  - fluid vs exact: identical max-min allocations, so flow
- *    completion ticks agree within floating-point rounding. The
- *    fluid model settles only the dirty component at each change
- *    while the exact model settles every flow, so `remainingBits`
- *    accumulates through a different sequence of double additions;
- *    the divergence is bounded by ulp-level relative error. We
- *    assert agreement within 2 ticks + 1e-6 relative -- orders of
- *    magnitude looser than the observed drift, orders tighter than
- *    any behavioral difference.
- *
- *  - hybrid vs exact at fast-path threshold 0: the *same* code path
- *    (FlowManager with the fast path never taken), so completion
- *    tick sequences and solver counters must match exactly.
+ * fluid vs exact: identical max-min allocations, so flow completion
+ * ticks agree within floating-point rounding. The fluid scope settles
+ * only the dirty component at each change while the exact scope
+ * settles every flow, so `remainingBits` accumulates through a
+ * different sequence of double additions; the divergence is bounded
+ * by ulp-level relative error. We assert agreement within 2 ticks +
+ * 1e-6 relative -- orders of magnitude looser than the observed
+ * drift, orders tighter than any behavioral difference.
  */
 
 #include <gtest/gtest.h>
@@ -30,8 +23,6 @@
 #include <vector>
 
 #include "network/flow_manager.hh"
-#include "network/fluid/fluid_flow_model.hh"
-#include "network/fluid/net_model.hh"
 #include "network/routing.hh"
 #include "network/topology.hh"
 #include "sim/logging.hh"
@@ -44,14 +35,14 @@ namespace {
 
 constexpr Tick lat = 5 * usec;
 
-std::unique_ptr<NetModel>
+std::unique_ptr<FlowManager>
 makeBackend(Simulator &sim, const Topology &topo, NetModelKind kind,
             Bytes fast_path = 0)
 {
     NetModelConfig cfg;
     cfg.kind = kind;
     cfg.fastPathBytes = fast_path;
-    return makeNetModel(sim, topo, cfg);
+    return std::make_unique<FlowManager>(sim, topo, cfg);
 }
 
 /**
@@ -211,25 +202,6 @@ TEST_P(ModelEquivalence, FluidMatchesExactWithinTolerance)
     EXPECT_LE(fluid.stats.resolvedFlows, exact.stats.resolvedFlows);
 }
 
-/** hybrid with the fast path disabled is byte-identical to exact. */
-TEST_P(ModelEquivalence, HybridThresholdZeroIsExact)
-{
-    Rng rng(GetParam());
-    Topology topo = randomTopology(rng);
-    auto script = randomScript(topo, rng, 24);
-
-    RunResult exact = runScript(topo, script, NetModelKind::exact);
-    RunResult hybrid =
-        runScript(topo, script, NetModelKind::hybrid, /*fast_path=*/0);
-
-    EXPECT_EQ(exact.doneAt, hybrid.doneAt);
-    EXPECT_EQ(exact.aborted, hybrid.aborted);
-    EXPECT_EQ(exact.completed, hybrid.completed);
-    EXPECT_EQ(exact.stats.resolves, hybrid.stats.resolves);
-    EXPECT_EQ(exact.stats.resolvedFlows, hybrid.stats.resolvedFlows);
-    EXPECT_EQ(hybrid.stats.fastPathHits, 0u);
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, ModelEquivalence,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8),
                          [](const auto &info) {
@@ -241,7 +213,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ModelEquivalence,
 
 namespace {
 
-/** Fluid and hybrid share fast-path semantics; test both. */
+/** Both scopes honour the fast path; test both. */
 class FastPath : public ::testing::TestWithParam<NetModelKind>
 {};
 
@@ -290,8 +262,8 @@ TEST_P(FastPath, LargeTransferStillUsesSolver)
 }
 
 INSTANTIATE_TEST_SUITE_P(Tiers, FastPath,
-                         ::testing::Values(NetModelKind::fluid,
-                                           NetModelKind::hybrid),
+                         ::testing::Values(NetModelKind::exact,
+                                           NetModelKind::fluid),
                          [](const auto &info) {
                              return toString(info.param);
                          });
@@ -418,14 +390,8 @@ TEST_F(FluidFixture, LinkFailureInvalidatesTouchedComponent)
 
     // s2's access link fails: flow b dies, flow a gets the trunk.
     EXPECT_EQ(model->abortFlowsOn(l_s2), 1u);
-    model->linkHealthChanged(l_s2, false);
     EXPECT_TRUE(b_aborted);
     EXPECT_EQ(model->flowsAborted(), 1u);
-    EXPECT_NEAR(model->flowRate(f_a), 1e9, 1e3);
-
-    // A repair on an untouched link must not disturb flow a's rate
-    // but is still counted as solver work.
-    model->linkHealthChanged(l_s2, true);
     EXPECT_NEAR(model->flowRate(f_a), 1e9, 1e3);
     (void)l_s0;
 }
@@ -467,24 +433,7 @@ TEST_F(FluidFixture, AbortFlowsOnKillsPendingFastPathFlows)
 
 TEST(NetModelKindStrings, RoundTrip)
 {
-    for (NetModelKind kind :
-         {NetModelKind::exact, NetModelKind::fluid,
-          NetModelKind::hybrid})
+    for (NetModelKind kind : {NetModelKind::exact, NetModelKind::fluid})
         EXPECT_EQ(parseNetModelKind(toString(kind)), kind);
     EXPECT_THROW(parseNetModelKind("packet"), FatalError);
-}
-
-TEST(NetModelFactory, BackendsReportTheirTier)
-{
-    Topology topo = Topology::star(2, 1e9, lat);
-    Simulator sim;
-    EXPECT_STREQ(
-        makeBackend(sim, topo, NetModelKind::exact)->modelName(),
-        "exact");
-    EXPECT_STREQ(
-        makeBackend(sim, topo, NetModelKind::fluid)->modelName(),
-        "fluid");
-    EXPECT_STREQ(makeBackend(sim, topo, NetModelKind::hybrid, 1024)
-                     ->modelName(),
-                 "hybrid");
 }

@@ -1,7 +1,7 @@
 /**
  * @file
  * Conservative parallel kernel tests: window protocol mechanics,
- * topology-derived partition plans, cross-partition invariant audits
+ * cross-partition invariant audits
  * and -- the central contract -- statistics identity between the
  * sequential kernel and every partition count.
  */
@@ -14,10 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "dc/dc_config.hh"
 #include "dc/pod_cluster.hh"
-#include "network/partition_map.hh"
-#include "network/topology.hh"
 #include "sim/logging.hh"
 #include "sim/pdes/partition.hh"
 #include "sim/pdes/window_scheduler.hh"
@@ -175,72 +172,6 @@ TEST(WindowScheduler, RejectsEmptyAndZeroLookahead)
     pdes::Partition pa(0, a), pb(1, b);
     EXPECT_THROW(pdes::WindowScheduler({&pa, &pb}, 0),
                  std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
-// Topology-derived partition plans.
-// ---------------------------------------------------------------------------
-
-TEST(PartitionMap, FatTreeSplitsIntoPodsWithLinkLookahead)
-{
-    const Tick lat = 5 * usec;
-    auto map = PartitionMap::derive(Topology::fatTree(4, 1e9, lat));
-    ASSERT_TRUE(map.splittable()) << map.reason();
-    EXPECT_EQ(map.pods(), 4u);
-    EXPECT_EQ(map.lookahead(), lat);
-    // Every pod owns k/2 * k/2 = 4 servers of the 16.
-    std::size_t servers = 0;
-    for (std::size_t p = 0; p < map.pods(); ++p) {
-        EXPECT_EQ(map.serversInPod(p).size(), 4u);
-        servers += map.serversInPod(p).size();
-    }
-    EXPECT_EQ(servers, 16u);
-}
-
-TEST(PartitionMap, RefusesSingleTierAndServerOnlyTopologies)
-{
-    EXPECT_FALSE(
-        PartitionMap::derive(Topology::star(8, 1e9, usec)).splittable());
-    EXPECT_FALSE(
-        PartitionMap::derive(Topology::camCube(2, 2, 2, 1e9, usec))
-            .splittable());
-}
-
-TEST(PartitionMap, GroupsPodsContiguouslyOntoPartitions)
-{
-    auto map = PartitionMap::derive(Topology::fatTree(4, 1e9, usec));
-    ASSERT_TRUE(map.splittable());
-    const auto two = map.partitionOfPod(2);
-    ASSERT_EQ(two.size(), 4u);
-    EXPECT_EQ(two[0], 0);
-    EXPECT_EQ(two[1], 0);
-    EXPECT_EQ(two[2], 1);
-    EXPECT_EQ(two[3], 1);
-    const auto one = map.partitionOfPod(1);
-    for (int p : one)
-        EXPECT_EQ(p, 0);
-}
-
-TEST(DataCenterConfig, PdesKeysParseAndValidate)
-{
-    Config cfg;
-    cfg.set("datacenter.pdes_mode", "pods:4");
-    cfg.set("network.fabric", "fat_tree");
-    cfg.set("network.param", "4");
-    auto dc = DataCenterConfig::fromConfig(cfg);
-    EXPECT_TRUE(dc.pdes.enabled());
-    EXPECT_EQ(dc.pdes.partitions, 4u);
-    EXPECT_NO_THROW(dc.validate());
-
-    Config off;
-    off.set("datacenter.pdes_mode", "off");
-    EXPECT_FALSE(DataCenterConfig::fromConfig(off).pdes.enabled());
-
-    // pods mode without a fabric cannot derive a partition cut.
-    Config bad;
-    bad.set("datacenter.pdes_mode", "pods:2");
-    EXPECT_THROW(DataCenterConfig::fromConfig(bad).validate(),
-                 FatalError);
 }
 
 // ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@
 #include "dc/pod_cluster.hh"
 #include "fault/fault_manager.hh"
 #include "fault/fault_model.hh"
-#include "network/fluid/net_model.hh"
+#include "network/flow_manager.hh"
 #include "network/network.hh"
 #include "network/routing.hh"
 #include "sched/dispatch_policy.hh"
@@ -401,11 +401,11 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// Property: max-min fair-share invariants hold for EVERY network
-// model backend (exact global solver and fluid partial-invalidation
-// solver) on every topology -- symmetry, monotonicity and capacity
-// conservation are properties of the allocation, not of the solver
-// that computed it.
+// Property: max-min fair-share invariants hold for both dirty-set
+// scopes of the flow model (exact global re-solve and fluid
+// component re-solve) on every topology -- symmetry, monotonicity and
+// capacity conservation are properties of the allocation, not of
+// which flows a change re-solved.
 // ---------------------------------------------------------------------------
 
 using FairShareParam = std::tuple<NetModelKind, std::string>;
@@ -427,12 +427,12 @@ class FairShareProperty
         return Topology::bcube(3, 1, 1e9, 5 * usec);
     }
 
-    std::unique_ptr<NetModel>
+    std::unique_ptr<FlowManager>
     backend(Simulator &sim, const Topology &topo) const
     {
         NetModelConfig cfg;
         cfg.kind = std::get<0>(GetParam());
-        return makeNetModel(sim, topo, cfg);
+        return std::make_unique<FlowManager>(sim, topo, cfg);
     }
 
     /** Dense directed-link index of each hop of @p r. */
