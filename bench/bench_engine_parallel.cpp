@@ -1,13 +1,13 @@
 /**
  * @file
- * Acceptance bench for the parallel experiment engine and the dense
+ * Acceptance bench for the parallel campaign runner and the dense
  * flow-reshare rewrite.
  *
- * Part 1 runs the same (tau sweep x 8 replica) farm grid twice --
- * sequentially (jobs=1) and on the work-stealing pool (jobs=N) --
- * and REQUIRES every per-replica metric to be bit-identical between
- * the two runs (exit 1 otherwise; CI runs this). The wall-clock
- * ratio of the two runs is the engine speedup.
+ * Part 1 runs the same (tau sweep x 8 replica) farm grid twice on
+ * the CampaignRunner -- sequentially (jobs=1) and on N threads
+ * (jobs=N) -- and REQUIRES every per-replica metric to be
+ * bit-identical between the two runs (exit 1 otherwise; CI runs
+ * this). The wall-clock ratio of the two runs is the speedup.
  *
  * Part 2 replays the same flow-activation churn through the current
  * dense-indexed FlowManager solve and through a reference
@@ -46,8 +46,8 @@
 #include <vector>
 
 #include "common.hh"
-#include "exp/experiment.hh"
-#include "exp/thread_pool.hh"
+#include "exp/campaign.hh"
+#include "exp/parallel_for.hh"
 #include "network/flow_manager.hh"
 #include "network/routing.hh"
 #include "network/topology.hh"
@@ -66,7 +66,7 @@ now_s()
         .count();
 }
 
-// ------------------------------------------------- part 1: the engine
+// ---------------------------------------- part 1: the campaign runner
 
 const Tick taus[] = {250 * msec, 1000 * msec};
 constexpr std::size_t n_replicas = 8;
@@ -396,7 +396,7 @@ main(int argc, char **argv)
 {
     setQuiet(true);
     std::string json_path;
-    unsigned jobs = ThreadPool::defaultWorkers();
+    unsigned jobs = defaultWorkers();
     std::size_t churn_max = 1'000'000;
     bool churn_only = false; // debug: skip parts 1+2, no JSON
     for (int i = 1; i < argc; ++i) {
@@ -413,7 +413,7 @@ main(int argc, char **argv)
             churn_only = true;
     }
     if (jobs == 0)
-        jobs = ThreadPool::defaultWorkers();
+        jobs = defaultWorkers();
 
     const std::size_t points = std::size(taus);
     bool identical = true;
@@ -421,22 +421,30 @@ main(int argc, char **argv)
     ReshareTimings rt;
     if (!churn_only) {
         std::printf(
-            "== experiment engine: %zu points x %zu replicas ==\n",
+            "== campaign runner: %zu points x %zu replicas ==\n",
             points, n_replicas);
 
-        auto cell = [](std::size_t point, std::size_t,
-                       std::uint64_t seed) {
-            return farmCell(point, seed);
+        auto grid = [points](unsigned n_jobs) {
+            CampaignOptions opts;
+            opts.jobs = n_jobs;
+            opts.replicas = n_replicas;
+            opts.baseSeed = 1;
+            opts.retry.maxAttempts = 1;
+            return CampaignRunner(opts)
+                .run(points, "engine farm grid",
+                     [](std::size_t point, std::size_t,
+                        std::uint64_t seed, const ReplicaLimits &) {
+                         return farmCell(point, seed);
+                     })
+                .records;
         };
 
         double t0 = now_s();
-        auto seq =
-            ExperimentEngine(1).run(points, n_replicas, 1, cell);
+        auto seq = grid(1);
         seq_s = now_s() - t0;
 
         t0 = now_s();
-        auto par =
-            ExperimentEngine(jobs).run(points, n_replicas, 1, cell);
+        auto par = grid(jobs);
         par_s = now_s() - t0;
 
         identical = recordsIdentical(seq, par);

@@ -13,7 +13,7 @@
  * Expected shape: active-server count drops steeply from 50 in the
  * initial phase, then follows the offered-job curve.
  *
- * Runs on the experiment engine:
+ * Runs on the campaign runner:
  *
  *   bench_fig4_provisioning [jobs [replicas]]
  *
@@ -30,7 +30,7 @@
 #include "dc/datacenter.hh"
 #include "dc/metrics.hh"
 #include "exp/aggregate.hh"
-#include "exp/experiment.hh"
+#include "exp/campaign.hh"
 #include "sched/provisioning.hh"
 #include "sim/logging.hh"
 #include "workload/service.hh"
@@ -123,14 +123,19 @@ main(int argc, char **argv)
                 "time (jobs=%u, replicas=%zu) ==\n",
                 n_jobs, replicas);
 
-    // Only replica 0 writes the series slot; the engine runs each
-    // (point, replica) cell exactly once, so there is no race.
+    // Only replica 0 writes the series slot; with one attempt per
+    // cell the runner runs each (point, replica) exactly once, so
+    // there is no race.
     SeriesPair series;
-    ExperimentEngine engine(n_jobs);
-    auto records = engine.run(
-        1, replicas, 4,
-        [&series](std::size_t, std::size_t replica,
-                  std::uint64_t seed) {
+    CampaignOptions opts;
+    opts.jobs = n_jobs;
+    opts.replicas = replicas;
+    opts.baseSeed = 4;
+    opts.retry.maxAttempts = 1;
+    CampaignResult res = CampaignRunner(opts).run(
+        1, "fig4 provisioning",
+        [&series](std::size_t, std::size_t replica, std::uint64_t seed,
+                  const ReplicaLimits &) {
             return provisionRun(seed,
                                 replica == 0 ? &series : nullptr);
         });
@@ -143,7 +148,7 @@ main(int argc, char **argv)
     }
 
     ResultTable table;
-    ExperimentEngine::tabulate(records, table);
+    tabulate(res.records, table);
     if (replicas == 1) {
         std::printf("jobs completed: %.0f; park events: %.0f; "
                     "activate events: %.0f\n",

@@ -10,14 +10,14 @@
  * throughput. The 20K+ configuration completing in seconds-to-
  * minutes on a laptop is the claim being checked.
  *
- * The farm sizes run as points of the experiment engine:
+ * The farm sizes run as points of a CampaignRunner grid:
  *
  *   bench_table1_scalability [jobs [replicas]]
  *
  * With jobs == 1 (the default) points run sequentially and the
  * per-point timings are clean; with jobs > 1 the points (and
  * replicas) share the machine, so per-point throughput readings are
- * contended but the total wall-clock shows the engine speedup.
+ * contended but the total wall-clock shows the parallel speedup.
  */
 
 #include <chrono>
@@ -27,7 +27,7 @@
 
 #include "dc/datacenter.hh"
 #include "exp/aggregate.hh"
-#include "exp/experiment.hh"
+#include "exp/campaign.hh"
 #include "sim/logging.hh"
 #include "workload/service.hh"
 
@@ -102,19 +102,23 @@ main(int argc, char **argv)
                 n_jobs, replicas);
 
     auto wall0 = std::chrono::steady_clock::now();
-    ExperimentEngine engine(n_jobs);
-    auto records =
-        engine.run(std::size(farms), replicas, 1,
-                   [](std::size_t point, std::size_t,
-                      std::uint64_t seed) {
-                       return scaleRun(farms[point], seed);
-                   });
+    CampaignOptions opts;
+    opts.jobs = n_jobs;
+    opts.replicas = replicas;
+    opts.baseSeed = 1;
+    opts.retry.maxAttempts = 1;
+    CampaignResult res = CampaignRunner(opts).run(
+        std::size(farms), "table1 farm-size sweep",
+        [](std::size_t point, std::size_t, std::uint64_t seed,
+           const ReplicaLimits &) {
+            return scaleRun(farms[point], seed);
+        });
     double wall = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - wall0)
                       .count();
 
     ResultTable table;
-    ExperimentEngine::tabulate(records, table);
+    tabulate(res.records, table);
 
     std::printf("%8s  %9s  %8s  %8s  %10s  %11s\n", "servers", "jobs",
                 "build_s", "run_s", "events/s", "jobs/s");

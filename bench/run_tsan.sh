@@ -1,15 +1,16 @@
 #!/bin/bash
-# Build with ThreadSanitizer and exercise the experiment engine's
-# thread pool: the test_exp suite (pool scheduling, nested submits,
-# stealing, parallel Simulators) plus the engine acceptance bench and
-# the event-kernel backend-equivalence smoke (calendar vs heap pop
-# order must match under TSan too). The PDES suite runs as well --
-# the window barrier, mailbox hand-off and cross-worker error plumbing
-# in src/sim/pdes are exactly the code TSan exists for -- and the
-# bench's --quick gate replays the pod cluster at 1/2/4 workers,
-# failing if any parallel stats dump drifts from sequential. The
-# fault-schedule explorer smoke runs its oracle fleet on the same
-# thread pool, so its find -> shrink -> replay loop gets the TSan
+# Build with ThreadSanitizer and exercise every threaded code path:
+# the test_exp suite (parallelFor index claiming and exception
+# hand-off, parallel Simulators, the campaign runner's parallel grid)
+# plus the campaign-runner acceptance bench and the event-kernel
+# backend-equivalence smoke (calendar vs heap pop order must match
+# under TSan too). The PDES suite runs as well -- the window barrier,
+# mailbox hand-off and cross-worker error plumbing in src/sim/pdes
+# are exactly the code TSan exists for -- and the bench's --quick
+# gate replays the pod cluster at 1/2/4 workers, failing if any
+# parallel stats dump drifts from sequential. The fault-schedule
+# explorer smoke runs its oracle fleet on the campaign runner's
+# threads, so its find -> shrink -> replay loop gets the TSan
 # treatment too.
 # Usage: bench/run_tsan.sh [build-dir]
 set -euo pipefail

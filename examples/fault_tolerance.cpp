@@ -10,7 +10,7 @@
  * task retries, jobs abandoned, energy wasted on killed attempts and
  * the inflation of mean/99th-percentile job latency.
  *
- * The four configurations are sweep points of the experiment engine
+ * The four configurations are sweep points of one CampaignRunner grid
  * and run concurrently:
  *
  *   fault_tolerance [jobs [replicas]]
@@ -40,7 +40,7 @@
 #include "dc/datacenter.hh"
 #include "exp/aggregate.hh"
 #include "exp/campaign.hh"
-#include "exp/experiment.hh"
+#include "exp/parallel_for.hh"
 #include "workload/service.hh"
 
 using namespace holdcsim;
@@ -176,12 +176,8 @@ campaignDemo(unsigned n_jobs)
         });
 
     for (const ReplicaRecord &rec : res.records) {
-        if (!rec.failed) {
-            std::printf("  point %zu completed: %.0f jobs\n",
-                        rec.point,
-                        rec.metrics.empty() ? 0.0
-                                            : rec.metrics[0].second);
-        }
+        std::printf("  point %zu completed: %.0f jobs\n", rec.point,
+                    rec.metrics.empty() ? 0.0 : rec.metrics[0].second);
     }
     for (const QuarantineRecord &q : res.quarantined) {
         std::printf("  point %zu QUARANTINED after retry: %s\n",
@@ -202,7 +198,7 @@ int
 main(int argc, char **argv)
 {
     unsigned n_jobs = argc > 1 ? std::strtoul(argv[1], nullptr, 10)
-                               : ThreadPool::defaultWorkers();
+                               : defaultWorkers();
     std::size_t replicas =
         argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 1;
     if (replicas == 0)
@@ -216,14 +212,19 @@ main(int argc, char **argv)
                 "done", "failed", "wasted_J", "waste_%",
                 "mean_ms", "p99_ms");
 
-    ExperimentEngine engine(n_jobs);
-    auto records = engine.run(
-        std::size(sweep), replicas, 7,
-        [](std::size_t point, std::size_t, std::uint64_t seed) {
+    CampaignOptions opts;
+    opts.jobs = n_jobs;
+    opts.replicas = replicas;
+    opts.baseSeed = 7;
+    opts.retry.maxAttempts = 1;
+    CampaignResult res = CampaignRunner(opts).run(
+        std::size(sweep), "fault_tolerance MTTF sweep",
+        [](std::size_t point, std::size_t, std::uint64_t seed,
+           const ReplicaLimits &) {
             return runOnce(sweep[point].mttfHours, seed);
         });
     ResultTable table;
-    ExperimentEngine::tabulate(records, table);
+    tabulate(res.records, table);
 
     for (std::size_t p = 0; p < std::size(sweep); ++p) {
         auto mean = [&table, p](const char *metric) {

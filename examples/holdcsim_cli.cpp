@@ -61,7 +61,6 @@
 #include "dc/workload_config.hh"
 #include "exp/aggregate.hh"
 #include "exp/campaign.hh"
-#include "exp/experiment.hh"
 #include "exp/sweep.hh"
 #include "mc/explorer.hh"
 
@@ -165,7 +164,7 @@ options:
 
 Any of --replicas, --sweep, --csv or a [sweep] config section (or
 --jobs != 1) switches to experiment mode: the (sweep point x replica)
-grid runs on the experiment engine and per-point summaries (mean,
+grid runs on the campaign runner and per-point summaries (mean,
 stddev, 95% CI across replicas) are printed instead of the raw stat
 dump. Replica r of every point uses replicaSeed(datacenter.seed, r),
 so results are independent of --jobs.
@@ -581,7 +580,7 @@ main(int argc, char **argv)
         ResultTable table;
         for (std::size_t p = 0; p < spec.numPoints(); ++p)
             table.setPointLabel(p, spec.point(p).label());
-        ExperimentEngine::tabulate(res.records, table);
+        tabulate(res.records, table);
 
         if (!csv_path.empty()) {
             std::ofstream csv(csv_path);

@@ -2,15 +2,16 @@
 
 #include <chrono>
 #include <csignal>
+#include <exception>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <utility>
 
+#include "parallel_for.hh"
 #include "sim/logging.hh"
 #include "sim/simulator.hh"
-#include "thread_pool.hh"
 
 namespace holdcsim {
 
@@ -66,6 +67,29 @@ struct CellState {
 };
 
 } // namespace
+
+std::uint64_t
+replicaSeed(std::uint64_t base, std::uint64_t replica)
+{
+    if (replica == 0)
+        return base;
+    // One splitmix64 round over base ^ (replica * golden-gamma):
+    // the same mixing the Rng seeder uses for stream separation.
+    std::uint64_t z = base ^ (replica * 0x9e3779b97f4a7c15ULL);
+    z += 0x9e3779b97f4a7c15ULL;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+}
+
+void
+tabulate(const std::vector<ReplicaRecord> &records, ResultTable &table)
+{
+    for (const ReplicaRecord &rec : records) {
+        for (const auto &[name, value] : rec.metrics)
+            table.add(rec.point, rec.replica, name, value);
+    }
+}
 
 CampaignRunner::CampaignRunner(CampaignOptions opts)
     : _opts(std::move(opts))
@@ -261,16 +285,19 @@ CampaignRunner::run(std::size_t points, const std::string &config_text,
         ++res.executed;
     };
 
-    if (_opts.jobs == 1) {
-        for (std::size_t i = 0; i < cells.size(); ++i)
-            run_cell(i);
-    } else {
-        ThreadPool pool(_opts.jobs);
-        ThreadPool::parallelFor(pool, cells.size(), run_cell);
+    // run_cell absorbs run failures; what escapes it (a journal
+    // write error) surfaces after the monitor is stopped.
+    std::exception_ptr error;
+    try {
+        parallelFor(_opts.jobs, cells.size(), run_cell);
+    } catch (...) {
+        error = std::current_exception();
     }
 
     monitor_stop.store(true, std::memory_order_relaxed);
     monitor.join();
+    if (error)
+        std::rethrow_exception(error);
 
     res.watchdogCancels = wd_cancels.load();
     res.interrupted = g_interrupt.load(std::memory_order_relaxed);

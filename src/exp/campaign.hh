@@ -1,9 +1,16 @@
 /**
  * @file
- * Crash-tolerant campaign execution.
+ * The grid runner: crash-tolerant campaign execution.
  *
- * A CampaignRunner wraps the (sweep point x replica) grid of the
- * experiment engine with the machinery long campaigns need to
+ * A CampaignRunner runs the (sweep point x replica) grid of
+ * independent simulations on parallelFor, shared-nothing -- each run
+ * builds its own Simulator, config and stats inside the run callback
+ * -- with deterministic per-replica seeding, so an N-way parallel
+ * run is stat-for-stat identical to the sequential one. The runner
+ * does not know what a DataCenter is: the callback receives (point,
+ * replica, seed, limits) and returns named metric values.
+ *
+ * Around that grid it adds the machinery long campaigns need to
  * survive real machines: an append-only journal of completed cells
  * (resume skips them), a per-replica watchdog (wall-clock deadline
  * plus simulated-event budget) that cancels hung replicas through
@@ -30,11 +37,25 @@
 #include <string>
 #include <vector>
 
-#include "experiment.hh"
+#include "aggregate.hh"
 #include "fault/retry_policy.hh"
 #include "journal.hh"
 
 namespace holdcsim {
+
+/**
+ * Deterministic seed of replica @p replica of a base-seeded
+ * campaign. Replica 0 keeps the base seed (a 1-replica campaign
+ * reproduces the plain run exactly); higher replicas get a
+ * splitmix64-mixed stream so replica seeds never collide or
+ * correlate. A function of (base, replica) only -- never of worker
+ * count or execution order.
+ */
+std::uint64_t replicaSeed(std::uint64_t base, std::uint64_t replica);
+
+/** Fill @p table from @p records (all rows, in grid order). */
+void tabulate(const std::vector<ReplicaRecord> &records,
+              ResultTable &table);
 
 /**
  * Cancellation wiring a campaign hands to each replica run. The run
@@ -50,7 +71,10 @@ struct ReplicaLimits {
 
 /** Campaign execution knobs. */
 struct CampaignOptions {
-    /** Pool workers (1 = inline sequential reference execution). */
+    /**
+     * Worker threads (1 = inline sequential reference execution,
+     * 0 = one per hardware thread).
+     */
     unsigned jobs = 1;
     /** Replications per sweep point. */
     std::size_t replicas = 1;

@@ -29,9 +29,18 @@
 #include <utility>
 #include <vector>
 
-#include "experiment.hh"
-
 namespace holdcsim {
+
+/** Ordered metric name/value pairs returned by one run. */
+using MetricRow = std::vector<std::pair<std::string, double>>;
+
+/** A completed (point, replica) cell. */
+struct ReplicaRecord {
+    std::size_t point = 0;
+    std::size_t replica = 0;
+    std::uint64_t seed = 0;
+    MetricRow metrics;
+};
 
 /** A (point, replica) cell quarantined after repeated failures. */
 struct QuarantineRecord {

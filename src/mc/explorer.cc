@@ -191,8 +191,6 @@ exploreFaultSchedules(const Config &cfg, const ExplorerOptions &opts)
     // count and of which cells the journal already had.
     std::size_t firstFail = schedules.size();
     for (const ReplicaRecord &r : res.records) {
-        if (r.failed)
-            continue;
         for (const auto &[name, value] : r.metrics) {
             if (name == "mc_failed" && value != 0.0) {
                 ++report.failures;

@@ -7,7 +7,7 @@
  * DataCenter with the InvariantAuditor always on as the oracle, and
  * classifies every run: pass, invariant violation / simulator abort,
  * hang (simulated-event budget tripped -- livelock), or model error.
- * The campaign rides the experiment engine's CampaignRunner, so
+ * The campaign rides the CampaignRunner, so
  * exploration is parallel across schedules, journaled, and resumable
  * -- an interrupted exploration picks up at the first unexplored
  * schedule, keyed by the schedule set's canonical hashes.

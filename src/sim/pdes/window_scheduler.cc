@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <barrier>
 #include <chrono>
+#include <thread>
 #include <tuple>
 
-#include "exp/thread_pool.hh"
 #include "sim/logging.hh"
 
 namespace holdcsim::pdes {
@@ -130,13 +130,14 @@ WindowScheduler::runParallel()
     const std::size_t n = _parts.size();
     std::barrier sync(static_cast<std::ptrdiff_t>(n),
                       [this]() noexcept { drainAndPlan(); });
-    // A dedicated pool sized to the partition count: pinned tasks
-    // occupy their worker for the whole run, so sharing a smaller
-    // pool would deadlock the barrier.
-    ThreadPool pool(static_cast<unsigned>(n));
+    // One thread per partition for the whole run: every worker must
+    // arrive at every barrier. workerLoop() absorbs partition errors,
+    // so no exception escapes a thread.
+    std::vector<std::thread> threads;
     for (std::size_t w = 0; w < n; ++w)
-        pool.submitTo(w, [this, w, &sync] { workerLoop(w, sync); });
-    pool.wait();
+        threads.emplace_back([this, w, &sync] { workerLoop(w, sync); });
+    for (std::thread &t : threads)
+        t.join();
 }
 
 template <typename Barrier>

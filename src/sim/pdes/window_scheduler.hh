@@ -5,8 +5,8 @@
  * The WindowScheduler advances N partitions in lock-stepped time
  * windows of width `lookahead`, the minimum latency of any
  * cross-partition link. Within a window [floor, floor + lookahead)
- * every partition executes its local events concurrently on a
- * dedicated pool worker; an interaction that crosses a partition
+ * every partition executes its local events concurrently on its
+ * own worker thread; an interaction that crosses a partition
  * boundary cannot take effect earlier than `lookahead` in the future,
  * so it is recorded as a timestamped outbox message instead of a
  * direct call. At the window barrier a single thread drains every
@@ -61,8 +61,8 @@ class WindowScheduler
 
     /**
      * @param partitions one entry per worker; not owned, must stay
-     *                   alive for the run. Partition i runs on pool
-     *                   worker i.
+     *                   alive for the run. Partition i runs on
+     *                   worker thread i.
      * @param lookahead  window width; every Partition::post() latency
      *                   must be >= this or the run aborts at the
      *                   drain.
@@ -102,7 +102,7 @@ class WindowScheduler
   private:
     void runSingle();
     void runParallel();
-    /** Worker w's phase loop (body of the pinned pool task). */
+    /** Worker w's phase loop (body of its thread). */
     template <typename Barrier> void workerLoop(std::size_t w, Barrier &sync);
     /** Barrier completion: audit, drain, plan the next window. */
     void drainAndPlan() noexcept;

@@ -109,7 +109,8 @@ TimerWheel::settleOverflow(Tick window_base)
         Slot &s = slotFor(top.deadline);
         s.ids.push_back({top.idx, top.gen});
         ++s.liveCount;
-        e.inOverflow = false;
+        ++_ringLive;
+        e.inRing = true;
         ++_stats.overflowMigrations;
         popOverflow();
     }
@@ -138,12 +139,13 @@ TimerWheel::arm(TimerClient &client, std::uint64_t token, Tick delay)
     e.live = true;
 
     if (dl < _windowBase + span()) {
-        e.inOverflow = false;
+        e.inRing = true;
         Slot &s = slotFor(dl);
         s.ids.push_back({idx, e.gen});
         ++s.liveCount;
+        ++_ringLive;
     } else {
-        e.inOverflow = true;
+        e.inRing = false;
         pushOverflow({dl, e.seq, idx, e.gen});
     }
 
@@ -169,12 +171,14 @@ TimerWheel::cancel(Handle &h)
         h = {}; // stale: the timer already fired or was re-armed
         return;
     }
-    if (!e.inOverflow) {
+    if (e.inRing) {
         Slot &s = slotFor(e.deadline);
         if (--s.liveCount == 0)
             s.ids.clear(); // nothing live left: drop the dead refs too
+        --_ringLive;
     }
-    // Overflow items are dropped lazily by settleOverflow().
+    // Overflow items are dropped lazily by settleOverflow(), batch
+    // entries by the firing loop's liveness check.
     freeEntry(h.idx);
     --_live;
     ++_stats.cancelled;
@@ -229,7 +233,13 @@ TimerWheel::tick()
     Slot &slot = slotFor(boundary);
     _batch.clear();
     _batch.swap(slot.ids);
+    _ringLive -= slot.liveCount;
     slot.liveCount = 0;
+    for (const Ref &ref : _batch) {
+        Entry &e = _arena[ref.idx];
+        if (e.gen == ref.gen)
+            e.inRing = false; // a cancel must not touch the slot now
+    }
 
     // Fire live entries in arm order (seq) for determinism. Filter
     // first: dead refs keep stale seqs. Free each entry before its
@@ -261,12 +271,12 @@ TimerWheel::tick()
     // Find the next occupied boundary. k = 0 re-checks the current
     // slot: a callback may have armed a zero-delay timer landing on
     // this very boundary, which must fire later this tick, not a lap
-    // from now. Then scan the ring forward and fall back to the
-    // overflow heap (whose live top is beyond the ring horizon by
-    // construction).
+    // from now. Then scan the ring forward (only if it holds a live
+    // timer) and fall back to the overflow heap (whose live top is
+    // beyond the ring horizon by construction).
     Tick next = maxTick;
     const std::size_t n = _slots.size();
-    for (std::size_t k = 0; k <= n; ++k) {
+    for (std::size_t k = 0; _ringLive > 0 && k <= n; ++k) {
         const Tick b = boundary + _granularity * static_cast<Tick>(k);
         if (_slots[static_cast<std::size_t>(b / _granularity) & (n - 1)]
                 .liveCount > 0) {

@@ -133,7 +133,9 @@ class TimerWheel
         std::uint32_t gen = 0;
         std::uint32_t nextFree = Handle::invalidIdx;
         bool live = false;
-        bool inOverflow = false;
+        /** Counted in its slot's liveCount: false while parked in the
+         *  overflow heap or detached into a firing batch. */
+        bool inRing = false;
     };
 
     /** (idx, gen) pair: detects freed-and-reused arena entries. */
@@ -184,6 +186,10 @@ class TimerWheel
     std::uint32_t _freeHead = Handle::invalidIdx;
     std::vector<OverflowItem> _overflow; // binary heap (by deadline,seq)
     std::size_t _live = 0;
+    /** Live timers counted in ring slots; 0 lets tick() skip the ring
+     *  scan (at G = 1 the ring spans only 1024 ticks, so most governor
+     *  deadlines sit in the overflow heap). */
+    std::size_t _ringLive = 0;
     std::uint64_t _nextSeq = 0;
     /** Boundaries < _windowBase have fired; ring covers
      *  [_windowBase, _windowBase + span()). */

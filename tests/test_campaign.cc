@@ -61,7 +61,7 @@ csvOf(const CampaignResult &res, std::size_t points)
     ResultTable table;
     for (std::size_t p = 0; p < points; ++p)
         table.setPointLabel(p, "p" + std::to_string(p));
-    ExperimentEngine::tabulate(res.records, table);
+    tabulate(res.records, table);
     std::ostringstream out;
     table.writeCsv(out);
     return out.str();

@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the parallel experiment engine: thread-pool scheduling,
- * deterministic replica seeding (parallel == sequential), sweep
- * expansion and cross-replica aggregation.
+ * Tests for the experiment layer: parallelFor, the campaign runner's
+ * grid (deterministic replica seeding, parallel == sequential),
+ * sweep expansion and cross-replica aggregation.
  */
 
 #include <gtest/gtest.h>
@@ -17,205 +17,81 @@
 #include <vector>
 
 #include "exp/aggregate.hh"
-#include "exp/experiment.hh"
+#include "exp/campaign.hh"
+#include "exp/parallel_for.hh"
 #include "exp/sweep.hh"
-#include "exp/thread_pool.hh"
 #include "sim/config.hh"
+#include "sim/logging.hh"
 #include "sim/random.hh"
 #include "sim/simulator.hh"
 
 using namespace holdcsim;
 
-// ------------------------------------------------------------ thread pool
+// ------------------------------------------------------------ parallelFor
 
-TEST(ThreadPool, RunsEverySubmittedTask)
+TEST(ParallelFor, EveryIndexRunsExactlyOnce)
 {
-    ThreadPool pool(4);
+    for (unsigned workers : {1u, 4u, 64u}) {
+        std::vector<std::atomic<int>> seen(50);
+        parallelFor(workers, seen.size(),
+                    [&](std::size_t i) { ++seen[i]; });
+        for (const std::atomic<int> &s : seen)
+            EXPECT_EQ(s.load(), 1) << "workers=" << workers;
+    }
+    int calls = 0;
+    parallelFor(4, 0, [&](std::size_t) { ++calls; });
+    EXPECT_EQ(calls, 0);
+}
+
+TEST(ParallelFor, RunsEveryIndexOfALargeGrid)
+{
     std::atomic<int> hits{0};
-    for (int i = 0; i < 1000; ++i)
-        pool.submit([&] { ++hits; });
-    pool.wait();
+    parallelFor(4, 1000, [&](std::size_t) { ++hits; });
     EXPECT_EQ(hits.load(), 1000);
 }
 
-TEST(ThreadPool, WaitWithNothingSubmittedReturns)
+TEST(ParallelFor, SingleWorkerRunsInlineInIndexOrder)
 {
-    ThreadPool pool(2);
-    pool.wait();
-    pool.wait();
-    SUCCEED();
-}
-
-TEST(ThreadPool, SingleWorkerStillCompletes)
-{
-    ThreadPool pool(1);
-    std::atomic<int> hits{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&] { ++hits; });
-    pool.wait();
-    EXPECT_EQ(hits.load(), 100);
-}
-
-TEST(ThreadPool, NestedSubmitsComplete)
-{
-    ThreadPool pool(4);
-    std::atomic<int> hits{0};
-    for (int i = 0; i < 16; ++i) {
-        pool.submit([&] {
-            for (int j = 0; j < 8; ++j)
-                pool.submit([&] { ++hits; });
-        });
-    }
-    pool.wait();
-    EXPECT_EQ(hits.load(), 16 * 8);
-}
-
-TEST(ThreadPool, WorkIsActuallyStolen)
-{
-    // One long task pins one worker; the rest must be picked up by
-    // the other workers even though round-robin parked some of them
-    // on the pinned worker's deque.
-    ThreadPool pool(4);
-    std::atomic<int> hits{0};
-    std::atomic<bool> release{false};
-    pool.submit([&] {
-        while (!release)
-            std::this_thread::yield();
+    // workers == 1 is the sequential reference: the calling thread,
+    // index order, no other threads.
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::size_t> order;
+    parallelFor(1, 100, [&](std::size_t i) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        order.push_back(i);
     });
-    for (int i = 0; i < 64; ++i)
-        pool.submit([&] { ++hits; });
-    while (hits.load() < 64)
-        std::this_thread::yield();
-    release = true;
-    pool.wait();
-    EXPECT_EQ(hits.load(), 64);
+    ASSERT_EQ(order.size(), 100u);
+    for (std::size_t i = 0; i < order.size(); ++i)
+        EXPECT_EQ(order[i], i);
 }
 
-TEST(ThreadPool, WorkerExceptionDoesNotTerminateOrDeadlock)
+TEST(ParallelFor, ThrowingIndexDoesNotStopOthers)
 {
-    // Regression: an exception escaping a worker task used to unwind
-    // through the worker loop (std::terminate) or leave _unfinished
-    // forever nonzero (wait() deadlock). It must cost exactly the
-    // throwing task and nothing else.
-    ThreadPool pool(4);
-    std::atomic<int> hits{0};
-    for (int i = 0; i < 200; ++i) {
-        if (i % 10 == 3)
-            pool.submit([] { throw std::runtime_error("boom"); });
-        else
-            pool.submit([&] { ++hits; });
-    }
-    pool.wait();
-    EXPECT_EQ(hits.load(), 180);
-    EXPECT_EQ(pool.failedTasks(), 20u);
-    ASSERT_TRUE(pool.firstException());
-    try {
-        std::rethrow_exception(pool.firstException());
-        FAIL() << "expected a rethrow";
-    } catch (const std::runtime_error &e) {
-        EXPECT_STREQ(e.what(), "boom");
-    }
-}
-
-TEST(ThreadPool, ExceptionInWaitHelpedTaskIsAbsorbed)
-{
-    // wait() helps drain the queue on the caller thread; a throwing
-    // task picked up there must not escape into the caller either.
-    ThreadPool pool(1);
-    std::atomic<int> hits{0};
-    for (int i = 0; i < 50; ++i)
-        pool.submit([&, i] {
-            if (i == 25)
-                throw std::runtime_error("mid-queue");
-            ++hits;
-        });
-    EXPECT_NO_THROW(pool.wait());
-    EXPECT_EQ(hits.load(), 49);
-    EXPECT_EQ(pool.failedTasks(), 1u);
-}
-
-TEST(ThreadPool, NonThrowingRunHasNoFailures)
-{
-    ThreadPool pool(2);
-    for (int i = 0; i < 10; ++i)
-        pool.submit([] {});
-    pool.wait();
-    EXPECT_EQ(pool.failedTasks(), 0u);
-    EXPECT_FALSE(pool.firstException());
-}
-
-TEST(ThreadPool, PinnedTasksRunOnNamedWorkerInOrder)
-{
-    // submitTo() is the named-worker mode: every pinned task must
-    // observe currentWorker() == its target index, and pinned tasks
-    // of one worker must run in submission order even while the
-    // stealable deques churn.
-    ThreadPool pool(4);
-    std::vector<std::vector<int>> order(4);
-    std::atomic<int> misplaced{0};
-    for (int round = 0; round < 64; ++round) {
-        for (std::size_t w = 0; w < 4; ++w) {
-            pool.submitTo(w, [&, w, round] {
-                if (ThreadPool::currentWorker() != w)
-                    ++misplaced;
-                else
-                    order[w].push_back(round);
+    // Every index still runs, and the exception rethrown after the
+    // join is the lowest throwing index's -- whatever the completion
+    // order, at every worker count.
+    for (unsigned workers : {1u, 4u}) {
+        std::atomic<int> hits{0};
+        try {
+            parallelFor(workers, 200, [&](std::size_t i) {
+                if (i % 10 == 3)
+                    throw std::runtime_error("boom " + std::to_string(i));
+                ++hits;
             });
+            FAIL() << "expected a rethrow";
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "boom 3") << "workers=" << workers;
         }
-        pool.submit([] {});
-    }
-    pool.wait();
-    EXPECT_EQ(misplaced.load(), 0);
-    for (std::size_t w = 0; w < 4; ++w) {
-        ASSERT_EQ(order[w].size(), 64u) << "worker " << w;
-        for (int round = 0; round < 64; ++round)
-            EXPECT_EQ(order[w][round], round) << "worker " << w;
+        EXPECT_EQ(hits.load(), 180) << "workers=" << workers;
     }
 }
 
-TEST(ThreadPool, CurrentWorkerIsNposOutsidePool)
+TEST(ParallelFor, ManySimulatorsInParallel)
 {
-    EXPECT_EQ(ThreadPool::currentWorker(), ThreadPool::npos);
-    ThreadPool pool(2);
-    std::atomic<bool> inside_ok{false};
-    // Pinned to worker 0: pinned tasks are never stolen, so this
-    // cannot end up running on the waiting thread below (where
-    // currentWorker() is rightly npos).
-    pool.submitTo(0, [&] {
-        inside_ok = ThreadPool::currentWorker() == 0;
-    });
-    pool.wait();
-    EXPECT_TRUE(inside_ok.load());
-    // The waiter lending a hand is not a worker either.
-    EXPECT_EQ(ThreadPool::currentWorker(), ThreadPool::npos);
-}
-
-TEST(ThreadPool, PinnedTaskExceptionIsAbsorbed)
-{
-    ThreadPool pool(2);
-    pool.submitTo(1, [] { throw std::runtime_error("pinned boom"); });
-    pool.wait();
-    EXPECT_EQ(pool.failedTasks(), 1u);
-    ASSERT_TRUE(pool.firstException());
-}
-
-TEST(ThreadPool, ParallelForCoversAllIndicesOnce)
-{
-    ThreadPool pool(3);
-    std::vector<int> seen(500, 0);
-    ThreadPool::parallelFor(pool, seen.size(),
-                            [&](std::size_t i) { ++seen[i]; });
-    for (int s : seen)
-        EXPECT_EQ(s, 1);
-}
-
-TEST(ThreadPool, ManySimulatorsInParallel)
-{
-    // The whole point of the pool: independent Simulators are
-    // shared-nothing and race-free when run concurrently.
-    ThreadPool pool(0);
+    // The whole point: independent Simulators are shared-nothing and
+    // race-free when run concurrently.
     std::vector<std::uint64_t> events(32, 0);
-    ThreadPool::parallelFor(pool, events.size(), [&](std::size_t i) {
+    parallelFor(0, events.size(), [&](std::size_t i) {
         Simulator sim;
         std::uint64_t count = 0;
         EventFunctionWrapper tick(
@@ -259,13 +135,14 @@ TEST(ReplicaSeed, StreamsAreUncorrelated)
     EXPECT_LE(same, 1);
 }
 
-// -------------------------------------------------------------- the engine
+// ------------------------------------------------------- the grid runner
 
 namespace {
 
 /** A small stochastic "simulation": deterministic given its seed. */
 MetricRow
-fakeRun(std::size_t point, std::size_t, std::uint64_t seed)
+fakeRun(std::size_t point, std::size_t, std::uint64_t seed,
+        const ReplicaLimits & = {})
 {
     Rng rng(seed, "fake");
     double acc = 0.0;
@@ -274,13 +151,27 @@ fakeRun(std::size_t point, std::size_t, std::uint64_t seed)
     return {{"acc", acc}, {"draws", 1000.0}};
 }
 
+/** Run a points x replicas grid of @p fn with one attempt per cell. */
+CampaignResult
+runGrid(unsigned jobs, std::size_t points, std::size_t replicas,
+        std::uint64_t base_seed,
+        const CampaignRunner::RunFn &fn = fakeRun)
+{
+    CampaignOptions opts;
+    opts.jobs = jobs;
+    opts.replicas = replicas;
+    opts.baseSeed = base_seed;
+    opts.retry.maxAttempts = 1;
+    return CampaignRunner(opts).run(points, "grid", fn);
+}
+
 } // namespace
 
-TEST(ExperimentEngine, ParallelIdenticalToSequential)
+TEST(CampaignGrid, ParallelIdenticalToSequential)
 {
-    ExperimentEngine seq(1), par(8);
-    auto a = seq.run(3, 8, 1234, fakeRun);
-    auto b = par.run(3, 8, 1234, fakeRun);
+    auto a = runGrid(1, 3, 8, 1234).records;
+    auto b = runGrid(8, 3, 8, 1234).records;
+    ASSERT_EQ(a.size(), 24u);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i].point, b[i].point);
@@ -295,10 +186,9 @@ TEST(ExperimentEngine, ParallelIdenticalToSequential)
     }
 }
 
-TEST(ExperimentEngine, RecordsArriveInGridOrder)
+TEST(CampaignGrid, RecordsArriveInGridOrder)
 {
-    ExperimentEngine eng(4);
-    auto records = eng.run(2, 3, 1, fakeRun);
+    auto records = runGrid(4, 2, 3, 1).records;
     ASSERT_EQ(records.size(), 6u);
     for (std::size_t i = 0; i < records.size(); ++i) {
         EXPECT_EQ(records[i].point, i / 3);
@@ -306,42 +196,42 @@ TEST(ExperimentEngine, RecordsArriveInGridOrder)
     }
 }
 
-TEST(ExperimentEngine, ThrowingReplicaFailsOnlyThatRecord)
+TEST(CampaignGrid, ThrowingReplicaQuarantinesOnlyThatCell)
 {
-    ExperimentEngine eng(4);
-    auto records = eng.run(
-        2, 3, 5,
-        [](std::size_t point, std::size_t replica, std::uint64_t seed) {
+    setQuiet(true);
+    CampaignResult res = runGrid(
+        4, 2, 3, 5,
+        [](std::size_t point, std::size_t replica, std::uint64_t seed,
+           const ReplicaLimits &) {
             if (point == 1 && replica == 1)
                 throw std::runtime_error("replica died");
             return fakeRun(point, replica, seed);
         });
-    ASSERT_EQ(records.size(), 6u);
-    int failed = 0;
-    for (const ReplicaRecord &r : records) {
-        if (r.failed) {
-            ++failed;
-            EXPECT_EQ(r.point, 1u);
-            EXPECT_EQ(r.replica, 1u);
-            EXPECT_EQ(r.error, "replica died");
-            EXPECT_TRUE(r.metrics.empty());
-        } else {
-            EXPECT_FALSE(r.metrics.empty());
-        }
+    setQuiet(false);
+    // One attempt per cell: the throwing cell is quarantined at once,
+    // every other cell completes.
+    ASSERT_EQ(res.quarantined.size(), 1u);
+    EXPECT_EQ(res.quarantined[0].point, 1u);
+    EXPECT_EQ(res.quarantined[0].replica, 1u);
+    EXPECT_EQ(res.quarantined[0].error, "replica died");
+    EXPECT_EQ(res.retries, 0u);
+    ASSERT_EQ(res.records.size(), 5u);
+    for (const ReplicaRecord &r : res.records) {
+        EXPECT_FALSE(r.point == 1 && r.replica == 1);
+        EXPECT_FALSE(r.metrics.empty());
     }
-    EXPECT_EQ(failed, 1);
 
-    // Failed replicas contribute no samples to the aggregate.
+    // The quarantined cell contributes no samples to the aggregate.
     ResultTable table;
-    ExperimentEngine::tabulate(records, table);
+    tabulate(res.records, table);
     EXPECT_EQ(table.values(1, "acc").size(), 2u);
     EXPECT_EQ(table.values(0, "acc").size(), 3u);
 }
 
-TEST(ExperimentEngine, SameReplicaSameSeedAcrossPoints)
+TEST(CampaignGrid, SameReplicaSameSeedAcrossPoints)
 {
-    ExperimentEngine eng(2);
-    auto records = eng.run(2, 2, 99, fakeRun);
+    auto records = runGrid(2, 2, 2, 99).records;
+    ASSERT_EQ(records.size(), 4u);
     EXPECT_EQ(records[0].seed, records[2].seed);
     EXPECT_EQ(records[1].seed, records[3].seed);
     EXPECT_NE(records[0].seed, records[1].seed);
@@ -459,10 +349,9 @@ TEST(Aggregate, CsvIsStableAndRoundTrippable)
 
 TEST(Aggregate, EngineTabulateFillsTable)
 {
-    ExperimentEngine eng(4);
-    auto records = eng.run(2, 4, 7, fakeRun);
+    auto records = runGrid(4, 2, 4, 7).records;
     ResultTable table;
-    ExperimentEngine::tabulate(records, table);
+    tabulate(records, table);
     EXPECT_EQ(table.numPoints(), 2u);
     EXPECT_EQ(table.values(0, "acc").size(), 4u);
     EXPECT_EQ(table.summary(1, "draws").mean, 1000.0);

@@ -154,6 +154,43 @@ TEST_F(WheelFixture, CancelDuringBatchSuppressesLaterEntries)
     EXPECT_TRUE(client.fired.empty());
 }
 
+TEST_F(WheelFixture, CancelDuringBatchKeepsTimersTheBatchArmed)
+{
+    // The first callback arms a zero-delay and a 5-tick timer, then
+    // cancels a later entry of its own batch. That entry is already
+    // detached from its slot, so the cancel must leave alone the
+    // slot the zero-delay timer just went into.
+    TimerWheel wheel(sim, 1);
+    struct Rearmer : TimerClient {
+        TimerWheel *wheel = nullptr;
+        TimerWheel::Handle victim;
+        std::vector<std::pair<std::uint64_t, Tick>> fires;
+
+        void
+        timerFired(std::uint64_t token, Tick now) override
+        {
+            fires.emplace_back(token, now);
+            if (token == 0) {
+                wheel->arm(*this, 1, 0);
+                wheel->arm(*this, 2, 5);
+                wheel->cancel(victim);
+            }
+        }
+    };
+    Rearmer r;
+    r.wheel = &wheel;
+    wheel.arm(r, 0, 50);
+    r.victim = wheel.arm(client, 9, 50);
+    sim.run();
+    ASSERT_EQ(r.fires.size(), 3u);
+    EXPECT_EQ(r.fires[1], std::make_pair(std::uint64_t{1}, Tick{50}));
+    EXPECT_EQ(r.fires[2], std::make_pair(std::uint64_t{2}, Tick{55}));
+    EXPECT_TRUE(client.fired.empty());
+    EXPECT_EQ(wheel.live(), 0u);
+    // Boundary 50 twice (the zero-delay re-arm), then 55.
+    EXPECT_EQ(wheel.stats().tickEvents, 3u);
+}
+
 TEST_F(WheelFixture, ReArmFromCallbackIncludingZeroDelay)
 {
     TimerWheel wheel(sim, 1);
