@@ -15,23 +15,22 @@
  * lookups for capacity/users/bottleneck membership), and reports
  * microseconds per reshare for both.
  *
- * Part 3 measures the two dirty-set scopes of FlowManager: a
- * standing flow population is bulk-loaded on a fat tree, then a churn
- * of abort+start updates is replayed under the exact scope (every
- * active flow re-solved) and the fluid scope (only the changed flow's
- * connected component), reporting microseconds per update for each.
- * Rack-local populations (10k / 100k / 1M concurrent) keep the fluid
- * component at one rack while exact re-solves (and reschedules) the
- * whole population: the lazy-invalidation win. A dense point of 100
- * inter-pod fan-out flows on fatTree(8) ties every flow into one
- * component, where the fluid breadth-first walk finds the whole
- * population anyway: the other side of the crossover.
+ * Part 3 measures the dirty-set scope FlowManager picks for itself:
+ * a standing flow population is bulk-loaded on a fat tree, then a
+ * churn of abort+start updates is replayed through one FlowManager,
+ * reporting microseconds per update, the mean dirty set per resolve
+ * and the fraction of resolves that went global. Rack-local
+ * populations (10k / 100k / 1M concurrent) keep every component at
+ * one rack, so the solver should re-solve that rack only: the
+ * lazy-invalidation win. A dense point of 100 inter-pod fan-out
+ * flows on fatTree(8) ties every flow into one component, where the
+ * walk is overhead and the solver should go global.
  *
  * Usage: bench_engine_parallel [--json=FILE] [--jobs=N]
  *                              [--churn-max=FLOWS] [--churn-only]
  *
  * --churn-only skips parts 1 and 2 (and JSON output) for quick
- * iteration on the scope comparison.
+ * iteration on the churn points.
  */
 
 #include <chrono>
@@ -254,17 +253,16 @@ struct ChurnPoint {
     std::size_t flows = 0;
     std::size_t racks = 0;
     std::size_t ops = 0;
-    double exact_us = 0.0;
-    double fluid_us = 0.0;
-    std::uint64_t fluid_mean_dirty = 0;
+    double us_per_update = 0.0;
+    std::uint64_t mean_dirty = 0;
+    double global_frac = 0.0;
 };
 
 /**
  * Rack-local routes on an Al-Fares fat tree of parameter @p k:
  * flow j connects two servers under the same edge switch, cycling
- * through all racks and intra-rack partners. The fluid model's
- * connected component for any one update is therefore a single
- * rack's flow set.
+ * through all racks and intra-rack partners. The connected component
+ * for any one update is therefore a single rack's flow set.
  */
 std::vector<Route>
 rackLocalRoutes(const Topology &topo, StaticRouting &routing,
@@ -312,19 +310,16 @@ interPodRoutes(const Topology &topo, StaticRouting &routing,
 }
 
 /**
- * Bulk-load the standing population, then replay @p ops abort+start
- * updates and return microseconds per update. @p dirty_out receives
- * the mean dirty-set size per resolve during the churn.
+ * Bulk-load the standing population, then replay @p p.ops
+ * abort+start updates through one FlowManager and fill in @p p's
+ * cost and scope figures.
  */
-double
-churnRun(NetModelKind kind, const Topology &topo,
-         const std::vector<Route> &routes, std::size_t ops,
-         std::uint64_t *dirty_out = nullptr)
+void
+churnRun(ChurnPoint &p, const Topology &topo,
+         const std::vector<Route> &routes)
 {
     Simulator sim;
-    NetModelConfig cfg;
-    cfg.kind = kind;
-    FlowManager model(sim, topo, cfg);
+    FlowManager model(sim, topo);
 
     constexpr Bytes huge = 1'000'000'000'000'000; // completions far out
     std::vector<FlowId> ids(routes.size());
@@ -334,32 +329,30 @@ churnRun(NetModelKind kind, const Topology &topo,
         ids[i] = model.startFlow(routes[i], huge, [] {});
     sim.runUntil(0);
     model.endBulkLoad();
-    std::printf("    %s: %zu flows bulk-loaded in %.1f s\n",
-                toString(kind), routes.size(), now_s() - t_load);
+    std::printf("    %zu flows bulk-loaded in %.1f s\n", routes.size(),
+                now_s() - t_load);
     std::fflush(stdout);
 
     NetSolverStats before = model.solverStats();
     double t0 = now_s();
-    for (std::size_t op = 0; op < ops; ++op) {
+    for (std::size_t op = 0; op < p.ops; ++op) {
         std::size_t i = op % ids.size();
         model.abortFlow(ids[i]);
         ids[i] = model.startFlow(routes[i], huge, [] {});
         sim.runUntil(sim.curTick());
     }
-    double us = (now_s() - t0) * 1e6 / ops;
-    std::printf("    %s: %zu updates in %.1f s\n", toString(kind),
-                ops, (now_s() - t0));
+    p.us_per_update = (now_s() - t0) * 1e6 / p.ops;
+    std::printf("    %zu updates in %.1f s\n", p.ops, now_s() - t0);
     std::fflush(stdout);
-    if (dirty_out) {
-        const NetSolverStats &after = model.solverStats();
-        std::uint64_t resolves = after.resolves - before.resolves;
-        *dirty_out = resolves == 0
-                         ? 0
-                         : (after.resolvedFlows -
-                            before.resolvedFlows) /
-                               resolves;
+    const NetSolverStats &after = model.solverStats();
+    std::uint64_t resolves = after.resolves - before.resolves;
+    if (resolves > 0) {
+        p.mean_dirty =
+            (after.resolvedFlows - before.resolvedFlows) / resolves;
+        p.global_frac = static_cast<double>(after.globalResolves -
+                                            before.globalResolves) /
+                        static_cast<double>(resolves);
     }
-    return us;
 }
 
 ChurnPoint
@@ -383,9 +376,7 @@ churnPoint(std::size_t n_flows, bool inter_pod = false)
             : n_flows >= 100'000 ? 16
             : n_flows >= 10'000  ? 64
                                  : 4096;
-    p.fluid_us = churnRun(NetModelKind::fluid, topo, routes, p.ops,
-                          &p.fluid_mean_dirty);
-    p.exact_us = churnRun(NetModelKind::exact, topo, routes, p.ops);
+    churnRun(p, topo, routes);
     return p;
 }
 
@@ -462,7 +453,7 @@ main(int argc, char **argv)
                     rt.dense_us, rt.map_us, rt.map_us / rt.dense_us);
     }
 
-    std::printf("== flow churn: exact vs fluid dirty-set scope ==\n");
+    std::printf("== flow churn: solver-picked dirty-set scope ==\n");
     std::vector<ChurnPoint> churn;
     churn.push_back(churnPoint(100, /*inter_pod=*/true));
     for (std::size_t n : {std::size_t{10'000}, std::size_t{100'000},
@@ -471,13 +462,12 @@ main(int argc, char **argv)
             churn.push_back(churnPoint(n));
     }
     for (const ChurnPoint &p : churn) {
-        std::printf("%8zu %s flows (%zu racks): exact %.1f us/update, "
-                    "fluid %.1f us/update (%.2fx, mean dirty set "
-                    "%llu flows)\n",
-                    p.flows, p.traffic, p.racks, p.exact_us,
-                    p.fluid_us, p.exact_us / p.fluid_us,
-                    static_cast<unsigned long long>(
-                        p.fluid_mean_dirty));
+        std::printf("%8zu %s flows (%zu racks): %.1f us/update, mean "
+                    "dirty set %llu flows, %.1f%% of resolves "
+                    "global\n",
+                    p.flows, p.traffic, p.racks, p.us_per_update,
+                    static_cast<unsigned long long>(p.mean_dirty),
+                    100.0 * p.global_frac);
     }
 
     if (!json_path.empty() && !churn_only) {
@@ -507,13 +497,11 @@ main(int argc, char **argv)
                << "      \"concurrent_flows\": " << p.flows << ",\n"
                << "      \"racks\": " << p.racks << ",\n"
                << "      \"updates\": " << p.ops << ",\n"
-               << "      \"exact_us_per_update\": " << p.exact_us
+               << "      \"us_per_update\": " << p.us_per_update
                << ",\n"
-               << "      \"fluid_us_per_update\": " << p.fluid_us
+               << "      \"mean_dirty_flows\": " << p.mean_dirty
                << ",\n"
-               << "      \"fluid_mean_dirty_flows\": "
-               << p.fluid_mean_dirty << ",\n"
-               << "      \"speedup\": " << p.exact_us / p.fluid_us
+               << "      \"global_resolve_frac\": " << p.global_frac
                << "\n"
                << "    }" << (i + 1 < churn.size() ? "," : "")
                << "\n";

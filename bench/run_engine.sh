@@ -1,8 +1,9 @@
 #!/bin/bash
 # Run the parallel experiment-engine acceptance bench and leave the
 # results (parallel-vs-sequential speedup + bit-identical check,
-# dense-vs-map reshare timings, and the exact-vs-fluid network-model
-# flow-churn scaling points) in BENCH_engine.json at the repo root.
+# dense-vs-map reshare timings, and the flow-churn points: us/update,
+# mean dirty set and share of global resolves under the scope the
+# flow solver picks) in BENCH_engine.json at the repo root.
 # Exits nonzero if any parallel replica stat differs from the
 # sequential run -- CI's perf-smoke step relies on that.
 #

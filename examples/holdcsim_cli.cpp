@@ -101,13 +101,9 @@ options:
   --sample-out=FILE     write long-format time-series CSV to FILE
   --sample-period=DUR   sampling period: a number with an optional
                         ns/us/ms/s suffix (default unit ms)
-  --net-model=M         which flows a change re-solves: exact
-                        (default; every active flow) or fluid (only
-                        the changed flow's connected component;
-                        scales to millions of local flows)
   --fast-path-kb=K      transfers of at most K KiB complete
-                        analytically without entering the solver
-                        (either model; default 0 = off)
+                        analytically without entering the max-min
+                        flow solver (default 0 = off)
   --orch                run the container orchestration layer (as if
                         the config had an [orch] section): generated
                         jobs route through containers of a default
@@ -426,8 +422,6 @@ main(int argc, char **argv)
             overrides.emplace_back(
                 "telemetry.sample_period_ms",
                 std::to_string(parseDurationMs(value)));
-        } else if (valueFlag(arg, "net-model", value)) {
-            overrides.emplace_back("network.model", value);
         } else if (valueFlag(arg, "fast-path-kb", value)) {
             overrides.emplace_back("network.fast_path_kb", value);
         } else if (arg == "--orch") {

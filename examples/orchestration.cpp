@@ -21,11 +21,8 @@
  *
  * The migration byte count is a deterministic function of the
  * dirty-page model (round r ships memBytes * dirtyFrac^r), NOT of
- * flow timing, so re-running under a different network model tier
- * changes durations but never orch.* placement/migration counts:
- *
- *   orchestration          # exact tier
- *   orchestration fluid    # fluid tier; same counts, same bytes
+ * flow timing: fabric changes alter migration durations but never
+ * the orch.* placement/migration counts.
  *
  * Build and run:
  *   cmake -B build -G Ninja && cmake --build build
@@ -33,7 +30,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <memory>
 
 #include "dc/datacenter.hh"
@@ -42,17 +38,14 @@
 using namespace holdcsim;
 
 int
-main(int argc, char **argv)
+main()
 {
-    const char *model = argc > 1 ? argv[1] : "exact";
-
     DataCenterConfig cfg;
     cfg.nCores = 4;
     cfg.seed = 42;
     cfg.fabric = DataCenterConfig::Fabric::fatTree;
     cfg.fabricParam = 4; // 16 servers
     cfg.linkRate = 1e9;
-    cfg.netConfig.netModel.kind = parseNetModelKind(model);
     // Power management on: idle servers suspend after 200 ms.
     cfg.controller = DataCenterConfig::Controller::delayTimer;
     cfg.delayTimerTau = 200 * msec;
@@ -82,9 +75,8 @@ main(int argc, char **argv)
                                            dc.makeRng("arrivals")),
             jobs, static_cast<std::size_t>(-1), horizon);
 
-    std::printf("orchestration demo: 16-server fat tree, %s network "
-                "tier, 4 replicas @ 2 cores under 2x overcommit\n",
-                model);
+    std::printf("orchestration demo: 16-server fat tree, 4 replicas "
+                "@ 2 cores under 2x overcommit\n");
 
     // t = 5 s: maintenance drain of the bin-packed server.
     dc.runUntil(5 * sec);

@@ -366,6 +366,10 @@ DataCenter::DataCenter(const DataCenterConfig &config)
                 return static_cast<double>(
                     _net->flows().solverStats().fastPathHits);
             });
+            _sampler->addProbe("solver_global_resolves", [this] {
+                return static_cast<double>(
+                    _net->flows().solverStats().globalResolves);
+            });
         }
         if (_orch) {
             _sampler->addProbe("containers_running", [this] {
@@ -583,8 +587,7 @@ DataCenter::dumpStats(std::ostream &os)
         n.add("packet_latency_mean_s", _net->packetLatency().mean());
         n.add("sleeping_switches",
               static_cast<std::uint64_t>(_net->sleepingSwitches()));
-        // Solver cost counters of the configured model
-        // (exact/fluid): how often the bandwidth-share
+        // Solver cost counters: how often the bandwidth-share
         // solver ran, how much of the fabric each run touched, and
         // how many transfers the analytic fast path absorbed.
         const NetSolverStats &ss = _net->flows().solverStats();

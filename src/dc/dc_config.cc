@@ -214,13 +214,11 @@ DataCenterConfig::fromConfig(const Config &cfg)
             cfg.getDouble("network.switch_sleep_ms") *
             static_cast<double>(msec));
     }
-    out.netConfig.netModel.kind = parseNetModelKind(
-        cfg.getString("network.model", "exact"));
     if (cfg.has("network.fast_path_kb")) {
         double kb = cfg.getDouble("network.fast_path_kb");
         if (kb < 0.0)
             fatal("network.fast_path_kb must be non-negative");
-        out.netConfig.netModel.fastPathBytes =
+        out.netConfig.fastPathBytes =
             static_cast<Bytes>(kb * 1024.0);
     }
 
@@ -417,8 +415,7 @@ const char *const knownConfigKeys[] = {
     "scheduler.anti_affinity",
     "network.fabric", "network.param", "network.param2",
     "network.link_rate_gbps", "network.link_latency_us",
-    "network.switch_sleep_ms", "network.model",
-    "network.fast_path_kb",
+    "network.switch_sleep_ms", "network.fast_path_kb",
     "fault.enabled", "fault.mttf_hours", "fault.mttr_minutes",
     "fault.distribution", "fault.weibull_shape", "fault.fault_trace",
     "fault.fault_servers", "fault.fault_switches",

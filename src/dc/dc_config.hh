@@ -292,7 +292,7 @@ struct DataCenterConfig {
      *   [network]    fabric (none|star|fat_tree|flattened_butterfly|
      *                bcube|camcube), param, param2, link_rate_gbps,
      *                link_latency_us, switch_sleep_ms,
-     *                model (exact|fluid), fast_path_kb
+     *                fast_path_kb
      *   [fault]      enabled, mttf_hours, mttr_minutes,
      *                distribution (exponential|weibull),
      *                weibull_shape, fault_trace, fault_servers,

@@ -1,5 +1,7 @@
 #include "workload_config.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 #include "workload/service.hh"
 #include "workload/trace.hh"
@@ -68,22 +70,30 @@ makeJobs(const Config &cfg, std::shared_ptr<ServiceModel> svc,
     fatal("unknown workload.job '", kind, "'");
 }
 
-/** Mean tasks per job for rate derivation from utilization. */
-double
-tasksPerJob(const Config &cfg)
+/** Mean tasks and DAG edges (transfers) per job. */
+struct JobShape {
+    double tasks = 1.0;
+    double edges = 0.0;
+};
+
+JobShape
+jobShape(const Config &cfg)
 {
     std::string kind = cfg.getString("workload.job", "single");
     auto stages =
         static_cast<double>(cfg.getInt("workload.stages", 2));
-    if (kind == "single")
-        return 1.0;
     if (kind == "chain")
-        return stages;
+        return {stages, stages - 1.0};
     if (kind == "fanout")
-        return stages + 2.0;
-    if (kind == "dag")
-        return 1.0 + 2.0 * (1.0 + stages) / 2.0; // root + 2 layers
-    return 1.0;
+        return {stages + 2.0, 2.0 * stages};
+    if (kind == "dag") {
+        // Root + 2 layers of U{1..stages} tasks: layer 1 hangs off
+        // the root, a layer-2 task draws from ~half of layer 1.
+        double width = (1.0 + stages) / 2.0;
+        return {1.0 + 2.0 * width,
+                width * (1.0 + std::max(1.0, width / 2.0))};
+    }
+    return {};
 }
 
 } // namespace
@@ -93,6 +103,7 @@ makeWorkload(const Config &cfg, const DataCenterConfig &dc_cfg,
              std::uint64_t seed)
 {
     ConfiguredWorkload out;
+    JobShape shape = jobShape(cfg);
     auto svc = makeService(cfg, seed);
     double mean_service_sec = svc->meanSeconds();
     out.jobs = makeJobs(cfg, svc, seed);
@@ -116,7 +127,7 @@ makeWorkload(const Config &cfg, const DataCenterConfig &dc_cfg,
         rate = PoissonArrival::rateForUtilization(
                    rho, dc_cfg.nServers, dc_cfg.nCores,
                    mean_service_sec) /
-               tasksPerJob(cfg);
+               shape.tasks;
     }
 
     std::string kind = cfg.getString("workload.arrival", "poisson");
@@ -157,6 +168,17 @@ makeWorkload(const Config &cfg, const DataCenterConfig &dc_cfg,
     } else {
         fatal("unknown workload.arrival '", kind, "'");
     }
+
+    // Mean per-host NIC load of the DAG transfers: at 1 or more the
+    // flows never drain and the run crawls without output.
+    double load = rate * shape.edges * 8.0 * 1024.0 *
+                  static_cast<double>(cfg.getInt("workload.transfer_kb", 0)) /
+                  (dc_cfg.nServers * dc_cfg.linkRate);
+    if (kind != "trace" &&
+        dc_cfg.fabric != DataCenterConfig::Fabric::none && load >= 0.9)
+        warn("mean per-host NIC load of ", load, " (jobs/s x edges x "
+             "transfer_kb / servers / link rate): the fabric may never "
+             "reach steady state");
     return out;
 }
 

@@ -10,30 +10,15 @@
 
 namespace holdcsim {
 
-const char *
-toString(NetModelKind kind)
-{
-    switch (kind) {
-      case NetModelKind::exact:
-        return "exact";
-      case NetModelKind::fluid:
-        return "fluid";
-    }
-    return "?";
-}
-
-NetModelKind
-parseNetModelKind(const std::string &s)
-{
-    if (s == "exact")
-        return NetModelKind::exact;
-    if (s == "fluid")
-        return NetModelKind::fluid;
-    if (s == "hybrid")
-        fatal("network model 'hybrid' was removed: use model = exact "
-              "plus fast_path_kb");
-    fatal("unknown network model '", s, "' (expected exact or fluid)");
-}
+// Dirty-set scope rule (flow_manager.hh). On a 4-vCPU Xeon the
+// component re-solve still wins at a 66/100-flow dirty set; the
+// global one wins at 99/100 and on perfbench fattree_fanout (~93% of
+// the active flows in one component), where the walk is overhead.
+// The streak saves that walk (100 inter-pod flows: 38 against 49
+// us/update; fattree_fanout 3.00 against 3.46 s), but also sends
+// mixed traffic's small changes global, 4-7x dearer (ROADMAP).
+constexpr std::size_t walkAbandonNum = 4, walkAbandonDen = 5;
+constexpr unsigned globalStreak = 16;
 
 Tick
 fastPathDuration(const Topology &topo, const Route &route, Bytes bytes)
@@ -51,8 +36,8 @@ fastPathDuration(const Topology &topo, const Route &route, Bytes bytes)
 }
 
 FlowManager::FlowManager(Simulator &sim, const Topology &topo,
-                         const NetModelConfig &cfg)
-    : _sim(sim), _topo(topo), _cfg(cfg)
+                         Bytes fast_path_bytes)
+    : _sim(sim), _topo(topo), _fastPathBytes(fast_path_bytes)
 {
     const std::size_t n_dl = 2 * _topo.numLinks();
     _linkFlows.resize(n_dl);
@@ -108,7 +93,7 @@ FlowManager::startFlow(Route route, Bytes bytes, FlowDoneFn on_done,
     // Constant-latency fast path: a short transfer never contends
     // for bandwidth -- it completes analytically after the path
     // latency plus serialization at the bottleneck link rate.
-    bool fast = _cfg.fastPathBytes > 0 && bytes <= _cfg.fastPathBytes &&
+    bool fast = _fastPathBytes > 0 && bytes <= _fastPathBytes &&
                 !route.links.empty();
     Tick delay = start_delay;
     if (fast) {
@@ -132,6 +117,7 @@ FlowManager::startFlow(Route route, Bytes bytes, FlowDoneFn on_done,
 void
 FlowManager::enroll(Flow &flow)
 {
+    ++_enrolled;
     for (std::size_t i = 0; i < flow.pathIdx.size(); ++i) {
         auto &members = _linkFlows[flow.pathIdx[i]];
         flow.linkPos[i] = static_cast<std::uint32_t>(members.size());
@@ -142,6 +128,7 @@ FlowManager::enroll(Flow &flow)
 void
 FlowManager::unenroll(Flow &flow)
 {
+    --_enrolled;
     for (std::size_t i = 0; i < flow.pathIdx.size(); ++i) {
         std::uint32_t dl = flow.pathIdx[i];
         _seedLinks.push_back(dl);
@@ -190,11 +177,8 @@ void
 FlowManager::endBulkLoad()
 {
     _bulk = false;
-    for (std::uint32_t dl = 0; dl < _linkFlows.size(); ++dl) {
-        if (!_linkFlows[dl].empty())
-            _seedLinks.push_back(dl);
-    }
-    resolve();
+    if (_enrolled > 0)
+        resolve(/*global=*/true);
 }
 
 void
@@ -265,33 +249,48 @@ FlowManager::abortSolve(const std::string &what)
 }
 
 void
-FlowManager::resolve()
+FlowManager::resolve(bool global)
 {
-    // 1: form the dirty set.
+    // 1: form the dirty set: walk the seeds' component (a dirty link
+    // makes its flows dirty, a dirty flow its links) unless a global
+    // streak runs, and abandon the walk once it grows too large.
+    if (_seedLinks.empty() && !global)
+        return;
     ++_epoch;
     _dirtyLinks.clear();
     _dirtyFlows.clear();
-    if (_cfg.kind == NetModelKind::exact) {
-        for (auto &[id, flow] : _flows) {
-            if (flow.active)
-                markDirty(flow);
-        }
-    } else {
-        // Expand the seeds to their connected component: a dirty
-        // link makes its flows dirty, a dirty flow its links.
-        if (_seedLinks.empty())
-            return;
+    if (!global && _globalStreak > 0) {
+        --_globalStreak;
+        global = true;
+    } else if (!global) {
         for (std::uint32_t dl : _seedLinks) {
             if (_linkEpoch[dl] != _epoch) {
                 _linkEpoch[dl] = _epoch;
                 _dirtyLinks.push_back(dl);
             }
         }
-        for (std::size_t i = 0; i < _dirtyLinks.size(); ++i) {
+        for (std::size_t i = 0; i < _dirtyLinks.size() && !global;
+             ++i) {
             for (Flow *f : _linkFlows[_dirtyLinks[i]]) {
                 if (f->visitEpoch != _epoch)
                     markDirty(*f);
             }
+            global = _dirtyFlows.size() * walkAbandonDen >
+                     _enrolled * walkAbandonNum;
+        }
+        if (global) {
+            _globalStreak = globalStreak - 1;
+            ++_epoch;
+            _dirtyLinks.clear();
+            _dirtyFlows.clear();
+        }
+    }
+    if (global) {
+        // Every active flow, in FlowId order.
+        ++_solverStats.globalResolves;
+        for (auto &[id, flow] : _flows) {
+            if (flow.active)
+                markDirty(flow);
         }
     }
     _seedLinks.clear();

@@ -9,30 +9,23 @@
  * allocation (progressive filling) for the flows the change can
  * affect and reschedules their completion events.
  *
- * One solver serves both selectable models (`[network] model =
- * exact | fluid`); they differ only in which flows a change marks
- * dirty:
+ * The solver picks that dirty set itself. It walks the component of
+ * the "shares a directed link" relation outward from the changed
+ * flow's links (lazy partial invalidation, after SimGrid's surf
+ * layer): max-min decomposes over components, so rates outside it
+ * stay exact and an update costs O(component), the win for local
+ * traffic. When one component holds nearly every flow (inter-pod
+ * ECMP traffic) the walk is overhead, so once it has marked more
+ * than 4/5 of the enrolled flows it is abandoned: every active flow
+ * is re-solved in FlowId order, and so are the next 15 changes,
+ * without walking. endBulkLoad() goes global without such a streak.
+ * BENCH_engine.json measures both sides. A resolve settles the dirty
+ * flows' transferred bits (clean flows keep progressing linearly at
+ * unchanged rates), water-fills them and reschedules completions.
  *
- *  - exact: every active flow, in FlowId order. One update costs
- *    O(active flows), with no bookkeeping beyond a scan.
- *  - fluid: the connected component of the "shares a directed link"
- *    relation around the changed flow, found by a breadth-first walk
- *    of per-link membership lists (lazy partial invalidation, after
- *    SimGrid's surf layer). The max-min solution decomposes over
- *    these components, so rates outside the component are unchanged
- *    and stay exact; one update costs O(component size). That wins
- *    when traffic is local (rack-local services) and is pure overhead
- *    when one component holds every flow (inter-pod ECMP traffic).
- *    BENCH_engine.json measures both sides of the crossover.
- *
- * A resolve then settles transferred bits for the dirty flows (clean
- * flows keep progressing linearly at their unchanged rates), water-
- * fills them, and reschedules their completions.
- *
- * In either model, transfers of at most `fast_path_kb` never enter
- * the solver: they complete after path latency plus serialization at
- * the bottleneck link rate (constant-latency model, SimGrid's
- * network_constant).
+ * Transfers of at most `fast_path_kb` never enter the solver: they
+ * complete after path latency plus serialization at the bottleneck
+ * link rate (constant-latency model, SimGrid's network_constant).
  */
 
 #ifndef HOLDCSIM_NETWORK_FLOW_MANAGER_HH
@@ -57,28 +50,9 @@ namespace holdcsim {
 /** Identifier of an in-flight flow. */
 using FlowId = std::uint64_t;
 
-/** Which flows a change re-solves (see the file comment). */
-enum class NetModelKind { exact, fluid };
-
-/** Canonical config-file spelling of @p kind. */
-const char *toString(NetModelKind kind);
-
-/** Parse "exact" | "fluid"; throws FatalError otherwise. */
-NetModelKind parseNetModelKind(const std::string &s);
-
-/** Flow-model selection and tuning. */
-struct NetModelConfig {
-    NetModelKind kind = NetModelKind::exact;
-    /**
-     * Transfers of at most this many bytes bypass the solver and
-     * complete analytically. 0 disables the fast path.
-     */
-    Bytes fastPathBytes = 0;
-};
-
 /**
- * Solver cost counters, surfaced as `network.solver_*` stats so the
- * two models can be compared on the same run.
+ * Solver cost counters, surfaced as `network.solver_*` stats (all
+ * but globalResolves, which the telemetry sampler reports).
  */
 struct NetSolverStats {
     /** Bandwidth-share solver invocations. */
@@ -91,6 +65,8 @@ struct NetSolverStats {
     std::uint64_t maxDirtyFlows = 0;
     /** Transfers completed analytically, never entering the solver. */
     std::uint64_t fastPathHits = 0;
+    /** Resolves that re-solved every active flow. */
+    std::uint64_t globalResolves = 0;
 
     /** Mean dirty-set size per resolve (the invalidation win). */
     double
@@ -117,8 +93,12 @@ class FlowManager
   public:
     using FlowDoneFn = std::function<void()>;
 
+    /**
+     * Transfers of at most @p fast_path_bytes bypass the solver and
+     * complete analytically; 0 disables the fast path.
+     */
     FlowManager(Simulator &sim, const Topology &topo,
-                const NetModelConfig &cfg = {});
+                Bytes fast_path_bytes = 0);
     ~FlowManager();
     FlowManager(const FlowManager &) = delete;
     FlowManager &operator=(const FlowManager &) = delete;
@@ -221,18 +201,18 @@ class FlowManager
     void markDirty(Flow &flow);
 
     /**
-     * Form the dirty set (every active flow for exact, the component
-     * reachable from _seedLinks for fluid), settle, water-fill and
-     * reschedule it. Clears _seedLinks.
+     * Form the dirty set (the component around _seedLinks, or every
+     * active flow when @p global or as the file comment says),
+     * settle, water-fill and reschedule it. Clears _seedLinks.
      */
-    void resolve();
+    void resolve(bool global = false);
     /** Structured post-mortem + SimAbortError (solver got stuck). */
     [[noreturn]] void abortSolve(const std::string &what);
 
     Simulator &_sim;
     const Topology &_topo;
-    NetModelConfig _cfg;
-    /** Ordered by id: the exact model settles and reschedules so. */
+    Bytes _fastPathBytes;
+    /** Ordered by id: a global resolve settles and reschedules so. */
     std::map<FlowId, Flow> _flows;
     FlowId _nextId = 0;
     /** Inside a beginBulkLoad()/endBulkLoad() window. */
@@ -240,6 +220,10 @@ class FlowManager
 
     /** Active flows crossing each directed link (swap-removal). */
     std::vector<std::vector<Flow *>> _linkFlows;
+    /** Flows currently enrolled on their links (the active ones). */
+    std::size_t _enrolled = 0;
+    /** Resolves left that skip the walk after an abandoned one. */
+    unsigned _globalStreak = 0;
 
     /**
      * @name resolve() scratch
@@ -250,7 +234,7 @@ class FlowManager
     ///@{
     std::uint64_t _epoch = 0;
     std::vector<std::uint64_t> _linkEpoch;
-    std::vector<std::uint32_t> _seedLinks; // fluid BFS seeds
+    std::vector<std::uint32_t> _seedLinks; // walk seeds
     std::vector<std::uint32_t> _dirtyLinks;
     std::vector<Flow *> _dirtyFlows;
     std::vector<double> _capLeft;      // remaining capacity

@@ -12,7 +12,7 @@ Network::Network(Simulator &sim, Topology topo,
                  const NetworkConfig &config)
     : _sim(sim), _topo(std::move(topo)), _config(config),
       _routing(_topo),
-      _flowMgr(sim, _topo, config.netModel),
+      _flowMgr(sim, _topo, config.fastPathBytes),
       _oneShots(sim, "net.oneShot")
 {
     _topo.validateConnected();

@@ -44,11 +44,8 @@ struct NetworkConfig {
     Tick switchSleepDelay = maxTick;
     /** MTU used when a bulk transfer is sent packet-by-packet. */
     Bytes mtuBytes = 1500;
-    /**
-     * Flow-level model (exact | fluid) and fast-path threshold; see
-     * flow_manager.hh for the cost trade-off.
-     */
-    NetModelConfig netModel;
+    /** Flows of at most this many bytes skip the solver; 0 = off. */
+    Bytes fastPathBytes = 0;
 };
 
 /** A complete simulated data center fabric. */

@@ -1,16 +1,17 @@
 /**
  * @file
- * Differential tests for the two dirty-set scopes of FlowManager
- * (`[network] model = exact | fluid`) and the fast path both honour.
+ * Tests for FlowManager's self-chosen dirty-set scope (the changed
+ * flow's component, or every active flow) and its fast path.
  *
- * fluid vs exact: identical max-min allocations, so flow completion
- * ticks agree within floating-point rounding. The fluid scope settles
- * only the dirty component at each change while the exact scope
- * settles every flow, so `remainingBits` accumulates through a
- * different sequence of double additions; the divergence is bounded
- * by ulp-level relative error. We assert agreement within 2 ticks +
- * 1e-6 relative -- orders of magnitude looser than the observed
- * drift, orders tighter than any behavioral difference.
+ * Whichever scope a change takes, the rates it leaves must be the
+ * global max-min allocation: ModelEquivalence checks every active
+ * flow against an in-test from-scratch water-filling after every
+ * event tick, to 1e-9 relative, and compares completion ticks of a
+ * replay steered into the component scope with one left alone.
+ * FlowScope checks the scope choice itself on the populations the
+ * rule was tuned on. FastPath and SolverAbort run under both scopes,
+ * the component-scope specifics under the component scope
+ * (flow_scope.hh).
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "flow_scope.hh"
 #include "network/flow_manager.hh"
 #include "network/routing.hh"
 #include "network/topology.hh"
@@ -36,13 +38,70 @@ namespace {
 constexpr Tick lat = 5 * usec;
 
 std::unique_ptr<FlowManager>
-makeBackend(Simulator &sim, const Topology &topo, NetModelKind kind,
-            Bytes fast_path = 0)
+makeBackend(Simulator &sim, const Topology &topo, Bytes fast_path = 0)
 {
-    NetModelConfig cfg;
-    cfg.kind = kind;
-    cfg.fastPathBytes = fast_path;
-    return std::make_unique<FlowManager>(sim, topo, cfg);
+    return std::make_unique<FlowManager>(sim, topo, fast_path);
+}
+
+/** Dense directed-link index of each hop of @p r. */
+std::vector<std::size_t>
+directedPath(const Topology &topo, const Route &r)
+{
+    std::vector<std::size_t> path;
+    for (std::size_t i = 0; i < r.links.size(); ++i) {
+        bool forward = topo.link(r.links[i]).a == r.nodes[i];
+        path.push_back(r.links[i] * 2 + (forward ? 1 : 0));
+    }
+    return path;
+}
+
+/**
+ * Textbook progressive filling over @p paths from scratch: raise
+ * every unfrozen flow's rate together until a directed link
+ * saturates, freeze the flows crossing it, repeat.
+ */
+std::vector<double>
+waterFill(const Topology &topo,
+          const std::vector<std::vector<std::size_t>> &paths)
+{
+    std::vector<double> cap(2 * topo.numLinks());
+    std::vector<unsigned> users(cap.size(), 0);
+    for (std::size_t dl = 0; dl < cap.size(); ++dl)
+        cap[dl] = topo.link(dl / 2).rate;
+    for (const auto &path : paths) {
+        for (std::size_t dl : path)
+            ++users[dl];
+    }
+    std::vector<double> rate(paths.size(), 0.0);
+    std::vector<char> frozen(paths.size(), 0);
+    for (std::size_t left = paths.size(); left > 0;) {
+        double share = std::numeric_limits<double>::infinity();
+        for (std::size_t dl = 0; dl < cap.size(); ++dl) {
+            if (users[dl] > 0)
+                share = std::min(share, cap[dl] / users[dl]);
+        }
+        std::vector<std::size_t> now;
+        for (std::size_t f = 0; f < paths.size(); ++f) {
+            if (frozen[f])
+                continue;
+            for (std::size_t dl : paths[f]) {
+                if (cap[dl] / users[dl] <= share * (1.0 + 1e-12)) {
+                    now.push_back(f);
+                    break;
+                }
+            }
+        }
+        for (std::size_t f : now) {
+            rate[f] = share;
+            frozen[f] = 1;
+            for (std::size_t dl : paths[f]) {
+                cap[dl] -= share;
+                --users[dl];
+            }
+        }
+        left -= now.size();
+    }
+    return rate;
 }
 
 /**
@@ -119,34 +178,52 @@ randomScript(const Topology &topo, Rng &rng, std::size_t n_flows)
 }
 
 struct RunResult {
-    std::vector<Tick> doneAt;  // maxTick when never completed
+    std::vector<Tick> doneAt; // maxTick when never completed
     std::vector<char> aborted;
+    /** Solver counters the script added (the ballast's excluded). */
     NetSolverStats stats;
-    std::uint64_t completed = 0;
 };
 
-/** Replay @p script under one backend and record completions. */
+/** Long enough for every script; far short of the ballast. */
+constexpr Tick replayHorizon = 1000 * sec;
+
+/**
+ * Replay @p script with the solver steered into @p scope
+ * (flow_scope.hh), stepping one event tick at a time, and check
+ * every active flow's rate against waterFill() after each tick.
+ * Records each flow's completion tick and abort.
+ */
 RunResult
-runScript(const Topology &topo, const std::vector<FlowOp> &script,
-          NetModelKind kind, Bytes fast_path = 0)
+replayChecked(const Topology &script_topo,
+              const std::vector<FlowOp> &script, test::Scope scope)
 {
+    Topology topo = script_topo;
+    Route island = test::addIsland(topo, scope);
     Simulator sim;
-    auto model = makeBackend(sim, topo, kind, fast_path);
+    auto model = makeBackend(sim, topo);
+    test::loadBallast(sim, *model, island);
+    const NetSolverStats ballast = model->solverStats();
+
     RunResult res;
     res.doneAt.assign(script.size(), maxTick);
     res.aborted.assign(script.size(), 0);
-
     std::vector<FlowId> ids(script.size(), 0);
+    std::vector<char> live(script.size(), 0);
     std::vector<std::unique_ptr<EventFunctionWrapper>> events;
     for (std::size_t i = 0; i < script.size(); ++i) {
         const FlowOp &op = script[i];
         events.push_back(std::make_unique<EventFunctionWrapper>(
             [&, i] {
+                live[i] = 1;
                 ids[i] = model->startFlow(
-                    script[i].route, script[i].bytes,
-                    [&res, i, &sim] { res.doneAt[i] = sim.curTick(); });
-                model->setAbortCallback(
-                    ids[i], [&res, i] { res.aborted[i] = 1; });
+                    script[i].route, script[i].bytes, [&, i] {
+                        live[i] = 0;
+                        res.doneAt[i] = sim.curTick();
+                    });
+                model->setAbortCallback(ids[i], [&, i] {
+                    live[i] = 0;
+                    res.aborted[i] = 1;
+                });
             },
             "start"));
         sim.schedule(*events.back(), op.startAt);
@@ -156,9 +233,33 @@ runScript(const Topology &topo, const std::vector<FlowOp> &script,
             sim.schedule(*events.back(), op.abortAt);
         }
     }
-    sim.run();
+
+    while (sim.hasPendingEvents() &&
+           sim.nextEventTick() < replayHorizon) {
+        Tick t = sim.nextEventTick();
+        sim.runUntil(t);
+        std::vector<std::size_t> active;
+        std::vector<std::vector<std::size_t>> paths;
+        for (std::size_t i = 0; i < script.size(); ++i) {
+            if (live[i]) {
+                active.push_back(i);
+                paths.push_back(directedPath(topo, script[i].route));
+            }
+        }
+        std::vector<double> want = waterFill(topo, paths);
+        for (std::size_t k = 0; k < active.size(); ++k) {
+            double got = model->flowRate(ids[active[k]]);
+            EXPECT_NEAR(got, want[k], 1e-9 * want[k])
+                << "flow " << active[k] << " at tick " << t;
+        }
+    }
+    EXPECT_EQ(model->activeFlows(),
+              scope == test::Scope::fluid ? test::ballastFlows : 0u);
+    test::expectScope(*model, scope);
     res.stats = model->solverStats();
-    res.completed = model->flowsCompleted();
+    res.stats.resolves -= ballast.resolves;
+    res.stats.resolvedFlows -= ballast.resolvedFlows;
+    res.stats.globalResolves -= ballast.globalResolves;
     return res;
 }
 
@@ -170,8 +271,11 @@ class ModelEquivalence : public ::testing::TestWithParam<std::uint64_t>
 {};
 
 /**
- * fluid completion ticks match exact within the documented
- * floating-point tolerance on random topologies under random churn.
+ * On random topologies under random churn, a replay steered into the
+ * component scope ("fluid") and one left to its own choice (mostly
+ * global, "exact") both leave the from-scratch max-min rates after
+ * every tick, and their completion ticks agree within 2 ticks + 1e-6
+ * relative (settles round differently per scope).
  */
 TEST_P(ModelEquivalence, FluidMatchesExactWithinTolerance)
 {
@@ -179,26 +283,24 @@ TEST_P(ModelEquivalence, FluidMatchesExactWithinTolerance)
     Topology topo = randomTopology(rng);
     auto script = randomScript(topo, rng, 24);
 
-    RunResult exact = runScript(topo, script, NetModelKind::exact);
-    RunResult fluid = runScript(topo, script, NetModelKind::fluid);
+    RunResult exact = replayChecked(topo, script, test::Scope::exact);
+    RunResult fluid = replayChecked(topo, script, test::Scope::fluid);
 
-    ASSERT_EQ(exact.completed, fluid.completed);
     for (std::size_t i = 0; i < script.size(); ++i) {
         SCOPED_TRACE("flow " + std::to_string(i));
         ASSERT_EQ(exact.aborted[i], fluid.aborted[i]);
+        ASSERT_NE(exact.doneAt[i] == maxTick, exact.aborted[i] == 0)
+            << "a flow neither completed nor was aborted";
         if (exact.doneAt[i] == maxTick) {
             EXPECT_EQ(fluid.doneAt[i], maxTick);
             continue;
         }
-        // Documented tolerance: 2 ticks absolute + 1e-6 relative
-        // (see file header).
         double tol =
             2.0 + 1e-6 * static_cast<double>(exact.doneAt[i]);
         EXPECT_NEAR(static_cast<double>(exact.doneAt[i]),
                     static_cast<double>(fluid.doneAt[i]), tol);
     }
-    // The fluid model must not have solved *more* flow-updates than
-    // the global model (it re-solves a subset per change).
+    // The component scope re-solves a subset per change, never more.
     EXPECT_LE(fluid.stats.resolvedFlows, exact.stats.resolvedFlows);
 }
 
@@ -209,70 +311,97 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ModelEquivalence,
                                     std::to_string(info.param);
                          });
 
+/** Left to itself, the solver takes both scopes on these seeds. */
+TEST(ModelEquivalenceSeeds, TakeBothScopes)
+{
+    std::uint64_t resolves = 0, global = 0;
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        Rng rng(seed);
+        Topology topo = randomTopology(rng);
+        RunResult run = replayChecked(
+            topo, randomScript(topo, rng, 24), test::Scope::exact);
+        resolves += run.stats.resolves;
+        global += run.stats.globalResolves;
+    }
+    EXPECT_GT(global, 0u);
+    EXPECT_LT(global, resolves);
+}
+
 // ------------------------------------------------------------ fast path
 
 namespace {
 
-/** Both scopes honour the fast path; test both. */
-class FastPath : public ::testing::TestWithParam<NetModelKind>
+/**
+ * The fast path bypasses the solver whichever scope it would take;
+ * run each case under both (flow_scope.hh).
+ */
+class FastPath : public ::testing::TestWithParam<test::Scope>
 {};
+
+/** Long enough for every scenario below, far short of the ballast. */
+constexpr Tick horizon = 10 * sec;
 
 } // namespace
 
 TEST_P(FastPath, ShortTransferCompletesAnalytically)
 {
     Topology topo = Topology::star(4, 1e9, lat);
+    Route island = test::addIsland(topo, GetParam());
     StaticRouting routing(topo);
     Route r = routing.route(topo.serverNode(0), topo.serverNode(1));
 
     Simulator sim;
-    auto model = makeBackend(sim, topo, GetParam(),
-                             /*fast_path=*/64 * 1024);
+    auto model = makeBackend(sim, topo, /*fast_path=*/64 * 1024);
+    test::loadBallast(sim, *model, island);
+    const std::uint64_t resolves = model->solverStats().resolves;
     const Bytes bytes = 1500;
     const Tick start_delay = 3 * usec;
     Tick done_at = 0;
     model->startFlow(r, bytes, [&] { done_at = sim.curTick(); },
                      start_delay);
-    sim.run();
+    sim.runUntil(horizon);
 
     EXPECT_EQ(done_at, start_delay + fastPathDuration(topo, r, bytes));
     EXPECT_EQ(model->flowsCompleted(), 1u);
     EXPECT_EQ(model->solverStats().fastPathHits, 1u);
-    EXPECT_EQ(model->solverStats().resolves, 0u);
+    EXPECT_EQ(model->solverStats().resolves, resolves);
 }
 
 TEST_P(FastPath, LargeTransferStillUsesSolver)
 {
     Topology topo = Topology::star(4, 1e9, lat);
+    Route island = test::addIsland(topo, GetParam());
     StaticRouting routing(topo);
     Route r = routing.route(topo.serverNode(0), topo.serverNode(1));
 
     Simulator sim;
-    auto model = makeBackend(sim, topo, GetParam(),
-                             /*fast_path=*/1024);
+    auto model = makeBackend(sim, topo, /*fast_path=*/1024);
+    test::loadBallast(sim, *model, island);
+    const std::uint64_t resolves = model->solverStats().resolves;
     Tick done_at = 0;
     model->startFlow(r, 125'000'000,
                      [&] { done_at = sim.curTick(); });
-    sim.run();
+    sim.runUntil(horizon);
 
     // 1 Gb at 1 Gb/s: about one second, via the solver.
     EXPECT_NEAR(toSeconds(done_at), 1.0, 0.01);
     EXPECT_EQ(model->solverStats().fastPathHits, 0u);
-    EXPECT_GE(model->solverStats().resolves, 1u);
+    EXPECT_GE(model->solverStats().resolves, resolves + 1);
+    test::expectScope(*model, GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Tiers, FastPath,
-                         ::testing::Values(NetModelKind::exact,
-                                           NetModelKind::fluid),
+                         ::testing::Values(test::Scope::exact,
+                                           test::Scope::fluid),
                          [](const auto &info) {
-                             return toString(info.param);
+                             return test::scopeName(info.param);
                          });
 
 // ----------------------------------------------------- structured aborts
 
 namespace {
 
-class SolverAbort : public ::testing::TestWithParam<NetModelKind>
+class SolverAbort : public ::testing::TestWithParam<test::Scope>
 {};
 
 } // namespace
@@ -286,33 +415,39 @@ TEST_P(SolverAbort, NoBottleneckAbortsWithDiagnostic)
 {
     Topology topo;
     NodeId a = topo.addServer(), b = topo.addServer();
-    topo.addLink(a, b, std::numeric_limits<double>::infinity(), lat);
+    LinkId inf =
+        topo.addLink(a, b, std::numeric_limits<double>::infinity(), lat);
+    Route island = test::addIsland(topo, GetParam());
     Route r;
-    r.links = {0};
+    r.links = {inf};
     r.nodes = {a, b};
 
     Simulator sim;
-    auto model = makeBackend(sim, topo, GetParam());
-    model->startFlow(r, 1'000'000, [] {});
+    auto model = makeBackend(sim, topo);
+    test::loadBallast(sim, *model, island);
+    FlowId f = model->startFlow(r, 1'000'000, [] {});
     try {
-        sim.run();
+        sim.runUntil(horizon);
         FAIL() << "expected SimAbortError";
     } catch (const SimAbortError &e) {
         std::string what = e.what();
         EXPECT_NE(what.find("no bottleneck"), std::string::npos)
             << what;
-        EXPECT_NE(what.find("flow 0"), std::string::npos) << what;
+        EXPECT_NE(what.find("flow " + std::to_string(f) + " "),
+                  std::string::npos)
+            << what;
     }
+    test::expectScope(*model, GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Tiers, SolverAbort,
-                         ::testing::Values(NetModelKind::exact,
-                                           NetModelKind::fluid),
+                         ::testing::Values(test::Scope::exact,
+                                           test::Scope::fluid),
                          [](const auto &info) {
-                             return toString(info.param);
+                             return test::scopeName(info.param);
                          });
 
-// ------------------------------------------------------- fluid specifics
+// -------------------------------------------- component-scope specifics
 
 namespace {
 
@@ -325,6 +460,7 @@ struct FluidFixture : ::testing::Test {
 TEST_F(FluidFixture, BulkLoadMatchesIncrementalActivation)
 {
     Topology topo = Topology::star(8, 1e9, lat);
+    Route island = test::addIsland(topo, test::Scope::fluid);
     StaticRouting routing(topo);
     std::vector<Route> routes;
     for (std::size_t i = 0; i < 12; ++i)
@@ -333,7 +469,10 @@ TEST_F(FluidFixture, BulkLoadMatchesIncrementalActivation)
                                        i));
 
     Simulator s_bulk;
-    auto bulk_model = makeBackend(s_bulk, topo, NetModelKind::fluid);
+    auto bulk_model = makeBackend(s_bulk, topo);
+    test::loadBallast(s_bulk, *bulk_model, island);
+    const std::uint64_t bulk_resolves =
+        bulk_model->solverStats().resolves;
     bulk_model->beginBulkLoad();
     std::vector<FlowId> bulk_ids;
     for (const Route &r : routes)
@@ -342,8 +481,12 @@ TEST_F(FluidFixture, BulkLoadMatchesIncrementalActivation)
     s_bulk.runUntil(0); // activations fire, suppressed per-flow solve
     bulk_model->endBulkLoad();
 
+    // The ballast keeps each incremental activation's walk to its
+    // own component, so these rates come from component resolves.
     Simulator s_inc;
-    auto inc_model = makeBackend(s_inc, topo, NetModelKind::fluid);
+    auto inc_model = makeBackend(s_inc, topo);
+    test::loadBallast(s_inc, *inc_model, island);
+    const std::uint64_t inc_resolves = inc_model->solverStats().resolves;
     std::vector<FlowId> inc_ids;
     for (const Route &r : routes)
         inc_ids.push_back(
@@ -356,8 +499,10 @@ TEST_F(FluidFixture, BulkLoadMatchesIncrementalActivation)
                          inc_model->flowRate(inc_ids[i]));
     }
     // The whole point: one resolve instead of one per activation.
-    EXPECT_EQ(bulk_model->solverStats().resolves, 1u);
-    EXPECT_EQ(inc_model->solverStats().resolves, routes.size());
+    EXPECT_EQ(bulk_model->solverStats().resolves, bulk_resolves + 1);
+    EXPECT_EQ(inc_model->solverStats().resolves,
+              inc_resolves + routes.size());
+    test::expectScope(*inc_model, test::Scope::fluid);
 }
 
 TEST_F(FluidFixture, LinkFailureInvalidatesTouchedComponent)
@@ -374,9 +519,11 @@ TEST_F(FluidFixture, LinkFailureInvalidatesTouchedComponent)
     LinkId l_s2 = topo.addLink(s2, sw0, 1e9, lat);
     topo.addLink(s3, sw1, 1e9, lat);
     LinkId trunk = topo.addLink(sw0, sw1, 1e9, lat);
+    Route island = test::addIsland(topo, test::Scope::fluid);
     StaticRouting routing(topo);
 
-    auto model = makeBackend(sim, topo, NetModelKind::fluid);
+    auto model = makeBackend(sim, topo);
+    test::loadBallast(sim, *model, island);
     FlowId f_a = model->startFlow(routing.route(s0, s1),
                                   1'000'000'000'000, [] {});
     FlowId f_b = model->startFlow(routing.route(s2, s3),
@@ -393,13 +540,14 @@ TEST_F(FluidFixture, LinkFailureInvalidatesTouchedComponent)
     EXPECT_TRUE(b_aborted);
     EXPECT_EQ(model->flowsAborted(), 1u);
     EXPECT_NEAR(model->flowRate(f_a), 1e9, 1e3);
+    test::expectScope(*model, test::Scope::fluid);
     (void)l_s0;
 }
 
 TEST_F(FluidFixture, ZeroHopRouteCompletesAfterStartDelay)
 {
     Topology topo = Topology::star(4, 1e9, lat);
-    auto model = makeBackend(sim, topo, NetModelKind::fluid);
+    auto model = makeBackend(sim, topo);
     Tick done_at = maxTick;
     model->startFlow(Route{}, 1'000'000,
                      [&] { done_at = sim.curTick(); }, 7 * usec);
@@ -416,8 +564,7 @@ TEST_F(FluidFixture, AbortFlowsOnKillsPendingFastPathFlows)
     ASSERT_FALSE(r.links.empty());
     LinkId first = r.links.front();
 
-    auto model = makeBackend(sim, topo, NetModelKind::fluid,
-                             /*fast_path=*/64 * 1024);
+    auto model = makeBackend(sim, topo, /*fast_path=*/64 * 1024);
     bool done = false, aborted = false;
     FlowId f =
         model->startFlow(r, 1500, [&] { done = true; }, 1 * msec);
@@ -429,11 +576,112 @@ TEST_F(FluidFixture, AbortFlowsOnKillsPendingFastPathFlows)
     EXPECT_FALSE(done);
 }
 
-// ------------------------------------------------ config-string plumbing
+// ----------------------------------------------------- scope choice
 
-TEST(NetModelKindStrings, RoundTrip)
+namespace {
+
+constexpr Bytes hugeBytes = 1'000'000'000'000'000; // never completes
+
+/**
+ * Bulk-load @p routes, then replay @p ops abort+start updates and
+ * return the solver counters the churn alone added.
+ */
+NetSolverStats
+churn(const Topology &topo, const std::vector<Route> &routes,
+      std::size_t ops)
 {
-    for (NetModelKind kind : {NetModelKind::exact, NetModelKind::fluid})
-        EXPECT_EQ(parseNetModelKind(toString(kind)), kind);
-    EXPECT_THROW(parseNetModelKind("packet"), FatalError);
+    Simulator sim;
+    FlowManager model(sim, topo);
+    std::vector<FlowId> ids(routes.size());
+    model.beginBulkLoad();
+    for (std::size_t i = 0; i < routes.size(); ++i)
+        ids[i] = model.startFlow(routes[i], hugeBytes, [] {});
+    sim.runUntil(0);
+    model.endBulkLoad();
+
+    NetSolverStats before = model.solverStats();
+    for (std::size_t op = 0; op < ops; ++op) {
+        std::size_t i = op % ids.size();
+        model.abortFlow(ids[i]);
+        ids[i] = model.startFlow(routes[i], hugeBytes, [] {});
+        sim.runUntil(sim.curTick());
+    }
+    NetSolverStats d = model.solverStats();
+    d.resolves -= before.resolves;
+    d.resolvedFlows -= before.resolvedFlows;
+    d.globalResolves -= before.globalResolves;
+    return d;
+}
+
+} // namespace
+
+/**
+ * 10k flows, each between two servers of one rack of fatTree(8): a
+ * change's component is one rack (~1/32 of the flows), so no resolve
+ * goes global -- in particular not the ones right after the bulk
+ * load, whose all-links resolve must not start a global streak.
+ */
+TEST(FlowScope, RackLocalChurnAfterBulkLoadNeverGoesGlobal)
+{
+    const unsigned k = 8;
+    const std::size_t per_rack = k / 2, n_flows = 10'000;
+    Topology topo = Topology::fatTree(k, 1e9, lat);
+    StaticRouting routing(topo);
+    const std::size_t n_srv = topo.numServers();
+    std::vector<Route> routes;
+    for (std::size_t j = 0; j < n_flows; ++j) {
+        std::size_t src = j % n_srv;
+        std::size_t base = src - src % per_rack;
+        std::size_t dst =
+            base + (src - base + 1 + (j / n_srv) % (per_rack - 1)) %
+                       per_rack;
+        routes.push_back(routing.route(topo.serverNode(src),
+                                       topo.serverNode(dst), j));
+    }
+
+    NetSolverStats ss = churn(topo, routes, 64);
+    ASSERT_EQ(ss.resolves, 128u); // one per abort, one per start
+    EXPECT_EQ(ss.globalResolves, 0u);
+    EXPECT_LE(ss.meanDirtyFlows(), 0.05 * n_flows);
+}
+
+/**
+ * 100 inter-pod fan-out flows on fatTree(8) (perfbench
+ * fattree_fanout's shape): shared uplinks and the core tie nearly
+ * every flow into one component, so nearly every resolve is global.
+ */
+TEST(FlowScope, InterPodFanOutGoesGlobal)
+{
+    const unsigned k = 8;
+    Topology topo = Topology::fatTree(k, 1e9, lat);
+    StaticRouting routing(topo);
+    const std::size_t per_pod = (k / 2) * (k / 2);
+    const std::size_t n_srv = topo.numServers();
+    std::vector<Route> routes;
+    for (std::size_t j = 0; j < 100; ++j) {
+        std::size_t src = (j / 4) * 5 % n_srv;
+        std::size_t dst = (src + per_pod * (1 + j % (k - 1))) % n_srv;
+        routes.push_back(routing.route(topo.serverNode(src),
+                                       topo.serverNode(dst), j));
+    }
+
+    NetSolverStats ss = churn(topo, routes, 4096);
+    ASSERT_EQ(ss.resolves, 8192u);
+    EXPECT_GE(ss.globalResolves, 0.9 * ss.resolves);
+}
+
+/** Flows that all cross one link form one component: go global. */
+TEST(FlowScope, SingleBottleneckGoesGlobal)
+{
+    Topology topo = Topology::star(16, 1e9, lat);
+    StaticRouting routing(topo);
+    std::vector<Route> routes;
+    for (std::size_t i = 1; i < 16; ++i)
+        routes.push_back(
+            routing.route(topo.serverNode(i), topo.serverNode(0)));
+
+    NetSolverStats ss = churn(topo, routes, 64);
+    ASSERT_EQ(ss.resolves, 128u);
+    EXPECT_EQ(ss.globalResolves, ss.resolves);
+    EXPECT_DOUBLE_EQ(ss.meanDirtyFlows(), 14.5);
 }

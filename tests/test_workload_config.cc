@@ -220,3 +220,40 @@ service_mean_ms = 5
     EXPECT_GT(dc.scheduler().jobsCompleted(), 800u); // ~320/s * 5 s
     EXPECT_EQ(dc.scheduler().activeJobs(), 0u);
 }
+
+namespace {
+
+/** What makeWorkload prints to stderr on fatTree(4), 16 x 4 cores. */
+std::string
+fatTreeWarnings(const std::string &ini)
+{
+    DataCenterConfig dc_cfg;
+    dc_cfg.fabric = DataCenterConfig::Fabric::fatTree;
+    dc_cfg.fabricParam = 4;
+    dc_cfg.nServers = 16;
+    dc_cfg.nCores = 4;
+    ::testing::internal::CaptureStderr();
+    makeWorkload(Config::parseString(ini), dc_cfg, 3);
+    return ::testing::internal::GetCapturedStderr();
+}
+
+} // namespace
+
+TEST(WorkloadConfig, SaturatingTransfersWarnWithTheLoad)
+{
+    // 0.5 * 16 * 4 / 5 ms / 6 tasks = 1066.7 jobs/s, each moving
+    // 8 edges x 2000 KiB: 8.74x the 16 x 1 Gb/s of host links.
+    std::string out = fatTreeWarnings(R"(
+[workload]
+utilization = 0.5
+job = fanout
+stages = 4
+transfer_kb = 2000
+)");
+    EXPECT_NE(out.find("NIC load of 8.738"), std::string::npos) << out;
+}
+
+TEST(WorkloadConfig, DefaultConfigDoesNotWarnOnLoad)
+{
+    EXPECT_EQ(fatTreeWarnings("[workload]\n"), "");
+}
