@@ -9,19 +9,25 @@
  * The fleet is partitioned into web, application and database tiers
  * via task-type restrictions; each request is a chain
  * web -> app -> db whose inter-tier results cross a star fabric.
- * The example prints per-tier utilization, the full stats dump and
- * the end-to-end latency breakdown.
+ * The example prints the request latency percentiles and per-tier
+ * utilization.
+ *
+ * --queue=heap|calendar selects the event-queue backend. Both pop in
+ * the same order, so stdout is identical and timing alternating runs
+ * of the two measures the calendar queue end to end (README
+ * "Performance"). --timer-mode=wheel puts the governor timers on the
+ * shared wheel (bucket width --wheel-granularity-us; 0 = exact 1-tick
+ * buckets). --profile attaches the kernel profiler and prints its
+ * profile.* stats and hot-events table, as holdcsim_cli --profile
+ * does.
  */
 
-#include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
 
 #include "dc/datacenter.hh"
-#include "sim/logging.hh"
 #include "sim/timer_wheel.hh"
 #include "telemetry/profiler.hh"
 #include "workload/service.hh"
@@ -39,15 +45,7 @@ constexpr int dbTier = 3;
 int
 main(int argc, char **argv)
 {
-    // --profile[=FILE] attaches a kernel profiler and dumps its JSON
-    // summary to FILE (stdout when omitted); used by
-    // bench/run_kernel_profile.sh. --queue=heap|calendar selects the
-    // event-queue backend so the script can record before/after
-    // events-per-host-second. --timer-mode=wheel coalesces the
-    // governor timers onto a shared wheel (bucket width set by
-    // --wheel-granularity-us; 0 = exact 1-tick buckets).
     bool profile_on = false;
-    std::string profile_out;
     auto backend = EventQueue::Backend::calendar;
     bool use_wheel = false;
     Tick wheel_granularity = 1;
@@ -55,9 +53,6 @@ main(int argc, char **argv)
         std::string arg = argv[i];
         if (arg == "--profile") {
             profile_on = true;
-        } else if (arg.rfind("--profile=", 0) == 0) {
-            profile_on = true;
-            profile_out = arg.substr(10);
         } else if (arg == "--queue=heap") {
             backend = EventQueue::Backend::binaryHeap;
         } else if (arg == "--queue=calendar") {
@@ -74,7 +69,7 @@ main(int argc, char **argv)
                                 us * static_cast<double>(usec));
         } else {
             std::fprintf(stderr,
-                         "usage: three_tier [--profile[=FILE]] "
+                         "usage: three_tier [--profile] "
                          "[--queue=heap|calendar] "
                          "[--timer-mode=events|wheel] "
                          "[--wheel-granularity-us=N]\n");
@@ -139,11 +134,7 @@ main(int argc, char **argv)
     KernelProfiler profiler;
     if (profile_on)
         sim.setProbe(&profiler);
-    auto wall_start = std::chrono::steady_clock::now();
     sim.run();
-    double wall_s = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - wall_start)
-                        .count();
 
     std::printf("simulated time     : %.2f s\n",
                 toSeconds(sim.curTick()));
@@ -178,24 +169,7 @@ main(int argc, char **argv)
                     100.0 * busy / 16.0);
     }
 
-    if (profile_on) {
-        if (profile_out.empty()) {
-            profiler.dumpJson(std::cout, wall_s, &sim.eventQueue(),
-                              wheel.get());
-        } else {
-            std::ofstream os(profile_out);
-            if (!os)
-                fatal("cannot open '", profile_out, "' for writing");
-            profiler.dumpJson(os, wall_s, &sim.eventQueue(),
-                              wheel.get());
-        }
-        std::printf("kernel events      : %llu (%.0f events/s host)\n",
-                    static_cast<unsigned long long>(
-                        profiler.eventsObserved()),
-                    wall_s > 0.0 ? static_cast<double>(
-                                       profiler.eventsObserved()) /
-                                       wall_s
-                                 : 0.0);
-    }
+    if (profile_on)
+        profiler.dump(std::cout, sim.eventQueue(), wheel.get());
     return 0;
 }

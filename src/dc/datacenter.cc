@@ -228,22 +228,8 @@ DataCenter::DataCenter(const DataCenterConfig &config)
     // the scheduler path is untouched.
     if (_config.orch.enabled) {
         const auto &oc = _config.orch;
-        OrchConfig ocfg;
-        ocfg.placement = oc.placement;
-        ocfg.reconcilePeriod = oc.reconcilePeriod;
-        ocfg.overcommit = oc.overcommit;
-        ocfg.serverMemBytes = oc.serverMemBytes;
-        ocfg.interference = oc.interference;
-        ocfg.remoteMemPenaltyPerUs = oc.remoteMemPenaltyPerUs;
-        ocfg.autoscale = oc.autoscale;
-        ocfg.autoscaleHigh = oc.autoscaleHigh;
-        ocfg.autoscaleLow = oc.autoscaleLow;
-        ocfg.rebalance = oc.rebalance;
-        ocfg.migrationDirtyFrac = oc.migrationDirtyFrac;
-        ocfg.migrationStopCopyBytes = oc.migrationStopCopyBytes;
-        ocfg.migrationMaxRounds = oc.migrationMaxRounds;
         _orch = std::make_unique<Orchestrator>(_sim, *_sched,
-                                               _net.get(), ocfg);
+                                               _net.get(), oc);
 
         DeploymentSpec ds;
         ds.name = "default";
@@ -488,15 +474,8 @@ DataCenter::dumpStats(std::ostream &os)
     sim_group.add("events", _sim.eventsProcessed());
     sim_group.dump(os);
 
-    if (_profiler) {
-        StatGroup profile_group("profile");
-        _profiler->addStats(profile_group);
-        KernelProfiler::addQueueStats(profile_group, _sim.eventQueue());
-        if (_wheel)
-            KernelProfiler::addWheelStats(profile_group, *_wheel);
-        profile_group.dump(os);
-        _profiler->dumpHotTable(os);
-    }
+    if (_profiler)
+        _profiler->dump(os, _sim.eventQueue(), _wheel.get());
 
     if (_auditor) {
         StatGroup g("audit");

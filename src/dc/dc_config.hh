@@ -16,6 +16,7 @@
 #include "fault/fault_model.hh"
 #include "network/network.hh"
 #include "network/switch_power.hh"
+#include "orch/orchestrator.hh"
 #include "server/power_profile.hh"
 #include "server/server.hh"
 #include "sim/config.hh"
@@ -158,7 +159,8 @@ struct DataCenterConfig {
 
     /** @name Container orchestration (strictly opt-in) */
     ///@{
-    struct OrchSettings {
+    /** The Orchestrator's knobs plus the DataCenter's own. */
+    struct OrchSettings : OrchConfig {
         /**
          * Resolved master switch. fromConfig defaults it to "true iff
          * any orch.* key is present"; an explicit orch.enabled=false
@@ -166,27 +168,6 @@ struct DataCenterConfig {
          * byte-identically to a build without the orchestrator.
          */
         bool enabled = false;
-        /** Placement policy: bin_pack | spread | affinity. */
-        std::string placement = "bin_pack";
-        Tick reconcilePeriod = 1 * sec;
-        /** Core overcommit cap (>= 1). */
-        double overcommit = 1.0;
-        /** Local memory capacity per server. */
-        Bytes serverMemBytes = static_cast<Bytes>(64) << 30;
-        /** Co-location interference coefficient (0 disables). */
-        double interference = 0.0;
-        /** Remote-memory penalty per us of fabric path latency. */
-        double remoteMemPenaltyPerUs = 0.0;
-        /** Threshold autoscaler. */
-        bool autoscale = false;
-        double autoscaleHigh = 0.75;
-        double autoscaleLow = 0.25;
-        /** Migrate off physically overcommitted servers. */
-        bool rebalance = false;
-        /** Dirty-page migration model (see OrchConfig). */
-        double migrationDirtyFrac = 0.25;
-        Bytes migrationStopCopyBytes = static_cast<Bytes>(4) << 20;
-        unsigned migrationMaxRounds = 8;
         /** Tag every generated job with the default group. */
         bool tagJobs = true;
         /** @name Default deployment (created at construction) */

@@ -19,7 +19,7 @@
  * than 4/5 of the enrolled flows it is abandoned: every active flow
  * is re-solved in FlowId order, and so are the next 15 changes,
  * without walking. endBulkLoad() goes global without such a streak.
- * BENCH_engine.json measures both sides. A resolve settles the dirty
+ * bench/bench_scaling measures both sides. A resolve settles the dirty
  * flows' transferred bits (clean flows keep progressing linearly at
  * unchanged rates), water-fills them and reschedules completions.
  *

@@ -18,11 +18,12 @@
  * O(log n) from the heap; no stale entry can ever outlive (and dangle
  * behind) its event object.
  *
- * The pure binary-heap backend is kept selectable so tests and the
- * bench_event_kernel microbenchmark can replay identical traces
- * through both structures and assert identical pop order; ordering is
- * defined solely by the (tick, priority, sequence) key, so the two
- * backends are observationally equivalent by construction.
+ * The pure binary-heap backend is kept selectable as the reference:
+ * tests replay identical traces through both structures and assert
+ * identical pop order, and `three_tier --queue=heap` times the
+ * calendar's end-to-end gain. Ordering is defined solely by the
+ * (tick, priority, sequence) key, so the two backends are
+ * observationally equivalent by construction.
  */
 
 #ifndef HOLDCSIM_SIM_EVENT_QUEUE_HH

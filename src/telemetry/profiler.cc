@@ -5,6 +5,49 @@
 
 namespace holdcsim {
 
+namespace {
+
+void
+addQueueStats(StatGroup &group, const EventQueue &queue)
+{
+    const EventQueue::Counters &c = queue.counters();
+    group.add("queue.schedules", c.schedules);
+    group.add("queue.bucket_schedules", c.bucketSchedules);
+    group.add("queue.heap_spills", c.heapSchedules);
+    group.add("queue.clamped_schedules", c.clampedSchedules);
+    group.add("queue.pops", c.pops);
+    group.add("queue.bucket_pops", c.bucketPops);
+    group.add("queue.heap_pops", c.heapPops);
+    group.add("queue.rebases", c.rebases);
+    group.add("queue.migrated_entries", c.migratedEntries);
+    group.add("queue.head_spills", c.headSpills);
+    group.add("queue.spilled_entries", c.spilledEntries);
+    group.add("queue.recalibrations", c.recalibrations);
+    group.add("queue.peak_occupancy",
+              static_cast<std::uint64_t>(c.peakSize));
+    group.add("queue.bucket_width_ticks",
+              static_cast<std::uint64_t>(queue.bucketWidth()));
+}
+
+void
+addWheelStats(StatGroup &group, const TimerWheel &wheel)
+{
+    const TimerWheel::Stats &s = wheel.stats();
+    group.add("wheel.granularity_ticks",
+              static_cast<std::uint64_t>(wheel.granularity()));
+    group.add("wheel.slots",
+              static_cast<std::uint64_t>(wheel.numSlots()));
+    group.add("wheel.armed", s.armed);
+    group.add("wheel.cancelled", s.cancelled);
+    group.add("wheel.fired", s.fired);
+    group.add("wheel.tick_events", s.tickEvents);
+    group.add("wheel.max_batch", s.maxBatch);
+    group.add("wheel.overflow_migrations", s.overflowMigrations);
+    group.add("wheel.max_live", s.maxLive);
+}
+
+} // namespace
+
 void
 KernelProfiler::beginEvent(const Event &ev, std::size_t queued)
 {
@@ -88,45 +131,6 @@ KernelProfiler::addStats(StatGroup &group) const
 }
 
 void
-KernelProfiler::addQueueStats(StatGroup &group, const EventQueue &queue)
-{
-    const EventQueue::Counters &c = queue.counters();
-    group.add("queue.schedules", c.schedules);
-    group.add("queue.bucket_schedules", c.bucketSchedules);
-    group.add("queue.heap_spills", c.heapSchedules);
-    group.add("queue.clamped_schedules", c.clampedSchedules);
-    group.add("queue.pops", c.pops);
-    group.add("queue.bucket_pops", c.bucketPops);
-    group.add("queue.heap_pops", c.heapPops);
-    group.add("queue.rebases", c.rebases);
-    group.add("queue.migrated_entries", c.migratedEntries);
-    group.add("queue.head_spills", c.headSpills);
-    group.add("queue.spilled_entries", c.spilledEntries);
-    group.add("queue.recalibrations", c.recalibrations);
-    group.add("queue.peak_occupancy",
-              static_cast<std::uint64_t>(c.peakSize));
-    group.add("queue.bucket_width_ticks",
-              static_cast<std::uint64_t>(queue.bucketWidth()));
-}
-
-void
-KernelProfiler::addWheelStats(StatGroup &group, const TimerWheel &wheel)
-{
-    const TimerWheel::Stats &s = wheel.stats();
-    group.add("wheel.granularity_ticks",
-              static_cast<std::uint64_t>(wheel.granularity()));
-    group.add("wheel.slots",
-              static_cast<std::uint64_t>(wheel.numSlots()));
-    group.add("wheel.armed", s.armed);
-    group.add("wheel.cancelled", s.cancelled);
-    group.add("wheel.fired", s.fired);
-    group.add("wheel.tick_events", s.tickEvents);
-    group.add("wheel.max_batch", s.maxBatch);
-    group.add("wheel.overflow_migrations", s.overflowMigrations);
-    group.add("wheel.max_live", s.maxLive);
-}
-
-void
 KernelProfiler::dumpHotTable(std::ostream &os) const
 {
     os << "# kernel hot events (by host time inside process())\n";
@@ -147,69 +151,16 @@ KernelProfiler::dumpHotTable(std::ostream &os) const
 }
 
 void
-KernelProfiler::dumpJson(std::ostream &os, double wall_seconds,
-                         const EventQueue *queue,
-                         const TimerWheel *wheel) const
+KernelProfiler::dump(std::ostream &os, const EventQueue &queue,
+                     const TimerWheel *wheel) const
 {
-    os << "{\n";
-    os << "  \"events_total\": " << _events << ",\n";
-    os << "  \"peak_queue_depth\": " << _peakDepth << ",\n";
-    if (queue) {
-        const EventQueue::Counters &c = queue->counters();
-        os << "  \"event_queue\": {\n";
-        os << "    \"backend\": \""
-           << (queue->backend() == EventQueue::Backend::calendar
-                   ? "calendar"
-                   : "binary_heap")
-           << "\",\n";
-        os << "    \"schedules\": " << c.schedules << ",\n";
-        os << "    \"bucket_schedules\": " << c.bucketSchedules << ",\n";
-        os << "    \"heap_spills\": " << c.heapSchedules << ",\n";
-        os << "    \"pops\": " << c.pops << ",\n";
-        os << "    \"bucket_pops\": " << c.bucketPops << ",\n";
-        os << "    \"heap_pops\": " << c.heapPops << ",\n";
-        os << "    \"rebases\": " << c.rebases << ",\n";
-        os << "    \"migrated_entries\": " << c.migratedEntries << ",\n";
-        os << "    \"head_spills\": " << c.headSpills << ",\n";
-        os << "    \"spilled_entries\": " << c.spilledEntries << ",\n";
-        os << "    \"recalibrations\": " << c.recalibrations << ",\n";
-        os << "    \"peak_occupancy\": " << c.peakSize << ",\n";
-        os << "    \"bucket_width_ticks\": " << queue->bucketWidth()
-           << "\n  },\n";
-    }
-    if (wheel) {
-        const TimerWheel::Stats &s = wheel->stats();
-        os << "  \"timer_wheel\": {\n";
-        os << "    \"granularity_ticks\": " << wheel->granularity()
-           << ",\n";
-        os << "    \"slots\": " << wheel->numSlots() << ",\n";
-        os << "    \"armed\": " << s.armed << ",\n";
-        os << "    \"cancelled\": " << s.cancelled << ",\n";
-        os << "    \"fired\": " << s.fired << ",\n";
-        os << "    \"tick_events\": " << s.tickEvents << ",\n";
-        os << "    \"max_batch\": " << s.maxBatch << ",\n";
-        os << "    \"overflow_migrations\": " << s.overflowMigrations
-           << ",\n";
-        os << "    \"max_live\": " << s.maxLive << "\n  },\n";
-    }
-    os << "  \"host_seconds_in_events\": "
-       << static_cast<double>(totalHostNs()) * 1e-9 << ",\n";
-    if (wall_seconds > 0.0) {
-        os << "  \"wall_seconds\": " << wall_seconds << ",\n";
-        os << "  \"events_per_sec\": "
-           << static_cast<double>(_events) / wall_seconds << ",\n";
-    }
-    os << "  \"events_by_type\": {";
-    bool first = true;
-    for (const auto &[name, ts] : hottest()) {
-        if (!first)
-            os << ",";
-        first = false;
-        os << "\n    \"" << name << "\": {\"count\": " << ts.count
-           << ", \"host_us\": "
-           << static_cast<double>(ts.hostNs) * 1e-3 << "}";
-    }
-    os << "\n  }\n}\n";
+    StatGroup group("profile");
+    addStats(group);
+    addQueueStats(group, queue);
+    if (wheel)
+        addWheelStats(group, *wheel);
+    group.dump(os);
+    dumpHotTable(os);
 }
 
 void

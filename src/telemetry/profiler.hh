@@ -64,42 +64,25 @@ class KernelProfiler : public KernelProbe
     /** Per-type rows sorted by host time, hottest first. */
     std::vector<std::pair<std::string, TypeStats>> hottest() const;
 
-    /** Register profile.* scalars on @p group (name "profile"). */
-    void addStats(StatGroup &group) const;
-
     /**
-     * Register queue.* occupancy / bucket-spill counters of the
-     * two-level event queue on @p group (pairs with addStats on the
-     * same "profile" group).
+     * Dump the profile.* stats (per-type counts and host time, @p
+     * queue's occupancy and bucket-spill counters and, when @p wheel
+     * is non-null, its coalescing counters) followed by the
+     * "# "-prefixed hot-events table.
      */
-    static void addQueueStats(StatGroup &group, const EventQueue &queue);
-
-    /**
-     * Register wheel.* coalescing counters of the shared governor
-     * timer wheel on @p group (pairs with addStats on the same
-     * "profile" group; call only when a wheel is installed).
-     */
-    static void addWheelStats(StatGroup &group, const TimerWheel &wheel);
-
-    /** Human-readable hot-events table, each line "# "-prefixed. */
-    void dumpHotTable(std::ostream &os) const;
-
-    /**
-     * Machine-readable summary (BENCH_kernel.json shape). @p
-     * wall_seconds is the harness-measured wall time of the run; pass
-     * 0 if unknown (events_per_sec is then omitted). When @p queue is
-     * non-null its occupancy / spill counters are emitted as an
-     * "event_queue" object. When @p wheel is non-null its coalescing
-     * counters are emitted as a "timer_wheel" object.
-     */
-    void dumpJson(std::ostream &os, double wall_seconds,
-                  const EventQueue *queue = nullptr,
-                  const TimerWheel *wheel = nullptr) const;
+    void dump(std::ostream &os, const EventQueue &queue,
+              const TimerWheel *wheel) const;
 
     void reset();
 
   private:
     using Clock = std::chrono::steady_clock;
+
+    /** Register profile.* scalars on @p group (name "profile"). */
+    void addStats(StatGroup &group) const;
+
+    /** Human-readable hot-events table, each line "# "-prefixed. */
+    void dumpHotTable(std::ostream &os) const;
 
     std::uint64_t _events = 0;
     std::size_t _peakDepth = 0;

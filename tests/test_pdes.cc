@@ -240,6 +240,46 @@ TEST(PodCluster, ParallelRunRecordsWindowStats)
     EXPECT_LE(st.blockedFraction(), 1.0);
 }
 
+// A metro-scale 1 ms lookahead on 8 pods: windows wide enough to
+// amortize the barrier. The dump stays byte-identical at every
+// partition count, and the window protocol's counters are
+// host-independent, so they are gated as exact values.
+class WideLookaheadPodCluster : public ::testing::TestWithParam<unsigned>
+{};
+
+TEST_P(WideLookaheadPodCluster, DumpAndWindowCountersAreExact)
+{
+    PodClusterConfig cfg;
+    cfg.pods = 8;
+    cfg.requestsPerPod = 600;
+    cfg.arrivalRate = 1'500.0;
+    cfg.forwardProbability = 0.3;
+    cfg.interPodLatency = 1 * msec;
+    cfg.statsHorizon = 1 * sec;
+    cfg.seed = 7;
+
+    const unsigned parts = GetParam();
+    PodCluster cluster(cfg, parts);
+    cluster.run();
+    std::ostringstream os;
+    cluster.dumpStats(os);
+    EXPECT_EQ(os.str(), runAndDump(cfg, 0));
+
+    const auto &st = cluster.pdesStats();
+    if (parts >= 2) {
+        EXPECT_EQ(st.windows, 893u);
+        EXPECT_EQ(st.messages, 1925u);
+        EXPECT_EQ(st.fastForwards, 886u);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Partitions, WideLookaheadPodCluster,
+                         ::testing::Values(1u, 2u, 4u),
+                         [](const auto &info) {
+                             return "parts" +
+                                    std::to_string(info.param);
+                         });
+
 TEST(PodCluster, RejectsMorePartitionsThanPods)
 {
     EXPECT_THROW(PodCluster(smallCluster(), 5), FatalError);

@@ -851,6 +851,158 @@ TEST_P(TimerModeProperty, CoarseWheelConservesResidencyPartitions)
     }
 }
 
+// Coarse wheels on two fleets, gated as exact host-independent
+// counters. Both backends must reproduce them, so they also pin the
+// calendar queue to the heap's dispatch order on these fleets.
+
+namespace {
+
+/** Completed work and kernel counters of one fleet run. */
+struct WheelRun {
+    std::uint64_t done = 0;
+    std::uint64_t events = 0;
+    std::uint64_t fired = 0;
+    std::uint64_t ticks = 0;
+};
+
+/** Install a wheel of @p granularity on @p sim (0 = per-event timers). */
+std::unique_ptr<TimerWheel>
+maybeWheel(Simulator &sim, Tick granularity)
+{
+    if (granularity == 0)
+        return nullptr;
+    auto wheel = std::make_unique<TimerWheel>(sim, granularity);
+    sim.setTimerWheel(wheel.get());
+    return wheel;
+}
+
+WheelRun
+wheelCounters(const Simulator &sim, const TimerWheel *wheel,
+              std::uint64_t done)
+{
+    WheelRun r;
+    r.done = done;
+    r.events = sim.eventsProcessed();
+    if (wheel) {
+        r.fired = wheel->stats().fired;
+        r.ticks = wheel->stats().tickEvents;
+    }
+    return r;
+}
+
+/** The examples/three_tier fleet (12 typed servers, star fabric)
+ *  serving 2000 web -> app -> db requests. */
+WheelRun
+runThreeTierReplay(EventQueue::Backend backend, Tick granularity)
+{
+    Simulator sim(backend);
+    // Declared before every entity so the handles entities still hold
+    // at teardown outlive them.
+    auto wheel = maybeWheel(sim, granularity);
+    constexpr int web_tier = 1, app_tier = 2, db_tier = 3;
+    Network net(sim, Topology::star(12, 1e9, 5 * usec),
+                SwitchPowerProfile::cisco2960_24());
+    std::vector<std::unique_ptr<Server>> owned;
+    std::vector<Server *> servers;
+    for (unsigned i = 0; i < 12; ++i) {
+        ServerConfig sc;
+        sc.id = i;
+        sc.nCores = 4;
+        sc.taskTypes = {i < 4 ? web_tier : i < 8 ? app_tier : db_tier};
+        owned.push_back(
+            std::make_unique<Server>(sim, sc, ServerPowerProfile{}));
+        servers.push_back(owned.back().get());
+    }
+    GlobalScheduler sched(sim, servers,
+                          std::make_unique<LeastLoadedPolicy>(), {},
+                          &net);
+    ChainJobGenerator requests(
+        {std::make_shared<ExponentialService>(1 * msec, Rng(17, "web")),
+         std::make_shared<ExponentialService>(4 * msec, Rng(17, "app")),
+         std::make_shared<ExponentialService>(8 * msec, Rng(17, "db"))},
+        {web_tier, app_tier, db_tier}, 64 * 1024);
+    PoissonArrival arrivals(600.0, Rng(17, "arrivals"));
+    std::size_t injected = 0;
+    EventFunctionWrapper inject(
+        [&] {
+            sched.submitJob(requests.makeJob(sim.curTick()));
+            if (++injected < 2000)
+                sim.schedule(inject, arrivals.nextArrival());
+        },
+        "inject");
+    sim.schedule(inject, arrivals.nextArrival());
+    sim.run();
+    return wheelCounters(sim, wheel.get(), sched.jobsCompleted());
+}
+
+/** 4096 flat 4-core servers (no fabric, no scheduler) hit by two
+ *  synchronized waves of one 50 us task per server, so every core's
+ *  idle-demotion ladder re-arms at the same instant. */
+WheelRun
+runWarehouseWaves(EventQueue::Backend backend, Tick granularity)
+{
+    Simulator sim(backend);
+    auto wheel = maybeWheel(sim, granularity);
+    std::uint64_t completions = 0;
+    std::vector<std::unique_ptr<Server>> servers;
+    for (unsigned i = 0; i < 4096; ++i) {
+        ServerConfig sc;
+        sc.id = i;
+        sc.nCores = 4;
+        servers.push_back(
+            std::make_unique<Server>(sim, sc, ServerPowerProfile{}));
+        servers.back()->setTaskDoneCallback(
+            [&completions](Server &, const TaskRef &) { ++completions; });
+    }
+    unsigned wave = 0;
+    JobId next_job = 0;
+    EventFunctionWrapper injector(
+        [&] {
+            for (auto &s : servers) {
+                TaskRef t;
+                t.job = next_job++;
+                t.serviceTime = 50 * usec;
+                s->submit(t);
+            }
+            if (++wave < 2)
+                sim.schedule(injector, sim.curTick() + 2 * msec);
+        },
+        "warehouse.wave");
+    sim.schedule(injector, 1 * msec);
+    sim.run();
+    return wheelCounters(sim, wheel.get(), completions);
+}
+
+} // namespace
+
+TEST_P(TimerModeProperty, CoarseWheelThreeTierReplayCounters)
+{
+    // A 1 ms wheel completes every request while folding the
+    // governor timers into shared ticks: 40606 -> 19316 events.
+    const WheelRun events = runThreeTierReplay(GetParam(), 0);
+    const WheelRun coarse = runThreeTierReplay(GetParam(), 1 * msec);
+    EXPECT_EQ(events.done, 2000u);
+    EXPECT_EQ(coarse.done, events.done);
+    EXPECT_EQ(events.events, 40606u);
+    EXPECT_EQ(coarse.events, 19316u);
+    EXPECT_EQ(coarse.fired, 20670u);
+    EXPECT_EQ(coarse.ticks, 3316u);
+}
+
+TEST_P(TimerModeProperty, CoarseWheelWarehouseCounters)
+{
+    // 100 us buckets line up with the C3/C6 demotion thresholds, so
+    // the fleet's 73728 aligned governor timers fire in 9 ticks.
+    const WheelRun events = runWarehouseWaves(GetParam(), 0);
+    const WheelRun coarse = runWarehouseWaves(GetParam(), 100 * usec);
+    EXPECT_EQ(events.done, 8192u);
+    EXPECT_EQ(coarse.done, 8192u);
+    EXPECT_EQ(events.events, 81922u);
+    EXPECT_EQ(coarse.events, 8203u);
+    EXPECT_EQ(coarse.fired, 73728u);
+    EXPECT_EQ(coarse.ticks, 9u);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Backends, TimerModeProperty,
     ::testing::Values(EventQueue::Backend::calendar,

@@ -412,6 +412,87 @@ TEST(EventQueue, ChurnPropertyPreservesCountsAndFifo)
     }
 }
 
+TEST(EventQueue, HoldAndChurnAcrossBucketsMatchHeap)
+{
+    // The hold model (each pop re-arms the popped event) over 1024
+    // events whose gaps span four buckets' worth of ticks, with a
+    // 1-in-128 ~1 s tail that spills into the overflow heap; the churn
+    // variant also cancels and re-arms (every 16th pop) or moves
+    // (every 32nd) a random event. Calendar and heap replay the same
+    // trace in lockstep and must pop the same event at the same tick,
+    // while the calendar rebases, spills and recalibrates under it.
+    struct IndexedEvent : Event {
+        explicit IndexedEvent(std::size_t i) : Event("hold"), idx(i) {}
+        void process() override {}
+        std::size_t idx;
+    };
+    constexpr std::size_t n = 1024;
+    constexpr int n_ops = 50'000;
+    auto nextGap = [](Rng &rng) -> Tick {
+        if (rng.uniformInt(0, 127) == 0)
+            return 1 * sec + rng.uniformInt(0, msec);
+        return rng.uniformInt(1, 4 * n);
+    };
+
+    for (bool churn : {false, true}) {
+        SCOPED_TRACE(churn ? "churn" : "hold");
+        Rng rng(churn ? 43 : 42, "hold");
+        EventQueue cal(EventQueue::Backend::calendar);
+        EventQueue heap(EventQueue::Backend::binaryHeap);
+        std::deque<IndexedEvent> calEvents;
+        std::deque<IndexedEvent> heapEvents;
+        auto schedule = [&](std::size_t i, Tick when) {
+            cal.schedule(calEvents[i], when);
+            heap.schedule(heapEvents[i], when);
+        };
+        for (std::size_t i = 0; i < n; ++i) {
+            calEvents.emplace_back(i);
+            heapEvents.emplace_back(i);
+            schedule(i, nextGap(rng));
+        }
+        for (int op = 0; op < n_ops; ++op) {
+            auto &cev = static_cast<IndexedEvent &>(cal.pop());
+            auto &hev = static_cast<IndexedEvent &>(heap.pop());
+            if (cev.idx != hev.idx || cev.when() != hev.when()) {
+                ADD_FAILURE() << "pop " << op << ": calendar event "
+                              << cev.idx << " at " << cev.when()
+                              << ", heap event " << hev.idx << " at "
+                              << hev.when();
+                break;
+            }
+            Tick now = cev.when();
+            schedule(cev.idx, now + nextGap(rng));
+            if (!churn)
+                continue;
+            if (op % 16 == 0) {
+                std::size_t v = rng.uniformInt(0, n - 1);
+                if (calEvents[v].scheduled()) {
+                    cal.deschedule(calEvents[v]);
+                    heap.deschedule(heapEvents[v]);
+                    schedule(v, now + nextGap(rng));
+                }
+            } else if (op % 32 == 1) {
+                std::size_t v = rng.uniformInt(0, n - 1);
+                if (calEvents[v].scheduled()) {
+                    Tick when = now + nextGap(rng);
+                    cal.reschedule(calEvents[v], when);
+                    heap.reschedule(heapEvents[v], when);
+                }
+            }
+        }
+        EXPECT_EQ(cal.auditConsistency(), "");
+        EXPECT_GT(cal.counters().heapSchedules, 0u);
+        EXPECT_GT(cal.counters().rebases, 0u);
+        EXPECT_GT(cal.counters().recalibrations, 0u);
+        for (std::size_t i = 0; i < n; ++i) {
+            if (calEvents[i].scheduled())
+                cal.deschedule(calEvents[i]);
+            if (heapEvents[i].scheduled())
+                heap.deschedule(heapEvents[i]);
+        }
+    }
+}
+
 TEST(EventQueue, AdversarialAllSameTick)
 {
     // Every event collides on one (tick, priority) pair: the calendar

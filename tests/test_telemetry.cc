@@ -429,22 +429,6 @@ TEST(KernelProfilerTest, CountMatchesSimulatorExactly)
     EXPECT_GE(profiler.peakQueueDepth(), 1u);
 }
 
-TEST(KernelProfilerTest, JsonSummaryIsWellFormed)
-{
-    Simulator sim;
-    KernelProfiler profiler;
-    sim.setProbe(&profiler);
-    EventFunctionWrapper work([] {}, "work");
-    sim.schedule(work, 1 * msec);
-    sim.run();
-
-    std::ostringstream os;
-    profiler.dumpJson(os, 0.5);
-    EXPECT_TRUE(jsonWellFormed(os.str())) << os.str();
-    EXPECT_NE(os.str().find("\"events_total\": 1"), std::string::npos);
-    EXPECT_NE(os.str().find("events_per_sec"), std::string::npos);
-}
-
 TEST(KernelProfilerTest, StatsAndHotTable)
 {
     Simulator sim;
@@ -454,19 +438,23 @@ TEST(KernelProfilerTest, StatsAndHotTable)
     sim.schedule(work, 1 * msec);
     sim.run();
 
-    StatGroup g("profile");
-    profiler.addStats(g);
     std::ostringstream os;
-    g.dump(os);
-    EXPECT_NE(os.str().find("profile.events_observed 1"),
-              std::string::npos);
-    EXPECT_NE(os.str().find("profile.type.work.count 1"),
-              std::string::npos);
+    profiler.dump(os, sim.eventQueue(), nullptr);
+    const std::string out = os.str();
+    EXPECT_EQ(out.rfind("profile.events_observed 1", 0), 0u) << out;
+    EXPECT_NE(out.find("profile.type.work.count 1"), std::string::npos);
+    EXPECT_NE(out.find("profile.queue.pops 1"), std::string::npos);
+    EXPECT_EQ(out.find("profile.wheel."), std::string::npos);
 
-    std::ostringstream table;
-    profiler.dumpHotTable(table);
-    EXPECT_EQ(table.str().rfind("# ", 0), 0u);
-    EXPECT_NE(table.str().find("work"), std::string::npos);
+    // The hot-events table follows the stats, every line "# "-prefixed.
+    const std::size_t table = out.find("# kernel hot events");
+    ASSERT_NE(table, std::string::npos) << out;
+    EXPECT_GT(table, out.find("profile.queue.pops"));
+    std::istringstream rows(out.substr(table));
+    std::string row;
+    while (std::getline(rows, row))
+        EXPECT_EQ(row.rfind("# ", 0), 0u) << row;
+    EXPECT_NE(out.find("work", table), std::string::npos);
 }
 
 // ------------------------------------------------------- integration
