@@ -174,8 +174,13 @@ makeWorkload(const Config &cfg, const DataCenterConfig &dc_cfg,
     double load = rate * shape.edges * 8.0 * 1024.0 *
                   static_cast<double>(cfg.getInt("workload.transfer_kb", 0)) /
                   (dc_cfg.nServers * dc_cfg.linkRate);
-    if (kind != "trace" &&
-        dc_cfg.fabric != DataCenterConfig::Fabric::none && load >= 0.9)
+    if (kind == "trace" || dc_cfg.fabric == DataCenterConfig::Fabric::none)
+        return out;
+    if (load >= 1.0)
+        fatal("mean per-host NIC load of ", load, " (jobs/s x edges x "
+              "transfer_kb / servers / link rate) is at least 1: the "
+              "fabric can never reach steady state");
+    if (load >= 0.9)
         warn("mean per-host NIC load of ", load, " (jobs/s x edges x "
              "transfer_kb / servers / link rate): the fabric may never "
              "reach steady state");

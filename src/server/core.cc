@@ -26,14 +26,18 @@ CorePool::CorePool(Simulator &sim, CoreHost &host,
     _traceLabel.resize(n);
     _traceTrack.assign(n, noTraceTrack);
 
+    _completionEvents = std::make_unique<CoreEvent<false>[]>(n);
+    if (!_wheel)
+        _demotionEvents = std::make_unique<CoreEvent<true>[]>(n);
+
     const Tick now = sim.curTick();
     for (unsigned c = 0; c < n; ++c) {
-        _completionEvents.emplace_back([this, c] { complete(c); },
-                                       "core.completion");
-        if (!_wheel)
-            _demotionEvents.emplace_back([this, c] { demote(c); },
-                                         "core.demotion",
-                                         Event::powerPriority);
+        _completionEvents[c].pool = this;
+        _completionEvents[c].core = c;
+        if (!_wheel) {
+            _demotionEvents[c].pool = this;
+            _demotionEvents[c].core = c;
+        }
         _residency[c].enter(static_cast<int>(_cstate[c]), now);
         armDemotion(c);
     }
@@ -41,15 +45,11 @@ CorePool::CorePool(Simulator &sim, CoreHost &host,
 
 CorePool::~CorePool()
 {
-    for (auto &ev : _completionEvents)
-        if (ev.scheduled())
-            _sim.deschedule(ev);
-    for (auto &ev : _demotionEvents)
-        if (ev.scheduled())
-            _sim.deschedule(ev);
-    if (_wheel)
-        for (auto &h : _demotion)
-            _wheel->cancel(h);
+    for (unsigned c = 0; c < size(); ++c) {
+        if (_completionEvents[c].scheduled())
+            _sim.deschedule(_completionEvents[c]);
+        cancelDemotion(c);
+    }
 }
 
 void

@@ -30,7 +30,7 @@
 #ifndef HOLDCSIM_SERVER_CORE_HH
 #define HOLDCSIM_SERVER_CORE_HH
 
-#include <deque>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -140,10 +140,28 @@ class CorePool : public TimerClient
     std::vector<StateResidency> _residency;
     std::vector<TimerWheel::Handle> _demotion;
 
-    // Cold: events are address-stable in deques (Event is pinned).
-    // _demotionEvents stays empty in wheel mode.
-    std::deque<EventFunctionWrapper> _completionEvents;
-    std::deque<EventFunctionWrapper> _demotionEvents;
+    /**
+     * One core's completion or demotion event: pool + core id, no
+     * std::function. Default-constructible, so each kind sits in one
+     * exact-size array that never moves (Event is pinned).
+     */
+    template <bool Demotion>
+    struct CoreEvent final : Event {
+        CoreEvent()
+            : Event(Demotion ? "core.demotion" : "core.completion",
+                    Demotion ? powerPriority : defaultPriority)
+        {}
+        void process() override
+        {
+            Demotion ? pool->demote(core) : pool->complete(core);
+        }
+        CorePool *pool = nullptr;
+        unsigned core = 0;
+    };
+
+    // Cold. _demotionEvents stays null in wheel mode.
+    std::unique_ptr<CoreEvent<false>[]> _completionEvents;
+    std::unique_ptr<CoreEvent<true>[]> _demotionEvents;
 
     std::vector<std::string> _traceLabel;
     std::vector<TraceTrackId> _traceTrack;
@@ -164,9 +182,6 @@ class Core
 
     /** Current operating frequency under the active P-state. */
     double frequencyGhz() const { return _pool->frequencyGhz(_id); }
-
-    /** This core's base (P0) frequency. */
-    double baseFrequencyGhz() const { return _pool->_baseFreqGhz[_id]; }
 
     /** Select DVFS operating point @p idx (0 = fastest). */
     void setPState(std::size_t idx) { _pool->setPState(_id, idx); }

@@ -69,14 +69,6 @@ LocalScheduler::pending() const
     return total;
 }
 
-std::size_t
-LocalScheduler::pendingFor(unsigned core_id) const
-{
-    return _mode == LocalQueueMode::unified
-               ? _unified.size()
-               : _perCore.at(core_id).size();
-}
-
 bool
 LocalScheduler::remove(JobId job, TaskId task)
 {

@@ -60,9 +60,6 @@ class LocalScheduler
     /** Total buffered (not yet running) tasks. */
     std::size_t pending() const;
 
-    /** Buffered tasks visible to core @p core_id. */
-    std::size_t pendingFor(unsigned core_id) const;
-
     /**
      * Remove the buffered task identified by (@p job, @p task), if
      * present. Returns whether a task was removed.

@@ -72,8 +72,7 @@ class DelayTimerController : public ServerPowerController
  * the core idle governor as soon as the cores drain; after
  * @p s3_after of continued idleness the server suspends to RAM.
  * Equivalent to a DelayTimerController with a (typically short)
- * threshold, packaged separately so pool policies can identify and
- * retune it.
+ * threshold, packaged separately so pool policies can identify it.
  */
 class DeepSleepController : public ServerPowerController
 {
@@ -84,10 +83,6 @@ class DeepSleepController : public ServerPowerController
     void attach(Server &server) override;
     void becameBusy(Server &server) override;
     void becameIdle(Server &server) override;
-
-    /** Retune the C6 -> S3 threshold (takes effect next idle). */
-    void setS3After(Tick s3_after) { _s3After = s3_after; }
-    Tick s3After() const { return _s3After; }
 
   private:
     Tick _s3After;

@@ -1,8 +1,8 @@
 #include "stats.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <sstream>
 
 #include "logging.hh"
 
@@ -204,16 +204,16 @@ TimeWeighted::reset()
 void
 StateResidency::accrueCurrent(Tick delta)
 {
-    if (_current >= 0 && _current < inlineStates)
-        _residency[static_cast<std::size_t>(_current)] += delta;
-    else
-        _residencyOverflow[_current] += delta;
+    _residency[static_cast<std::size_t>(_current)] += delta;
     _total += delta;
 }
 
 void
 StateResidency::enter(int state, Tick now)
 {
+    if (state < 0 || state >= maxStates)
+        HOLDCSIM_PANIC("StateResidency state ", state, " outside [0, ",
+                       maxStates, ")");
     if (_started) {
         if (now < _lastTick)
             HOLDCSIM_PANIC("StateResidency fed a tick that moves backwards");
@@ -222,10 +222,7 @@ StateResidency::enter(int state, Tick now)
     _started = true;
     _current = state;
     _lastTick = now;
-    if (state >= 0 && state < inlineStates)
-        ++_entries[static_cast<std::size_t>(state)];
-    else
-        ++_entriesOverflow[state];
+    ++_entries[static_cast<std::size_t>(state)];
 }
 
 void
@@ -242,10 +239,9 @@ StateResidency::finish(Tick now)
 Tick
 StateResidency::residency(int state) const
 {
-    if (state >= 0 && state < inlineStates)
-        return _residency[static_cast<std::size_t>(state)];
-    auto it = _residencyOverflow.find(state);
-    return it == _residencyOverflow.end() ? 0 : it->second;
+    if (state < 0 || state >= maxStates)
+        return 0;
+    return _residency[static_cast<std::size_t>(state)];
 }
 
 double
@@ -260,10 +256,9 @@ StateResidency::fraction(int state) const
 std::uint64_t
 StateResidency::transitionsInto(int state) const
 {
-    if (state >= 0 && state < inlineStates)
-        return _entries[static_cast<std::size_t>(state)];
-    auto it = _entriesOverflow.find(state);
-    return it == _entriesOverflow.end() ? 0 : it->second;
+    if (state < 0 || state >= maxStates)
+        return 0;
+    return _entries[static_cast<std::size_t>(state)];
 }
 
 void
@@ -275,24 +270,35 @@ StateResidency::reset()
 // ------------------------------------------------------------------ StatGroup
 
 void
+StatGroup::addLine(const std::string &key, std::string_view value)
+{
+    _lines.append(_name).append(1, '.').append(key).append(1, ' ');
+    _lines.append(value).append(1, '\n');
+}
+
+void
 StatGroup::add(const std::string &key, double value)
 {
-    std::ostringstream os;
-    os << value;
-    _entries.emplace_back(key, os.str());
+    // %g at precision 6 is what `os << value` prints under default
+    // flags; to_chars gives the same bytes without a stream per value.
+    char buf[32];
+    auto res = std::to_chars(buf, buf + sizeof buf, value,
+                             std::chars_format::general, 6);
+    addLine(key, std::string_view(buf, res.ptr - buf));
 }
 
 void
 StatGroup::add(const std::string &key, std::uint64_t value)
 {
-    _entries.emplace_back(key, std::to_string(value));
+    char buf[24];
+    auto res = std::to_chars(buf, buf + sizeof buf, value);
+    addLine(key, std::string_view(buf, res.ptr - buf));
 }
 
 void
 StatGroup::dump(std::ostream &os) const
 {
-    for (const auto &[key, value] : _entries)
-        os << _name << '.' << key << ' ' << value << '\n';
+    os.write(_lines.data(), static_cast<std::streamsize>(_lines.size()));
 }
 
 } // namespace holdcsim

@@ -14,26 +14,14 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "types.hh"
 
 namespace holdcsim {
-
-/** Monotonically increasing event counter. */
-class Counter
-{
-  public:
-    void inc(std::uint64_t n = 1) { _value += n; }
-    std::uint64_t value() const { return _value; }
-    void reset() { _value = 0; }
-
-  private:
-    std::uint64_t _value = 0;
-};
 
 /** Streaming mean / variance / extrema over sample values. */
 class Accumulator
@@ -148,24 +136,36 @@ class TimeWeighted
 
 /**
  * Tracks how long a component resides in each of a set of discrete
- * states, keyed by small integer state ids.
+ * states, keyed by small integer state ids in [0, maxStates).
  */
 class StateResidency
 {
   public:
-    /** Record a transition into @p state at tick @p now. */
+    /**
+     * Every state enum in the simulator is small and dense
+     * (CoreCState has 5 states, ServerState 6, PortState 3, ...), so
+     * the books are inline arrays: a StateResidency costs 152 bytes
+     * with zero heap allocations, which matters when a 100k-server
+     * plant carries one per core, port and card.
+     */
+    static constexpr int maxStates = 8;
+
+    /**
+     * Record a transition into @p state at tick @p now.
+     * Panics unless 0 <= @p state < maxStates.
+     */
     void enter(int state, Tick now);
 
     /** Close the books at tick @p now before reading residencies. */
     void finish(Tick now);
 
-    /** Total ticks spent in @p state so far. */
+    /** Total ticks spent in @p state so far (0 if never entered). */
     Tick residency(int state) const;
 
     /** Fraction of observed time spent in @p state, in [0, 1]. */
     double fraction(int state) const;
 
-    /** Number of entries into @p state. */
+    /** Number of entries into @p state (0 if never entered). */
     std::uint64_t transitionsInto(int state) const;
 
     /** Total observed time. */
@@ -175,25 +175,12 @@ class StateResidency
     void reset();
 
   private:
-    /**
-     * Every state enum in the simulator is small and dense
-     * (CoreCState has 5 states, ServerState 6, PortState 3, ...), so
-     * the common case lives in inline arrays: a StateResidency costs
-     * ~100 bytes with zero heap allocations, which matters when a
-     * 100k-server plant carries one per core, port and card. States
-     * outside [0, inlineStates) spill to by-value maps (empty maps
-     * allocate nothing, and the type stays copyable).
-     */
-    static constexpr int inlineStates = 8;
-
     bool _started = false;
     int _current = -1;
     Tick _lastTick = 0;
     Tick _total = 0;
-    std::array<Tick, inlineStates> _residency{};
-    std::array<std::uint64_t, inlineStates> _entries{};
-    std::map<int, Tick> _residencyOverflow;
-    std::map<int, std::uint64_t> _entriesOverflow;
+    std::array<Tick, maxStates> _residency{};
+    std::array<std::uint64_t, maxStates> _entries{};
 
     void accrueCurrent(Tick delta);
 };
@@ -201,7 +188,9 @@ class StateResidency
 /**
  * Named registry of scalar statistics for human-readable dumps.
  * Components register name/value pairs at dump time; this avoids any
- * static registration order problems.
+ * static registration order problems. Each add() appends a finished
+ * "group.key value\n" line to one buffer (doubles formatted exactly as
+ * a default-flagged ostream prints them), so dump() is a single write.
  */
 class StatGroup
 {
@@ -214,11 +203,11 @@ class StatGroup
     /** Pretty-print "group.key value" lines. */
     void dump(std::ostream &os) const;
 
-    const std::string &name() const { return _name; }
-
   private:
     std::string _name;
-    std::vector<std::pair<std::string, std::string>> _entries;
+    std::string _lines;
+
+    void addLine(const std::string &key, std::string_view value);
 };
 
 } // namespace holdcsim

@@ -306,6 +306,60 @@ TEST(DataCenter, NetworkAwareConfigBuilds)
     EXPECT_GT(dc.switchEnergy(), 0.0);
 }
 
+// Byte-identity gate on the stats dump: a 64-server star fabric with
+// faults and the kernel profiler on, so every row kind (sim, profile,
+// scheduler, reliability, server* with frac_failed, network, switch*)
+// is written. Host-time fields (profile.*host_*, the "# " hot table)
+// are dropped before hashing; everything else must match the recorded
+// FNV-1a digest byte for byte.
+TEST(DataCenter, StatsDumpDigestIsGolden)
+{
+    DataCenterConfig cfg;
+    cfg.nServers = 64;
+    cfg.nCores = 2;
+    cfg.seed = 7;
+    cfg.fabric = DataCenterConfig::Fabric::star;
+    cfg.fault.enabled = true;
+    cfg.fault.mttfHours = 2.0 / 3600.0; // 2 s per server
+    cfg.fault.mttrMinutes = 0.5 / 60.0;  // 0.5 s
+    cfg.fault.maxRetries = 5;
+    cfg.telemetry.enabled = true;
+    cfg.telemetry.profile = true;
+    DataCenter dc(cfg);
+    FanOutInGenerator gen(fixedSvc(2 * msec), fixedSvc(20 * msec),
+                          fixedSvc(1 * msec), 3, 20'000);
+    dc.pump(std::make_unique<PoissonArrival>(200.0,
+                                             dc.makeRng("arrivals")),
+            gen, 400);
+    dc.run();
+
+    std::ostringstream os;
+    dc.dumpStats(os);
+    std::istringstream in(os.str());
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    std::size_t rows = 0;
+    for (std::string line; std::getline(in, line);) {
+        if (line.rfind("# ", 0) == 0 ||
+            line.find("host_") != std::string::npos)
+            continue;
+        for (unsigned char ch : line + '\n') {
+            h ^= ch;
+            h *= 0x100000001b3ULL;
+        }
+        ++rows;
+    }
+    const std::string dump = os.str();
+    for (const char *needle :
+         {"\nreliability.faults_injected ", "\nserver63.frac_failed ",
+          "\nnetwork.flows_completed ", "\nswitch0.frac_asleep ",
+          "\nprofile.type.core.completion.count "})
+        EXPECT_NE(dump.find(needle), std::string::npos) << needle;
+    EXPECT_EQ(dump.find("\nreliability.faults_injected 0\n"),
+              std::string::npos);
+    EXPECT_EQ(rows, 935u) << dump;
+    EXPECT_EQ(h, 0xa19f2638075babe1ULL) << std::hex << h;
+}
+
 // -------------------------------------------------------- invariant auditor
 
 TEST(Auditor, CleanRunPassesEveryAudit)

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "sim/stats.hh"
@@ -201,10 +202,24 @@ TEST(StateResidency, FractionsAndTransitions)
 TEST(StateResidency, UnseenStateIsZero)
 {
     StateResidency sr;
-    sr.enter(0, 0);
+    sr.enter(2, 0);
     sr.finish(10);
-    EXPECT_EQ(sr.residency(99), 0u);
-    EXPECT_DOUBLE_EQ(sr.fraction(99), 0.0);
+    // Never-entered states, inside and outside [0, maxStates).
+    for (int state : {0, 1, 3, StateResidency::maxStates - 1, -1,
+                      StateResidency::maxStates, 99}) {
+        EXPECT_EQ(sr.residency(state), 0u) << state;
+        EXPECT_EQ(sr.transitionsInto(state), 0u) << state;
+        EXPECT_DOUBLE_EQ(sr.fraction(state), 0.0) << state;
+    }
+    EXPECT_EQ(sr.residency(2), 10u);
+    EXPECT_EQ(sr.transitionsInto(2), 1u);
+}
+
+TEST(StateResidencyDeathTest, EnteringOutOfRangeStatePanics)
+{
+    StateResidency sr;
+    EXPECT_DEATH(sr.enter(StateResidency::maxStates, 0), "outside");
+    EXPECT_DEATH(sr.enter(-1, 0), "outside");
 }
 
 TEST(StateResidency, ReenteringSameStateAccumulates)
@@ -225,4 +240,35 @@ TEST(StatGroup, DumpFormatsLines)
     std::ostringstream os;
     g.dump(os);
     EXPECT_EQ(os.str(), "server0.energy_j 12.5\nserver0.jobs 42\n");
+}
+
+// StatGroup formats values itself; the dump must stay byte-identical
+// to what a default-flagged ostream prints for the same value.
+TEST(StatGroup, FormatsLikeOstream)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double values[] = {
+        0.0, -0.0, std::numeric_limits<double>::denorm_min(), 1e-5,
+        9.9999995e-5, 123456.0, 1234567.0, 0.1 + 0.2, 1e16,
+        std::numeric_limits<double>::max(), inf, -inf,
+        std::numeric_limits<double>::quiet_NaN(), -1.5, 12.5, 2.0 / 3.0};
+    StatGroup g("g");
+    std::ostringstream want;
+    for (double v : values) {
+        g.add("d", v);
+        want << "g.d " << v << '\n';
+    }
+    const std::uint64_t ints[] = {
+        0, 42, std::numeric_limits<std::uint64_t>::max()};
+    for (std::uint64_t v : ints) {
+        g.add("u", v);
+        want << "g.u " << v << '\n';
+    }
+    std::ostringstream got;
+    g.dump(got);
+    EXPECT_EQ(got.str(), want.str());
+    EXPECT_NE(got.str().find("g.d -0\n"), std::string::npos);
+    EXPECT_NE(got.str().find("g.d 1e+16\n"), std::string::npos);
+    EXPECT_NE(got.str().find("g.u 18446744073709551615\n"),
+              std::string::npos);
 }

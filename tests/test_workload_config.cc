@@ -223,34 +223,61 @@ service_mean_ms = 5
 
 namespace {
 
-/** What makeWorkload prints to stderr on fatTree(4), 16 x 4 cores. */
-std::string
-fatTreeWarnings(const std::string &ini)
+/** fatTree(4): 16 servers x 4 cores behind 1 Gb/s host links. */
+DataCenterConfig
+fatTree16()
 {
     DataCenterConfig dc_cfg;
     dc_cfg.fabric = DataCenterConfig::Fabric::fatTree;
     dc_cfg.fabricParam = 4;
     dc_cfg.nServers = 16;
     dc_cfg.nCores = 4;
+    return dc_cfg;
+}
+
+/** What makeWorkload prints to stderr on fatTree16(). */
+std::string
+fatTreeWarnings(const std::string &ini)
+{
     ::testing::internal::CaptureStderr();
-    makeWorkload(Config::parseString(ini), dc_cfg, 3);
+    makeWorkload(Config::parseString(ini), fatTree16(), 3);
     return ::testing::internal::GetCapturedStderr();
 }
 
 } // namespace
 
-TEST(WorkloadConfig, SaturatingTransfersWarnWithTheLoad)
+TEST(WorkloadConfig, SaturatingTransfersAreFatal)
 {
     // 0.5 * 16 * 4 / 5 ms / 6 tasks = 1066.7 jobs/s, each moving
     // 8 edges x 2000 KiB: 8.74x the 16 x 1 Gb/s of host links.
-    std::string out = fatTreeWarnings(R"(
+    try {
+        makeWorkload(Config::parseString(R"(
 [workload]
 utilization = 0.5
 job = fanout
 stages = 4
 transfer_kb = 2000
+)"),
+                     fatTree16(), 3);
+        FAIL() << "a NIC load of 8.74 must be rejected";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("NIC load of 8.738"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(WorkloadConfig, NearSaturatingTransfersWarnWithTheLoad)
+{
+    // The same fan-out at 215 KiB per edge: 0.94 of the host links.
+    std::string out = fatTreeWarnings(R"(
+[workload]
+utilization = 0.5
+job = fanout
+stages = 4
+transfer_kb = 215
 )");
-    EXPECT_NE(out.find("NIC load of 8.738"), std::string::npos) << out;
+    EXPECT_NE(out.find("NIC load of 0.939"), std::string::npos) << out;
 }
 
 TEST(WorkloadConfig, DefaultConfigDoesNotWarnOnLoad)
