@@ -5,7 +5,7 @@
  * ~1.5K for CloudSim).
  *
  * The bench instantiates server farms from 1K up to 20,480 servers,
- * drives each with up to one million Poisson jobs under load-balanced
+ * drives each with up to one million Poisson jobs under round-robin
  * dispatch, and reports wall-clock time, event throughput and job
  * throughput. The 20K+ configuration completing in seconds-to-
  * minutes on a laptop is the claim being checked.

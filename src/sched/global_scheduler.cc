@@ -194,28 +194,29 @@ GlobalScheduler::submitJob(Job job)
     notifyLoadChanged();
 }
 
-std::vector<std::size_t>
-GlobalScheduler::candidatesFor(int type, bool need_capacity) const
+const std::vector<std::size_t> &
+GlobalScheduler::cachedCandidates(int type) const
 {
-    if (!need_capacity) {
-        // Load-independent: cache per type, invalidated whenever
-        // eligibility changes. Keeps dispatch O(1) amortized even
-        // for >20K-server fleets (the Table I scalability claim).
-        auto it = _candidateCache.find(type);
-        if (it != _candidateCache.end())
-            return it->second;
-        std::vector<std::size_t> out;
-        for (std::size_t i = 0; i < _servers.size(); ++i) {
-            // Crashed servers drop out of the cached lists too; the
-            // fault hooks invalidate the cache on every transition.
-            if (_eligible[i] && !_servers[i]->failed() &&
-                _servers[i]->servesType(type)) {
-                out.push_back(i);
-            }
+    // Cached per type and invalidated whenever eligibility changes:
+    // O(N) to rebuild, then O(1) per dispatch (handed out by reference).
+    auto it = _candidateCache.find(type);
+    if (it != _candidateCache.end())
+        return it->second;
+    std::vector<std::size_t> out;
+    for (std::size_t i = 0; i < _servers.size(); ++i) {
+        // Crashed servers drop out of the cached lists too; the
+        // fault hooks invalidate the cache on every transition.
+        if (_eligible[i] && !_servers[i]->failed() &&
+            _servers[i]->servesType(type)) {
+            out.push_back(i);
         }
-        return _candidateCache.emplace(type, std::move(out))
-            .first->second;
     }
+    return _candidateCache.emplace(type, std::move(out)).first->second;
+}
+
+std::vector<std::size_t>
+GlobalScheduler::freeCandidates(int type) const
+{
     std::vector<std::size_t> out;
     for (std::size_t i = 0; i < _servers.size(); ++i) {
         if (!_eligible[i] || _servers[i]->failed() ||
@@ -265,45 +266,46 @@ GlobalScheduler::taskReady(RuntimeJob &rt, TaskId t)
     }
 
     TaskRef ref = makeRef(rt, t);
+    std::optional<std::size_t> parent;
+    if (!rt.job.parents(t).empty())
+        parent = static_cast<std::size_t>(
+            rt.taskServer[rt.job.parents(t)[0]]);
     if (_config.useGlobalQueue) {
         // Pull model: only dispatch when a free execution unit
         // exists; otherwise park the task centrally.
-        auto candidates = candidatesFor(ref.type, true);
+        auto candidates = freeCandidates(ref.type);
         if (candidates.empty()) {
             rt.state[t] = TaskState::queued;
             _globalQueue.push_back(QueuedTask{rt.job.id(), t});
             return;
         }
-        std::optional<std::size_t> parent;
-        if (!rt.job.parents(t).empty())
-            parent = static_cast<std::size_t>(
-                rt.taskServer[rt.job.parents(t)[0]]);
         std::size_t target = _policy->pick(candidates, _servers,
                                            DispatchContext{ref, parent});
         assignTask(rt, t, target);
         return;
     }
 
-    auto candidates = candidatesFor(ref.type, false);
-    std::optional<std::size_t> parent;
-    if (!rt.job.parents(t).empty())
-        parent = static_cast<std::size_t>(
-            rt.taskServer[rt.job.parents(t)[0]]);
-    if (_config.antiAffinity && parent && candidates.size() > 1) {
-        candidates.erase(std::remove(candidates.begin(),
-                                     candidates.end(), *parent),
-                         candidates.end());
+    // pick() never calls back into the scheduler, so the cached list
+    // it reads by reference stays valid; copy only to change it.
+    const std::vector<std::size_t> *candidates = &cachedCandidates(ref.type);
+    std::vector<std::size_t> filtered;
+    if (_config.antiAffinity && parent && candidates->size() > 1 &&
+        std::binary_search(candidates->begin(), candidates->end(),
+                           *parent)) {
+        filtered = *candidates;
+        filtered.erase(std::find(filtered.begin(), filtered.end(), *parent));
+        candidates = &filtered;
     }
-    if (candidates.empty()) {
+    if (candidates->empty()) {
         // Eligibility filtered everything out: fall back to any
         // healthy type-capable server rather than deadlock.
         for (std::size_t i = 0; i < _servers.size(); ++i) {
             if (!_servers[i]->failed() &&
                 _servers[i]->servesType(ref.type)) {
-                candidates.push_back(i);
+                filtered.push_back(i);
             }
         }
-        if (candidates.empty()) {
+        if (filtered.empty()) {
             if (_retryEnabled) {
                 // Every capable server is down. Burn an attempt and
                 // back off; a permanently dead fleet then fails the
@@ -316,8 +318,9 @@ GlobalScheduler::taskReady(RuntimeJob &rt, TaskId t)
         }
         warn("no eligible server for task type ", ref.type,
              "; dispatching to an ineligible one");
+        candidates = &filtered;
     }
-    std::size_t target = _policy->pick(candidates, _servers,
+    std::size_t target = _policy->pick(*candidates, _servers,
                                        DispatchContext{ref, parent});
     assignTask(rt, t, target);
 }

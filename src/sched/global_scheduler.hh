@@ -309,9 +309,10 @@ class GlobalScheduler
     void armTaskTimeout(RuntimeJob &rt, TaskId t);
     /** Let a freed-up server pull from the global queue. */
     void drainGlobalQueue(Server &server);
-    /** Eligible servers that can serve @p type. */
-    std::vector<std::size_t> candidatesFor(int type,
-                                           bool need_capacity) const;
+    /** Eligible servers that can serve @p type (sorted, cached). */
+    const std::vector<std::size_t> &cachedCandidates(int type) const;
+    /** Eligible servers for @p type with a free core (not cached). */
+    std::vector<std::size_t> freeCandidates(int type) const;
     void invalidateCandidateCache() { _candidateCache.clear(); }
     TaskRef makeRef(const RuntimeJob &rt, TaskId t) const;
     void notifyLoadChanged();

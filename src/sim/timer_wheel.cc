@@ -241,18 +241,17 @@ TimerWheel::tick()
             e.inRing = false; // a cancel must not touch the slot now
     }
 
-    // Fire live entries in arm order (seq) for determinism. Filter
-    // first: dead refs keep stale seqs. Free each entry before its
-    // callback so the callback can re-arm without tripping pending().
-    std::sort(_batch.begin(), _batch.end(),
-              [this](const Ref &a, const Ref &b) {
-                  return _arena[a.idx].seq < _arena[b.idx].seq;
-              });
-    std::uint64_t fired = 0;
+    // Fire live entries in arm order (seq), the slot's own order (see
+    // the header). Free each entry before its callback so the callback
+    // can re-arm without tripping pending().
+    std::uint64_t fired = 0, min_seq = 0;
     for (const Ref &ref : _batch) {
         Entry &e = _arena[ref.idx];
         if (e.gen != ref.gen || !e.live)
             continue; // cancelled, possibly by an earlier callback
+        if (e.seq < min_seq)
+            HOLDCSIM_PANIC("TimerWheel: batch out of arm order");
+        min_seq = e.seq + 1;
         TimerClient *client = e.client;
         const std::uint64_t token = e.token;
         freeEntry(ref.idx);

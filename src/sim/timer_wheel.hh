@@ -19,6 +19,13 @@
  * boundary; when no timers are live it is descheduled, so the wheel
  * never extends a run() past the last real deadline.
  *
+ * A slot's live refs are already in arm (seq) order, so tick() fires
+ * a batch unsorted (and panics if it is not). Direct arms append in
+ * seq order; the window only slides forward, so a boundary's parked
+ * entries predate any direct arm onto it and migrate in (deadline,
+ * seq) order as the window reaches it, before any callback runs; and
+ * inside the horizon a slot holds exactly one boundary.
+ *
  * Cancellation is O(1) and race-free: handles carry a generation
  * stamp that is bumped whenever an arena entry is freed, so a stale
  * handle (or a slot reference to a reused entry) can never cancel or

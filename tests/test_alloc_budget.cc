@@ -6,13 +6,16 @@
  * warehouse_100k (4 cores, delay-timer governors on a 100 us timer
  * wheel) and bounds the bytes its construction requests per server.
  * A footprint regression then fails here, not only in a benchmark's
- * peak RSS.
+ * peak RSS. It also bounds the bytes one dispatch requests, which
+ * must not grow with the fleet.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "dc/datacenter.hh"
 
@@ -94,4 +97,48 @@ TEST(AllocBudget, WheelPlantConstructionPerServer)
     RecordProperty("bytes_per_server", static_cast<int>(perServer));
     EXPECT_LE(perServer, 4600.0)
         << allocations << " allocations, " << bytesRequested << " bytes";
+}
+
+namespace {
+
+/** Heap bytes per job that submitJob requests on a round-robin fleet
+ *  of @p servers, for @p jobs single-task jobs arriving at tick 0. */
+double
+dispatchBytesPerJob(std::size_t servers, std::size_t jobs)
+{
+    DataCenterConfig cfg;
+    cfg.nServers = servers;
+    cfg.nCores = 4;
+    cfg.dispatch = DataCenterConfig::Dispatch::roundRobin;
+    DataCenter dc(cfg);
+
+    std::vector<Job> batch;
+    for (JobId id = 0; id <= jobs; ++id) {
+        Job j(id, 0);
+        j.addTask(TaskSpec{10 * msec, 0, 1.0});
+        j.validate();
+        batch.push_back(std::move(j));
+    }
+    // The first dispatch builds the per-type candidate list, O(N)
+    // once; keep it out of the per-job count.
+    dc.scheduler().submitJob(std::move(batch[0]));
+    bytesRequested = allocations = 0;
+    counting = true;
+    for (std::size_t i = 1; i <= jobs; ++i)
+        dc.scheduler().submitJob(std::move(batch[i]));
+    counting = false;
+    return static_cast<double>(bytesRequested) / jobs;
+}
+
+} // namespace
+
+TEST(AllocBudget, DispatchHeapIsIndependentOfFleetSize)
+{
+    const double small = dispatchBytesPerJob(1000, 500);
+    const double large = dispatchBytesPerJob(10000, 500);
+    RecordProperty("bytes_per_job_1k", static_cast<int>(small));
+    RecordProperty("bytes_per_job_10k", static_cast<int>(large));
+    EXPECT_LE(std::abs(large - small), 64.0)
+        << small << " B/job at 1,000 servers, " << large
+        << " B/job at 10,000";
 }

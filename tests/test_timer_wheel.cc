@@ -2,13 +2,17 @@
  * @file
  * Unit tests for the shared governor timer wheel: firing exactness,
  * quantization, O(1) cancellation with generation-stamped handles,
- * re-arming from callbacks, overflow-heap migration and the
- * deschedule-when-empty discipline.
+ * re-arming from callbacks, overflow-heap migration, the
+ * deschedule-when-empty discipline, and arm-order firing of slots that
+ * mix migrated and directly armed timers.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
+#include <map>
+#include <random>
 #include <utility>
 #include <vector>
 
@@ -326,3 +330,160 @@ TEST_F(WheelFixture, RejectsOverflowingDeadline)
     sim.runUntil(100);
     EXPECT_THROW(wheel.arm(client, 0, maxTick - 10), FatalError);
 }
+
+namespace {
+
+/** Quantized deadline of a timer armed at @p now for @p delay. */
+Tick
+quantizedDeadline(Tick now, Tick delay, Tick g)
+{
+    return (now + delay + g - 1) / g * g;
+}
+
+} // namespace
+
+class WheelOrderTest : public ::testing::TestWithParam<Tick>
+{
+};
+
+TEST_P(WheelOrderTest, MigratedAndDirectArmsShareASlotInArmOrder)
+{
+    // A, B and X park in overflow for boundary 40G; the pacer P
+    // (boundary 30G) slides the window so they migrate, then arms C,
+    // D and E directly onto 40G and cancels A in between, so D
+    // reuses A's arena entry behind A's dead ref at the slot's head.
+    const Tick g = GetParam();
+    Simulator sim;
+    TimerWheel wheel(sim, g, 16);
+    struct Pacer : TimerClient {
+        TimerWheel *wheel = nullptr;
+        TimerClient *target = nullptr;
+        TimerWheel::Handle a;
+        Tick g = 1;
+
+        void
+        timerFired(std::uint64_t, Tick) override
+        {
+            wheel->arm(*target, 'C', 10 * g);
+            wheel->cancel(a);
+            wheel->arm(*target, 'D', 10 * g);
+            wheel->arm(*target, 'E', 10 * g);
+        }
+    };
+    RecordingClient rec;
+    Pacer pacer;
+    pacer.wheel = &wheel;
+    pacer.target = &rec;
+    pacer.g = g;
+    pacer.a = wheel.arm(rec, 'A', 40 * g);
+    wheel.arm(rec, 'B', 40 * g);
+    wheel.arm(rec, 'X', 40 * g);
+    wheel.arm(pacer, 'P', 30 * g);
+    EXPECT_EQ(wheel.stats().overflowMigrations, 0u);
+    sim.run();
+
+    EXPECT_EQ(wheel.stats().overflowMigrations, 4u);
+    const std::vector<std::pair<std::uint64_t, Tick>> want = {
+        {'B', 40 * g}, {'X', 40 * g}, {'C', 40 * g},
+        {'D', 40 * g}, {'E', 40 * g}};
+    EXPECT_EQ(rec.fired, want);
+}
+
+TEST_P(WheelOrderTest, RandomArmCancelRearmMatchesReferenceModel)
+{
+    // Seeded mix of arms (near, in-ring and beyond the 16-slot
+    // horizon), cancels and re-arms from callbacks, zero-delay ones
+    // included. The reference fires in (deadline, arm seq) order.
+    const Tick g = GetParam();
+    constexpr std::uint64_t armBudget = 3000;
+
+    struct Driver : TimerClient {
+        Simulator *sim = nullptr;
+        TimerWheel *wheel = nullptr;
+        Tick g = 1;
+        std::mt19937_64 rng;
+        std::uint64_t nextSeq = 0;
+        std::map<std::pair<Tick, std::uint64_t>, std::uint64_t> model;
+        std::map<std::uint64_t, TimerWheel::Handle> handles;
+        std::map<std::uint64_t, Tick> deadlines;
+        std::vector<std::pair<std::uint64_t, Tick>> fired, expected;
+
+        void
+        arm()
+        {
+            Tick delay;
+            switch (rng() % 4) {
+              case 0: delay = 0; break;
+              case 1: delay = rng() % (2 * g); break;
+              case 2: delay = rng() % (16 * g); break;
+              default: delay = rng() % (64 * g); break;
+            }
+            const std::uint64_t seq = nextSeq++;
+            const Tick dl = quantizedDeadline(sim->curTick(), delay, g);
+            handles[seq] = wheel->arm(*this, seq, delay);
+            deadlines[seq] = dl;
+            model.emplace(std::make_pair(dl, seq), seq);
+        }
+
+        void
+        cancelOne()
+        {
+            if (handles.empty())
+                return;
+            auto it = handles.begin();
+            std::advance(it, rng() % handles.size());
+            wheel->cancel(it->second);
+            model.erase({deadlines[it->first], it->first});
+            handles.erase(it);
+        }
+
+        void
+        act()
+        {
+            const unsigned n = static_cast<unsigned>(rng() % 4);
+            for (unsigned i = 0; i < n && nextSeq < armBudget; ++i)
+                arm();
+            if (rng() % 3 == 0)
+                cancelOne();
+        }
+
+        void
+        timerFired(std::uint64_t token, Tick deadline) override
+        {
+            fired.emplace_back(token, deadline);
+            if (!model.empty()) {
+                expected.emplace_back(model.begin()->second,
+                                      model.begin()->first.first);
+                model.erase(model.begin());
+            }
+            handles.erase(token);
+            act();
+        }
+    };
+
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        Simulator sim;
+        TimerWheel wheel(sim, g, 16);
+        Driver d;
+        d.sim = &sim;
+        d.wheel = &wheel;
+        d.g = g;
+        d.rng.seed(seed);
+        // Arms and cancels from outside callbacks too, at ticks off
+        // the bucket boundaries, between bounded runs.
+        while (d.nextSeq < armBudget) {
+            d.act();
+            sim.runUntil(sim.curTick() + d.rng() % (8 * g) + 1);
+        }
+        sim.run();
+        EXPECT_TRUE(d.model.empty()) << "seed " << seed;
+        EXPECT_EQ(d.fired.size(), wheel.stats().fired) << "seed " << seed;
+        EXPECT_EQ(d.fired, d.expected) << "seed " << seed;
+        EXPECT_EQ(wheel.live(), 0u) << "seed " << seed;
+        EXPECT_GT(wheel.stats().overflowMigrations, 0u);
+        EXPECT_GT(wheel.stats().cancelled, 0u);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Granularity, WheelOrderTest,
+                         ::testing::Values(Tick{1}, Tick{7}, Tick{256}));
