@@ -85,7 +85,7 @@ DataCenter::DataCenter(const DataCenterConfig &config)
         _sim.setTracer(_tracer.get());
     }
     if (tel.wantsProfiling()) {
-        _profiler = std::make_unique<KernelProfiler>();
+        _profiler = std::make_unique<LayerProbe>();
         _sim.setProbe(_profiler.get());
     }
 

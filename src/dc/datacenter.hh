@@ -28,7 +28,7 @@
 #include "sim/random.hh"
 #include "sim/simulator.hh"
 #include "sim/timer_wheel.hh"
-#include "telemetry/profiler.hh"
+#include "telemetry/layer_probe.hh"
 #include "telemetry/sampler.hh"
 #include "telemetry/trace_manager.hh"
 #include "workload/arrival.hh"
@@ -66,7 +66,7 @@ class DataCenter
     /** Null unless telemetry sampling is configured. */
     Sampler *sampler() { return _sampler.get(); }
     /** Null unless telemetry profiling is configured. */
-    KernelProfiler *profiler() { return _profiler.get(); }
+    LayerProbe *profiler() { return _profiler.get(); }
     /** Null unless config.audit.enabled. */
     InvariantAuditor *auditor() { return _auditor.get(); }
     /** Null unless config.timerMode == TimerMode::wheel. */
@@ -151,7 +151,7 @@ class DataCenter
      * records in its state machinery.
      */
     std::unique_ptr<TraceManager> _tracer;
-    std::unique_ptr<KernelProfiler> _profiler;
+    std::unique_ptr<LayerProbe> _profiler;
     std::unique_ptr<Sampler> _sampler;
     std::unique_ptr<Network> _net;
     std::vector<std::unique_ptr<Server>> _servers;

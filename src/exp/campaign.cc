@@ -11,6 +11,7 @@
 
 #include "parallel_for.hh"
 #include "sim/logging.hh"
+#include "sim/random.hh"
 #include "sim/simulator.hh"
 
 namespace holdcsim {
@@ -140,7 +141,7 @@ CampaignRunner::run(std::size_t points, const std::string &config_text,
                            std::to_string(_opts.replicas) +
                            "\nbase_seed=" +
                            std::to_string(_opts.baseSeed) + "\n";
-    std::uint64_t hash = CampaignJournal::hashConfig(key_text);
+    std::uint64_t hash = fnv1a64(key_text);
 
     std::unique_ptr<CampaignJournal> journal;
     if (!_opts.journalPath.empty())

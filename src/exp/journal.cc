@@ -187,17 +187,6 @@ hashHex(std::uint64_t h)
 
 } // namespace
 
-std::uint64_t
-CampaignJournal::hashConfig(const std::string &text)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL; // FNV-1a offset basis
-    for (unsigned char c : text) {
-        h ^= c;
-        h *= 0x100000001b3ULL; // FNV prime
-    }
-    return h;
-}
-
 CampaignJournal::CampaignJournal(const std::string &path,
                                  std::uint64_t config_hash,
                                  bool resume)

@@ -56,17 +56,13 @@ class CampaignJournal
 {
   public:
     /**
-     * FNV-1a 64-bit hash of @p text (the canonical campaign
-     * description: config + sweep + replicas + base seed). Records
-     * are only replayed into campaigns with a matching hash.
-     */
-    static std::uint64_t hashConfig(const std::string &text);
-
-    /**
      * Open the journal at @p path for the campaign hashed to
-     * @p config_hash. With @p resume, existing records (matching the
-     * hash) are loaded and new ones appended; without it, any
-     * existing file is truncated and the campaign starts clean.
+     * @p config_hash: fnv1a64 (sim/random.hh) of the canonical campaign
+     * description (config + sweep + replicas + base seed). Records
+     * are only replayed into campaigns with a matching hash. With
+     * @p resume, existing records (matching the hash) are loaded and
+     * new ones appended; without it, any existing file is truncated
+     * and the campaign starts clean.
      * Throws FatalError when the file cannot be opened.
      */
     CampaignJournal(const std::string &path, std::uint64_t config_hash,

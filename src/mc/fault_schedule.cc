@@ -7,6 +7,7 @@
 #include <tuple>
 
 #include "sim/logging.hh"
+#include "sim/random.hh"
 
 namespace holdcsim::mc {
 
@@ -39,13 +40,7 @@ FaultSchedule::canonicalText() const
 std::uint64_t
 FaultSchedule::hash() const
 {
-    std::string text = canonicalText();
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (unsigned char c : text) {
-        h ^= c;
-        h *= 0x100000001b3ull;
-    }
-    return h;
+    return fnv1a64(canonicalText());
 }
 
 FaultSchedule

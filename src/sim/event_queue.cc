@@ -163,6 +163,7 @@ EventQueue::bucketRemoveAt(std::size_t bucket, std::size_t slot)
     --_bucketCount;
 }
 
+template <bool CountSchedule>
 void
 EventQueue::insertEntry(const Entry &e)
 {
@@ -174,17 +175,17 @@ EventQueue::insertEntry(const Entry &e)
         // Raw-queue users may schedule behind the window start; the
         // head bucket is always scanned first, so ordering holds.
         bucketInsert(_head, e);
-        ++_counters.clampedSchedules;
+        _counters.clampedSchedules += CountSchedule;
         return;
     }
     Tick d = (e.when - _windowStart) >> _bucketShift;
     if (d < _buckets.size()) {
         bucketInsert((_head + static_cast<std::size_t>(d)) & _bucketMask,
                      e);
-        ++_counters.bucketSchedules;
+        _counters.bucketSchedules += CountSchedule;
     } else {
         heapInsert(e);
-        ++_counters.heapSchedules;
+        _counters.heapSchedules += CountSchedule;
     }
 }
 
@@ -195,7 +196,7 @@ EventQueue::schedule(Event &ev, Tick when)
         HOLDCSIM_PANIC("event '", ev.name(), "' scheduled twice");
     ev._scheduled = true;
     ev._when = when;
-    insertEntry(Entry{when, ev.priority(), _nextSequence++, &ev});
+    insertEntry<true>(Entry{when, ev.priority(), _nextSequence++, &ev});
     if (ev.background())
         ++_liveBackground;
     ++_counters.schedules;
@@ -391,7 +392,7 @@ EventQueue::rehash(unsigned new_shift, std::size_t new_bucket_count)
         min_when = std::min(min_when, e.when);
     _windowStart = (min_when >> new_shift) << new_shift;
     for (const Entry &e : entries)
-        insertEntry(e);
+        insertEntry<false>(e);
     ++_counters.recalibrations;
 }
 

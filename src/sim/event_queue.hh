@@ -51,7 +51,8 @@ class EventQueue
         binaryHeap,
     };
 
-    /** Occupancy / spill counters, exported as profile.queue.*. */
+    /** Occupancy / spill counters, exported as profile.queue.*. Each
+     *  calendar schedule() lands in one of bucket/heap/clamped. */
     struct Counters {
         std::uint64_t schedules = 0;
         /** Schedules landing in a calendar bucket (fast path). */
@@ -183,7 +184,9 @@ class EventQueue
     // Calendar primitives.
     void bucketInsert(std::size_t bucket, const Entry &e);
     void bucketRemoveAt(std::size_t bucket, std::size_t slot);
-    /** Route @p e to its bucket, the head bucket (clamp) or the heap. */
+    /** Route @p e to its bucket, the head bucket (clamp) or the heap;
+     *  only schedule() counts it, not rehash() re-bucketing it. */
+    template <bool CountSchedule>
     void insertEntry(const Entry &e);
     /**
      * Locate the earliest entry, advancing the (mutable) window head

@@ -25,18 +25,6 @@ rotl(std::uint64_t x, int k)
     return (x << k) | (x >> (64 - k));
 }
 
-/** FNV-1a hash, for deriving stream ids from component names. */
-std::uint64_t
-hashName(const std::string &name)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (unsigned char c : name) {
-        h ^= c;
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed, std::uint64_t stream)
@@ -49,7 +37,7 @@ Rng::Rng(std::uint64_t seed, std::uint64_t stream)
 }
 
 Rng::Rng(std::uint64_t seed, const std::string &stream_name)
-    : Rng(seed, hashName(stream_name))
+    : Rng(seed, fnv1a64(stream_name))
 {}
 
 std::uint64_t

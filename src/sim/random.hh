@@ -13,9 +13,26 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace holdcsim {
+
+/**
+ * 64-bit FNV-1a of @p text. Named Rng streams, fault-schedule ids and
+ * campaign-journal keys all derive from it, so its values are part of
+ * every seeded run and every journal on disk.
+ */
+constexpr std::uint64_t
+fnv1a64(std::string_view text)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL; // offset basis
+    for (unsigned char c : text) {
+        h ^= c;
+        h *= 0x100000001b3ULL; // FNV prime
+    }
+    return h;
+}
 
 /** A seeded random stream with the distributions the models need. */
 class Rng

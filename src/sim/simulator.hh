@@ -58,7 +58,7 @@ class SimAbortError : public std::runtime_error
 
 /**
  * Observer hooked around every event dispatch (opt-in, e.g. the
- * telemetry KernelProfiler). The kernel never depends on a concrete
+ * telemetry LayerProbe). The kernel never depends on a concrete
  * implementation, and the run loop is compiled twice -- with and
  * without probe calls -- so an uninstalled probe costs nothing per
  * event: run()/runUntil() pick the variant once at entry.
@@ -81,7 +81,7 @@ class KernelProbe
 
     /**
      * Write whatever recent-event history the probe keeps (the
-     * telemetry KernelProfiler keeps a last-N ring) into an abort
+     * telemetry LayerProbe keeps a last-N ring) into an abort
      * dump. Default: nothing.
      */
     virtual void dumpRecent(std::ostream &os) const { (void)os; }

@@ -126,79 +126,6 @@ Percentile::reset()
     _sum = 0.0;
 }
 
-// ------------------------------------------------------------------ Histogram
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : _lo(lo), _hi(hi),
-      _width((hi - lo) / static_cast<double>(buckets)),
-      _counts(buckets, 0)
-{
-    if (!(hi > lo) || buckets == 0)
-        HOLDCSIM_PANIC("histogram with empty range or zero buckets");
-}
-
-void
-Histogram::sample(double v)
-{
-    ++_total;
-    if (v < _lo) {
-        ++_underflow;
-    } else if (v >= _hi) {
-        ++_overflow;
-    } else {
-        auto idx = static_cast<std::size_t>((v - _lo) / _width);
-        if (idx >= _counts.size())
-            idx = _counts.size() - 1; // guards FP edge at v ~= hi
-        ++_counts[idx];
-    }
-}
-
-double
-Histogram::bucketLo(std::size_t i) const
-{
-    return _lo + _width * static_cast<double>(i);
-}
-
-void
-Histogram::reset()
-{
-    std::fill(_counts.begin(), _counts.end(), 0);
-    _underflow = _overflow = _total = 0;
-}
-
-// --------------------------------------------------------------- TimeWeighted
-
-void
-TimeWeighted::set(double value, Tick now)
-{
-    if (!_started) {
-        _started = true;
-        _firstTick = now;
-        _lastTick = now;
-        _current = value;
-        return;
-    }
-    if (now < _lastTick)
-        HOLDCSIM_PANIC("TimeWeighted fed a tick that moves backwards");
-    _integral += _current * toSeconds(now - _lastTick);
-    _lastTick = now;
-    _current = value;
-}
-
-double
-TimeWeighted::average() const
-{
-    if (!_started || _lastTick == _firstTick)
-        return _current;
-    return _integral / toSeconds(_lastTick - _firstTick);
-}
-
-void
-TimeWeighted::reset()
-{
-    *this = TimeWeighted{};
-}
-
 // ------------------------------------------------------------- StateResidency
 
 void

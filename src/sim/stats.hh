@@ -4,9 +4,8 @@
  *
  * All statistics are plain value types owned by the component they
  * describe; StatGroup offers a lightweight registry for pretty
- * dumping. Time-integrating statistics (TimeWeighted, StateResidency)
- * are fed explicit ticks rather than reading a global clock, keeping
- * them testable in isolation.
+ * dumping. StateResidency is fed explicit ticks rather than reading a
+ * global clock, keeping it testable in isolation.
  */
 
 #ifndef HOLDCSIM_SIM_STATS_HH
@@ -76,62 +75,6 @@ class Percentile
     mutable std::vector<double> _samples;
     mutable bool _sorted = true;
     double _sum = 0.0;
-};
-
-/** Fixed-width-bucket histogram over [lo, hi) with overflow bins. */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, std::size_t buckets);
-
-    void sample(double v);
-
-    std::size_t buckets() const { return _counts.size(); }
-    std::uint64_t bucketCount(std::size_t i) const { return _counts[i]; }
-    std::uint64_t underflow() const { return _underflow; }
-    std::uint64_t overflow() const { return _overflow; }
-    std::uint64_t total() const { return _total; }
-    /** Lower edge of bucket @p i. */
-    double bucketLo(std::size_t i) const;
-    void reset();
-
-  private:
-    double _lo, _hi, _width;
-    std::vector<std::uint64_t> _counts;
-    std::uint64_t _underflow = 0;
-    std::uint64_t _overflow = 0;
-    std::uint64_t _total = 0;
-};
-
-/**
- * Time-weighted average of a piecewise-constant signal (e.g. queue
- * length, power draw). Call set(value, now) on every change, then
- * finish(now) before reading.
- */
-class TimeWeighted
-{
-  public:
-    /** Record that the signal takes @p value from tick @p now on. */
-    void set(double value, Tick now);
-
-    /** Integrate the final segment up to @p now. */
-    void finish(Tick now) { set(_current, now); }
-
-    /** Time-average over [first set, last update]. */
-    double average() const;
-
-    /** Integral of the signal over time, in value * seconds. */
-    double integral() const { return _integral; }
-
-    double current() const { return _current; }
-    void reset();
-
-  private:
-    bool _started = false;
-    Tick _lastTick = 0;
-    Tick _firstTick = 0;
-    double _current = 0.0;
-    double _integral = 0.0;
 };
 
 /**

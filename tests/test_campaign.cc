@@ -74,7 +74,7 @@ csvOf(const CampaignResult &res, std::size_t points)
 TEST(CampaignJournal, ResultRoundTrip)
 {
     std::string path = tempPath("roundtrip");
-    std::uint64_t hash = CampaignJournal::hashConfig("cfg-a");
+    std::uint64_t hash = fnv1a64("cfg-a");
 
     ReplicaRecord rec;
     rec.point = 3;
@@ -104,7 +104,7 @@ TEST(CampaignJournal, ResultRoundTrip)
 TEST(CampaignJournal, MetricNamesWithJsonMetacharacters)
 {
     std::string path = tempPath("escape");
-    std::uint64_t hash = CampaignJournal::hashConfig("cfg-esc");
+    std::uint64_t hash = fnv1a64("cfg-esc");
     ReplicaRecord rec;
     rec.point = 0;
     rec.replica = 0;
@@ -124,7 +124,7 @@ TEST(CampaignJournal, MetricNamesWithJsonMetacharacters)
 TEST(CampaignJournal, TornFinalLineIsSkipped)
 {
     std::string path = tempPath("torn");
-    std::uint64_t hash = CampaignJournal::hashConfig("cfg-torn");
+    std::uint64_t hash = fnv1a64("cfg-torn");
     ReplicaRecord rec;
     rec.point = 0;
     rec.replica = 0;
@@ -160,11 +160,10 @@ TEST(CampaignJournal, ForeignConfigHashIsIgnored)
     rec.seed = 9;
     rec.metrics = {{"x", 1.0}};
     {
-        CampaignJournal j(path, CampaignJournal::hashConfig("old"),
-                          false);
+        CampaignJournal j(path, fnv1a64("old"), false);
         j.appendResult(rec);
     }
-    CampaignJournal j(path, CampaignJournal::hashConfig("new"), true);
+    CampaignJournal j(path, fnv1a64("new"), true);
     EXPECT_EQ(j.loadedCount(), 0u);
     EXPECT_FALSE(j.hasResult(0, 0));
     std::remove(path.c_str());
@@ -173,7 +172,7 @@ TEST(CampaignJournal, ForeignConfigHashIsIgnored)
 TEST(CampaignJournal, QuarantineRoundTrip)
 {
     std::string path = tempPath("quarantine");
-    std::uint64_t hash = CampaignJournal::hashConfig("cfg-q");
+    std::uint64_t hash = fnv1a64("cfg-q");
     QuarantineRecord q;
     q.point = 2;
     q.replica = 0;
@@ -193,7 +192,7 @@ TEST(CampaignJournal, QuarantineRoundTrip)
 TEST(CampaignJournal, WithoutResumeTruncatesExistingFile)
 {
     std::string path = tempPath("truncate");
-    std::uint64_t hash = CampaignJournal::hashConfig("cfg-t");
+    std::uint64_t hash = fnv1a64("cfg-t");
     ReplicaRecord rec;
     rec.point = 0;
     rec.replica = 0;

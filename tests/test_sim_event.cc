@@ -635,6 +635,37 @@ TEST(EventQueue, BucketWidthRecalibrates)
     EXPECT_GT(q.bucketWidth(), initial_width);
 }
 
+TEST(EventQueue, SplitCountersCountOnlySchedules)
+{
+    // A population that outgrows the ring (doubling rehashes) and
+    // overruns the window (heap spills), then a hold pattern far wider
+    // than the buckets (width recalibration): rehash() re-buckets
+    // every live entry, and none of that may count as a schedule.
+    EventQueue q;
+    std::vector<std::unique_ptr<EventFunctionWrapper>> events;
+    for (int i = 0; i < 4000; ++i) {
+        events.push_back(
+            std::make_unique<EventFunctionWrapper>([] {}, "grow"));
+        q.schedule(*events.back(), static_cast<Tick>(i) * 50 * usec);
+    }
+    Tick t = 0;
+    for (int i = 0; i < 8000; ++i) {
+        Event &ev = q.pop();
+        t = ev.when();
+        if (i % 2 == 0)
+            q.schedule(ev, t + 3 * msec);
+    }
+    while (!q.empty())
+        q.pop();
+
+    const EventQueue::Counters &c = q.counters();
+    EXPECT_GT(c.recalibrations, 0u);
+    EXPECT_GT(c.heapSchedules, 0u);
+    EXPECT_GT(c.bucketSchedules, 0u);
+    EXPECT_EQ(c.bucketSchedules + c.heapSchedules + c.clampedSchedules,
+              c.schedules);
+}
+
 TEST(EventQueue, RescheduleSameTickKeepsFifoPosition)
 {
     // reschedule() to the identical tick is a no-op: the event must

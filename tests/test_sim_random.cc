@@ -35,6 +35,16 @@ TEST(Rng, NamedStreamsReproducible)
     EXPECT_NE(a.next(), c.next());
 }
 
+TEST(Fnv1a64, MatchesReferenceVectors)
+{
+    static_assert(fnv1a64("") == 0xcbf29ce484222325ULL);
+    EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cULL);
+    EXPECT_EQ(fnv1a64("foobar"), 0x85944171f73967e8ULL);
+    // Named streams are the numeric stream of the name's hash.
+    Rng named(9, "server.3"), numbered(9, fnv1a64("server.3"));
+    EXPECT_EQ(named.next(), numbered.next());
+}
+
 TEST(Rng, UniformInRange)
 {
     Rng rng(1);

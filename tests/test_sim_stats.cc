@@ -139,48 +139,6 @@ TEST(Percentile, SamplingAfterQuantileStillWorks)
     EXPECT_DOUBLE_EQ(p.quantile(0.0), 0.0);
 }
 
-TEST(Histogram, BucketsAndOverflow)
-{
-    Histogram h(0.0, 10.0, 10);
-    for (double v : {-1.0, 0.0, 0.5, 5.0, 9.99, 10.0, 42.0})
-        h.sample(v);
-    EXPECT_EQ(h.total(), 7u);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 2u);
-    EXPECT_EQ(h.bucketCount(0), 2u);
-    EXPECT_EQ(h.bucketCount(5), 1u);
-    EXPECT_EQ(h.bucketCount(9), 1u);
-    EXPECT_DOUBLE_EQ(h.bucketLo(5), 5.0);
-}
-
-TEST(TimeWeighted, PiecewiseConstantAverage)
-{
-    TimeWeighted tw;
-    tw.set(2.0, 0);
-    tw.set(4.0, 10 * sec);  // 2.0 held for 10 s
-    tw.set(0.0, 30 * sec);  // 4.0 held for 20 s
-    tw.finish(40 * sec);    // 0.0 held for 10 s
-    // (2*10 + 4*20 + 0*10) / 40 = 2.5
-    EXPECT_DOUBLE_EQ(tw.average(), 2.5);
-    EXPECT_DOUBLE_EQ(tw.integral(), 100.0);
-}
-
-TEST(TimeWeighted, SingleValueAverageIsValue)
-{
-    TimeWeighted tw;
-    tw.set(7.0, 5 * sec);
-    EXPECT_DOUBLE_EQ(tw.average(), 7.0);
-}
-
-TEST(TimeWeighted, RepeatedFinishIsIdempotent)
-{
-    TimeWeighted tw;
-    tw.set(3.0, 0);
-    tw.finish(10 * sec);
-    tw.finish(10 * sec);
-    EXPECT_DOUBLE_EQ(tw.integral(), 30.0);
-}
-
 TEST(StateResidency, FractionsAndTransitions)
 {
     enum { idle, active, asleep };

@@ -3,7 +3,9 @@
  * Tests for the telemetry subsystem: trace sinks and manager (the
  * JSON backend must emit parseable Chrome trace-event documents),
  * the periodic sampler (period arithmetic, rollover safety), the
- * kernel profiler (its count must agree with the simulator's own),
+ * layer probe (its counts must agree with the simulator's own, every
+ * DataCenter event must map to a layer, and its timed stride must be
+ * deterministic),
  * and the end-to-end guarantee that disabled telemetry changes
  * nothing.
  */
@@ -19,7 +21,7 @@
 
 #include "dc/datacenter.hh"
 #include "sim/logging.hh"
-#include "telemetry/profiler.hh"
+#include "telemetry/layer_probe.hh"
 #include "telemetry/sampler.hh"
 #include "telemetry/trace_manager.hh"
 #include "telemetry/trace_sink.hh"
@@ -190,6 +192,26 @@ std::shared_ptr<ServiceModel>
 fixedSvc(Tick t)
 {
     return std::make_shared<FixedService>(t);
+}
+
+/** The type @p probe interned as @p name, or null. */
+const LayerProbe::EventType *
+findType(const LayerProbe &probe, const std::string &name)
+{
+    for (const LayerProbe::EventType &t : probe.eventTypes()) {
+        if (t.name == name)
+            return &t;
+    }
+    return nullptr;
+}
+
+std::uint64_t
+layerCount(const LayerProbe &probe, LayerProbe::Layer layer)
+{
+    std::uint64_t n = 0;
+    for (const LayerProbe::EventType &t : probe.eventTypes())
+        n += t.layer == layer ? t.count : 0;
+    return n;
 }
 
 /** Run a small deterministic experiment and return its stats dump. */
@@ -405,13 +427,13 @@ TEST(SamplerTest, ZeroPeriodFatals)
     EXPECT_THROW(Sampler(sim, os, 0), FatalError);
 }
 
-// ---------------------------------------------------------- profiler
+// ------------------------------------------------------- layer probe
 
 TEST(KernelProfilerTest, CountMatchesSimulatorExactly)
 {
     Simulator sim;
-    KernelProfiler profiler;
-    sim.setProbe(&profiler);
+    LayerProbe probe;
+    sim.setProbe(&probe);
 
     EventFunctionWrapper ping([] {}, "ping");
     EventFunctionWrapper pong([] {}, "pong");
@@ -422,29 +444,38 @@ TEST(KernelProfilerTest, CountMatchesSimulatorExactly)
         sim.run();
     }
 
-    EXPECT_EQ(profiler.eventsObserved(), sim.eventsProcessed());
-    EXPECT_EQ(profiler.eventsObserved(), 40u);
-    ASSERT_EQ(profiler.byType().count("ping"), 1u);
-    EXPECT_EQ(profiler.byType().at("ping").count, 20u);
-    EXPECT_GE(profiler.peakQueueDepth(), 1u);
+    EXPECT_EQ(probe.eventsObserved(), sim.eventsProcessed());
+    EXPECT_EQ(probe.eventsObserved(), 40u);
+    ASSERT_NE(findType(probe, "ping"), nullptr);
+    EXPECT_EQ(findType(probe, "ping")->count, 20u);
+    EXPECT_GE(probe.peakQueueDepth(), 1u);
+    // Names no rule knows land in the other layer.
+    EXPECT_EQ(layerCount(probe, LayerProbe::Layer::other), 40u);
 }
 
 TEST(KernelProfilerTest, StatsAndHotTable)
 {
     Simulator sim;
-    KernelProfiler profiler;
-    sim.setProbe(&profiler);
+    LayerProbe probe;
+    sim.setProbe(&probe);
     EventFunctionWrapper work([] {}, "work");
     sim.schedule(work, 1 * msec);
     sim.run();
 
     std::ostringstream os;
-    profiler.dump(os, sim.eventQueue(), nullptr);
+    probe.dump(os, sim.eventQueue(), nullptr);
     const std::string out = os.str();
     EXPECT_EQ(out.rfind("profile.events_observed 1", 0), 0u) << out;
     EXPECT_NE(out.find("profile.type.work.count 1"), std::string::npos);
     EXPECT_NE(out.find("profile.queue.pops 1"), std::string::npos);
     EXPECT_EQ(out.find("profile.wheel."), std::string::npos);
+    for (const char *layer :
+         {"server_completion", "sched", "other", "kernel"}) {
+        EXPECT_NE(out.find(std::string("profile.layer.") + layer +
+                           ".host_us "),
+                  std::string::npos)
+            << layer;
+    }
 
     // The hot-events table follows the stats, every line "# "-prefixed.
     const std::size_t table = out.find("# kernel hot events");
@@ -455,6 +486,126 @@ TEST(KernelProfilerTest, StatsAndHotTable)
     while (std::getline(rows, row))
         EXPECT_EQ(row.rfind("# ", 0), 0u) << row;
     EXPECT_NE(out.find("work", table), std::string::npos);
+    EXPECT_NE(out.find("# other: work\n", table), std::string::npos);
+}
+
+TEST(KernelProfilerTest, TypeRowsAreSortedByName)
+{
+    Simulator sim;
+    LayerProbe probe;
+    sim.setProbe(&probe);
+    EventFunctionWrapper b([] {}, "sched.retry");
+    EventFunctionWrapper a([] {}, "core.completion");
+    sim.schedule(b, 1);
+    sim.schedule(a, 2);
+    sim.run();
+
+    std::ostringstream os;
+    probe.dump(os, sim.eventQueue(), nullptr);
+    const std::string out = os.str();
+    EXPECT_EQ(probe.eventTypes().front().name, "sched.retry");
+    EXPECT_LT(out.find("profile.type.core.completion.count"),
+              out.find("profile.type.sched.retry.count"));
+    EXPECT_EQ(out.find("# other:"), std::string::npos);
+}
+
+TEST(KernelProfilerTest, LayerMapByPrefix)
+{
+    using L = LayerProbe::Layer;
+    EXPECT_EQ(LayerProbe::layerOf("core.completion"), L::serverCompletion);
+    EXPECT_EQ(LayerProbe::layerOf("core.demotion"), L::serverGovernor);
+    EXPECT_EQ(LayerProbe::layerOf("delayTimer.fire"), L::serverGovernor);
+    EXPECT_EQ(LayerProbe::layerOf("flow.completion"), L::networkFlow);
+    EXPECT_EQ(LayerProbe::layerOf("port.lpi"), L::networkGovernor);
+    EXPECT_EQ(LayerProbe::layerOf("pump.arrival"), L::sched);
+    EXPECT_EQ(LayerProbe::layerOf("wheel.tick"), L::wheel);
+    EXPECT_EQ(LayerProbe::layerOf("orch.reconcile"), L::orch);
+    EXPECT_EQ(LayerProbe::layerOf("fault.switch"), L::fault);
+    EXPECT_EQ(LayerProbe::layerOf("invariant_audit"), L::telemetry);
+    EXPECT_EQ(LayerProbe::layerOf("inject"), L::other);
+    EXPECT_STREQ(LayerProbe::layerName(L::networkGovernor),
+                 "network_governor");
+}
+
+TEST(KernelProfilerTest, InternsManyNamesAndTimesAFixedStride)
+{
+    // More names than the initial table holds: it must grow.
+    Simulator sim;
+    LayerProbe probe;
+    sim.setProbe(&probe);
+    std::vector<std::unique_ptr<EventFunctionWrapper>> events;
+    for (int i = 0; i < 300; ++i) {
+        events.push_back(std::make_unique<EventFunctionWrapper>(
+            [] {}, "ev" + std::to_string(i % 100)));
+        sim.schedule(*events.back(), static_cast<Tick>(i + 1));
+    }
+    sim.run();
+    ASSERT_EQ(probe.eventTypes().size(), 100u);
+    std::uint64_t timed = 0;
+    for (const LayerProbe::EventType &t : probe.eventTypes()) {
+        EXPECT_EQ(t.count, 3u) << t.name;
+        timed += t.timed;
+    }
+    // Ordinals 0, N, 2N, ... are timed.
+    const std::uint64_t n = LayerProbe::timingStride;
+    EXPECT_EQ(timed, (300 + n - 1) / n);
+    EXPECT_EQ(findType(probe, "ev0")->timed, 1u);
+}
+
+TEST(KernelProfilerTest, LongNamesDifferingInTheMiddleStayApart)
+{
+    // Same length, same first and last 8 bytes: only the full string
+    // compare tells these apart.
+    Simulator sim;
+    LayerProbe probe;
+    sim.setProbe(&probe);
+    EventFunctionWrapper a([] {}, "pump.arr_A_ival.xyz");
+    EventFunctionWrapper b([] {}, "pump.arr_B_ival.xyz");
+    sim.schedule(a, 1);
+    sim.schedule(b, 2);
+    sim.run();
+    sim.schedule(a, 3);
+    sim.run();
+    ASSERT_EQ(probe.eventTypes().size(), 2u);
+    EXPECT_EQ(findType(probe, "pump.arr_A_ival.xyz")->count, 2u);
+    EXPECT_EQ(findType(probe, "pump.arr_B_ival.xyz")->count, 1u);
+}
+
+TEST(KernelProfilerTest, AbortDumpListsLastEventsNewestLast)
+{
+    Simulator sim;
+    LayerProbe probe;
+    sim.setProbe(&probe);
+    std::vector<std::unique_ptr<EventFunctionWrapper>> events;
+    const int total = 40;
+    for (int i = 0; i < total; ++i) {
+        events.push_back(std::make_unique<EventFunctionWrapper>(
+            [] {}, "e" + std::to_string(i)));
+        sim.schedule(*events.back(), static_cast<Tick>(10 * (i + 1)));
+    }
+    sim.run();
+
+    std::ostringstream os;
+    sim.abortDump(os, "test abort");
+    const std::string out = os.str();
+    const std::string head = "recent events (newest last):\n";
+    const std::size_t at = out.find(head);
+    ASSERT_NE(at, std::string::npos) << out;
+    std::istringstream lines(out.substr(at + head.size()));
+    const int kept = static_cast<int>(LayerProbe::recentCapacity);
+    ASSERT_EQ(kept, 32);
+    for (int i = total - kept; i < total; ++i) {
+        std::string line;
+        ASSERT_TRUE(std::getline(lines, line));
+        // All events were queued up front: event i popped with
+        // total - i still queued, itself included.
+        EXPECT_EQ(line, "  tick " + std::to_string(10 * (i + 1)) +
+                            "  depth " + std::to_string(total - i) +
+                            "  e" + std::to_string(i));
+    }
+    std::string last;
+    ASSERT_TRUE(std::getline(lines, last));
+    EXPECT_EQ(last, "==== end abort dump ====");
 }
 
 // ------------------------------------------------------- integration
@@ -522,6 +673,119 @@ TEST(TelemetryIntegration, ProfiledRunMatchesKernelCount)
     dc.dumpStats(os);
     EXPECT_NE(os.str().find("profile.events_observed"),
               std::string::npos);
+}
+
+namespace {
+
+/** A plant that exercises every layer: star fabric, faults, orch,
+ *  audit, the sampler and the timer wheel, profiled. */
+DataCenterConfig
+everyLayerConfig()
+{
+    DataCenterConfig cfg;
+    cfg.nServers = 8;
+    cfg.nCores = 2;
+    cfg.seed = 5;
+    cfg.fabric = DataCenterConfig::Fabric::star;
+    cfg.timerMode = DataCenterConfig::TimerMode::wheel;
+    cfg.fault.enabled = true;
+    cfg.fault.mttfHours = 1.0 / 3600.0;
+    cfg.fault.mttrMinutes = 0.2 / 60.0;
+    cfg.fault.maxRetries = 5;
+    cfg.orch.enabled = true;
+    cfg.orch.replicas = 4;
+    cfg.orch.containerCores = 1.0;
+    cfg.audit.enabled = true;
+    cfg.audit.period = 50 * msec;
+    cfg.telemetry.enabled = true;
+    cfg.telemetry.profile = true;
+    cfg.telemetry.sampleOut =
+        testing::TempDir() + "holdcsim_every_layer.csv";
+    cfg.telemetry.samplePeriod = 20 * msec;
+    return cfg;
+}
+
+/** Pump @p jobs fan-out/in jobs into @p dc, run it and dump its stats. */
+std::string
+runEveryLayer(DataCenter &dc, std::size_t jobs)
+{
+    FanOutInGenerator gen(fixedSvc(2 * msec), fixedSvc(10 * msec),
+                          fixedSvc(1 * msec), 3, 20'000);
+    dc.pump(std::make_unique<PoissonArrival>(200.0,
+                                             dc.makeRng("arrivals")),
+            gen, jobs);
+    dc.run();
+    std::ostringstream os;
+    dc.dumpStats(os);
+    return os.str();
+}
+
+} // namespace
+
+TEST(TelemetryIntegration, EveryDataCenterEventHasALayer)
+{
+    DataCenter dc(everyLayerConfig());
+    runEveryLayer(dc, 300);
+
+    const LayerProbe &probe = *dc.profiler();
+    std::string other;
+    for (const LayerProbe::EventType &t : probe.eventTypes()) {
+        if (t.layer == LayerProbe::Layer::other)
+            other += t.name + ' ';
+    }
+    EXPECT_EQ(other, "");
+    std::uint64_t sum = 0;
+    for (std::size_t l = 0; l < LayerProbe::numLayers; ++l)
+        sum += layerCount(probe, static_cast<LayerProbe::Layer>(l));
+    EXPECT_EQ(sum, dc.sim().eventsProcessed());
+    for (LayerProbe::Layer l :
+         {LayerProbe::Layer::serverCompletion, LayerProbe::Layer::networkFlow,
+          LayerProbe::Layer::sched, LayerProbe::Layer::wheel,
+          LayerProbe::Layer::orch, LayerProbe::Layer::fault,
+          LayerProbe::Layer::telemetry}) {
+        EXPECT_GT(layerCount(probe, l), 0u) << LayerProbe::layerName(l);
+    }
+}
+
+TEST(TelemetryIntegration, ProfiledRunsCountAndTimeIdentically)
+{
+    auto run = [](std::vector<LayerProbe::EventType> &types,
+                  std::string &dump) {
+        DataCenter dc(everyLayerConfig());
+        dump = runEveryLayer(dc, 100);
+        types = dc.profiler()->eventTypes();
+    };
+    std::vector<LayerProbe::EventType> a, b;
+    std::string dump_a, dump_b;
+    run(a, dump_a);
+    run(b, dump_b);
+    ASSERT_EQ(a.size(), b.size());
+    std::uint64_t events = 0, timed = 0;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].name, b[i].name);
+        EXPECT_EQ(a[i].count, b[i].count) << a[i].name;
+        EXPECT_EQ(a[i].timed, b[i].timed) << a[i].name;
+        events += a[i].count;
+        timed += a[i].timed;
+    }
+    const std::uint64_t n = LayerProbe::timingStride;
+    EXPECT_EQ(timed, (events + n - 1) / n);
+
+    // Profiling must not perturb the simulation: every row but the
+    // profile.* ones and the "# " tables is identical to a plain run.
+    auto strip = [](const std::string &dump) {
+        std::istringstream in(dump);
+        std::string kept;
+        for (std::string line; std::getline(in, line);) {
+            if (line.rfind("profile.", 0) != 0 && line.rfind("# ", 0) != 0)
+                kept += line + '\n';
+        }
+        return kept;
+    };
+    DataCenterConfig plain = everyLayerConfig();
+    plain.telemetry.profile = false;
+    DataCenter dc(plain);
+    EXPECT_EQ(strip(dump_a), runEveryLayer(dc, 100));
 }
 
 TEST(TelemetryIntegration, SampledRunWritesSeries)
