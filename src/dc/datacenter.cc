@@ -138,6 +138,9 @@ DataCenter::DataCenter(const DataCenterConfig &config)
                                          _config.netConfig);
     }
 
+    // One immutable profile for the whole fleet, not one per server.
+    _serverProfile =
+        std::make_shared<const ServerPowerProfile>(_config.serverProfile);
     for (unsigned i = 0; i < _config.nServers; ++i) {
         ServerConfig sc;
         sc.id = i;
@@ -145,8 +148,7 @@ DataCenter::DataCenter(const DataCenterConfig &config)
         sc.queueMode = _config.queueMode;
         sc.corePick = _config.corePick;
         sc.allowPkgC6 = _config.allowPkgC6;
-        auto server = std::make_unique<Server>(_sim, sc,
-                                               _config.serverProfile);
+        auto server = std::make_unique<Server>(_sim, sc, _serverProfile);
         switch (_config.controller) {
           case DataCenterConfig::Controller::alwaysOn:
             server->setController(

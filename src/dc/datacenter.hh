@@ -154,6 +154,8 @@ class DataCenter
     std::unique_ptr<LayerProbe> _profiler;
     std::unique_ptr<Sampler> _sampler;
     std::unique_ptr<Network> _net;
+    /** The one power profile every server shares. */
+    std::shared_ptr<const ServerPowerProfile> _serverProfile;
     std::vector<std::unique_ptr<Server>> _servers;
     std::vector<Server *> _serverPtrs;
     /** Jitter stream handed to the scheduler; must outlive it. */

@@ -124,6 +124,9 @@ PodCluster::PodCluster(const PodClusterConfig &cfg, unsigned n_partitions)
         _direct = std::make_unique<OneShotPool>(
             *_sims[0], "pdes.direct", Event::mailboxPriority);
 
+    // Every pod server shares one immutable profile. Partitions only
+    // read it, so sharing it across their threads needs no locking.
+    const auto profile = std::make_shared<const ServerPowerProfile>();
     for (unsigned i = 0; i < _cfg.pods; ++i) {
         const unsigned part = partitionOf(i);
         Simulator &sim = *_sims[_nPartitions == 0 ? 0 : part];
@@ -139,8 +142,7 @@ PodCluster::PodCluster(const PodClusterConfig &cfg, unsigned n_partitions)
             sc.id = s;
             sc.nCores = kCoresPerServer;
             sc.taskTypes = {1 + static_cast<int>(s / (kServersPerPod / 3))};
-            auto server = std::make_unique<Server>(sim, sc,
-                                                   ServerPowerProfile{});
+            auto server = std::make_unique<Server>(sim, sc, profile);
             server->setController(std::make_unique<AlwaysOnController>());
             pod->serverPtrs.push_back(server.get());
             pod->servers.push_back(std::move(server));

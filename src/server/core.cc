@@ -5,40 +5,35 @@
 namespace holdcsim {
 
 CorePool::CorePool(Simulator &sim, CoreHost &host,
-                   const ServerPowerProfile &profile,
-                   std::vector<double> base_freqs_ghz)
+                   const ServerPowerProfile &profile, unsigned n_cores,
+                   const std::vector<double> &base_freqs_ghz)
     : _sim(sim), _host(host), _profile(profile),
-      _wheel(sim.timerWheel())
+      _wheel(sim.timerWheel()), _size(n_cores)
 {
-    const unsigned n = static_cast<unsigned>(base_freqs_ghz.size());
+    if (n_cores == 0)
+        fatal("a core pool needs at least one core");
+    if (!base_freqs_ghz.empty() && base_freqs_ghz.size() != n_cores)
+        fatal("base_freqs_ghz must be empty or have one entry per core");
     for (double f : base_freqs_ghz)
         if (f <= 0.0)
             fatal("core base frequency must be positive");
 
-    _cstate.assign(n, CoreCState::c0Idle);
-    _pstate.assign(n, 0);
-    _baseFreqGhz = std::move(base_freqs_ghz);
-    _current.assign(n, TaskRef{});
-    _startedAt.assign(n, 0);
-    _tasksExecuted.assign(n, 0);
-    _residency.resize(n);
-    _demotion.resize(n);
-    _traceLabel.resize(n);
-    _traceTrack.assign(n, noTraceTrack);
-
-    _completionEvents = std::make_unique<CoreEvent<false>[]>(n);
+    _slots = std::make_unique<Slot[]>(n_cores);
     if (!_wheel)
-        _demotionEvents = std::make_unique<CoreEvent<true>[]>(n);
+        _demotionEvents = std::make_unique<CoreEvent<true>[]>(n_cores);
 
     const Tick now = sim.curTick();
-    for (unsigned c = 0; c < n; ++c) {
-        _completionEvents[c].pool = this;
-        _completionEvents[c].core = c;
+    for (unsigned c = 0; c < n_cores; ++c) {
+        Slot &s = _slots[c];
+        s.baseFreqGhz = base_freqs_ghz.empty() ? profile.pstates[0].freqGhz
+                                               : base_freqs_ghz[c];
+        s.completion.pool = this;
+        s.completion.core = c;
         if (!_wheel) {
             _demotionEvents[c].pool = this;
             _demotionEvents[c].core = c;
         }
-        _residency[c].enter(static_cast<int>(_cstate[c]), now);
+        s.residency.enter(static_cast<int>(s.cstate), now);
         armDemotion(c);
     }
 }
@@ -46,8 +41,8 @@ CorePool::CorePool(Simulator &sim, CoreHost &host,
 CorePool::~CorePool()
 {
     for (unsigned c = 0; c < size(); ++c) {
-        if (_completionEvents[c].scheduled())
-            _sim.deschedule(_completionEvents[c]);
+        if (_slots[c].completion.scheduled())
+            _sim.deschedule(_slots[c].completion);
         cancelDemotion(c);
     }
 }
@@ -56,7 +51,7 @@ void
 CorePool::timerFired(std::uint64_t token, Tick)
 {
     const unsigned c = static_cast<unsigned>(token);
-    _demotion[c] = {}; // the firing handle is already dead
+    _slots[c].demotion = {}; // the firing handle is already dead
     demote(c);
 }
 
@@ -64,7 +59,8 @@ double
 CorePool::frequencyGhz(unsigned c) const
 {
     const auto &ps = _profile.pstates;
-    return _baseFreqGhz[c] * ps[_pstate[c]].freqGhz / ps[0].freqGhz;
+    const Slot &s = _slots[c];
+    return s.baseFreqGhz * ps[s.pstate].freqGhz / ps[0].freqGhz;
 }
 
 void
@@ -74,16 +70,14 @@ CorePool::setPState(unsigned c, std::size_t idx)
         fatal("P-state ", idx, " out of range");
     if (busy(c))
         fatal("changing P-state mid-task is not modeled");
-    if (idx == _pstate[c])
+    if (idx == _slots[c].pstate)
         return;
     _host.coreAccrue();
-    _pstate[c] = idx;
-    if (TraceManager *tr = _sim.tracer();
-        tr && !_traceLabel[c].empty() && tr->wants(TraceCategory::core)) {
-        if (_traceTrack[c] == noTraceTrack)
-            _traceTrack[c] = tr->track("cores", _traceLabel[c]);
-        tr->instant(_traceTrack[c], TraceCategory::core,
-                    "P" + std::to_string(idx), _sim.curTick());
+    _slots[c].pstate = idx;
+    if (TraceManager *tr = _sim.tracer()) {
+        if (TraceTrackId track = traceTrack(c, *tr); track != noTraceTrack)
+            tr->instant(track, TraceCategory::core,
+                        "P" + std::to_string(idx), _sim.curTick());
     }
     _host.coreStateChanged();
 }
@@ -125,24 +119,24 @@ CorePool::startTask(unsigned c, const TaskRef &task, Tick extra_wake)
 {
     if (busy(c))
         HOLDCSIM_PANIC("core ", c, " given a task while busy");
-    Tick wake = exitLatency(_cstate[c]) + extra_wake;
+    Slot &s = _slots[c];
+    Tick wake = exitLatency(s.cstate) + extra_wake;
     cancelDemotion(c);
     setCState(c, CoreCState::c0Active);
-    _current[c] = task;
-    _startedAt[c] = _sim.curTick();
+    s.current = task;
+    s.startedAt = _sim.curTick();
     // The wake latency delays the task but the core is already
     // powered up (C0) while exiting, so C0-active power during the
     // exit window is a close approximation.
-    _sim.scheduleAfter(_completionEvents[c],
-                       wake + processingTime(c, task));
+    _sim.scheduleAfter(s.completion, wake + processingTime(c, task));
 }
 
 void
 CorePool::complete(unsigned c)
 {
     // Task done: hand the result up, then fall idle.
-    TaskRef finished = _current[c];
-    ++_tasksExecuted[c];
+    TaskRef finished = _slots[c].current;
+    ++_slots[c].tasksExecuted;
     setCState(c, CoreCState::c0Idle);
     armDemotion(c);
     _host.coreTaskDone(c, finished);
@@ -151,10 +145,10 @@ CorePool::complete(unsigned c)
 Watts
 CorePool::power(unsigned c) const
 {
-    switch (_cstate[c]) {
+    switch (_slots[c].cstate) {
       case CoreCState::c0Active:
         return _profile.coreActive *
-               _profile.pstates[_pstate[c]].powerScale;
+               _profile.pstates[_slots[c].pstate].powerScale;
       case CoreCState::c0Idle:
         return _profile.coreC0Idle;
       case CoreCState::c1:
@@ -170,11 +164,12 @@ CorePool::power(unsigned c) const
 void
 CorePool::setCState(unsigned c, CoreCState next)
 {
-    if (next == _cstate[c])
+    Slot &s = _slots[c];
+    if (next == s.cstate)
         return;
     _host.coreAccrue();
-    _cstate[c] = next;
-    _residency[c].enter(static_cast<int>(next), _sim.curTick());
+    s.cstate = next;
+    s.residency.enter(static_cast<int>(next), _sim.curTick());
     traceCState(c);
     _host.coreStateChanged();
 }
@@ -182,6 +177,8 @@ CorePool::setCState(unsigned c, CoreCState next)
 void
 CorePool::setTraceLabel(unsigned c, std::string label)
 {
+    if (!_traceLabel)
+        _traceLabel = std::make_unique<std::string[]>(size());
     _traceLabel[c] = std::move(label);
     // Open the initial state's slice right away so the timeline
     // starts at construction, not at the first transition.
@@ -192,12 +189,23 @@ void
 CorePool::traceCState(unsigned c)
 {
     TraceManager *tr = _sim.tracer();
-    if (!tr || _traceLabel[c].empty() || !tr->wants(TraceCategory::core))
+    if (!tr)
         return;
-    if (_traceTrack[c] == noTraceTrack)
-        _traceTrack[c] = tr->track("cores", _traceLabel[c]);
-    tr->transition(_traceTrack[c], TraceCategory::core,
-                   toString(_cstate[c]), _sim.curTick());
+    if (TraceTrackId track = traceTrack(c, *tr); track != noTraceTrack)
+        tr->transition(track, TraceCategory::core,
+                       toString(_slots[c].cstate), _sim.curTick());
+}
+
+TraceTrackId
+CorePool::traceTrack(unsigned c, TraceManager &tr)
+{
+    if (!_traceLabel || _traceLabel[c].empty() ||
+        !tr.wants(TraceCategory::core))
+        return noTraceTrack;
+    TraceTrackId &track = _slots[c].traceTrack;
+    if (track == noTraceTrack)
+        track = tr.track("cores", _traceLabel[c]);
+    return track;
 }
 
 void
@@ -207,7 +215,7 @@ CorePool::armDemotion(unsigned c)
         return;
     // Pick the next deeper state this governor is configured for.
     Tick delay = 0;
-    switch (_cstate[c]) {
+    switch (_slots[c].cstate) {
       case CoreCState::c0Idle:
         delay = _profile.demoteC1After;
         break;
@@ -223,8 +231,8 @@ CorePool::armDemotion(unsigned c)
     if (delay == maxTick)
         return; // state disabled
     if (_wheel) {
-        _wheel->cancel(_demotion[c]);
-        _demotion[c] = _wheel->arm(*this, c, delay);
+        _wheel->cancel(_slots[c].demotion);
+        _slots[c].demotion = _wheel->arm(*this, c, delay);
     } else {
         _sim.reschedule(_demotionEvents[c], _sim.curTick() + delay);
     }
@@ -234,7 +242,7 @@ void
 CorePool::cancelDemotion(unsigned c)
 {
     if (_wheel) {
-        _wheel->cancel(_demotion[c]);
+        _wheel->cancel(_slots[c].demotion);
     } else if (_demotionEvents[c].scheduled()) {
         _sim.deschedule(_demotionEvents[c]);
     }
@@ -245,7 +253,7 @@ CorePool::demote(unsigned c)
 {
     if (busy(c))
         return; // raced with a task start; harmless
-    switch (_cstate[c]) {
+    switch (_slots[c].cstate) {
       case CoreCState::c0Idle:
         setCState(c, CoreCState::c1);
         break;
@@ -277,12 +285,13 @@ Core::abortTask()
     const unsigned c = _id;
     if (!busy())
         HOLDCSIM_PANIC("core ", c, " aborted with no task running");
-    Tick ran = p._sim.curTick() - p._startedAt[c];
+    CorePool::Slot &s = p._slots[c];
+    Tick ran = p._sim.curTick() - s.startedAt;
     // Energy burned so far at the current operating point is wasted:
     // the partial execution is discarded and will be redone.
-    AbortResult out{p._current[c], energyOver(p.power(c), ran), ran};
-    if (p._completionEvents[c].scheduled())
-        p._sim.deschedule(p._completionEvents[c]);
+    AbortResult out{s.current, energyOver(p.power(c), ran), ran};
+    if (s.completion.scheduled())
+        p._sim.deschedule(s.completion);
     p.setCState(c, CoreCState::c0Idle);
     p.armDemotion(c);
     return out;

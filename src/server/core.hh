@@ -12,13 +12,16 @@
  * state the core is found in.
  *
  * Storage layout: cores are not individually-allocated objects. A
- * server owns one CorePool holding the hot per-core state (C-state,
- * P-state, residency cursor, pending demotion timer) in dense
- * struct-of-arrays vectors, so a 100k-server plant iterates its cores
- * cache-linearly and a core costs a few hundred bytes instead of a
- * heap object plus three std::function thunks. The `Core` class is a
- * copyable view (pool pointer + dense id) carrying the familiar
- * per-core API.
+ * server owns one CorePool, which keeps its cores in one exact-size
+ * array of per-core slots. A slot holds everything one core touches
+ * on a task start, completion or demotion -- C-state, P-state, the
+ * running task, its residency books, its wheel handle and its
+ * completion event -- so a 4-core server's cores are one heap block,
+ * and a 100k-server plant walks each server's cores in one cache-
+ * linear sweep. Trace labels live outside the slots and are only
+ * allocated once a tracer labels a core. The `Core` class is a
+ * 16-byte copyable view (pool pointer + dense id) carrying the
+ * familiar per-core API.
  *
  * Timer discipline: when the owning Simulator has a TimerWheel
  * installed, idle-governor demotions arm wheel timers (one kernel
@@ -70,8 +73,8 @@ class CoreHost
 };
 
 /**
- * Dense struct-of-arrays storage for all cores of one server.
- * Fixed-size: the core count is set at construction.
+ * All cores of one server, in one exact-size array of per-core
+ * slots. Fixed-size: the core count is set at construction.
  */
 class CorePool : public TimerClient
 {
@@ -81,13 +84,16 @@ class CorePool : public TimerClient
      * @param host           owner notified of accrual/state/completion
      * @param profile        power/latency profile (not owned; must
      *                       outlive the pool)
+     * @param n_cores        number of cores, at least one
      * @param base_freqs_ghz per-core P0 frequencies (heterogeneous
-     *                       processors give cores different bases);
-     *                       one entry per core, all positive
+     *                       processors give cores different bases):
+     *                       empty (every core runs at the profile's
+     *                       P0 frequency) or one positive entry per
+     *                       core
      */
     CorePool(Simulator &sim, CoreHost &host,
-             const ServerPowerProfile &profile,
-             std::vector<double> base_freqs_ghz);
+             const ServerPowerProfile &profile, unsigned n_cores,
+             const std::vector<double> &base_freqs_ghz = {});
 
     /** Deschedules pending events and cancels wheel timers. */
     ~CorePool() override;
@@ -95,55 +101,31 @@ class CorePool : public TimerClient
     CorePool(const CorePool &) = delete;
     CorePool &operator=(const CorePool &) = delete;
 
-    unsigned size() const { return static_cast<unsigned>(_cstate.size()); }
+    unsigned size() const { return _size; }
 
     Simulator &sim() const { return _sim; }
 
     /** TimerClient: a demotion deadline expired (token = core id). */
     void timerFired(std::uint64_t token, Tick deadline) override;
 
+    /** @name Read-only per-core queries (Core forwards to these) */
+    ///@{
+    bool busy(unsigned c) const
+    {
+        return _slots[c].cstate == CoreCState::c0Active;
+    }
+    CoreCState cstate(unsigned c) const { return _slots[c].cstate; }
+    Watts power(unsigned c) const;
+    ///@}
+
   private:
     friend class Core;
 
-    bool busy(unsigned c) const
-    {
-        return _cstate[c] == CoreCState::c0Active;
-    }
-    double frequencyGhz(unsigned c) const;
-    void setPState(unsigned c, std::size_t idx);
-    void startTask(unsigned c, const TaskRef &task, Tick extra_wake);
-    Tick processingTime(unsigned c, const TaskRef &task) const;
-    Watts power(unsigned c) const;
-    void forceDeepSleep(unsigned c);
-    void setCState(unsigned c, CoreCState next);
-    void traceCState(unsigned c);
-    void armDemotion(unsigned c);
-    void cancelDemotion(unsigned c);
-    void demote(unsigned c);
-    void complete(unsigned c);
-    Tick exitLatency(CoreCState from) const;
-    void setTraceLabel(unsigned c, std::string label);
-
-    Simulator &_sim;
-    CoreHost &_host;
-    const ServerPowerProfile &_profile;
-    /** Wheel latched at construction; nullptr = per-core events. */
-    TimerWheel *_wheel;
-
-    // Hot per-core state, indexed by dense core id.
-    std::vector<CoreCState> _cstate;
-    std::vector<std::size_t> _pstate;
-    std::vector<double> _baseFreqGhz;
-    std::vector<TaskRef> _current;
-    std::vector<Tick> _startedAt;
-    std::vector<std::uint64_t> _tasksExecuted;
-    std::vector<StateResidency> _residency;
-    std::vector<TimerWheel::Handle> _demotion;
-
     /**
      * One core's completion or demotion event: pool + core id, no
-     * std::function. Default-constructible, so each kind sits in one
-     * exact-size array that never moves (Event is pinned).
+     * std::function. Default-constructible, so completions sit in
+     * the slot array and demotions in one exact-size array, neither
+     * of which ever moves (Event is pinned).
      */
     template <bool Demotion>
     struct CoreEvent final : Event {
@@ -159,12 +141,53 @@ class CorePool : public TimerClient
         unsigned core = 0;
     };
 
-    // Cold. _demotionEvents stays null in wheel mode.
-    std::unique_ptr<CoreEvent<false>[]> _completionEvents;
-    std::unique_ptr<CoreEvent<true>[]> _demotionEvents;
+    /**
+     * Everything one core owns, indexed by dense core id. The fields
+     * every dispatch and power sum reads come first, so they share
+     * the slot's first cache line.
+     */
+    struct Slot {
+        CoreCState cstate = CoreCState::c0Idle;
+        TraceTrackId traceTrack = noTraceTrack;
+        std::size_t pstate = 0;
+        double baseFreqGhz = 0.0;
+        TimerWheel::Handle demotion;
+        Tick startedAt = 0;
+        std::uint64_t tasksExecuted = 0;
+        TaskRef current;
+        StateResidency residency;
+        CoreEvent<false> completion;
+    };
 
-    std::vector<std::string> _traceLabel;
-    std::vector<TraceTrackId> _traceTrack;
+    double frequencyGhz(unsigned c) const;
+    void setPState(unsigned c, std::size_t idx);
+    void startTask(unsigned c, const TaskRef &task, Tick extra_wake);
+    Tick processingTime(unsigned c, const TaskRef &task) const;
+    void forceDeepSleep(unsigned c);
+    void setCState(unsigned c, CoreCState next);
+    void traceCState(unsigned c);
+    /** Core @p c's timeline track, or noTraceTrack when the core is
+     *  unlabelled or the tracer does not want core records. */
+    TraceTrackId traceTrack(unsigned c, TraceManager &tr);
+    void armDemotion(unsigned c);
+    void cancelDemotion(unsigned c);
+    void demote(unsigned c);
+    void complete(unsigned c);
+    Tick exitLatency(CoreCState from) const;
+    void setTraceLabel(unsigned c, std::string label);
+
+    Simulator &_sim;
+    CoreHost &_host;
+    const ServerPowerProfile &_profile;
+    /** Wheel latched at construction; nullptr = per-core events. */
+    TimerWheel *_wheel;
+    unsigned _size;
+
+    std::unique_ptr<Slot[]> _slots;
+    /** Per-core demotion events; null in wheel mode. */
+    std::unique_ptr<CoreEvent<true>[]> _demotionEvents;
+    /** One label per core; null until a core is first labelled. */
+    std::unique_ptr<std::string[]> _traceLabel;
 };
 
 /** Copyable view of one processing unit inside a server's pool. */
@@ -178,14 +201,14 @@ class Core
     /** Whether a task is currently executing (C0-active). */
     bool busy() const { return _pool->busy(_id); }
 
-    CoreCState cstate() const { return _pool->_cstate[_id]; }
+    CoreCState cstate() const { return _pool->cstate(_id); }
 
     /** Current operating frequency under the active P-state. */
     double frequencyGhz() const { return _pool->frequencyGhz(_id); }
 
     /** Select DVFS operating point @p idx (0 = fastest). */
     void setPState(std::size_t idx) { _pool->setPState(_id, idx); }
-    std::size_t pstate() const { return _pool->_pstate[_id]; }
+    std::size_t pstate() const { return _pool->_slots[_id].pstate; }
 
     /**
      * Begin executing @p task. The start is delayed by this core's
@@ -238,30 +261,33 @@ class Core
     AbortResult abortTask();
 
     /** The task currently executing. @pre busy() */
-    const TaskRef &currentTask() const { return _pool->_current[_id]; }
+    const TaskRef &currentTask() const
+    {
+        return _pool->_slots[_id].current;
+    }
 
     /** Per-C-state residency (states indexed by CoreCState). */
     const StateResidency &residency() const
     {
-        return _pool->_residency[_id];
+        return _pool->_slots[_id].residency;
     }
 
     /** Close residency books at @p now. */
-    void finishStats(Tick now) { _pool->_residency[_id].finish(now); }
+    void finishStats(Tick now) { _pool->_slots[_id].residency.finish(now); }
 
     /** Zero residency and counters (end of warmup). */
     void
     resetStats(Tick now)
     {
-        StateResidency &res = _pool->_residency[_id];
-        res.reset();
-        res.enter(static_cast<int>(cstate()), now);
-        _pool->_tasksExecuted[_id] = 0;
+        CorePool::Slot &slot = _pool->_slots[_id];
+        slot.residency.reset();
+        slot.residency.enter(static_cast<int>(slot.cstate), now);
+        slot.tasksExecuted = 0;
     }
 
     std::uint64_t tasksExecuted() const
     {
-        return _pool->_tasksExecuted[_id];
+        return _pool->_slots[_id].tasksExecuted;
     }
 
     /**

@@ -68,7 +68,7 @@ DvfsGovernor::tick()
     // Apply at task boundaries: only idle cores retune now; busy
     // cores pick the new state up after their current task.
     for (unsigned c = 0; c < _server.numCores(); ++c) {
-        Core &core = _server.core(c);
+        Core core = _server.core(c);
         if (!core.busy() && core.pstate() != target) {
             core.setPState(target);
             ++_transitions;

@@ -6,23 +6,85 @@
 
 namespace holdcsim {
 
+void
+TaskFifo::push(const TaskRef &task)
+{
+    // Before the vector would grow, reclaim the popped prefix if it
+    // is at least half the buffer: a queue that never drains then
+    // stays within twice its live size, at amortized O(1) per push.
+    if (_buf.size() == _buf.capacity() && _head > 0 &&
+        2 * _head >= _buf.size()) {
+        _buf.erase(_buf.begin(),
+                   _buf.begin() + static_cast<std::ptrdiff_t>(_head));
+        _head = 0;
+    }
+    _buf.push_back(task);
+}
+
+TaskRef
+TaskFifo::pop()
+{
+    TaskRef t = _buf[_head++];
+    if (empty())
+        clear();
+    return t;
+}
+
+bool
+TaskFifo::remove(JobId job, TaskId task)
+{
+    auto it = std::find_if(
+        _buf.begin() + static_cast<std::ptrdiff_t>(_head), _buf.end(),
+        [&](const TaskRef &t) { return t.job == job && t.task == task; });
+    if (it == _buf.end())
+        return false;
+    _buf.erase(it);
+    if (empty())
+        clear();
+    return true;
+}
+
+void
+TaskFifo::drainInto(std::vector<TaskRef> &out)
+{
+    out.insert(out.end(),
+               _buf.begin() + static_cast<std::ptrdiff_t>(_head),
+               _buf.end());
+    clear();
+}
+
+void
+TaskFifo::clear()
+{
+    _buf.clear();
+    _head = 0;
+}
+
 LocalScheduler::LocalScheduler(LocalQueueMode mode, CorePickPolicy pick,
                                unsigned n_cores)
     : _mode(mode), _pick(pick), _nCores(n_cores)
 {
     if (n_cores == 0)
         fatal("local scheduler needs at least one core");
-    if (mode == LocalQueueMode::perCore)
-        _perCore.resize(n_cores);
+}
+
+const TaskFifo *
+LocalScheduler::perCoreQueue(unsigned core_id) const
+{
+    if (core_id >= _nCores)
+        HOLDCSIM_PANIC("core ", core_id, " out of range");
+    return _perCore.empty() ? nullptr : &_perCore[core_id];
 }
 
 void
 LocalScheduler::enqueue(const TaskRef &task)
 {
     if (_mode == LocalQueueMode::unified) {
-        _unified.push_back(task);
+        _unified.push(task);
         return;
     }
+    if (_perCore.empty())
+        _perCore.resize(_nCores);
     unsigned target = 0;
     if (_pick == CorePickPolicy::roundRobin) {
         target = _rrNext;
@@ -30,41 +92,37 @@ LocalScheduler::enqueue(const TaskRef &task)
     } else {
         auto it = std::min_element(
             _perCore.begin(), _perCore.end(),
-            [](const auto &a, const auto &b) {
+            [](const TaskFifo &a, const TaskFifo &b) {
                 return a.size() < b.size();
             });
         target = static_cast<unsigned>(it - _perCore.begin());
     }
-    _perCore[target].push_back(task);
+    _perCore[target].push(task);
 }
 
 std::optional<TaskRef>
 LocalScheduler::dequeueFor(unsigned core_id)
 {
-    auto &q = _mode == LocalQueueMode::unified ? _unified
-                                               : _perCore.at(core_id);
-    if (q.empty())
+    if (!hasWorkFor(core_id))
         return std::nullopt;
-    TaskRef t = q.front();
-    q.pop_front();
-    return t;
+    return _mode == LocalQueueMode::unified ? _unified.pop()
+                                            : _perCore[core_id].pop();
 }
 
 bool
 LocalScheduler::hasWorkFor(unsigned core_id) const
 {
-    return _mode == LocalQueueMode::unified
-               ? !_unified.empty()
-               : !_perCore.at(core_id).empty();
+    if (_mode == LocalQueueMode::unified)
+        return !_unified.empty();
+    const TaskFifo *q = perCoreQueue(core_id);
+    return q && !q->empty();
 }
 
 std::size_t
 LocalScheduler::pending() const
 {
-    if (_mode == LocalQueueMode::unified)
-        return _unified.size();
-    std::size_t total = 0;
-    for (const auto &q : _perCore)
+    std::size_t total = _unified.size();
+    for (const TaskFifo &q : _perCore)
         total += q.size();
     return total;
 }
@@ -72,37 +130,20 @@ LocalScheduler::pending() const
 bool
 LocalScheduler::remove(JobId job, TaskId task)
 {
-    auto match = [&](const TaskRef &t) {
-        return t.job == job && t.task == task;
-    };
-    if (_mode == LocalQueueMode::unified) {
-        auto it = std::find_if(_unified.begin(), _unified.end(), match);
-        if (it == _unified.end())
-            return false;
-        _unified.erase(it);
+    if (_unified.remove(job, task))
         return true;
-    }
-    for (auto &q : _perCore) {
-        auto it = std::find_if(q.begin(), q.end(), match);
-        if (it != q.end()) {
-            q.erase(it);
+    for (TaskFifo &q : _perCore)
+        if (q.remove(job, task))
             return true;
-        }
-    }
     return false;
 }
 
 void
 LocalScheduler::drainAll(std::vector<TaskRef> &out)
 {
-    for (auto &t : _unified)
-        out.push_back(t);
-    _unified.clear();
-    for (auto &q : _perCore) {
-        for (auto &t : q)
-            out.push_back(t);
-        q.clear();
-    }
+    _unified.drainInto(out);
+    for (TaskFifo &q : _perCore)
+        q.drainInto(out);
 }
 
 } // namespace holdcsim

@@ -9,12 +9,14 @@
  * from, or per-core queues where each task is bound to a core at
  * enqueue time. For heterogeneous processors the core-pick policy
  * can prefer the fastest available core.
+ *
+ * An empty scheduler holds no heap: every server of a 100k-server
+ * plant carries one, and most of them never queue a task.
  */
 
 #ifndef HOLDCSIM_SERVER_LOCAL_SCHEDULER_HH
 #define HOLDCSIM_SERVER_LOCAL_SCHEDULER_HH
 
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -36,6 +38,37 @@ enum class CorePickPolicy {
     roundRobin,
     /** Pick the core with the fewest queued tasks. */
     leastLoaded,
+};
+
+/**
+ * FIFO of tasks over one vector: a pop advances a head index, and
+ * the vector is cleared (keeping its capacity) whenever it empties.
+ * Unlike libstdc++'s deque, whose empty state already costs a map
+ * and a node, it allocates nothing until the first push.
+ */
+class TaskFifo
+{
+  public:
+    bool empty() const { return _head == _buf.size(); }
+    std::size_t size() const { return _buf.size() - _head; }
+
+    void push(const TaskRef &task);
+
+    /** Remove and return the oldest task. @pre !empty() */
+    TaskRef pop();
+
+    /** Remove the task identified by (@p job, @p task), if present. */
+    bool remove(JobId job, TaskId task);
+
+    /** Append every task to @p out, oldest first, and empty. */
+    void drainInto(std::vector<TaskRef> &out);
+
+  private:
+    void clear();
+
+    std::vector<TaskRef> _buf;
+    /** Index of the oldest task; [0, _head) are already popped. */
+    std::size_t _head = 0;
 };
 
 /** Task buffering for one server. */
@@ -72,12 +105,17 @@ class LocalScheduler
     LocalQueueMode mode() const { return _mode; }
 
   private:
+    /** Core @p core_id's queue in perCore mode, or nullptr while no
+     *  task has been queued yet (the queues are built lazily). */
+    const TaskFifo *perCoreQueue(unsigned core_id) const;
+
     LocalQueueMode _mode;
     CorePickPolicy _pick;
     unsigned _nCores;
-    std::deque<TaskRef> _unified;
-    std::vector<std::deque<TaskRef>> _perCore;
     unsigned _rrNext = 0;
+    TaskFifo _unified;
+    /** perCore mode: one FIFO per core, sized on the first enqueue. */
+    std::vector<TaskFifo> _perCore;
 };
 
 } // namespace holdcsim

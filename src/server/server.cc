@@ -1,6 +1,7 @@
 #include "server.hh"
 
 #include <algorithm>
+#include <optional>
 
 #include "sim/logging.hh"
 
@@ -9,32 +10,37 @@ namespace holdcsim {
 namespace {
 
 /**
- * Validate the profile and per-core frequency overrides, then expand
- * them into one base frequency per core. Runs in the member-init list
- * so the checks precede CorePool construction.
+ * Validate the profile and the per-core frequency overrides before
+ * the core pool is built from them (runs in the member-init list).
  */
-std::vector<double>
-coreFrequencies(const ServerConfig &config,
-                const ServerPowerProfile &profile)
+const ServerPowerProfile &
+checkedProfile(const ServerConfig &config,
+               const std::shared_ptr<const ServerPowerProfile> &profile)
 {
-    profile.validate();
+    if (!profile)
+        fatal("server ", config.id, " given no power profile");
+    profile->validate();
     if (config.nCores == 0)
         fatal("server needs at least one core");
     if (!config.coreFreqGhz.empty() &&
         config.coreFreqGhz.size() != config.nCores) {
         fatal("coreFreqGhz must be empty or have one entry per core");
     }
-    if (!config.coreFreqGhz.empty())
-        return config.coreFreqGhz;
-    return std::vector<double>(config.nCores, profile.pstates[0].freqGhz);
+    return *profile;
 }
 
 } // namespace
 
 Server::Server(Simulator &sim, const ServerConfig &config,
                const ServerPowerProfile &profile)
-    : _sim(sim), _config(config), _profile(profile),
-      _corePool(sim, *this, _profile, coreFrequencies(config, _profile)),
+    : Server(sim, config, std::make_shared<const ServerPowerProfile>(profile))
+{}
+
+Server::Server(Simulator &sim, const ServerConfig &config,
+               std::shared_ptr<const ServerPowerProfile> profile)
+    : _sim(sim), _config(config), _profile(std::move(profile)),
+      _corePool(sim, *this, checkedProfile(config, _profile),
+                config.nCores, config.coreFreqGhz),
       _local(config.queueMode, config.corePick, config.nCores),
       _wakeDoneEvent([this] {
           accrue();
@@ -45,16 +51,13 @@ Server::Server(Simulator &sim, const ServerConfig &config,
       }, "server.wakeDone", Event::powerPriority),
       _lastAccrue(sim.curTick())
 {
-    _cores.reserve(config.nCores);
-    for (unsigned i = 0; i < config.nCores; ++i)
-        _cores.emplace_back(_corePool, i);
     // Labels feed the timeline tracer only; skip the 2 * nCores heap
     // strings per server when no tracer is installed (100k-server
     // plants). DataCenter installs its tracer before the plant.
     if (sim.tracer()) {
         for (unsigned i = 0; i < config.nCores; ++i) {
-            _cores[i].setTraceLabel("server" + std::to_string(id()) +
-                                    ".core" + std::to_string(i));
+            core(i).setTraceLabel("server" + std::to_string(id()) +
+                                  ".core" + std::to_string(i));
         }
     }
     recomputePkgState();
@@ -69,6 +72,14 @@ Server::~Server()
     _controller.reset();
     if (_wakeDoneEvent.scheduled())
         _sim.deschedule(_wakeDoneEvent);
+}
+
+Core
+Server::core(unsigned i)
+{
+    if (i >= numCores())
+        HOLDCSIM_PANIC("server ", id(), " has no core ", i);
+    return Core(_corePool, i);
 }
 
 void
@@ -121,8 +132,8 @@ Server::sleep(SState target)
     if (_failed || _sstate != SState::s0 || _waking || load() != 0)
         return false;
     accrue();
-    for (auto &core : _cores)
-        core.forceDeepSleep();
+    for (unsigned c = 0; c < numCores(); ++c)
+        core(c).forceDeepSleep();
     _sstate = target;
     ++_sleepTransitions;
     updateResidency();
@@ -141,8 +152,8 @@ Server::wakeUp()
     // Entry latency is folded into the wake path: a server roused
     // during/after suspend pays wake plus any residual entry time.
     _sim.scheduleAfter(_wakeDoneEvent,
-                       _profile.s3WakeLatency +
-                           _profile.s3EntryLatency);
+                       _profile->s3WakeLatency +
+                           _profile->s3EntryLatency);
 }
 
 std::vector<TaskRef>
@@ -157,10 +168,10 @@ Server::fail()
         _sim.deschedule(_wakeDoneEvent);
     _waking = false;
     std::vector<TaskRef> killed;
-    for (auto &core : _cores) {
-        if (!core.busy())
+    for (unsigned c = 0; c < numCores(); ++c) {
+        if (!core(c).busy())
             continue;
-        Core::AbortResult aborted = core.abortTask();
+        Core::AbortResult aborted = core(c).abortTask();
         _wastedJoules += aborted.wasted;
         ++_tasksKilled;
         killed.push_back(aborted.task);
@@ -170,8 +181,8 @@ Server::fail()
     // Settle the cores so no demotion timers (events or wheel
     // entries) tick while we are down; power is forced to zero by
     // componentPower() regardless.
-    for (auto &core : _cores)
-        core.forceDeepSleep();
+    for (unsigned c = 0; c < numCores(); ++c)
+        core(c).forceDeepSleep();
     updateResidency();
     return killed;
 }
@@ -202,7 +213,8 @@ Server::cancelTask(JobId job, TaskId task)
             _controller->becameIdle(*this);
         return true;
     }
-    for (auto &core : _cores) {
+    for (unsigned c = 0; c < numCores(); ++c) {
+        Core core(_corePool, c);
         if (!core.busy() || core.currentTask().job != job ||
             core.currentTask().task != task) {
             continue;
@@ -256,40 +268,40 @@ Server::componentPower() const
     if (_waking) {
         // Wake-up burns near-idle-active power without doing work:
         // every component is powered but no instructions retire.
-        return {_profile.pkgPc0 +
-                    numCores() * _profile.coreC0Idle,
-                _profile.dramActive, _profile.platformS0};
+        return {_profile->pkgPc0 +
+                    numCores() * _profile->coreC0Idle,
+                _profile->dramActive, _profile->platformS0};
     }
     switch (_sstate) {
       case SState::s5:
-        return {0.0, 0.0, _profile.platformS5};
+        return {0.0, 0.0, _profile->platformS5};
       case SState::s3:
-        return {0.0, _profile.dramSelfRefresh, _profile.platformS3};
+        return {0.0, _profile->dramSelfRefresh, _profile->platformS3};
       case SState::s0:
         break;
     }
     Watts cpu = 0.0;
     bool any_busy = false;
-    for (const auto &core : _cores) {
-        cpu += core.power();
-        any_busy = any_busy || core.busy();
+    for (unsigned c = 0; c < numCores(); ++c) {
+        cpu += _corePool.power(c);
+        any_busy = any_busy || _corePool.busy(c);
     }
     switch (_pkgState) {
       case PkgCState::pc0:
-        cpu += _profile.pkgPc0;
+        cpu += _profile->pkgPc0;
         break;
       case PkgCState::pc2:
-        cpu += _profile.pkgPc2;
+        cpu += _profile->pkgPc2;
         break;
       case PkgCState::pc6:
-        cpu += _profile.pkgPc6;
+        cpu += _profile->pkgPc6;
         break;
     }
-    Watts dram = any_busy ? _profile.dramActive
+    Watts dram = any_busy ? _profile->dramActive
                           : (_pkgState == PkgCState::pc6
-                                 ? _profile.dramSelfRefresh
-                                 : _profile.dramIdle);
-    return {cpu, dram, _profile.platformS0};
+                                 ? _profile->dramSelfRefresh
+                                 : _profile->dramIdle);
+    return {cpu, dram, _profile->platformS0};
 }
 
 Watts
@@ -321,8 +333,8 @@ Server::finishStats()
     accrue();
     Tick now = _sim.curTick();
     _residency.finish(now);
-    for (auto &core : _cores)
-        core.finishStats(now);
+    for (unsigned c = 0; c < numCores(); ++c)
+        core(c).finishStats(now);
 }
 
 void
@@ -339,8 +351,8 @@ Server::resetStats()
     Tick now = _sim.curTick();
     _residency.reset();
     _residency.enter(static_cast<int>(observableState()), now);
-    for (auto &core : _cores)
-        core.resetStats(now);
+    for (unsigned c = 0; c < numCores(); ++c)
+        core(c).resetStats(now);
 }
 
 void
@@ -352,17 +364,18 @@ Server::dispatch()
     // Package C6 exit is paid once by the first task that rouses the
     // package; capture the state before any core wakes.
     Tick pkg_exit =
-        _pkgState == PkgCState::pc6 ? _profile.pc6ExitLatency : 0;
+        _pkgState == PkgCState::pc6 ? _profile->pc6ExitLatency : 0;
     if (_local.mode() == LocalQueueMode::unified) {
         while (_local.pending() > 0) {
             // Prefer the fastest free core (heterogeneous-aware).
-            Core *best = nullptr;
-            for (auto &core : _cores) {
+            std::optional<Core> best;
+            for (unsigned c = 0; c < numCores(); ++c) {
+                Core core(_corePool, c);
                 if (core.busy())
                     continue;
                 if (!best ||
                     core.frequencyGhz() > best->frequencyGhz()) {
-                    best = &core;
+                    best = core;
                 }
             }
             if (!best)
@@ -373,7 +386,8 @@ Server::dispatch()
             pkg_exit = 0;
         }
     } else {
-        for (auto &core : _cores) {
+        for (unsigned c = 0; c < numCores(); ++c) {
+            Core core(_corePool, c);
             if (core.busy() || !_local.hasWorkFor(core.id()))
                 continue;
             auto task = _local.dequeueFor(core.id());
@@ -408,8 +422,8 @@ Server::recomputePkgState()
         return; // package state is moot while suspended
     bool any_c0 = false;
     bool all_c6 = true;
-    for (const auto &core : _cores) {
-        CoreCState s = core.cstate();
+    for (unsigned c = 0; c < numCores(); ++c) {
+        CoreCState s = _corePool.cstate(c);
         any_c0 = any_c0 || s == CoreCState::c0Active ||
                  s == CoreCState::c0Idle;
         all_c6 = all_c6 && s == CoreCState::c6;

@@ -95,8 +95,19 @@ class Server : private CoreHost
     /** Completion callback: (server, finished task). */
     using TaskDoneFn = std::function<void(Server &, const TaskRef &)>;
 
+    /**
+     * Build a server that keeps its own copy of @p profile, so a
+     * caller may pass a temporary.
+     */
     Server(Simulator &sim, const ServerConfig &config,
            const ServerPowerProfile &profile);
+
+    /**
+     * Build a server that shares the immutable @p profile: a plant
+     * of identical servers holds one profile, not one per server.
+     */
+    Server(Simulator &sim, const ServerConfig &config,
+           std::shared_ptr<const ServerPowerProfile> profile);
 
     Server(const Server &) = delete;
     Server &operator=(const Server &) = delete;
@@ -105,9 +116,9 @@ class Server : private CoreHost
     ~Server();
 
     unsigned id() const { return _config.id; }
-    unsigned numCores() const { return static_cast<unsigned>(_cores.size()); }
-    Core &core(unsigned i) { return _cores.at(i); }
-    const Core &core(unsigned i) const { return _cores.at(i); }
+    unsigned numCores() const { return _corePool.size(); }
+    /** View of core @p i; panics unless i < numCores(). */
+    Core core(unsigned i);
 
     /** Install the power-management policy (may be null). */
     void setController(std::unique_ptr<ServerPowerController> ctrl);
@@ -224,7 +235,7 @@ class Server : private CoreHost
     ///@}
 
     Simulator &simulator() { return _sim; }
-    const ServerPowerProfile &profile() const { return _profile; }
+    const ServerPowerProfile &profile() const { return *_profile; }
     const ServerConfig &config() const { return _config; }
 
   private:
@@ -263,14 +274,11 @@ class Server : private CoreHost
 
     Simulator &_sim;
     ServerConfig _config;
-    /** Owned copy: the server must not dangle if the caller's
-     *  profile was a temporary. Cores reference this copy. */
-    ServerPowerProfile _profile;
+    /** Shared and immutable; cores reference it. */
+    std::shared_ptr<const ServerPowerProfile> _profile;
 
-    /** Hot per-core state, struct-of-arrays (see core.hh). */
+    /** Per-core state, one slot per core (see core.hh). */
     CorePool _corePool;
-    /** Thin per-core views into the pool (stable addresses). */
-    std::vector<Core> _cores;
     LocalScheduler _local;
     std::unique_ptr<ServerPowerController> _controller;
     TaskDoneFn _taskDone;

@@ -4,20 +4,23 @@
  * operator new/delete with counting wrappers around malloc/free, then
  * builds a 1,000-server plant configured like perfbench's
  * warehouse_100k (4 cores, delay-timer governors on a 100 us timer
- * wheel) and bounds the bytes its construction requests per server.
- * A footprint regression then fails here, not only in a benchmark's
- * peak RSS. It also bounds the bytes one dispatch requests, which
- * must not grow with the fleet.
+ * wheel) and bounds the bytes and allocations its construction
+ * requests per server. A footprint regression then fails here, not
+ * only in a benchmark's peak RSS. It also bounds the bytes one
+ * dispatch requests, which must not grow with the fleet, and checks
+ * that an empty local queue requests none.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
 #include <vector>
 
 #include "dc/datacenter.hh"
+#include "server/local_scheduler.hh"
 
 namespace {
 
@@ -94,9 +97,32 @@ TEST(AllocBudget, WheelPlantConstructionPerServer)
     ASSERT_EQ(dc->numServers(), servers);
     const double perServer =
         static_cast<double>(bytesRequested) / servers;
+    const double allocsPerServer =
+        static_cast<double>(allocations) / servers;
     RecordProperty("bytes_per_server", static_cast<int>(perServer));
-    EXPECT_LE(perServer, 4600.0)
+    char allocs[32];
+    std::snprintf(allocs, sizeof allocs, "%.2f", allocsPerServer);
+    RecordProperty("allocations_per_server", allocs);
+    // One block each for the server, its core slots and its power
+    // controller; the fleet vectors' growth adds a fraction more.
+    EXPECT_LE(perServer, 3000.0)
         << allocations << " allocations, " << bytesRequested << " bytes";
+    EXPECT_LE(allocsPerServer, 5.0)
+        << allocations << " allocations, " << bytesRequested << " bytes";
+}
+
+TEST(AllocBudget, EmptyLocalSchedulerRequestsNoHeap)
+{
+    for (LocalQueueMode mode :
+         {LocalQueueMode::unified, LocalQueueMode::perCore}) {
+        bytesRequested = allocations = 0;
+        counting = true;
+        LocalScheduler local(mode, CorePickPolicy::leastLoaded, 4);
+        counting = false;
+        EXPECT_EQ(bytesRequested, 0u) << static_cast<int>(mode);
+        EXPECT_EQ(local.pending(), 0u);
+        EXPECT_FALSE(local.hasWorkFor(3));
+    }
 }
 
 namespace {

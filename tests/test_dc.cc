@@ -150,6 +150,18 @@ TEST(DataCenter, BuildsConfiguredFleet)
     EXPECT_EQ(dc.awakeServers(), 5u);
 }
 
+TEST(DataCenter, ServersShareOnePowerProfile)
+{
+    DataCenterConfig cfg;
+    cfg.nServers = 8;
+    cfg.serverProfile.pkgPc0 = 12.5;
+    DataCenter dc(cfg);
+    const ServerPowerProfile *shared = &dc.server(0).profile();
+    EXPECT_EQ(shared->pkgPc0, 12.5);
+    for (std::size_t i = 1; i < dc.numServers(); ++i)
+        EXPECT_EQ(&dc.server(i).profile(), shared) << "server " << i;
+}
+
 TEST(DataCenter, FabricDictatesServerCount)
 {
     DataCenterConfig cfg;

@@ -59,6 +59,24 @@ TEST_F(ServerFixture, RunsSingleTask)
     EXPECT_TRUE(server->isIdle());
 }
 
+TEST(Server, TemporaryProfileOutlivesItsArgument)
+{
+    // The reference constructor copies the profile, so a server built
+    // from a temporary reads no freed memory when it runs (ASan
+    // builds report the dangling read if it ever stops copying).
+    Simulator sim;
+    std::vector<Tick> doneAt;
+    Server server(sim, ServerConfig{}, ServerPowerProfile::xeonE5_2680());
+    server.setTaskDoneCallback(
+        [&](Server &, const TaskRef &) { doneAt.push_back(sim.curTick()); });
+    server.submit(TaskRef{7, 0, 3 * msec, 1.0, 0});
+    sim.run();
+    ASSERT_EQ(doneAt.size(), 1u);
+    EXPECT_EQ(doneAt[0], 3 * msec);
+    EXPECT_EQ(server.profile().pstates.size(),
+              ServerPowerProfile::xeonE5_2680().pstates.size());
+}
+
 TEST_F(ServerFixture, QueuesBeyondCoreCount)
 {
     ServerConfig cfg;

@@ -47,7 +47,7 @@ struct CoreFixture : ::testing::Test {
         if (freq == 0.0)
             freq = prof.pstates[0].freqGhz;
         host.sim = &sim;
-        pool.emplace(sim, host, prof, std::vector<double>{freq});
+        pool.emplace(sim, host, prof, 1, std::vector<double>{freq});
         core.emplace(*pool, 0);
     }
 
@@ -204,7 +204,9 @@ TEST_F(CoreFixture, RejectsBadParameters)
     EXPECT_THROW(core->setPState(99), FatalError);
     RecordingHost other;
     other.sim = &sim;
-    EXPECT_THROW(CorePool(sim, other, prof, {-1.0}), FatalError);
+    EXPECT_THROW(CorePool(sim, other, prof, 1, {-1.0}), FatalError);
+    EXPECT_THROW(CorePool(sim, other, prof, 0), FatalError);
+    EXPECT_THROW(CorePool(sim, other, prof, 2, {2.8}), FatalError);
 }
 
 TEST_F(CoreFixture, ProfileValidation)
