@@ -9,6 +9,9 @@
 
 namespace holdcsim {
 
+static_assert(1 < StateResidency::maxStates,
+              "component residency books hold up (0) and down (1)");
+
 FaultManager::TargetState::TargetState(FaultManager &mgr,
                                        const FaultTarget &t)
     : event([&mgr, this] { mgr.onEvent(*this); },

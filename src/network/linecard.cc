@@ -4,6 +4,10 @@
 
 namespace holdcsim {
 
+static_assert(static_cast<int>(LineCardState::off) <
+                  StateResidency::maxStates,
+              "every line-card state needs a residency book");
+
 LineCard::LineCard(Simulator &sim, unsigned id,
                    const SwitchPowerProfile &profile, AccrueFn accrue,
                    StateChangedFn state_changed)

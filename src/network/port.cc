@@ -4,6 +4,9 @@
 
 namespace holdcsim {
 
+static_assert(static_cast<int>(PortState::off) < StateResidency::maxStates,
+              "every port state needs a residency book");
+
 PortPool::PortPool(Simulator &sim, PortHost &host,
                    const SwitchPowerProfile &profile,
                    std::vector<BitsPerSec> line_rates,

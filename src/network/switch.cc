@@ -4,6 +4,9 @@
 
 namespace holdcsim {
 
+static_assert(1 < StateResidency::maxStates,
+              "switch residency books hold awake (0) and asleep (1)");
+
 namespace {
 
 /**

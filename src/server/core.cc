@@ -4,6 +4,9 @@
 
 namespace holdcsim {
 
+static_assert(static_cast<int>(CoreCState::c6) < StateResidency::maxStates,
+              "every core C-state needs a residency book");
+
 CorePool::CorePool(Simulator &sim, CoreHost &host,
                    const ServerPowerProfile &profile, unsigned n_cores,
                    const std::vector<double> &base_freqs_ghz)
@@ -27,8 +30,6 @@ CorePool::CorePool(Simulator &sim, CoreHost &host,
         Slot &s = _slots[c];
         s.baseFreqGhz = base_freqs_ghz.empty() ? profile.pstates[0].freqGhz
                                                : base_freqs_ghz[c];
-        s.completion.pool = this;
-        s.completion.core = c;
         if (!_wheel) {
             _demotionEvents[c].pool = this;
             _demotionEvents[c].core = c;
@@ -40,11 +41,12 @@ CorePool::CorePool(Simulator &sim, CoreHost &host,
 
 CorePool::~CorePool()
 {
-    for (unsigned c = 0; c < size(); ++c) {
-        if (_slots[c].completion.scheduled())
-            _sim.deschedule(_slots[c].completion);
-        cancelDemotion(c);
+    for (Busy &b : _busy) {
+        if (b.completion.scheduled())
+            _sim.deschedule(b.completion);
     }
+    for (unsigned c = 0; c < size(); ++c)
+        cancelDemotion(c);
 }
 
 void
@@ -119,23 +121,31 @@ CorePool::startTask(unsigned c, const TaskRef &task, Tick extra_wake)
 {
     if (busy(c))
         HOLDCSIM_PANIC("core ", c, " given a task while busy");
-    Slot &s = _slots[c];
-    Tick wake = exitLatency(s.cstate) + extra_wake;
+    if (_busy.empty()) {
+        // Vector assignment, not resize: Busy holds a pinned Event.
+        _busy = std::vector<Busy>(_size);
+        for (unsigned i = 0; i < _size; ++i) {
+            _busy[i].completion.pool = this;
+            _busy[i].completion.core = i;
+        }
+    }
+    Busy &b = _busy[c];
+    Tick wake = exitLatency(_slots[c].cstate) + extra_wake;
     cancelDemotion(c);
     setCState(c, CoreCState::c0Active);
-    s.current = task;
-    s.startedAt = _sim.curTick();
+    b.current = task;
+    b.startedAt = _sim.curTick();
     // The wake latency delays the task but the core is already
     // powered up (C0) while exiting, so C0-active power during the
     // exit window is a close approximation.
-    _sim.scheduleAfter(s.completion, wake + processingTime(c, task));
+    _sim.scheduleAfter(b.completion, wake + processingTime(c, task));
 }
 
 void
 CorePool::complete(unsigned c)
 {
     // Task done: hand the result up, then fall idle.
-    TaskRef finished = _slots[c].current;
+    TaskRef finished = _busy[c].current;
     ++_slots[c].tasksExecuted;
     setCState(c, CoreCState::c0Idle);
     armDemotion(c);
@@ -285,13 +295,13 @@ Core::abortTask()
     const unsigned c = _id;
     if (!busy())
         HOLDCSIM_PANIC("core ", c, " aborted with no task running");
-    CorePool::Slot &s = p._slots[c];
-    Tick ran = p._sim.curTick() - s.startedAt;
+    CorePool::Busy &b = p._busy[c];
+    Tick ran = p._sim.curTick() - b.startedAt;
     // Energy burned so far at the current operating point is wasted:
     // the partial execution is discarded and will be redone.
-    AbortResult out{s.current, energyOver(p.power(c), ran), ran};
-    if (s.completion.scheduled())
-        p._sim.deschedule(s.completion);
+    AbortResult out{b.current, energyOver(p.power(c), ran), ran};
+    if (b.completion.scheduled())
+        p._sim.deschedule(b.completion);
     p.setCState(c, CoreCState::c0Idle);
     p.armDemotion(c);
     return out;

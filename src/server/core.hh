@@ -13,15 +13,17 @@
  *
  * Storage layout: cores are not individually-allocated objects. A
  * server owns one CorePool, which keeps its cores in one exact-size
- * array of per-core slots. A slot holds everything one core touches
- * on a task start, completion or demotion -- C-state, P-state, the
- * running task, its residency books, its wheel handle and its
- * completion event -- so a 4-core server's cores are one heap block,
- * and a 100k-server plant walks each server's cores in one cache-
- * linear sweep. Trace labels live outside the slots and are only
- * allocated once a tracer labels a core. The `Core` class is a
- * 16-byte copyable view (pool pointer + dense id) carrying the
- * familiar per-core API.
+ * array of per-core slots. A slot holds what every core carries,
+ * idle or not -- C-state, P-state, base frequency, its wheel handle
+ * and its residency books -- which is all an idle-governor demotion
+ * or a power sum reads. What matters only while a task runs (the
+ * task, its start tick and its completion event) lives in a second
+ * array, the busy block, which the pool builds on its first task and
+ * keeps for its life: a server whose cores never run a task never
+ * carries it, and a demotion touches only the slot. Trace labels are
+ * likewise allocated only once a tracer labels a core.
+ * The `Core` class is a 16-byte copyable view (pool pointer + dense
+ * id) carrying the familiar per-core API.
  *
  * Timer discipline: when the owning Simulator has a TimerWheel
  * installed, idle-governor demotions arm wheel timers (one kernel
@@ -116,7 +118,16 @@ class CorePool : public TimerClient
     }
     CoreCState cstate(unsigned c) const { return _slots[c].cstate; }
     Watts power(unsigned c) const;
+    /** Whether the busy block exists (a task has started here). */
+    bool busyStateBuilt() const { return !_busy.empty(); }
     ///@}
+
+    /** Heap bytes of the busy block an @p n_cores pool builds. */
+    static std::size_t
+    busyBlockBytes(unsigned n_cores)
+    {
+        return n_cores * sizeof(Busy);
+    }
 
   private:
     friend class Core;
@@ -124,7 +135,7 @@ class CorePool : public TimerClient
     /**
      * One core's completion or demotion event: pool + core id, no
      * std::function. Default-constructible, so completions sit in
-     * the slot array and demotions in one exact-size array, neither
+     * the busy block and demotions in one exact-size array, neither
      * of which ever moves (Event is pinned).
      */
     template <bool Demotion>
@@ -142,9 +153,9 @@ class CorePool : public TimerClient
     };
 
     /**
-     * Everything one core owns, indexed by dense core id. The fields
-     * every dispatch and power sum reads come first, so they share
-     * the slot's first cache line.
+     * What one core carries busy or idle, indexed by dense core id.
+     * The fields every dispatch, demotion and power sum reads come
+     * first, so they share the slot's first cache line.
      */
     struct Slot {
         CoreCState cstate = CoreCState::c0Idle;
@@ -152,10 +163,14 @@ class CorePool : public TimerClient
         std::size_t pstate = 0;
         double baseFreqGhz = 0.0;
         TimerWheel::Handle demotion;
-        Tick startedAt = 0;
         std::uint64_t tasksExecuted = 0;
-        TaskRef current;
         StateResidency residency;
+    };
+
+    /** What one core carries only while it runs a task. */
+    struct Busy {
+        TaskRef current;
+        Tick startedAt = 0;
         CoreEvent<false> completion;
     };
 
@@ -184,6 +199,8 @@ class CorePool : public TimerClient
     unsigned _size;
 
     std::unique_ptr<Slot[]> _slots;
+    /** One entry per core; empty until the pool's first task. */
+    std::vector<Busy> _busy;
     /** Per-core demotion events; null in wheel mode. */
     std::unique_ptr<CoreEvent<true>[]> _demotionEvents;
     /** One label per core; null until a core is first labelled. */
@@ -263,7 +280,7 @@ class Core
     /** The task currently executing. @pre busy() */
     const TaskRef &currentTask() const
     {
-        return _pool->_slots[_id].current;
+        return _pool->_busy[_id].current;
     }
 
     /** Per-C-state residency (states indexed by CoreCState). */

@@ -60,44 +60,4 @@ DelayTimerController::setTau(Tick tau)
         _server->simulator().deschedule(*_timer);
 }
 
-// -------------------------------------------------------- DeepSleepController
-
-DeepSleepController::DeepSleepController(Tick s3_after)
-    : _s3After(s3_after)
-{}
-
-DeepSleepController::~DeepSleepController()
-{
-    if (_server && _timer && _timer->scheduled())
-        _server->simulator().deschedule(*_timer);
-}
-
-void
-DeepSleepController::attach(Server &server)
-{
-    _server = &server;
-    _timer.emplace([this] { _server->sleep(SState::s3); },
-                   "deepSleep.fire", Event::powerPriority);
-    if (server.isIdle())
-        becameIdle(server);
-}
-
-void
-DeepSleepController::becameBusy(Server &server)
-{
-    (void)server;
-    if (_timer && _timer->scheduled())
-        _server->simulator().deschedule(*_timer);
-}
-
-void
-DeepSleepController::becameIdle(Server &server)
-{
-    if (!_timer)
-        HOLDCSIM_PANIC("deep-sleep controller used before attach()");
-    server.simulator().reschedule(*_timer,
-                                  server.simulator().curTick() +
-                                      _s3After);
-}
-
 } // namespace holdcsim

@@ -11,10 +11,11 @@
  *  - DelayTimerController: after tau of idleness, suspend to RAM --
  *    the single delay timer of case study IV-B. tau = 0 gives the
  *    aggressive on-off policy.
- *  - DeepSleepController: the WASP sleep-pool behavior of case study
- *    IV-C -- enter package C6 immediately on idle (via the core idle
- *    governor) and drop to system sleep after a short residency
- *    threshold.
+ *
+ * The WASP sleep pools of case study IV-C are not a controller of
+ * their own: sched/adaptive_policy retunes each server's
+ * DelayTimerController (package C6 comes from the core idle governor
+ * as soon as the cores drain).
  */
 
 #ifndef HOLDCSIM_SERVER_POWER_CONTROLLER_HH
@@ -63,29 +64,6 @@ class DelayTimerController : public ServerPowerController
   private:
     Tick _tau;
     SState _target;
-    Server *_server = nullptr;
-    std::optional<EventFunctionWrapper> _timer;
-};
-
-/**
- * WASP-style sleep-pool controller: package C6 is reached through
- * the core idle governor as soon as the cores drain; after
- * @p s3_after of continued idleness the server suspends to RAM.
- * Equivalent to a DelayTimerController with a (typically short)
- * threshold, packaged separately so pool policies can identify it.
- */
-class DeepSleepController : public ServerPowerController
-{
-  public:
-    explicit DeepSleepController(Tick s3_after);
-    ~DeepSleepController() override;
-
-    void attach(Server &server) override;
-    void becameBusy(Server &server) override;
-    void becameIdle(Server &server) override;
-
-  private:
-    Tick _s3After;
     Server *_server = nullptr;
     std::optional<EventFunctionWrapper> _timer;
 };

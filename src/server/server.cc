@@ -7,6 +7,10 @@
 
 namespace holdcsim {
 
+static_assert(static_cast<int>(ServerState::failed) <
+                  StateResidency::maxStates,
+              "every observable server state needs a residency book");
+
 namespace {
 
 /**
@@ -38,10 +42,12 @@ Server::Server(Simulator &sim, const ServerConfig &config,
 
 Server::Server(Simulator &sim, const ServerConfig &config,
                std::shared_ptr<const ServerPowerProfile> profile)
-    : _sim(sim), _config(config), _profile(std::move(profile)),
+    : _sim(sim), _profile(std::move(profile)),
+      _taskTypes(config.taskTypes.begin(), config.taskTypes.end()),
       _corePool(sim, *this, checkedProfile(config, _profile),
                 config.nCores, config.coreFreqGhz),
       _local(config.queueMode, config.corePick, config.nCores),
+      _allowPkgC6(config.allowPkgC6), _id(config.id),
       _wakeDoneEvent([this] {
           accrue();
           _waking = false;
@@ -93,7 +99,8 @@ Server::setController(std::unique_ptr<ServerPowerController> ctrl)
 bool
 Server::servesType(int type) const
 {
-    return _config.taskTypes.empty() || _config.taskTypes.count(type);
+    return _taskTypes.empty() ||
+           std::binary_search(_taskTypes.begin(), _taskTypes.end(), type);
 }
 
 bool
@@ -237,9 +244,9 @@ Server::cancelTask(JobId job, TaskId task)
 void
 Server::setAllowPkgC6(bool allow)
 {
-    if (_config.allowPkgC6 == allow)
+    if (_allowPkgC6 == allow)
         return;
-    _config.allowPkgC6 = allow;
+    _allowPkgC6 = allow;
     recomputePkgState();
     updateResidency();
 }
@@ -431,7 +438,7 @@ Server::recomputePkgState()
     PkgCState next = PkgCState::pc2;
     if (any_c0)
         next = PkgCState::pc0;
-    else if (all_c6 && _config.allowPkgC6)
+    else if (all_c6 && _allowPkgC6)
         next = PkgCState::pc6;
     if (next != _pkgState) {
         accrue();

@@ -115,7 +115,7 @@ class Server : private CoreHost
     /** Deschedules any pending wake event. */
     ~Server();
 
-    unsigned id() const { return _config.id; }
+    unsigned id() const { return _id; }
     unsigned numCores() const { return _corePool.size(); }
     /** View of core @p i; panics unless i < numCores(). */
     Core core(unsigned i);
@@ -236,7 +236,6 @@ class Server : private CoreHost
 
     Simulator &simulator() { return _sim; }
     const ServerPowerProfile &profile() const { return *_profile; }
-    const ServerConfig &config() const { return _config; }
 
   private:
     /** @name CoreHost interface (driven by the core pool) */
@@ -273,9 +272,10 @@ class Server : private CoreHost
     ComponentPower componentPower() const;
 
     Simulator &_sim;
-    ServerConfig _config;
     /** Shared and immutable; cores reference it. */
     std::shared_ptr<const ServerPowerProfile> _profile;
+    /** ServerConfig::taskTypes, sorted; empty = all types. */
+    std::vector<int> _taskTypes;
 
     /** Per-core state, one slot per core (see core.hh). */
     CorePool _corePool;
@@ -286,7 +286,10 @@ class Server : private CoreHost
     SState _sstate = SState::s0;
     bool _waking = false;
     bool _failed = false;
+    /** Whether the package may enter PC6 (runtime-tunable). */
+    bool _allowPkgC6;
     PkgCState _pkgState = PkgCState::pc0;
+    unsigned _id;
     EventFunctionWrapper _wakeDoneEvent;
 
     std::size_t _running = 0;

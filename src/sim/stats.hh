@@ -86,12 +86,13 @@ class StateResidency
   public:
     /**
      * Every state enum in the simulator is small and dense
-     * (CoreCState has 5 states, ServerState 6, PortState 3, ...), so
-     * the books are inline arrays: a StateResidency costs 152 bytes
-     * with zero heap allocations, which matters when a 100k-server
-     * plant carries one per core, port and card.
+     * (ServerState, the largest, has 6 states; CoreCState 5,
+     * PortState 3, ...), so the books are inline arrays sized to it:
+     * a StateResidency costs 120 bytes with zero heap allocations,
+     * which matters when a 100k-server plant carries one per core,
+     * port and card. Each user static_asserts that its states fit.
      */
-    static constexpr int maxStates = 8;
+    static constexpr int maxStates = 6;
 
     /**
      * Record a transition into @p state at tick @p now.

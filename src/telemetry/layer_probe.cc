@@ -60,8 +60,7 @@ LayerProbe::layerOf(std::string_view name)
     static constexpr Rule rules[] = {
         {"core.completion", L::serverCompletion},
         {"core.", L::serverGovernor}, {"delayTimer.", L::serverGovernor},
-        {"deepSleep.", L::serverGovernor}, {"dvfs.", L::serverGovernor},
-        {"server.", L::serverGovernor},
+        {"dvfs.", L::serverGovernor}, {"server.", L::serverGovernor},
         {"flow.", L::networkFlow}, {"net.", L::networkFlow},
         {"port.", L::networkGovernor}, {"linecard.", L::networkGovernor},
         {"switch.", L::networkGovernor}, {"alr.", L::networkGovernor},

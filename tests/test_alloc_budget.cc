@@ -7,8 +7,9 @@
  * wheel) and bounds the bytes and allocations its construction
  * requests per server. A footprint regression then fails here, not
  * only in a benchmark's peak RSS. It also bounds the bytes one
- * dispatch requests, which must not grow with the fleet, and checks
- * that an empty local queue requests none.
+ * dispatch requests, which must not grow with the fleet, checks
+ * that an empty local queue requests none, and checks that a server
+ * builds its cores' busy state on its first task and never again.
  */
 
 #include <gtest/gtest.h>
@@ -21,12 +22,17 @@
 
 #include "dc/datacenter.hh"
 #include "server/local_scheduler.hh"
+#include "server/server.hh"
+#include "sim/timer_wheel.hh"
 
 namespace {
 
 bool counting = false;
 std::size_t bytesRequested = 0;
 std::size_t allocations = 0;
+/** Counts requests of exactly watchedSize bytes while counting. */
+std::size_t watchedSize = 0;
+std::size_t watchedHits = 0;
 
 void *
 countedAlloc(std::size_t n)
@@ -34,6 +40,7 @@ countedAlloc(std::size_t n)
     if (counting) {
         bytesRequested += n;
         ++allocations;
+        watchedHits += n == watchedSize;
     }
     if (void *p = std::malloc(n ? n : 1))
         return p;
@@ -89,10 +96,13 @@ TEST(AllocBudget, WheelPlantConstructionPerServer)
     cfg.timerMode = DataCenterConfig::TimerMode::wheel;
     cfg.wheelGranularity = 100 * usec;
 
-    bytesRequested = allocations = 0;
+    bytesRequested = allocations = watchedHits = 0;
+    watchedSize = CorePool::busyBlockBytes(cfg.nCores);
     counting = true;
     auto dc = std::make_unique<DataCenter>(cfg);
     counting = false;
+    // No core has run a task, so no server holds busy state.
+    EXPECT_EQ(watchedHits, 0u);
 
     ASSERT_EQ(dc->numServers(), servers);
     const double perServer =
@@ -105,10 +115,53 @@ TEST(AllocBudget, WheelPlantConstructionPerServer)
     RecordProperty("allocations_per_server", allocs);
     // One block each for the server, its core slots and its power
     // controller; the fleet vectors' growth adds a fraction more.
-    EXPECT_LE(perServer, 3000.0)
+    EXPECT_LE(perServer, 2100.0)
         << allocations << " allocations, " << bytesRequested << " bytes";
     EXPECT_LE(allocsPerServer, 5.0)
         << allocations << " allocations, " << bytesRequested << " bytes";
+}
+
+TEST(AllocBudget, FirstTaskBuildsBusyStateOnce)
+{
+    Simulator sim;
+    TimerWheel wheel(sim, 100 * usec);
+    sim.setTimerWheel(&wheel);
+    ServerConfig cfg;
+    cfg.nCores = 4;
+    Server server(sim, cfg, ServerPowerProfile{});
+    const TaskRef task{1, 0, 5 * msec, 1.0, 0};
+    watchedSize = CorePool::busyBlockBytes(cfg.nCores);
+    RecordProperty("busy_block_bytes", static_cast<int>(watchedSize));
+
+    // Paths that never start a task build no busy state.
+    watchedHits = 0;
+    counting = true;
+    sim.runUntil(1 * msec);
+    server.fail();
+    server.repair();
+    server.cancelTask(task.job, task.task);
+    server.sleep(SState::s3);
+    server.wakeUp();
+    sim.run(); // the wake completes and the cores settle in C6
+    counting = false;
+    EXPECT_EQ(watchedHits, 0u);
+
+    // The first task builds the block for all four cores ...
+    counting = true;
+    server.submit(task);
+    counting = false;
+    EXPECT_EQ(watchedHits, 1u);
+    sim.run();
+    ASSERT_EQ(server.tasksCompleted(), 1u);
+
+    // ... and neither a second task nor a full server builds another.
+    counting = true;
+    for (TaskId t = 1; t <= 5; ++t)
+        server.submit(TaskRef{2, t, 5 * msec, 1.0, 0});
+    sim.run();
+    counting = false;
+    EXPECT_EQ(watchedHits, 1u);
+    EXPECT_EQ(server.tasksCompleted(), 6u);
 }
 
 TEST(AllocBudget, EmptyLocalSchedulerRequestsNoHeap)

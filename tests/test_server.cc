@@ -77,6 +77,22 @@ TEST(Server, TemporaryProfileOutlivesItsArgument)
               ServerPowerProfile::xeonE5_2680().pstates.size());
 }
 
+TEST_F(ServerFixture, ServerThatNeverRanATaskSurvivesFaultsAndSleep)
+{
+    // None of these paths may read running-task state, which a
+    // server builds only when its first task starts.
+    makeServer();
+    sim.runUntil(1 * msec);
+    EXPECT_TRUE(server->fail().empty());
+    server->repair();
+    EXPECT_FALSE(server->cancelTask(3, 0));
+    EXPECT_TRUE(server->sleep(SState::s3));
+    EXPECT_EQ(server->tasksKilled(), 0u);
+    EXPECT_DOUBLE_EQ(server->wastedJoules(), 0.0);
+    server.reset();
+    EXPECT_FALSE(sim.hasPendingEvents());
+}
+
 TEST_F(ServerFixture, QueuesBeyondCoreCount)
 {
     ServerConfig cfg;
@@ -263,15 +279,30 @@ TEST_F(ServerFixture, DelayTimerAttachWhileIdleArms)
     EXPECT_EQ(sim.curTick(), 50 * msec);
 }
 
-TEST_F(ServerFixture, DeepSleepControllerSuspends)
+TEST_F(ServerFixture, ShortDelayTimerSuspendsToS3)
 {
+    // The sleep-pool behaviour: package C6 through the core idle
+    // governor, then suspend-to-RAM after a short threshold.
     makeServer();
     server->setController(
-        std::make_unique<DeepSleepController>(20 * msec));
+        std::make_unique<DelayTimerController>(20 * msec, SState::s3));
     server->submit(task(5 * msec));
     sim.run();
     EXPECT_TRUE(server->isAsleep());
+    EXPECT_EQ(server->sstate(), SState::s3);
     EXPECT_EQ(sim.curTick(), 25 * msec);
+}
+
+TEST_F(ServerFixture, DisabledDelayTimerNeverSuspends)
+{
+    // A maxTick threshold must not be added to the clock: it would
+    // wrap into the past and abort the run.
+    makeServer();
+    server->setController(std::make_unique<DelayTimerController>(maxTick));
+    server->submit(task(5 * msec));
+    sim.run();
+    EXPECT_EQ(completed.size(), 1u);
+    EXPECT_FALSE(server->isAsleep());
 }
 
 TEST_F(ServerFixture, AlwaysOnNeverSuspends)
@@ -288,10 +319,12 @@ TEST_F(ServerFixture, AlwaysOnNeverSuspends)
 TEST_F(ServerFixture, ServesTypeFiltering)
 {
     ServerConfig cfg;
-    cfg.taskTypes = {2, 3};
+    cfg.taskTypes = {7, 2, 3};
     makeServer(cfg);
     EXPECT_TRUE(server->servesType(2));
+    EXPECT_TRUE(server->servesType(7));
     EXPECT_FALSE(server->servesType(1));
+    EXPECT_FALSE(server->servesType(5));
     EXPECT_THROW(server->submit(task(1 * msec, 0, 1)), FatalError);
     ServerConfig any;
     makeServer(any);

@@ -185,6 +185,53 @@ TEST_F(CoreFixture, ForceDeepSleepFromIdle)
     EXPECT_FALSE(sim.hasPendingEvents());
 }
 
+TEST_F(CoreFixture, IdlePoolNeverBuildsBusyState)
+{
+    // The governor ladder, a forced sleep and destruction need no
+    // busy state; only a task start builds it.
+    makeCore();
+    sim.runUntil(10 * msec);
+    EXPECT_EQ(core->cstate(), CoreCState::c6);
+    core->forceDeepSleep();
+    EXPECT_FALSE(pool->busyStateBuilt());
+    core->startTask(task(1 * msec), 0);
+    EXPECT_TRUE(pool->busyStateBuilt());
+    sim.run();
+    EXPECT_TRUE(pool->busyStateBuilt());
+
+    RecordingHost other;
+    other.sim = &sim;
+    {
+        CorePool idle(sim, other, prof, 4);
+        Core(idle, 3).forceDeepSleep();
+        EXPECT_FALSE(idle.busyStateBuilt());
+    }
+    EXPECT_FALSE(sim.hasPendingEvents());
+}
+
+TEST_F(CoreFixture, AbortReturnsRunningTaskAndWastedEnergy)
+{
+    makeCore();
+    for (JobId job : {5u, 6u}) {
+        Tick started = sim.curTick();
+        core->startTask(TaskRef{job, 2, 10 * msec, 1.0, 0}, 0);
+        sim.runUntil(started + 4 * msec);
+        ASSERT_TRUE(core->busy());
+        EXPECT_EQ(core->currentTask().job, job);
+        Core::AbortResult aborted = core->abortTask();
+        EXPECT_EQ(aborted.task.job, job);
+        EXPECT_EQ(aborted.task.task, 2u);
+        EXPECT_EQ(aborted.ran, 4 * msec);
+        EXPECT_DOUBLE_EQ(aborted.wasted,
+                         energyOver(prof.coreActive, 4 * msec));
+        EXPECT_FALSE(core->busy());
+    }
+    sim.run();
+    // Neither aborted task reports a completion.
+    EXPECT_TRUE(host.done.empty());
+    EXPECT_EQ(core->tasksExecuted(), 0u);
+}
+
 TEST_F(CoreFixture, ResidencyTracksStates)
 {
     makeCore();
