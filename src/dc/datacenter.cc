@@ -530,33 +530,30 @@ DataCenter::dumpStats(std::ostream &os)
         g.dump(os);
     }
 
+    StatGroup rows(""); // every server and switch row, one buffer
     for (auto &srv : _servers) {
-        StatGroup g("server" + std::to_string(srv->id()));
+        rows.row(os, "server", srv->id());
         const EnergyBreakdown &e = srv->energy();
-        g.add("energy_cpu_j", e.cpu);
-        g.add("energy_dram_j", e.dram);
-        g.add("energy_platform_j", e.platform);
-        g.add("energy_total_j", e.total());
-        g.add("tasks_completed", srv->tasksCompleted());
-        g.add("wake_transitions", srv->wakeTransitions());
-        g.add("sleep_transitions", srv->sleepTransitions());
+        rows.add("energy_cpu_j", e.cpu);
+        rows.add("energy_dram_j", e.dram);
+        rows.add("energy_platform_j", e.platform);
+        rows.add("energy_total_j", e.total());
+        rows.add("tasks_completed", srv->tasksCompleted());
+        rows.add("wake_transitions", srv->wakeTransitions());
+        rows.add("sleep_transitions", srv->sleepTransitions());
         const StateResidency &r = srv->residency();
-        g.add("frac_active",
-              r.fraction(static_cast<int>(ServerState::active)));
-        g.add("frac_wakeup",
-              r.fraction(static_cast<int>(ServerState::wakingUp)));
-        g.add("frac_idle",
-              r.fraction(static_cast<int>(ServerState::idle)));
-        g.add("frac_pkg_c6",
-              r.fraction(static_cast<int>(ServerState::pkgC6)));
-        g.add("frac_sys_sleep",
-              r.fraction(static_cast<int>(ServerState::sysSleep)));
-        if (_faults) {
-            g.add("frac_failed",
-                  r.fraction(static_cast<int>(ServerState::failed)));
-        }
-        g.dump(os);
+        auto frac = [&r](ServerState st) {
+            return r.fraction(static_cast<int>(st));
+        };
+        rows.add("frac_active", frac(ServerState::active));
+        rows.add("frac_wakeup", frac(ServerState::wakingUp));
+        rows.add("frac_idle", frac(ServerState::idle));
+        rows.add("frac_pkg_c6", frac(ServerState::pkgC6));
+        rows.add("frac_sys_sleep", frac(ServerState::sysSleep));
+        if (_faults)
+            rows.add("frac_failed", frac(ServerState::failed));
     }
+    rows.flush(os);
 
     if (_net) {
         StatGroup n("network");
@@ -580,14 +577,14 @@ DataCenter::dumpStats(std::ostream &os)
         n.dump(os);
         for (std::size_t i = 0; i < _net->numSwitches(); ++i) {
             Switch &sw = _net->switchAt(i);
-            StatGroup g("switch" + std::to_string(sw.id()));
-            g.add("energy_j", sw.energy());
-            g.add("packets_forwarded", sw.packetsForwarded());
-            g.add("packets_dropped", sw.packetsDropped());
-            g.add("sleep_transitions", sw.sleepTransitions());
-            g.add("frac_asleep", sw.residency().fraction(1));
-            g.dump(os);
+            rows.row(os, "switch", sw.id());
+            rows.add("energy_j", sw.energy());
+            rows.add("packets_forwarded", sw.packetsForwarded());
+            rows.add("packets_dropped", sw.packetsDropped());
+            rows.add("sleep_transitions", sw.sleepTransitions());
+            rows.add("frac_asleep", sw.residency().fraction(1));
         }
+        rows.flush(os);
     }
 }
 

@@ -153,9 +153,10 @@ class CorePool : public TimerClient
     };
 
     /**
-     * What one core carries busy or idle, indexed by dense core id.
-     * The fields every dispatch, demotion and power sum reads come
-     * first, so they share the slot's first cache line.
+     * What one core carries busy or idle, indexed by dense core id:
+     * 112 B on x86-64, 72 of them the residency book. The fields
+     * every dispatch, demotion and power sum reads come first, so
+     * they share the slot's first cache line.
      */
     struct Slot {
         CoreCState cstate = CoreCState::c0Idle;

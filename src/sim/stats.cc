@@ -1,6 +1,7 @@
 #include "stats.hh"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <cmath>
 
@@ -149,7 +150,6 @@ StateResidency::enter(int state, Tick now)
     _started = true;
     _current = state;
     _lastTick = now;
-    ++_entries[static_cast<std::size_t>(state)];
 }
 
 void
@@ -180,14 +180,6 @@ StateResidency::fraction(int state) const
            static_cast<double>(_total);
 }
 
-std::uint64_t
-StateResidency::transitionsInto(int state) const
-{
-    if (state < 0 || state >= maxStates)
-        return 0;
-    return _entries[static_cast<std::size_t>(state)];
-}
-
 void
 StateResidency::reset()
 {
@@ -197,25 +189,31 @@ StateResidency::reset()
 // ------------------------------------------------------------------ StatGroup
 
 void
-StatGroup::addLine(const std::string &key, std::string_view value)
+StatGroup::addLine(std::string_view key, std::string_view value)
 {
-    _lines.append(_name).append(1, '.').append(key).append(1, ' ');
+    _lines.append(_prefix).append(key).append(1, ' ');
     _lines.append(value).append(1, '\n');
 }
 
 void
-StatGroup::add(const std::string &key, double value)
+StatGroup::add(std::string_view key, double value)
 {
-    // %g at precision 6 is what `os << value` prints under default
-    // flags; to_chars gives the same bytes without a stream per value.
-    char buf[32];
-    auto res = std::to_chars(buf, buf + sizeof buf, value,
-                             std::chars_format::general, 6);
-    addLine(key, std::string_view(buf, res.ptr - buf));
+    // Columns past the last memo share it; the bits still decide.
+    Memo &m = _memo[std::min(_column++, _memo.size() - 1)];
+    const auto bits = std::bit_cast<std::uint64_t>(value);
+    if (bits != m.bits) {
+        // %g at precision 6 is what `os << value` prints under default
+        // flags; to_chars gives the same bytes without a stream.
+        m.bits = bits;
+        m.size = static_cast<std::uint8_t>(
+            std::to_chars(m.text, m.text + sizeof m.text, value,
+                          std::chars_format::general, 6).ptr - m.text);
+    }
+    addLine(key, {m.text, m.size});
 }
 
 void
-StatGroup::add(const std::string &key, std::uint64_t value)
+StatGroup::add(std::string_view key, std::uint64_t value)
 {
     char buf[24];
     auto res = std::to_chars(buf, buf + sizeof buf, value);
@@ -226,6 +224,26 @@ void
 StatGroup::dump(std::ostream &os) const
 {
     os.write(_lines.data(), static_cast<std::streamsize>(_lines.size()));
+}
+
+void
+StatGroup::row(std::ostream &os, std::string_view name, std::uint64_t id)
+{
+    constexpr std::size_t flushAt = 64 * 1024;
+    if (_lines.size() >= flushAt)
+        flush(os);
+    _lines.reserve(flushAt + 4096); // room for the row that crosses it
+    char buf[24];
+    char *end = std::to_chars(buf, buf + sizeof buf, id).ptr;
+    _prefix.assign(name).append(buf, end).append(1, '.');
+    _column = 0;
+}
+
+void
+StatGroup::flush(std::ostream &os)
+{
+    dump(os);
+    _lines.clear();
 }
 
 } // namespace holdcsim

@@ -87,8 +87,8 @@ class StateResidency
     /**
      * Every state enum in the simulator is small and dense
      * (ServerState, the largest, has 6 states; CoreCState 5,
-     * PortState 3, ...), so the books are inline arrays sized to it:
-     * a StateResidency costs 120 bytes with zero heap allocations,
+     * PortState 3, ...), so the books are an inline array sized to
+     * it: a StateResidency costs 72 bytes with zero heap allocations,
      * which matters when a 100k-server plant carries one per core,
      * port and card. Each user static_asserts that its states fit.
      */
@@ -109,9 +109,6 @@ class StateResidency
     /** Fraction of observed time spent in @p state, in [0, 1]. */
     double fraction(int state) const;
 
-    /** Number of entries into @p state (0 if never entered). */
-    std::uint64_t transitionsInto(int state) const;
-
     /** Total observed time. */
     Tick totalTime() const { return _total; }
 
@@ -124,34 +121,51 @@ class StateResidency
     Tick _lastTick = 0;
     Tick _total = 0;
     std::array<Tick, maxStates> _residency{};
-    std::array<std::uint64_t, maxStates> _entries{};
 
     void accrueCurrent(Tick delta);
 };
+static_assert(sizeof(StateResidency) <= 72);
 
 /**
  * Named registry of scalar statistics for human-readable dumps.
  * Components register name/value pairs at dump time; this avoids any
  * static registration order problems. Each add() appends a finished
- * "group.key value\n" line to one buffer (doubles formatted exactly as
- * a default-flagged ostream prints them), so dump() is a single write.
+ * "group.key value\n" line to one buffer (numbers formatted exactly
+ * as a default-flagged ostream prints them), so dump() is one write.
+ * A dump's server and switch rows share one group through row() and
+ * flush(); the k-th double since row() reuses the previous row's
+ * text when its bits match, so idle servers format each value once.
  */
 class StatGroup
 {
   public:
-    explicit StatGroup(std::string name) : _name(std::move(name)) {}
+    explicit StatGroup(std::string name) : _prefix(name + '.') {}
 
-    void add(const std::string &key, double value);
-    void add(const std::string &key, std::uint64_t value);
+    void add(std::string_view key, double value);
+    void add(std::string_view key, std::uint64_t value);
 
     /** Pretty-print "group.key value" lines. */
     void dump(std::ostream &os) const;
 
-  private:
-    std::string _name;
-    std::string _lines;
+    /** Rename the group "<name><id>" for the next row; the lines so
+     *  far go to @p os once they pass 64 KiB. */
+    void row(std::ostream &os, std::string_view name, std::uint64_t id);
+    /** Write the lines to @p os and clear them, keeping the buffer. */
+    void flush(std::ostream &os);
 
-    void addLine(const std::string &key, std::string_view value);
+  private:
+    struct Memo {
+        std::uint64_t bits = 0; // +0.0, whose text is "0"
+        std::uint8_t size = 1;
+        char text[23] = "0";
+    };
+
+    std::string _prefix;
+    std::string _lines;
+    std::array<Memo, 16> _memo{};
+    std::size_t _column = 0;
+
+    void addLine(std::string_view key, std::string_view value);
 };
 
 } // namespace holdcsim

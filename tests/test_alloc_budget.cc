@@ -8,8 +8,10 @@
  * requests per server. A footprint regression then fails here, not
  * only in a benchmark's peak RSS. It also bounds the bytes one
  * dispatch requests, which must not grow with the fleet, checks
- * that an empty local queue requests none, and checks that a server
- * builds its cores' busy state on its first task and never again.
+ * that an empty local queue requests none, checks that a server
+ * builds its cores' busy state on its first task and never again,
+ * and bounds the allocations of a stats dump, which must not grow
+ * with the fleet either.
  */
 
 #include <gtest/gtest.h>
@@ -18,12 +20,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <streambuf>
 #include <vector>
 
 #include "dc/datacenter.hh"
 #include "server/local_scheduler.hh"
 #include "server/server.hh"
 #include "sim/timer_wheel.hh"
+#include "workload/service.hh"
 
 namespace {
 
@@ -84,9 +88,12 @@ operator delete[](void *p, const std::nothrow_t &) noexcept
 
 using namespace holdcsim;
 
-TEST(AllocBudget, WheelPlantConstructionPerServer)
+namespace {
+
+/** A 4-core, delay-timer, 100 us wheel plant like warehouse_100k. */
+DataCenterConfig
+wheelPlant(std::size_t servers)
 {
-    constexpr std::size_t servers = 1000;
     DataCenterConfig cfg;
     cfg.nServers = servers;
     cfg.nCores = 4;
@@ -95,6 +102,15 @@ TEST(AllocBudget, WheelPlantConstructionPerServer)
     cfg.dispatch = DataCenterConfig::Dispatch::roundRobin;
     cfg.timerMode = DataCenterConfig::TimerMode::wheel;
     cfg.wheelGranularity = 100 * usec;
+    return cfg;
+}
+
+} // namespace
+
+TEST(AllocBudget, WheelPlantConstructionPerServer)
+{
+    constexpr std::size_t servers = 1000;
+    const DataCenterConfig cfg = wheelPlant(servers);
 
     bytesRequested = allocations = watchedHits = 0;
     watchedSize = CorePool::busyBlockBytes(cfg.nCores);
@@ -115,7 +131,7 @@ TEST(AllocBudget, WheelPlantConstructionPerServer)
     RecordProperty("allocations_per_server", allocs);
     // One block each for the server, its core slots and its power
     // controller; the fleet vectors' growth adds a fraction more.
-    EXPECT_LE(perServer, 2100.0)
+    EXPECT_LE(perServer, 1840.0)
         << allocations << " allocations, " << bytesRequested << " bytes";
     EXPECT_LE(allocsPerServer, 5.0)
         << allocations << " allocations, " << bytesRequested << " bytes";
@@ -220,4 +236,47 @@ TEST(AllocBudget, DispatchHeapIsIndependentOfFleetSize)
     EXPECT_LE(std::abs(large - small), 64.0)
         << small << " B/job at 1,000 servers, " << large
         << " B/job at 10,000";
+}
+
+namespace {
+
+/** Discards what it is given, so only dumpStats itself allocates. */
+class NullBuf : public std::streambuf
+{
+  protected:
+    int_type overflow(int_type c) override { return c; }
+    std::streamsize
+    xsputn(const char *, std::streamsize n) override
+    {
+        return n;
+    }
+};
+
+/** Heap allocations of one dumpStats on a @p servers wheel plant. */
+std::size_t
+statsDumpAllocations(std::size_t servers)
+{
+    DataCenter dc(wheelPlant(servers));
+    SingleTaskGenerator gen(std::make_shared<FixedService>(5 * msec));
+    dc.pumpTrace({0, 1 * msec, 2 * msec}, gen);
+    dc.run();
+    NullBuf sink;
+    std::ostream os(&sink);
+    allocations = 0;
+    counting = true;
+    dc.dumpStats(os);
+    counting = false;
+    return allocations;
+}
+
+} // namespace
+
+TEST(AllocBudget, StatsDumpAllocationsDoNotScaleWithServers)
+{
+    const std::size_t small = statsDumpAllocations(1000);
+    const std::size_t large = statsDumpAllocations(4000);
+    RecordProperty("stats_dump_allocations", static_cast<int>(large));
+    // The server rows share one buffer; only the fixed groups allocate.
+    EXPECT_EQ(small, large);
+    EXPECT_LE(large, 16u);
 }

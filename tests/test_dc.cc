@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -369,6 +370,159 @@ TEST(DataCenter, StatsDumpDigestIsGolden)
               std::string::npos);
     EXPECT_EQ(rows, 935u) << dump;
     EXPECT_EQ(h, 0x324c541a7224cc80ULL) << std::hex << h;
+}
+
+namespace {
+
+/** DataCenter::dumpStats rebuilt from public accessors, one
+ *  ostream << per value (no profiler, auditor or orchestrator). */
+std::string
+referenceDump(DataCenter &dc)
+{
+    std::ostringstream os;
+    auto line = [&os](std::string_view group, auto id,
+                      std::string_view key, auto value) {
+        os << group << id << '.' << key << ' ' << value << '\n';
+    };
+    const std::string_view none;
+    line("sim", none, "seconds", toSeconds(dc.sim().curTick()));
+    line("sim", none, "events", dc.sim().eventsProcessed());
+
+    GlobalScheduler &s = dc.scheduler();
+    line("scheduler", none, "jobs_submitted", s.jobsSubmitted());
+    line("scheduler", none, "jobs_completed", s.jobsCompleted());
+    line("scheduler", none, "tasks_dispatched", s.tasksDispatched());
+    line("scheduler", none, "transfers_started", s.transfersStarted());
+    line("scheduler", none, "global_queue_len", s.globalQueueLength());
+    const Percentile &lat = s.jobLatency();
+    line("scheduler", none, "job_latency_mean_s", lat.mean());
+    line("scheduler", none, "job_latency_p50_s", lat.p50());
+    line("scheduler", none, "job_latency_p90_s", lat.p90());
+    line("scheduler", none, "job_latency_p95_s", lat.p95());
+    line("scheduler", none, "job_latency_p99_s", lat.p99());
+
+    Network *net = dc.network();
+    if (FaultManager *f = dc.faults()) {
+        const ReliabilitySummary rel = fleetReliability(dc.serverPtrs());
+        const std::string_view g = "reliability";
+        line(g, none, "fleet_availability", f->fleetAvailability());
+        line(g, none, "faults_injected", f->faultsInjected());
+        line(g, none, "total_downtime_s", toSeconds(f->totalDowntime()));
+        line(g, none, "components_down", f->currentlyDown());
+        line(g, none, "task_retries", s.taskRetries());
+        line(g, none, "task_timeouts", s.taskTimeouts());
+        line(g, none, "transfers_aborted", s.transfersAborted());
+        line(g, none, "jobs_failed", s.jobsFailed());
+        line(g, none, "server_failures", rel.serverFailures);
+        line(g, none, "tasks_killed", rel.tasksKilled);
+        line(g, none, "wasted_joules", rel.wastedJoules);
+        line(g, none, "wasted_energy_frac", rel.wastedFraction());
+        if (net)
+            line(g, none, "flows_aborted", net->flows().flowsAborted());
+    }
+
+    for (std::size_t i = 0; i < dc.numServers(); ++i) {
+        Server &srv = dc.server(i);
+        const auto id = srv.id();
+        const EnergyBreakdown &e = srv.energy();
+        line("server", id, "energy_cpu_j", e.cpu);
+        line("server", id, "energy_dram_j", e.dram);
+        line("server", id, "energy_platform_j", e.platform);
+        line("server", id, "energy_total_j", e.total());
+        line("server", id, "tasks_completed", srv.tasksCompleted());
+        line("server", id, "wake_transitions", srv.wakeTransitions());
+        line("server", id, "sleep_transitions", srv.sleepTransitions());
+        const StateResidency &r = srv.residency();
+        const std::pair<const char *, ServerState> fracs[] = {
+            {"frac_active", ServerState::active},
+            {"frac_wakeup", ServerState::wakingUp},
+            {"frac_idle", ServerState::idle},
+            {"frac_pkg_c6", ServerState::pkgC6},
+            {"frac_sys_sleep", ServerState::sysSleep},
+            {"frac_failed", ServerState::failed}};
+        for (const auto &[key, state] : fracs) {
+            if (state != ServerState::failed || dc.faults())
+                line("server", id, key, r.fraction(static_cast<int>(state)));
+        }
+    }
+
+    if (net) {
+        const std::string_view g = "network";
+        line(g, none, "switch_energy_j", net->switchEnergy());
+        line(g, none, "packets_delivered", net->packetsDelivered());
+        line(g, none, "packets_dropped", net->packetsDropped());
+        line(g, none, "flows_completed", net->flows().flowsCompleted());
+        line(g, none, "flow_latency_mean_s",
+             net->flows().flowLatency().mean());
+        line(g, none, "packet_latency_mean_s", net->packetLatency().mean());
+        line(g, none, "sleeping_switches", net->sleepingSwitches());
+        const NetSolverStats &ss = net->flows().solverStats();
+        line(g, none, "solver_resolves", ss.resolves);
+        line(g, none, "solver_dirty_flows_mean", ss.meanDirtyFlows());
+        line(g, none, "solver_dirty_flows_max", ss.maxDirtyFlows);
+        line(g, none, "solver_dirty_links", ss.dirtyLinks);
+        line(g, none, "fast_path_hits", ss.fastPathHits);
+        for (std::size_t i = 0; i < net->numSwitches(); ++i) {
+            Switch &sw = net->switchAt(i);
+            line("switch", sw.id(), "energy_j", sw.energy());
+            line("switch", sw.id(), "packets_forwarded",
+                 sw.packetsForwarded());
+            line("switch", sw.id(), "packets_dropped", sw.packetsDropped());
+            line("switch", sw.id(), "sleep_transitions",
+                 sw.sleepTransitions());
+            line("switch", sw.id(), "frac_asleep",
+                 sw.residency().fraction(1));
+        }
+    }
+    return os.str();
+}
+
+} // namespace
+
+// The dump streams its server and switch rows through one buffer that
+// flushes every 64 KiB and reuses each column's last formatted value.
+// 2,000 servers cross the flush threshold many times; faults add the
+// frac_failed column and the star fabric the switch rows. Every byte
+// must match a reference written one `ostream <<` at a time.
+TEST(DataCenter, StatsDumpMatchesOstreamReference)
+{
+    DataCenterConfig cfg;
+    cfg.nServers = 2000;
+    cfg.nCores = 2;
+    cfg.seed = 11;
+    cfg.fabric = DataCenterConfig::Fabric::star;
+    cfg.fault.enabled = true;
+    cfg.fault.mttfHours = 20.0 / 3600.0; // 20 s per server
+    cfg.fault.mttrMinutes = 0.5 / 60.0;  // 0.5 s
+    cfg.fault.maxRetries = 5;
+    DataCenter dc(cfg);
+    FanOutInGenerator gen(fixedSvc(2 * msec), fixedSvc(20 * msec),
+                          fixedSvc(1 * msec), 3, 20'000);
+    dc.pump(std::make_unique<PoissonArrival>(500.0,
+                                             dc.makeRng("arrivals")),
+            gen, 300);
+    dc.run();
+
+    std::ostringstream os;
+    dc.dumpStats(os);
+    const std::string got = os.str();
+    const std::string want = referenceDump(dc);
+    EXPECT_GT(got.size(), 8u * 64 * 1024);
+    EXPECT_NE(got.find("\nserver1999.frac_failed "), std::string::npos);
+    EXPECT_NE(got.find("\nswitch0.frac_asleep "), std::string::npos);
+    EXPECT_EQ(got.find("\nreliability.faults_injected 0\n"),
+              std::string::npos);
+    if (got != want) {
+        const auto diff = std::mismatch(got.begin(), got.end(),
+                                        want.begin(), want.end());
+        const std::size_t at = static_cast<std::size_t>(
+            diff.first - got.begin());
+        const std::size_t from = at < 80 ? 0 : at - 80;
+        FAIL() << "dumps differ at byte " << at << " of " << got.size()
+               << " (reference " << want.size() << ")\n--- dump:\n"
+               << got.substr(from, 160) << "\n--- reference:\n"
+               << want.substr(from, 160);
+    }
 }
 
 // -------------------------------------------------------- invariant auditor
