@@ -114,13 +114,14 @@ options:
                         autoscaler; implies --orch
   --profile             profile the DES kernel; adds profile.* stats
                         and a hot-events table to the dump
-  --timer-mode=M        governor timer discipline: events (default;
-                        one kernel event per timeout) | wheel
-                        (coalesce onto a shared timer wheel; adds
-                        profile.wheel.* stats under --profile)
+  --timer-mode=M        governor timer wheel: events (default;
+                        1-tick buckets, one kernel event per
+                        timeout) | wheel (buckets of
+                        --wheel-granularity-us; adds profile.wheel.*
+                        stats under --profile)
   --wheel-granularity-us=N
-                        wheel bucket width in us (default 0.001 =
-                        1 ns, exact firing)
+                        wheel bucket width in us (default and
+                        minimum 0.001 = 1 ns, exact firing)
   --jobs=N              run experiment cells on N worker threads
                         (0 = one per hardware thread; default 1)
   --replicas=R          run R replications per sweep point, each

@@ -15,9 +15,11 @@
  * --queue=heap|calendar selects the event-queue backend. Both pop in
  * the same order, so stdout is identical and timing alternating runs
  * of the two measures the calendar queue end to end (README
- * "Performance"). --timer-mode=wheel puts the governor timers on the
- * shared wheel (bucket width --wheel-granularity-us; 0 = exact 1-tick
- * buckets). --profile attaches the layer probe (telemetry/layer_probe.hh)
+ * "Performance"). The governor timers always ride the simulator's
+ * timer wheel; --timer-mode=wheel sets its bucket width to
+ * --wheel-granularity-us (under one tick means exact 1-tick firing,
+ * the events-mode default) and prints its profile.wheel.* stats
+ * under --profile. --profile attaches the layer probe (telemetry/layer_probe.hh)
  * and prints its profile.* stats, hot-events table and per-layer
  * host-time split, as holdcsim_cli --profile does. The probe counts
  * every event but times only one in LayerProbe::timingStride, which
@@ -31,7 +33,6 @@
 #include <string>
 
 #include "dc/datacenter.hh"
-#include "sim/timer_wheel.hh"
 #include "telemetry/layer_probe.hh"
 #include "workload/service.hh"
 
@@ -65,11 +66,10 @@ main(int argc, char **argv)
         } else if (arg == "--timer-mode=events") {
             use_wheel = false;
         } else if (arg.rfind("--wheel-granularity-us=", 0) == 0) {
-            double us = std::stod(arg.substr(23));
+            const double ticks =
+                std::stod(arg.substr(23)) * static_cast<double>(usec);
             wheel_granularity =
-                us <= 0.0 ? 1
-                          : static_cast<Tick>(
-                                us * static_cast<double>(usec));
+                ticks < 1.0 ? 1 : static_cast<Tick>(ticks);
         } else {
             std::fprintf(stderr,
                          "usage: three_tier [--profile] "
@@ -83,12 +83,7 @@ main(int argc, char **argv)
     // 12 servers behind one switch; tiers are assigned by task type
     // (DataCenter builds untyped servers, so build this fleet by
     // hand to show the lower-level API).
-    Simulator sim(backend);
-    std::unique_ptr<TimerWheel> wheel;
-    if (use_wheel) {
-        wheel = std::make_unique<TimerWheel>(sim, wheel_granularity);
-        sim.setTimerWheel(wheel.get());
-    }
+    Simulator sim(backend, use_wheel ? wheel_granularity : 1);
     ServerPowerProfile profile;
     Topology topo = Topology::star(12, 1e9, 5 * usec);
     Network net(sim, std::move(topo),
@@ -174,6 +169,7 @@ main(int argc, char **argv)
     }
 
     if (profile_on)
-        probe.dump(std::cout, sim.eventQueue(), wheel.get());
+        probe.dump(std::cout, sim.eventQueue(),
+                   use_wheel ? &sim.timerWheel() : nullptr);
     return 0;
 }

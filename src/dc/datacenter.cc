@@ -1,5 +1,6 @@
 #include "datacenter.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <ostream>
 
@@ -61,10 +62,14 @@ struct DataCenter::Pump {
 };
 
 DataCenter::DataCenter(const DataCenterConfig &config)
-    : _config(config)
+    : _config(config),
+      // A 0 granularity is left to validate() and its error message.
+      _sim(EventQueue::Backend::calendar,
+           _config.timerMode == DataCenterConfig::TimerMode::wheel
+               ? std::max<Tick>(_config.wheelGranularity, 1)
+               : 1)
 {
     _config.validate();
-
     // Record the experiment seed with the engine so a post-mortem
     // abort dump names the exact replica that died.
     _sim.setExperimentSeed(_config.seed);
@@ -87,15 +92,6 @@ DataCenter::DataCenter(const DataCenterConfig &config)
     if (tel.wantsProfiling()) {
         _profiler = std::make_unique<LayerProbe>();
         _sim.setProbe(_profiler.get());
-    }
-
-    // The shared governor timer wheel must be installed before any
-    // entity that arms power-state timeouts is built: pools, line
-    // cards and switches latch the wheel pointer at construction.
-    if (_config.timerMode == DataCenterConfig::TimerMode::wheel) {
-        _wheel = std::make_unique<TimerWheel>(_sim,
-                                              _config.wheelGranularity);
-        _sim.setTimerWheel(_wheel.get());
     }
 
     // Fabric first: topologies dictate the server count.
@@ -477,7 +473,7 @@ DataCenter::dumpStats(std::ostream &os)
     sim_group.dump(os);
 
     if (_profiler)
-        _profiler->dump(os, _sim.eventQueue(), _wheel.get());
+        _profiler->dump(os, _sim.eventQueue(), timerWheel());
 
     if (_auditor) {
         StatGroup g("audit");

@@ -69,8 +69,15 @@ class DataCenter
     LayerProbe *profiler() { return _profiler.get(); }
     /** Null unless config.audit.enabled. */
     InvariantAuditor *auditor() { return _auditor.get(); }
-    /** Null unless config.timerMode == TimerMode::wheel. */
-    TimerWheel *timerWheel() { return _wheel.get(); }
+    /** The engine's timer wheel when config.timerMode ==
+     *  TimerMode::wheel, else null (its stats are then not reported). */
+    TimerWheel *
+    timerWheel()
+    {
+        return _config.timerMode == DataCenterConfig::TimerMode::wheel
+                   ? &_sim.timerWheel()
+                   : nullptr;
+    }
     const DataCenterConfig &config() const { return _config; }
     ///@}
 
@@ -137,14 +144,9 @@ class DataCenter
     struct Pump;
 
     DataCenterConfig _config;
+    /** Owns the governor timer wheel (G = wheelGranularity in wheel
+     *  mode, 1 tick otherwise). */
     Simulator _sim;
-    /**
-     * Shared governor timer wheel (timer_mode=wheel only). Declared
-     * directly after the engine: every pool/card/switch latches the
-     * pointer at construction and cancels its handles before this
-     * dtor runs.
-     */
-    std::unique_ptr<TimerWheel> _wheel;
     /**
      * Telemetry sits between the engine and the plant: constructed
      * before (destroyed after) every component that may emit trace

@@ -93,7 +93,8 @@ DataCenterConfig::validate() const
             fatal("audit.energy_tolerance must be non-negative");
     }
     if (wheelGranularity == 0)
-        fatal("datacenter.wheel_granularity_us must be positive");
+        fatal("datacenter.wheel_granularity_us must be at least 0.001 "
+              "(one tick)");
     if (mc.strategy != "boundary" && mc.strategy != "pairwise" &&
         mc.strategy != "exhaustive" && mc.strategy != "random") {
         fatal("unknown mc.strategy '", mc.strategy, "'");
@@ -132,9 +133,11 @@ DataCenterConfig::fromConfig(const Config &cfg)
     else
         fatal("unknown datacenter.timer_mode '", tm, "'");
     if (cfg.has("datacenter.wheel_granularity_us")) {
-        out.wheelGranularity = static_cast<Tick>(
+        // Anything under one tick (NaN included) fails validate().
+        const double ticks =
             cfg.getDouble("datacenter.wheel_granularity_us") *
-            static_cast<double>(usec));
+            static_cast<double>(usec);
+        out.wheelGranularity = ticks >= 1.0 ? static_cast<Tick>(ticks) : 0;
     }
 
     std::string qm = cfg.getString("server.queue_mode", "unified");
@@ -284,8 +287,6 @@ DataCenterConfig::fromConfig(const Config &cfg)
         cfg.getDouble("orch.autoscale_high", out.orch.autoscaleHigh);
     out.orch.autoscaleLow =
         cfg.getDouble("orch.autoscale_low", out.orch.autoscaleLow);
-    out.orch.rebalance =
-        cfg.getBool("orch.rebalance", out.orch.rebalance);
     out.orch.migrationDirtyFrac = cfg.getDouble(
         "orch.migration_dirty_frac", out.orch.migrationDirtyFrac);
     if (cfg.has("orch.migration_stop_copy_mb")) {
@@ -426,7 +427,7 @@ const char *const knownConfigKeys[] = {
     "orch.overcommit", "orch.interference",
     "orch.remote_mem_penalty_per_us", "orch.server_mem_mb",
     "orch.autoscale", "orch.autoscale_high", "orch.autoscale_low",
-    "orch.rebalance", "orch.migration_dirty_frac",
+    "orch.migration_dirty_frac",
     "orch.migration_stop_copy_mb", "orch.migration_max_rounds",
     "orch.tag_jobs", "orch.replicas", "orch.min_replicas",
     "orch.max_replicas", "orch.container_cores",

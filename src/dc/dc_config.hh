@@ -57,12 +57,12 @@ struct DataCenterConfig {
     /** @name Kernel timer discipline */
     ///@{
     /**
-     * How power-state governor timeouts (core demotion, port LPI,
-     * line card / switch sleep) are scheduled: one kernel event per
-     * timeout (events), or coalesced onto a shared hierarchical
-     * timer wheel (wheel). With wheelGranularity = 1 the wheel is
-     * statistics-identical to events mode; coarser buckets trade
-     * firing exactness (quantized up) for fewer kernel events.
+     * Bucket width of the engine's governor timer wheel (core
+     * demotion, port LPI, line card / switch sleep): 1 tick, one
+     * kernel event per timeout (events), or wheelGranularity, which
+     * fires each bucket's timeouts from one event, quantized up
+     * (wheel; also reports the wheel's stats). wheel with
+     * wheelGranularity = 1 fires exactly like events.
      */
     enum class TimerMode { events, wheel };
     TimerMode timerMode = TimerMode::events;
@@ -284,7 +284,7 @@ struct DataCenterConfig {
      *                reconcile_ms, overcommit, interference,
      *                remote_mem_penalty_per_us, server_mem_mb,
      *                autoscale, autoscale_high, autoscale_low,
-     *                rebalance, migration_dirty_frac,
+     *                migration_dirty_frac,
      *                migration_stop_copy_mb, migration_max_rounds,
      *                tag_jobs, replicas, min_replicas, max_replicas,
      *                container_cores, container_mem_mb,

@@ -135,22 +135,4 @@ ResultTable::writeCsv(std::ostream &os) const
     }
 }
 
-void
-ResultTable::writeSummaryCsv(std::ostream &os) const
-{
-    os << "point,label,metric,n,mean,stddev,ci95\n";
-    std::size_t points = numPoints();
-    for (std::size_t p = 0; p < points; ++p) {
-        for (const std::string &m : _metricOrder) {
-            Summary s = summary(p, m);
-            if (s.n == 0)
-                continue;
-            os << p << ',' << pointLabel(p) << ',' << m << ','
-               << s.n << ',' << formatMetricValue(s.mean) << ','
-               << formatMetricValue(s.stddev) << ','
-               << formatMetricValue(s.ci95) << '\n';
-        }
-    }
-}
-
 } // namespace holdcsim

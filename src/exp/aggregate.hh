@@ -79,9 +79,6 @@ class ResultTable
      */
     void writeCsv(std::ostream &os) const;
 
-    /** Write per-point summaries: point,label,metric,n,mean,stddev,ci95. */
-    void writeSummaryCsv(std::ostream &os) const;
-
   private:
     struct Row {
         std::size_t point;

@@ -13,55 +13,34 @@ LineCard::LineCard(Simulator &sim, unsigned id,
                    StateChangedFn state_changed)
     : _sim(sim), _id(id), _profile(profile),
       _accrue(std::move(accrue)),
-      _stateChanged(std::move(state_changed)),
-      _wheel(sim.timerWheel()),
-      _sleepEvent([this] { sleepDeadline(); }, "linecard.sleep",
-                  Event::powerPriority)
+      _stateChanged(std::move(state_changed))
 {
     _residency.enter(static_cast<int>(_state), sim.curTick());
 }
 
 LineCard::~LineCard()
 {
-    if (_sleepEvent.scheduled())
-        _sim.deschedule(_sleepEvent);
-    if (_wheel)
-        _wheel->cancel(_sleepHandle);
-}
-
-void
-LineCard::sleepDeadline()
-{
-    if (!anyPortActive() && _state == LineCardState::active)
-        setState(LineCardState::sleep);
+    _sim.timerWheel().cancel(_sleepHandle);
 }
 
 void
 LineCard::timerFired(std::uint64_t, Tick)
 {
     _sleepHandle = {}; // the firing handle is already dead
-    sleepDeadline();
+    if (!anyPortActive() && _state == LineCardState::active)
+        setState(LineCardState::sleep);
 }
 
 void
 LineCard::armSleep(Tick delay)
 {
-    if (_wheel) {
-        _wheel->cancel(_sleepHandle);
-        _sleepHandle = _wheel->arm(*this, 0, delay);
-    } else {
-        _sim.reschedule(_sleepEvent, _sim.curTick() + delay);
-    }
+    _sim.timerWheel().rearm(_sleepHandle, *this, 0, delay);
 }
 
 void
 LineCard::cancelSleep()
 {
-    if (_wheel) {
-        _wheel->cancel(_sleepHandle);
-    } else if (_sleepEvent.scheduled()) {
-        _sim.deschedule(_sleepEvent);
-    }
+    _sim.timerWheel().cancel(_sleepHandle);
 }
 
 bool

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "port.hh"
-#include "sim/event.hh"
 #include "sim/simulator.hh"
 #include "sim/stats.hh"
 #include "sim/timer_wheel.hh"
@@ -96,8 +95,7 @@ class LineCard : private TimerClient
     void traceState();
     /** TimerClient: the sleep countdown expired. */
     void timerFired(std::uint64_t token, Tick deadline) override;
-    /** Body shared by the sleep event and the wheel callback. */
-    void sleepDeadline();
+    const char *timerName() const override { return "linecard.sleep"; }
     void armSleep(Tick delay);
     void cancelSleep();
 
@@ -106,13 +104,10 @@ class LineCard : private TimerClient
     const SwitchPowerProfile &_profile;
     AccrueFn _accrue;
     StateChangedFn _stateChanged;
-    /** Wheel latched at construction; nullptr = private event. */
-    TimerWheel *_wheel;
     TimerWheel::Handle _sleepHandle;
 
     LineCardState _state = LineCardState::active;
     std::vector<Port *> _ports;
-    EventFunctionWrapper _sleepEvent;
     StateResidency _residency;
 
     std::string _traceLabel;

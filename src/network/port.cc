@@ -12,7 +12,7 @@ PortPool::PortPool(Simulator &sim, PortHost &host,
                    std::vector<BitsPerSec> line_rates,
                    std::size_t buffer_capacity)
     : _sim(sim), _host(host), _profile(profile),
-      _bufferCapacity(buffer_capacity), _wheel(sim.timerWheel())
+      _bufferCapacity(buffer_capacity)
 {
     for (BitsPerSec r : line_rates)
         if (r <= 0.0)
@@ -36,13 +36,6 @@ PortPool::PortPool(Simulator &sim, PortHost &host,
     for (unsigned p = 0; p < n; ++p) {
         _txDoneEvents.emplace_back([this, p] { transmitDone(p); },
                                    "port.txDone");
-        if (!_wheel)
-            _lpiEvents.emplace_back([this, p] {
-                if (!busy(p) && _state[p] == PortState::active) {
-                    setState(p, PortState::lpi);
-                    _host.portActivityChanged(p);
-                }
-            }, "port.lpi", Event::powerPriority);
         _residency[p].enter(static_cast<int>(_state[p]), now);
         maybeArmLpi(p);
     }
@@ -53,12 +46,8 @@ PortPool::~PortPool()
     for (auto &ev : _txDoneEvents)
         if (ev.scheduled())
             _sim.deschedule(ev);
-    for (auto &ev : _lpiEvents)
-        if (ev.scheduled())
-            _sim.deschedule(ev);
-    if (_wheel)
-        for (auto &h : _lpi)
-            _wheel->cancel(h);
+    for (auto &h : _lpi)
+        _sim.timerWheel().cancel(h);
 }
 
 void
@@ -183,23 +172,13 @@ PortPool::maybeArmLpi(unsigned p)
         return;
     if (_profile.lpiIdleThreshold == maxTick)
         return; // LPI disabled (e.g. pre-802.3az hardware)
-    if (_wheel) {
-        _wheel->cancel(_lpi[p]);
-        _lpi[p] = _wheel->arm(*this, p, _profile.lpiIdleThreshold);
-    } else {
-        _sim.reschedule(_lpiEvents[p],
-                        _sim.curTick() + _profile.lpiIdleThreshold);
-    }
+    _sim.timerWheel().rearm(_lpi[p], *this, p, _profile.lpiIdleThreshold);
 }
 
 void
 PortPool::cancelLpi(unsigned p)
 {
-    if (_wheel) {
-        _wheel->cancel(_lpi[p]);
-    } else if (_lpiEvents[p].scheduled()) {
-        _sim.deschedule(_lpiEvents[p]);
-    }
+    _sim.timerWheel().cancel(_lpi[p]);
 }
 
 Watts

@@ -11,8 +11,9 @@
  * deliver callback) lives in a parallel per-port struct touched only
  * when the port actually moves traffic.
  *
- * When the Simulator has a TimerWheel installed, LPI countdowns arm
- * wheel timers instead of one "port.lpi" event per port.
+ * LPI countdowns arm timers on the Simulator's TimerWheel, one handle
+ * per port; at the default 1-tick granularity each countdown is its
+ * own "port.lpi" kernel event.
  */
 
 #ifndef HOLDCSIM_NETWORK_PORT_HH
@@ -70,7 +71,7 @@ class PortPool : public TimerClient
              std::vector<BitsPerSec> line_rates,
              std::size_t buffer_capacity);
 
-    /** Deschedules pending events and cancels wheel timers. */
+    /** Deschedules pending transmissions and cancels LPI timers. */
     ~PortPool() override;
 
     PortPool(const PortPool &) = delete;
@@ -80,6 +81,7 @@ class PortPool : public TimerClient
 
     /** TimerClient: an LPI deadline expired (token = port id). */
     void timerFired(std::uint64_t token, Tick deadline) override;
+    const char *timerName() const override { return "port.lpi"; }
 
   private:
     friend class Port;
@@ -118,8 +120,6 @@ class PortPool : public TimerClient
     PortHost &_host;
     const SwitchPowerProfile &_profile;
     std::size_t _bufferCapacity;
-    /** Wheel latched at construction; nullptr = per-port events. */
-    TimerWheel *_wheel;
 
     // Hot per-port state, indexed by dense port id.
     std::vector<PortState> _state;
@@ -133,10 +133,8 @@ class PortPool : public TimerClient
     std::vector<Bytes> _bytesSent;
 
     std::vector<PortIo> _io;
-    // Events are address-stable in deques (Event is pinned).
-    // _lpiEvents stays empty in wheel mode.
+    // Events are address-stable in a deque (Event is pinned).
     std::deque<EventFunctionWrapper> _txDoneEvents;
-    std::deque<EventFunctionWrapper> _lpiEvents;
 };
 
 /**

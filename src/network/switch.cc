@@ -33,9 +33,6 @@ Switch::Switch(Simulator &sim, const SwitchConfig &config,
     : _sim(sim), _config(config), _profile(profile),
       _portPool(sim, *this, _profile, checkedPortRates(config, _profile),
                 config.portBufferCapacity),
-      _wheel(sim.timerWheel()),
-      _sleepEvent([this] { trySleep(); }, "switch.sleep",
-                  Event::powerPriority),
       _lastAccrue(sim.curTick())
 {
     unsigned n_ports = _portPool.size();
@@ -66,10 +63,7 @@ Switch::Switch(Simulator &sim, const SwitchConfig &config,
 
 Switch::~Switch()
 {
-    if (_sleepEvent.scheduled())
-        _sim.deschedule(_sleepEvent);
-    if (_wheel)
-        _wheel->cancel(_sleepHandle);
+    _sim.timerWheel().cancel(_sleepHandle);
 }
 
 void
@@ -82,23 +76,14 @@ Switch::timerFired(std::uint64_t, Tick)
 void
 Switch::armSleep()
 {
-    if (_wheel) {
-        _wheel->cancel(_sleepHandle);
-        _sleepHandle = _wheel->arm(*this, 0, _config.switchSleepDelay);
-    } else {
-        _sim.reschedule(_sleepEvent,
-                        _sim.curTick() + _config.switchSleepDelay);
-    }
+    _sim.timerWheel().rearm(_sleepHandle, *this, 0,
+                            _config.switchSleepDelay);
 }
 
 void
 Switch::cancelSleep()
 {
-    if (_wheel) {
-        _wheel->cancel(_sleepHandle);
-    } else if (_sleepEvent.scheduled()) {
-        _sim.deschedule(_sleepEvent);
-    }
+    _sim.timerWheel().cancel(_sleepHandle);
 }
 
 Tick

@@ -14,7 +14,6 @@
 #include "linecard.hh"
 #include "packet.hh"
 #include "port.hh"
-#include "sim/event.hh"
 #include "sim/simulator.hh"
 #include "sim/stats.hh"
 #include "switch_power.hh"
@@ -129,6 +128,7 @@ class Switch : private PortHost, private TimerClient
     ///@}
     /** TimerClient: the whole-switch sleep countdown expired. */
     void timerFired(std::uint64_t token, Tick deadline) override;
+    const char *timerName() const override { return "switch.sleep"; }
     void linecardStateChanged();
     void armSleep();
     void cancelSleep();
@@ -151,10 +151,7 @@ class Switch : private PortHost, private TimerClient
     bool _asleep = false;
     bool _failed = false;
     Tick _forwardingDelay = 1 * usec;
-    /** Wheel latched at construction; nullptr = private event. */
-    TimerWheel *_wheel = nullptr;
     TimerWheel::Handle _sleepHandle;
-    EventFunctionWrapper _sleepEvent;
 
     Tick _lastAccrue = 0;
     Joules _energy = 0.0;

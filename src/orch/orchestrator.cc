@@ -76,15 +76,6 @@ Orchestrator::createDeployment(DeploymentSpec spec)
 }
 
 void
-Orchestrator::setReplicas(DeploymentId d, unsigned replicas)
-{
-    Deployment &dp = dep(d);
-    dp.spec.replicas = std::clamp(replicas, dp.spec.minReplicas,
-                                  dp.spec.maxReplicas);
-    reconcileDeployment(d);
-}
-
-void
 Orchestrator::beginRollingUpdate(DeploymentId d, int new_version)
 {
     Deployment &dp = dep(d);
@@ -606,8 +597,6 @@ Orchestrator::reconcile()
             autoscaleDeployment(d);
         reconcileDeployment(d);
     }
-    if (_cfg.rebalance)
-        rebalanceOnce();
     _sim.schedule(_reconcileEvent,
                   _sim.curTick() + _cfg.reconcilePeriod);
 }
@@ -719,48 +708,6 @@ Orchestrator::autoscaleDeployment(DeploymentId id)
         ++_stats.autoscaleDowns;
         traceEvent("deploy" + std::to_string(id) + ".scale_down." +
                    std::to_string(d.spec.replicas));
-    }
-}
-
-void
-Orchestrator::rebalanceOnce()
-{
-    if (!_net)
-        return;
-    for (std::size_t s = 0; s < _alloc.size(); ++s) {
-        double phys = _sched.servers()[s]->numCores();
-        if (_alloc[s].down || _alloc[s].cores <= phys + 1e-9)
-            continue;
-        // Physically overcommitted: move its smallest running
-        // container to the emptiest server that takes it without
-        // going over physical capacity.
-        Container *victim = nullptr;
-        for (Container &c : _containers) {
-            if (c.server != s ||
-                c.state != ContainerState::running || c.draining) {
-                continue;
-            }
-            if (!victim || c.spec.cores < victim->spec.cores)
-                victim = &c;
-        }
-        if (!victim)
-            continue;
-        std::size_t bestDst = noServer;
-        double bestFree = -1.0;
-        for (std::size_t t = 0; t < _alloc.size(); ++t) {
-            if (t == s || !fits(t, victim->spec))
-                continue;
-            double tphys = _sched.servers()[t]->numCores();
-            if (_alloc[t].cores + victim->spec.cores > tphys + 1e-9)
-                continue;
-            double free = tphys - _alloc[t].cores;
-            if (free > bestFree) {
-                bestFree = free;
-                bestDst = t;
-            }
-        }
-        if (bestDst != noServer && migrate(victim->id, bestDst))
-            return; // one migration per pass: bounded churn
     }
 }
 

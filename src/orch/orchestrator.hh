@@ -83,8 +83,6 @@ struct OrchConfig {
     double autoscaleHigh = 0.75;
     /** Scale down when it falls below. */
     double autoscaleLow = 0.25;
-    /** Migrate containers off physically overcommitted servers. */
-    bool rebalance = false;
     /** @name Dirty-page migration model */
     ///@{
     /** Fraction of copied memory re-dirtied per pre-copy round. */
@@ -123,8 +121,6 @@ class Orchestrator
     /** Create a deployment; its replicas place immediately (or stay
      *  pending until capacity appears). */
     DeploymentId createDeployment(DeploymentSpec spec);
-    /** Move the desired replica count (clamped to min/max). */
-    void setReplicas(DeploymentId d, unsigned replicas);
     /**
      * Begin replacing every replica of @p d whose version is below
      * @p new_version: one surge replica is started per reconcile
@@ -256,7 +252,6 @@ class Orchestrator
     void releaseDeferred(Deployment &d);
     void reconcileDeployment(DeploymentId id);
     void autoscaleDeployment(DeploymentId id);
-    void rebalanceOnce();
 
     /** One-way fabric path latency between two servers. */
     Tick pathLatency(std::size_t a, std::size_t b) const;

@@ -10,8 +10,7 @@ static_assert(static_cast<int>(CoreCState::c6) < StateResidency::maxStates,
 CorePool::CorePool(Simulator &sim, CoreHost &host,
                    const ServerPowerProfile &profile, unsigned n_cores,
                    const std::vector<double> &base_freqs_ghz)
-    : _sim(sim), _host(host), _profile(profile),
-      _wheel(sim.timerWheel()), _size(n_cores)
+    : _sim(sim), _host(host), _profile(profile), _size(n_cores)
 {
     if (n_cores == 0)
         fatal("a core pool needs at least one core");
@@ -22,18 +21,12 @@ CorePool::CorePool(Simulator &sim, CoreHost &host,
             fatal("core base frequency must be positive");
 
     _slots = std::make_unique<Slot[]>(n_cores);
-    if (!_wheel)
-        _demotionEvents = std::make_unique<CoreEvent<true>[]>(n_cores);
 
     const Tick now = sim.curTick();
     for (unsigned c = 0; c < n_cores; ++c) {
         Slot &s = _slots[c];
         s.baseFreqGhz = base_freqs_ghz.empty() ? profile.pstates[0].freqGhz
                                                : base_freqs_ghz[c];
-        if (!_wheel) {
-            _demotionEvents[c].pool = this;
-            _demotionEvents[c].core = c;
-        }
         s.residency.enter(static_cast<int>(s.cstate), now);
         armDemotion(c);
     }
@@ -240,22 +233,13 @@ CorePool::armDemotion(unsigned c)
     }
     if (delay == maxTick)
         return; // state disabled
-    if (_wheel) {
-        _wheel->cancel(_slots[c].demotion);
-        _slots[c].demotion = _wheel->arm(*this, c, delay);
-    } else {
-        _sim.reschedule(_demotionEvents[c], _sim.curTick() + delay);
-    }
+    _sim.timerWheel().rearm(_slots[c].demotion, *this, c, delay);
 }
 
 void
 CorePool::cancelDemotion(unsigned c)
 {
-    if (_wheel) {
-        _wheel->cancel(_slots[c].demotion);
-    } else if (_demotionEvents[c].scheduled()) {
-        _sim.deschedule(_demotionEvents[c]);
-    }
+    _sim.timerWheel().cancel(_slots[c].demotion);
 }
 
 void

@@ -25,11 +25,11 @@
  * The `Core` class is a 16-byte copyable view (pool pointer + dense
  * id) carrying the familiar per-core API.
  *
- * Timer discipline: when the owning Simulator has a TimerWheel
- * installed, idle-governor demotions arm wheel timers (one kernel
- * event per occupied bucket, O(1) generation-stamped cancel);
- * otherwise each core keeps its own demotion event -- bit-identical
- * to the historical per-event behavior.
+ * Timer discipline: idle-governor demotions arm timers on the
+ * owning Simulator's TimerWheel (one slot handle per core, O(1)
+ * generation-stamped cancel). At the default 1-tick granularity each
+ * demotion is its own "core.demotion" kernel event; a coarser wheel
+ * folds same-bucket demotions into one tick event.
  */
 
 #ifndef HOLDCSIM_SERVER_CORE_HH
@@ -97,7 +97,7 @@ class CorePool : public TimerClient
              const ServerPowerProfile &profile, unsigned n_cores,
              const std::vector<double> &base_freqs_ghz = {});
 
-    /** Deschedules pending events and cancels wheel timers. */
+    /** Deschedules pending completions and cancels wheel timers. */
     ~CorePool() override;
 
     CorePool(const CorePool &) = delete;
@@ -109,6 +109,7 @@ class CorePool : public TimerClient
 
     /** TimerClient: a demotion deadline expired (token = core id). */
     void timerFired(std::uint64_t token, Tick deadline) override;
+    const char *timerName() const override { return "core.demotion"; }
 
     /** @name Read-only per-core queries (Core forwards to these) */
     ///@{
@@ -133,21 +134,13 @@ class CorePool : public TimerClient
     friend class Core;
 
     /**
-     * One core's completion or demotion event: pool + core id, no
-     * std::function. Default-constructible, so completions sit in
-     * the busy block and demotions in one exact-size array, neither
-     * of which ever moves (Event is pinned).
+     * One core's completion event: pool + core id, no std::function.
+     * Default-constructible, so completions sit in the busy block,
+     * which never moves (Event is pinned).
      */
-    template <bool Demotion>
     struct CoreEvent final : Event {
-        CoreEvent()
-            : Event(Demotion ? "core.demotion" : "core.completion",
-                    Demotion ? powerPriority : defaultPriority)
-        {}
-        void process() override
-        {
-            Demotion ? pool->demote(core) : pool->complete(core);
-        }
+        CoreEvent() : Event("core.completion") {}
+        void process() override { pool->complete(core); }
         CorePool *pool = nullptr;
         unsigned core = 0;
     };
@@ -172,7 +165,7 @@ class CorePool : public TimerClient
     struct Busy {
         TaskRef current;
         Tick startedAt = 0;
-        CoreEvent<false> completion;
+        CoreEvent completion;
     };
 
     double frequencyGhz(unsigned c) const;
@@ -195,15 +188,11 @@ class CorePool : public TimerClient
     Simulator &_sim;
     CoreHost &_host;
     const ServerPowerProfile &_profile;
-    /** Wheel latched at construction; nullptr = per-core events. */
-    TimerWheel *_wheel;
     unsigned _size;
 
     std::unique_ptr<Slot[]> _slots;
     /** One entry per core; empty until the pool's first task. */
     std::vector<Busy> _busy;
-    /** Per-core demotion events; null in wheel mode. */
-    std::unique_ptr<CoreEvent<true>[]> _demotionEvents;
     /** One label per core; null until a core is first labelled. */
     std::unique_ptr<std::string[]> _traceLabel;
 };

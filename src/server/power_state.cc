@@ -18,28 +18,6 @@ toString(CoreCState s)
 }
 
 std::string
-toString(PkgCState s)
-{
-    switch (s) {
-      case PkgCState::pc0: return "PC0";
-      case PkgCState::pc2: return "PC2";
-      case PkgCState::pc6: return "PC6";
-    }
-    HOLDCSIM_PANIC("unknown PkgCState");
-}
-
-std::string
-toString(SState s)
-{
-    switch (s) {
-      case SState::s0: return "S0";
-      case SState::s3: return "S3";
-      case SState::s5: return "S5";
-    }
-    HOLDCSIM_PANIC("unknown SState");
-}
-
-std::string
 toString(ServerState s)
 {
     switch (s) {

@@ -77,8 +77,6 @@ enum class ServerState {
 
 /** Human-readable state names (for logs and stat dumps). */
 std::string toString(CoreCState s);
-std::string toString(PkgCState s);
-std::string toString(SState s);
 std::string toString(ServerState s);
 
 } // namespace holdcsim

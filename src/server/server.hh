@@ -117,6 +117,8 @@ class Server : private CoreHost
 
     unsigned id() const { return _id; }
     unsigned numCores() const { return _corePool.size(); }
+    /** Whether the cores' busy state exists (a task has started). */
+    bool busyStateBuilt() const { return _corePool.busyStateBuilt(); }
     /** View of core @p i; panics unless i < numCores(). */
     Core core(unsigned i);
 

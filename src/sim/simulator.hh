@@ -21,11 +21,11 @@
 #include <vector>
 
 #include "event_queue.hh"
+#include "timer_wheel.hh"
 #include "types.hh"
 
 namespace holdcsim {
 
-class TimerWheel;
 class TraceManager;
 
 /**
@@ -91,9 +91,16 @@ class KernelProbe
 class Simulator
 {
   public:
+    /**
+     * @param backend           event-queue implementation
+     * @param timer_granularity bucket width of the governor timer
+     *                          wheel; 1 (the default) fires every
+     *                          governor timer at its exact tick
+     */
     explicit Simulator(
-        EventQueue::Backend backend = EventQueue::Backend::calendar)
-        : _queue(backend)
+        EventQueue::Backend backend = EventQueue::Backend::calendar,
+        Tick timer_granularity = 1)
+        : _queue(backend), _timerWheel(*this, timer_granularity)
     {}
     Simulator(const Simulator &) = delete;
     Simulator &operator=(const Simulator &) = delete;
@@ -179,18 +186,12 @@ class Simulator
     TraceManager *tracer() const { return _tracer; }
 
     /**
-     * Install (or clear, with nullptr) the shared governor timer
-     * wheel. Like the tracer, the kernel never dereferences it: the
-     * pointer rides here so entities (core pools, ports, line cards)
-     * can discover whether they should arm wheel timers instead of
-     * per-entity events. Not owned. Install before building the
-     * plant -- entities latch their timer mode at arm time, so
-     * swapping mid-run mixes disciplines.
+     * The governor timer wheel every core pool, port pool, line card
+     * and switch arms its power-state timeouts on. Its granularity is
+     * fixed at construction (see TimerWheel for the two modes).
      */
-    void setTimerWheel(TimerWheel *wheel) { _timerWheel = wheel; }
-
-    /** Installed timer wheel, or nullptr for per-entity events. */
-    TimerWheel *timerWheel() const { return _timerWheel; }
+    TimerWheel &timerWheel() { return _timerWheel; }
+    const TimerWheel &timerWheel() const { return _timerWheel; }
 
     /**
      * Install (or clear) the kernel profiling probe. Not owned.
@@ -303,7 +304,6 @@ class Simulator
     std::uint64_t _eventsProcessed = 0;
     bool _stopRequested = false;
     TraceManager *_tracer = nullptr;
-    TimerWheel *_timerWheel = nullptr;
     KernelProbe *_probe = nullptr;
     /** Fast guard for the per-event limit checks. */
     bool _limits = false;
@@ -313,6 +313,9 @@ class Simulator
     std::vector<std::pair<std::string,
                           std::function<void(std::ostream &)>>>
         _abortContexts;
+    /** Declared last, so destroyed first: its dtor deschedules its
+     *  events from the queue. */
+    TimerWheel _timerWheel;
 };
 
 } // namespace holdcsim

@@ -21,19 +21,54 @@ roundUpPow2(std::size_t n)
 
 } // namespace
 
+/** Exact mode's timer: the kernel event and the arena entry in one. */
+struct TimerWheel::ExactEvent final : Event {
+    ExactEvent() : Event("timer", powerPriority) {}
+    void process() override { wheel->fireExact(*this); }
+
+    void
+    serve(TimerClient &c, std::uint64_t t)
+    {
+        token = t;
+        if (&c == client)
+            return; // its owner re-arms a pending timer
+        client = &c;
+        const char *name = c.timerName();
+        if (name != label) { // pointer compare: renames are rare
+            rename(name);
+            label = name;
+        }
+    }
+
+    TimerWheel *wheel = nullptr;
+    TimerClient *client = nullptr;
+    const char *label = nullptr;
+    std::uint64_t token = 0;
+    /** Bumped on every free, like Entry::gen. */
+    std::uint32_t gen = 0;
+    std::uint32_t nextFree = Handle::invalidIdx;
+    std::uint32_t idx = 0;
+};
+
 TimerWheel::TimerWheel(Simulator &sim, Tick granularity, std::size_t slots)
     : _sim(sim), _granularity(granularity),
-      _slots(roundUpPow2(std::max<std::size_t>(slots, 2))),
       _tickEvent([this] { tick(); }, "wheel.tick", Event::powerPriority)
 {
     if (granularity == 0)
         fatal("TimerWheel: granularity must be >= 1 tick");
+    if (!exact())
+        _slots.resize(roundUpPow2(std::max<std::size_t>(slots, 2)));
 }
 
 TimerWheel::~TimerWheel()
 {
     if (_scheduledAt != maxTick)
         _sim.deschedule(_tickEvent);
+    for (const auto &chunk : _exactEvents) {
+        for (std::uint32_t k = 0; k < exactChunk; ++k)
+            if (chunk[k].scheduled())
+                _sim.deschedule(chunk[k]);
+    }
 }
 
 Tick
@@ -58,6 +93,21 @@ TimerWheel::allocEntry()
         fatal("TimerWheel: arena exhausted (", _arena.size(), " entries)");
     _arena.emplace_back();
     return static_cast<std::uint32_t>(_arena.size() - 1);
+}
+
+TimerWheel::ExactEvent &
+TimerWheel::exactEvent(std::uint32_t idx) const
+{
+    return _exactEvents[idx / exactChunk][idx % exactChunk];
+}
+
+void
+TimerWheel::freeExact(ExactEvent &ev)
+{
+    ++ev.gen; // invalidates every outstanding Handle to this event
+    ev.client = nullptr;
+    ev.nextFree = _exactFree;
+    _exactFree = ev.idx;
 }
 
 void
@@ -116,19 +166,51 @@ TimerWheel::settleOverflow(Tick window_base)
     }
 }
 
-TimerWheel::Handle
-TimerWheel::arm(TimerClient &client, std::uint64_t token, Tick delay)
+Tick
+TimerWheel::deadlineAfter(Tick delay) const
 {
     const Tick now = _sim.curTick();
     if (delay > maxTick - now)
         fatal("TimerWheel: deadline overflows Tick (now=", now,
               " delay=", delay, ")");
-    const Tick dl = quantize(now + delay);
+    return quantize(now + delay);
+}
 
+TimerWheel::Handle
+TimerWheel::arm(TimerClient &client, std::uint64_t token, Tick delay)
+{
+    const Tick dl = deadlineAfter(delay);
     // An empty wheel may hold a stale window from long ago; snap it
     // forward so near deadlines land in the ring, not the heap.
-    if (_live == 0)
+    if (_live == 0) {
+        const Tick now = _sim.curTick();
         _windowBase = now - now % _granularity;
+    }
+    ++_live;
+    ++_stats.armed;
+    if (_live > _stats.maxLive)
+        _stats.maxLive = _live;
+
+    if (exact()) {
+        if (_exactFree == Handle::invalidIdx) {
+            const std::size_t base = _exactEvents.size() * exactChunk;
+            if (base > Handle::invalidIdx - exactChunk)
+                fatal("TimerWheel: arena exhausted (", base, " entries)");
+            _exactEvents.push_back(
+                std::make_unique<ExactEvent[]>(exactChunk));
+            for (std::uint32_t k = exactChunk; k-- > 0;) {
+                ExactEvent &ev = _exactEvents.back()[k];
+                ev.wheel = this;
+                ev.idx = static_cast<std::uint32_t>(base + k);
+                freeExact(ev);
+            }
+        }
+        ExactEvent &ev = exactEvent(_exactFree);
+        _exactFree = ev.nextFree;
+        ev.serve(client, token);
+        _sim.schedule(ev, dl);
+        return {ev.idx, ev.gen};
+    }
 
     const std::uint32_t idx = allocEntry();
     Entry &e = _arena[idx];
@@ -149,20 +231,40 @@ TimerWheel::arm(TimerClient &client, std::uint64_t token, Tick delay)
         pushOverflow({dl, e.seq, idx, e.gen});
     }
 
-    ++_live;
-    ++_stats.armed;
-    if (_live > _stats.maxLive)
-        _stats.maxLive = _live;
-
     if (dl < _scheduledAt)
         scheduleAt(dl);
     return {idx, e.gen};
 }
 
 void
-TimerWheel::cancel(Handle &h)
+TimerWheel::rearm(Handle &h, TimerClient &client, std::uint64_t token,
+                  Tick delay)
 {
-    if (!h.valid()) {
+    if (!exact() || !pending(h)) {
+        cancel(h);
+        h = arm(client, token, delay);
+        return;
+    }
+    const Tick dl = deadlineAfter(delay);
+    ExactEvent &ev = exactEvent(h.idx);
+    ev.serve(client, token);
+    ++_stats.cancelled;
+    ++_stats.armed;
+    // Simulator::reschedule leaves an event already due at dl alone.
+    _sim.reschedule(ev, dl);
+}
+
+void
+TimerWheel::cancelValid(Handle &h)
+{
+    if (exact()) {
+        if (pending(h)) {
+            ExactEvent &ev = exactEvent(h.idx);
+            _sim.deschedule(ev);
+            freeExact(ev);
+            --_live;
+            ++_stats.cancelled;
+        }
         h = {};
         return;
     }
@@ -192,6 +294,10 @@ TimerWheel::cancel(Handle &h)
 bool
 TimerWheel::pending(const Handle &h) const
 {
+    if (exact()) {
+        return h.valid() && h.idx < _exactEvents.size() * exactChunk &&
+               exactEvent(h.idx).gen == h.gen;
+    }
     if (!h.valid() || h.idx >= _arena.size())
         return false;
     const Entry &e = _arena[h.idx];
@@ -203,7 +309,7 @@ TimerWheel::deadline(const Handle &h) const
 {
     if (!pending(h))
         fatal("TimerWheel::deadline on a dead handle");
-    return _arena[h.idx].deadline;
+    return exact() ? exactEvent(h.idx).when() : _arena[h.idx].deadline;
 }
 
 void
@@ -211,6 +317,19 @@ TimerWheel::scheduleAt(Tick when)
 {
     _sim.reschedule(_tickEvent, when);
     _scheduledAt = when;
+}
+
+void
+TimerWheel::fireExact(ExactEvent &ev)
+{
+    TimerClient *client = ev.client;
+    const std::uint64_t token = ev.token;
+    freeExact(ev); // before the callback, which may re-arm
+    --_live;
+    ++_stats.fired;
+    ++_stats.tickEvents;
+    _stats.maxBatch = 1;
+    client->timerFired(token, _sim.curTick());
 }
 
 void

@@ -1,48 +1,61 @@
 /**
  * @file
- * Shared timer wheel for power-state governor timers.
+ * The governor timer facility: every power-state governor timer (core
+ * C-state demotion, port LPI, line card and switch sleep countdowns)
+ * is armed here. Each Simulator owns one wheel (Simulator::
+ * timerWheel()); its granularity G picks the mechanism.
  *
- * The idle-governor ladder (core C-state demotion, port LPI, line
- * card and switch sleep countdowns) arms one timer per entity. With
- * one Event per timer those governors dominate the event kernel:
- * core.demotion alone is ~43% of all events on the three-tier replay.
- * The TimerWheel coalesces them: deadlines are quantized UP to a
- * bucket boundary (granularity G) and all timers sharing a boundary
- * fire from ONE kernel event, in deterministic arm order.
+ * Exact mode (G = 1, the default). Each live timer is one pooled
+ * kernel event at powerPriority, named after its client
+ * (TimerClient::timerName(): core.demotion, port.lpi, ...), so the
+ * kernel, probes and abort dumps see exactly what per-entity timer
+ * events produced. Same-tick timers fire in arm order by the kernel's
+ * FIFO tie-break, and rearm() uses Simulator::reschedule(), so a
+ * re-arm for the same deadline keeps its FIFO slot. No ring exists.
  *
- * Structure: a fixed ring of S slots each covering one G-tick
- * boundary within the rolling horizon [windowBase, windowBase + S*G),
- * plus an overflow min-heap for deadlines beyond the horizon
- * (migrated into the ring as the window advances -- the same
- * discipline as the calendar event queue's overflow heap). A single
- * "wheel.tick" event rides the simulator at the earliest live
- * boundary; when no timers are live it is descheduled, so the wheel
- * never extends a run() past the last real deadline.
+ * Ring mode (G > 1). Deadlines are quantized UP to a bucket boundary
+ * and all timers sharing a boundary fire from ONE "wheel.tick" kernel
+ * event, in deterministic arm order. Structure: a fixed ring of S
+ * slots each covering one G-tick boundary within the rolling horizon
+ * [windowBase, windowBase + S*G), plus an overflow min-heap for
+ * deadlines beyond the horizon (migrated into the ring as the window
+ * advances -- the same discipline as the calendar event queue's
+ * overflow heap). The tick event rides the simulator at the earliest
+ * live boundary; when no timers are live it is descheduled, so the
+ * wheel never extends a run() past the last real deadline.
  *
  * A slot's live refs are already in arm (seq) order, so tick() fires
  * a batch unsorted (and panics if it is not). Direct arms append in
  * seq order; the window only slides forward, so a boundary's parked
  * entries predate any direct arm onto it and migrate in (deadline,
  * seq) order as the window reaches it, before any callback runs; and
- * inside the horizon a slot holds exactly one boundary.
+ * inside the horizon a slot holds exactly one boundary. A ring-mode
+ * rearm() is a cancel plus an arm: the timer goes to the back of its
+ * boundary's batch.
  *
- * Cancellation is O(1) and race-free: handles carry a generation
- * stamp that is bumped whenever an arena entry is freed, so a stale
- * handle (or a slot reference to a reused entry) can never cancel or
- * fire the wrong timer. Callbacks may freely arm/cancel timers while
- * a batch is firing.
+ * A 1-tick ring is not offered: its 1,024 slots span 1,024 ns, so
+ * every governor deadline parks in the overflow heap, and it measured
+ * slower on the three-tier replay than one kernel event per timer.
  *
- * Semantics vs. per-entity events: a timer armed for now+d fires at
- * ceil((now+d)/G)*G -- never early, at most G-1 ticks late (Linux
- * timer-slack style). With G == 1 the wheel is tick-exact and
- * statistics-identical to the per-event path; coarser G trades
- * bounded governor-transition delay for event coalescing.
+ * Cancellation is O(1) and race-free in both modes: handles carry a
+ * generation stamp that is bumped whenever an arena entry (in exact
+ * mode, a pooled event) is freed, so a stale handle (or a slot
+ * reference to a reused entry) can never cancel or fire the wrong
+ * timer. Callbacks may freely arm/cancel
+ * timers while a batch is firing.
+ *
+ * Semantics: a timer armed for now+d fires at ceil((now+d)/G)*G --
+ * never early, at most G-1 ticks late (Linux timer-slack style).
+ * Coarser G trades bounded governor-transition delay for event
+ * coalescing.
  */
 
 #ifndef HOLDCSIM_SIM_TIMER_WHEEL_HH
 #define HOLDCSIM_SIM_TIMER_WHEEL_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "event.hh"
@@ -65,6 +78,14 @@ class TimerClient
      * the callback is allowed and yields a fresh handle.
      */
     virtual void timerFired(std::uint64_t token, Tick deadline) = 0;
+
+    /**
+     * Kernel event name of this client's timers in exact mode, where
+     * each timer is its own event (probes book host time by it). Read
+     * on every exact-mode arm; return a string with static storage,
+     * as the wheel compares pointers to skip needless renames.
+     */
+    virtual const char *timerName() const { return "timer"; }
 };
 
 /** Bucketed one-shot timer facility shared by many entities. */
@@ -84,9 +105,10 @@ class TimerWheel
         std::uint64_t armed = 0;
         std::uint64_t cancelled = 0;
         std::uint64_t fired = 0;
-        /** Kernel event dispatches ("wheel.tick" count). */
+        /** Kernel event dispatches ("wheel.tick" count; in exact mode
+         *  every firing is its own dispatch). */
         std::uint64_t tickEvents = 0;
-        /** Largest number of timers fired by one tick event. */
+        /** Largest number of timers fired by one kernel event. */
         std::uint64_t maxBatch = 0;
         /** Entries moved overflow-heap -> ring as the window slid. */
         std::uint64_t overflowMigrations = 0;
@@ -95,9 +117,11 @@ class TimerWheel
     };
 
     /**
-     * @param sim         owning engine (the wheel schedules one event)
-     * @param granularity bucket width G in ticks (>= 1; 1 = exact)
-     * @param slots       ring size (rounded up to a power of two)
+     * @param sim         owning engine
+     * @param granularity bucket width G in ticks (>= 1; 1 = exact
+     *                    mode, one kernel event per timer)
+     * @param slots       ring size (rounded up to a power of two;
+     *                    unused in exact mode, which has no ring)
      */
     explicit TimerWheel(Simulator &sim, Tick granularity = 1,
                         std::size_t slots = 1024);
@@ -113,10 +137,26 @@ class TimerWheel
     Handle arm(TimerClient &client, std::uint64_t token, Tick delay);
 
     /**
+     * Move the timer behind @p h (or, if @p h is not pending, arm a
+     * new one) to curTick() + @p delay; @p h is updated. In exact mode
+     * a pending timer keeps its event, and a re-arm for the deadline
+     * it already has keeps its FIFO position among same-tick events.
+     * In ring mode this is cancel() then arm(). Either way the stats
+     * count a re-arm of a pending timer as one cancel and one arm.
+     */
+    void rearm(Handle &h, TimerClient &client, std::uint64_t token,
+               Tick delay);
+
+    /**
      * Cancel the timer behind @p h. O(1); safe (and a no-op) on
      * invalid, stale or already-fired handles. @p h is reset.
      */
-    void cancel(Handle &h);
+    void
+    cancel(Handle &h)
+    {
+        if (h.valid()) // governors cancel idle handles often: inline
+            cancelValid(h);
+    }
 
     /** Whether @p h still refers to a live, unfired timer. */
     bool pending(const Handle &h) const;
@@ -125,6 +165,9 @@ class TimerWheel
     Tick deadline(const Handle &h) const;
 
     Tick granularity() const { return _granularity; }
+    /** Exact mode: G = 1, one kernel event per timer, no ring. */
+    bool exact() const { return _granularity == 1; }
+    /** Ring slots (0 in exact mode). */
     std::size_t numSlots() const { return _slots.size(); }
     /** Currently armed (live, unfired) timers. */
     std::size_t live() const { return _live; }
@@ -156,6 +199,11 @@ class TimerWheel
         std::uint32_t liveCount = 0;
     };
 
+    /** Exact mode's timer: a pooled kernel event (no Entry). */
+    struct ExactEvent;
+    /** Exact-mode events are allocated this many at a time. */
+    static constexpr std::uint32_t exactChunk = 64;
+
     struct OverflowItem {
         Tick deadline;
         std::uint64_t seq;
@@ -182,6 +230,13 @@ class TimerWheel
     void popOverflow();
     /** Drop dead heap tops; migrate items inside the new window. */
     void settleOverflow(Tick window_base);
+    void cancelValid(Handle &h);
+    /** Deadline of a timer armed now for @p delay (quantized). */
+    Tick deadlineAfter(Tick delay) const;
+    ExactEvent &exactEvent(std::uint32_t idx) const;
+    void freeExact(ExactEvent &ev);
+    /** Exact-mode event body: fire the one timer @p ev holds. */
+    void fireExact(ExactEvent &ev);
     /** Kernel event body: fire the current boundary's batch. */
     void tick();
     void scheduleAt(Tick when);
@@ -190,12 +245,15 @@ class TimerWheel
     Tick _granularity;
     std::vector<Slot> _slots;
     std::vector<Entry> _arena;
+    /** Exact mode's timers instead of _arena, in fixed-size chunks
+     *  so events never move (Event is pinned), and their free list. */
+    std::vector<std::unique_ptr<ExactEvent[]>> _exactEvents;
+    std::uint32_t _exactFree = Handle::invalidIdx;
     std::uint32_t _freeHead = Handle::invalidIdx;
     std::vector<OverflowItem> _overflow; // binary heap (by deadline,seq)
     std::size_t _live = 0;
     /** Live timers counted in ring slots; 0 lets tick() skip the ring
-     *  scan (at G = 1 the ring spans only 1024 ticks, so most governor
-     *  deadlines sit in the overflow heap). */
+     *  scan (far deadlines sit in the overflow heap). */
     std::size_t _ringLive = 0;
     std::uint64_t _nextSeq = 0;
     /** Boundaries < _windowBase have fired; ring covers

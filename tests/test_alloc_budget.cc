@@ -11,7 +11,8 @@
  * that an empty local queue requests none, checks that a server
  * builds its cores' busy state on its first task and never again,
  * and bounds the allocations of a stats dump, which must not grow
- * with the fleet either.
+ * with the fleet either, and checks that a bare Simulator's 1-tick
+ * timer wheel allocates no ring.
  */
 
 #include <gtest/gtest.h>
@@ -112,15 +113,16 @@ TEST(AllocBudget, WheelPlantConstructionPerServer)
     constexpr std::size_t servers = 1000;
     const DataCenterConfig cfg = wheelPlant(servers);
 
-    bytesRequested = allocations = watchedHits = 0;
-    watchedSize = CorePool::busyBlockBytes(cfg.nCores);
+    bytesRequested = allocations = 0;
     counting = true;
     auto dc = std::make_unique<DataCenter>(cfg);
     counting = false;
-    // No core has run a task, so no server holds busy state.
-    EXPECT_EQ(watchedHits, 0u);
 
     ASSERT_EQ(dc->numServers(), servers);
+    // No core has run a task, so no server holds busy state. (Asked
+    // directly: a Server can be as large as a 4-core busy block.)
+    for (std::size_t i = 0; i < servers; ++i)
+        EXPECT_FALSE(dc->server(i).busyStateBuilt()) << "server " << i;
     const double perServer =
         static_cast<double>(bytesRequested) / servers;
     const double allocsPerServer =
@@ -139,9 +141,7 @@ TEST(AllocBudget, WheelPlantConstructionPerServer)
 
 TEST(AllocBudget, FirstTaskBuildsBusyStateOnce)
 {
-    Simulator sim;
-    TimerWheel wheel(sim, 100 * usec);
-    sim.setTimerWheel(&wheel);
+    Simulator sim(EventQueue::Backend::calendar, 100 * usec);
     ServerConfig cfg;
     cfg.nCores = 4;
     Server server(sim, cfg, ServerPowerProfile{});
@@ -178,6 +178,28 @@ TEST(AllocBudget, FirstTaskBuildsBusyStateOnce)
     counting = false;
     EXPECT_EQ(watchedHits, 1u);
     EXPECT_EQ(server.tasksCompleted(), 6u);
+}
+
+TEST(AllocBudget, BareSimulatorAllocatesNoWheelRing)
+{
+    // Every Simulator owns a timer wheel. At the default 1-tick
+    // granularity it has no ring, so a bare Simulator requests no
+    // more heap than its event queue; a 100 us wheel shows what the
+    // check would catch.
+    const auto bytesOf = [](auto build) {
+        bytesRequested = allocations = 0;
+        counting = true;
+        build();
+        counting = false;
+        return bytesRequested;
+    };
+    const std::size_t queue = bytesOf([] { EventQueue q; });
+    const std::size_t exact = bytesOf([] { Simulator sim; });
+    const std::size_t ring = bytesOf(
+        [] { Simulator sim(EventQueue::Backend::calendar, 100 * usec); });
+    EXPECT_EQ(exact, queue);
+    EXPECT_GT(ring, queue);
+    EXPECT_EQ(Simulator().timerWheel().numSlots(), 0u);
 }
 
 TEST(AllocBudget, EmptyLocalSchedulerRequestsNoHeap)

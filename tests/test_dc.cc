@@ -101,6 +101,30 @@ TEST(DcConfig, RejectsBadValues)
  * still sets `[network] model` draws the unknown-key warning naming
  * the file and line.
  */
+TEST(DcConfig, WheelGranularityFloorIsOneTick)
+{
+    const auto parse = [](const std::string &us) {
+        return DataCenterConfig::fromConfig(Config::parseString(
+            "[datacenter]\ntimer_mode = wheel\nwheel_granularity_us = " +
+            us + "\n"));
+    };
+    EXPECT_EQ(parse("0.001").wheelGranularity, 1u);
+    EXPECT_EQ(parse("100").wheelGranularity, 100 * usec);
+    // Zero and a positive value under one tick both name the floor.
+    for (const char *us : {"0", "0.0004"}) {
+        try {
+            parse(us);
+            ADD_FAILURE() << us << " was accepted";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("at least 0.001"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_THROW(parse("0"), FatalError);
+    EXPECT_THROW(parse("0.0004"), FatalError);
+}
+
 TEST(DcConfig, StaleNetworkModelKeyWarns)
 {
     std::string path = ::testing::TempDir() + "stale_model.ini";

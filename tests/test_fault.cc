@@ -483,14 +483,13 @@ TEST_F(FaultFixture, RepairedServerServesAgain)
 
 TEST_F(FaultFixture, WheelModeFaultCycleLeavesNoZombieTimers)
 {
-    // Same crash/retry scenario as CrashedTaskRetriesOnHealthyServer
-    // but with the governor timers riding the shared wheel. A server
+    // Same crash/retry scenario as CrashedTaskRetriesOnHealthyServer,
+    // watched through the simulator's governor timer wheel. A server
     // failure forces cores into deep sleep mid-ladder; the wheel
     // handles armed before the crash must all be cancelled -- a
     // zombie entry would either fire into a failed machine or keep
     // the run alive forever.
-    TimerWheel wheel(sim, 1);
-    sim.setTimerWheel(&wheel);
+    TimerWheel &wheel = sim.timerWheel();
     makeFleet(2);
     makeScheduler(flatPolicy(3));
     auto trace = std::make_unique<TraceFaultModel>();
@@ -521,13 +520,6 @@ TEST_F(FaultFixture, WheelModeFaultCycleLeavesNoZombieTimers)
     EXPECT_GT(wheel.stats().fired, 0u);
     // forceDeepSleep on the crash cancelled at least one ladder.
     EXPECT_GT(wheel.stats().cancelled, 0u);
-
-    // The fixture's servers latched &wheel (a test-body local):
-    // destroy everything that might touch it before it dies.
-    mgr.reset();
-    sched.reset();
-    servers.clear();
-    owned.clear();
 }
 
 TEST_F(FaultFixture, TaskTimeoutTriggersRetry)
@@ -640,8 +632,7 @@ TEST(NetFaultWheel, SwitchFaultCancelsWheelSleepTimers)
     // must cancel them (a zombie timer would put a dead switch to
     // sleep), and the repair must restart the ladder cleanly.
     Simulator sim;
-    TimerWheel wheel(sim, 1);
-    sim.setTimerWheel(&wheel);
+    TimerWheel &wheel = sim.timerWheel();
     NetworkConfig net_cfg;
     net_cfg.switchSleepDelay = 50 * msec;
     {

@@ -693,12 +693,12 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 
 // ---------------------------------------------------------------------------
-// Property: the shared governor timer wheel at granularity 1 is
-// statistics-identical to per-entity governor events -- every core
-// C-state residency, port/line-card/switch residency, energy figure
-// and job latency agrees exactly, on both event-queue backends. The
+// Property: the governor timer wheel's exact mode (granularity 1, one
+// kernel event per timer) is statistics-identical on both event-queue
+// backends -- every core C-state residency, port/line-card/switch
+// residency, energy figure and job latency agrees exactly. A coarse
 // wheel only coalesces *when* timer callbacks run onto shared tick
-// events; with 1-tick buckets it must never move them.
+// events; it must keep every residency book a partition of time.
 // ---------------------------------------------------------------------------
 
 class TimerModeProperty
@@ -716,15 +716,10 @@ class TimerModeProperty
         Tick endTick = 0;
     };
 
-    Signature
-    runOnce(bool use_wheel, Tick granularity)
+    static Signature
+    runOnce(EventQueue::Backend backend, Tick granularity)
     {
-        Simulator sim(GetParam());
-        std::unique_ptr<TimerWheel> wheel;
-        if (use_wheel) {
-            wheel = std::make_unique<TimerWheel>(sim, granularity);
-            sim.setTimerWheel(wheel.get());
-        }
+        Simulator sim(backend, granularity);
 
         // A small star fabric with aggressive sleep thresholds so
         // the run exercises every governor tier: core demotion, port
@@ -806,21 +801,26 @@ class TimerModeProperty
 
 TEST_P(TimerModeProperty, UnitGranularityWheelMatchesEventsExactly)
 {
-    Signature events = runOnce(false, 1);
-    Signature wheel = runOnce(true, 1);
+    // Exact mode on this backend against exact mode on the other one.
+    const EventQueue::Backend other =
+        GetParam() == EventQueue::Backend::calendar
+            ? EventQueue::Backend::binaryHeap
+            : EventQueue::Backend::calendar;
+    Signature mine = runOnce(GetParam(), 1);
+    Signature ref = runOnce(other, 1);
 
-    ASSERT_GT(events.jobs, 0u);
-    EXPECT_EQ(wheel.jobs, events.jobs);
-    EXPECT_DOUBLE_EQ(wheel.latencyMean, events.latencyMean);
-    EXPECT_EQ(wheel.endTick, events.endTick);
-    ASSERT_EQ(wheel.residencies.size(), events.residencies.size());
-    for (std::size_t i = 0; i < events.residencies.size(); ++i) {
-        EXPECT_EQ(wheel.residencies[i], events.residencies[i])
+    ASSERT_GT(ref.jobs, 0u);
+    EXPECT_EQ(mine.jobs, ref.jobs);
+    EXPECT_DOUBLE_EQ(mine.latencyMean, ref.latencyMean);
+    EXPECT_EQ(mine.endTick, ref.endTick);
+    ASSERT_EQ(mine.residencies.size(), ref.residencies.size());
+    for (std::size_t i = 0; i < ref.residencies.size(); ++i) {
+        EXPECT_EQ(mine.residencies[i], ref.residencies[i])
             << "residency slot " << i;
     }
-    ASSERT_EQ(wheel.energies.size(), events.energies.size());
-    for (std::size_t i = 0; i < events.energies.size(); ++i) {
-        EXPECT_DOUBLE_EQ(wheel.energies[i], events.energies[i])
+    ASSERT_EQ(mine.energies.size(), ref.energies.size());
+    for (std::size_t i = 0; i < ref.energies.size(); ++i) {
+        EXPECT_DOUBLE_EQ(mine.energies[i], ref.energies[i])
             << "energy slot " << i;
     }
 }
@@ -830,8 +830,8 @@ TEST_P(TimerModeProperty, CoarseWheelConservesResidencyPartitions)
     // 100 us buckets shift governor transitions (never earlier, at
     // most one bucket later) but must keep every residency account a
     // partition of simulated time and complete the same job count.
-    Signature events = runOnce(false, 1);
-    Signature coarse = runOnce(true, 100 * usec);
+    Signature events = runOnce(GetParam(), 1);
+    Signature coarse = runOnce(GetParam(), 100 * usec);
     EXPECT_EQ(coarse.jobs, events.jobs);
     // Core + server residency blocks partition [0, endTick] per
     // entity: 8 servers x (2 cores x 5 states + 5 server states).
@@ -865,28 +865,14 @@ struct WheelRun {
     std::uint64_t ticks = 0;
 };
 
-/** Install a wheel of @p granularity on @p sim (0 = per-event timers). */
-std::unique_ptr<TimerWheel>
-maybeWheel(Simulator &sim, Tick granularity)
-{
-    if (granularity == 0)
-        return nullptr;
-    auto wheel = std::make_unique<TimerWheel>(sim, granularity);
-    sim.setTimerWheel(wheel.get());
-    return wheel;
-}
-
 WheelRun
-wheelCounters(const Simulator &sim, const TimerWheel *wheel,
-              std::uint64_t done)
+wheelCounters(const Simulator &sim, std::uint64_t done)
 {
     WheelRun r;
     r.done = done;
     r.events = sim.eventsProcessed();
-    if (wheel) {
-        r.fired = wheel->stats().fired;
-        r.ticks = wheel->stats().tickEvents;
-    }
+    r.fired = sim.timerWheel().stats().fired;
+    r.ticks = sim.timerWheel().stats().tickEvents;
     return r;
 }
 
@@ -895,10 +881,7 @@ wheelCounters(const Simulator &sim, const TimerWheel *wheel,
 WheelRun
 runThreeTierReplay(EventQueue::Backend backend, Tick granularity)
 {
-    Simulator sim(backend);
-    // Declared before every entity so the handles entities still hold
-    // at teardown outlive them.
-    auto wheel = maybeWheel(sim, granularity);
+    Simulator sim(backend, granularity);
     constexpr int web_tier = 1, app_tier = 2, db_tier = 3;
     Network net(sim, Topology::star(12, 1e9, 5 * usec),
                 SwitchPowerProfile::cisco2960_24());
@@ -932,7 +915,7 @@ runThreeTierReplay(EventQueue::Backend backend, Tick granularity)
         "inject");
     sim.schedule(inject, arrivals.nextArrival());
     sim.run();
-    return wheelCounters(sim, wheel.get(), sched.jobsCompleted());
+    return wheelCounters(sim, sched.jobsCompleted());
 }
 
 /** 4096 flat 4-core servers (no fabric, no scheduler) hit by two
@@ -941,8 +924,7 @@ runThreeTierReplay(EventQueue::Backend backend, Tick granularity)
 WheelRun
 runWarehouseWaves(EventQueue::Backend backend, Tick granularity)
 {
-    Simulator sim(backend);
-    auto wheel = maybeWheel(sim, granularity);
+    Simulator sim(backend, granularity);
     std::uint64_t completions = 0;
     std::vector<std::unique_ptr<Server>> servers;
     for (unsigned i = 0; i < 4096; ++i) {
@@ -970,7 +952,7 @@ runWarehouseWaves(EventQueue::Backend backend, Tick granularity)
         "warehouse.wave");
     sim.schedule(injector, 1 * msec);
     sim.run();
-    return wheelCounters(sim, wheel.get(), completions);
+    return wheelCounters(sim, completions);
 }
 
 } // namespace
@@ -979,11 +961,13 @@ TEST_P(TimerModeProperty, CoarseWheelThreeTierReplayCounters)
 {
     // A 1 ms wheel completes every request while folding the
     // governor timers into shared ticks: 40606 -> 19316 events.
-    const WheelRun events = runThreeTierReplay(GetParam(), 0);
+    const WheelRun events = runThreeTierReplay(GetParam(), 1);
     const WheelRun coarse = runThreeTierReplay(GetParam(), 1 * msec);
     EXPECT_EQ(events.done, 2000u);
     EXPECT_EQ(coarse.done, events.done);
     EXPECT_EQ(events.events, 40606u);
+    // Exact mode: every firing is its own kernel event.
+    EXPECT_EQ(events.ticks, events.fired);
     EXPECT_EQ(coarse.events, 19316u);
     EXPECT_EQ(coarse.fired, 20670u);
     EXPECT_EQ(coarse.ticks, 3316u);
@@ -993,7 +977,7 @@ TEST_P(TimerModeProperty, CoarseWheelWarehouseCounters)
 {
     // 100 us buckets line up with the C3/C6 demotion thresholds, so
     // the fleet's 73728 aligned governor timers fire in 9 ticks.
-    const WheelRun events = runWarehouseWaves(GetParam(), 0);
+    const WheelRun events = runWarehouseWaves(GetParam(), 1);
     const WheelRun coarse = runWarehouseWaves(GetParam(), 100 * usec);
     EXPECT_EQ(events.done, 8192u);
     EXPECT_EQ(coarse.done, 8192u);
@@ -1049,13 +1033,12 @@ TEST(RetryBudgetProperty, ExhaustionAbandonsTheJob)
 // repair cycles -- every server's residency still partitions wall
 // time exactly, component energies sum to the fleet total, crashes
 // strand a nonzero-but-bounded wasted-energy account -- and the whole
-// ledger is bit-identical across both event-queue backends and both
-// timer modes.
+// ledger is bit-identical across both event-queue backends.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-/** Every figure the four (backend x timer mode) runs must agree on. */
+/** Every figure the runs on both backends must agree on. */
 struct FaultedLedger {
     std::vector<Tick> residencies;
     std::vector<double> energies;
@@ -1067,14 +1050,9 @@ struct FaultedLedger {
 };
 
 FaultedLedger
-runFaultedLedger(EventQueue::Backend backend, bool use_wheel)
+runFaultedLedger(EventQueue::Backend backend)
 {
     Simulator sim(backend);
-    std::unique_ptr<TimerWheel> wheel;
-    if (use_wheel) {
-        wheel = std::make_unique<TimerWheel>(sim, 1);
-        sim.setTimerWheel(wheel.get());
-    }
 
     FaultedLedger ledger;
     {
@@ -1157,7 +1135,7 @@ runFaultedLedger(EventQueue::Backend backend, bool use_wheel)
 TEST(FaultedEnergyProperty, LedgerConservedAndModeInvariant)
 {
     const FaultedLedger base =
-        runFaultedLedger(EventQueue::Backend::calendar, false);
+        runFaultedLedger(EventQueue::Backend::calendar);
 
     // Conservation on the reference run. Crash/repair cycles must
     // not leak simulated time out of any residency account...
@@ -1187,40 +1165,27 @@ TEST(FaultedEnergyProperty, LedgerConservedAndModeInvariant)
     EXPECT_GT(base.wasted, 0.0);
     EXPECT_LT(base.wasted, base.fleetTotal);
 
-    // The same ledger, bit for bit, on every (backend, timer) combo.
-    for (auto backend : {EventQueue::Backend::calendar,
-                         EventQueue::Backend::binaryHeap}) {
-        for (bool use_wheel : {false, true}) {
-            if (backend == EventQueue::Backend::calendar && !use_wheel)
-                continue;
-            SCOPED_TRACE(std::string(backend ==
-                                             EventQueue::Backend::calendar
-                                         ? "calendar"
-                                         : "heap") +
-                         (use_wheel ? "+wheel" : "+events"));
-            FaultedLedger other = runFaultedLedger(backend, use_wheel);
-            EXPECT_EQ(other.jobs, base.jobs);
-            EXPECT_EQ(other.faults, base.faults);
-            EXPECT_EQ(other.endTick, base.endTick);
-            ASSERT_EQ(other.residencies.size(),
-                      base.residencies.size());
-            for (std::size_t i = 0; i < base.residencies.size(); ++i)
-                EXPECT_EQ(other.residencies[i], base.residencies[i])
-                    << "residency slot " << i;
-            ASSERT_EQ(other.energies.size(), base.energies.size());
-            for (std::size_t i = 0; i < base.energies.size(); ++i)
-                EXPECT_DOUBLE_EQ(other.energies[i], base.energies[i])
-                    << "energy slot " << i;
-            EXPECT_DOUBLE_EQ(other.wasted, base.wasted);
-        }
-    }
+    // The same ledger, bit for bit, on the binary-heap backend.
+    FaultedLedger other = runFaultedLedger(EventQueue::Backend::binaryHeap);
+    EXPECT_EQ(other.jobs, base.jobs);
+    EXPECT_EQ(other.faults, base.faults);
+    EXPECT_EQ(other.endTick, base.endTick);
+    ASSERT_EQ(other.residencies.size(), base.residencies.size());
+    for (std::size_t i = 0; i < base.residencies.size(); ++i)
+        EXPECT_EQ(other.residencies[i], base.residencies[i])
+            << "residency slot " << i;
+    ASSERT_EQ(other.energies.size(), base.energies.size());
+    for (std::size_t i = 0; i < base.energies.size(); ++i)
+        EXPECT_DOUBLE_EQ(other.energies[i], base.energies[i])
+            << "energy slot " << i;
+    EXPECT_DOUBLE_EQ(other.wasted, base.wasted);
 }
 
 // ---------------------------------------------------------------------------
 // Property: the event queue dispatches in total (tick, priority)
 // order even under heavy fault-style churn -- events descheduled and
-// rescheduled mid-run, wheel timers armed and cancelled -- on both
-// backends and both timer modes.
+// rescheduled mid-run, and, in the _wheel runs, governor timers armed
+// and cancelled -- on both backends.
 // ---------------------------------------------------------------------------
 
 using ChurnParam = std::tuple<EventQueue::Backend, bool>;
@@ -1239,11 +1204,7 @@ TEST_P(EventOrderProperty, TotalOrderSurvivesFaultCancelChurn)
 {
     const auto [backend, use_wheel] = GetParam();
     Simulator sim(backend);
-    std::unique_ptr<TimerWheel> wheel;
-    if (use_wheel) {
-        wheel = std::make_unique<TimerWheel>(sim, 1);
-        sim.setTimerWheel(wheel.get());
-    }
+    TimerWheel &wheel = sim.timerWheel();
 
     Rng rng(2024, "churn");
     const int prios[4] = {Event::powerPriority, Event::mailboxPriority,
@@ -1272,15 +1233,15 @@ TEST_P(EventOrderProperty, TotalOrderSurvivesFaultCancelChurn)
     std::vector<TimerWheel::Handle> handles;
     if (use_wheel) {
         for (int i = 0; i < 90; ++i) {
-            handles.push_back(wheel->arm(
+            handles.push_back(wheel.arm(
                 counter, static_cast<std::uint64_t>(i),
                 1 + static_cast<Tick>(
                         rng.uniformInt(0, 900'000'000))));
             ++armed;
         }
         for (int i = 0; i < 90; i += 3) {
-            if (wheel->pending(handles[i])) {
-                wheel->cancel(handles[i]);
+            if (wheel.pending(handles[i])) {
+                wheel.cancel(handles[i]);
                 ++cancelled;
             }
         }

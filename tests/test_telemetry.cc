@@ -688,6 +688,9 @@ everyLayerConfig()
     cfg.seed = 5;
     cfg.fabric = DataCenterConfig::Fabric::star;
     cfg.timerMode = DataCenterConfig::TimerMode::wheel;
+    // A 1-tick wheel fires each timer as its own governor event; a
+    // coarser one books its ticks to the wheel layer.
+    cfg.wheelGranularity = 100 * usec;
     cfg.fault.enabled = true;
     cfg.fault.mttfHours = 1.0 / 3600.0;
     cfg.fault.mttrMinutes = 0.2 / 60.0;

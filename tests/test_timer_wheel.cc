@@ -4,7 +4,9 @@
  * quantization, O(1) cancellation with generation-stamped handles,
  * re-arming from callbacks, overflow-heap migration, the
  * deschedule-when-empty discipline, and arm-order firing of slots that
- * mix migrated and directly armed timers.
+ * mix migrated and directly armed timers. G = 1 runs exact mode (one
+ * kernel event per timer, no ring); the ring's own mechanics are
+ * tested at G >= 2.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +15,7 @@
 #include <iterator>
 #include <map>
 #include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -233,15 +236,15 @@ TEST_F(WheelFixture, ReArmFromCallbackIncludingZeroDelay)
 
 TEST_F(WheelFixture, FarDeadlinesParkInOverflowAndMigrateBack)
 {
-    TimerWheel wheel(sim, 1, 16); // tiny ring: horizon = 16 ticks
+    TimerWheel wheel(sim, 2, 16); // tiny ring: horizon = 32 ticks
     EXPECT_EQ(wheel.numSlots(), 16u);
-    wheel.arm(client, 1, 5);    // in the ring
+    wheel.arm(client, 1, 5);    // in the ring (boundary 6)
     wheel.arm(client, 2, 1000); // far beyond the horizon
     wheel.arm(client, 3, 2000); // even farther
     sim.run();
     ASSERT_EQ(client.fired.size(), 3u);
     EXPECT_EQ(client.fired[0], std::make_pair(std::uint64_t{1},
-                                              Tick{5}));
+                                              Tick{6}));
     EXPECT_EQ(client.fired[1], std::make_pair(std::uint64_t{2},
                                               Tick{1000}));
     EXPECT_EQ(client.fired[2], std::make_pair(std::uint64_t{3},
@@ -251,14 +254,14 @@ TEST_F(WheelFixture, FarDeadlinesParkInOverflowAndMigrateBack)
 
 TEST_F(WheelFixture, CancelWhileParkedInOverflow)
 {
-    TimerWheel wheel(sim, 1, 16);
-    wheel.arm(client, 1, 5);
+    TimerWheel wheel(sim, 2, 16);
+    wheel.arm(client, 1, 6);
     auto far = wheel.arm(client, 2, 1000);
     wheel.cancel(far);
     sim.run();
     ASSERT_EQ(client.fired.size(), 1u);
     EXPECT_EQ(client.fired[0].first, 1u);
-    EXPECT_EQ(sim.curTick(), 5u); // the parked timer never woke us
+    EXPECT_EQ(sim.curTick(), 6u); // the parked timer never woke us
     EXPECT_EQ(wheel.live(), 0u);
 }
 
@@ -283,7 +286,7 @@ TEST_F(WheelFixture, BatchFiresInArmOrderAcrossClients)
 
 TEST_F(WheelFixture, StatsCountArmCancelFire)
 {
-    TimerWheel wheel(sim, 1);
+    TimerWheel wheel(sim, 2);
     auto a = wheel.arm(client, 0, 10);
     wheel.arm(client, 1, 20);
     wheel.arm(client, 2, 30);
@@ -307,16 +310,51 @@ TEST_F(WheelFixture, EmptyWheelAfterLongIdleGapStaysExact)
     // The window must snap forward when the first timer after a long
     // quiet period is armed, or near deadlines would land in the
     // overflow heap (correct but slow) or worse, a stale slot.
-    TimerWheel wheel(sim, 1, 16);
-    wheel.arm(client, 1, 3);
+    TimerWheel wheel(sim, 2, 16);
+    wheel.arm(client, 1, 4);
     sim.run();
-    EXPECT_EQ(sim.curTick(), 3u);
+    EXPECT_EQ(sim.curTick(), 4u);
     sim.runUntil(1'000'000); // idle gap many laps long
     wheel.arm(client, 2, 4);
     sim.run();
     ASSERT_EQ(client.fired.size(), 2u);
     EXPECT_EQ(client.fired[1], std::make_pair(std::uint64_t{2},
                                               Tick{1'000'004}));
+    // Armed into the snapped window's ring, not parked and migrated.
+    EXPECT_EQ(wheel.stats().overflowMigrations, 0u);
+}
+
+TEST_F(WheelFixture, ExactModeIsOneNamedEventPerTimerWithoutRing)
+{
+    struct Named : RecordingClient {
+        const char *timerName() const override { return "test.timer"; }
+    };
+    struct NameProbe : KernelProbe {
+        std::vector<std::string> names;
+        void
+        beginEvent(const Event &ev, std::size_t) override
+        {
+            names.push_back(ev.name());
+            EXPECT_EQ(ev.priority(), Event::powerPriority);
+        }
+        void endEvent() override {}
+    };
+    TimerWheel wheel(sim, 1);
+    EXPECT_TRUE(wheel.exact());
+    EXPECT_EQ(wheel.numSlots(), 0u);
+    Named named;
+    NameProbe probe;
+    sim.setProbe(&probe);
+    wheel.arm(named, 1, 10);
+    wheel.arm(client, 2, 10);
+    wheel.arm(named, 3, 20);
+    sim.run();
+    const std::vector<std::string> want = {"test.timer", "timer",
+                                           "test.timer"};
+    EXPECT_EQ(probe.names, want);
+    EXPECT_EQ(wheel.stats().tickEvents, 3u);
+    EXPECT_EQ(wheel.stats().maxBatch, 1u);
+    sim.setProbe(nullptr);
 }
 
 TEST_F(WheelFixture, RejectsZeroGranularity)
@@ -382,7 +420,8 @@ TEST_P(WheelOrderTest, MigratedAndDirectArmsShareASlotInArmOrder)
     EXPECT_EQ(wheel.stats().overflowMigrations, 0u);
     sim.run();
 
-    EXPECT_EQ(wheel.stats().overflowMigrations, 4u);
+    // Exact mode (G = 1) has no ring, so nothing parks or migrates.
+    EXPECT_EQ(wheel.stats().overflowMigrations, g > 1 ? 4u : 0u);
     const std::vector<std::pair<std::uint64_t, Tick>> want = {
         {'B', 40 * g}, {'X', 40 * g}, {'C', 40 * g},
         {'D', 40 * g}, {'E', 40 * g}};
@@ -392,20 +431,23 @@ TEST_P(WheelOrderTest, MigratedAndDirectArmsShareASlotInArmOrder)
 TEST_P(WheelOrderTest, RandomArmCancelRearmMatchesReferenceModel)
 {
     // Seeded mix of arms (near, in-ring and beyond the 16-slot
-    // horizon), cancels and re-arms from callbacks, zero-delay ones
-    // included. The reference fires in (deadline, arm seq) order.
+    // horizon), cancels and re-arms, from callbacks too, zero-delay
+    // ones included. The reference fires in (deadline, order) order,
+    // where order is the arm sequence; a re-arm takes a fresh order
+    // unless exact mode keeps its deadline, and so its FIFO slot.
     const Tick g = GetParam();
     constexpr std::uint64_t armBudget = 3000;
 
     struct Driver : TimerClient {
+        using Key = std::pair<Tick, std::uint64_t>;
         Simulator *sim = nullptr;
         TimerWheel *wheel = nullptr;
         Tick g = 1;
         std::mt19937_64 rng;
-        std::uint64_t nextSeq = 0;
-        std::map<std::pair<Tick, std::uint64_t>, std::uint64_t> model;
+        std::uint64_t nextSeq = 0, nextOrder = 0;
+        std::map<Key, std::uint64_t> model;
         std::map<std::uint64_t, TimerWheel::Handle> handles;
-        std::map<std::uint64_t, Tick> deadlines;
+        std::map<std::uint64_t, Key> keys;
         std::vector<std::pair<std::uint64_t, Tick>> fired, expected;
 
         void
@@ -419,22 +461,54 @@ TEST_P(WheelOrderTest, RandomArmCancelRearmMatchesReferenceModel)
               default: delay = rng() % (64 * g); break;
             }
             const std::uint64_t seq = nextSeq++;
-            const Tick dl = quantizedDeadline(sim->curTick(), delay, g);
+            const Key key{quantizedDeadline(sim->curTick(), delay, g),
+                          nextOrder++};
             handles[seq] = wheel->arm(*this, seq, delay);
-            deadlines[seq] = dl;
-            model.emplace(std::make_pair(dl, seq), seq);
+            keys[seq] = key;
+            model.emplace(key, seq);
+        }
+
+        /** A random pending timer's token, or false if none is. */
+        bool
+        pick(std::uint64_t &token)
+        {
+            if (handles.empty())
+                return false;
+            auto it = handles.begin();
+            std::advance(it, rng() % handles.size());
+            token = it->first;
+            return true;
         }
 
         void
         cancelOne()
         {
-            if (handles.empty())
+            std::uint64_t token;
+            if (!pick(token))
                 return;
-            auto it = handles.begin();
-            std::advance(it, rng() % handles.size());
-            wheel->cancel(it->second);
-            model.erase({deadlines[it->first], it->first});
-            handles.erase(it);
+            wheel->cancel(handles[token]);
+            model.erase(keys[token]);
+            handles.erase(token);
+        }
+
+        void
+        rearmOne()
+        {
+            std::uint64_t token;
+            if (!pick(token))
+                return;
+            // Half the re-arms ask for the deadline the timer has.
+            const Tick now = sim->curTick();
+            const Key old = keys[token];
+            const Tick delay = rng() % 2 ? old.first - now
+                                         : rng() % (16 * g);
+            Key key{quantizedDeadline(now, delay, g), old.second};
+            if (!wheel->exact() || key.first != old.first)
+                key.second = nextOrder++;
+            wheel->rearm(handles[token], *this, token, delay);
+            model.erase(old);
+            model.emplace(key, token);
+            keys[token] = key;
         }
 
         void
@@ -443,8 +517,11 @@ TEST_P(WheelOrderTest, RandomArmCancelRearmMatchesReferenceModel)
             const unsigned n = static_cast<unsigned>(rng() % 4);
             for (unsigned i = 0; i < n && nextSeq < armBudget; ++i)
                 arm();
-            if (rng() % 3 == 0)
-                cancelOne();
+            switch (rng() % 3) {
+              case 0: cancelOne(); break;
+              case 1: rearmOne(); break;
+              default: break;
+            }
         }
 
         void
@@ -480,9 +557,44 @@ TEST_P(WheelOrderTest, RandomArmCancelRearmMatchesReferenceModel)
         EXPECT_EQ(d.fired.size(), wheel.stats().fired) << "seed " << seed;
         EXPECT_EQ(d.fired, d.expected) << "seed " << seed;
         EXPECT_EQ(wheel.live(), 0u) << "seed " << seed;
-        EXPECT_GT(wheel.stats().overflowMigrations, 0u);
+        if (!wheel.exact()) {
+            EXPECT_GT(wheel.stats().overflowMigrations, 0u);
+        }
         EXPECT_GT(wheel.stats().cancelled, 0u);
     }
+}
+
+TEST_P(WheelOrderTest, RearmToSameDeadlineKeepsFifoPositionOnlyInExactMode)
+{
+    // A and B share a deadline; A is re-armed for that same deadline
+    // from off the boundary. Exact mode keeps A ahead of B, as a
+    // rescheduled kernel event keeps its FIFO slot; the ring treats a
+    // re-arm as cancel + arm, so A goes behind B.
+    const Tick g = GetParam();
+    Simulator sim;
+    TimerWheel wheel(sim, g);
+    RecordingClient rec;
+    TimerWheel::Handle a = wheel.arm(rec, 'A', 10 * g);
+    TimerWheel::Handle b = wheel.arm(rec, 'B', 10 * g);
+    sim.runUntil(3 * g + 1);
+    wheel.rearm(a, rec, 'A', 7 * g - 1);
+    EXPECT_TRUE(wheel.pending(a));
+    EXPECT_TRUE(wheel.pending(b));
+    EXPECT_EQ(wheel.deadline(a), 10 * g);
+    // Moving to another deadline moves the timer in both modes.
+    TimerWheel::Handle c = wheel.arm(rec, 'C', 5 * g);
+    wheel.rearm(c, rec, 'C', 20 * g);
+    sim.run();
+
+    const std::vector<std::pair<std::uint64_t, Tick>> exact = {
+        {'A', 10 * g}, {'B', 10 * g}, {'C', 24 * g}};
+    const std::vector<std::pair<std::uint64_t, Tick>> ring = {
+        {'B', 10 * g}, {'A', 10 * g}, {'C', 24 * g}};
+    EXPECT_EQ(rec.fired, wheel.exact() ? exact : ring);
+    // A re-arm of a pending timer counts as a cancel plus an arm.
+    EXPECT_EQ(wheel.stats().armed, 5u);
+    EXPECT_EQ(wheel.stats().cancelled, 2u);
+    EXPECT_EQ(wheel.stats().fired, 3u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Granularity, WheelOrderTest,
