@@ -8,6 +8,34 @@
 
 namespace holdcsim {
 
+namespace {
+
+/**
+ * Duration key @p key, given in units of @p unit ticks, as whole ticks
+ * (truncated). A negative, NaN or out-of-range value is a config
+ * error naming the key: casting one to Tick is undefined behaviour, or
+ * wraps to a huge delay or one that lands in the past.
+ */
+Tick
+durationTicks(const Config &cfg, const std::string &key, Tick unit)
+{
+    const double value = cfg.getDouble(key);
+    const double ticks = value * static_cast<double>(unit);
+    if (!(ticks >= 0.0)) {
+        fatal("config key '", key,
+              "': duration must be non-negative, got ", value);
+    }
+    // static_cast<double>(maxTick) rounds up to 2^64, the first value
+    // a Tick cannot hold.
+    if (!(ticks < static_cast<double>(maxTick))) {
+        fatal("config key '", key, "': duration ", value,
+              " is out of range");
+    }
+    return static_cast<Tick>(ticks);
+}
+
+} // namespace
+
 void
 DataCenterConfig::validate() const
 {
@@ -133,11 +161,9 @@ DataCenterConfig::fromConfig(const Config &cfg)
     else
         fatal("unknown datacenter.timer_mode '", tm, "'");
     if (cfg.has("datacenter.wheel_granularity_us")) {
-        // Anything under one tick (NaN included) fails validate().
-        const double ticks =
-            cfg.getDouble("datacenter.wheel_granularity_us") *
-            static_cast<double>(usec);
-        out.wheelGranularity = ticks >= 1.0 ? static_cast<Tick>(ticks) : 0;
+        // Under one tick truncates to 0, which fails validate().
+        out.wheelGranularity =
+            durationTicks(cfg, "datacenter.wheel_granularity_us", usec);
     }
 
     std::string qm = cfg.getString("server.queue_mode", "unified");
@@ -166,8 +192,7 @@ DataCenterConfig::fromConfig(const Config &cfg)
     else
         fatal("unknown server.controller '", ctrl, "'");
     if (cfg.has("server.tau_ms")) {
-        out.delayTimerTau = static_cast<Tick>(
-            cfg.getDouble("server.tau_ms") * static_cast<double>(msec));
+        out.delayTimerTau = durationTicks(cfg, "server.tau_ms", msec);
     }
 
     std::string pol = cfg.getString("scheduler.policy", "least_loaded");
@@ -208,14 +233,11 @@ DataCenterConfig::fromConfig(const Config &cfg)
     if (cfg.has("network.link_rate_gbps"))
         out.linkRate = cfg.getDouble("network.link_rate_gbps") * 1e9;
     if (cfg.has("network.link_latency_us")) {
-        out.linkLatency = static_cast<Tick>(
-            cfg.getDouble("network.link_latency_us") *
-            static_cast<double>(usec));
+        out.linkLatency = durationTicks(cfg, "network.link_latency_us", usec);
     }
     if (cfg.has("network.switch_sleep_ms")) {
-        out.netConfig.switchSleepDelay = static_cast<Tick>(
-            cfg.getDouble("network.switch_sleep_ms") *
-            static_cast<double>(msec));
+        out.netConfig.switchSleepDelay =
+            durationTicks(cfg, "network.switch_sleep_ms", msec);
     }
     if (cfg.has("network.fast_path_kb")) {
         double kb = cfg.getDouble("network.fast_path_kb");
@@ -248,27 +270,23 @@ DataCenterConfig::fromConfig(const Config &cfg)
         "fault.max_retries",
         static_cast<std::int64_t>(out.fault.maxRetries)));
     if (cfg.has("fault.retry_backoff_base_ms")) {
-        out.fault.retryBackoffBase = static_cast<Tick>(
-            cfg.getDouble("fault.retry_backoff_base_ms") *
-            static_cast<double>(msec));
+        out.fault.retryBackoffBase =
+            durationTicks(cfg, "fault.retry_backoff_base_ms", msec);
     }
     if (cfg.has("fault.retry_backoff_max_ms")) {
-        out.fault.retryBackoffMax = static_cast<Tick>(
-            cfg.getDouble("fault.retry_backoff_max_ms") *
-            static_cast<double>(msec));
+        out.fault.retryBackoffMax =
+            durationTicks(cfg, "fault.retry_backoff_max_ms", msec);
     }
     if (cfg.has("fault.task_timeout_ms")) {
-        out.fault.taskTimeout = static_cast<Tick>(
-            cfg.getDouble("fault.task_timeout_ms") *
-            static_cast<double>(msec));
+        out.fault.taskTimeout =
+            durationTicks(cfg, "fault.task_timeout_ms", msec);
     }
 
     out.orch.placement =
         cfg.getString("orch.placement", out.orch.placement);
     if (cfg.has("orch.reconcile_ms")) {
-        out.orch.reconcilePeriod = static_cast<Tick>(
-            cfg.getDouble("orch.reconcile_ms") *
-            static_cast<double>(msec));
+        out.orch.reconcilePeriod =
+            durationTicks(cfg, "orch.reconcile_ms", msec);
     }
     out.orch.overcommit =
         cfg.getDouble("orch.overcommit", out.orch.overcommit);
@@ -337,9 +355,8 @@ DataCenterConfig::fromConfig(const Config &cfg)
     out.telemetry.sampleOut =
         cfg.getString("telemetry.sample_out", out.telemetry.sampleOut);
     if (cfg.has("telemetry.sample_period_ms")) {
-        out.telemetry.samplePeriod = static_cast<Tick>(
-            cfg.getDouble("telemetry.sample_period_ms") *
-            static_cast<double>(msec));
+        out.telemetry.samplePeriod =
+            durationTicks(cfg, "telemetry.sample_period_ms", msec);
     }
     out.telemetry.profile =
         cfg.getBool("telemetry.profile", out.telemetry.profile);
@@ -352,9 +369,7 @@ DataCenterConfig::fromConfig(const Config &cfg)
 
     out.audit.enabled = cfg.getBool("audit.enabled", out.audit.enabled);
     if (cfg.has("audit.period_ms")) {
-        out.audit.period = static_cast<Tick>(
-            cfg.getDouble("audit.period_ms") *
-            static_cast<double>(msec));
+        out.audit.period = durationTicks(cfg, "audit.period_ms", msec);
     }
     out.audit.fatal = cfg.getBool("audit.fatal", out.audit.fatal);
     out.audit.energyTolerance = cfg.getDouble(
@@ -362,8 +377,7 @@ DataCenterConfig::fromConfig(const Config &cfg)
 
     out.mc.strategy = cfg.getString("mc.strategy", out.mc.strategy);
     if (cfg.has("mc.horizon_ms")) {
-        out.mc.horizon = static_cast<Tick>(
-            cfg.getDouble("mc.horizon_ms") * static_cast<double>(msec));
+        out.mc.horizon = durationTicks(cfg, "mc.horizon_ms", msec);
     }
     out.mc.budget = static_cast<std::uint64_t>(cfg.getInt(
         "mc.budget", static_cast<std::int64_t>(out.mc.budget)));
@@ -371,8 +385,7 @@ DataCenterConfig::fromConfig(const Config &cfg)
         "mc.event_budget",
         static_cast<std::int64_t>(out.mc.eventBudget)));
     if (cfg.has("mc.repair_ms")) {
-        out.mc.repair = static_cast<Tick>(
-            cfg.getDouble("mc.repair_ms") * static_cast<double>(msec));
+        out.mc.repair = durationTicks(cfg, "mc.repair_ms", msec);
     }
     out.mc.maxFaults = static_cast<unsigned>(cfg.getInt(
         "mc.max_faults", static_cast<std::int64_t>(out.mc.maxFaults)));
@@ -389,14 +402,12 @@ DataCenterConfig::fromConfig(const Config &cfg)
         "campaign.max_attempts",
         static_cast<std::int64_t>(out.campaign.maxAttempts)));
     if (cfg.has("campaign.retry_backoff_base_ms")) {
-        out.campaign.retryBackoffBase = static_cast<Tick>(
-            cfg.getDouble("campaign.retry_backoff_base_ms") *
-            static_cast<double>(msec));
+        out.campaign.retryBackoffBase =
+            durationTicks(cfg, "campaign.retry_backoff_base_ms", msec);
     }
     if (cfg.has("campaign.retry_backoff_max_ms")) {
-        out.campaign.retryBackoffMax = static_cast<Tick>(
-            cfg.getDouble("campaign.retry_backoff_max_ms") *
-            static_cast<double>(msec));
+        out.campaign.retryBackoffMax =
+            durationTicks(cfg, "campaign.retry_backoff_max_ms", msec);
     }
 
     out.validate();

@@ -57,8 +57,9 @@ struct DataCenterConfig {
     /** @name Kernel timer discipline */
     ///@{
     /**
-     * Bucket width of the engine's governor timer wheel (core
-     * demotion, port LPI, line card / switch sleep): 1 tick, one
+     * Bucket width of the engine's governor timer wheel (port LPI,
+     * line card / switch sleep; core C-state stages land on the same
+     * boundaries without arming it): 1 tick, one
      * kernel event per timeout (events), or wheelGranularity, which
      * fires each bucket's timeouts from one event, quantized up
      * (wheel; also reports the wheel's stats). wheel with

@@ -7,10 +7,29 @@ namespace holdcsim {
 static_assert(static_cast<int>(CoreCState::c6) < StateResidency::maxStates,
               "every core C-state needs a residency book");
 
+namespace {
+
+/** The state an idle stage from @p s enters (c6 is the floor). */
+CoreCState
+deeper(CoreCState s)
+{
+    switch (s) {
+      case CoreCState::c0Idle:
+        return CoreCState::c1;
+      case CoreCState::c1:
+        return CoreCState::c3;
+      default:
+        return CoreCState::c6;
+    }
+}
+
+} // namespace
+
 CorePool::CorePool(Simulator &sim, CoreHost &host,
                    const ServerPowerProfile &profile, unsigned n_cores,
                    const std::vector<double> &base_freqs_ghz)
-    : _sim(sim), _host(host), _profile(profile), _size(n_cores)
+    : _sim(sim), _host(host), _profile(profile), _size(n_cores),
+      _settledEpoch(sim.epoch())
 {
     if (n_cores == 0)
         fatal("a core pool needs at least one core");
@@ -28,8 +47,9 @@ CorePool::CorePool(Simulator &sim, CoreHost &host,
         s.baseFreqGhz = base_freqs_ghz.empty() ? profile.pstates[0].freqGhz
                                                : base_freqs_ghz[c];
         s.residency.enter(static_cast<int>(s.cstate), now);
-        armDemotion(c);
+        armStage(c, now);
     }
+    sim.addDeferred(*this);
 }
 
 CorePool::~CorePool()
@@ -38,16 +58,7 @@ CorePool::~CorePool()
         if (b.completion.scheduled())
             _sim.deschedule(b.completion);
     }
-    for (unsigned c = 0; c < size(); ++c)
-        cancelDemotion(c);
-}
-
-void
-CorePool::timerFired(std::uint64_t token, Tick)
-{
-    const unsigned c = static_cast<unsigned>(token);
-    _slots[c].demotion = {}; // the firing handle is already dead
-    demote(c);
+    _sim.removeDeferred(*this);
 }
 
 double
@@ -67,14 +78,15 @@ CorePool::setPState(unsigned c, std::size_t idx)
         fatal("changing P-state mid-task is not modeled");
     if (idx == _slots[c].pstate)
         return;
-    _host.coreAccrue();
+    const Tick now = _sim.curTick();
+    _host.coreAccrue(now);
     _slots[c].pstate = idx;
     if (TraceManager *tr = _sim.tracer()) {
         if (TraceTrackId track = traceTrack(c, *tr); track != noTraceTrack)
             tr->instant(track, TraceCategory::core,
-                        "P" + std::to_string(idx), _sim.curTick());
+                        "P" + std::to_string(idx), now);
     }
-    _host.coreStateChanged();
+    _host.coreStateChanged(now);
 }
 
 Tick
@@ -124,10 +136,11 @@ CorePool::startTask(unsigned c, const TaskRef &task, Tick extra_wake)
     }
     Busy &b = _busy[c];
     Tick wake = exitLatency(_slots[c].cstate) + extra_wake;
-    cancelDemotion(c);
-    setCState(c, CoreCState::c0Active);
+    const Tick now = _sim.curTick();
+    stopStage(c);
+    setCState(c, CoreCState::c0Active, now);
     b.current = task;
-    b.startedAt = _sim.curTick();
+    b.startedAt = now;
     // The wake latency delays the task but the core is already
     // powered up (C0) while exiting, so C0-active power during the
     // exit window is a close approximation.
@@ -138,10 +151,12 @@ void
 CorePool::complete(unsigned c)
 {
     // Task done: hand the result up, then fall idle.
+    settle();
     TaskRef finished = _busy[c].current;
     ++_slots[c].tasksExecuted;
-    setCState(c, CoreCState::c0Idle);
-    armDemotion(c);
+    const Tick now = _sim.curTick();
+    setCState(c, CoreCState::c0Idle, now);
+    armStage(c, now);
     _host.coreTaskDone(c, finished);
 }
 
@@ -165,16 +180,16 @@ CorePool::power(unsigned c) const
 }
 
 void
-CorePool::setCState(unsigned c, CoreCState next)
+CorePool::setCState(unsigned c, CoreCState next, Tick at)
 {
     Slot &s = _slots[c];
     if (next == s.cstate)
         return;
-    _host.coreAccrue();
+    _host.coreAccrue(at);
     s.cstate = next;
-    s.residency.enter(static_cast<int>(next), _sim.curTick());
-    traceCState(c);
-    _host.coreStateChanged();
+    s.residency.enter(static_cast<int>(next), at);
+    traceCState(c, at);
+    _host.coreStateChanged(at);
 }
 
 void
@@ -185,18 +200,18 @@ CorePool::setTraceLabel(unsigned c, std::string label)
     _traceLabel[c] = std::move(label);
     // Open the initial state's slice right away so the timeline
     // starts at construction, not at the first transition.
-    traceCState(c);
+    traceCState(c, _sim.curTick());
 }
 
 void
-CorePool::traceCState(unsigned c)
+CorePool::traceCState(unsigned c, Tick at)
 {
     TraceManager *tr = _sim.tracer();
     if (!tr)
         return;
     if (TraceTrackId track = traceTrack(c, *tr); track != noTraceTrack)
         tr->transition(track, TraceCategory::core,
-                       toString(_slots[c].cstate), _sim.curTick());
+                       toString(_slots[c].cstate), at);
 }
 
 TraceTrackId
@@ -211,65 +226,128 @@ CorePool::traceTrack(unsigned c, TraceManager &tr)
     return track;
 }
 
-void
-CorePool::armDemotion(unsigned c)
+Tick
+CorePool::stageDelay(CoreCState s) const
 {
-    if (busy(c))
-        return;
-    // Pick the next deeper state this governor is configured for.
-    Tick delay = 0;
-    switch (_slots[c].cstate) {
+    switch (s) {
       case CoreCState::c0Idle:
-        delay = _profile.demoteC1After;
-        break;
+        return _profile.demoteC1After;
       case CoreCState::c1:
-        delay = _profile.demoteC3After;
-        break;
+        return _profile.demoteC3After;
       case CoreCState::c3:
-        delay = _profile.demoteC6After;
-        break;
+        return _profile.demoteC6After;
       default:
-        return; // c6: nowhere deeper to go
+        return maxTick; // busy, or c6: nowhere deeper to go
     }
-    if (delay == maxTick)
-        return; // state disabled
-    _sim.timerWheel().rearm(_slots[c].demotion, *this, c, delay);
 }
 
 void
-CorePool::cancelDemotion(unsigned c)
+CorePool::armStage(unsigned c, Tick at)
 {
-    _sim.timerWheel().cancel(_slots[c].demotion);
+    // maxTick delay: the next state is disabled, the ladder ends here.
+    const Tick delay = stageDelay(_slots[c].cstate);
+    const Tick due =
+        delay == maxTick ? maxTick
+                         : _sim.timerWheel().deadlineAt(at, delay);
+    _slots[c].stageAt = due;
+    _nextStage = std::min(_nextStage, due);
 }
 
 void
-CorePool::demote(unsigned c)
+CorePool::stopStage(unsigned c)
 {
-    if (busy(c))
-        return; // raced with a task start; harmless
-    switch (_slots[c].cstate) {
-      case CoreCState::c0Idle:
-        setCState(c, CoreCState::c1);
-        break;
-      case CoreCState::c1:
-        setCState(c, CoreCState::c3);
-        break;
-      case CoreCState::c3:
-        setCState(c, CoreCState::c6);
-        break;
-      default:
+    Slot &s = _slots[c];
+    if (s.stageAt == maxTick)
         return;
-    }
-    armDemotion(c);
+    const bool was_next = s.stageAt == _nextStage;
+    s.stageAt = maxTick;
+    if (!was_next)
+        return;
+    _nextStage = maxTick;
+    for (unsigned i = 0; i < _size; ++i)
+        _nextStage = std::min(_nextStage, _slots[i].stageAt);
 }
 
 void
-CorePool::forceDeepSleep(unsigned c)
+CorePool::armHostTimer(Tick delay)
+{
+    const Tick now = _sim.curTick();
+    if (delay > maxTick - now)
+        fatal("host idle timer overflows Tick (now=", now,
+              " delay=", delay, ")");
+    _hostTimer = now + delay;
+}
+
+void
+CorePool::settleDue()
+{
+    const Tick now = _sim.curTick();
+    // A stage and the countdown due on one tick: the stage first.
+    // Both land on that tick either way, so energies and residencies
+    // do not depend on the order.
+    for (;;) {
+        if (_nextStage <= now && _nextStage <= _hostTimer) {
+            demoteNext();
+        } else if (_hostTimer <= now) {
+            const Tick at = _hostTimer;
+            _hostTimer = maxTick;
+            _host.hostTimerExpired(at);
+        } else {
+            return;
+        }
+    }
+}
+
+void
+CorePool::demoteNext()
+{
+    const Tick at = _nextStage;
+    unsigned c = 0;
+    while (_slots[c].stageAt != at)
+        ++c;
+    stopStage(c);
+    setCState(c, deeper(_slots[c].cstate), at);
+    armStage(c, at);
+}
+
+Tick
+CorePool::lastDeferredTick() const
+{
+    Tick last = 0;
+    if (_hostTimer != maxTick) {
+        last = _hostTimer;
+        // The suspend forces every core to C6: stages after it never
+        // come, and the ones before it end no later.
+        if (_host.hostTimerStopsCores())
+            return last;
+    }
+    for (unsigned c = 0; c < _size; ++c) {
+        Tick at = _slots[c].stageAt;
+        if (at == maxTick)
+            continue;
+        // Walk the rest of the ladder from the pending stage.
+        for (CoreCState s = deeper(_slots[c].cstate);
+             stageDelay(s) != maxTick; s = deeper(s))
+            at = _sim.timerWheel().deadlineAt(at, stageDelay(s));
+        last = std::max(last, at);
+    }
+    return last;
+}
+
+void
+CorePool::sleepAll(Tick at)
+{
+    for (unsigned c = 0; c < _size; ++c)
+        forceDeepSleep(c, at);
+}
+
+void
+CorePool::forceDeepSleep(unsigned c, Tick at)
 {
     if (busy(c))
         HOLDCSIM_PANIC("core ", c, " forced to sleep while busy");
-    cancelDemotion(c);
-    setCState(c, CoreCState::c6);
+    stopStage(c);
+    setCState(c, CoreCState::c6, at);
 }
 
 Core::AbortResult
@@ -277,6 +355,7 @@ Core::abortTask()
 {
     CorePool &p = *_pool;
     const unsigned c = _id;
+    p.settle();
     if (!busy())
         HOLDCSIM_PANIC("core ", c, " aborted with no task running");
     CorePool::Busy &b = p._busy[c];
@@ -286,8 +365,9 @@ Core::abortTask()
     AbortResult out{b.current, energyOver(p.power(c), ran), ran};
     if (b.completion.scheduled())
         p._sim.deschedule(b.completion);
-    p.setCState(c, CoreCState::c0Idle);
-    p.armDemotion(c);
+    const Tick now = p._sim.curTick();
+    p.setCState(c, CoreCState::c0Idle, now);
+    p.armStage(c, now);
     return out;
 }
 

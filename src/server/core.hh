@@ -14,27 +14,43 @@
  * Storage layout: cores are not individually-allocated objects. A
  * server owns one CorePool, which keeps its cores in one exact-size
  * array of per-core slots. A slot holds what every core carries,
- * idle or not -- C-state, P-state, base frequency, its wheel handle
- * and its residency books -- which is all an idle-governor demotion
- * or a power sum reads. What matters only while a task runs (the
- * task, its start tick and its completion event) lives in a second
- * array, the busy block, which the pool builds on its first task and
- * keeps for its life: a server whose cores never run a task never
- * carries it, and a demotion touches only the slot. Trace labels are
+ * idle or not -- C-state, P-state, base frequency, the tick its next
+ * idle stage is due and its residency books -- which is all an
+ * idle-governor demotion or a power sum reads. What matters only
+ * while a task runs (the task, its start tick and its completion
+ * event) lives in a second array, the busy block, which the pool
+ * builds on its first task and keeps for its life: a server whose
+ * cores never run a task never carries it, and a demotion touches
+ * only the slot. Trace labels are
  * likewise allocated only once a tracer labels a core.
  * The `Core` class is a 16-byte copyable view (pool pointer + dense
  * id) carrying the familiar per-core API.
  *
- * Timer discipline: idle-governor demotions arm timers on the
- * owning Simulator's TimerWheel (one slot handle per core, O(1)
- * generation-stamped cancel). At the default 1-tick granularity each
- * demotion is its own "core.demotion" kernel event; a coarser wheel
- * folds same-bucket demotions into one tick event.
+ * Timer discipline: nothing is scheduled for an idle core. Its ladder
+ * (C0-idle -> C1 -> C3 -> C6 after the profile's thresholds) is
+ * predetermined once it falls idle, so the slot keeps only the tick
+ * its next stage is due, placed where a timer on the Simulator's
+ * TimerWheel would fire (TimerWheel::deadlineAt(): exact at G = 1,
+ * quantized up to a bucket boundary otherwise, each stage armed at the
+ * previous stage's fire tick). The pool also keeps its host's one
+ * idle countdown (a server's delay timer), armed with armHostTimer().
+ *
+ * settle() replays every stage and countdown due by curTick(), in
+ * time order, through the same setCState()/host calls a timer event
+ * would have made at its own tick, so energies, residencies and trace
+ * slices see the same updates in the same order. Every read or change
+ * of pool state settles first (the Core view does; the host settles
+ * before its own reads). A stage armed for curTick() inside the
+ * current event is not due until the next one (Simulator::epoch()):
+ * a timer event scheduled for the current tick would run only after
+ * the event that armed it. The pool registers as DeferredTimers, so a
+ * drained run() still ends at its last pending stage or countdown.
  */
 
 #ifndef HOLDCSIM_SERVER_CORE_HH
 #define HOLDCSIM_SERVER_CORE_HH
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -44,7 +60,6 @@
 #include "sim/event.hh"
 #include "sim/simulator.hh"
 #include "sim/stats.hh"
-#include "sim/timer_wheel.hh"
 #include "task.hh"
 #include "telemetry/trace_manager.hh"
 
@@ -64,21 +79,30 @@ class CoreHost
   public:
     virtual ~CoreHost() = default;
 
-    /** Called just before any power-relevant core state change. */
-    virtual void coreAccrue() = 0;
+    /** Called just before any power-relevant core state change,
+     *  which takes effect at tick @p at (<= curTick()). */
+    virtual void coreAccrue(Tick at) = 0;
 
-    /** Called after a core C-state or P-state change. */
-    virtual void coreStateChanged() = 0;
+    /** Called after a core C-state or P-state change at @p at. */
+    virtual void coreStateChanged(Tick at) = 0;
 
     /** Core @p core finished @p task (the core is already idle). */
     virtual void coreTaskDone(unsigned core, const TaskRef &task) = 0;
+
+    /** The countdown armed with CorePool::armHostTimer() ran out at
+     *  @p at (<= curTick(); called while the pool settles). */
+    virtual void hostTimerExpired(Tick at) { (void)at; }
+
+    /** Whether the host timer's expiry, if it came now, would force
+     *  every core to C6 (a suspend), ending their ladders there. */
+    virtual bool hostTimerStopsCores() const { return false; }
 };
 
 /**
  * All cores of one server, in one exact-size array of per-core
  * slots. Fixed-size: the core count is set at construction.
  */
-class CorePool : public TimerClient
+class CorePool : public DeferredTimers
 {
   public:
     /**
@@ -97,7 +121,7 @@ class CorePool : public TimerClient
              const ServerPowerProfile &profile, unsigned n_cores,
              const std::vector<double> &base_freqs_ghz = {});
 
-    /** Deschedules pending completions and cancels wheel timers. */
+    /** Deschedules pending completions; leaves the drain list. */
     ~CorePool() override;
 
     CorePool(const CorePool &) = delete;
@@ -107,11 +131,40 @@ class CorePool : public TimerClient
 
     Simulator &sim() const { return _sim; }
 
-    /** TimerClient: a demotion deadline expired (token = core id). */
-    void timerFired(std::uint64_t token, Tick deadline) override;
-    const char *timerName() const override { return "core.demotion"; }
+    /**
+     * Replay every idle stage and host countdown due by curTick() (see
+     * the file comment). At most once per Simulator::epoch().
+     */
+    void
+    settle()
+    {
+        const std::uint64_t epoch = _sim.epoch();
+        if (_settledEpoch == epoch)
+            return;
+        _settledEpoch = epoch;
+        if (std::min(_nextStage, _hostTimer) <= _sim.curTick())
+            settleDue();
+    }
 
-    /** @name Read-only per-core queries (Core forwards to these) */
+    /**
+     * Arm the host's idle countdown to run out @p delay after
+     * curTick(), replacing any pending one; finite @p delay only.
+     */
+    void armHostTimer(Tick delay);
+    /** Drop the host's countdown, if one is pending. */
+    void cancelHostTimer() { _hostTimer = maxTick; }
+
+    /**
+     * Force every core to C6 at tick @p at (the host suspends or
+     * crashes), ending their ladders. No settle: the host calls this
+     * while settling, too. @pre no core is busy
+     */
+    void sleepAll(Tick at);
+
+    /** DeferredTimers: the last stage or countdown still pending. */
+    Tick lastDeferredTick() const override;
+
+    /** @name Per-core queries at the last settle() (Core settles) */
     ///@{
     bool busy(unsigned c) const
     {
@@ -156,7 +209,9 @@ class CorePool : public TimerClient
         TraceTrackId traceTrack = noTraceTrack;
         std::size_t pstate = 0;
         double baseFreqGhz = 0.0;
-        TimerWheel::Handle demotion;
+        /** Tick the next idle stage is due; maxTick while busy, in
+         *  C6, or when the next stage is disabled. */
+        Tick stageAt = maxTick;
         std::uint64_t tasksExecuted = 0;
         StateResidency residency;
     };
@@ -172,15 +227,22 @@ class CorePool : public TimerClient
     void setPState(unsigned c, std::size_t idx);
     void startTask(unsigned c, const TaskRef &task, Tick extra_wake);
     Tick processingTime(unsigned c, const TaskRef &task) const;
-    void forceDeepSleep(unsigned c);
-    void setCState(unsigned c, CoreCState next);
-    void traceCState(unsigned c);
+    void forceDeepSleep(unsigned c, Tick at);
+    void setCState(unsigned c, CoreCState next, Tick at);
+    void traceCState(unsigned c, Tick at);
     /** Core @p c's timeline track, or noTraceTrack when the core is
      *  unlabelled or the tracer does not want core records. */
     TraceTrackId traceTrack(unsigned c, TraceManager &tr);
-    void armDemotion(unsigned c);
-    void cancelDemotion(unsigned c);
-    void demote(unsigned c);
+    /** Delay before the stage after @p s, or maxTick for none. */
+    Tick stageDelay(CoreCState s) const;
+    /** Start core @p c's next idle stage countdown at tick @p at. */
+    void armStage(unsigned c, Tick at);
+    /** Stop core @p c's ladder (it runs a task or is forced to C6). */
+    void stopStage(unsigned c);
+    /** The settle() slow path: something is due. */
+    void settleDue();
+    /** Apply the earliest due stage (lowest core id among ties). */
+    void demoteNext();
     void complete(unsigned c);
     Tick exitLatency(CoreCState from) const;
     void setTraceLabel(unsigned c, std::string label);
@@ -191,6 +253,12 @@ class CorePool : public TimerClient
     unsigned _size;
 
     std::unique_ptr<Slot[]> _slots;
+    /** Earliest Slot::stageAt. */
+    Tick _nextStage = maxTick;
+    /** When the host's countdown runs out; maxTick when none. */
+    Tick _hostTimer = maxTick;
+    /** Simulator::epoch() of the last settle(). */
+    std::uint64_t _settledEpoch;
     /** One entry per core; empty until the pool's first task. */
     std::vector<Busy> _busy;
     /** One label per core; null until a core is first labelled. */
@@ -208,13 +276,22 @@ class Core
     /** Whether a task is currently executing (C0-active). */
     bool busy() const { return _pool->busy(_id); }
 
-    CoreCState cstate() const { return _pool->cstate(_id); }
+    CoreCState cstate() const
+    {
+        _pool->settle();
+        return _pool->cstate(_id);
+    }
 
     /** Current operating frequency under the active P-state. */
     double frequencyGhz() const { return _pool->frequencyGhz(_id); }
 
     /** Select DVFS operating point @p idx (0 = fastest). */
-    void setPState(std::size_t idx) { _pool->setPState(_id, idx); }
+    void
+    setPState(std::size_t idx)
+    {
+        _pool->settle();
+        _pool->setPState(_id, idx);
+    }
     std::size_t pstate() const { return _pool->_slots[_id].pstate; }
 
     /**
@@ -225,6 +302,7 @@ class Core
      */
     void startTask(const TaskRef &task, Tick extra_wake)
     {
+        _pool->settle();
         _pool->startTask(_id, task, extra_wake);
     }
 
@@ -240,14 +318,24 @@ class Core
     }
 
     /** Instantaneous power draw of this core. */
-    Watts power() const { return _pool->power(_id); }
+    Watts
+    power() const
+    {
+        _pool->settle();
+        return _pool->power(_id);
+    }
 
     /**
      * Force the deepest C-state immediately (server entering a
      * system sleep state). Cancels any pending demotion timer.
      * @pre !busy()
      */
-    void forceDeepSleep() { _pool->forceDeepSleep(_id); }
+    void
+    forceDeepSleep()
+    {
+        _pool->settle();
+        _pool->forceDeepSleep(_id, _pool->sim().curTick());
+    }
 
     /** Outcome of abandoning an in-flight task. */
     struct AbortResult {
@@ -276,16 +364,23 @@ class Core
     /** Per-C-state residency (states indexed by CoreCState). */
     const StateResidency &residency() const
     {
+        _pool->settle();
         return _pool->_slots[_id].residency;
     }
 
     /** Close residency books at @p now. */
-    void finishStats(Tick now) { _pool->_slots[_id].residency.finish(now); }
+    void
+    finishStats(Tick now)
+    {
+        _pool->settle();
+        _pool->_slots[_id].residency.finish(now);
+    }
 
     /** Zero residency and counters (end of warmup). */
     void
     resetStats(Tick now)
     {
+        _pool->settle();
         CorePool::Slot &slot = _pool->_slots[_id];
         slot.residency.reset();
         slot.residency.enter(static_cast<int>(slot.cstate), now);
@@ -303,6 +398,7 @@ class Core
      */
     void setTraceLabel(std::string label)
     {
+        _pool->settle();
         _pool->setTraceLabel(_id, std::move(label));
     }
 

@@ -16,16 +16,17 @@
  * their own: sched/adaptive_policy retunes each server's
  * DelayTimerController (package C6 comes from the core idle governor
  * as soon as the cores drain).
+ *
+ * A controller schedules nothing itself. The delay timer is the
+ * server's sleep timer (Server::armSleepTimer()), which the server's
+ * CorePool keeps as one deadline and fires, at its own tick, when the
+ * server is next read -- no event per idle period.
  */
 
 #ifndef HOLDCSIM_SERVER_POWER_CONTROLLER_HH
 #define HOLDCSIM_SERVER_POWER_CONTROLLER_HH
 
-#include <memory>
-#include <optional>
-
 #include "server.hh"
-#include "sim/event.hh"
 
 namespace holdcsim {
 
@@ -46,7 +47,6 @@ class DelayTimerController : public ServerPowerController
 {
   public:
     explicit DelayTimerController(Tick tau, SState target = SState::s3);
-    ~DelayTimerController() override;
 
     void attach(Server &server) override;
     void becameBusy(Server &server) override;
@@ -65,7 +65,6 @@ class DelayTimerController : public ServerPowerController
     Tick _tau;
     SState _target;
     Server *_server = nullptr;
-    std::optional<EventFunctionWrapper> _timer;
 };
 
 } // namespace holdcsim

@@ -49,10 +49,12 @@ Server::Server(Simulator &sim, const ServerConfig &config,
       _local(config.queueMode, config.corePick, config.nCores),
       _allowPkgC6(config.allowPkgC6), _id(config.id),
       _wakeDoneEvent([this] {
-          accrue();
+          settle();
+          const Tick now = _sim.curTick();
+          accrueTo(now);
           _waking = false;
           _sstate = SState::s0;
-          updateResidency();
+          updateResidency(now);
           dispatch();
       }, "server.wakeDone", Event::powerPriority),
       _lastAccrue(sim.curTick())
@@ -66,16 +68,14 @@ Server::Server(Simulator &sim, const ServerConfig &config,
                                   ".core" + std::to_string(i));
         }
     }
-    recomputePkgState();
-    _residency.enter(static_cast<int>(observableState()), sim.curTick());
-    traceState();
+    const Tick now = sim.curTick();
+    recomputePkgState(now);
+    _residency.enter(static_cast<int>(stateNow()), now);
+    traceState(now);
 }
 
 Server::~Server()
 {
-    // Controllers hold timer events against our simulator; destroy
-    // them (and their events) before the cores.
-    _controller.reset();
     if (_wakeDoneEvent.scheduled())
         _sim.deschedule(_wakeDoneEvent);
 }
@@ -91,6 +91,9 @@ Server::core(unsigned i)
 void
 Server::setController(std::unique_ptr<ServerPowerController> ctrl)
 {
+    // The old controller's sleep timer goes with it.
+    settle();
+    _corePool.cancelHostTimer();
     _controller = std::move(ctrl);
     if (_controller)
         _controller->attach(*this);
@@ -103,15 +106,10 @@ Server::servesType(int type) const
            std::binary_search(_taskTypes.begin(), _taskTypes.end(), type);
 }
 
-bool
-Server::isIdle() const
-{
-    return !_failed && _sstate == SState::s0 && !_waking && load() == 0;
-}
-
 void
 Server::submit(const TaskRef &task)
 {
+    settle();
     if (_failed) {
         fatal("server ", id(), " given a task while failed "
               "(scheduler must skip crashed servers)");
@@ -134,28 +132,36 @@ Server::submit(const TaskRef &task)
 bool
 Server::sleep(SState target)
 {
+    settle();
+    return sleepAt(target, _sim.curTick());
+}
+
+bool
+Server::sleepAt(SState target, Tick at)
+{
     if (target == SState::s0)
         fatal("sleep target must be S3 or S5");
-    if (_failed || _sstate != SState::s0 || _waking || load() != 0)
+    if (!idleNow())
         return false;
-    accrue();
-    for (unsigned c = 0; c < numCores(); ++c)
-        core(c).forceDeepSleep();
+    accrueTo(at);
+    _corePool.sleepAll(at);
     _sstate = target;
     ++_sleepTransitions;
-    updateResidency();
+    updateResidency(at);
     return true;
 }
 
 void
 Server::wakeUp()
 {
+    settle();
     if (_failed || _sstate == SState::s0 || _waking)
         return;
-    accrue();
+    const Tick now = _sim.curTick();
+    accrueTo(now);
     _waking = true;
     ++_wakeTransitions;
-    updateResidency();
+    updateResidency(now);
     // Entry latency is folded into the wake path: a server roused
     // during/after suspend pays wake plus any residual entry time.
     _sim.scheduleAfter(_wakeDoneEvent,
@@ -163,12 +169,29 @@ Server::wakeUp()
                            _profile->s3EntryLatency);
 }
 
+void
+Server::armSleepTimer(Tick delay, SState target)
+{
+    settle();
+    _sleepTarget = target;
+    _corePool.armHostTimer(delay);
+}
+
+void
+Server::cancelSleepTimer()
+{
+    settle();
+    _corePool.cancelHostTimer();
+}
+
 std::vector<TaskRef>
 Server::fail()
 {
+    settle();
     if (_failed)
         HOLDCSIM_PANIC("server ", id(), " failed twice without repair");
-    accrue(); // integrate pre-crash power before the rates drop to 0
+    const Tick now = _sim.curTick();
+    accrueTo(now); // integrate pre-crash power before the rates drop to 0
     _failed = true;
     ++_failures;
     if (_wakeDoneEvent.scheduled())
@@ -185,26 +208,26 @@ Server::fail()
     }
     _running = 0;
     _local.drainAll(killed);
-    // Settle the cores so no demotion timers (events or wheel
-    // entries) tick while we are down; power is forced to zero by
-    // componentPower() regardless.
-    for (unsigned c = 0; c < numCores(); ++c)
-        core(c).forceDeepSleep();
-    updateResidency();
+    // Park the cores so no idle ladder runs while we are down; power
+    // is forced to zero by componentPower() regardless.
+    _corePool.sleepAll(now);
+    updateResidency(now);
     return killed;
 }
 
 void
 Server::repair()
 {
+    settle();
     if (!_failed)
         HOLDCSIM_PANIC("server ", id(), " repaired while healthy");
-    accrue();
+    const Tick now = _sim.curTick();
+    accrueTo(now);
     _failed = false;
     _sstate = SState::s0;
     _waking = false;
-    recomputePkgState();
-    updateResidency();
+    recomputePkgState(now);
+    updateResidency(now);
     // The machine is back and idle: let the power controller arm its
     // usual idle management (delay timers etc.).
     if (_controller)
@@ -214,8 +237,9 @@ Server::repair()
 bool
 Server::cancelTask(JobId job, TaskId task)
 {
+    settle();
     if (_local.remove(job, task)) {
-        updateResidency();
+        updateResidency(_sim.curTick());
         if (load() == 0 && _controller)
             _controller->becameIdle(*this);
         return true;
@@ -232,7 +256,7 @@ Server::cancelTask(JobId job, TaskId task)
         if (_running == 0)
             HOLDCSIM_PANIC("server ", id(), " cancelled an unaccounted task");
         --_running;
-        updateResidency();
+        updateResidency(_sim.curTick());
         dispatch(); // the freed core can pull buffered work
         if (load() == 0 && _controller)
             _controller->becameIdle(*this);
@@ -244,15 +268,17 @@ Server::cancelTask(JobId job, TaskId task)
 void
 Server::setAllowPkgC6(bool allow)
 {
+    settle();
     if (_allowPkgC6 == allow)
         return;
     _allowPkgC6 = allow;
-    recomputePkgState();
-    updateResidency();
+    const Tick now = _sim.curTick();
+    recomputePkgState(now);
+    updateResidency(now);
 }
 
 ServerState
-Server::observableState() const
+Server::stateNow() const
 {
     if (_failed)
         return ServerState::failed;
@@ -314,6 +340,7 @@ Server::componentPower() const
 Watts
 Server::power() const
 {
+    settle();
     ComponentPower p = componentPower();
     return p.cpu + p.dram + p.platform;
 }
@@ -321,7 +348,13 @@ Server::power() const
 void
 Server::accrue()
 {
-    Tick now = _sim.curTick();
+    settle();
+    accrueTo(_sim.curTick());
+}
+
+void
+Server::accrueTo(Tick now)
+{
     if (now == _lastAccrue)
         return;
     if (now < _lastAccrue)
@@ -337,8 +370,9 @@ Server::accrue()
 void
 Server::finishStats()
 {
-    accrue();
+    settle();
     Tick now = _sim.curTick();
+    accrueTo(now);
     _residency.finish(now);
     for (unsigned c = 0; c < numCores(); ++c)
         core(c).finishStats(now);
@@ -347,7 +381,9 @@ Server::finishStats()
 void
 Server::resetStats()
 {
-    accrue();
+    settle();
+    Tick now = _sim.curTick();
+    accrueTo(now);
     _energy = EnergyBreakdown{};
     _tasksCompleted = 0;
     _wakeTransitions = 0;
@@ -355,9 +391,8 @@ Server::resetStats()
     _failures = 0;
     _tasksKilled = 0;
     _wastedJoules = 0.0;
-    Tick now = _sim.curTick();
     _residency.reset();
-    _residency.enter(static_cast<int>(observableState()), now);
+    _residency.enter(static_cast<int>(stateNow()), now);
     for (unsigned c = 0; c < numCores(); ++c)
         core(c).resetStats(now);
 }
@@ -404,7 +439,7 @@ Server::dispatch()
         }
     }
     _inDispatch = false;
-    updateResidency();
+    updateResidency(_sim.curTick());
 }
 
 void
@@ -414,7 +449,7 @@ Server::taskFinished(const TaskRef &task)
         HOLDCSIM_PANIC("server ", id(), " finished a task it never ran");
     --_running;
     ++_tasksCompleted;
-    updateResidency();
+    updateResidency(_sim.curTick());
     if (_taskDone)
         _taskDone(*this, task); // may submit follow-up work
     dispatch();
@@ -423,7 +458,7 @@ Server::taskFinished(const TaskRef &task)
 }
 
 void
-Server::recomputePkgState()
+Server::recomputePkgState(Tick at)
 {
     if (_sstate != SState::s0)
         return; // package state is moot while suspended
@@ -441,23 +476,23 @@ Server::recomputePkgState()
     else if (all_c6 && _allowPkgC6)
         next = PkgCState::pc6;
     if (next != _pkgState) {
-        accrue();
+        accrueTo(at);
         _pkgState = next;
     }
 }
 
 void
-Server::updateResidency()
+Server::updateResidency(Tick at)
 {
-    auto s = static_cast<int>(observableState());
+    auto s = static_cast<int>(stateNow());
     if (s != _residency.currentState()) {
-        _residency.enter(s, _sim.curTick());
-        traceState();
+        _residency.enter(s, at);
+        traceState(at);
     }
 }
 
 void
-Server::traceState()
+Server::traceState(Tick at)
 {
     TraceManager *tr = _sim.tracer();
     if (!tr || !tr->wants(TraceCategory::server))
@@ -467,7 +502,7 @@ Server::traceState()
             tr->track("servers", "server" + std::to_string(id()));
     }
     tr->transition(_traceTrack, TraceCategory::server,
-                   toString(observableState()), _sim.curTick());
+                   toString(stateNow()), at);
 }
 
 } // namespace holdcsim

@@ -12,7 +12,15 @@
  * case studies.
  *
  * Power policy is pluggable: a ServerPowerController is notified on
- * busy/idle transitions and drives sleep()/wakeUp().
+ * busy/idle transitions and drives sleep()/wakeUp(), or arms the
+ * server's sleep timer (a delay timer) with armSleepTimer().
+ *
+ * An idle server schedules nothing: its core C-state ladder and its
+ * sleep timer are kept in closed form by its CorePool (see core.hh)
+ * and replayed, at their own ticks, before anything reads or changes
+ * the server -- every public member that depends on them settles
+ * first. Reads are logically const: they compute the state the server
+ * already has at curTick().
  */
 
 #ifndef HOLDCSIM_SERVER_SERVER_HH
@@ -40,8 +48,8 @@ class Server;
 /**
  * Power-management policy hook. The server calls becameBusy() when
  * work arrives and becameIdle() when its last task completes; the
- * controller reacts by calling Server::sleep()/wakeUp(), typically
- * through delay-timer events.
+ * controller reacts by calling Server::sleep()/wakeUp(), or by arming
+ * the server's sleep timer.
  */
 class ServerPowerController
 {
@@ -148,9 +156,19 @@ class Server : private CoreHost
     /** pending + running: the "pending jobs per server" load metric. */
     std::size_t load() const { return pendingTasks() + _running; }
     /** In S0, not waking, with no work at all. */
-    bool isIdle() const;
+    bool
+    isIdle() const
+    {
+        settle();
+        return idleNow();
+    }
     /** In S3/S5 (not waking). */
-    bool isAsleep() const { return _sstate != SState::s0 && !_waking; }
+    bool
+    isAsleep() const
+    {
+        settle();
+        return _sstate != SState::s0 && !_waking;
+    }
     bool isWaking() const { return _waking; }
     ///@}
 
@@ -165,6 +183,16 @@ class Server : private CoreHost
 
     /** Begin waking from S3/S5 if asleep; no-op otherwise. */
     void wakeUp();
+
+    /**
+     * Arm the sleep timer: @p delay (finite) after now the server
+     * tries sleep(@p target), which does nothing unless it is then
+     * idle. Replaces a pending timer. Nothing is scheduled: the
+     * timer fires, at its tick, when the server is next read.
+     */
+    void armSleepTimer(Tick delay, SState target);
+    /** Disarm the sleep timer, if armed. */
+    void cancelSleepTimer();
 
     /** Disallow/allow package C6 at runtime (WASP pools). */
     void setAllowPkgC6(bool allow);
@@ -202,10 +230,25 @@ class Server : private CoreHost
     ///@}
 
     /** Observable state per the paper's Figure 8 categories. */
-    ServerState observableState() const;
+    ServerState
+    observableState() const
+    {
+        settle();
+        return stateNow();
+    }
 
-    SState sstate() const { return _sstate; }
-    PkgCState pkgState() const { return _pkgState; }
+    SState
+    sstate() const
+    {
+        settle();
+        return _sstate;
+    }
+    PkgCState
+    pkgState() const
+    {
+        settle();
+        return _pkgState;
+    }
 
     /** @name Power and energy */
     ///@{
@@ -213,17 +256,32 @@ class Server : private CoreHost
     Watts power() const;
     /** Component energies accrued so far (call accrue() first for
      *  up-to-the-tick figures). */
-    const EnergyBreakdown &energy() const { return _energy; }
+    const EnergyBreakdown &
+    energy() const
+    {
+        settle();
+        return _energy;
+    }
     /** Integrate energy up to the current simulated time. */
     void accrue();
     ///@}
 
     /** @name Statistics */
     ///@{
-    const StateResidency &residency() const { return _residency; }
+    const StateResidency &
+    residency() const
+    {
+        settle();
+        return _residency;
+    }
     std::uint64_t tasksCompleted() const { return _tasksCompleted; }
     std::uint64_t wakeTransitions() const { return _wakeTransitions; }
-    std::uint64_t sleepTransitions() const { return _sleepTransitions; }
+    std::uint64_t
+    sleepTransitions() const
+    {
+        settle();
+        return _sleepTransitions;
+    }
     /** Number of crashes injected into this server. */
     std::uint64_t failures() const { return _failures; }
     /** Tasks aborted mid-execution by crashes or cancellation. */
@@ -242,12 +300,12 @@ class Server : private CoreHost
   private:
     /** @name CoreHost interface (driven by the core pool) */
     ///@{
-    void coreAccrue() override { accrue(); }
+    void coreAccrue(Tick at) override { accrueTo(at); }
     void
-    coreStateChanged() override
+    coreStateChanged(Tick at) override
     {
-        recomputePkgState();
-        updateResidency();
+        recomputePkgState(at);
+        updateResidency(at);
     }
     void
     coreTaskDone(unsigned core, const TaskRef &task) override
@@ -255,18 +313,40 @@ class Server : private CoreHost
         (void)core;
         taskFinished(task);
     }
+    /** The sleep timer ran out at @p at. */
+    void
+    hostTimerExpired(Tick at) override
+    {
+        sleepAt(_sleepTarget, at);
+    }
+    bool hostTimerStopsCores() const override { return idleNow(); }
     ///@}
 
+    /** Replay the idle transitions due by now (see the file comment). */
+    void settle() const { _corePool.settle(); }
+    /** isIdle() without settling: what sleep() requires. */
+    bool
+    idleNow() const
+    {
+        return !_failed && _sstate == SState::s0 && !_waking &&
+               load() == 0;
+    }
+    /** observableState() without settling. */
+    ServerState stateNow() const;
+    /** sleep(), taking effect at tick @p at (<= now). */
+    bool sleepAt(SState target, Tick at);
+    /** Integrate energy up to tick @p at. */
+    void accrueTo(Tick at);
     /** Give every free core work while any is available. */
     void dispatch();
     /** Core @p core_id finished @p task. */
     void taskFinished(const TaskRef &task);
-    /** Recompute the package C-state from core states. */
-    void recomputePkgState();
-    /** Update the observable-state residency tracker. */
-    void updateResidency();
-    /** Emit the current observable state to the timeline tracer. */
-    void traceState();
+    /** Recompute the package C-state from core states at @p at. */
+    void recomputePkgState(Tick at);
+    /** Update the observable-state residency tracker at @p at. */
+    void updateResidency(Tick at);
+    /** Emit the observable state at @p at to the timeline tracer. */
+    void traceState(Tick at);
     /** Component powers at this instant. */
     struct ComponentPower {
         Watts cpu, dram, platform;
@@ -279,13 +359,16 @@ class Server : private CoreHost
     /** ServerConfig::taskTypes, sorted; empty = all types. */
     std::vector<int> _taskTypes;
 
-    /** Per-core state, one slot per core (see core.hh). */
-    CorePool _corePool;
+    /** Per-core state, one slot per core, and the sleep timer (see
+     *  core.hh). Mutable: const reads settle it. */
+    mutable CorePool _corePool;
     LocalScheduler _local;
     std::unique_ptr<ServerPowerController> _controller;
     TaskDoneFn _taskDone;
 
     SState _sstate = SState::s0;
+    /** What the sleep timer suspends to. */
+    SState _sleepTarget = SState::s3;
     bool _waking = false;
     bool _failed = false;
     /** Whether the package may enter PC6 (runtime-tunable). */

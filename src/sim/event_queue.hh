@@ -4,7 +4,7 @@
  * (tick, priority, schedule sequence) so simultaneous events run in
  * deterministic FIFO order.
  *
- * Near-future events -- the tx-done, C-state demotion, LPI-wakeup and
+ * Near-future events -- the tx-done, task-completion, LPI-wakeup and
  * queue-poll timers that dominate every workload -- land in a ring of
  * calendar buckets covering a sliding window around the current tick,
  * giving O(1) amortized schedule/pop. Far-future events (MTTF faults,

@@ -138,6 +138,22 @@ WindowScheduler::runParallel()
         threads.emplace_back([this, w, &sync] { workerLoop(w, sync); });
     for (std::thread &t : threads)
         t.join();
+
+    // No foreground work is left anywhere, but a partition may still
+    // hold deferred timers (server idle ladders): run() on the drained
+    // partition ends its clock at the last of them, as in runSingle().
+    if (_barrierError)
+        return;
+    for (const std::exception_ptr &e : _errors)
+        if (e)
+            return;
+    for (std::size_t w = 0; w < n; ++w) {
+        try {
+            _parts[w]->sim().run();
+        } catch (...) {
+            _errors[w] = std::current_exception();
+        }
+    }
 }
 
 template <typename Barrier>

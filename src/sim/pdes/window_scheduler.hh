@@ -87,7 +87,8 @@ class WindowScheduler
 
     /**
      * Run every partition to completion (no foreground events left
-     * anywhere, all outboxes empty). With one partition this is
+     * anywhere, all outboxes empty, each partition's deferred timers
+     * run out as Simulator::run() runs them). With one partition this is
      * exactly Simulator::run() -- no threads, no windows -- so
      * `pods:1` matches the sequential kernel event for event. The
      * first exception raised in a partition (lowest partition index

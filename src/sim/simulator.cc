@@ -1,5 +1,6 @@
 #include "simulator.hh"
 
+#include <algorithm>
 #include <iostream>
 #include <ostream>
 
@@ -112,6 +113,7 @@ Simulator::processPopped(Event &ev)
     // separate nextTick() peek per event.
     _curTick = ev.when();
     ++_eventsProcessed;
+    ++_epoch;
     if constexpr (WithProbe) {
         // Queue depth at the pop counts the popped event itself.
         // beginEvent() must copy what it needs: one-shot events
@@ -132,15 +134,59 @@ Simulator::processPopped(Event &ev)
     }
 }
 
+void
+Simulator::addDeferred(DeferredTimers &d)
+{
+    d._deferredSlot = _deferred.size();
+    _deferred.push_back(&d);
+}
+
+void
+Simulator::removeDeferred(DeferredTimers &d)
+{
+    // Order is irrelevant (drains take a max): move the last entry
+    // into the hole.
+    DeferredTimers *last = _deferred.back();
+    last->_deferredSlot = d._deferredSlot;
+    _deferred[d._deferredSlot] = last;
+    _deferred.pop_back();
+}
+
+template <bool WithProbe>
+bool
+Simulator::drainDeferred()
+{
+    Tick last = 0;
+    for (const DeferredTimers *d : _deferred)
+        last = std::max(last, d->lastDeferredTick());
+    if (last <= _curTick)
+        return false;
+    // The deferred transitions stand in for foreground events, so a
+    // background event before the last of them still runs; one at
+    // its tick would run after it (power-priority timers go first),
+    // i.e. after the run ended.
+    if (!_queue.empty() && _queue.nextTick() < last) {
+        if (_limits)
+            checkLimits();
+        processOne<WithProbe>();
+        return true;
+    }
+    _curTick = last;
+    return false;
+}
+
 template <bool WithProbe>
 Tick
 Simulator::runLoop()
 {
-    while (_queue.foregroundCount() > 0 && !_stopRequested) {
-        if (_limits)
-            checkLimits();
-        processOne<WithProbe>();
-    }
+    do {
+        while (_queue.foregroundCount() > 0 && !_stopRequested) {
+            if (_limits)
+                checkLimits();
+            processOne<WithProbe>();
+        }
+    } while (!_stopRequested && drainDeferred<WithProbe>());
+    ++_epoch;
     return _curTick;
 }
 
@@ -160,6 +206,7 @@ Simulator::runUntilLoop(Tick limit)
             checkLimits();
         if (_queue.nextTick() > limit) {
             _curTick = limit;
+            ++_epoch;
             return _curTick;
         }
         processOne<WithProbe>();
@@ -169,6 +216,7 @@ Simulator::runUntilLoop(Tick limit)
     // of the last event it actually processed.
     if (!_stopRequested && _curTick < limit)
         _curTick = limit;
+    ++_epoch;
     return _curTick;
 }
 
@@ -191,6 +239,7 @@ Simulator::runBeforeLoop(Tick bound)
             break;
         processPopped<WithProbe>(*ev);
     }
+    ++_epoch;
     return _curTick;
 }
 

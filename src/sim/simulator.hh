@@ -87,6 +87,29 @@ class KernelProbe
     virtual void dumpRecent(std::ostream &os) const { (void)os; }
 };
 
+/**
+ * An entity whose timers are computed in closed form instead of being
+ * scheduled (the server idle ladder, see CorePool): it replays what is
+ * due whenever it is next read. Registered with its Simulator, so a
+ * drained run() can still end where the timers' events would have.
+ */
+class DeferredTimers
+{
+  public:
+    virtual ~DeferredTimers() = default;
+
+    /**
+     * Tick of the last transition this entity still has pending if
+     * nothing touches it again (0 when none). run() ends no earlier.
+     */
+    virtual Tick lastDeferredTick() const = 0;
+
+  private:
+    friend class Simulator;
+    /** Position in the Simulator's list (O(1) removal). */
+    std::size_t _deferredSlot = 0;
+};
+
 /** Event-driven simulation engine with a nanosecond clock. */
 class Simulator
 {
@@ -110,6 +133,15 @@ class Simulator
 
     /** Number of events processed so far (engine throughput metric). */
     std::uint64_t eventsProcessed() const { return _eventsProcessed; }
+
+    /**
+     * Dispatch epoch: changes before each event is processed and
+     * whenever a run loop returns. Deferred timers settle at most once
+     * per epoch, so one armed for curTick() inside an epoch comes due
+     * only in the next -- as a same-tick event scheduled from inside
+     * an event runs only after that event returns.
+     */
+    std::uint64_t epoch() const { return _epoch; }
 
     /** Schedule @p ev at absolute tick @p when (>= curTick()). */
     void schedule(Event &ev, Tick when);
@@ -137,7 +169,11 @@ class Simulator
     Tick nextEventTick() { return _queue.nextTick(); }
 
     /**
-     * Run until the event queue drains or stop() is called.
+     * Run until the event queue drains or stop() is called. A drained
+     * run continues while a registered DeferredTimers still has a
+     * transition pending -- processing the background events before
+     * it -- and ends at the last such transition's tick, as if each
+     * had been a foreground event.
      * @return the final simulated time.
      */
     Tick run();
@@ -169,6 +205,15 @@ class Simulator
 
     /** Request that run()/runUntil() return after the current event. */
     void stop() { _stopRequested = true; }
+
+    /** @name Deferred timers (see DeferredTimers)
+     * An entity registers for its lifetime; the list is scanned only
+     * when a run() drains. Not owned.
+     */
+    ///@{
+    void addDeferred(DeferredTimers &d);
+    void removeDeferred(DeferredTimers &d);
+    ///@}
 
     /** Direct access to the queue (tests and advanced harnesses). */
     EventQueue &eventQueue() { return _queue; }
@@ -290,6 +335,10 @@ class Simulator
     template <bool WithProbe> void processOne();
     template <bool WithProbe> void processPopped(Event &ev);
     template <bool WithProbe> Tick runLoop();
+    /** run() found no foreground event: process one background event
+     *  due before the last deferred transition, or else advance the
+     *  clock to that transition. @return whether to keep running. */
+    template <bool WithProbe> bool drainDeferred();
     template <bool WithProbe> Tick runUntilLoop(Tick limit);
     template <bool WithProbe> Tick runBeforeLoop(Tick bound);
 
@@ -302,6 +351,8 @@ class Simulator
     EventQueue _queue;
     Tick _curTick = 0;
     std::uint64_t _eventsProcessed = 0;
+    std::uint64_t _epoch = 0;
+    std::vector<DeferredTimers *> _deferred;
     bool _stopRequested = false;
     TraceManager *_tracer = nullptr;
     KernelProbe *_probe = nullptr;

@@ -167,19 +167,18 @@ TimerWheel::settleOverflow(Tick window_base)
 }
 
 Tick
-TimerWheel::deadlineAfter(Tick delay) const
+TimerWheel::deadlineAt(Tick from, Tick delay) const
 {
-    const Tick now = _sim.curTick();
-    if (delay > maxTick - now)
-        fatal("TimerWheel: deadline overflows Tick (now=", now,
+    if (delay > maxTick - from)
+        fatal("TimerWheel: deadline overflows Tick (now=", from,
               " delay=", delay, ")");
-    return quantize(now + delay);
+    return quantize(from + delay);
 }
 
 TimerWheel::Handle
 TimerWheel::arm(TimerClient &client, std::uint64_t token, Tick delay)
 {
-    const Tick dl = deadlineAfter(delay);
+    const Tick dl = deadlineAt(_sim.curTick(), delay);
     // An empty wheel may hold a stale window from long ago; snap it
     // forward so near deadlines land in the ring, not the heap.
     if (_live == 0) {
@@ -245,7 +244,7 @@ TimerWheel::rearm(Handle &h, TimerClient &client, std::uint64_t token,
         h = arm(client, token, delay);
         return;
     }
-    const Tick dl = deadlineAfter(delay);
+    const Tick dl = deadlineAt(_sim.curTick(), delay);
     ExactEvent &ev = exactEvent(h.idx);
     ev.serve(client, token);
     ++_stats.cancelled;

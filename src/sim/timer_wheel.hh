@@ -1,13 +1,19 @@
 /**
  * @file
- * The governor timer facility: every power-state governor timer (core
- * C-state demotion, port LPI, line card and switch sleep countdowns)
- * is armed here. Each Simulator owns one wheel (Simulator::
- * timerWheel()); its granularity G picks the mechanism.
+ * The governor timer facility. Each Simulator owns one wheel
+ * (Simulator::timerWheel()); its granularity G is the governor timer
+ * discipline of the whole run.
+ *
+ * Who arms the wheel: the network's governors -- port LPI, line card
+ * and switch sleep countdowns. Servers do not: a core's C-state ladder
+ * and a server's delay timer are predetermined once the server falls
+ * idle, so the CorePool computes them in closed form when the server
+ * is next read (see core.hh), placing each stage where a wheel timer
+ * would fire through deadlineAt(). They cost no event, arm or fire.
  *
  * Exact mode (G = 1, the default). Each live timer is one pooled
  * kernel event at powerPriority, named after its client
- * (TimerClient::timerName(): core.demotion, port.lpi, ...), so the
+ * (TimerClient::timerName(): port.lpi, linecard.sleep, ...), so the
  * kernel, probes and abort dumps see exactly what per-entity timer
  * events produced. Same-tick timers fire in arm order by the kernel's
  * FIFO tie-break, and rearm() uses Simulator::reschedule(), so a
@@ -164,6 +170,14 @@ class TimerWheel
     /** Quantized fire tick of a pending handle. @pre pending(h) */
     Tick deadline(const Handle &h) const;
 
+    /**
+     * Tick a timer armed at @p from for @p delay fires at: from +
+     * delay quantized up to a bucket boundary. Fatal when the sum
+     * overflows Tick. For timers computed in closed form rather than
+     * armed (the core idle ladder), so they land where armed ones do.
+     */
+    Tick deadlineAt(Tick from, Tick delay) const;
+
     Tick granularity() const { return _granularity; }
     /** Exact mode: G = 1, one kernel event per timer, no ring. */
     bool exact() const { return _granularity == 1; }
@@ -231,8 +245,6 @@ class TimerWheel
     /** Drop dead heap tops; migrate items inside the new window. */
     void settleOverflow(Tick window_base);
     void cancelValid(Handle &h);
-    /** Deadline of a timer armed now for @p delay (quantized). */
-    Tick deadlineAfter(Tick delay) const;
     ExactEvent &exactEvent(std::uint32_t idx) const;
     void freeExact(ExactEvent &ev);
     /** Exact-mode event body: fire the one timer @p ev holds. */

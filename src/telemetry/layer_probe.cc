@@ -56,10 +56,11 @@ LayerProbe::layerOf(std::string_view name)
         Layer layer;
     };
     using L = Layer;
-    // First match wins: core.completion before core.
+    // First match wins. Core ladders and delay timers schedule no
+    // events (see core.hh); server governor events are wake-ups and
+    // DVFS ticks.
     static constexpr Rule rules[] = {
         {"core.completion", L::serverCompletion},
-        {"core.", L::serverGovernor}, {"delayTimer.", L::serverGovernor},
         {"dvfs.", L::serverGovernor}, {"server.", L::serverGovernor},
         {"flow.", L::networkFlow}, {"net.", L::networkFlow},
         {"port.", L::networkGovernor}, {"linecard.", L::networkGovernor},

@@ -11,8 +11,9 @@
  * that an empty local queue requests none, checks that a server
  * builds its cores' busy state on its first task and never again,
  * and bounds the allocations of a stats dump, which must not grow
- * with the fleet either, and checks that a bare Simulator's 1-tick
- * timer wheel allocates no ring.
+ * with the fleet either, checks that a bare Simulator's 1-tick
+ * timer wheel allocates no ring, and that an idle plant run to drain
+ * processes no kernel event.
  */
 
 #include <gtest/gtest.h>
@@ -132,11 +133,32 @@ TEST(AllocBudget, WheelPlantConstructionPerServer)
     std::snprintf(allocs, sizeof allocs, "%.2f", allocsPerServer);
     RecordProperty("allocations_per_server", allocs);
     // One block each for the server, its core slots and its power
-    // controller; the fleet vectors' growth adds a fraction more.
-    EXPECT_LE(perServer, 1840.0)
+    // controller; the fleet vectors' growth adds a fraction more. No
+    // timer is armed: idle ladders are computed, not scheduled.
+    EXPECT_LE(perServer, 1186.0)
         << allocations << " allocations, " << bytesRequested << " bytes";
-    EXPECT_LE(allocsPerServer, 5.0)
+    EXPECT_LE(allocsPerServer, 3.1)
         << allocations << " allocations, " << bytesRequested << " bytes";
+}
+
+TEST(AllocBudget, IdleFleetSchedulesNothing)
+{
+    // The same plant with no jobs: every server walks its core C-state
+    // ladder and suspends tau after construction, yet an idle server
+    // costs nothing between interactions -- no kernel event, no wheel
+    // timer. The drained run still ends at the last suspend, tau.
+    const DataCenterConfig cfg = wheelPlant(1000);
+    DataCenter dc(cfg);
+    EXPECT_EQ(dc.run(), cfg.delayTimerTau);
+    const Simulator &sim = dc.sim();
+    RecordProperty("idle_plant_events",
+                   static_cast<int>(sim.eventsProcessed()));
+    EXPECT_EQ(sim.eventsProcessed(), 0u);
+    EXPECT_EQ(sim.timerWheel().stats().armed, 0u);
+    for (std::size_t i = 0; i < dc.numServers(); ++i) {
+        ASSERT_TRUE(dc.server(i).isAsleep()) << "server " << i;
+        ASSERT_EQ(dc.server(i).sleepTransitions(), 1u) << "server " << i;
+    }
 }
 
 TEST(AllocBudget, FirstTaskBuildsBusyStateOnce)

@@ -125,6 +125,50 @@ TEST(DcConfig, WheelGranularityFloorIsOneTick)
     EXPECT_THROW(parse("0.0004"), FatalError);
 }
 
+// Every duration key goes through one conversion: a negative, NaN or
+// out-of-range value is rejected at load, naming the key, instead of
+// wrapping to a delay that aborts the run mid-way ("rescheduled in the
+// past") or overflowing the Tick cast.
+TEST(DcConfig, NegativeDurationIsAConfigError)
+{
+    const auto parse = [](const std::string &section,
+                          const std::string &key, const std::string &v) {
+        return DataCenterConfig::fromConfig(Config::parseString(
+            "[" + section + "]\n" + key + " = " + v + "\n"));
+    };
+    const std::pair<const char *, const char *> keys[] = {
+        {"server", "tau_ms"},
+        {"network", "link_latency_us"},
+        {"network", "switch_sleep_ms"},
+        {"fault", "retry_backoff_base_ms"},
+        {"fault", "retry_backoff_max_ms"},
+        {"fault", "task_timeout_ms"},
+        {"orch", "reconcile_ms"},
+        {"telemetry", "sample_period_ms"},
+        {"audit", "period_ms"},
+        {"mc", "horizon_ms"},
+        {"mc", "repair_ms"},
+        {"campaign", "retry_backoff_base_ms"},
+        {"campaign", "retry_backoff_max_ms"},
+        {"datacenter", "wheel_granularity_us"},
+    };
+    for (const auto &[section, key] : keys) {
+        const std::string name = std::string(section) + "." + key;
+        for (const char *bad : {"-5", "nan", "1e300"}) {
+            try {
+                parse(section, key, bad);
+                ADD_FAILURE() << name << " = " << bad << " was accepted";
+            } catch (const FatalError &e) {
+                EXPECT_NE(std::string(e.what()).find("'" + name + "'"),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
+    EXPECT_EQ(parse("server", "tau_ms", "5").delayTimerTau, 5 * msec);
+    EXPECT_EQ(parse("server", "tau_ms", "0").delayTimerTau, 0u);
+}
+
 TEST(DcConfig, StaleNetworkModelKeyWarns)
 {
     std::string path = ::testing::TempDir() + "stale_model.ini";
@@ -344,13 +388,42 @@ TEST(DataCenter, NetworkAwareConfigBuilds)
     EXPECT_GT(dc.switchEnergy(), 0.0);
 }
 
-// Byte-identity gate on the stats dump: a 64-server star fabric with
-// faults and the kernel profiler on, so every row kind (sim, profile,
-// scheduler, reliability, server* with frac_failed, network, switch*)
-// is written. Host-time fields (profile.*host_*, the "# " hot table)
-// are dropped before hashing; everything else must match the recorded
-// FNV-1a digest byte for byte.
-TEST(DataCenter, StatsDumpDigestIsGolden)
+namespace {
+
+/** Digest of a stats dump's model rows, with the row count kept. */
+struct ModelDigest {
+    std::uint64_t hash = 0;
+    std::size_t rows = 0;
+};
+
+/**
+ * FNV-1a over the rows of @p dump that describe the model: host-time
+ * fields, the "# " hot table, sim.events and every profile.* row are
+ * dropped, since they count or time kernel events rather than state
+ * the model reaches. sim.seconds stays in.
+ */
+ModelDigest
+modelRowDigest(const std::string &dump)
+{
+    std::istringstream in(dump);
+    std::string kept;
+    ModelDigest d;
+    for (std::string line; std::getline(in, line);) {
+        if (line.rfind("# ", 0) == 0 ||
+            line.find("host_") != std::string::npos ||
+            line.rfind("sim.events ", 0) == 0 ||
+            line.rfind("profile.", 0) == 0)
+            continue;
+        kept += line + '\n';
+        ++d.rows;
+    }
+    d.hash = fnv1a64(kept);
+    return d;
+}
+
+/** The faulted, profiled star plant of StatsDumpDigestIsGolden. */
+std::string
+faultedStarDump()
 {
     DataCenterConfig cfg;
     cfg.nServers = 64;
@@ -370,10 +443,23 @@ TEST(DataCenter, StatsDumpDigestIsGolden)
                                              dc.makeRng("arrivals")),
             gen, 400);
     dc.run();
-
     std::ostringstream os;
     dc.dumpStats(os);
-    std::istringstream in(os.str());
+    return os.str();
+}
+
+} // namespace
+
+// Byte-identity gate on the stats dump: a 64-server star fabric with
+// faults and the kernel profiler on, so every row kind (sim, profile,
+// scheduler, reliability, server* with frac_failed, network, switch*)
+// is written. Host-time fields (profile.*host_*, the "# " hot table)
+// are dropped before hashing; everything else must match the recorded
+// FNV-1a digest byte for byte.
+TEST(DataCenter, StatsDumpDigestIsGolden)
+{
+    const std::string dump = faultedStarDump();
+    std::istringstream in(dump);
     std::string kept;
     std::size_t rows = 0;
     for (std::string line; std::getline(in, line);) {
@@ -384,7 +470,6 @@ TEST(DataCenter, StatsDumpDigestIsGolden)
         ++rows;
     }
     const std::uint64_t h = fnv1a64(kept);
-    const std::string dump = os.str();
     for (const char *needle :
          {"\nreliability.faults_injected ", "\nserver63.frac_failed ",
           "\nnetwork.flows_completed ", "\nswitch0.frac_asleep ",
@@ -392,8 +477,119 @@ TEST(DataCenter, StatsDumpDigestIsGolden)
         EXPECT_NE(dump.find(needle), std::string::npos) << needle;
     EXPECT_EQ(dump.find("\nreliability.faults_injected 0\n"),
               std::string::npos);
-    EXPECT_EQ(rows, 935u) << dump;
-    EXPECT_EQ(h, 0x324c541a7224cc80ULL) << std::hex << h;
+    EXPECT_EQ(rows, 934u) << dump;
+    EXPECT_EQ(h, 0x5822111e03940b42ULL) << std::hex << h;
+}
+
+
+// The golden plant's model rows alone: what must not move when a
+// change only alters how many kernel events reach the same state.
+TEST(DataCenter, StatsDumpModelRowsAreGolden)
+{
+    const ModelDigest d = modelRowDigest(faultedStarDump());
+    EXPECT_EQ(d.rows, 873u);
+    EXPECT_EQ(d.hash, 0xe720ea8d2e5d1bf9ULL) << std::hex << d.hash;
+}
+
+namespace {
+
+/** What an idle-ladder golden pins: model rows and the end tick. */
+struct LadderRun {
+    ModelDigest digest;
+    Tick end = 0;
+};
+
+/**
+ * 2,000 four-core servers under delay timers, with a bursty MMPP
+ * stream of 2,000 single-task jobs: most of the fleet sits idle and
+ * walks the core C-state ladder and the delay timer between
+ * interactions. @p granularity 1 fires governor timers at their exact
+ * tick; a coarser wheel quantizes the core ladder's stages.
+ */
+LadderRun
+idleLadderPlant(Tick granularity, Tick tau)
+{
+    DataCenterConfig cfg;
+    cfg.nServers = 2000;
+    cfg.nCores = 4;
+    cfg.controller = DataCenterConfig::Controller::delayTimer;
+    cfg.delayTimerTau = tau;
+    cfg.dispatch = DataCenterConfig::Dispatch::roundRobin;
+    if (granularity > 1) {
+        cfg.timerMode = DataCenterConfig::TimerMode::wheel;
+        cfg.wheelGranularity = granularity;
+    }
+    cfg.seed = 1;
+    DataCenter dc(cfg);
+    SingleTaskGenerator jobs(std::make_shared<ExponentialService>(
+        5 * msec, dc.makeRng("service")));
+    dc.pump(std::make_unique<Mmpp2Arrival>(200'000.0, 20'000.0, 0.002,
+                                           0.008, dc.makeRng("arrivals")),
+            jobs, 2000);
+    dc.run();
+    LadderRun r;
+    r.end = dc.sim().curTick();
+    std::ostringstream os;
+    dc.dumpStats(os);
+    r.digest = modelRowDigest(os.str());
+    return r;
+}
+
+} // namespace
+
+// The idle ladder's end state on a 100 us wheel: stages quantized up
+// to bucket boundaries, servers suspending 50 ms after their last task.
+TEST(IdleLadderGolden, CoarseWheelDelayTimer)
+{
+    const LadderRun r = idleLadderPlant(100 * usec, 50 * msec);
+    EXPECT_EQ(r.end, 124388459u);
+    EXPECT_EQ(r.digest.rows, 24011u);
+    EXPECT_EQ(r.digest.hash,
+              0x7e5ce227eb624fe0ULL) << std::hex << r.digest.hash;
+}
+
+// The same plant with every governor timer at its exact tick.
+TEST(IdleLadderGolden, ExactTimersDelayTimer)
+{
+    const LadderRun r = idleLadderPlant(1, 50 * msec);
+    EXPECT_EQ(r.end, 124388459u);
+    EXPECT_EQ(r.digest.rows, 24011u);
+    EXPECT_EQ(r.digest.hash,
+              0xccda4e7a95ab3b9fULL) << std::hex << r.digest.hash;
+}
+
+// tau = 0: a server suspends in the same tick its last task ends,
+// before any later event of that tick reads it.
+TEST(IdleLadderGolden, CoarseWheelZeroTau)
+{
+    const LadderRun r = idleLadderPlant(100 * usec, 0);
+    EXPECT_EQ(r.end, 1874388459u);
+    EXPECT_EQ(r.digest.rows, 24011u);
+    EXPECT_EQ(r.digest.hash,
+              0x9a8bb9cc21037b10ULL) << std::hex << r.digest.hash;
+}
+
+// tau = 600 us is the default profile's C6 deadline (C1 at once, C3
+// after 100 us, C6 after 500 us more), so suspend and the last core
+// stage fall on one tick: always at G = 1, on aligned idle starts at
+// G = 100 us, where the kernel order between the wheel's tick event
+// and the delay timer is the order they were last scheduled in.
+TEST(IdleLadderGolden, CoarseWheelTauTiesC6)
+{
+    const LadderRun r = idleLadderPlant(100 * usec, 600 * usec);
+    EXPECT_EQ(r.end, 1874988459u);
+    EXPECT_EQ(r.digest.rows, 24011u);
+    EXPECT_EQ(r.digest.hash,
+              0xd27e3329d3681d21ULL) << std::hex << r.digest.hash;
+}
+
+TEST(IdleLadderGolden, ExactTimersTauTiesC6)
+{
+    const LadderRun r = idleLadderPlant(1, 600 * usec);
+    EXPECT_EQ(r.end, 1874988459u);
+    EXPECT_EQ(r.digest.rows, 24011u);
+    EXPECT_EQ(r.digest.hash,
+              0xfbfcf90a4258c1fcULL) << std::hex << r.digest.hash;
 }
 
 namespace {

@@ -485,10 +485,9 @@ TEST_F(FaultFixture, WheelModeFaultCycleLeavesNoZombieTimers)
 {
     // Same crash/retry scenario as CrashedTaskRetriesOnHealthyServer,
     // watched through the simulator's governor timer wheel. A server
-    // failure forces cores into deep sleep mid-ladder; the wheel
-    // handles armed before the crash must all be cancelled -- a
-    // zombie entry would either fire into a failed machine or keep
-    // the run alive forever.
+    // failure forces cores into deep sleep mid-ladder; no stage
+    // pending before the crash may survive it -- a zombie would
+    // either fire into a failed machine or keep the run alive.
     TimerWheel &wheel = sim.timerWheel();
     makeFleet(2);
     makeScheduler(flatPolicy(3));
@@ -517,9 +516,12 @@ TEST_F(FaultFixture, WheelModeFaultCycleLeavesNoZombieTimers)
     const Tick done = sim.curTick();
     sim.run();
     EXPECT_EQ(sim.curTick(), done);
-    EXPECT_GT(wheel.stats().fired, 0u);
-    // forceDeepSleep on the crash cancelled at least one ladder.
-    EXPECT_GT(wheel.stats().cancelled, 0u);
+    // Server core ladders are computed, never armed on the wheel.
+    EXPECT_EQ(wheel.stats().armed, 0u);
+    // Every ladder ran dry: each core of both servers sits in C6.
+    for (Server *s : servers)
+        for (unsigned c = 0; c < s->numCores(); ++c)
+            EXPECT_EQ(s->core(c).cstate(), CoreCState::c6);
 }
 
 TEST_F(FaultFixture, TaskTimeoutTriggersRetry)

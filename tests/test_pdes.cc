@@ -267,9 +267,9 @@ TEST_P(WideLookaheadPodCluster, DumpAndWindowCountersAreExact)
 
     const auto &st = cluster.pdesStats();
     if (parts >= 2) {
-        EXPECT_EQ(st.windows, 893u);
+        EXPECT_EQ(st.windows, 887u);
         EXPECT_EQ(st.messages, 1925u);
-        EXPECT_EQ(st.fastForwards, 886u);
+        EXPECT_EQ(st.fastForwards, 878u);
     }
 }
 

@@ -25,6 +25,7 @@
 #include "network/network.hh"
 #include "network/routing.hh"
 #include "sched/dispatch_policy.hh"
+#include "server/power_controller.hh"
 #include "sim/logging.hh"
 #include "sim/timer_wheel.hh"
 #include "workload/service.hh"
@@ -960,31 +961,34 @@ runWarehouseWaves(EventQueue::Backend backend, Tick granularity)
 TEST_P(TimerModeProperty, CoarseWheelThreeTierReplayCounters)
 {
     // A 1 ms wheel completes every request while folding the
-    // governor timers into shared ticks: 40606 -> 19316 events.
+    // network's governor timers (port LPI) into shared ticks:
+    // 22872 -> 18289 events. Core ladders arm no timer in either
+    // mode.
     const WheelRun events = runThreeTierReplay(GetParam(), 1);
     const WheelRun coarse = runThreeTierReplay(GetParam(), 1 * msec);
     EXPECT_EQ(events.done, 2000u);
     EXPECT_EQ(coarse.done, events.done);
-    EXPECT_EQ(events.events, 40606u);
+    EXPECT_EQ(events.events, 22872u);
     // Exact mode: every firing is its own kernel event.
     EXPECT_EQ(events.ticks, events.fired);
-    EXPECT_EQ(coarse.events, 19316u);
-    EXPECT_EQ(coarse.fired, 20670u);
-    EXPECT_EQ(coarse.ticks, 3316u);
+    EXPECT_EQ(coarse.events, 18289u);
+    EXPECT_EQ(coarse.fired, 6223u);
+    EXPECT_EQ(coarse.ticks, 2289u);
 }
 
 TEST_P(TimerModeProperty, CoarseWheelWarehouseCounters)
 {
-    // 100 us buckets line up with the C3/C6 demotion thresholds, so
-    // the fleet's 73728 aligned governor timers fire in 9 ticks.
+    // A flat fleet's only governors are core ladders, which arm no
+    // timer: at either granularity the run is the 2 wave events and
+    // the 8192 completions, and the wheel never fires.
     const WheelRun events = runWarehouseWaves(GetParam(), 1);
     const WheelRun coarse = runWarehouseWaves(GetParam(), 100 * usec);
     EXPECT_EQ(events.done, 8192u);
     EXPECT_EQ(coarse.done, 8192u);
-    EXPECT_EQ(events.events, 81922u);
-    EXPECT_EQ(coarse.events, 8203u);
-    EXPECT_EQ(coarse.fired, 73728u);
-    EXPECT_EQ(coarse.ticks, 9u);
+    EXPECT_EQ(events.events, 8194u);
+    EXPECT_EQ(coarse.events, 8194u);
+    EXPECT_EQ(coarse.fired, 0u);
+    EXPECT_EQ(coarse.ticks, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -996,6 +1000,117 @@ INSTANTIATE_TEST_SUITE_P(
                    ? "calendar"
                    : "heap";
     });
+
+// ---------------------------------------------------------------------------
+// Property: the utilization law, exactly in ticks. On a fleet that
+// starts and ends empty, with no faults, every core's per-state
+// residencies partition [0, end], and the fleet's C0-active residency
+// is exactly the sum over finished tasks of (core exit latency +
+// package exit + processing time): a core is C0-active precisely while
+// it wakes for and runs a task. The exit latency a task pays is read
+// off the state its core was found in -- the state the idle ladder,
+// replayed at its own ticks, left it in -- so this pins that ladder's
+// bookkeeping against what every task saw.
+// ---------------------------------------------------------------------------
+
+class UtilizationLawProperty
+    : public ::testing::TestWithParam<std::uint64_t>
+{};
+
+TEST_P(UtilizationLawProperty, BusyTimeIsExitPlusProcessing)
+{
+    Rng rng(GetParam(), "utilization-law");
+    const Tick granularity = rng.bernoulli(0.5) ? 1 : 100 * usec;
+    Simulator sim(EventQueue::Backend::calendar, granularity);
+    const ServerPowerProfile profile;
+    const Tick taus[] = {0, 600 * usec, 5 * msec, 50 * msec, maxTick};
+
+    const auto n_servers = static_cast<unsigned>(rng.uniformInt(2, 12));
+    std::vector<std::unique_ptr<Server>> servers;
+    std::size_t finished = 0;
+    for (unsigned i = 0; i < n_servers; ++i) {
+        ServerConfig sc;
+        sc.id = i;
+        sc.nCores = static_cast<unsigned>(rng.uniformInt(1, 4));
+        sc.allowPkgC6 = rng.bernoulli(0.8);
+        servers.push_back(std::make_unique<Server>(sim, sc, profile));
+        servers.back()->setController(std::make_unique<DelayTimerController>(
+            taus[rng.uniformInt(0, 4)]));
+        servers.back()->setTaskDoneCallback(
+            [&finished](Server &, const TaskRef &) { ++finished; });
+    }
+
+    const auto exitLatency = [&profile](CoreCState s) -> Tick {
+        switch (s) {
+          case CoreCState::c1:
+            return profile.c1ExitLatency;
+          case CoreCState::c3:
+            return profile.c3ExitLatency;
+          case CoreCState::c6:
+            return profile.c6ExitLatency;
+          default:
+            return 0;
+        }
+    };
+
+    // Each arrival picks a server. An awake one with a free core and
+    // nothing queued starts the task at once on its lowest free core
+    // (equal cores: the first free one wins); a suspended one is woken
+    // with no work, as a provisioning policy would; otherwise the
+    // arrival is dropped.
+    const double mean_gap = rng.uniform(20.0 * usec, 2.0 * msec);
+    Tick expected_busy = 0;
+    std::size_t arrivals = 0, submitted = 0;
+    EventFunctionWrapper inject(
+        [&] {
+            Server &s = *servers[rng.uniformInt(0, n_servers - 1)];
+            if (s.isAsleep()) {
+                s.wakeUp();
+            } else if (!s.isWaking() && s.pendingTasks() == 0 &&
+                       s.runningTasks() < s.numCores()) {
+                unsigned c = 0;
+                while (s.core(c).busy())
+                    ++c;
+                TaskRef t;
+                t.job = submitted++;
+                t.serviceTime = std::max<Tick>(
+                    1, static_cast<Tick>(rng.exponential(2.0 * msec)));
+                const Tick pkg_exit = s.pkgState() == PkgCState::pc6
+                                          ? profile.pc6ExitLatency
+                                          : 0;
+                expected_busy += exitLatency(s.core(c).cstate()) +
+                                 pkg_exit + s.core(c).processingTime(t);
+                s.submit(t);
+            }
+            if (++arrivals < 400) {
+                sim.scheduleAfter(inject, static_cast<Tick>(
+                                              rng.exponential(mean_gap)));
+            }
+        },
+        "inject");
+    sim.schedule(inject, 0);
+    const Tick end = sim.run();
+
+    ASSERT_GT(submitted, 0u);
+    EXPECT_EQ(finished, submitted);
+    Tick busy = 0;
+    for (const auto &s : servers) {
+        EXPECT_EQ(s->load(), 0u);
+        s->finishStats();
+        for (unsigned c = 0; c < s->numCores(); ++c) {
+            const StateResidency &r = s->core(c).residency();
+            Tick sum = 0;
+            for (int st = 0; st < 5; ++st)
+                sum += r.residency(st);
+            EXPECT_EQ(sum, end) << "server " << s->id() << " core " << c;
+            busy += r.residency(static_cast<int>(CoreCState::c0Active));
+        }
+    }
+    EXPECT_EQ(busy, expected_busy) << "G " << granularity;
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, UtilizationLawProperty,
+                         ::testing::Range<std::uint64_t>(1, 9));
 
 TEST(RetryBudgetProperty, ExhaustionAbandonsTheJob)
 {

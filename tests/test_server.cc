@@ -293,6 +293,56 @@ TEST_F(ServerFixture, ShortDelayTimerSuspendsToS3)
     EXPECT_EQ(sim.curTick(), 25 * msec);
 }
 
+TEST_F(ServerFixture, DrainedRunEndsAtTheSuspendAfterBackgroundEvents)
+{
+    // The idle ladder schedules nothing, yet a drained run() ends
+    // where its last timer would have fired (10 ms + tau), running the
+    // background events before it -- and none after.
+    makeServer();
+    const Tick tau = 100 * msec;
+    server->setController(std::make_unique<DelayTimerController>(tau));
+    std::vector<Tick> beats;
+    EventFunctionWrapper beat(
+        [&] {
+            beats.push_back(sim.curTick());
+            // A read mid-countdown sees the server awake and its cores
+            // at the bottom of their ladder.
+            EXPECT_FALSE(server->isAsleep());
+            if (sim.curTick() > 10 * msec + 600 * usec)
+                EXPECT_EQ(server->core(0).cstate(), CoreCState::c6);
+            sim.scheduleAfter(beat, 30 * msec);
+        },
+        "beat");
+    beat.setBackground(true);
+    sim.schedule(beat, 30 * msec);
+    server->submit(task(10 * msec));
+    EXPECT_EQ(sim.run(), 10 * msec + tau);
+    EXPECT_EQ(beats, (std::vector<Tick>{30 * msec, 60 * msec, 90 * msec}));
+    EXPECT_TRUE(server->isAsleep());
+    sim.deschedule(beat);
+}
+
+TEST_F(ServerFixture, SameTickFollowUpFindsTheCoreStillInC0)
+{
+    // C1 comes 0 ns after a core idles, but a timer armed inside an
+    // event fires only after it: work submitted by the completion
+    // callback, in the same tick, starts with no exit latency.
+    ServerConfig cfg;
+    cfg.nCores = 1;
+    makeServer(cfg);
+    ASSERT_EQ(prof.demoteC1After, 0u);
+    server->setTaskDoneCallback([this](Server &s, const TaskRef &t) {
+        completedAt.push_back(sim.curTick());
+        if (t.job == 0)
+            s.submit(task(2 * msec, 1));
+    });
+    server->submit(task(3 * msec, 0));
+    sim.run();
+    EXPECT_EQ(completedAt, (std::vector<Tick>{3 * msec, 5 * msec}));
+    // The next tick's reader does see C1 (and C6 at the end).
+    EXPECT_EQ(server->core(0).cstate(), CoreCState::c6);
+}
+
 TEST_F(ServerFixture, DisabledDelayTimerNeverSuspends)
 {
     // A maxTick threshold must not be added to the clock: it would

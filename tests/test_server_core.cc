@@ -24,8 +24,8 @@ struct RecordingHost : CoreHost {
     Tick doneAt = 0;
     std::vector<TaskRef> done;
 
-    void coreAccrue() override { ++accrues; }
-    void coreStateChanged() override { ++changes; }
+    void coreAccrue(Tick) override { ++accrues; }
+    void coreStateChanged(Tick) override { ++changes; }
     void
     coreTaskDone(unsigned, const TaskRef &t) override
     {

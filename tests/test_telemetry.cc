@@ -513,8 +513,8 @@ TEST(KernelProfilerTest, LayerMapByPrefix)
 {
     using L = LayerProbe::Layer;
     EXPECT_EQ(LayerProbe::layerOf("core.completion"), L::serverCompletion);
-    EXPECT_EQ(LayerProbe::layerOf("core.demotion"), L::serverGovernor);
-    EXPECT_EQ(LayerProbe::layerOf("delayTimer.fire"), L::serverGovernor);
+    EXPECT_EQ(LayerProbe::layerOf("server.wakeDone"), L::serverGovernor);
+    EXPECT_EQ(LayerProbe::layerOf("dvfs.tick"), L::serverGovernor);
     EXPECT_EQ(LayerProbe::layerOf("flow.completion"), L::networkFlow);
     EXPECT_EQ(LayerProbe::layerOf("port.lpi"), L::networkGovernor);
     EXPECT_EQ(LayerProbe::layerOf("pump.arrival"), L::sched);
