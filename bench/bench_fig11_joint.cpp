@@ -13,15 +13,20 @@
  * Expected shape: the network-aware policy trims both server and
  * switch power (paper: ~20% / ~18%) with a nearly overlapping
  * latency CDF.
+ *
+ * Usage: bench_fig11_joint [--json]
+ *   --json  print one JSON object per utilization level, one per
+ *           line (average powers in watts and median response times
+ *           in seconds, at full precision), instead of the tables
+ * tests/paper/fig11_joint.py gates the --json output.
  */
 
 #include <cstdio>
 #include <memory>
 #include <vector>
 
-#include "dc/datacenter.hh"
+#include "common.hh"
 #include "sim/logging.hh"
-#include "workload/service.hh"
 
 using namespace holdcsim;
 
@@ -32,6 +37,15 @@ struct JointResult {
     double switchW = 0.0;
     std::vector<double> latencies; // sorted seconds
 };
+
+/** The @p q quantile of sorted @p v (0 when empty). */
+double
+quantile(const std::vector<double> &v, double q)
+{
+    if (v.empty())
+        return 0.0;
+    return v[static_cast<std::size_t>(q * (v.size() - 1))];
+}
 
 JointResult
 runOnce(bool aware, double rho, unsigned n_jobs)
@@ -82,18 +96,34 @@ runOnce(bool aware, double rho, unsigned n_jobs)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    const bool json = bench::jsonFlag(argc, argv);
     setQuiet(true);
     const unsigned n_jobs = 2000;
-    std::printf("== Figure 11a: average power, fat-tree k=4, "
-                "%u jobs ==\n",
-                n_jobs);
-    std::printf("rho   policy                 server_W  switch_W\n");
+    if (!json) {
+        std::printf("== Figure 11a: average power, fat-tree k=4, "
+                    "%u jobs ==\n",
+                    n_jobs);
+        std::printf("rho   policy                 server_W  switch_W\n");
+    }
     JointResult keep_balanced, keep_aware;
     for (double rho : {0.3, 0.6}) {
         JointResult balanced = runOnce(false, rho, n_jobs);
         JointResult aware = runOnce(true, rho, n_jobs);
+        if (json) {
+            std::printf("{\"rho\": %.1f, \"balanced_server_w\": %.17g, "
+                        "\"aware_server_w\": %.17g, "
+                        "\"balanced_switch_w\": %.17g, "
+                        "\"aware_switch_w\": %.17g, "
+                        "\"balanced_p50_s\": %.17g, "
+                        "\"aware_p50_s\": %.17g}\n",
+                        rho, balanced.serverW, aware.serverW,
+                        balanced.switchW, aware.switchW,
+                        quantile(balanced.latencies, 0.5),
+                        quantile(aware.latencies, 0.5));
+            continue;
+        }
         std::printf("%.1f   server-balanced        %8.1f  %8.1f\n",
                     rho, balanced.serverW, balanced.switchW);
         std::printf("%.1f   server-network-aware   %8.1f  %8.1f\n",
@@ -109,19 +139,15 @@ main()
         }
     }
 
+    if (json)
+        return 0;
     std::printf("\n== Figure 11b: job response-time CDF "
                 "(rho=0.3) ==\n");
     std::printf("cdf    balanced_s  aware_s\n");
-    auto at = [](const std::vector<double> &v, double q) {
-        if (v.empty())
-            return 0.0;
-        std::size_t idx = static_cast<std::size_t>(q * (v.size() - 1));
-        return v[idx];
-    };
     for (double q : {0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99}) {
         std::printf("%.2f   %9.3f  %8.3f\n", q,
-                    at(keep_balanced.latencies, q),
-                    at(keep_aware.latencies, q));
+                    quantile(keep_balanced.latencies, q),
+                    quantile(keep_aware.latencies, q));
     }
     return 0;
 }

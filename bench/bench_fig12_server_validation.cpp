@@ -11,25 +11,28 @@
  * simulated server plus the measured-residual process (DESIGN.md
  * section 3). The bench prints both 1 Hz power traces (snippet) and
  * the residual statistics.
+ *
+ * Usage: bench_fig12_server_validation [--json]
+ *   --json  print the residual statistics as one JSON object (powers
+ *           in watts, at full precision) instead of the report
+ * tests/paper/fig12_server_validation.py gates the --json output.
  */
 
 #include <cstdio>
 #include <memory>
 
-#include "dc/datacenter.hh"
+#include "common.hh"
 #include "dc/metrics.hh"
 #include "dc/validation.hh"
 #include "sim/logging.hh"
-#include "workload/service.hh"
-#include "workload/trace.hh"
 
 using namespace holdcsim;
 
 int
-main()
+main(int argc, char **argv)
 {
+    const bool json = bench::jsonFlag(argc, argv);
     setQuiet(true);
-    std::printf("== Figure 12: server power validation ==\n");
 
     DataCenterConfig cfg;
     cfg.nServers = 1;
@@ -67,6 +70,15 @@ main()
 
     auto cmp = compareTraces(phys_trace.series(), sim_trace.series());
     double sim_mean = sim_trace.mean();
+    if (json) {
+        std::printf("{\"samples\": %zu, \"sim_mean_w\": %.17g, "
+                    "\"phys_mean_w\": %.17g, \"mean_diff_w\": %.17g, "
+                    "\"stddev_diff_w\": %.17g}\n",
+                    cmp.points, sim_mean, phys_trace.mean(),
+                    cmp.meanDiff, cmp.stddevDiff);
+        return 0;
+    }
+    std::printf("== Figure 12: server power validation ==\n");
     std::printf("samples            : %zu (1 Hz)\n", cmp.points);
     std::printf("simulated mean     : %.2f W\n", sim_mean);
     std::printf("physical mean      : %.2f W\n", phys_trace.mean());

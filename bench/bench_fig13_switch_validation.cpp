@@ -11,25 +11,28 @@
  * The physical switch here is the reference-noise model of
  * DESIGN.md section 3. The bench prints the residual statistics and
  * two representative segments (the Figure 14 views).
+ *
+ * Usage: bench_fig13_switch_validation [--json]
+ *   --json  print the residual statistics as one JSON object (powers
+ *           in watts, at full precision) instead of the report
+ * tests/paper/fig13_switch_validation.py gates the --json output.
  */
 
 #include <cstdio>
 #include <memory>
 
-#include "dc/datacenter.hh"
+#include "common.hh"
 #include "dc/metrics.hh"
 #include "dc/validation.hh"
 #include "sim/logging.hh"
-#include "workload/service.hh"
-#include "workload/trace.hh"
 
 using namespace holdcsim;
 
 int
-main()
+main(int argc, char **argv)
 {
+    const bool json = bench::jsonFlag(argc, argv);
     setQuiet(true);
-    std::printf("== Figures 13/14: switch power validation ==\n");
 
     DataCenterConfig cfg;
     cfg.nServers = 24;
@@ -76,6 +79,15 @@ main()
     dc.run();
 
     auto cmp = compareTraces(phys_trace.series(), sim_trace.series());
+    if (json) {
+        std::printf("{\"samples\": %zu, \"sim_mean_w\": %.17g, "
+                    "\"phys_mean_w\": %.17g, \"mean_diff_w\": %.17g, "
+                    "\"stddev_diff_w\": %.17g}\n",
+                    cmp.points, sim_trace.mean(), phys_trace.mean(),
+                    cmp.meanDiff, cmp.stddevDiff);
+        return 0;
+    }
+    std::printf("== Figures 13/14: switch power validation ==\n");
     std::printf("samples            : %zu (1 Hz over %.0f min)\n",
                 cmp.points, toSeconds(duration) / 60.0);
     std::printf("simulated mean     : %.2f W\n", sim_trace.mean());

@@ -9,12 +9,18 @@
  * while the adaptive policy concentrates work on a small subset and
  * keeps the rest in deep sleep, cutting total energy substantially
  * (the paper reports 39%).
+ *
+ * Usage: bench_fig9_breakdown [--json]
+ *   --json  print one JSON object per policy, one per line (fleet
+ *           energies in joules, at full precision), instead of the
+ *           table
+ * tests/paper/fig9_breakdown.py gates the --json output.
  */
 
 #include <cstdio>
 #include <memory>
 
-#include "dc/datacenter.hh"
+#include "common.hh"
 #include "sched/adaptive_policy.hh"
 #include "sim/logging.hh"
 #include "workload/service.hh"
@@ -83,15 +89,31 @@ print(const char *title, const FleetEnergy &e)
                 e.total.total());
 }
 
+void
+printJson(const char *policy, const FleetEnergy &e)
+{
+    std::printf("{\"policy\": \"%s\", \"cpu_j\": %.17g, "
+                "\"dram_j\": %.17g, \"platform_j\": %.17g, "
+                "\"total_j\": %.17g}\n",
+                policy, e.total.cpu, e.total.dram, e.total.platform,
+                e.total.total());
+}
+
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    const bool json = bench::jsonFlag(argc, argv);
     setQuiet(true);
-    std::printf("== Figure 9: per-server energy breakdown ==\n");
     FleetEnergy timer = runOnce(false);
     FleetEnergy adaptive = runOnce(true);
+    if (json) {
+        printJson("delay_timer", timer);
+        printJson("adaptive", adaptive);
+        return 0;
+    }
+    std::printf("== Figure 9: per-server energy breakdown ==\n");
     print("delay-timer based power management", timer);
     print("workload-adaptive sleep policy", adaptive);
     std::printf("adaptive saving over delay-timer: %.1f%%\n",

@@ -12,6 +12,9 @@
 #ifndef HOLDCSIM_BENCH_COMMON_HH
 #define HOLDCSIM_BENCH_COMMON_HH
 
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 
@@ -20,6 +23,25 @@
 #include "workload/trace.hh"
 
 namespace holdcsim::bench {
+
+/**
+ * Parse the command line of a bench whose only option is --json
+ * (print machine-readable rows instead of the table). Any other
+ * argument prints the usage and exits with status 2.
+ */
+inline bool
+jsonFlag(int argc, char **argv)
+{
+    bool json = false;
+    for (int i = 1; i < argc; ++i) {
+        if (std::strcmp(argv[i], "--json") != 0) {
+            std::fprintf(stderr, "usage: %s [--json]\n", argv[0]);
+            std::exit(2);
+        }
+        json = true;
+    }
+    return json;
+}
 
 /** Outcome of one server-farm run. */
 struct FarmResult {

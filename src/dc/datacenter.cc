@@ -137,6 +137,8 @@ DataCenter::DataCenter(const DataCenterConfig &config)
     // One immutable profile for the whole fleet, not one per server.
     _serverProfile =
         std::make_shared<const ServerPowerProfile>(_config.serverProfile);
+    _servers.reserve(_config.nServers);
+    _serverPtrs.reserve(_config.nServers);
     for (unsigned i = 0; i < _config.nServers; ++i) {
         ServerConfig sc;
         sc.id = i;
@@ -145,17 +147,8 @@ DataCenter::DataCenter(const DataCenterConfig &config)
         sc.corePick = _config.corePick;
         sc.allowPkgC6 = _config.allowPkgC6;
         auto server = std::make_unique<Server>(_sim, sc, _serverProfile);
-        switch (_config.controller) {
-          case DataCenterConfig::Controller::alwaysOn:
-            server->setController(
-                std::make_unique<AlwaysOnController>());
-            break;
-          case DataCenterConfig::Controller::delayTimer:
-            server->setController(
-                std::make_unique<DelayTimerController>(
-                    _config.delayTimerTau));
-            break;
-        }
+        if (_config.controller == DataCenterConfig::Controller::delayTimer)
+            server->setDelayTimer(_config.delayTimerTau);
         _serverPtrs.push_back(server.get());
         _servers.push_back(std::move(server));
     }

@@ -22,7 +22,6 @@
 #include "network/network.hh"
 #include "orch/orchestrator.hh"
 #include "sched/global_scheduler.hh"
-#include "server/power_controller.hh"
 #include "server/server.hh"
 #include "sim/auditor.hh"
 #include "sim/random.hh"

@@ -8,7 +8,6 @@
 
 #include "network/topology.hh"
 #include "sched/dispatch_policy.hh"
-#include "server/power_controller.hh"
 #include "sim/logging.hh"
 
 namespace holdcsim {
@@ -143,7 +142,6 @@ PodCluster::PodCluster(const PodClusterConfig &cfg, unsigned n_partitions)
             sc.nCores = kCoresPerServer;
             sc.taskTypes = {1 + static_cast<int>(s / (kServersPerPod / 3))};
             auto server = std::make_unique<Server>(sim, sc, profile);
-            server->setController(std::make_unique<AlwaysOnController>());
             pod->serverPtrs.push_back(server.get());
             pod->servers.push_back(std::move(server));
         }

@@ -31,11 +31,12 @@ PortPool::PortPool(Simulator &sim, PortHost &host,
     _packetsDropped.assign(n, 0);
     _bytesSent.assign(n, 0);
     _io.resize(n);
+    _txDone = std::make_unique<TxDoneEvent[]>(n);
 
     const Tick now = sim.curTick();
     for (unsigned p = 0; p < n; ++p) {
-        _txDoneEvents.emplace_back([this, p] { transmitDone(p); },
-                                   "port.txDone");
+        _txDone[p].pool = this;
+        _txDone[p].port = p;
         _residency[p].enter(static_cast<int>(_state[p]), now);
         maybeArmLpi(p);
     }
@@ -43,9 +44,9 @@ PortPool::PortPool(Simulator &sim, PortHost &host,
 
 PortPool::~PortPool()
 {
-    for (auto &ev : _txDoneEvents)
-        if (ev.scheduled())
-            _sim.deschedule(ev);
+    for (unsigned p = 0; p < size(); ++p)
+        if (_txDone[p].scheduled())
+            _sim.deschedule(_txDone[p]);
     for (auto &h : _lpi)
         _sim.timerWheel().cancel(h);
 }
@@ -128,7 +129,7 @@ PortPool::startNext(unsigned p, Tick extra_delay)
     io.queue.pop_front();
     io.transmitting = true;
     Tick ser = serializationDelay(io.inFlight->bytes, currentRate(p));
-    _sim.scheduleAfter(_txDoneEvents[p], extra_delay + ser);
+    _sim.scheduleAfter(_txDone[p], extra_delay + ser);
 }
 
 void

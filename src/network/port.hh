@@ -9,7 +9,8 @@
  * struct-of-arrays vectors, and `Port` is a copyable view (pool
  * pointer + dense id). Cold I/O state (egress FIFO, in-flight packet,
  * deliver callback) lives in a parallel per-port struct touched only
- * when the port actually moves traffic.
+ * when the port actually moves traffic, and the per-port transmit
+ * completion events in one exact-size block.
  *
  * LPI countdowns arm timers on the Simulator's TimerWheel, one handle
  * per port; at the default 1-tick granularity each countdown is its
@@ -22,6 +23,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "packet.hh"
@@ -108,6 +110,18 @@ class PortPool : public TimerClient
     void maybeArmLpi(unsigned p);
     void cancelLpi(unsigned p);
 
+    /**
+     * One port's transmit-completion event: pool + port id, no
+     * std::function. Default-constructible, so the events sit in one
+     * exact-size block, which never moves (Event is pinned).
+     */
+    struct TxDoneEvent final : Event {
+        TxDoneEvent() : Event("port.txDone") {}
+        void process() override { pool->transmitDone(port); }
+        PortPool *pool = nullptr;
+        unsigned port = 0;
+    };
+
     /** Cold per-port I/O state (only touched by actual traffic). */
     struct PortIo {
         std::deque<PacketPtr> queue;
@@ -133,8 +147,8 @@ class PortPool : public TimerClient
     std::vector<Bytes> _bytesSent;
 
     std::vector<PortIo> _io;
-    // Events are address-stable in a deque (Event is pinned).
-    std::deque<EventFunctionWrapper> _txDoneEvents;
+    /** One transmit-completion event per port. */
+    std::unique_ptr<TxDoneEvent[]> _txDone;
 };
 
 /**

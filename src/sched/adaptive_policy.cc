@@ -23,10 +23,8 @@ AdaptivePoolPolicy::AdaptivePoolPolicy(GlobalScheduler &sched,
     const auto &servers = _sched.servers();
     for (std::size_t i = 0; i < servers.size(); ++i) {
         bool active = i < config.initialActive;
-        auto ctrl = std::make_unique<DelayTimerController>(
-            active ? maxTick : config.deepSleepAfter);
-        _controllers.push_back(ctrl.get());
-        servers[i]->setController(std::move(ctrl));
+        servers[i]->setDelayTimer(active ? maxTick
+                                         : config.deepSleepAfter);
         _sched.setEligible(i, active);
     }
     // Bursty arrivals must be able to rouse servers promptly
@@ -127,7 +125,7 @@ AdaptivePoolPolicy::promoteOne()
     if (pick == servers.size())
         return; // sleep pool empty
     _sched.setEligible(pick, true);
-    _controllers[pick]->setTau(maxTick);
+    servers[pick]->setDelayTimer(maxTick);
     servers[pick]->wakeUp();
     ++_promotions;
     _lastTransition = _sched.simulator().curTick();
@@ -150,7 +148,7 @@ AdaptivePoolPolicy::demoteOne()
     if (pick == servers.size())
         return;
     _sched.setEligible(pick, false);
-    _controllers[pick]->setTau(_config.deepSleepAfter);
+    servers[pick]->setDelayTimer(_config.deepSleepAfter);
     ++_demotions;
     _lastTransition = _sched.simulator().curTick();
 }
@@ -169,9 +167,8 @@ configureDualTimers(GlobalScheduler &sched,
         bool high = i < config.highPoolSize;
         if (high)
             preferred.insert(i);
-        servers[i]->setController(
-            std::make_unique<DelayTimerController>(
-                high ? config.tauHigh : config.tauLow));
+        servers[i]->setDelayTimer(high ? config.tauHigh
+                                       : config.tauLow);
     }
     sched.setPolicy(
         std::make_unique<PreferredPoolPolicy>(std::move(preferred)));

@@ -6,8 +6,8 @@
  * Servers are coordinated between two pools. Active-pool servers
  * receive work and are allowed only the shallow sleep state (package
  * C6, sub-millisecond wakeup); sleep-pool servers receive no work
- * and their local controller takes them from package C6 down to
- * system sleep (suspend-to-RAM) after a short residency. A load
+ * and their delay timer takes them from package C6 down to system
+ * sleep (suspend-to-RAM) after a short residency. A load
  * estimator tracks the number of pending jobs per active server:
  * above T_wakeup one server is promoted from the sleep pool; below
  * T_sleep one active server is demoted. The front-end load balancer
@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "global_scheduler.hh"
-#include "server/power_controller.hh"
 #include "sim/event.hh"
 
 namespace holdcsim {
@@ -56,9 +55,9 @@ class AdaptivePoolPolicy
 {
   public:
     /**
-     * Installs a DelayTimerController on every server of @p sched
-     * (replacing any existing controller) and registers itself on
-     * the scheduler's load-changed hook.
+     * Sets the delay timer of every server of @p sched (off in the
+     * active pool, deepSleepAfter in the sleep pool) and registers
+     * itself on the scheduler's load-changed hook.
      */
     AdaptivePoolPolicy(GlobalScheduler &sched,
                        const AdaptiveConfig &config);
@@ -88,8 +87,6 @@ class AdaptivePoolPolicy
     AdaptiveConfig _config;
     bool _running = false;
     Tick _lastTransition = 0;
-    /** Borrowed pointers to the controllers we installed. */
-    std::vector<DelayTimerController *> _controllers;
     EventFunctionWrapper _checkEvent;
     std::uint64_t _promotions = 0;
     std::uint64_t _demotions = 0;
@@ -107,7 +104,7 @@ struct DualTimerConfig {
 };
 
 /**
- * Install DelayTimerControllers per the dual-timer scheme and switch
+ * Set every server's delay timer per the dual-timer scheme and switch
  * the scheduler to the preferred-pool dispatch policy.
  */
 void configureDualTimers(GlobalScheduler &sched,

@@ -24,10 +24,7 @@ GlobalScheduler::GlobalScheduler(Simulator &sim,
     for (std::size_t i = 0; i < _servers.size(); ++i) {
         if (_servers[i]->id() != i)
             fatal("server ", i, " must be configured with id ", i);
-        _servers[i]->setTaskDoneCallback(
-            [this](Server &srv, const TaskRef &task) {
-                onTaskDone(srv, task);
-            });
+        _servers[i]->setTaskSink(this);
     }
     if (_net && _net->topology().numServers() < _servers.size())
         fatal("network topology has fewer servers than the fleet");
@@ -562,7 +559,7 @@ GlobalScheduler::onServerRepaired(std::size_t idx)
 }
 
 void
-GlobalScheduler::onTaskDone(Server &server, const TaskRef &task)
+GlobalScheduler::taskDone(Server &server, const TaskRef &task)
 {
     auto it = _jobs.find(task.job);
     if (it == _jobs.end()) {

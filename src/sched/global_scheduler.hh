@@ -52,8 +52,9 @@ struct GlobalSchedulerConfig {
     bool antiAffinity = false;
 };
 
-/** The data center front end: job intake and task dispatch. */
-class GlobalScheduler
+/** The data center front end: job intake and task dispatch. Every
+ *  server of the fleet hands its finished tasks to it. */
+class GlobalScheduler : private TaskSink
 {
   public:
     /** (job id, response time in ticks). */
@@ -296,7 +297,8 @@ class GlobalScheduler
     void assignTask(RuntimeJob &rt, TaskId t, std::size_t server);
     /** All transfers arrived: hand the task to its server. */
     void launchTask(RuntimeJob &rt, TaskId t);
-    void onTaskDone(Server &server, const TaskRef &task);
+    /** TaskSink: a server finished @p task. */
+    void taskDone(Server &server, const TaskRef &task) override;
     /**
      * The current attempt of (@p job, @p t) died. Re-dispatch after
      * backoff, or abandon the whole job once attempts are exhausted.

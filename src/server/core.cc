@@ -4,7 +4,7 @@
 
 namespace holdcsim {
 
-static_assert(static_cast<int>(CoreCState::c6) < StateResidency::maxStates,
+static_assert(static_cast<int>(CoreCState::c6) < CoreResidency::maxStates,
               "every core C-state needs a residency book");
 
 namespace {
@@ -26,11 +26,17 @@ deeper(CoreCState s)
 } // namespace
 
 CorePool::CorePool(Simulator &sim, CoreHost &host,
-                   const ServerPowerProfile &profile, unsigned n_cores,
+                   std::shared_ptr<const ServerPowerProfile> profile,
+                   unsigned n_cores,
                    const std::vector<double> &base_freqs_ghz)
-    : _sim(sim), _host(host), _profile(profile), _size(n_cores),
-      _settledEpoch(sim.epoch())
+    : _size(n_cores), _sim(sim), _host(host),
+      _profile(std::move(profile)), _settledEpoch(sim.epoch())
 {
+    if (!_profile)
+        fatal("a core pool needs a power profile");
+    _profile->validate();
+    if (_profile->pstates.size() > 256)
+        fatal("a profile may define at most 256 P-states");
     if (n_cores == 0)
         fatal("a core pool needs at least one core");
     if (!base_freqs_ghz.empty() && base_freqs_ghz.size() != n_cores)
@@ -40,12 +46,15 @@ CorePool::CorePool(Simulator &sim, CoreHost &host,
             fatal("core base frequency must be positive");
 
     _slots = std::make_unique<Slot[]>(n_cores);
+    if (!base_freqs_ghz.empty()) {
+        _baseFreqGhz = std::make_unique<double[]>(n_cores);
+        std::copy(base_freqs_ghz.begin(), base_freqs_ghz.end(),
+                  _baseFreqGhz.get());
+    }
 
     const Tick now = sim.curTick();
     for (unsigned c = 0; c < n_cores; ++c) {
         Slot &s = _slots[c];
-        s.baseFreqGhz = base_freqs_ghz.empty() ? profile.pstates[0].freqGhz
-                                               : base_freqs_ghz[c];
         s.residency.enter(static_cast<int>(s.cstate), now);
         armStage(c, now);
     }
@@ -64,15 +73,15 @@ CorePool::~CorePool()
 double
 CorePool::frequencyGhz(unsigned c) const
 {
-    const auto &ps = _profile.pstates;
-    const Slot &s = _slots[c];
-    return s.baseFreqGhz * ps[s.pstate].freqGhz / ps[0].freqGhz;
+    const auto &ps = _profile->pstates;
+    const double base = _baseFreqGhz ? _baseFreqGhz[c] : ps[0].freqGhz;
+    return base * ps[_slots[c].pstate].freqGhz / ps[0].freqGhz;
 }
 
 void
 CorePool::setPState(unsigned c, std::size_t idx)
 {
-    if (idx >= _profile.pstates.size())
+    if (idx >= _profile->pstates.size())
         fatal("P-state ", idx, " out of range");
     if (busy(c))
         fatal("changing P-state mid-task is not modeled");
@@ -80,7 +89,7 @@ CorePool::setPState(unsigned c, std::size_t idx)
         return;
     const Tick now = _sim.curTick();
     _host.coreAccrue(now);
-    _slots[c].pstate = idx;
+    _slots[c].pstate = static_cast<std::uint8_t>(idx);
     if (TraceManager *tr = _sim.tracer()) {
         if (TraceTrackId track = traceTrack(c, *tr); track != noTraceTrack)
             tr->instant(track, TraceCategory::core,
@@ -97,11 +106,11 @@ CorePool::exitLatency(CoreCState from) const
       case CoreCState::c0Idle:
         return 0;
       case CoreCState::c1:
-        return _profile.c1ExitLatency;
+        return _profile->c1ExitLatency;
       case CoreCState::c3:
-        return _profile.c3ExitLatency;
+        return _profile->c3ExitLatency;
       case CoreCState::c6:
-        return _profile.c6ExitLatency;
+        return _profile->c6ExitLatency;
     }
     HOLDCSIM_PANIC("unknown CoreCState");
 }
@@ -109,7 +118,7 @@ CorePool::exitLatency(CoreCState from) const
 Tick
 CorePool::processingTime(unsigned c, const TaskRef &task) const
 {
-    double ratio = _profile.pstates[0].freqGhz / frequencyGhz(c);
+    double ratio = _profile->pstates[0].freqGhz / frequencyGhz(c);
     double scaled = static_cast<double>(task.serviceTime) *
                     (task.computeIntensity * ratio +
                      (1.0 - task.computeIntensity));
@@ -165,16 +174,16 @@ CorePool::power(unsigned c) const
 {
     switch (_slots[c].cstate) {
       case CoreCState::c0Active:
-        return _profile.coreActive *
-               _profile.pstates[_slots[c].pstate].powerScale;
+        return _profile->coreActive *
+               _profile->pstates[_slots[c].pstate].powerScale;
       case CoreCState::c0Idle:
-        return _profile.coreC0Idle;
+        return _profile->coreC0Idle;
       case CoreCState::c1:
-        return _profile.coreC1;
+        return _profile->coreC1;
       case CoreCState::c3:
-        return _profile.coreC3;
+        return _profile->coreC3;
       case CoreCState::c6:
-        return _profile.coreC6;
+        return _profile->coreC6;
     }
     HOLDCSIM_PANIC("unknown CoreCState");
 }
@@ -231,11 +240,11 @@ CorePool::stageDelay(CoreCState s) const
 {
     switch (s) {
       case CoreCState::c0Idle:
-        return _profile.demoteC1After;
+        return _profile->demoteC1After;
       case CoreCState::c1:
-        return _profile.demoteC3After;
+        return _profile->demoteC3After;
       case CoreCState::c3:
-        return _profile.demoteC6After;
+        return _profile->demoteC6After;
       default:
         return maxTick; // busy, or c6: nowhere deeper to go
     }

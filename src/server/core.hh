@@ -13,18 +13,19 @@
  *
  * Storage layout: cores are not individually-allocated objects. A
  * server owns one CorePool, which keeps its cores in one exact-size
- * array of per-core slots. A slot holds what every core carries,
- * idle or not -- C-state, P-state, base frequency, the tick its next
- * idle stage is due and its residency books -- which is all an
- * idle-governor demotion or a power sum reads. What matters only
- * while a task runs (the task, its start tick and its completion
- * event) lives in a second array, the busy block, which the pool
- * builds on its first task and keeps for its life: a server whose
- * cores never run a task never carries it, and a demotion touches
- * only the slot. Trace labels are
- * likewise allocated only once a tracer labels a core.
- * The `Core` class is a 16-byte copyable view (pool pointer + dense
- * id) carrying the familiar per-core API.
+ * array of 80-byte per-core slots. A slot holds what every core
+ * carries, idle or not -- C-state and P-state (a byte each), the tick
+ * its next idle stage is due and its residency book, sized to the
+ * five C-states -- which is all an idle-governor demotion or a power
+ * sum reads. What matters only while a task runs (the task, its start
+ * tick and its completion event) lives in a second array, the busy
+ * block, which the pool builds on its first task and keeps for its
+ * life: a server whose cores never run a task never carries it, and a
+ * demotion touches only the slot. Per-core base frequencies
+ * (heterogeneous pools only) and trace labels are likewise one
+ * pool-level array each, allocated only when given. The `Core` class
+ * is a 16-byte copyable view (pool pointer + dense id) carrying the
+ * familiar per-core API.
  *
  * Timer discipline: nothing is scheduled for an idle core. Its ladder
  * (C0-idle -> C1 -> C3 -> C6 after the profile's thresholds) is
@@ -67,6 +68,9 @@ namespace holdcsim {
 
 class Core;
 
+/** A core's residency book: one entry per CoreCState. */
+using CoreResidency = StateBook<5>;
+
 /**
  * The entity that owns a CorePool (a Server, or a test fixture).
  * Replaces the three per-core std::function hooks of the old
@@ -108,8 +112,9 @@ class CorePool : public DeferredTimers
     /**
      * @param sim            owning simulation engine
      * @param host           owner notified of accrual/state/completion
-     * @param profile        power/latency profile (not owned; must
-     *                       outlive the pool)
+     * @param profile        power/latency profile, shared with the
+     *                       pool (a plant of identical servers holds
+     *                       one); validated here
      * @param n_cores        number of cores, at least one
      * @param base_freqs_ghz per-core P0 frequencies (heterogeneous
      *                       processors give cores different bases):
@@ -118,8 +123,21 @@ class CorePool : public DeferredTimers
      *                       core
      */
     CorePool(Simulator &sim, CoreHost &host,
-             const ServerPowerProfile &profile, unsigned n_cores,
+             std::shared_ptr<const ServerPowerProfile> profile,
+             unsigned n_cores,
              const std::vector<double> &base_freqs_ghz = {});
+
+    /** As above, with a profile the caller keeps alive for the
+     *  pool's lifetime (not owned). */
+    CorePool(Simulator &sim, CoreHost &host,
+             const ServerPowerProfile &profile, unsigned n_cores,
+             const std::vector<double> &base_freqs_ghz = {})
+        : CorePool(sim, host,
+                   std::shared_ptr<const ServerPowerProfile>(
+                       std::shared_ptr<const ServerPowerProfile>(),
+                       &profile),
+                   n_cores, base_freqs_ghz)
+    {}
 
     /** Deschedules pending completions; leaves the drain list. */
     ~CorePool() override;
@@ -130,6 +148,7 @@ class CorePool : public DeferredTimers
     unsigned size() const { return _size; }
 
     Simulator &sim() const { return _sim; }
+    const ServerPowerProfile &profile() const { return *_profile; }
 
     /**
      * Replay every idle stage and host countdown due by curTick() (see
@@ -176,6 +195,13 @@ class CorePool : public DeferredTimers
     bool busyStateBuilt() const { return !_busy.empty(); }
     ///@}
 
+    /** Heap bytes of the slot block an @p n_cores pool holds. */
+    static std::size_t
+    slotBlockBytes(unsigned n_cores)
+    {
+        return n_cores * sizeof(Slot);
+    }
+
     /** Heap bytes of the busy block an @p n_cores pool builds. */
     static std::size_t
     busyBlockBytes(unsigned n_cores)
@@ -185,6 +211,9 @@ class CorePool : public DeferredTimers
 
   private:
     friend class Core;
+
+/** A core's residency book: one entry per CoreCState. */
+using CoreResidency = StateBook<5>;
 
     /**
      * One core's completion event: pool + core id, no std::function.
@@ -200,21 +229,21 @@ class CorePool : public DeferredTimers
 
     /**
      * What one core carries busy or idle, indexed by dense core id:
-     * 112 B on x86-64, 72 of them the residency book. The fields
-     * every dispatch, demotion and power sum reads come first, so
-     * they share the slot's first cache line.
+     * 80 B on x86-64, 56 of them the residency book. The fields
+     * every dispatch, demotion and power sum reads come first.
      */
     struct Slot {
         CoreCState cstate = CoreCState::c0Idle;
+        /** Index into the profile's P-states (at most 256). */
+        std::uint8_t pstate = 0;
         TraceTrackId traceTrack = noTraceTrack;
-        std::size_t pstate = 0;
-        double baseFreqGhz = 0.0;
         /** Tick the next idle stage is due; maxTick while busy, in
          *  C6, or when the next stage is disabled. */
         Tick stageAt = maxTick;
         std::uint64_t tasksExecuted = 0;
-        StateResidency residency;
+        CoreResidency residency;
     };
+    static_assert(sizeof(Slot) <= 80, "the core slot grew");
 
     /** What one core carries only while it runs a task. */
     struct Busy {
@@ -247,12 +276,16 @@ class CorePool : public DeferredTimers
     Tick exitLatency(CoreCState from) const;
     void setTraceLabel(unsigned c, std::string label);
 
+    /** First, so it packs into DeferredTimers' tail padding. */
+    unsigned _size;
     Simulator &_sim;
     CoreHost &_host;
-    const ServerPowerProfile &_profile;
-    unsigned _size;
+    std::shared_ptr<const ServerPowerProfile> _profile;
 
     std::unique_ptr<Slot[]> _slots;
+    /** Per-core P0 frequency; null when every core runs at the
+     *  profile's (homogeneous pools). */
+    std::unique_ptr<double[]> _baseFreqGhz;
     /** Earliest Slot::stageAt. */
     Tick _nextStage = maxTick;
     /** When the host's countdown runs out; maxTick when none. */
@@ -362,7 +395,7 @@ class Core
     }
 
     /** Per-C-state residency (states indexed by CoreCState). */
-    const StateResidency &residency() const
+    const CoreResidency &residency() const
     {
         _pool->settle();
         return _pool->_slots[_id].residency;

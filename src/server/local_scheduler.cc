@@ -73,7 +73,7 @@ LocalScheduler::perCoreQueue(unsigned core_id) const
 {
     if (core_id >= _nCores)
         HOLDCSIM_PANIC("core ", core_id, " out of range");
-    return _perCore.empty() ? nullptr : &_perCore[core_id];
+    return _perCore ? &_perCore[core_id] : nullptr;
 }
 
 void
@@ -83,19 +83,19 @@ LocalScheduler::enqueue(const TaskRef &task)
         _unified.push(task);
         return;
     }
-    if (_perCore.empty())
-        _perCore.resize(_nCores);
+    if (!_perCore)
+        _perCore = std::make_unique<TaskFifo[]>(_nCores);
     unsigned target = 0;
     if (_pick == CorePickPolicy::roundRobin) {
         target = _rrNext;
         _rrNext = (_rrNext + 1) % _nCores;
     } else {
         auto it = std::min_element(
-            _perCore.begin(), _perCore.end(),
+            _perCore.get(), _perCore.get() + _nCores,
             [](const TaskFifo &a, const TaskFifo &b) {
                 return a.size() < b.size();
             });
-        target = static_cast<unsigned>(it - _perCore.begin());
+        target = static_cast<unsigned>(it - _perCore.get());
     }
     _perCore[target].push(task);
 }
@@ -122,8 +122,8 @@ std::size_t
 LocalScheduler::pending() const
 {
     std::size_t total = _unified.size();
-    for (const TaskFifo &q : _perCore)
-        total += q.size();
+    for (unsigned c = 0; _perCore && c < _nCores; ++c)
+        total += _perCore[c].size();
     return total;
 }
 
@@ -132,8 +132,8 @@ LocalScheduler::remove(JobId job, TaskId task)
 {
     if (_unified.remove(job, task))
         return true;
-    for (TaskFifo &q : _perCore)
-        if (q.remove(job, task))
+    for (unsigned c = 0; _perCore && c < _nCores; ++c)
+        if (_perCore[c].remove(job, task))
             return true;
     return false;
 }
@@ -142,8 +142,8 @@ void
 LocalScheduler::drainAll(std::vector<TaskRef> &out)
 {
     _unified.drainInto(out);
-    for (TaskFifo &q : _perCore)
-        q.drainInto(out);
+    for (unsigned c = 0; _perCore && c < _nCores; ++c)
+        _perCore[c].drainInto(out);
 }
 
 } // namespace holdcsim

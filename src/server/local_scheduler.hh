@@ -17,6 +17,8 @@
 #ifndef HOLDCSIM_SERVER_LOCAL_SCHEDULER_HH
 #define HOLDCSIM_SERVER_LOCAL_SCHEDULER_HH
 
+#include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -25,7 +27,7 @@
 namespace holdcsim {
 
 /** Queue structure between global dispatch and cores. */
-enum class LocalQueueMode {
+enum class LocalQueueMode : std::uint8_t {
     /** One server-wide FIFO; free cores pull from it. */
     unified,
     /** One FIFO per core; tasks bound to a core on arrival. */
@@ -33,7 +35,7 @@ enum class LocalQueueMode {
 };
 
 /** Core selection policy for per-core enqueue. */
-enum class CorePickPolicy {
+enum class CorePickPolicy : std::uint8_t {
     /** Cycle through cores (the classic default). */
     roundRobin,
     /** Pick the core with the fewest queued tasks. */
@@ -114,8 +116,9 @@ class LocalScheduler
     unsigned _nCores;
     unsigned _rrNext = 0;
     TaskFifo _unified;
-    /** perCore mode: one FIFO per core, sized on the first enqueue. */
-    std::vector<TaskFifo> _perCore;
+    /** perCore mode: one FIFO per core, built on the first enqueue;
+     *  null until then, and always in unified mode. */
+    std::unique_ptr<TaskFifo[]> _perCore;
 };
 
 } // namespace holdcsim

@@ -13,12 +13,13 @@
 #ifndef HOLDCSIM_SERVER_POWER_STATE_HH
 #define HOLDCSIM_SERVER_POWER_STATE_HH
 
+#include <cstdint>
 #include <string>
 
 namespace holdcsim {
 
-/** Core-level C-states. */
-enum class CoreCState {
+/** Core-level C-states (one byte: a core slot packs it). */
+enum class CoreCState : std::uint8_t {
     /** Executing instructions. */
     c0Active,
     /** Clock running, no work (polling idle). */
@@ -32,7 +33,7 @@ enum class CoreCState {
 };
 
 /** Package-level C-states, derived from the member cores. */
-enum class PkgCState {
+enum class PkgCState : std::uint8_t {
     /** At least one core active. */
     pc0,
     /** All cores idle but uncore still up. */
@@ -42,7 +43,7 @@ enum class PkgCState {
 };
 
 /** ACPI system sleep states. */
-enum class SState {
+enum class SState : std::uint8_t {
     /** Working. */
     s0,
     /** Suspend to RAM. */

@@ -11,30 +11,6 @@ static_assert(static_cast<int>(ServerState::failed) <
                   StateResidency::maxStates,
               "every observable server state needs a residency book");
 
-namespace {
-
-/**
- * Validate the profile and the per-core frequency overrides before
- * the core pool is built from them (runs in the member-init list).
- */
-const ServerPowerProfile &
-checkedProfile(const ServerConfig &config,
-               const std::shared_ptr<const ServerPowerProfile> &profile)
-{
-    if (!profile)
-        fatal("server ", config.id, " given no power profile");
-    profile->validate();
-    if (config.nCores == 0)
-        fatal("server needs at least one core");
-    if (!config.coreFreqGhz.empty() &&
-        config.coreFreqGhz.size() != config.nCores) {
-        fatal("coreFreqGhz must be empty or have one entry per core");
-    }
-    return *profile;
-}
-
-} // namespace
-
 Server::Server(Simulator &sim, const ServerConfig &config,
                const ServerPowerProfile &profile)
     : Server(sim, config, std::make_shared<const ServerPowerProfile>(profile))
@@ -42,22 +18,12 @@ Server::Server(Simulator &sim, const ServerConfig &config,
 
 Server::Server(Simulator &sim, const ServerConfig &config,
                std::shared_ptr<const ServerPowerProfile> profile)
-    : _sim(sim), _profile(std::move(profile)),
-      _taskTypes(config.taskTypes.begin(), config.taskTypes.end()),
-      _corePool(sim, *this, checkedProfile(config, _profile),
-                config.nCores, config.coreFreqGhz),
+    : _corePool(sim, *this, std::move(profile), config.nCores,
+                config.coreFreqGhz),
       _local(config.queueMode, config.corePick, config.nCores),
-      _allowPkgC6(config.allowPkgC6), _id(config.id),
-      _wakeDoneEvent([this] {
-          settle();
-          const Tick now = _sim.curTick();
-          accrueTo(now);
-          _waking = false;
-          _sstate = SState::s0;
-          updateResidency(now);
-          dispatch();
-      }, "server.wakeDone", Event::powerPriority),
-      _lastAccrue(sim.curTick())
+      _taskTypes(config.taskTypes.begin(), config.taskTypes.end()),
+      _lastAccrue(sim.curTick()), _wakeDoneEvent(*this), _id(config.id),
+      _allowPkgC6(config.allowPkgC6)
 {
     // Labels feed the timeline tracer only; skip the 2 * nCores heap
     // strings per server when no tracer is installed (100k-server
@@ -77,7 +43,19 @@ Server::Server(Simulator &sim, const ServerConfig &config,
 Server::~Server()
 {
     if (_wakeDoneEvent.scheduled())
-        _sim.deschedule(_wakeDoneEvent);
+        simulator().deschedule(_wakeDoneEvent);
+}
+
+void
+Server::wakeDone()
+{
+    settle();
+    const Tick now = simulator().curTick();
+    accrueTo(now);
+    _waking = false;
+    _sstate = SState::s0;
+    updateResidency(now);
+    dispatch();
 }
 
 Core
@@ -89,14 +67,24 @@ Server::core(unsigned i)
 }
 
 void
-Server::setController(std::unique_ptr<ServerPowerController> ctrl)
+Server::setDelayTimer(Tick tau, SState target)
 {
-    // The old controller's sleep timer goes with it.
+    if (target == SState::s0)
+        fatal("delay timer target must be a sleep state");
     settle();
-    _corePool.cancelHostTimer();
-    _controller = std::move(ctrl);
-    if (_controller)
-        _controller->attach(*this);
+    _tau = tau;
+    _sleepTarget = target;
+    if (idleNow() && tau != maxTick)
+        _corePool.armHostTimer(tau); // restarts any pending countdown
+    else
+        _corePool.cancelHostTimer();
+}
+
+void
+Server::becameIdle()
+{
+    if (_tau != maxTick)
+        _corePool.armHostTimer(_tau);
 }
 
 bool
@@ -119,8 +107,7 @@ Server::submit(const TaskRef &task)
               " (scheduler bug or misconfiguration)");
     }
     _local.enqueue(task);
-    if (_controller)
-        _controller->becameBusy(*this);
+    _corePool.cancelHostTimer(); // busy again: no countdown
     if (isAsleep()) {
         wakeUp();
         return;
@@ -133,7 +120,7 @@ bool
 Server::sleep(SState target)
 {
     settle();
-    return sleepAt(target, _sim.curTick());
+    return sleepAt(target, simulator().curTick());
 }
 
 bool
@@ -157,31 +144,16 @@ Server::wakeUp()
     settle();
     if (_failed || _sstate == SState::s0 || _waking)
         return;
-    const Tick now = _sim.curTick();
+    const Tick now = simulator().curTick();
     accrueTo(now);
     _waking = true;
     ++_wakeTransitions;
     updateResidency(now);
     // Entry latency is folded into the wake path: a server roused
     // during/after suspend pays wake plus any residual entry time.
-    _sim.scheduleAfter(_wakeDoneEvent,
-                       _profile->s3WakeLatency +
-                           _profile->s3EntryLatency);
-}
-
-void
-Server::armSleepTimer(Tick delay, SState target)
-{
-    settle();
-    _sleepTarget = target;
-    _corePool.armHostTimer(delay);
-}
-
-void
-Server::cancelSleepTimer()
-{
-    settle();
-    _corePool.cancelHostTimer();
+    simulator().scheduleAfter(_wakeDoneEvent,
+                       profile().s3WakeLatency +
+                           profile().s3EntryLatency);
 }
 
 std::vector<TaskRef>
@@ -190,12 +162,12 @@ Server::fail()
     settle();
     if (_failed)
         HOLDCSIM_PANIC("server ", id(), " failed twice without repair");
-    const Tick now = _sim.curTick();
+    const Tick now = simulator().curTick();
     accrueTo(now); // integrate pre-crash power before the rates drop to 0
     _failed = true;
     ++_failures;
     if (_wakeDoneEvent.scheduled())
-        _sim.deschedule(_wakeDoneEvent);
+        simulator().deschedule(_wakeDoneEvent);
     _waking = false;
     std::vector<TaskRef> killed;
     for (unsigned c = 0; c < numCores(); ++c) {
@@ -221,17 +193,15 @@ Server::repair()
     settle();
     if (!_failed)
         HOLDCSIM_PANIC("server ", id(), " repaired while healthy");
-    const Tick now = _sim.curTick();
+    const Tick now = simulator().curTick();
     accrueTo(now);
     _failed = false;
     _sstate = SState::s0;
     _waking = false;
     recomputePkgState(now);
     updateResidency(now);
-    // The machine is back and idle: let the power controller arm its
-    // usual idle management (delay timers etc.).
-    if (_controller)
-        _controller->becameIdle(*this);
+    // The machine is back and idle: its delay timer starts over.
+    becameIdle();
 }
 
 bool
@@ -239,9 +209,9 @@ Server::cancelTask(JobId job, TaskId task)
 {
     settle();
     if (_local.remove(job, task)) {
-        updateResidency(_sim.curTick());
-        if (load() == 0 && _controller)
-            _controller->becameIdle(*this);
+        updateResidency(simulator().curTick());
+        if (load() == 0)
+            becameIdle();
         return true;
     }
     for (unsigned c = 0; c < numCores(); ++c) {
@@ -256,10 +226,10 @@ Server::cancelTask(JobId job, TaskId task)
         if (_running == 0)
             HOLDCSIM_PANIC("server ", id(), " cancelled an unaccounted task");
         --_running;
-        updateResidency(_sim.curTick());
+        updateResidency(simulator().curTick());
         dispatch(); // the freed core can pull buffered work
-        if (load() == 0 && _controller)
-            _controller->becameIdle(*this);
+        if (load() == 0)
+            becameIdle();
         return true;
     }
     return false;
@@ -272,7 +242,7 @@ Server::setAllowPkgC6(bool allow)
     if (_allowPkgC6 == allow)
         return;
     _allowPkgC6 = allow;
-    const Tick now = _sim.curTick();
+    const Tick now = simulator().curTick();
     recomputePkgState(now);
     updateResidency(now);
 }
@@ -301,15 +271,15 @@ Server::componentPower() const
     if (_waking) {
         // Wake-up burns near-idle-active power without doing work:
         // every component is powered but no instructions retire.
-        return {_profile->pkgPc0 +
-                    numCores() * _profile->coreC0Idle,
-                _profile->dramActive, _profile->platformS0};
+        return {profile().pkgPc0 +
+                    numCores() * profile().coreC0Idle,
+                profile().dramActive, profile().platformS0};
     }
     switch (_sstate) {
       case SState::s5:
-        return {0.0, 0.0, _profile->platformS5};
+        return {0.0, 0.0, profile().platformS5};
       case SState::s3:
-        return {0.0, _profile->dramSelfRefresh, _profile->platformS3};
+        return {0.0, profile().dramSelfRefresh, profile().platformS3};
       case SState::s0:
         break;
     }
@@ -321,20 +291,20 @@ Server::componentPower() const
     }
     switch (_pkgState) {
       case PkgCState::pc0:
-        cpu += _profile->pkgPc0;
+        cpu += profile().pkgPc0;
         break;
       case PkgCState::pc2:
-        cpu += _profile->pkgPc2;
+        cpu += profile().pkgPc2;
         break;
       case PkgCState::pc6:
-        cpu += _profile->pkgPc6;
+        cpu += profile().pkgPc6;
         break;
     }
-    Watts dram = any_busy ? _profile->dramActive
+    Watts dram = any_busy ? profile().dramActive
                           : (_pkgState == PkgCState::pc6
-                                 ? _profile->dramSelfRefresh
-                                 : _profile->dramIdle);
-    return {cpu, dram, _profile->platformS0};
+                                 ? profile().dramSelfRefresh
+                                 : profile().dramIdle);
+    return {cpu, dram, profile().platformS0};
 }
 
 Watts
@@ -349,7 +319,7 @@ void
 Server::accrue()
 {
     settle();
-    accrueTo(_sim.curTick());
+    accrueTo(simulator().curTick());
 }
 
 void
@@ -371,7 +341,7 @@ void
 Server::finishStats()
 {
     settle();
-    Tick now = _sim.curTick();
+    Tick now = simulator().curTick();
     accrueTo(now);
     _residency.finish(now);
     for (unsigned c = 0; c < numCores(); ++c)
@@ -382,7 +352,7 @@ void
 Server::resetStats()
 {
     settle();
-    Tick now = _sim.curTick();
+    Tick now = simulator().curTick();
     accrueTo(now);
     _energy = EnergyBreakdown{};
     _tasksCompleted = 0;
@@ -406,7 +376,7 @@ Server::dispatch()
     // Package C6 exit is paid once by the first task that rouses the
     // package; capture the state before any core wakes.
     Tick pkg_exit =
-        _pkgState == PkgCState::pc6 ? _profile->pc6ExitLatency : 0;
+        _pkgState == PkgCState::pc6 ? profile().pc6ExitLatency : 0;
     if (_local.mode() == LocalQueueMode::unified) {
         while (_local.pending() > 0) {
             // Prefer the fastest free core (heterogeneous-aware).
@@ -439,7 +409,7 @@ Server::dispatch()
         }
     }
     _inDispatch = false;
-    updateResidency(_sim.curTick());
+    updateResidency(simulator().curTick());
 }
 
 void
@@ -449,12 +419,12 @@ Server::taskFinished(const TaskRef &task)
         HOLDCSIM_PANIC("server ", id(), " finished a task it never ran");
     --_running;
     ++_tasksCompleted;
-    updateResidency(_sim.curTick());
-    if (_taskDone)
-        _taskDone(*this, task); // may submit follow-up work
+    updateResidency(simulator().curTick());
+    if (_taskSink)
+        _taskSink->taskDone(*this, task); // may submit follow-up work
     dispatch();
-    if (load() == 0 && _controller)
-        _controller->becameIdle(*this);
+    if (load() == 0)
+        becameIdle();
 }
 
 void
@@ -494,7 +464,7 @@ Server::updateResidency(Tick at)
 void
 Server::traceState(Tick at)
 {
-    TraceManager *tr = _sim.tracer();
+    TraceManager *tr = simulator().tracer();
     if (!tr || !tr->wants(TraceCategory::server))
         return;
     if (_traceTrack == noTraceTrack) {

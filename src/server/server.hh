@@ -11,16 +11,30 @@
  * latency at high power -- the effect at the heart of the delay-timer
  * case studies.
  *
- * Power policy is pluggable: a ServerPowerController is notified on
- * busy/idle transitions and drives sleep()/wakeUp(), or arms the
- * server's sleep timer (a delay timer) with armSleepTimer().
+ * Local power policy (paper sections III-F, IV-B and IV-C) is built
+ * in. By default an idle server stays in S0 -- the "Active-Idle"
+ * baseline, whose cores still use C-states and whose package reaches
+ * PC6 through the core idle governor. setDelayTimer(tau) gives it the
+ * single delay timer of case study IV-B: tau after it falls idle it
+ * suspends (default S3), new work cancels the countdown, and work
+ * arriving during sleep triggers the wake path; tau = 0 is the
+ * aggressive on-off policy. The WASP sleep pools of case study IV-C
+ * are sched/adaptive_policy retuning tau at runtime; global policies
+ * may also call sleep()/wakeUp() directly.
  *
  * An idle server schedules nothing: its core C-state ladder and its
- * sleep timer are kept in closed form by its CorePool (see core.hh)
+ * delay timer are kept in closed form by its CorePool (see core.hh)
  * and replayed, at their own ticks, before anything reads or changes
  * the server -- every public member that depends on them settles
  * first. Reads are logically const: they compute the state the server
- * already has at curTick().
+ * already has at curTick(). The server keeps only tau and the sleep
+ * target; the countdown is the pool's host timer.
+ *
+ * Footprint: a 4-core server is one 472-byte Server (the pool and the
+ * local scheduler inline) plus its 320-byte block of core slots; it
+ * shares its profile and its task sink with the fleet, and builds its
+ * cores' busy state only on its first task. A 100k-server plant is
+ * mostly these two blocks, so AllocBudget bounds them.
  */
 
 #ifndef HOLDCSIM_SERVER_SERVER_HH
@@ -46,24 +60,34 @@ namespace holdcsim {
 class Server;
 
 /**
- * Power-management policy hook. The server calls becameBusy() when
- * work arrives and becameIdle() when its last task completes; the
- * controller reacts by calling Server::sleep()/wakeUp(), or by arming
- * the server's sleep timer.
+ * Where servers hand their finished tasks. One sink serves a whole
+ * fleet (GlobalScheduler is one), so a server holds a pointer to it
+ * rather than a callback of its own.
  */
-class ServerPowerController
+class TaskSink
 {
   public:
-    virtual ~ServerPowerController() = default;
+    virtual ~TaskSink() = default;
 
-    /** Called once when installed on @p server. */
-    virtual void attach(Server &server) { (void)server; }
+    /** @p server finished @p task; may submit follow-up work. */
+    virtual void taskDone(Server &server, const TaskRef &task) = 0;
+};
 
-    /** The server has work again (task submitted or started). */
-    virtual void becameBusy(Server &server) = 0;
+/** A TaskSink that forwards to a callable (tests, small programs). */
+class TaskDoneFn final : public TaskSink
+{
+  public:
+    explicit TaskDoneFn(std::function<void(Server &, const TaskRef &)> fn)
+        : _fn(std::move(fn))
+    {}
 
-    /** The server just ran out of work (no queued or running task). */
-    virtual void becameIdle(Server &server) = 0;
+    void taskDone(Server &server, const TaskRef &task) override
+    {
+        _fn(server, task);
+    }
+
+  private:
+    std::function<void(Server &, const TaskRef &)> _fn;
 };
 
 /** Static configuration for one server. */
@@ -100,9 +124,6 @@ struct EnergyBreakdown {
 class Server : private CoreHost
 {
   public:
-    /** Completion callback: (server, finished task). */
-    using TaskDoneFn = std::function<void(Server &, const TaskRef &)>;
-
     /**
      * Build a server that keeps its own copy of @p profile, so a
      * caller may pass a temporary.
@@ -121,7 +142,7 @@ class Server : private CoreHost
     Server &operator=(const Server &) = delete;
 
     /** Deschedules any pending wake event. */
-    ~Server();
+    ~Server() override;
 
     unsigned id() const { return _id; }
     unsigned numCores() const { return _corePool.size(); }
@@ -130,12 +151,11 @@ class Server : private CoreHost
     /** View of core @p i; panics unless i < numCores(). */
     Core core(unsigned i);
 
-    /** Install the power-management policy (may be null). */
-    void setController(std::unique_ptr<ServerPowerController> ctrl);
-    ServerPowerController *controller() { return _controller.get(); }
-
-    /** Set the task-completion callback. */
-    void setTaskDoneCallback(TaskDoneFn fn) { _taskDone = std::move(fn); }
+    /**
+     * Where finished tasks go (null: nowhere). Not owned: the sink
+     * must outlive the server's last completion.
+     */
+    void setTaskSink(TaskSink *sink) { _taskSink = sink; }
 
     /** Whether this server is configured to serve @p type tasks. */
     bool servesType(int type) const;
@@ -185,14 +205,15 @@ class Server : private CoreHost
     void wakeUp();
 
     /**
-     * Arm the sleep timer: @p delay (finite) after now the server
-     * tries sleep(@p target), which does nothing unless it is then
-     * idle. Replaces a pending timer. Nothing is scheduled: the
-     * timer fires, at its tick, when the server is next read.
+     * Run a delay timer: whenever the server falls idle it suspends
+     * to @p target (S3 or S5) @p tau later, unless work arrives
+     * first. Takes effect immediately: on an idle server the
+     * countdown restarts from now. tau = maxTick (the default) turns
+     * the timer off: the server then never self-suspends. Nothing is
+     * scheduled: the timer fires, at its tick, when the server is
+     * next read.
      */
-    void armSleepTimer(Tick delay, SState target);
-    /** Disarm the sleep timer, if armed. */
-    void cancelSleepTimer();
+    void setDelayTimer(Tick tau, SState target = SState::s3);
 
     /** Disallow/allow package C6 at runtime (WASP pools). */
     void setAllowPkgC6(bool allow);
@@ -294,10 +315,22 @@ class Server : private CoreHost
     void resetStats();
     ///@}
 
-    Simulator &simulator() { return _sim; }
-    const ServerPowerProfile &profile() const { return *_profile; }
+    Simulator &simulator() const { return _corePool.sim(); }
+    const ServerPowerProfile &profile() const
+    {
+        return _corePool.profile();
+    }
 
   private:
+    /** The end of a wake transition: the server, no std::function. */
+    struct WakeEvent final : Event {
+        explicit WakeEvent(Server &s)
+            : Event("server.wakeDone", Event::powerPriority), server(s)
+        {}
+        void process() override { server.wakeDone(); }
+        Server &server;
+    };
+
     /** @name CoreHost interface (driven by the core pool) */
     ///@{
     void coreAccrue(Tick at) override { accrueTo(at); }
@@ -313,7 +346,7 @@ class Server : private CoreHost
         (void)core;
         taskFinished(task);
     }
-    /** The sleep timer ran out at @p at. */
+    /** The delay timer ran out at @p at. */
     void
     hostTimerExpired(Tick at) override
     {
@@ -335,6 +368,10 @@ class Server : private CoreHost
     ServerState stateNow() const;
     /** sleep(), taking effect at tick @p at (<= now). */
     bool sleepAt(SState target, Tick at);
+    /** The server ran out of work: start the delay timer, if on. */
+    void becameIdle();
+    /** The wake transition is over: back in S0, run what waits. */
+    void wakeDone();
     /** Integrate energy up to tick @p at. */
     void accrueTo(Tick at);
     /** Give every free core work while any is available. */
@@ -353,32 +390,16 @@ class Server : private CoreHost
     };
     ComponentPower componentPower() const;
 
-    Simulator &_sim;
-    /** Shared and immutable; cores reference it. */
-    std::shared_ptr<const ServerPowerProfile> _profile;
-    /** ServerConfig::taskTypes, sorted; empty = all types. */
-    std::vector<int> _taskTypes;
-
-    /** Per-core state, one slot per core, and the sleep timer (see
-     *  core.hh). Mutable: const reads settle it. */
+    /** Per-core state, one slot per core, the shared profile, the
+     *  simulator and the delay timer's countdown (see core.hh).
+     *  Mutable: const reads settle it. */
     mutable CorePool _corePool;
     LocalScheduler _local;
-    std::unique_ptr<ServerPowerController> _controller;
-    TaskDoneFn _taskDone;
-
-    SState _sstate = SState::s0;
-    /** What the sleep timer suspends to. */
-    SState _sleepTarget = SState::s3;
-    bool _waking = false;
-    bool _failed = false;
-    /** Whether the package may enter PC6 (runtime-tunable). */
-    bool _allowPkgC6;
-    PkgCState _pkgState = PkgCState::pc0;
-    unsigned _id;
-    EventFunctionWrapper _wakeDoneEvent;
-
-    std::size_t _running = 0;
-    bool _inDispatch = false;
+    /** ServerConfig::taskTypes, sorted; empty = all types. */
+    std::vector<int> _taskTypes;
+    TaskSink *_taskSink = nullptr;
+    /** The delay timer's tau; maxTick when off. */
+    Tick _tau = maxTick;
 
     Tick _lastAccrue = 0;
     EnergyBreakdown _energy;
@@ -389,10 +410,25 @@ class Server : private CoreHost
     std::uint64_t _failures = 0;
     std::uint64_t _tasksKilled = 0;
     Joules _wastedJoules = 0.0;
+    WakeEvent _wakeDoneEvent;
 
+    unsigned _id;
+    /** Tasks executing on cores (at most numCores()). */
+    unsigned _running = 0;
     /** Cached timeline track (resolved on first traced transition). */
     TraceTrackId _traceTrack = noTraceTrack;
+    SState _sstate = SState::s0;
+    /** What the delay timer suspends to. */
+    SState _sleepTarget = SState::s3;
+    PkgCState _pkgState = PkgCState::pc0;
+    bool _waking = false;
+    bool _failed = false;
+    /** Whether the package may enter PC6 (runtime-tunable). */
+    bool _allowPkgC6;
+    bool _inDispatch = false;
 };
+
+static_assert(sizeof(Server) <= 472, "the Server object grew");
 
 } // namespace holdcsim
 

@@ -111,6 +111,9 @@ class Event
     std::size_t _qSlot = 0;
 };
 
+// Every server embeds one (its wake event); AllocBudget records it.
+static_assert(sizeof(Event) <= 72, "the Event base grew");
+
 /**
  * Event that runs a std::function. The workhorse for model code:
  *

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iostream>
+#include <limits>
 #include <ostream>
 
 #include "logging.hh"
@@ -137,7 +138,9 @@ Simulator::processPopped(Event &ev)
 void
 Simulator::addDeferred(DeferredTimers &d)
 {
-    d._deferredSlot = _deferred.size();
+    if (_deferred.size() > std::numeric_limits<std::uint32_t>::max())
+        HOLDCSIM_PANIC("more than 2^32 deferred-timer entities");
+    d._deferredSlot = static_cast<std::uint32_t>(_deferred.size());
     _deferred.push_back(&d);
 }
 

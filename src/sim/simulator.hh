@@ -106,8 +106,9 @@ class DeferredTimers
 
   private:
     friend class Simulator;
-    /** Position in the Simulator's list (O(1) removal). */
-    std::size_t _deferredSlot = 0;
+    /** Position in the Simulator's list (O(1) removal). Four bytes:
+     *  a derived class may pack a member into the tail padding. */
+    std::uint32_t _deferredSlot = 0;
 };
 
 /** Event-driven simulation engine with a nanosecond clock. */

@@ -127,35 +127,36 @@ Percentile::reset()
     _sum = 0.0;
 }
 
-// ------------------------------------------------------------- StateResidency
+// ------------------------------------------------------------------ StateBook
 
+template <int States>
 void
-StateResidency::accrueCurrent(Tick delta)
+StateBook<States>::accrueCurrent(Tick delta)
 {
     _residency[static_cast<std::size_t>(_current)] += delta;
-    _total += delta;
 }
 
+template <int States>
 void
-StateResidency::enter(int state, Tick now)
+StateBook<States>::enter(int state, Tick now)
 {
     if (state < 0 || state >= maxStates)
         HOLDCSIM_PANIC("StateResidency state ", state, " outside [0, ",
                        maxStates, ")");
-    if (_started) {
+    if (_current >= 0) {
         if (now < _lastTick)
             HOLDCSIM_PANIC("StateResidency fed a tick that moves backwards");
         accrueCurrent(now - _lastTick);
     }
-    _started = true;
-    _current = state;
+    _current = static_cast<std::int8_t>(state);
     _lastTick = now;
 }
 
+template <int States>
 void
-StateResidency::finish(Tick now)
+StateBook<States>::finish(Tick now)
 {
-    if (!_started)
+    if (_current < 0)
         return;
     if (now < _lastTick)
         HOLDCSIM_PANIC("StateResidency finished with a tick in the past");
@@ -163,28 +164,38 @@ StateResidency::finish(Tick now)
     _lastTick = now;
 }
 
+template <int States>
 Tick
-StateResidency::residency(int state) const
+StateBook<States>::residency(int state) const
 {
     if (state < 0 || state >= maxStates)
         return 0;
     return _residency[static_cast<std::size_t>(state)];
 }
 
-double
-StateResidency::fraction(int state) const
+template <int States>
+Tick
+StateBook<States>::totalTime() const
 {
-    if (_total == 0)
-        return 0.0;
-    return static_cast<double>(residency(state)) /
-           static_cast<double>(_total);
+    Tick total = 0;
+    for (Tick t : _residency)
+        total += t;
+    return total;
 }
 
-void
-StateResidency::reset()
+template <int States>
+double
+StateBook<States>::fraction(int state) const
 {
-    *this = StateResidency{};
+    const Tick total = totalTime();
+    if (total == 0)
+        return 0.0;
+    return static_cast<double>(residency(state)) /
+           static_cast<double>(total);
 }
+
+template class StateBook<5>;
+template class StateBook<6>;
 
 // ------------------------------------------------------------------ StatGroup
 

@@ -79,20 +79,23 @@ class Percentile
 
 /**
  * Tracks how long a component resides in each of a set of discrete
- * states, keyed by small integer state ids in [0, maxStates).
+ * states, keyed by small integer state ids in [0, States).
+ *
+ * Every state enum in the simulator is small and dense (ServerState,
+ * the largest, has 6 states; CoreCState 5, PortState 3, ...), so the
+ * books are an inline array sized to it: a book costs 8 + 8 * (1 +
+ * States) bytes with zero heap allocations, which matters when a
+ * 100k-server plant carries one per core, port and card. Components
+ * with up to six states share StateResidency; the core slot sizes its
+ * book to the five C-states. Each user static_asserts that its states
+ * fit.
  */
-class StateResidency
+template <int States>
+class StateBook
 {
   public:
-    /**
-     * Every state enum in the simulator is small and dense
-     * (ServerState, the largest, has 6 states; CoreCState 5,
-     * PortState 3, ...), so the books are an inline array sized to
-     * it: a StateResidency costs 72 bytes with zero heap allocations,
-     * which matters when a 100k-server plant carries one per core,
-     * port and card. Each user static_asserts that its states fit.
-     */
-    static constexpr int maxStates = 6;
+    static_assert(0 < States && States <= 127);
+    static constexpr int maxStates = States;
 
     /**
      * Record a transition into @p state at tick @p now.
@@ -109,22 +112,27 @@ class StateResidency
     /** Fraction of observed time spent in @p state, in [0, 1]. */
     double fraction(int state) const;
 
-    /** Total observed time. */
-    Tick totalTime() const { return _total; }
+    /** Total observed time: the per-state totals summed. */
+    Tick totalTime() const;
 
+    /** The state last entered, or -1 before the first enter(). */
     int currentState() const { return _current; }
-    void reset();
+    void reset() { *this = StateBook{}; }
 
   private:
-    bool _started = false;
-    int _current = -1;
+    std::int8_t _current = -1;
     Tick _lastTick = 0;
-    Tick _total = 0;
-    std::array<Tick, maxStates> _residency{};
+    std::array<Tick, States> _residency{};
 
     void accrueCurrent(Tick delta);
 };
-static_assert(sizeof(StateResidency) <= 72);
+
+extern template class StateBook<5>;
+extern template class StateBook<6>;
+
+/** The residency book of components with up to six states. */
+using StateResidency = StateBook<6>;
+static_assert(sizeof(StateResidency) <= 64);
 
 /**
  * Named registry of scalar statistics for human-readable dumps.

@@ -6,7 +6,9 @@
  * warehouse_100k (4 cores, delay-timer governors on a 100 us timer
  * wheel) and bounds the bytes and allocations its construction
  * requests per server. A footprint regression then fails here, not
- * only in a benchmark's peak RSS. It also bounds the bytes one
+ * only in a benchmark's peak RSS. It records the sizes of the two
+ * blocks a server is made of and checks that building one requests
+ * exactly those two. It also bounds the bytes one
  * dispatch requests, which must not grow with the fleet, checks
  * that an empty local queue requests none, checks that a server
  * builds its cores' busy state on its first task and never again,
@@ -132,13 +134,46 @@ TEST(AllocBudget, WheelPlantConstructionPerServer)
     char allocs[32];
     std::snprintf(allocs, sizeof allocs, "%.2f", allocsPerServer);
     RecordProperty("allocations_per_server", allocs);
-    // One block each for the server, its core slots and its power
-    // controller; the fleet vectors' growth adds a fraction more. No
-    // timer is armed: idle ladders are computed, not scheduled.
-    EXPECT_LE(perServer, 1186.0)
+    // One block each for the server and its core slots (the delay
+    // timer is two fields of the server); the fleet vectors add a
+    // fraction more. No timer is armed: idle ladders are computed, not
+    // scheduled.
+    EXPECT_LE(perServer, 893.0)
         << allocations << " allocations, " << bytesRequested << " bytes";
-    EXPECT_LE(allocsPerServer, 3.1)
+    EXPECT_LE(allocsPerServer, 2.06)
         << allocations << " allocations, " << bytesRequested << " bytes";
+}
+
+TEST(AllocBudget, ServerLayoutBytes)
+{
+    // What a server is made of: its own object and one block of core
+    // slots. Their sizes are bounded at compile time next to the types
+    // (server.hh, core.hh, and event.hh for the wake event a server
+    // embeds); CI's footprint summary prints what is recorded here.
+    RecordProperty("server_bytes", static_cast<int>(sizeof(Server)));
+    RecordProperty("core_slot_bytes",
+                   static_cast<int>(CorePool::slotBlockBytes(1)));
+    RecordProperty("event_bytes", static_cast<int>(sizeof(Event)));
+
+    // Building a 4-core server with a shared profile and a delay timer
+    // requests exactly those two blocks. (The first 1,000 servers give
+    // the simulator's deferred-timer list room for one more.)
+    Simulator sim(EventQueue::Backend::calendar, 100 * usec);
+    const auto profile = std::make_shared<const ServerPowerProfile>();
+    ServerConfig cfg;
+    cfg.nCores = 4;
+    std::vector<std::unique_ptr<Server>> fleet;
+    for (unsigned i = 0; i < 1000; ++i)
+        fleet.push_back(std::make_unique<Server>(sim, cfg, profile));
+    fleet.reserve(fleet.size() + 1);
+    bytesRequested = allocations = 0;
+    counting = true;
+    fleet.push_back(std::make_unique<Server>(sim, cfg, profile));
+    fleet.back()->setDelayTimer(50 * msec);
+    counting = false;
+    EXPECT_EQ(allocations, 2u);
+    EXPECT_EQ(bytesRequested,
+              sizeof(Server) + CorePool::slotBlockBytes(cfg.nCores));
 }
 
 TEST(AllocBudget, IdleFleetSchedulesNothing)

@@ -14,7 +14,6 @@
 #include "sched/dispatch_policy.hh"
 #include "sched/global_scheduler.hh"
 #include "sched/provisioning.hh"
-#include "server/power_controller.hh"
 #include "sim/logging.hh"
 #include "sim/simulator.hh"
 

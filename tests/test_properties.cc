@@ -25,7 +25,6 @@
 #include "network/network.hh"
 #include "network/routing.hh"
 #include "sched/dispatch_policy.hh"
-#include "server/power_controller.hh"
 #include "sim/logging.hh"
 #include "sim/timer_wheel.hh"
 #include "workload/service.hh"
@@ -927,6 +926,9 @@ runWarehouseWaves(EventQueue::Backend backend, Tick granularity)
 {
     Simulator sim(backend, granularity);
     std::uint64_t completions = 0;
+    TaskDoneFn sink([&completions](Server &, const TaskRef &) {
+        ++completions;
+    });
     std::vector<std::unique_ptr<Server>> servers;
     for (unsigned i = 0; i < 4096; ++i) {
         ServerConfig sc;
@@ -934,8 +936,7 @@ runWarehouseWaves(EventQueue::Backend backend, Tick granularity)
         sc.nCores = 4;
         servers.push_back(
             std::make_unique<Server>(sim, sc, ServerPowerProfile{}));
-        servers.back()->setTaskDoneCallback(
-            [&completions](Server &, const TaskRef &) { ++completions; });
+        servers.back()->setTaskSink(&sink);
     }
     unsigned wave = 0;
     JobId next_job = 0;
@@ -1028,16 +1029,15 @@ TEST_P(UtilizationLawProperty, BusyTimeIsExitPlusProcessing)
     const auto n_servers = static_cast<unsigned>(rng.uniformInt(2, 12));
     std::vector<std::unique_ptr<Server>> servers;
     std::size_t finished = 0;
+    TaskDoneFn sink([&finished](Server &, const TaskRef &) { ++finished; });
     for (unsigned i = 0; i < n_servers; ++i) {
         ServerConfig sc;
         sc.id = i;
         sc.nCores = static_cast<unsigned>(rng.uniformInt(1, 4));
         sc.allowPkgC6 = rng.bernoulli(0.8);
         servers.push_back(std::make_unique<Server>(sim, sc, profile));
-        servers.back()->setController(std::make_unique<DelayTimerController>(
-            taus[rng.uniformInt(0, 4)]));
-        servers.back()->setTaskDoneCallback(
-            [&finished](Server &, const TaskRef &) { ++finished; });
+        servers.back()->setDelayTimer(taus[rng.uniformInt(0, 4)]);
+        servers.back()->setTaskSink(&sink);
     }
 
     const auto exitLatency = [&profile](CoreCState s) -> Tick {
@@ -1098,7 +1098,7 @@ TEST_P(UtilizationLawProperty, BusyTimeIsExitPlusProcessing)
         EXPECT_EQ(s->load(), 0u);
         s->finishStats();
         for (unsigned c = 0; c < s->numCores(); ++c) {
-            const StateResidency &r = s->core(c).residency();
+            const CoreResidency &r = s->core(c).residency();
             Tick sum = 0;
             for (int st = 0; st < 5; ++st)
                 sum += r.residency(st);

@@ -12,7 +12,6 @@
 #include "network/network.hh"
 #include "sched/dispatch_policy.hh"
 #include "sched/global_scheduler.hh"
-#include "server/power_controller.hh"
 #include "server/server.hh"
 #include "sim/logging.hh"
 #include "sim/simulator.hh"

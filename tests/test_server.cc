@@ -10,7 +10,6 @@
 #include <memory>
 #include <vector>
 
-#include "server/power_controller.hh"
 #include "server/server.hh"
 #include "sim/logging.hh"
 #include "sim/simulator.hh"
@@ -22,19 +21,19 @@ namespace {
 struct ServerFixture : ::testing::Test {
     Simulator sim;
     ServerPowerProfile prof;
-    std::unique_ptr<Server> server;
     std::vector<TaskRef> completed;
     std::vector<Tick> completedAt;
+    TaskDoneFn recorder{[this](Server &, const TaskRef &t) {
+        completed.push_back(t);
+        completedAt.push_back(sim.curTick());
+    }};
+    std::unique_ptr<Server> server;
 
     void
     makeServer(ServerConfig cfg = {})
     {
         server = std::make_unique<Server>(sim, cfg, prof);
-        server->setTaskDoneCallback(
-            [this](Server &, const TaskRef &t) {
-                completed.push_back(t);
-                completedAt.push_back(sim.curTick());
-            });
+        server->setTaskSink(&recorder);
     }
 
     TaskRef
@@ -67,8 +66,9 @@ TEST(Server, TemporaryProfileOutlivesItsArgument)
     Simulator sim;
     std::vector<Tick> doneAt;
     Server server(sim, ServerConfig{}, ServerPowerProfile::xeonE5_2680());
-    server.setTaskDoneCallback(
+    TaskDoneFn sink(
         [&](Server &, const TaskRef &) { doneAt.push_back(sim.curTick()); });
+    server.setTaskSink(&sink);
     server.submit(TaskRef{7, 0, 3 * msec, 1.0, 0});
     sim.run();
     ASSERT_EQ(doneAt.size(), 1u);
@@ -236,8 +236,7 @@ TEST_F(ServerFixture, DelayTimerSleepsAfterTau)
 {
     makeServer();
     const Tick tau = 100 * msec;
-    server->setController(
-        std::make_unique<DelayTimerController>(tau));
+    server->setDelayTimer(tau);
     server->submit(task(10 * msec));
     sim.run();
     // Idle from 10 ms; timer fires at 10 ms + tau.
@@ -249,8 +248,7 @@ TEST_F(ServerFixture, DelayTimerCancelledByNewWork)
 {
     makeServer();
     const Tick tau = 100 * msec;
-    server->setController(
-        std::make_unique<DelayTimerController>(tau));
+    server->setDelayTimer(tau);
     server->submit(task(10 * msec));
     // New work arrives mid-countdown.
     EventFunctionWrapper more(
@@ -272,8 +270,7 @@ TEST_F(ServerFixture, DelayTimerCancelledByNewWork)
 TEST_F(ServerFixture, DelayTimerAttachWhileIdleArms)
 {
     makeServer();
-    server->setController(
-        std::make_unique<DelayTimerController>(50 * msec));
+    server->setDelayTimer(50 * msec);
     sim.run();
     EXPECT_TRUE(server->isAsleep());
     EXPECT_EQ(sim.curTick(), 50 * msec);
@@ -284,8 +281,7 @@ TEST_F(ServerFixture, ShortDelayTimerSuspendsToS3)
     // The sleep-pool behaviour: package C6 through the core idle
     // governor, then suspend-to-RAM after a short threshold.
     makeServer();
-    server->setController(
-        std::make_unique<DelayTimerController>(20 * msec, SState::s3));
+    server->setDelayTimer(20 * msec, SState::s3);
     server->submit(task(5 * msec));
     sim.run();
     EXPECT_TRUE(server->isAsleep());
@@ -300,7 +296,7 @@ TEST_F(ServerFixture, DrainedRunEndsAtTheSuspendAfterBackgroundEvents)
     // background events before it -- and none after.
     makeServer();
     const Tick tau = 100 * msec;
-    server->setController(std::make_unique<DelayTimerController>(tau));
+    server->setDelayTimer(tau);
     std::vector<Tick> beats;
     EventFunctionWrapper beat(
         [&] {
@@ -331,11 +327,12 @@ TEST_F(ServerFixture, SameTickFollowUpFindsTheCoreStillInC0)
     cfg.nCores = 1;
     makeServer(cfg);
     ASSERT_EQ(prof.demoteC1After, 0u);
-    server->setTaskDoneCallback([this](Server &s, const TaskRef &t) {
+    TaskDoneFn followUp([this](Server &s, const TaskRef &t) {
         completedAt.push_back(sim.curTick());
         if (t.job == 0)
             s.submit(task(2 * msec, 1));
     });
+    server->setTaskSink(&followUp);
     server->submit(task(3 * msec, 0));
     sim.run();
     EXPECT_EQ(completedAt, (std::vector<Tick>{3 * msec, 5 * msec}));
@@ -348,7 +345,7 @@ TEST_F(ServerFixture, DisabledDelayTimerNeverSuspends)
     // A maxTick threshold must not be added to the clock: it would
     // wrap into the past and abort the run.
     makeServer();
-    server->setController(std::make_unique<DelayTimerController>(maxTick));
+    server->setDelayTimer(maxTick);
     server->submit(task(5 * msec));
     sim.run();
     EXPECT_EQ(completed.size(), 1u);
@@ -358,7 +355,7 @@ TEST_F(ServerFixture, DisabledDelayTimerNeverSuspends)
 TEST_F(ServerFixture, AlwaysOnNeverSuspends)
 {
     makeServer();
-    server->setController(std::make_unique<AlwaysOnController>());
+    server->setDelayTimer(maxTick);
     server->submit(task(5 * msec));
     sim.run();
     sim.runUntil(10 * sec);
@@ -422,8 +419,7 @@ TEST_F(ServerFixture, SleepSavesEnergyVersusIdle)
 TEST_F(ServerFixture, ResidencyCoversAllTime)
 {
     makeServer();
-    server->setController(
-        std::make_unique<DelayTimerController>(100 * msec));
+    server->setDelayTimer(100 * msec);
     for (int i = 0; i < 3; ++i) {
         server->submit(task(10 * msec, i));
         sim.run();
@@ -459,12 +455,13 @@ TEST_F(ServerFixture, CallbackMaySubmitFollowUpWork)
     cfg.nCores = 1;
     makeServer(cfg);
     int chained = 0;
-    server->setTaskDoneCallback([&](Server &srv, const TaskRef &t) {
+    TaskDoneFn chain([&](Server &srv, const TaskRef &t) {
         if (t.job < 3) {
             ++chained;
             srv.submit(TaskRef{t.job + 1, 0, 1 * msec, 1.0, 0});
         }
     });
+    server->setTaskSink(&chain);
     server->submit(task(1 * msec, 0));
     sim.run();
     EXPECT_EQ(chained, 3);
