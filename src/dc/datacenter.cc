@@ -138,7 +138,9 @@ DataCenter::DataCenter(const DataCenterConfig &config)
     _serverProfile =
         std::make_shared<const ServerPowerProfile>(_config.serverProfile);
     _servers.reserve(_config.nServers);
-    _serverPtrs.reserve(_config.nServers);
+    // The scheduler keeps the one list of server pointers.
+    std::vector<Server *> fleet;
+    fleet.reserve(_config.nServers);
     for (unsigned i = 0; i < _config.nServers; ++i) {
         ServerConfig sc;
         sc.id = i;
@@ -149,7 +151,7 @@ DataCenter::DataCenter(const DataCenterConfig &config)
         auto server = std::make_unique<Server>(_sim, sc, _serverProfile);
         if (_config.controller == DataCenterConfig::Controller::delayTimer)
             server->setDelayTimer(_config.delayTimerTau);
-        _serverPtrs.push_back(server.get());
+        fleet.push_back(server.get());
         _servers.push_back(std::move(server));
     }
 
@@ -173,7 +175,7 @@ DataCenter::DataCenter(const DataCenterConfig &config)
     gsc.useGlobalQueue = _config.useGlobalQueue;
     gsc.antiAffinity = _config.taskAntiAffinity;
     _sched = std::make_unique<GlobalScheduler>(
-        _sim, _serverPtrs, std::move(policy), gsc, _net.get());
+        _sim, std::move(fleet), std::move(policy), gsc, _net.get());
     if (_config.mc.seedBug && _servers.size() >= 2)
         _sched->debugArmPairCrashBug(0, 1);
 
@@ -209,7 +211,7 @@ DataCenter::DataCenter(const DataCenterConfig &config)
         fmc.faultLinecards = _config.fault.faultLinecards;
         fmc.faultLinks = _config.fault.faultLinks;
         _faults = std::make_unique<FaultManager>(
-            _sim, std::move(model), _serverPtrs, _net.get(),
+            _sim, std::move(model), _sched->servers(), _net.get(),
             _sched.get(), fmc);
     }
 
@@ -265,7 +267,7 @@ DataCenter::DataCenter(const DataCenterConfig &config)
         });
 
         _auditor->addCheck("energy_accounting", [this] {
-            FleetEnergy fe = fleetEnergy(_serverPtrs);
+            FleetEnergy fe = fleetEnergy(_sched->servers());
             double components = fe.total.total();
             double servers = 0.0;
             for (const EnergyBreakdown &e : fe.perServer) {
@@ -397,13 +399,13 @@ DataCenter::pumpTrace(std::vector<Tick> arrivals, JobGenerator &gen)
 FleetEnergy
 DataCenter::energy()
 {
-    return fleetEnergy(_serverPtrs);
+    return fleetEnergy(_sched->servers());
 }
 
 std::vector<double>
 DataCenter::residency()
 {
-    return fleetResidency(_serverPtrs);
+    return fleetResidency(_sched->servers());
 }
 
 Joules
@@ -499,7 +501,7 @@ DataCenter::dumpStats(std::ostream &os)
     }
 
     if (_faults) {
-        ReliabilitySummary rel = fleetReliability(_serverPtrs);
+        ReliabilitySummary rel = fleetReliability(_sched->servers());
         StatGroup g("reliability");
         g.add("fleet_availability", _faults->fleetAvailability());
         g.add("faults_injected", _faults->faultsInjected());

@@ -52,7 +52,7 @@ class DataCenter
     Server &server(std::size_t i) { return *_servers.at(i); }
     const std::vector<Server *> &serverPtrs() const
     {
-        return _serverPtrs;
+        return _sched->servers();
     }
     /** Null when the config has no fabric. */
     Network *network() { return _net.get(); }
@@ -158,7 +158,6 @@ class DataCenter
     /** The one power profile every server shares. */
     std::shared_ptr<const ServerPowerProfile> _serverProfile;
     std::vector<std::unique_ptr<Server>> _servers;
-    std::vector<Server *> _serverPtrs;
     /** Jitter stream handed to the scheduler; must outlive it. */
     std::unique_ptr<Rng> _retryJitter;
     std::unique_ptr<GlobalScheduler> _sched;

@@ -25,10 +25,11 @@ FaultManager::TargetState::TargetState(FaultManager &mgr,
 
 FaultManager::FaultManager(Simulator &sim,
                            std::unique_ptr<FaultModel> model,
-                           std::vector<Server *> servers, Network *net,
+                           std::span<Server *const> servers,
+                           Network *net,
                            GlobalScheduler *sched,
                            const FaultManagerConfig &config)
-    : _sim(sim), _model(std::move(model)), _servers(std::move(servers)),
+    : _sim(sim), _model(std::move(model)), _servers(servers),
       _net(net), _sched(sched)
 {
     if (!_model)
@@ -187,7 +188,7 @@ FaultManager::applyDown(TargetState &ts)
     const FaultTarget &t = ts.stats.target;
     switch (t.kind) {
       case FaultKind::server: {
-        std::vector<TaskRef> killed = _servers.at(t.index)->fail();
+        std::vector<TaskRef> killed = _servers[t.index]->fail();
         if (_sched)
             _sched->onServerFailed(t.index, killed);
         if (_serverEvent)
@@ -212,7 +213,7 @@ FaultManager::applyUp(TargetState &ts)
     const FaultTarget &t = ts.stats.target;
     switch (t.kind) {
       case FaultKind::server:
-        _servers.at(t.index)->repair();
+        _servers[t.index]->repair();
         if (_sched)
             _sched->onServerRepaired(t.index);
         if (_serverEvent)

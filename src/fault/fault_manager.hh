@@ -21,6 +21,7 @@
 #include <functional>
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "fault_model.hh"
@@ -60,7 +61,8 @@ class FaultManager
     /**
      * @param sim     engine
      * @param model   fault schedule source (owned)
-     * @param servers server fleet (server i must have id i)
+     * @param servers server fleet (server i must have id i); not
+     *                copied, so it must outlive the manager
      * @param net     fabric, may be null (server faults only)
      * @param sched   scheduler notified of kills, may be null
      * @param config  which component classes to fault
@@ -69,7 +71,7 @@ class FaultManager
      * schedules each one's first episode immediately.
      */
     FaultManager(Simulator &sim, std::unique_ptr<FaultModel> model,
-                 std::vector<Server *> servers, Network *net,
+                 std::span<Server *const> servers, Network *net,
                  GlobalScheduler *sched,
                  const FaultManagerConfig &config = {});
 
@@ -176,7 +178,7 @@ class FaultManager
 
     Simulator &_sim;
     std::unique_ptr<FaultModel> _model;
-    std::vector<Server *> _servers;
+    std::span<Server *const> _servers;
     Network *_net;
     GlobalScheduler *_sched;
 

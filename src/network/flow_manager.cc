@@ -49,11 +49,11 @@ FlowManager::FlowManager(Simulator &sim, const Topology &topo,
 
 FlowManager::~FlowManager()
 {
-    for (auto &[id, flow] : _flows) {
-        if (flow.completion && flow.completion->scheduled())
-            _sim.deschedule(*flow.completion);
-        if (flow.activation && flow.activation->scheduled())
-            _sim.deschedule(*flow.activation);
+    for (Flow *flow = _head; flow; flow = flow->next) {
+        if (flow->completion.scheduled())
+            _sim.deschedule(flow->completion);
+        if (flow->activation.scheduled())
+            _sim.deschedule(flow->activation);
     }
 }
 
@@ -69,26 +69,37 @@ FlowManager::flowTracer()
 }
 
 FlowId
-FlowManager::startFlow(Route route, Bytes bytes, FlowDoneFn on_done,
+FlowManager::startFlow(const Route &route, Bytes bytes, FlowDoneFn on_done,
                        Tick start_delay)
 {
     FlowId id = _nextId++;
-    Flow flow;
+    if (_freeSlots.empty()) {
+        _slots.emplace_back(*this,
+                            static_cast<std::uint32_t>(_slots.size()));
+        _freeSlots.push_back(_slots.back().slot);
+    }
+    Flow &flow = _slots[_freeSlots.back()];
+    _freeSlots.pop_back();
+    _index.insert(id, flow.slot);
     flow.id = id;
     flow.remainingBits = static_cast<double>(bytes) * 8.0;
-    flow.onDone = std::move(on_done);
+    flow.rate = 0.0;
+    flow.lastUpdate = 0;
     flow.startedAt = _sim.curTick();
+    flow.onDone = std::move(on_done);
+    flow.prev = _tail;
+    flow.next = nullptr;
+    (_tail ? _tail->next : _head) = &flow;
+    _tail = &flow;
 
     // Record the traversal direction on every hop.
+    flow.pathIdx.resize(route.links.size());
+    flow.linkPos.resize(route.links.size());
     for (std::size_t i = 0; i < route.links.size(); ++i) {
         LinkId l = route.links[i];
         bool forward = _topo.link(l).a == route.nodes[i];
-        flow.pathIdx.push_back(l * 2 + (forward ? 1 : 0));
+        flow.pathIdx[i] = l * 2 + (forward ? 1 : 0);
     }
-    flow.linkPos.resize(flow.pathIdx.size());
-
-    flow.completion = std::make_unique<EventFunctionWrapper>(
-        [this, id] { finish(id); }, "flow.completion");
 
     // Constant-latency fast path: a short transfer never contends
     // for bandwidth -- it completes analytically after the path
@@ -99,18 +110,13 @@ FlowManager::startFlow(Route route, Bytes bytes, FlowDoneFn on_done,
     if (fast) {
         ++_solverStats.fastPathHits;
         delay += fastPathDuration(_topo, route, bytes);
-    } else {
-        flow.activation = std::make_unique<EventFunctionWrapper>(
-            [this, id] { activate(id); }, "flow.activation");
     }
 
-    Flow &stored = _flows.emplace(id, std::move(flow)).first->second;
     if (TraceManager *tr = flowTracer()) {
         tr->asyncBegin(_traceTrack, TraceCategory::flow, "flow", id,
                        _sim.curTick());
     }
-    _sim.scheduleAfter(fast ? *stored.completion : *stored.activation,
-                       delay);
+    _sim.scheduleAfter(fast ? flow.completion : flow.activation, delay);
     return id;
 }
 
@@ -151,16 +157,19 @@ FlowManager::unenroll(Flow &flow)
     }
 }
 
-void
-FlowManager::activate(FlowId id)
+FlowManager::Flow *
+FlowManager::findFlow(FlowId id)
 {
-    auto it = _flows.find(id);
-    if (it == _flows.end())
-        HOLDCSIM_PANIC("activation of unknown flow ", id);
-    Flow &flow = it->second;
+    std::uint32_t slot = _index.find(id);
+    return slot == SlotIndex::npos ? nullptr : &_slots[slot];
+}
+
+void
+FlowManager::activate(Flow &flow)
+{
     if (flow.pathIdx.empty() || flow.remainingBits <= 0.0) {
         // Local or empty transfer: complete immediately.
-        finish(id);
+        finish(flow);
         return;
     }
     flow.active = true;
@@ -182,27 +191,37 @@ FlowManager::endBulkLoad()
 }
 
 void
-FlowManager::finish(FlowId id)
+FlowManager::finish(Flow &flow)
 {
-    auto it = _flows.find(id);
-    if (it == _flows.end())
-        HOLDCSIM_PANIC("completion of unknown flow ", id);
-    Flow &flow = it->second;
-    bool was_active = flow.active;
     FlowDoneFn done = std::move(flow.onDone);
     _flowLatency.sample(toSeconds(_sim.curTick() - flow.startedAt));
     ++_flowsCompleted;
     if (TraceManager *tr = flowTracer()) {
-        tr->asyncEnd(_traceTrack, TraceCategory::flow, "flow", id,
+        tr->asyncEnd(_traceTrack, TraceCategory::flow, "flow", flow.id,
                      _sim.curTick());
     }
-    if (was_active)
-        unenroll(flow);
-    _flows.erase(it);
-    if (was_active)
-        resolve(); // the freed bandwidth goes to the survivors
+    retire(flow);
     if (done)
         done();
+}
+
+void
+FlowManager::retire(Flow &flow)
+{
+    bool was_active = flow.active;
+    if (was_active)
+        unenroll(flow);
+    flow.active = false;
+    flow.onDone = nullptr;
+    flow.onAbort = nullptr;
+    (flow.prev ? flow.prev->next : _head) = flow.next;
+    (flow.next ? flow.next->prev : _tail) = flow.prev;
+    _index.erase(flow.id);
+    if (was_active)
+        resolve(); // the freed bandwidth goes to the survivors
+    if (_release)
+        _release(flow.pathIdx);
+    _freeSlots.push_back(flow.slot);
 }
 
 void
@@ -288,9 +307,9 @@ FlowManager::resolve(bool global)
     if (global) {
         // Every active flow, in FlowId order.
         ++_solverStats.globalResolves;
-        for (auto &[id, flow] : _flows) {
-            if (flow.active)
-                markDirty(flow);
+        for (Flow *flow = _head; flow; flow = flow->next) {
+            if (flow->active)
+                markDirty(*flow);
         }
     }
     _seedLinks.clear();
@@ -387,32 +406,28 @@ FlowManager::resolve(bool global)
 
     // 4: reschedule completion events at the new rates.
     for (Flow *f : _dirtyFlows) {
-        if (f->completion->scheduled())
-            _sim.deschedule(*f->completion);
+        if (f->completion.scheduled())
+            _sim.deschedule(f->completion);
         if (f->rate <= 0.0)
             HOLDCSIM_PANIC("active flow ", f->id, " got zero rate");
         double seconds = f->remainingBits / f->rate;
         Tick eta = fromSeconds(seconds);
-        _sim.schedule(*f->completion, now + (eta > 0 ? eta : 1));
+        _sim.schedule(f->completion, now + (eta > 0 ? eta : 1));
     }
 }
 
 bool
 FlowManager::abortFlow(FlowId flow)
 {
-    auto it = _flows.find(flow);
-    if (it == _flows.end())
+    Flow *found = findFlow(flow);
+    if (!found)
         return false;
-    Flow &f = it->second;
-    bool was_active = f.active;
+    Flow &f = *found;
     FlowDoneFn aborted = std::move(f.onAbort);
-    if (f.completion && f.completion->scheduled())
-        _sim.deschedule(*f.completion);
-    if (f.activation && f.activation->scheduled())
-        _sim.deschedule(*f.activation);
-    if (was_active)
-        unenroll(f);
-    _flows.erase(it);
+    if (f.completion.scheduled())
+        _sim.deschedule(f.completion);
+    if (f.activation.scheduled())
+        _sim.deschedule(f.activation);
     ++_flowsAborted;
     if (TraceManager *tr = flowTracer()) {
         tr->instant(_traceTrack, TraceCategory::flow, "flow.abort",
@@ -420,8 +435,7 @@ FlowManager::abortFlow(FlowId flow)
         tr->asyncEnd(_traceTrack, TraceCategory::flow, "flow", flow,
                      _sim.curTick());
     }
-    if (was_active)
-        resolve(); // the freed bandwidth goes to the survivors
+    retire(f);
     if (aborted)
         aborted();
     return true;
@@ -433,10 +447,10 @@ FlowManager::abortFlowsOn(LinkId l)
     // Pending and fast-path flows are not enrolled on any link, so
     // scan them all; this only runs on fault events.
     std::vector<FlowId> doomed;
-    for (const auto &[id, flow] : _flows) {
-        for (std::uint32_t dl : flow.pathIdx) {
+    for (const Flow *flow = _head; flow; flow = flow->next) {
+        for (std::uint32_t dl : flow->pathIdx) {
             if (dl / 2 == l) {
-                doomed.push_back(id);
+                doomed.push_back(flow->id);
                 break;
             }
         }
@@ -449,19 +463,19 @@ FlowManager::abortFlowsOn(LinkId l)
 void
 FlowManager::setAbortCallback(FlowId flow, FlowDoneFn on_abort)
 {
-    auto it = _flows.find(flow);
-    if (it == _flows.end())
+    Flow *found = findFlow(flow);
+    if (!found)
         HOLDCSIM_PANIC("abort callback for unknown flow ", flow);
-    it->second.onAbort = std::move(on_abort);
+    found->onAbort = std::move(on_abort);
 }
 
 BitsPerSec
 FlowManager::flowRate(FlowId flow) const
 {
-    auto it = _flows.find(flow);
-    if (it == _flows.end() || !it->second.active)
+    std::uint32_t slot = _index.find(flow);
+    if (slot == SlotIndex::npos || !_slots[slot].active)
         return 0.0;
-    return it->second.rate;
+    return _slots[slot].rate;
 }
 
 double

@@ -32,15 +32,16 @@
 #define HOLDCSIM_NETWORK_FLOW_MANAGER_HH
 
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <map>
-#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "routing.hh"
 #include "sim/event.hh"
 #include "sim/simulator.hh"
+#include "sim/slot_index.hh"
 #include "sim/stats.hh"
 #include "telemetry/trace_manager.hh"
 #include "topology.hh"
@@ -92,6 +93,9 @@ class FlowManager
 {
   public:
     using FlowDoneFn = std::function<void()>;
+    /** Given the directed-link path (link * 2 + forward) of a flow
+     *  that completed or was aborted. */
+    using ReleaseFn = std::function<void(std::span<const std::uint32_t>)>;
 
     /**
      * Transfers of at most @p fast_path_bytes bypass the solver and
@@ -110,7 +114,7 @@ class FlowManager
      * A zero-hop route (local communication) completes after
      * start_delay alone.
      */
-    FlowId startFlow(Route route, Bytes bytes, FlowDoneFn on_done,
+    FlowId startFlow(const Route &route, Bytes bytes, FlowDoneFn on_done,
                      Tick start_delay = 0);
 
     /**
@@ -128,8 +132,16 @@ class FlowManager
     /** Register the abort callback for flow @p flow. */
     void setAbortCallback(FlowId flow, FlowDoneFn on_abort);
 
+    /**
+     * Install the hook every flow passes through as it completes or
+     * is aborted: after the re-solve its end triggers, before its
+     * done or abort callback. Network uses it to release the switch
+     * ports the flow held.
+     */
+    void setReleaseHook(ReleaseFn hook) { _release = std::move(hook); }
+
     /** Number of flows currently transferring or pending start. */
-    std::size_t activeFlows() const { return _flows.size(); }
+    std::size_t activeFlows() const { return _index.size(); }
 
     /** Current fair-share rate of @p flow (0 if pending/unknown). */
     BitsPerSec flowRate(FlowId flow) const;
@@ -165,8 +177,39 @@ class FlowManager
     const NetSolverStats &solverStats() const { return _solverStats; }
 
   private:
+    struct Flow;
+
+    /** A flow's completion or activation, held inline in the flow. */
+    class FlowEvent : public Event
+    {
+      public:
+        using Handler = void (FlowManager::*)(Flow &);
+        FlowEvent(FlowManager &mgr, Flow &flow, Handler handler,
+                  const char *name)
+            : Event(name), _mgr(mgr), _flow(flow), _handler(handler)
+        {}
+        void process() override { (_mgr.*_handler)(_flow); }
+
+      private:
+        FlowManager &_mgr;
+        Flow &_flow;
+        Handler _handler;
+    };
+
+    /**
+     * One slab slot. A retired flow's slot keeps its path vectors'
+     * capacity for the next flow to use.
+     */
     struct Flow {
-        FlowId id;
+        Flow(FlowManager &mgr, std::uint32_t slot_index)
+            : slot(slot_index),
+              completion(mgr, *this, &FlowManager::finish,
+                         "flow.completion"),
+              activation(mgr, *this, &FlowManager::activate,
+                         "flow.activation")
+        {}
+
+        FlowId id = 0;
         /** Dense directed-link indices (link * 2 + forward). */
         std::vector<std::uint32_t> pathIdx;
         /** This flow's slot in _linkFlows[pathIdx[i]] while active. */
@@ -178,14 +221,28 @@ class FlowManager
         bool active = false;
         /** Dirty-set visit mark (epoch counter, never cleared). */
         std::uint64_t visitEpoch = 0;
+        /** Neighbours among live flows, in FlowId order. */
+        Flow *prev = nullptr;
+        Flow *next = nullptr;
+        /** Index in _slots. */
+        std::uint32_t slot;
         FlowDoneFn onDone;
         FlowDoneFn onAbort;
-        std::unique_ptr<EventFunctionWrapper> completion;
-        std::unique_ptr<EventFunctionWrapper> activation;
+        FlowEvent completion;
+        /** Unused by fast-path flows, which only complete. */
+        FlowEvent activation;
     };
 
-    void activate(FlowId id);
-    void finish(FlowId id);
+    void activate(Flow &flow);
+    void finish(Flow &flow);
+    /** The live flow @p id, or nullptr. */
+    Flow *findFlow(FlowId id);
+    /**
+     * Take @p flow out of the live list (and off its links if
+     * active), re-solve the survivors, run the release hook on its
+     * path and free its slot.
+     */
+    void retire(Flow &flow);
     /** Tracer (and shared flows track) if flow tracing is on. */
     TraceManager *flowTracer();
 
@@ -212,9 +269,19 @@ class FlowManager
     Simulator &_sim;
     const Topology &_topo;
     Bytes _fastPathBytes;
-    /** Ordered by id: a global resolve settles and reschedules so. */
-    std::map<FlowId, Flow> _flows;
+    /**
+     * The flow slab: a deque keeps slot addresses stable for the
+     * events and link lists that point into it. Live flows form a
+     * list in FlowId order (ids only grow, so starting a flow appends
+     * it): a global resolve settles and reschedules in that order.
+     */
+    std::deque<Flow> _slots;
+    std::vector<std::uint32_t> _freeSlots;
+    SlotIndex _index;
+    Flow *_head = nullptr;
+    Flow *_tail = nullptr;
     FlowId _nextId = 0;
+    ReleaseFn _release;
     /** Inside a beginBulkLoad()/endBulkLoad() window. */
     bool _bulk = false;
 

@@ -16,7 +16,7 @@ Network::Network(Simulator &sim, Topology topo,
       _oneShots(sim, "net.oneShot")
 {
     _topo.validateConnected();
-    _portMap.resize(_topo.numNodes());
+    _ends.assign(2 * _topo.numLinks(), LinkEnd{noSwitch, 0});
     _nicFreeAt.assign(_topo.numServers(), 0);
 
     // One Switch per switch node; port i of the switch drives the
@@ -34,8 +34,8 @@ Network::Network(Simulator &sim, Topology topo,
         auto sw = std::make_unique<Switch>(sim, sc, profile);
         sw->setForwardingDelay(config.switchForwardDelay);
         for (unsigned p = 0; p < links.size(); ++p) {
-            _portMap[node][links[p]] = p;
             LinkId l = links[p];
+            _ends[endOf(node, l)] = LinkEnd{sc.id, p};
             NodeId far = _topo.otherEnd(l, node);
             Tick lat = _topo.link(l).latency;
             sw->port(p).setDeliver(
@@ -47,6 +47,8 @@ Network::Network(Simulator &sim, Topology topo,
         }
         _switches.push_back(std::move(sw));
     }
+    _flowMgr.setReleaseHook(
+        [this](std::span<const std::uint32_t> path) { releasePorts(path); });
 }
 
 Network::~Network() = default;
@@ -57,14 +59,23 @@ Network::scheduleAfterDelay(Tick delay, std::function<void()> fn)
     _oneShots.schedule(delay, std::move(fn));
 }
 
-unsigned
-Network::portOf(NodeId n, LinkId l) const
+std::size_t
+Network::endOf(NodeId n, LinkId l) const
 {
-    const auto &map = _portMap.at(n);
-    auto it = map.find(l);
-    if (it == map.end())
+    const LinkInfo &li = _topo.link(l);
+    if (li.a != n && li.b != n)
         HOLDCSIM_PANIC("link ", l, " not attached to node ", n);
-    return it->second;
+    return 2 * std::size_t{l} + (li.a == n ? 0 : 1);
+}
+
+void
+Network::releasePorts(std::span<const std::uint32_t> path)
+{
+    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+        const LinkEnd &in = _ends[path[i]];
+        if (in.sw != noSwitch)
+            _switches[in.sw]->flowEnded(in.port, _ends[path[i + 1] ^ 1].port);
+    }
 }
 
 // --------------------------------------------------------------- flow model
@@ -86,51 +97,25 @@ Network::startFlow(std::size_t src_server, std::size_t dst_server,
         return invalidFlow;
     }
     std::uint64_t key = (_nextPacketId++ << 1) | 1;
-    Route route = _routing.route(src, dst, key);
+    _routing.route(src, dst, key, _route);
 
     // Wake everything on the path and register the flow on every
-    // traversed switch port pair.
+    // traversed switch port pair; releasePorts() ends it there.
     Tick wake_delay = 0;
-    struct PortUse {
-        Switch *sw;
-        unsigned in, out;
-    };
-    std::vector<PortUse> uses;
-    for (std::size_t i = 1; i + 1 < route.nodes.size(); ++i) {
-        NodeId n = route.nodes[i];
-        if (!_topo.isSwitch(n)) {
+    for (std::size_t i = 1; i + 1 < _route.nodes.size(); ++i) {
+        NodeId n = _route.nodes[i];
+        const LinkEnd &in = _ends[endOf(n, _route.links[i - 1])];
+        if (in.sw == noSwitch) {
             wake_delay += _config.serverRelayDelay;
             continue;
         }
-        Switch *sw = _switches[_topo.switchIndex(n)].get();
-        unsigned in = portOf(n, route.links[i - 1]);
-        unsigned out = portOf(n, route.links[i]);
-        wake_delay += sw->flowStarted(in, out);
-        uses.push_back(PortUse{sw, in, out});
+        const LinkEnd &out = _ends[endOf(n, _route.links[i])];
+        wake_delay += _switches[in.sw]->flowStarted(in.port, out.port);
     }
-
-    // Port bookkeeping must be released whether the flow completes
-    // or dies with a failed link, so both paths share the cleanup.
-    auto uses_p =
-        std::make_shared<std::vector<PortUse>>(std::move(uses));
-    auto release = [uses_p] {
-        for (const auto &u : *uses_p)
-            u.sw->flowEnded(u.in, u.out);
-        uses_p->clear();
-    };
-    auto done = [release, cb = std::move(on_done)]() {
-        release();
-        if (cb)
-            cb();
-    };
-    FlowId id = _flowMgr.startFlow(std::move(route), bytes,
-                                   std::move(done), wake_delay);
-    _flowMgr.setAbortCallback(
-        id, [release, cb = std::move(on_abort)]() {
-            release();
-            if (cb)
-                cb();
-        });
+    FlowId id = _flowMgr.startFlow(_route, bytes, std::move(on_done),
+                                   wake_delay);
+    if (on_abort)
+        _flowMgr.setAbortCallback(id, std::move(on_abort));
     return id;
 }
 
@@ -285,10 +270,9 @@ Network::forwardFrom(const PacketPtr &pkt, NodeId at, Tick extra)
         dropPacket(pkt);
         return;
     }
-    if (_topo.isSwitch(at)) {
-        Switch *sw = _switches[_topo.switchIndex(at)].get();
-        unsigned out = portOf(at, next_link);
-        if (!sw->forwardPacket(pkt, out))
+    const LinkEnd &out = _ends[endOf(at, next_link)];
+    if (out.sw != noSwitch) {
+        if (!_switches[out.sw]->forwardPacket(pkt, out.port))
             dropPacket(pkt);
         return;
     }

@@ -13,7 +13,7 @@
 
 #include <functional>
 #include <memory>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "flow_manager.hh"
@@ -61,7 +61,11 @@ class Network
 
     const Topology &topology() const { return _topo; }
     StaticRouting &routing() { return _routing; }
-    /** The flow-level model (max-min fair bandwidth sharing). */
+    /**
+     * The flow-level model (max-min fair bandwidth sharing). Start
+     * flows with startFlow() below, not on this object: every flow it
+     * retires is released from the switch ports on its path.
+     */
     FlowManager &flows() { return _flowMgr; }
 
     std::size_t numSwitches() const { return _switches.size(); }
@@ -168,8 +172,22 @@ class Network
     ///@}
 
   private:
-    /** Port ordinal of link @p l on switch node @p n. */
-    unsigned portOf(NodeId n, LinkId l) const;
+    /** The switch port at one end of a link. */
+    struct LinkEnd {
+        /** Switch ordinal; noSwitch at a server. */
+        std::uint32_t sw;
+        std::uint32_t port;
+    };
+    static constexpr std::uint32_t noSwitch = ~std::uint32_t{0};
+
+    /** Index into _ends of link @p l's end at node @p n. */
+    std::size_t endOf(NodeId n, LinkId l) const;
+    /**
+     * FlowManager release hook: end the flow on every switch it
+     * crosses. Hop i of @p path (link * 2 + forward) arrives at
+     * end path[i] and hop i + 1 leaves from end path[i + 1] ^ 1.
+     */
+    void releasePorts(std::span<const std::uint32_t> path);
     /** Links driven by line card @p lc_idx of switch @p sw_idx. */
     std::vector<LinkId> linecardLinks(std::size_t sw_idx,
                                       unsigned lc_idx) const;
@@ -186,8 +204,10 @@ class Network
     FlowManager _flowMgr;
 
     std::vector<std::unique_ptr<Switch>> _switches;
-    /** node id -> (link id -> port ordinal) for switch nodes. */
-    std::vector<std::unordered_map<LinkId, unsigned>> _portMap;
+    /** Both ends of every link: [2 * link + end], end 0 = a, 1 = b. */
+    std::vector<LinkEnd> _ends;
+    /** startFlow()'s route, rebuilt in place for every flow. */
+    Route _route;
 
     /** Per-server NIC: when each server's uplink frees up. */
     std::vector<Tick> _nicFreeAt;

@@ -69,35 +69,43 @@ StaticRouting::tableFor(NodeId src)
 Route
 StaticRouting::route(NodeId src, NodeId dst, std::uint64_t flow_key)
 {
+    Route r;
+    route(src, dst, flow_key, r);
+    return r;
+}
+
+void
+StaticRouting::route(NodeId src, NodeId dst, std::uint64_t flow_key,
+                     Route &out)
+{
     if (src >= _topo.numNodes() || dst >= _topo.numNodes())
         fatal("route endpoint out of range");
-    Route r;
     if (src == dst) {
-        r.nodes.push_back(src);
-        return r;
+        out.links.clear();
+        out.nodes.assign(1, src);
+        return;
     }
     const Table &table = tableFor(src);
     if (table.dist[dst] == unreachable)
         fatal("no route from node ", src, " to node ", dst);
 
     // Walk back from dst to src choosing among equal-cost parents by
-    // a per-(flow, hop) hash, then reverse.
-    std::vector<LinkId> back_links;
-    std::vector<NodeId> back_nodes{dst};
+    // a per-(flow, hop) hash, filling the route from its far end.
+    const std::size_t hops = table.dist[dst];
+    out.links.resize(hops);
+    out.nodes.resize(hops + 1);
+    out.nodes[hops] = dst;
     NodeId cur = dst;
-    while (cur != src) {
+    for (std::size_t i = hops; i > 0; --i) {
         const auto &parents = table.parentLinks[cur];
         std::uint64_t h =
             mix(flow_key ^ (static_cast<std::uint64_t>(cur) << 32) ^
                 dst);
         LinkId chosen = parents[h % parents.size()];
-        back_links.push_back(chosen);
+        out.links[i - 1] = chosen;
         cur = _topo.otherEnd(chosen, cur);
-        back_nodes.push_back(cur);
+        out.nodes[i - 1] = cur;
     }
-    r.links.assign(back_links.rbegin(), back_links.rend());
-    r.nodes.assign(back_nodes.rbegin(), back_nodes.rend());
-    return r;
 }
 
 std::size_t

@@ -59,14 +59,13 @@ GlobalScheduler::setTaskRouter(TaskRouteFn router, TaskClosedFn closed)
 void
 GlobalScheduler::resumeTask(JobId job, TaskId t)
 {
-    auto it = _jobs.find(job);
-    if (it == _jobs.end())
+    RuntimeJob *rt = findJob(job);
+    if (!rt)
         return; // job finished or abandoned while deferred
-    RuntimeJob &rt = it->second;
-    if (t >= rt.state.size() || rt.state[t] != TaskState::deferred)
+    if (t >= rt->tasks.size() || rt->tasks[t].state != TaskState::deferred)
         return;
     --_deferredCount;
-    taskReady(rt, t);
+    taskReady(*rt, t);
 }
 
 void
@@ -105,8 +104,8 @@ GlobalScheduler::taskCensus() const
     c.created = _tasksCreated;
     c.finished = _tasksFinished;
     c.aborted = _tasksAborted;
-    for (const auto &[id, rt] : _jobs)
-        c.live += rt.remaining;
+    for (const RuntimeJob &rt : _slots)
+        c.live += rt.live ? rt.remaining : 0;
     return c;
 }
 
@@ -130,7 +129,7 @@ GlobalScheduler::makeRef(const RuntimeJob &rt, TaskId t) const
     // Routed placements may inflate the service time (co-location
     // interference, remote-memory latency). The exact-1.0 test keeps
     // the unrouted path bit-identical to a build without routing.
-    double scale = rt.serviceScale.empty() ? 1.0 : rt.serviceScale[t];
+    double scale = rt.tasks[t].serviceScale;
     if (scale != 1.0) {
         ref.serviceTime = static_cast<Tick>(std::llround(
             static_cast<double>(spec.serviceTime) * scale));
@@ -165,30 +164,45 @@ GlobalScheduler::submitJob(Job job)
                     "j" + std::to_string(id) + ".submit",
                     _sim.curTick());
     }
-    RuntimeJob rt{std::move(job), {}, {}, {}, {}, {}, {}, 0};
-    const std::size_t n = rt.job.numTasks();
-    rt.pendingParents.resize(n);
-    rt.pendingTransfers.assign(n, 0);
-    rt.taskServer.assign(n, -1);
-    rt.state.assign(n, TaskState::waiting);
-    rt.attempts.assign(n, 0);
-    rt.serviceScale.assign(n, 1.0);
-    rt.remaining = n;
-    _tasksCreated += n;
-    for (TaskId t = 0; t < n; ++t)
-        rt.pendingParents[t] =
-            static_cast<std::uint32_t>(rt.job.parents(t).size());
-
-    auto [it, inserted] = _jobs.emplace(id, std::move(rt));
-    if (!inserted)
+    std::uint32_t slot = _freeSlots.empty()
+                             ? static_cast<std::uint32_t>(_slots.size())
+                             : _freeSlots.back();
+    if (!_index.insert(id, slot))
         fatal("duplicate job id ", id);
-    RuntimeJob &stored = it->second;
-    // Roots are ready immediately. Copy the list: taskReady may
-    // complete zero-task transfers synchronously.
-    std::vector<TaskId> roots = stored.job.rootTasks();
-    for (TaskId t : roots)
-        taskReady(stored, t);
+    if (slot == _slots.size())
+        _slots.emplace_back();
+    else
+        _freeSlots.pop_back();
+    RuntimeJob &rt = _slots[slot];
+    rt.job = std::move(job);
+    rt.live = true;
+    const std::size_t n = rt.job.numTasks();
+    rt.tasks.assign(n, TaskRt{});
+    for (TaskId t = 0; t < n; ++t) {
+        rt.tasks[t].pendingParents =
+            static_cast<std::uint32_t>(rt.job.parents(t).size());
+    }
+    rt.remaining = static_cast<std::uint32_t>(n);
+    _tasksCreated += n;
+
+    // Roots are ready immediately. A root that fails the job ends
+    // the walk: the slot no longer holds it.
+    for (TaskId t : rt.job.rootTasks()) {
+        taskReady(rt, t);
+        if (!holds(rt, id))
+            break;
+    }
     notifyLoadChanged();
+}
+
+void
+GlobalScheduler::releaseJob(JobId id)
+{
+    std::uint32_t slot = _index.erase(id);
+    RuntimeJob &rt = _slots[slot];
+    rt.job = Job(0, 0); // drop the finished job's arrays
+    rt.live = false;
+    _freeSlots.push_back(slot);
 }
 
 const std::vector<std::size_t> &
@@ -234,10 +248,10 @@ GlobalScheduler::taskReady(RuntimeJob &rt, TaskId t)
         // Orchestration routing: tagged tasks go to a container
         // replica (or wait for one); untagged tasks fall through to
         // the normal dispatch path below.
-        rt.serviceScale[t] = 1.0;
+        rt.tasks[t].serviceScale = 1.0;
         TaskRoute route = _router(makeRef(rt, t));
         if (route.action == TaskRoute::Action::defer) {
-            rt.state[t] = TaskState::deferred;
+            rt.tasks[t].state = TaskState::deferred;
             ++_deferredCount;
             return;
         }
@@ -245,13 +259,13 @@ GlobalScheduler::taskReady(RuntimeJob &rt, TaskId t)
             if (route.server >= _servers.size())
                 HOLDCSIM_PANIC("task routed to unknown server ",
                                route.server);
-            rt.serviceScale[t] = route.serviceScale;
+            rt.tasks[t].serviceScale = route.serviceScale;
             if (_servers[route.server]->failed()) {
                 // The replica's host crashed under us. Burn an
                 // attempt and back off; by the redispatch the
                 // orchestrator has rescheduled the container.
                 if (_retryEnabled) {
-                    ++rt.attempts[t];
+                    ++rt.tasks[t].attempts;
                     taskAttemptFailed(rt.job.id(), t);
                     return;
                 }
@@ -266,13 +280,13 @@ GlobalScheduler::taskReady(RuntimeJob &rt, TaskId t)
     std::optional<std::size_t> parent;
     if (!rt.job.parents(t).empty())
         parent = static_cast<std::size_t>(
-            rt.taskServer[rt.job.parents(t)[0]]);
+            rt.tasks[rt.job.parents(t)[0]].server);
     if (_config.useGlobalQueue) {
         // Pull model: only dispatch when a free execution unit
         // exists; otherwise park the task centrally.
         auto candidates = freeCandidates(ref.type);
         if (candidates.empty()) {
-            rt.state[t] = TaskState::queued;
+            rt.tasks[t].state = TaskState::queued;
             _globalQueue.push_back(QueuedTask{rt.job.id(), t});
             return;
         }
@@ -307,7 +321,7 @@ GlobalScheduler::taskReady(RuntimeJob &rt, TaskId t)
                 // Every capable server is down. Burn an attempt and
                 // back off; a permanently dead fleet then fails the
                 // job instead of spinning or crashing the sim.
-                ++rt.attempts[t];
+                ++rt.tasks[t].attempts;
                 taskAttemptFailed(rt.job.id(), t);
                 return;
             }
@@ -326,8 +340,9 @@ void
 GlobalScheduler::assignTask(RuntimeJob &rt, TaskId t,
                             std::size_t server)
 {
-    rt.taskServer[t] = static_cast<std::int64_t>(server);
-    ++rt.attempts[t];
+    TaskRt &task = rt.tasks[t];
+    task.server = static_cast<std::int64_t>(server);
+    ++task.attempts;
     if (TraceManager *tr = taskTracer()) {
         tr->instant(_traceTrack, TraceCategory::task,
                     taskName(rt.job.id(), t) + ".dispatch.sv" +
@@ -335,60 +350,38 @@ GlobalScheduler::assignTask(RuntimeJob &rt, TaskId t,
                     _sim.curTick());
     }
     // Ship each parent's result over the fabric; the task launches
-    // when the last transfer lands. Callbacks carry the attempt
+    // when the last transfer lands. Each transfer records the attempt
     // number so leftovers from a superseded attempt are inert.
     if (_net) {
         JobId id = rt.job.id();
-        std::uint32_t epoch = rt.attempts[t];
+        std::uint32_t epoch = task.attempts;
+        std::span<const TaskId> parents = rt.job.parents(t);
+        std::span<const Bytes> bytes = rt.job.parentBytes(t);
+        // Whether parent i's result must cross the fabric.
+        auto ships = [&](std::size_t i) {
+            return bytes[i] != 0 &&
+                   static_cast<std::size_t>(rt.tasks[parents[i]].server) !=
+                       server;
+        };
         unsigned transfers = 0;
-        for (TaskId p : rt.job.parents(t)) {
-            Bytes bytes = rt.job.edgeBytes(p, t);
-            auto src = static_cast<std::size_t>(rt.taskServer[p]);
-            if (src == server || bytes == 0)
-                continue;
-            ++transfers;
-        }
+        for (std::size_t i = 0; i < parents.size(); ++i)
+            transfers += ships(i);
         if (transfers > 0) {
-            rt.state[t] = TaskState::transferring;
-            rt.pendingTransfers[t] = transfers;
-            for (TaskId p : rt.job.parents(t)) {
-                Bytes bytes = rt.job.edgeBytes(p, t);
-                auto src = static_cast<std::size_t>(rt.taskServer[p]);
-                if (src == server || bytes == 0)
+            task.state = TaskState::transferring;
+            task.pendingTransfers = transfers;
+            for (std::size_t i = 0; i < parents.size(); ++i) {
+                if (!ships(i))
                     continue;
                 ++_transfersStarted;
+                // The callbacks capture 16 B, which std::function
+                // holds without allocating; the record sits in
+                // _transfers.
+                std::uint32_t rec = openTransfer(Transfer{id, t, epoch});
                 _net->startFlow(
-                    src, server, bytes,
-                    [this, id, t, epoch] {
-                        auto it = _jobs.find(id);
-                        if (it == _jobs.end()) {
-                            if (_failedJobs.count(id))
-                                return; // job abandoned meanwhile
-                            HOLDCSIM_PANIC("transfer for finished job ",
-                                           id);
-                        }
-                        RuntimeJob &rj = it->second;
-                        if (rj.attempts[t] != epoch ||
-                            rj.state[t] != TaskState::transferring) {
-                            return; // attempt superseded
-                        }
-                        if (--rj.pendingTransfers[t] == 0)
-                            launchTask(rj, t);
-                    },
-                    [this, id, t, epoch] {
-                        // A fault severed this transfer: retry the
-                        // whole placement (results must re-ship).
-                        auto it = _jobs.find(id);
-                        if (it == _jobs.end())
-                            return;
-                        RuntimeJob &rj = it->second;
-                        if (rj.attempts[t] != epoch ||
-                            rj.state[t] != TaskState::transferring) {
-                            return;
-                        }
-                        ++_transfersAborted;
-                        taskAttemptFailed(id, t);
-                    });
+                    static_cast<std::size_t>(rt.tasks[parents[i]].server),
+                    server, bytes[i],
+                    [this, rec] { transferDone(closeTransfer(rec)); },
+                    [this, rec] { transferAborted(closeTransfer(rec)); });
             }
             return;
         }
@@ -396,16 +389,71 @@ GlobalScheduler::assignTask(RuntimeJob &rt, TaskId t,
     launchTask(rt, t);
 }
 
+std::uint32_t
+GlobalScheduler::openTransfer(const Transfer &transfer)
+{
+    if (_freeTransfers.empty()) {
+        _transfers.push_back(transfer);
+        return static_cast<std::uint32_t>(_transfers.size() - 1);
+    }
+    std::uint32_t idx = _freeTransfers.back();
+    _freeTransfers.pop_back();
+    _transfers[idx] = transfer;
+    return idx;
+}
+
+GlobalScheduler::Transfer
+GlobalScheduler::closeTransfer(std::uint32_t idx)
+{
+    _freeTransfers.push_back(idx);
+    return _transfers[idx];
+}
+
+void
+GlobalScheduler::transferDone(const Transfer &tr)
+{
+    RuntimeJob *rj = findJob(tr.job);
+    if (!rj) {
+        if (_failedJobs.count(tr.job))
+            return; // job abandoned meanwhile
+        HOLDCSIM_PANIC("transfer for finished job ", tr.job);
+    }
+    TaskRt &task = rj->tasks[tr.task];
+    if (task.attempts != tr.epoch ||
+        task.state != TaskState::transferring) {
+        return; // attempt superseded
+    }
+    if (--task.pendingTransfers == 0)
+        launchTask(*rj, tr.task);
+}
+
+void
+GlobalScheduler::transferAborted(const Transfer &tr)
+{
+    // A fault severed this transfer: retry the whole placement
+    // (results must re-ship).
+    RuntimeJob *rj = findJob(tr.job);
+    if (!rj)
+        return;
+    const TaskRt &task = rj->tasks[tr.task];
+    if (task.attempts != tr.epoch ||
+        task.state != TaskState::transferring) {
+        return;
+    }
+    ++_transfersAborted;
+    taskAttemptFailed(tr.job, tr.task);
+}
+
 void
 GlobalScheduler::launchTask(RuntimeJob &rt, TaskId t)
 {
-    auto server = static_cast<std::size_t>(rt.taskServer[t]);
+    auto server = static_cast<std::size_t>(rt.tasks[t].server);
     if (_servers[server]->failed()) {
         // The target crashed while transfers were in flight.
         taskAttemptFailed(rt.job.id(), t);
         return;
     }
-    rt.state[t] = TaskState::running;
+    rt.tasks[t].state = TaskState::running;
     ++_tasksDispatched;
     if (TraceManager *tr = taskTracer()) {
         tr->asyncBegin(_traceTrack, TraceCategory::task,
@@ -422,18 +470,16 @@ GlobalScheduler::armTaskTimeout(RuntimeJob &rt, TaskId t)
     if (!_retryEnabled || _retry.taskTimeout == 0)
         return;
     JobId id = rt.job.id();
-    std::uint32_t epoch = rt.attempts[t];
+    std::uint32_t epoch = rt.tasks[t].attempts;
     _oneShots.schedule(_retry.taskTimeout, [this, id, t, epoch] {
-        auto it = _jobs.find(id);
-        if (it == _jobs.end())
+        RuntimeJob *rj = findJob(id);
+        if (!rj)
             return;
-        RuntimeJob &rj = it->second;
-        if (rj.attempts[t] != epoch ||
-            rj.state[t] != TaskState::running) {
+        const TaskRt &tk = rj->tasks[t];
+        if (tk.attempts != epoch || tk.state != TaskState::running)
             return; // completed or already retried
-        }
         ++_taskTimeouts;
-        auto srv = static_cast<std::size_t>(rj.taskServer[t]);
+        auto srv = static_cast<std::size_t>(tk.server);
         if (!_servers[srv]->failed())
             _servers[srv]->cancelTask(id, t);
         taskAttemptFailed(id, t);
@@ -443,13 +489,13 @@ GlobalScheduler::armTaskTimeout(RuntimeJob &rt, TaskId t)
 void
 GlobalScheduler::taskAttemptFailed(JobId job, TaskId t)
 {
-    auto it = _jobs.find(job);
-    if (it == _jobs.end())
+    RuntimeJob *rt = findJob(job);
+    if (!rt)
         return; // job finished or already abandoned
-    RuntimeJob &rt = it->second;
-    if (rt.state[t] == TaskState::done)
+    TaskRt &task = rt->tasks[t];
+    if (task.state == TaskState::done)
         return;
-    if (!_retryEnabled || rt.attempts[t] >= _retry.maxAttempts) {
+    if (!_retryEnabled || task.attempts >= _retry.maxAttempts) {
         failJob(job); // closes any open task spans
         return;
     }
@@ -458,7 +504,7 @@ GlobalScheduler::taskAttemptFailed(JobId job, TaskId t)
         _taskClosed(job, t, false);
     ++_taskRetries;
     if (TraceManager *tr = taskTracer()) {
-        if (rt.state[t] == TaskState::running) {
+        if (task.state == TaskState::running) {
             // Close the attempt's span: it died instead of completing.
             tr->asyncEnd(_traceTrack, TraceCategory::task,
                          taskName(job, t), taskSpanId(job, t),
@@ -467,51 +513,49 @@ GlobalScheduler::taskAttemptFailed(JobId job, TaskId t)
         tr->instant(_traceTrack, TraceCategory::task,
                     taskName(job, t) + ".retry", _sim.curTick());
     }
-    rt.state[t] = TaskState::backoff;
-    rt.pendingTransfers[t] = 0;
-    std::uint32_t epoch = rt.attempts[t];
-    Tick delay = _retry.backoff(rt.attempts[t], _retryJitter);
+    task.state = TaskState::backoff;
+    task.pendingTransfers = 0;
+    std::uint32_t epoch = task.attempts;
+    Tick delay = _retry.backoff(task.attempts, _retryJitter);
     _oneShots.schedule(delay, [this, job, t, epoch] {
-        auto jit = _jobs.find(job);
-        if (jit == _jobs.end())
+        RuntimeJob *rj = findJob(job);
+        if (!rj)
             return;
-        RuntimeJob &rj = jit->second;
-        if (rj.attempts[t] != epoch ||
-            rj.state[t] != TaskState::backoff) {
+        const TaskRt &tk = rj->tasks[t];
+        if (tk.attempts != epoch || tk.state != TaskState::backoff)
             return;
-        }
-        taskReady(rj, t);
+        taskReady(*rj, t);
     });
 }
 
 void
 GlobalScheduler::failJob(JobId job)
 {
-    auto it = _jobs.find(job);
-    if (it == _jobs.end())
+    RuntimeJob *found = findJob(job);
+    if (!found)
         return;
-    RuntimeJob &rt = it->second;
+    RuntimeJob &rt = *found;
     ++_jobsFailedCount;
     // Every not-yet-done task of the job is abandoned with it.
     _tasksAborted += rt.remaining;
     // Tell the orchestration router every live task is gone
     // (receivers ignore tasks they never routed).
     for (TaskId t = 0; t < rt.job.numTasks(); ++t) {
-        if (rt.state[t] == TaskState::deferred)
+        if (rt.tasks[t].state == TaskState::deferred)
             --_deferredCount;
-        if (_taskClosed && rt.state[t] != TaskState::done)
+        if (_taskClosed && rt.tasks[t].state != TaskState::done)
             _taskClosed(job, t, false);
     }
     // Cancel every sibling still holding resources.
     for (TaskId t = 0; t < rt.job.numTasks(); ++t) {
-        if (rt.state[t] != TaskState::running)
+        if (rt.tasks[t].state != TaskState::running)
             continue;
         if (TraceManager *tr = taskTracer()) {
             tr->asyncEnd(_traceTrack, TraceCategory::task,
                          taskName(job, t), taskSpanId(job, t),
                          _sim.curTick());
         }
-        auto srv = static_cast<std::size_t>(rt.taskServer[t]);
+        auto srv = static_cast<std::size_t>(rt.tasks[t].server);
         if (!_servers[srv]->failed())
             _servers[srv]->cancelTask(job, t);
     }
@@ -523,7 +567,7 @@ GlobalScheduler::failJob(JobId job)
                        }),
         _globalQueue.end());
     _failedJobs.insert(job);
-    _jobs.erase(it);
+    releaseJob(job);
     if (TraceManager *tr = taskTracer()) {
         tr->instant(_traceTrack, TraceCategory::task,
                     "j" + std::to_string(job) + ".failed",
@@ -561,17 +605,17 @@ GlobalScheduler::onServerRepaired(std::size_t idx)
 void
 GlobalScheduler::taskDone(Server &server, const TaskRef &task)
 {
-    auto it = _jobs.find(task.job);
-    if (it == _jobs.end()) {
+    RuntimeJob *found = findJob(task.job);
+    if (!found) {
         if (_failedJobs.count(task.job))
             return; // straggler of an abandoned job
         HOLDCSIM_PANIC("completion for unknown job ", task.job);
     }
-    RuntimeJob &rt = it->second;
-    if (rt.state[task.task] == TaskState::done)
+    RuntimeJob &rt = *found;
+    if (rt.tasks[task.task].state == TaskState::done)
         HOLDCSIM_PANIC("job ", task.job, " task ", task.task,
                        " completed twice");
-    rt.state[task.task] = TaskState::done;
+    rt.tasks[task.task].state = TaskState::done;
     if (TraceManager *tr = taskTracer()) {
         tr->asyncEnd(_traceTrack, TraceCategory::task,
                      taskName(task.job, task.task),
@@ -587,18 +631,22 @@ GlobalScheduler::taskDone(Server &server, const TaskRef &task)
     if (_taskClosed)
         _taskClosed(task.job, task.task, true);
 
-    // Wake children whose last parent just finished.
+    // Wake children whose last parent just finished. A child that
+    // fails the job ends the walk: the slot no longer holds it.
     for (TaskId child : rt.job.children(task.task)) {
-        if (--rt.pendingParents[child] == 0)
+        if (--rt.tasks[child].pendingParents == 0) {
             taskReady(rt, child);
+            if (!holds(rt, task.job))
+                break;
+        }
     }
 
-    if (rt.remaining == 0) {
+    if (holds(rt, task.job) && rt.remaining == 0) {
         Tick latency = _sim.curTick() - rt.job.arrivalTick();
         ++_jobsCompleted;
         _jobLatency.sample(toSeconds(latency));
         JobId id = task.job;
-        _jobs.erase(it);
+        releaseJob(id);
         if (_jobDone)
             _jobDone(id, latency);
     }
@@ -619,16 +667,15 @@ GlobalScheduler::drainGlobalQueue(Server &server)
         auto pos = std::find_if(
             _globalQueue.begin(), _globalQueue.end(),
             [&](const QueuedTask &q) {
-                auto jit = _jobs.find(q.job);
-                return jit != _jobs.end() &&
-                       server.servesType(jit->second.job.task(q.task).type);
+                const RuntimeJob *rj = findJob(q.job);
+                return rj &&
+                       server.servesType(rj->job.task(q.task).type);
             });
         if (pos == _globalQueue.end())
             return;
         QueuedTask q = *pos;
         _globalQueue.erase(pos);
-        RuntimeJob &rt = _jobs.at(q.job);
-        assignTask(rt, q.task, server.id());
+        assignTask(*findJob(q.job), q.task, server.id());
     }
 }
 

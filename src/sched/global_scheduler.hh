@@ -31,6 +31,7 @@
 #include "server/server.hh"
 #include "sim/one_shot.hh"
 #include "sim/simulator.hh"
+#include "sim/slot_index.hh"
 #include "sim/stats.hh"
 #include "telemetry/trace_manager.hh"
 #include "workload/job.hh"
@@ -174,7 +175,7 @@ class GlobalScheduler : private TaskSink
     /** @name Introspection */
     ///@{
     /** Jobs admitted but not yet fully finished. */
-    std::size_t activeJobs() const { return _jobs.size(); }
+    std::size_t activeJobs() const { return _index.size(); }
     /** Tasks waiting in the global queue. */
     std::size_t globalQueueLength() const { return _globalQueue.size(); }
     /** Offered tasks (queued + running) per eligible server. */
@@ -264,25 +265,42 @@ class GlobalScheduler : private TaskSink
         done,         ///< completed
     };
 
-    struct RuntimeJob {
-        Job job;
-        /** Unfinished parents per task. */
-        std::vector<std::uint32_t> pendingParents;
-        /** Inbound transfers still in flight per task. */
-        std::vector<std::uint32_t> pendingTransfers;
-        /** Assigned server per task (-1 = unassigned). */
-        std::vector<std::int64_t> taskServer;
-        /** Per-task lifecycle state (see TaskState). */
-        std::vector<TaskState> state;
-        /** Attempts started per task (1 = first dispatch). */
-        std::vector<std::uint32_t> attempts;
+    /** Runtime progress of one task. */
+    struct TaskRt {
+        /** Unfinished parents. */
+        std::uint32_t pendingParents = 0;
+        /** Inbound transfers still in flight. */
+        std::uint32_t pendingTransfers = 0;
+        /** Assigned server (-1 = unassigned). */
+        std::int64_t server = -1;
+        /** Attempts started (1 = first dispatch). */
+        std::uint32_t attempts = 0;
+        TaskState state = TaskState::waiting;
         /**
          * Service-time inflation of the current routed attempt
          * (1.0 = nominal). Set by the orchestration router per
          * placement; applied in makeRef.
          */
-        std::vector<double> serviceScale;
-        std::size_t remaining;
+        double serviceScale = 1.0;
+    };
+
+    /**
+     * One slab slot. A free slot holds an empty Job, and its task
+     * vector keeps its capacity for the next job to use.
+     */
+    struct RuntimeJob {
+        Job job{0, 0};
+        std::vector<TaskRt> tasks;
+        /** Tasks not yet done. */
+        std::uint32_t remaining = 0;
+        bool live = false;
+    };
+
+    /** A result transfer in flight: the task attempt it feeds. */
+    struct Transfer {
+        JobId job;
+        TaskId task;
+        std::uint32_t epoch;
     };
 
     /** A task waiting in the global queue. */
@@ -291,10 +309,34 @@ class GlobalScheduler : private TaskSink
         TaskId task;
     };
 
+    /** The live job @p id, or nullptr when it finished or failed. */
+    RuntimeJob *
+    findJob(JobId id)
+    {
+        std::uint32_t slot = _index.find(id);
+        return slot == SlotIndex::npos ? nullptr : &_slots[slot];
+    }
+    /** Whether @p rt still holds job @p id (a task hook may have
+     *  failed the job, and a new one may have taken the slot). */
+    static bool
+    holds(const RuntimeJob &rt, JobId id)
+    {
+        return rt.live && rt.job.id() == id;
+    }
+    /** Drop finished or failed job @p id and recycle its slot. */
+    void releaseJob(JobId id);
     /** All parents done: place and (if needed) transfer. */
     void taskReady(RuntimeJob &rt, TaskId t);
     /** Place @p t on @p server and ship parent results. */
     void assignTask(RuntimeJob &rt, TaskId t, std::size_t server);
+    /** Park @p transfer in _transfers; returns its index. */
+    std::uint32_t openTransfer(const Transfer &transfer);
+    /** Take transfer @p idx back out (its flow ended either way). */
+    Transfer closeTransfer(std::uint32_t idx);
+    /** A result landed: launch the task once its last one has. */
+    void transferDone(const Transfer &tr);
+    /** A fault severed a result transfer: retry its task. */
+    void transferAborted(const Transfer &tr);
     /** All transfers arrived: hand the task to its server. */
     void launchTask(RuntimeJob &rt, TaskId t);
     /** TaskSink: a server finished @p task. */
@@ -338,8 +380,18 @@ class GlobalScheduler : private TaskSink
     std::vector<bool> _eligible;
     /** Cached eligibility+type candidate lists (O(N) to rebuild). */
     mutable std::map<int, std::vector<std::size_t>> _candidateCache;
-    std::map<JobId, RuntimeJob> _jobs;
+    /**
+     * The job slab. A deque keeps slot addresses stable while a task
+     * hook submits a job re-entrantly; freed slots are reused.
+     */
+    std::deque<RuntimeJob> _slots;
+    std::vector<std::uint32_t> _freeSlots;
+    SlotIndex _index;
     std::deque<QueuedTask> _globalQueue;
+    /** Transfers in flight, reused through _freeTransfers. A flow
+     *  ends once, completed or aborted, and closes its entry then. */
+    std::vector<Transfer> _transfers;
+    std::vector<std::uint32_t> _freeTransfers;
 
     JobDoneFn _jobDone;
     JobFailedFn _jobFailed;

@@ -1,11 +1,17 @@
 #include "job.hh"
 
 #include <algorithm>
-#include <set>
 
 #include "sim/logging.hh"
 
 namespace holdcsim {
+
+void
+Job::reserve(std::size_t tasks, std::size_t edges)
+{
+    _tasks.reserve(tasks);
+    _edges.reserve(edges);
+}
 
 TaskId
 Job::addTask(const TaskSpec &spec)
@@ -27,9 +33,10 @@ Job::addEdge(TaskId from, TaskId to, Bytes bytes)
 Bytes
 Job::edgeBytes(TaskId from, TaskId to) const
 {
-    for (const auto &e : _edges) {
-        if (e.from == from && e.to == to)
-            return e.bytes;
+    std::span<const TaskId> ps = parents(to);
+    for (std::size_t i = 0; i < ps.size(); ++i) {
+        if (ps[i] == from)
+            return parentBytes(to)[i];
     }
     return 0;
 }
@@ -49,55 +56,87 @@ Job::validate()
     const auto n = static_cast<TaskId>(_tasks.size());
     if (n == 0)
         fatal("job ", _id, " has no tasks");
-
-    std::set<std::pair<TaskId, TaskId>> seen;
     for (const auto &e : _edges) {
         if (e.from >= n || e.to >= n)
             fatal("job ", _id, ": edge endpoint out of range");
         if (e.from == e.to)
             fatal("job ", _id, ": self-edge on task ", e.from);
-        if (!seen.insert({e.from, e.to}).second)
-            fatal("job ", _id, ": duplicate edge ", e.from, "->", e.to);
     }
 
-    _parents.assign(n, {});
-    _children.assign(n, {});
+    // Count each row's entries one slot ahead, prefix-sum them into
+    // row starts, fill rows by advancing those starts to the row ends,
+    // then shift the ends back into starts. Past the rows, room for n
+    // roots and, while validating, n task slots of scratch.
+    const std::size_t m = _edges.size();
+    const std::size_t base = rowsBegin();
+    _csr.assign(base + 2 * m + 2 * n, 0);
+    std::uint32_t *off = _csr.data();
+    TaskId *entry = _csr.data() + base;
     for (const auto &e : _edges) {
-        _parents[e.to].push_back(e.from);
-        _children[e.from].push_back(e.to);
+        ++off[e.to + 1];
+        ++off[n + e.from + 1];
     }
+    for (std::size_t r = 1; r <= 2 * n; ++r)
+        off[r] += off[r - 1];
+    _parentBytes.resize(m);
+    for (const auto &e : _edges) {
+        _parentBytes[off[e.to]] = e.bytes;
+        entry[off[e.to]++] = e.from;
+        entry[off[n + e.from]++] = e.to;
+    }
+    for (std::size_t r = 2 * n; r > 0; --r)
+        off[r] = off[r - 1];
+    off[0] = 0;
 
-    _roots.clear();
+    // A duplicate edge repeats a parent within one row: mark each
+    // parent with the row it was last seen in.
+    TaskId *mark = entry + 2 * m + n;
+    std::fill(mark, mark + n, n);
     for (TaskId t = 0; t < n; ++t) {
-        if (_parents[t].empty())
-            _roots.push_back(t);
+        for (TaskId p : parents(t)) {
+            if (mark[p] == t)
+                fatal("job ", _id, ": duplicate edge ", p, "->", t);
+            mark[p] = t;
+        }
     }
 
-    // Acyclicity via Kahn's algorithm; a cycle leaves tasks unvisited.
-    if (topologicalOrder().size() != n)
+    // Acyclicity via Kahn's algorithm; a cycle leaves tasks unordered.
+    // The order starts with the roots, which the index keeps.
+    TaskId *order = entry + 2 * m;
+    if (kahn(order, mark) != n)
         fatal("job ", _id, ": task dependence graph has a cycle");
+    const auto roots = static_cast<std::size_t>(
+        std::find_if(order, order + n,
+                     [&](TaskId t) { return !parents(t).empty(); }) -
+        order);
+    _csr.resize(base + 2 * m + roots);
+}
+
+std::size_t
+Job::kahn(TaskId *order, std::uint32_t *indegree) const
+{
+    const auto n = static_cast<TaskId>(_tasks.size());
+    std::size_t tail = 0;
+    for (TaskId t = 0; t < n; ++t) {
+        indegree[t] = static_cast<std::uint32_t>(parents(t).size());
+        if (indegree[t] == 0)
+            order[tail++] = t;
+    }
+    for (std::size_t head = 0; head < tail; ++head) {
+        for (TaskId c : children(order[head])) {
+            if (--indegree[c] == 0)
+                order[tail++] = c;
+        }
+    }
+    return tail;
 }
 
 std::vector<TaskId>
 Job::topologicalOrder() const
 {
-    const auto n = static_cast<TaskId>(_tasks.size());
-    std::vector<std::size_t> indegree(n, 0);
-    for (TaskId t = 0; t < n; ++t)
-        indegree[t] = _parents[t].size();
-
-    std::vector<TaskId> order;
-    order.reserve(n);
-    std::vector<TaskId> frontier = _roots;
-    while (!frontier.empty()) {
-        TaskId t = frontier.back();
-        frontier.pop_back();
-        order.push_back(t);
-        for (TaskId c : _children[t]) {
-            if (--indegree[c] == 0)
-                frontier.push_back(c);
-        }
-    }
+    std::vector<TaskId> order(_tasks.size());
+    std::vector<std::uint32_t> indegree(_tasks.size());
+    order.resize(kahn(order.data(), indegree.data()));
     return order;
 }
 

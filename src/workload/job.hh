@@ -17,6 +17,7 @@
 #define HOLDCSIM_WORKLOAD_JOB_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sim/types.hh"
@@ -75,6 +76,9 @@ class Job
     int orchGroup() const { return _orchGroup; }
     ///@}
 
+    /** Make room for @p tasks tasks and @p edges edges. */
+    void reserve(std::size_t tasks, std::size_t edges);
+
     /** Append a task; returns its TaskId. */
     TaskId addTask(const TaskSpec &spec);
 
@@ -87,19 +91,26 @@ class Job
     const TaskSpec &task(TaskId t) const { return _tasks[t]; }
     const std::vector<TaskEdge> &edges() const { return _edges; }
 
-    /** Tasks with no incoming edges (runnable on arrival). */
-    const std::vector<TaskId> &rootTasks() const { return _roots; }
-
-    /** Parent tasks of @p t. */
-    const std::vector<TaskId> &parents(TaskId t) const
+    /** Tasks with no incoming edges (runnable on arrival), ascending. */
+    std::span<const TaskId> rootTasks() const
     {
-        return _parents[t];
+        const std::size_t begin = rowsBegin() + 2 * _edges.size();
+        return {_csr.data() + begin, _csr.size() - begin};
     }
 
-    /** Child tasks of @p t. */
-    const std::vector<TaskId> &children(TaskId t) const
+    /** Parent tasks of @p t, in edge insertion order. */
+    std::span<const TaskId> parents(TaskId t) const { return row(t); }
+
+    /** Transfer size of each edge parents(t)[i] -> t, same order. */
+    std::span<const Bytes> parentBytes(TaskId t) const
     {
-        return _children[t];
+        return {_parentBytes.data() + _csr[t], _csr[t + 1] - _csr[t]};
+    }
+
+    /** Child tasks of @p t, in edge insertion order. */
+    std::span<const TaskId> children(TaskId t) const
+    {
+        return row(static_cast<std::uint32_t>(_tasks.size()) + t);
     }
 
     /** Transfer size on edge (from, to); 0 when no such edge. */
@@ -120,14 +131,39 @@ class Job
     std::vector<TaskId> topologicalOrder() const;
 
   private:
+    /** Where the rows start in _csr: past 2n + 1 offsets. */
+    std::size_t rowsBegin() const { return 2 * _tasks.size() + 1; }
+
+    /** Row @p r of the CSR index: parents of r < n, children of r - n. */
+    std::span<const TaskId>
+    row(std::uint32_t r) const
+    {
+        return {_csr.data() + rowsBegin() + _csr[r], _csr[r + 1] - _csr[r]};
+    }
+
+    /**
+     * Kahn's algorithm: writes a topological order into @p order
+     * (room for every task) using @p indegree (one per task) as
+     * scratch, and returns how many tasks it ordered -- fewer than
+     * numTasks() when the graph has a cycle. The first entries
+     * written are the roots, ascending.
+     */
+    std::size_t kahn(TaskId *order, std::uint32_t *indegree) const;
+
     JobId _id;
     Tick _arrival;
     int _orchGroup = -1;
     std::vector<TaskSpec> _tasks;
     std::vector<TaskEdge> _edges;
-    std::vector<std::vector<TaskId>> _parents;
-    std::vector<std::vector<TaskId>> _children;
-    std::vector<TaskId> _roots;
+    /**
+     * Compressed index built by validate(), one array: 2n + 1 row
+     * offsets, then n parent rows and n child rows (each in edge
+     * insertion order), then the roots. Row r spans entries
+     * [_csr[r], _csr[r + 1]) of the part past the offsets.
+     */
+    std::vector<std::uint32_t> _csr;
+    /** Byte count of each parent-row entry's edge, same positions. */
+    std::vector<Bytes> _parentBytes;
 };
 
 } // namespace holdcsim

@@ -27,6 +27,7 @@ Job
 SingleTaskGenerator::buildJob(JobId id, Tick arrival)
 {
     Job job(id, arrival);
+    job.reserve(1, 0);
     job.addTask(TaskSpec{_service->sample(), _taskType, 1.0});
     job.validate();
     return job;
@@ -50,6 +51,7 @@ Job
 ChainJobGenerator::buildJob(JobId id, Tick arrival)
 {
     Job job(id, arrival);
+    job.reserve(_stages.size(), _stages.size() - 1);
     TaskId prev = 0;
     for (std::size_t s = 0; s < _stages.size(); ++s) {
         TaskId t = job.addTask(
@@ -84,6 +86,7 @@ Job
 FanOutInGenerator::buildJob(JobId id, Tick arrival)
 {
     Job job(id, arrival);
+    job.reserve(_width + 2, 2 * std::size_t{_width});
     TaskId root = job.addTask(TaskSpec{_rootService->sample(), 0, 1.0});
     TaskId agg = job.addTask(TaskSpec{_aggService->sample(), 0, 1.0});
     for (unsigned w = 0; w < _width; ++w) {

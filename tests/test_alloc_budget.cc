@@ -15,22 +15,29 @@
  * and bounds the allocations of a stats dump, which must not grow
  * with the fleet either, checks that a bare Simulator's 1-tick
  * timer wheel allocates no ring, and that an idle plant run to drain
- * processes no kernel event.
+ * processes no kernel event. Last, it bounds the allocations of one
+ * job on a warmed-up three-tier plant, from building the job to
+ * shipping its results, which reuses the scheduler's job slots.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <new>
 #include <streambuf>
 #include <vector>
 
 #include "dc/datacenter.hh"
+#include "network/network.hh"
 #include "server/local_scheduler.hh"
 #include "server/server.hh"
 #include "sim/timer_wheel.hh"
+#include "workload/arrival.hh"
+#include "workload/job_generator.hh"
 #include "workload/service.hh"
 
 namespace {
@@ -358,4 +365,80 @@ TEST(AllocBudget, StatsDumpAllocationsDoNotScaleWithServers)
     // The server rows share one buffer; only the fixed groups allocate.
     EXPECT_EQ(small, large);
     EXPECT_LE(large, 16u);
+}
+
+namespace {
+
+/**
+ * The perfbench three_tier plant at small scale: 12 servers typed
+ * web/app/db behind one star switch, least-loaded dispatch, Poisson
+ * web -> app -> db chains whose two edges ship 64 KB over the fabric.
+ * After @p warmup jobs have arrived, counts the heap allocations made
+ * while the next @p measured arrive, per job: building each job,
+ * dispatching its tasks, running them and shipping both results.
+ */
+double
+threeTierAllocationsPerJob(std::size_t warmup, std::size_t measured)
+{
+    Simulator sim;
+    Network net(sim, Topology::star(12, 1e9, 5 * usec),
+                SwitchPowerProfile::cisco2960_24());
+    ServerPowerProfile profile;
+    std::vector<std::unique_ptr<Server>> owned;
+    std::vector<Server *> fleet;
+    for (unsigned i = 0; i < 12; ++i) {
+        ServerConfig cfg;
+        cfg.id = i;
+        cfg.nCores = 4;
+        cfg.taskTypes = {1 + static_cast<int>(i / 4)};
+        owned.push_back(std::make_unique<Server>(sim, cfg, profile));
+        fleet.push_back(owned.back().get());
+    }
+    GlobalScheduler sched(sim, fleet, std::make_unique<LeastLoadedPolicy>(),
+                          GlobalSchedulerConfig{}, &net);
+    ChainJobGenerator gen(
+        {std::make_shared<ExponentialService>(1 * msec, Rng(1, "web")),
+         std::make_shared<ExponentialService>(4 * msec, Rng(1, "app")),
+         std::make_shared<ExponentialService>(8 * msec, Rng(1, "db"))},
+        {1, 2, 3}, 64 * 1024);
+    PoissonArrival arrivals(600.0, Rng(1, "arrivals"));
+
+    std::size_t arrived = 0;
+    std::function<void()> onArrival;
+    EventFunctionWrapper arrive([&] { onArrival(); }, "pump.arrival");
+    onArrival = [&] {
+        // Count from arrival number warmup to arrival number
+        // warmup + measured, each time before the job is built.
+        if (arrived == warmup) {
+            allocations = 0;
+            counting = true;
+        } else if (arrived == warmup + measured) {
+            counting = false;
+            return;
+        }
+        ++arrived;
+        sched.submitJob(gen.makeJob(sim.curTick()));
+        sim.schedule(arrive,
+                     std::max(sim.curTick(), arrivals.nextArrival()));
+    };
+    sim.schedule(arrive, arrivals.nextArrival());
+    sim.run();
+    counting = false;
+    EXPECT_EQ(sched.jobsCompleted(), warmup + measured);
+    return static_cast<double>(allocations) / measured;
+}
+
+} // namespace
+
+TEST(AllocBudget, ThreeTierJobAllocations)
+{
+    const double perJob = threeTierAllocationsPerJob(2000, 2000);
+    char text[32];
+    std::snprintf(text, sizeof text, "%.2f", perJob);
+    RecordProperty("allocations_per_three_tier_job", text);
+    // The job's four arrays (tasks, edges, index, edge bytes) and the
+    // amortized growth of the latency samples. Job and flow state,
+    // routes and transfer callbacks reuse warm memory; one more
+    // allocation per job or per flow fails here.
+    EXPECT_LE(perJob, 5.0);
 }

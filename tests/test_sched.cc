@@ -9,6 +9,7 @@
 
 #include <memory>
 
+#include "fault/retry_policy.hh"
 #include "network/network.hh"
 #include "sched/dispatch_policy.hh"
 #include "sched/global_scheduler.hh"
@@ -347,6 +348,130 @@ TEST_F(SchedFixture, SameServerTasksSkipTransfer)
     ASSERT_EQ(finished.size(), 1u);
     EXPECT_EQ(finished[0].second, 2 * msec);
     EXPECT_EQ(sched->transfersStarted(), 0u);
+}
+
+TEST_F(SchedFixture, AbandonedJobsLateTransfersSkipItsReusedSlot)
+{
+    // Job 1 fans three parents on servers 0-2 into a child on server
+    // 3 and is abandoned with two of its transfers still in flight.
+    // Job 2 then takes its slab slot, with the same task ids, attempt
+    // numbers and states, and fans three parents on server 4 into a
+    // child on server 5. Job 1's late abort and late completion must
+    // reach neither job.
+    for (unsigned i = 0; i < 6; ++i) {
+        ServerConfig cfg;
+        cfg.id = i;
+        cfg.nCores = 4;
+        cfg.taskTypes = {static_cast<int>(i) + 1};
+        owned.push_back(std::make_unique<Server>(sim, cfg, prof));
+        servers.push_back(owned.back().get());
+    }
+    net = std::make_unique<Network>(sim, Topology::star(6, 1e9, 5 * usec),
+                                    SwitchPowerProfile::cisco2960_24());
+    makeScheduler(std::make_unique<LeastLoadedPolicy>(), {}, net.get());
+    RetryPolicy once;
+    once.maxAttempts = 1;
+    sched->setRetryPolicy(once);
+    std::vector<JobId> failed;
+    sched->setJobFailedCallback([&](JobId id) { failed.push_back(id); });
+
+    const auto fanIn = [](JobId id, Tick arrival, std::vector<int> types,
+                          int child_type, std::vector<Bytes> bytes) {
+        Job j(id, arrival);
+        for (int type : types)
+            j.addTask(TaskSpec{1 * msec, type, 1.0});
+        TaskId child = j.addTask(TaskSpec{1 * msec, child_type, 1.0});
+        for (TaskId p = 0; p < types.size(); ++p)
+            j.addEdge(p, child, bytes[p]);
+        j.validate();
+        return j;
+    };
+    // The first link of a route from server s is s's uplink.
+    const Topology &topo = net->topology();
+    const LinkId uplink0 =
+        net->routing().route(topo.serverNode(0), topo.serverNode(3)).links[0];
+    const LinkId uplink1 =
+        net->routing().route(topo.serverNode(1), topo.serverNode(3)).links[0];
+
+    // 125 MB each: the three share server 3's downlink for ~3 s.
+    sched->submitJob(fanIn(1, 0, {1, 2, 3}, 4,
+                           {125'000'000, 125'000'000, 125'000'000}));
+    sim.runUntil(100 * msec);
+    ASSERT_EQ(sched->transfersStarted(), 3u);
+    net->failLink(uplink0);
+    ASSERT_EQ(failed, std::vector<JobId>{1});
+    EXPECT_EQ(sched->transfersAborted(), 1u);
+    EXPECT_EQ(sched->activeJobs(), 0u);
+
+    // Job 2's child may start only after all three of its edges land.
+    // They share server 4's 1 Gb/s uplink, so the last lands at least
+    // 376 MB / 1 Gb/s = 3.008 s after they start.
+    sched->submitJob(fanIn(2, sim.curTick(), {5, 5, 5}, 6,
+                           {1'000'000, 125'000'000, 250'000'000}));
+    sim.runUntil(1 * sec);
+    ASSERT_EQ(sched->transfersStarted(), 6u);
+    net->failLink(uplink1); // job 1's late abort
+    EXPECT_EQ(sched->transfersAborted(), 1u);
+    sim.run(); // job 1's transfer from server 2 lands late
+
+    EXPECT_EQ(failed, std::vector<JobId>{1});
+    ASSERT_EQ(finished.size(), 1u);
+    EXPECT_EQ(finished[0].first, 2u);
+    EXPECT_GT(finished[0].second, 3 * sec);
+    EXPECT_EQ(sched->transfersAborted(), 1u);
+    EXPECT_EQ(sched->activeJobs(), 0u);
+    const GlobalScheduler::TaskCensus c = sched->taskCensus();
+    EXPECT_EQ(c.created, 8u);
+    EXPECT_EQ(c.finished, 7u); // job 1's parents and all of job 2
+    EXPECT_EQ(c.aborted, 1u);  // job 1's child
+    EXPECT_EQ(c.live, 0u);
+}
+
+TEST_F(SchedFixture, ChildThatFailsItsJobEndsTheWake)
+{
+    // No server serves the first child's type, so waking it burns the
+    // job's only attempt and fails the job inside the completion of
+    // its root; the failure hook submits a job that reuses the freed
+    // slot. The second child must never be dispatched.
+    for (unsigned i = 0; i < 2; ++i) {
+        ServerConfig cfg;
+        cfg.id = i;
+        cfg.taskTypes = {1};
+        owned.push_back(std::make_unique<Server>(sim, cfg, prof));
+        servers.push_back(owned.back().get());
+    }
+    makeScheduler(std::make_unique<RoundRobinPolicy>());
+    RetryPolicy once;
+    once.maxAttempts = 1;
+    sched->setRetryPolicy(once);
+    std::vector<JobId> failed;
+    sched->setJobFailedCallback([&](JobId id) {
+        failed.push_back(id);
+        Job next(2, sim.curTick());
+        next.addTask(TaskSpec{1 * msec, 1, 1.0});
+        next.validate();
+        sched->submitJob(std::move(next));
+    });
+
+    Job j(1, 0);
+    TaskId root = j.addTask(TaskSpec{1 * msec, 1, 1.0});
+    TaskId orphan = j.addTask(TaskSpec{1 * msec, 9, 1.0});
+    TaskId sibling = j.addTask(TaskSpec{1 * msec, 1, 1.0});
+    j.addEdge(root, orphan, 0);
+    j.addEdge(root, sibling, 0);
+    j.validate();
+    sched->submitJob(std::move(j));
+    sim.run();
+
+    EXPECT_EQ(failed, std::vector<JobId>{1});
+    ASSERT_EQ(finished.size(), 1u);
+    EXPECT_EQ(finished[0].first, 2u);
+    EXPECT_EQ(sched->tasksDispatched(), 2u); // job 1's root, job 2
+    const GlobalScheduler::TaskCensus c = sched->taskCensus();
+    EXPECT_EQ(c.created, 4u);
+    EXPECT_EQ(c.finished, 2u);
+    EXPECT_EQ(c.aborted, 2u);
+    EXPECT_EQ(c.live, 0u);
 }
 
 TEST_F(SchedFixture, ResetStatsClearsCounters)

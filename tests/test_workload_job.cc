@@ -7,7 +7,10 @@
 
 #include <algorithm>
 #include <memory>
+#include <random>
 #include <set>
+#include <span>
+#include <vector>
 
 #include "sim/logging.hh"
 #include "workload/job.hh"
@@ -16,13 +19,24 @@
 
 using namespace holdcsim;
 
+namespace {
+
+/** The tasks of a Job index row, to compare against a vector. */
+std::vector<TaskId>
+vec(std::span<const TaskId> row)
+{
+    return {row.begin(), row.end()};
+}
+
+} // namespace
+
 TEST(Job, SingleTask)
 {
     Job job(1, 100);
     TaskId t = job.addTask(TaskSpec{5 * msec, 0, 1.0});
     job.validate();
     EXPECT_EQ(job.numTasks(), 1u);
-    EXPECT_EQ(job.rootTasks(), std::vector<TaskId>{t});
+    EXPECT_EQ(vec(job.rootTasks()), std::vector<TaskId>{t});
     EXPECT_TRUE(job.parents(t).empty());
     EXPECT_TRUE(job.children(t).empty());
     EXPECT_EQ(job.totalWork(), 5 * msec);
@@ -38,9 +52,9 @@ TEST(Job, ChainParentChildIndexes)
     job.addEdge(a, b, 1000);
     job.addEdge(b, c, 2000);
     job.validate();
-    EXPECT_EQ(job.rootTasks(), std::vector<TaskId>{a});
-    EXPECT_EQ(job.children(a), std::vector<TaskId>{b});
-    EXPECT_EQ(job.parents(c), std::vector<TaskId>{b});
+    EXPECT_EQ(vec(job.rootTasks()), std::vector<TaskId>{a});
+    EXPECT_EQ(vec(job.children(a)), std::vector<TaskId>{b});
+    EXPECT_EQ(vec(job.parents(c)), std::vector<TaskId>{b});
     EXPECT_EQ(job.edgeBytes(a, b), 1000u);
     EXPECT_EQ(job.edgeBytes(b, c), 2000u);
     EXPECT_EQ(job.edgeBytes(a, c), 0u);
@@ -106,6 +120,89 @@ TEST(Job, StructuralErrorsDetected)
         job.addEdge(a, b, 0);
         job.addEdge(a, b, 0); // duplicate
         EXPECT_THROW(job.validate(), FatalError);
+    }
+}
+
+TEST(Job, DuplicateEdgeFoundAcrossOtherParents)
+{
+    // The repeated edge is not adjacent to its twin in the edge list.
+    Job job(10, 0);
+    for (int i = 0; i < 4; ++i)
+        job.addTask(TaskSpec{1 * msec});
+    job.addEdge(0, 3, 0);
+    job.addEdge(1, 3, 0);
+    job.addEdge(2, 3, 0);
+    job.addEdge(0, 3, 0);
+    EXPECT_THROW(job.validate(), FatalError);
+}
+
+TEST(Job, CycleBehindARootDetected)
+{
+    // Task 0 is a root, so Kahn's walk starts, then stalls at 1-2-3.
+    Job job(11, 0);
+    for (int i = 0; i < 4; ++i)
+        job.addTask(TaskSpec{1 * msec});
+    job.addEdge(0, 1, 0);
+    job.addEdge(1, 2, 0);
+    job.addEdge(2, 3, 0);
+    job.addEdge(3, 1, 0);
+    EXPECT_THROW(job.validate(), FatalError);
+}
+
+TEST(Job, IndexMatchesEdgeListOnRandomDags)
+{
+    // Reference: parents, children and byte counts rebuilt from the
+    // edge list in insertion order; roots are the parentless tasks.
+    std::mt19937_64 rng(7);
+    for (int round = 0; round < 200; ++round) {
+        const auto n = static_cast<TaskId>(1 + rng() % 12);
+        Job job(round, 0);
+        for (TaskId t = 0; t < n; ++t)
+            job.addTask(TaskSpec{1 * msec});
+        std::vector<std::vector<TaskId>> parents(n), children(n);
+        std::vector<std::vector<Bytes>> bytes(n);
+        // Edges only run from lower to higher ids (acyclic), each
+        // pair at most once, in a shuffled order.
+        std::vector<TaskEdge> edges;
+        for (TaskId a = 0; a < n; ++a) {
+            for (TaskId b = a + 1; b < n; ++b) {
+                if (rng() % 3 == 0)
+                    edges.push_back(TaskEdge{a, b, rng() % 1000});
+            }
+        }
+        std::shuffle(edges.begin(), edges.end(), rng);
+        for (const TaskEdge &e : edges) {
+            job.addEdge(e.from, e.to, e.bytes);
+            parents[e.to].push_back(e.from);
+            children[e.from].push_back(e.to);
+            bytes[e.to].push_back(e.bytes);
+        }
+        job.validate();
+
+        std::vector<TaskId> roots;
+        for (TaskId t = 0; t < n; ++t) {
+            ASSERT_EQ(vec(job.parents(t)), parents[t]) << round;
+            ASSERT_EQ(vec(job.children(t)), children[t]) << round;
+            std::span<const Bytes> pb = job.parentBytes(t);
+            ASSERT_EQ(std::vector<Bytes>(pb.begin(), pb.end()), bytes[t]);
+            if (parents[t].empty())
+                roots.push_back(t);
+        }
+        ASSERT_EQ(vec(job.rootTasks()), roots) << round;
+        for (const TaskEdge &e : edges)
+            ASSERT_EQ(job.edgeBytes(e.from, e.to), e.bytes) << round;
+        if (n > 1 && parents[n - 1].empty()) {
+            ASSERT_EQ(job.edgeBytes(0, n - 1), 0u) << round;
+        }
+
+        // Every edge points forward in the topological order.
+        std::vector<TaskId> order = job.topologicalOrder();
+        ASSERT_EQ(order.size(), n);
+        std::vector<std::size_t> pos(n);
+        for (std::size_t i = 0; i < n; ++i)
+            pos[order[i]] = i;
+        for (const TaskEdge &e : edges)
+            ASSERT_LT(pos[e.from], pos[e.to]) << round;
     }
 }
 
