@@ -58,7 +58,6 @@
 #include <vector>
 
 #include "dc/datacenter.hh"
-#include "dc/workload_config.hh"
 #include "exp/aggregate.hh"
 #include "exp/campaign.hh"
 #include "exp/sweep.hh"
@@ -259,16 +258,14 @@ runCell(const Config &base, const SweepSpec &spec, std::size_t point,
     // Not via cfg.set: replica seeds use the full uint64 range,
     // which the signed config-int parser would reject.
     dc_cfg.seed = seed;
-    dc_cfg.serverProfile = serverProfileFromConfig(cfg);
-    dc_cfg.switchProfile = switchProfileFromConfig(cfg);
     DataCenter dc(dc_cfg);
     // Watchdog / signal cancellation and the event budget reach the
     // replica through the engine's cooperative limits.
     dc.sim().setInterruptFlag(limits.cancel);
     dc.sim().setEventBudget(limits.maxEvents);
 
-    ConfiguredWorkload wl = makeWorkload(cfg, dc.config(),
-                                         dc_cfg.seed);
+    ConfiguredWorkload wl =
+        makeWorkload(dc_cfg.workload, dc.config(), dc_cfg.seed);
     JobGenerator &jobs = *wl.jobs;
     dc.pump(std::move(wl.arrivals), jobs, wl.maxJobs, wl.until);
     if (wl.until != maxTick)
@@ -455,11 +452,12 @@ main(int argc, char **argv)
                      : Config::load(config_path);
     for (const auto &[key, val] : overrides)
         cfg.set(key, val);
-    warnUnknownConfigKeys(cfg);
 
     SweepSpec spec = SweepSpec::fromConfig(cfg);
+    std::vector<std::string> swept;
     for (const std::string &flag : sweep_flags)
-        spec.addFlag(flag);
+        swept.push_back(spec.addFlag(flag));
+    warnUnknownConfigKeys(cfg, swept);
     engine_mode |= spec.numKeys() > 0;
 
     if (resume && journal_path.empty()) {
@@ -537,8 +535,7 @@ main(int argc, char **argv)
         CampaignOptions opts;
         opts.jobs = n_jobs;
         opts.replicas = n_replicas;
-        opts.baseSeed = static_cast<std::uint64_t>(
-            cfg.getInt("datacenter.seed", 1));
+        opts.baseSeed = probe.seed;
         opts.journalPath = journal_path.empty()
                                ? probe.campaign.journal
                                : journal_path;
@@ -614,12 +611,10 @@ main(int argc, char **argv)
     }
 
     DataCenterConfig dc_cfg = DataCenterConfig::fromConfig(cfg);
-    dc_cfg.serverProfile = serverProfileFromConfig(cfg);
-    dc_cfg.switchProfile = switchProfileFromConfig(cfg);
     DataCenter dc(dc_cfg);
 
-    ConfiguredWorkload wl = makeWorkload(cfg, dc.config(),
-                                         dc_cfg.seed);
+    ConfiguredWorkload wl =
+        makeWorkload(dc_cfg.workload, dc.config(), dc_cfg.seed);
     JobGenerator &jobs = *wl.jobs;
     dc.pump(std::move(wl.arrivals), jobs, wl.maxJobs, wl.until);
 

@@ -28,7 +28,11 @@ main(int argc, char **argv)
 {
     DataCenterConfig cfg;
     if (argc > 1) {
-        cfg = DataCenterConfig::fromConfig(Config::load(argv[1]));
+        // Profiles come with the rest: [server_power] and
+        // [switch_power] overrides apply here as in holdcsim_cli.
+        Config ini = Config::load(argv[1]);
+        warnUnknownConfigKeys(ini);
+        cfg = DataCenterConfig::fromConfig(ini);
     } else {
         cfg.nServers = 10;
         cfg.nCores = 4;

@@ -2,14 +2,17 @@
  * @file
  * Top-level data center configuration: the "configurable user
  * script" (paper section III) that selects the server fleet,
- * per-server power management, global dispatch policy and network
- * fabric for an experiment, loadable from INI text.
+ * per-server power management, global dispatch policy, network
+ * fabric and workload for an experiment, loadable from INI text, and
+ * makeWorkload(), which turns the workload settings into a workload.
  */
 
 #ifndef HOLDCSIM_DC_DC_CONFIG_HH
 #define HOLDCSIM_DC_DC_CONFIG_HH
 
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -20,6 +23,8 @@
 #include "server/power_profile.hh"
 #include "server/server.hh"
 #include "sim/config.hh"
+#include "workload/arrival.hh"
+#include "workload/job_generator.hh"
 
 namespace holdcsim {
 
@@ -129,11 +134,7 @@ struct DataCenterConfig {
     /** @name Telemetry (strictly opt-in; default fully disabled) */
     ///@{
     struct TelemetrySettings {
-        /**
-         * Resolved master switch. fromConfig defaults it to "true
-         * iff any output below is configured"; an explicit
-         * telemetry.enabled=false forces everything off.
-         */
+        /** Master switch (fromConfig: on iff an output is set). */
         bool enabled = false;
         /** Timeline trace file; empty disables tracing. */
         std::string traceOut;
@@ -163,10 +164,9 @@ struct DataCenterConfig {
     /** The Orchestrator's knobs plus the DataCenter's own. */
     struct OrchSettings : OrchConfig {
         /**
-         * Resolved master switch. fromConfig defaults it to "true iff
-         * any orch.* key is present"; an explicit orch.enabled=false
-         * forces the layer off. When off the DataCenter behaves
-         * byte-identically to a build without the orchestrator.
+         * Master switch (fromConfig: on iff the [orch] section has a
+         * key). When off the DataCenter behaves byte-identically to a
+         * build without the orchestrator.
          */
         bool enabled = false;
         /** Tag every generated job with the default group. */
@@ -254,6 +254,39 @@ struct DataCenterConfig {
     CampaignSettings campaign;
     ///@}
 
+    /** @name Workload model (read by makeWorkload, not by DataCenter) */
+    ///@{
+    struct WorkloadSettings {
+        enum class Arrival { poisson, mmpp, wikipedia, nlanr, trace };
+        Arrival arrival = Arrival::poisson;
+        /** Jobs/s; unset derives it from utilization. */
+        std::optional<double> rate;
+        /** Fleet utilization rho the derived rate aims at. */
+        double utilization = 0.3;
+        /** Arrival horizon (maxTick = none). */
+        Tick duration = maxTick;
+        /** Stop after this many jobs (0 = unlimited). */
+        std::uint64_t maxJobs = 0;
+        /** mmpp: rate_high / rate_low, and the share of time bursty. */
+        double burstRatio = 10.0;
+        double burstFraction = 0.2;
+        /** Arrival timestamps, one per line (arrival = trace). */
+        std::string traceFile;
+        enum class Service { exponential, fixed, uniform, pareto };
+        Service service = Service::exponential;
+        Tick serviceMean = 5 * msec;
+        /** uniform / pareto upper bound (fromConfig: 4x the mean). */
+        Tick serviceMax = 20 * msec;
+        enum class Shape { single, chain, fanout, dag };
+        Shape job = Shape::single;
+        /** Chain length / fan-out width / DAG layer width. */
+        unsigned stages = 2;
+        /** Bytes shipped along each DAG edge. */
+        Bytes transferBytes = 0;
+    };
+    WorkloadSettings workload;
+    ///@}
+
     /** Root seed for every random stream in the experiment. */
     std::uint64_t seed = 1;
 
@@ -261,56 +294,81 @@ struct DataCenterConfig {
     void validate() const;
 
     /**
-     * Load from parsed INI text. Recognized keys (all optional):
-     *
-     *   [datacenter] servers, cores, seed,
-     *                timer_mode (events|wheel), wheel_granularity_us
-     *   [server]     queue_mode (unified|per_core),
-     *                core_pick (round_robin|least_loaded),
-     *                allow_pkg_c6,
-     *                controller (always_on|delay_timer), tau_ms
-     *   [scheduler]  policy (round_robin|least_loaded|random|
-     *                network_aware), global_queue
-     *   [network]    fabric (none|star|fat_tree|flattened_butterfly|
-     *                bcube|camcube), param, param2, link_rate_gbps,
-     *                link_latency_us, switch_sleep_ms,
-     *                fast_path_kb
-     *   [fault]      enabled, mttf_hours, mttr_minutes,
-     *                distribution (exponential|weibull),
-     *                weibull_shape, fault_trace, fault_servers,
-     *                fault_switches, fault_linecards, fault_links,
-     *                max_retries, retry_backoff_base_ms,
-     *                retry_backoff_max_ms, task_timeout_ms
-     *   [orch]       enabled, placement (bin_pack|spread|affinity),
-     *                reconcile_ms, overcommit, interference,
-     *                remote_mem_penalty_per_us, server_mem_mb,
-     *                autoscale, autoscale_high, autoscale_low,
-     *                migration_dirty_frac,
-     *                migration_stop_copy_mb, migration_max_rounds,
-     *                tag_jobs, replicas, min_replicas, max_replicas,
-     *                container_cores, container_mem_mb,
-     *                remote_mem_frac, anti_affinity
-     *   [telemetry]  enabled, trace_out, trace_format (json|csv),
-     *                trace_categories, sample_out, sample_period_ms,
-     *                profile
-     *   [audit]      enabled, period_ms, fatal, energy_tolerance
-     *   [mc]         strategy (boundary|pairwise|exhaustive|random),
-     *                horizon_ms, budget, event_budget, repair_ms,
-     *                max_faults, seed_bug
-     *   [campaign]   journal, watchdog_sec, max_events, max_attempts,
-     *                retry_backoff_base_ms, retry_backoff_max_ms
+     * Load from parsed INI text: every row of configKeys() whose key
+     * @p cfg sets, then the defaults that follow other keys, then
+     * validate(). The rows are the key reference.
      */
     static DataCenterConfig fromConfig(const Config &cfg);
+
+    /** The INI key that sets @p field, a member of this config. */
+    std::string keyOf(const void *field) const;
 };
 
 /**
- * Warn (with the offending key's file:line) about every key of
- * @p cfg no HolDCSim parser recognizes -- the typo'd key that would
- * otherwise silently fall back to a default. "[sweep]" keys are
- * exempt: they name other config keys and are validated when the
- * sweep is applied. Call once on the base config, not per replica.
+ * One INI key, the one place its name, type and unit are written.
+ * fromConfig parses through the rows, warnUnknownConfigKeys checks
+ * names and sweep targets against them, and tests/test_config_keys.cc
+ * runs each row's perturbed value against the default (the liveness
+ * rule: every key must change some output, or say here why not).
  */
-void warnUnknownConfigKeys(const Config &cfg);
+struct ConfigKey {
+    /** text also stands for "the bound field's own type" in the table. */
+    enum class Type { flag, count, u64, real, text, choice, duration, size };
+
+    ConfigKey(const char *n, Type t = Type::text, double u = 1.0,
+              const char *names = "", bool round = false)
+        : name(n), type(t), unit(u), choices(names), nearest(round)
+    {}
+
+    /** "section.key". */
+    const char *name;
+    Type type;
+    /** duration: ticks per unit; size: bytes per unit; real: scale. */
+    double unit;
+    /** choice: the enum's names in declaration order, '|'-separated. */
+    const char *choices;
+    /** duration: round to the nearest tick instead of truncating. */
+    bool nearest;
+    /** A value whose run differs from the default's. */
+    const char *perturbed = "";
+    /** INI lines both the default and the perturbed run add. */
+    const char *companions = "";
+    /** Why no output shows the key's effect ("" = one must). */
+    const char *exempt = "";
+};
+
+/** Every key DataCenterConfig::fromConfig reads, in table order. */
+const std::vector<ConfigKey> &configKeys();
+
+/**
+ * Warn (with the offending key's file:line) about every key of
+ * @p cfg that is not a row of configKeys() -- the typo'd key that
+ * would otherwise silently fall back to a default -- and about every
+ * "[sweep]" target and @p swept key (the --sweep flags) that is not
+ * one either. Call once on the base config, not per replica.
+ */
+void warnUnknownConfigKeys(const Config &cfg,
+                           const std::vector<std::string> &swept = {});
+
+/** A fully constructed workload ready to pump into a DataCenter. */
+struct ConfiguredWorkload {
+    std::unique_ptr<ArrivalProcess> arrivals;
+    std::unique_ptr<JobGenerator> jobs;
+    /** Stop injecting after this tick. */
+    Tick until = maxTick;
+    /** Stop after this many jobs (SIZE_MAX = unlimited). */
+    std::size_t maxJobs = static_cast<std::size_t>(-1);
+};
+
+/**
+ * Build the workload @p w describes (paper Figure 1: the workload
+ * model in) for a data center shaped by @p dc_cfg, which sets the
+ * arrival rate a utilization target derives. @p seed seeds every
+ * random stream.
+ */
+ConfiguredWorkload makeWorkload(
+    const DataCenterConfig::WorkloadSettings &w,
+    const DataCenterConfig &dc_cfg, std::uint64_t seed);
 
 } // namespace holdcsim
 

@@ -58,7 +58,7 @@ SweepSpec::add(std::string key, std::vector<std::string> values)
     _values.push_back(std::move(values));
 }
 
-void
+std::string
 SweepSpec::addFlag(const std::string &flag)
 {
     std::size_t eq = flag.find('=');
@@ -70,7 +70,8 @@ SweepSpec::addFlag(const std::string &flag)
     if (key.empty() || values.empty())
         HOLDCSIM_PANIC("bad sweep flag '", flag,
                        "': expected key=a,b,c");
-    add(std::move(key), std::move(values));
+    add(key, std::move(values));
+    return key;
 }
 
 SweepSpec

@@ -44,10 +44,11 @@ class SweepSpec
     void add(std::string key, std::vector<std::string> values);
 
     /**
-     * Append a key from a "key=a,b,c" flag string. Throws FatalError
-     * on a malformed flag (no '=', empty key or empty value list).
+     * Append a key from a "key=a,b,c" flag string and return the key.
+     * Throws FatalError on a malformed flag (no '=', empty key or
+     * empty value list).
      */
-    void addFlag(const std::string &flag);
+    std::string addFlag(const std::string &flag);
 
     /** Collect every "[sweep]" section key of @p cfg, in key order. */
     static SweepSpec fromConfig(const Config &cfg);

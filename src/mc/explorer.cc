@@ -5,7 +5,6 @@
 #include <ostream>
 
 #include "dc/datacenter.hh"
-#include "dc/workload_config.hh"
 #include "shrink.hh"
 #include "sim/logging.hh"
 #include "strategy.hh"
@@ -50,8 +49,6 @@ runScheduleOracle(const Config &cfg, const FaultSchedule &schedule,
     try {
         DataCenterConfig dc_cfg = DataCenterConfig::fromConfig(cfg);
         dc_cfg.seed = seed;
-        dc_cfg.serverProfile = serverProfileFromConfig(cfg);
-        dc_cfg.switchProfile = switchProfileFromConfig(cfg);
         // The oracle configuration: the exact schedule under test,
         // every invariant armed and fatal.
         dc_cfg.fault.enabled = true;
@@ -68,7 +65,8 @@ runScheduleOracle(const Config &cfg, const FaultSchedule &schedule,
             budget = limits.maxEvents;
         dc.sim().setEventBudget(budget);
 
-        ConfiguredWorkload wl = makeWorkload(cfg, dc.config(), seed);
+        ConfiguredWorkload wl =
+            makeWorkload(dc_cfg.workload, dc.config(), seed);
         JobGenerator &jobs = *wl.jobs;
         dc.pump(std::move(wl.arrivals), jobs, wl.maxJobs, wl.until);
         if (wl.until != maxTick)

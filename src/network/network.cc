@@ -87,7 +87,7 @@ Network::startFlow(std::size_t src_server, std::size_t dst_server,
 {
     NodeId src = _topo.serverNode(src_server);
     NodeId dst = _topo.serverNode(dst_server);
-    if (!_routing.reachable(src, dst)) {
+    if (!_routing.route(src, dst, (_nextPacketId << 1) | 1, _route)) {
         // Partitioned fabric: report the failure asynchronously so
         // the caller never re-enters itself from startFlow().
         scheduleAfterDelay(0, [cb = std::move(on_abort)] {
@@ -96,8 +96,7 @@ Network::startFlow(std::size_t src_server, std::size_t dst_server,
         });
         return invalidFlow;
     }
-    std::uint64_t key = (_nextPacketId++ << 1) | 1;
-    _routing.route(src, dst, key, _route);
+    ++_nextPacketId;
 
     // Wake everything on the path and register the flow on every
     // traversed switch port pair; releasePorts() ends it there.
@@ -213,13 +212,12 @@ Network::sendPacket(std::size_t src_server, std::size_t dst_server,
     pkt->onDelivered = std::move(on_delivered);
     pkt->onDropped = std::move(on_dropped);
 
-    if (src != dst && !_routing.reachable(src, dst)) {
+    if (!_routing.route(src, dst, pkt->id, pkt->route) && src != dst) {
         // No healthy path: the packet is lost (asynchronously, so
         // the caller sees uniform callback timing).
         scheduleAfterDelay(0, [this, pkt] { dropPacket(pkt); });
         return;
     }
-    pkt->route = _routing.route(src, dst, pkt->id);
 
     if (src == dst) {
         // Local delivery.
@@ -328,12 +326,12 @@ Network::sleepingSwitchesOnPath(std::size_t src_server,
 {
     NodeId src = _topo.serverNode(src_server);
     NodeId dst = _topo.serverNode(dst_server);
-    if (!_routing.reachable(src, dst)) {
+    Route route;
+    if (!_routing.route(src, dst, 0, route)) {
         // Prohibitive cost: policies weighing wake cost must never
         // pick a destination they cannot reach.
         return std::numeric_limits<unsigned>::max();
     }
-    Route route = _routing.route(src, dst, 0);
     unsigned count = 0;
     for (NodeId n : route.nodes) {
         if (_topo.isSwitch(n) &&

@@ -70,11 +70,12 @@ Route
 StaticRouting::route(NodeId src, NodeId dst, std::uint64_t flow_key)
 {
     Route r;
-    route(src, dst, flow_key, r);
+    if (!route(src, dst, flow_key, r) && src != dst)
+        fatal("no route from node ", src, " to node ", dst);
     return r;
 }
 
-void
+bool
 StaticRouting::route(NodeId src, NodeId dst, std::uint64_t flow_key,
                      Route &out)
 {
@@ -83,11 +84,11 @@ StaticRouting::route(NodeId src, NodeId dst, std::uint64_t flow_key,
     if (src == dst) {
         out.links.clear();
         out.nodes.assign(1, src);
-        return;
+        return nodeHealthy(src);
     }
     const Table &table = tableFor(src);
     if (table.dist[dst] == unreachable)
-        fatal("no route from node ", src, " to node ", dst);
+        return false;
 
     // Walk back from dst to src choosing among equal-cost parents by
     // a per-(flow, hop) hash, filling the route from its far end.
@@ -106,6 +107,7 @@ StaticRouting::route(NodeId src, NodeId dst, std::uint64_t flow_key,
         cur = _topo.otherEnd(chosen, cur);
         out.nodes[i - 1] = cur;
     }
+    return true;
 }
 
 std::size_t

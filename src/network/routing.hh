@@ -53,8 +53,11 @@ class StaticRouting
      */
     Route route(NodeId src, NodeId dst, std::uint64_t flow_key = 0);
 
-    /** route() into @p out, reusing its vectors' capacity. */
-    void route(NodeId src, NodeId dst, std::uint64_t flow_key, Route &out);
+    /**
+     * route() into @p out, reusing its vectors' capacity; false, not
+     * fatal, when reachable() is false.
+     */
+    bool route(NodeId src, NodeId dst, std::uint64_t flow_key, Route &out);
 
     /** Hop count of the shortest path (0 when src == dst). */
     std::size_t hopCount(NodeId src, NodeId dst);

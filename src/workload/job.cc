@@ -9,8 +9,10 @@ namespace holdcsim {
 void
 Job::reserve(std::size_t tasks, std::size_t edges)
 {
+    // validate() needs room for the index, its scratch and the edges.
     _tasks.reserve(tasks);
-    _edges.reserve(edges);
+    _csr.reserve(4 * tasks + 1 + 5 * edges);
+    _parentBytes.reserve(edges);
 }
 
 TaskId
@@ -27,7 +29,9 @@ Job::addTask(const TaskSpec &spec)
 void
 Job::addEdge(TaskId from, TaskId to, Bytes bytes)
 {
-    _edges.push_back(TaskEdge{from, to, bytes});
+    _csr.push_back(from);
+    _csr.push_back(to);
+    _parentBytes.push_back(bytes);
 }
 
 Bytes
@@ -56,37 +60,49 @@ Job::validate()
     const auto n = static_cast<TaskId>(_tasks.size());
     if (n == 0)
         fatal("job ", _id, " has no tasks");
-    for (const auto &e : _edges) {
-        if (e.from >= n || e.to >= n)
-            fatal("job ", _id, ": edge endpoint out of range");
-        if (e.from == e.to)
-            fatal("job ", _id, ": self-edge on task ", e.from);
-    }
+    const std::size_t m = numEdges();
 
-    // Count each row's entries one slot ahead, prefix-sum them into
-    // row starts, fill rows by advancing those starts to the row ends,
-    // then shift the ends back into starts. Past the rows, room for n
-    // roots and, while validating, n task slots of scratch.
-    const std::size_t m = _edges.size();
+    // Move the edges past the index and its scratch, then count each
+    // row's entries one slot ahead, prefix-sum them into row starts,
+    // fill rows by advancing those starts to the row ends, then shift
+    // the ends back into starts. Past the rows, room for n roots and,
+    // while validating, n task slots of scratch.
     const std::size_t base = rowsBegin();
-    _csr.assign(base + 2 * m + 2 * n, 0);
+    const std::size_t edges = base + 2 * m + 2 * n;
+    _csr.resize(edges + 3 * m);
+    std::copy_n(_csr.begin(), 2 * m, _csr.begin() + edges);
+    std::fill_n(_csr.begin(), edges, 0);
     std::uint32_t *off = _csr.data();
     TaskId *entry = _csr.data() + base;
-    for (const auto &e : _edges) {
-        ++off[e.to + 1];
-        ++off[n + e.from + 1];
+    const TaskId *ends = _csr.data() + edges;
+    std::uint32_t *slot = _csr.data() + edges + 2 * m;
+    for (std::size_t e = 0; e < m; ++e) {
+        const TaskId from = ends[2 * e], to = ends[2 * e + 1];
+        if (from >= n || to >= n)
+            fatal("job ", _id, ": edge endpoint out of range");
+        if (from == to)
+            fatal("job ", _id, ": self-edge on task ", from);
+        ++off[to + 1];
+        ++off[n + from + 1];
     }
     for (std::size_t r = 1; r <= 2 * n; ++r)
         off[r] += off[r - 1];
-    _parentBytes.resize(m);
-    for (const auto &e : _edges) {
-        _parentBytes[off[e.to]] = e.bytes;
-        entry[off[e.to]++] = e.from;
-        entry[off[n + e.from]++] = e.to;
+    for (std::size_t e = 0; e < m; ++e) {
+        const TaskId from = ends[2 * e], to = ends[2 * e + 1];
+        slot[e] = off[to];
+        entry[off[to]++] = from;
+        entry[off[n + from]++] = to;
     }
     for (std::size_t r = 2 * n; r > 0; --r)
         off[r] = off[r - 1];
     off[0] = 0;
+    // Put the byte counts in parent-row order, one cycle at a time.
+    for (std::size_t e = 0; e < m; ++e) {
+        while (slot[e] != e) {
+            std::swap(_parentBytes[e], _parentBytes[slot[e]]);
+            std::swap(slot[e], slot[slot[e]]);
+        }
+    }
 
     // A duplicate edge repeats a parent within one row: mark each
     // parent with the row it was last seen in.

@@ -86,15 +86,14 @@ class Job
     void addEdge(TaskId from, TaskId to, Bytes bytes);
 
     std::size_t numTasks() const { return _tasks.size(); }
-    std::size_t numEdges() const { return _edges.size(); }
+    std::size_t numEdges() const { return _parentBytes.size(); }
 
     const TaskSpec &task(TaskId t) const { return _tasks[t]; }
-    const std::vector<TaskEdge> &edges() const { return _edges; }
 
     /** Tasks with no incoming edges (runnable on arrival), ascending. */
     std::span<const TaskId> rootTasks() const
     {
-        const std::size_t begin = rowsBegin() + 2 * _edges.size();
+        const std::size_t begin = rowsBegin() + 2 * numEdges();
         return {_csr.data() + begin, _csr.size() - begin};
     }
 
@@ -122,8 +121,8 @@ class Job
     /**
      * Check structural sanity: edge endpoints in range, no
      * self-edges, no duplicate edges, acyclic. Throws FatalError on
-     * violation; also (re)builds the parent/child/root indexes.
-     * Must be called after the last addTask/addEdge.
+     * violation; also builds the parent/child/root indexes. Must be
+     * called once, after the last addTask/addEdge.
      */
     void validate();
 
@@ -154,15 +153,18 @@ class Job
     Tick _arrival;
     int _orchGroup = -1;
     std::vector<TaskSpec> _tasks;
-    std::vector<TaskEdge> _edges;
     /**
      * Compressed index built by validate(), one array: 2n + 1 row
      * offsets, then n parent rows and n child rows (each in edge
      * insertion order), then the roots. Row r spans entries
-     * [_csr[r], _csr[r + 1]) of the part past the offsets.
+     * [_csr[r], _csr[r + 1]) of the part past the offsets. Until
+     * then it holds each added edge's (from, to).
      */
     std::vector<std::uint32_t> _csr;
-    /** Byte count of each parent-row entry's edge, same positions. */
+    /**
+     * Byte count of each parent-row entry's edge, same positions
+     * (until validate(), in edge insertion order).
+     */
     std::vector<Bytes> _parentBytes;
 };
 

@@ -13,6 +13,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <tuple>
 
 #include "dc/datacenter.hh"
 #include "dc/validation.hh"
@@ -151,6 +152,12 @@ TEST(DcConfig, NegativeDurationIsAConfigError)
         {"campaign", "retry_backoff_base_ms"},
         {"campaign", "retry_backoff_max_ms"},
         {"datacenter", "wheel_granularity_us"},
+        {"workload", "service_mean_ms"},
+        {"workload", "service_max_ms"},
+        {"server_power", "s3_wake_ms"},
+        {"server_power", "s3_entry_ms"},
+        {"switch_power", "switch_wake_ms"},
+        {"switch_power", "linecard_wake_ms"},
     };
     for (const auto &[section, key] : keys) {
         const std::string name = std::string(section) + "." + key;
@@ -167,6 +174,37 @@ TEST(DcConfig, NegativeDurationIsAConfigError)
     }
     EXPECT_EQ(parse("server", "tau_ms", "5").delayTimerTau, 5 * msec);
     EXPECT_EQ(parse("server", "tau_ms", "0").delayTimerTau, 0u);
+}
+
+// Count and u64 keys reject negative and out-of-range integers at load,
+// naming the key, instead of wrapping (servers = -1 used to die in
+// std::bad_alloc).
+TEST(DcConfig, OutOfRangeCountIsAConfigError)
+{
+    const std::tuple<const char *, const char *, const char *> cases[] = {
+        {"datacenter", "servers", "-1"},
+        {"datacenter", "cores", "-2"},
+        {"datacenter", "seed", "-1"},
+        {"workload", "stages", "-1"},
+        {"workload", "max_jobs", "-3"},
+        {"orch", "replicas", "4294967296"},
+        {"fault", "max_retries", "-1"},
+        {"mc", "budget", "-1"},
+        {"campaign", "max_attempts", "4294967297"},
+        {"network", "param", "-4"},
+    };
+    for (const auto &[section, key, v] : cases) {
+        const std::string name = std::string(section) + "." + key;
+        try {
+            DataCenterConfig::fromConfig(Config::parseString(
+                "[" + std::string(section) + "]\n" + key + " = " + v + "\n"));
+            ADD_FAILURE() << name << " = " << v << " was accepted";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("'" + name + "'"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(DcConfig, StaleNetworkModelKeyWarns)

@@ -127,6 +127,8 @@ placement = spread
 replicas = 3
 autoscale = true
 migration_dirty_frac = 0.25
+[sweep]
+datacenter.servers = 1, 2
 )");
     EXPECT_EQ(out, "") << out;
 }
@@ -142,6 +144,25 @@ TEST(Config, UnknownKeyWarnsWithNearestSuggestion)
     // Two edits away still qualifies.
     out = capturedUnknownKeyWarnings("[orch]\nplacemnet = spread\n");
     EXPECT_NE(out.find("did you mean 'orch.placement'"), std::string::npos)
+        << out;
+
+    // A [sweep] target is a key like any other: a typo would sweep a
+    // value nothing reads and run identical points.
+    out = capturedUnknownKeyWarnings("[sweep]\ndatacenter.sever = 1,2\n");
+    EXPECT_NE(out.find("unknown sweep key 'datacenter.sever'"),
+              std::string::npos)
+        << out;
+    EXPECT_NE(out.find("did you mean 'datacenter.servers'"),
+              std::string::npos)
+        << out;
+
+    // So is a --sweep=KEY=... flag's key.
+    ::testing::internal::CaptureStderr();
+    warnUnknownConfigKeys(Config(), {"server.tau_ms", "server.tua_ms"});
+    out = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(out.find("key 'server.tau_ms'"), std::string::npos) << out;
+    EXPECT_NE(out.find("unknown sweep key 'server.tua_ms' (--sweep)"),
+              std::string::npos)
         << out;
 }
 

@@ -10,7 +10,6 @@
 #include <fstream>
 
 #include "dc/datacenter.hh"
-#include "dc/workload_config.hh"
 #include "sim/logging.hh"
 
 using namespace holdcsim;
@@ -21,11 +20,11 @@ ConfiguredWorkload
 build(const std::string &ini, unsigned servers = 10,
       unsigned cores = 4)
 {
-    auto cfg = Config::parseString(ini);
-    DataCenterConfig dc_cfg;
+    DataCenterConfig dc_cfg =
+        DataCenterConfig::fromConfig(Config::parseString(ini));
     dc_cfg.nServers = servers;
     dc_cfg.nCores = cores;
-    return makeWorkload(cfg, dc_cfg, 3);
+    return makeWorkload(dc_cfg.workload, dc_cfg, 3);
 }
 
 } // namespace
@@ -159,7 +158,7 @@ core_active_w = 9.0
 platform_s0_w = 60
 s3_wake_ms = 250
 )");
-    auto p = serverProfileFromConfig(cfg);
+    auto p = DataCenterConfig::fromConfig(cfg).serverProfile;
     EXPECT_DOUBLE_EQ(p.coreActive, 9.0);
     EXPECT_DOUBLE_EQ(p.platformS0, 60.0);
     EXPECT_EQ(p.s3WakeLatency, 250 * msec);
@@ -172,7 +171,7 @@ TEST(ProfileConfig, ServerOverridesValidated)
 {
     auto cfg = Config::parseString(
         "[server_power]\ncore_c6_w = 50\n"); // deeper > active
-    EXPECT_THROW(serverProfileFromConfig(cfg), FatalError);
+    EXPECT_THROW(DataCenterConfig::fromConfig(cfg), FatalError);
 }
 
 TEST(ProfileConfig, SwitchOverridesApplied)
@@ -183,7 +182,7 @@ chassis_base_w = 20
 port_active_w = 0.5
 linecard_wake_ms = 5
 )");
-    auto p = switchProfileFromConfig(cfg);
+    auto p = DataCenterConfig::fromConfig(cfg).switchProfile;
     EXPECT_DOUBLE_EQ(p.chassisBase, 20.0);
     EXPECT_DOUBLE_EQ(p.portActive, 0.5);
     EXPECT_EQ(p.linecardWakeLatency, 5 * msec);
@@ -209,10 +208,9 @@ service = exponential
 service_mean_ms = 5
 )");
     DataCenterConfig dc_cfg = DataCenterConfig::fromConfig(cfg);
-    dc_cfg.serverProfile = serverProfileFromConfig(cfg);
     DataCenter dc(dc_cfg);
-    ConfiguredWorkload wl = makeWorkload(cfg, dc.config(),
-                                         dc_cfg.seed);
+    ConfiguredWorkload wl =
+        makeWorkload(dc_cfg.workload, dc.config(), dc_cfg.seed);
     JobGenerator &jobs = *wl.jobs;
     dc.pump(std::move(wl.arrivals), jobs, wl.maxJobs, wl.until);
     dc.runUntil(wl.until);
@@ -235,12 +233,19 @@ fatTree16()
     return dc_cfg;
 }
 
+/** The [workload] section of @p ini, parsed. */
+DataCenterConfig::WorkloadSettings
+workloadOf(const std::string &ini)
+{
+    return DataCenterConfig::fromConfig(Config::parseString(ini)).workload;
+}
+
 /** What makeWorkload prints to stderr on fatTree16(). */
 std::string
 fatTreeWarnings(const std::string &ini)
 {
     ::testing::internal::CaptureStderr();
-    makeWorkload(Config::parseString(ini), fatTree16(), 3);
+    makeWorkload(workloadOf(ini), fatTree16(), 3);
     return ::testing::internal::GetCapturedStderr();
 }
 
@@ -251,7 +256,7 @@ TEST(WorkloadConfig, SaturatingTransfersAreFatal)
     // 0.5 * 16 * 4 / 5 ms / 6 tasks = 1066.7 jobs/s, each moving
     // 8 edges x 2000 KiB: 8.74x the 16 x 1 Gb/s of host links.
     try {
-        makeWorkload(Config::parseString(R"(
+        makeWorkload(workloadOf(R"(
 [workload]
 utilization = 0.5
 job = fanout
