@@ -12,19 +12,25 @@
  *
  * The farm sizes run as points of a CampaignRunner grid:
  *
- *   bench_table1_scalability [jobs [replicas]]
+ *   bench_table1_scalability [jobs [replicas]] [--json]
  *
  * With jobs == 1 (the default) points run sequentially and the
  * per-point timings are clean; with jobs > 1 the points (and
  * replicas) share the machine, so per-point throughput readings are
  * contended but the total wall-clock shows the parallel speedup.
+ * --json prints one JSON object per farm, one per line (replica
+ * means), instead of the table; tests/paper/table1_scalability.py
+ * gates its model outputs (jobs completed, events).
  */
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "common.hh"
 #include "dc/datacenter.hh"
 #include "exp/aggregate.hh"
 #include "exp/campaign.hh"
@@ -78,6 +84,7 @@ scaleRun(const Farm &farm, std::uint64_t seed)
     return {
         {"build_s", build_s},
         {"run_s", run_s},
+        {"events", static_cast<double>(dc.sim().eventsProcessed())},
         {"events_per_s", dc.sim().eventsProcessed() / run_s},
         {"jobs_per_s", static_cast<double>(farm.nJobs) / run_s},
         {"jobs_completed",
@@ -90,16 +97,22 @@ scaleRun(const Farm &farm, std::uint64_t seed)
 int
 main(int argc, char **argv)
 {
+    std::vector<std::string> args;
+    const bool json =
+        bench::jsonFlag(argc, argv, &args, 2, "[jobs [replicas]] ");
     setQuiet(true);
-    unsigned n_jobs = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 1;
+    unsigned n_jobs =
+        args.size() > 0 ? std::strtoul(args[0].c_str(), nullptr, 10) : 1;
     std::size_t replicas =
-        argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 1;
+        args.size() > 1 ? std::strtoul(args[1].c_str(), nullptr, 10) : 1;
     if (replicas == 0)
         replicas = 1;
 
-    std::printf("== Table I (scalability row): farm size sweep "
-                "(jobs=%u, replicas=%zu) ==\n",
-                n_jobs, replicas);
+    if (!json) {
+        std::printf("== Table I (scalability row): farm size sweep "
+                    "(jobs=%u, replicas=%zu) ==\n",
+                    n_jobs, replicas);
+    }
 
     auto wall0 = std::chrono::steady_clock::now();
     CampaignOptions opts;
@@ -120,14 +133,30 @@ main(int argc, char **argv)
     ResultTable table;
     tabulate(res.records, table);
 
-    std::printf("%8s  %9s  %8s  %8s  %10s  %11s\n", "servers", "jobs",
-                "build_s", "run_s", "events/s", "jobs/s");
+    if (json) {
+        for (std::size_t p = 0; p < std::size(farms); ++p) {
+            std::printf("{\"servers\": %u, \"jobs\": %zu, "
+                        "\"jobs_completed\": %.17g, \"events\": %.17g, "
+                        "\"build_s\": %.17g, \"run_s\": %.17g}\n",
+                        farms[p].nServers, farms[p].nJobs,
+                        table.summary(p, "jobs_completed").mean,
+                        table.summary(p, "events").mean,
+                        table.summary(p, "build_s").mean,
+                        table.summary(p, "run_s").mean);
+        }
+        return 0;
+    }
+
+    std::printf("%8s  %9s  %10s  %8s  %8s  %10s  %11s\n", "servers",
+                "jobs", "events", "build_s", "run_s", "events/s",
+                "jobs/s");
     double cpu_s = 0.0;
     for (std::size_t p = 0; p < std::size(farms); ++p) {
         Summary build = table.summary(p, "build_s");
         Summary run = table.summary(p, "run_s");
-        std::printf("%8u  %9zu  %8.2f  %8.2f  %10.0f  %11.0f\n",
-                    farms[p].nServers, farms[p].nJobs, build.mean,
+        std::printf("%8u  %9zu  %10.0f  %8.2f  %8.2f  %10.0f  %11.0f\n",
+                    farms[p].nServers, farms[p].nJobs,
+                    table.summary(p, "events").mean, build.mean,
                     run.mean, table.summary(p, "events_per_s").mean,
                     table.summary(p, "jobs_per_s").mean);
         cpu_s += static_cast<double>(replicas) *

@@ -17,6 +17,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "dc/datacenter.hh"
 #include "workload/service.hh"
@@ -26,19 +27,27 @@ namespace holdcsim::bench {
 
 /**
  * Parse the command line of a bench whose only option is --json
- * (print machine-readable rows instead of the table). Any other
- * argument prints the usage and exits with status 2.
+ * (print machine-readable rows instead of the table). Up to
+ * @p max_args plain arguments, named by @p args_usage, may come with
+ * it and are appended to @p args in order. Anything else prints the
+ * usage and exits with status 2.
  */
 inline bool
-jsonFlag(int argc, char **argv)
+jsonFlag(int argc, char **argv, std::vector<std::string> *args = nullptr,
+         std::size_t max_args = 0, const char *args_usage = "")
 {
     bool json = false;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") != 0) {
-            std::fprintf(stderr, "usage: %s [--json]\n", argv[0]);
+        if (std::strcmp(argv[i], "--json") == 0) {
+            json = true;
+        } else if (args && args->size() < max_args &&
+                   argv[i][0] != '-') {
+            args->push_back(argv[i]);
+        } else {
+            std::fprintf(stderr, "usage: %s %s[--json]\n", argv[0],
+                         args_usage);
             std::exit(2);
         }
-        json = true;
     }
     return json;
 }

@@ -7,7 +7,10 @@
 # src/sim/pdes are exactly the code TSan exists for; it replays pod
 # clusters at 1/2/4 workers and requires byte-identical dumps), and
 # the fault-schedule explorer, whose oracle fleet runs on the
-# campaign runner's threads.
+# campaign runner's threads, and DataCenter's stats dump, whose
+# server rows settle and format on orderedPipeline workers while the
+# calling thread writes them (the faulted star plants of the dump
+# gates, with a nested serial dump and a traced one).
 # Usage: bench/run_tsan.sh [build-dir]
 set -euo pipefail
 
@@ -15,9 +18,12 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-tsan}"
 
 cmake -B "$BUILD_DIR" -S . -DHOLDCSIM_TSAN=ON
-cmake --build "$BUILD_DIR" -j --target test_exp test_pdes test_mc
+cmake --build "$BUILD_DIR" -j --target test_exp test_pdes test_mc \
+    test_dc
 
 TSAN_OPTIONS=halt_on_error=1 "$BUILD_DIR"/tests/test_exp
 TSAN_OPTIONS=halt_on_error=1 "$BUILD_DIR"/tests/test_pdes
 TSAN_OPTIONS=halt_on_error=1 "$BUILD_DIR"/tests/test_mc \
     --gtest_filter='Explorer.*:Oracle.*'
+TSAN_OPTIONS=halt_on_error=1 "$BUILD_DIR"/tests/test_dc \
+    --gtest_filter='DataCenter.*StatsDump*:IdleLadderGolden.*'

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <ostream>
 
+#include "exp/parallel_for.hh"
 #include "sched/dispatch_policy.hh"
 #include "sim/logging.hh"
 #include "sim/stats.hh"
@@ -446,6 +447,12 @@ DataCenter::finishStats()
 {
     for (auto &s : _servers)
         s->finishStats();
+    finishSharedStats();
+}
+
+void
+DataCenter::finishSharedStats()
+{
     if (_net)
         _net->finishStats();
     if (_faults)
@@ -456,10 +463,31 @@ DataCenter::finishStats()
         _tracer->flush(_sim.curTick());
 }
 
+unsigned
+DataCenter::statsDumpWorkers() const
+{
+    // Serial with a tracer, which must see every server close its
+    // slices on this thread and before the fabric's, as finishStats()
+    // orders them; and in a parallelFor cell, which has its thread.
+    const std::size_t n = _servers.size();
+    if (n < 2 * statsChunkServers || _sim.tracer() || inParallelWorker())
+        return 0;
+    const std::size_t chunks = (n + statsChunkServers - 1) / statsChunkServers;
+    // One hardware thread is the caller's, which writes the rows.
+    return static_cast<unsigned>(
+        std::min<std::size_t>(defaultWorkers() - 1, chunks));
+}
+
 void
 DataCenter::dumpStats(std::ostream &os)
 {
-    finishStats();
+    // Servers touch only their own books when they settle, so they
+    // can close them on the dump's workers, after the shared books.
+    const unsigned workers = statsDumpWorkers();
+    if (workers == 0)
+        finishStats();
+    else
+        finishSharedStats();
     Tick now = _sim.curTick();
 
     StatGroup sim_group("sim");
@@ -521,30 +549,7 @@ DataCenter::dumpStats(std::ostream &os)
         g.dump(os);
     }
 
-    StatGroup rows(""); // every server and switch row, one buffer
-    for (auto &srv : _servers) {
-        rows.row(os, "server", srv->id());
-        const EnergyBreakdown &e = srv->energy();
-        rows.add("energy_cpu_j", e.cpu);
-        rows.add("energy_dram_j", e.dram);
-        rows.add("energy_platform_j", e.platform);
-        rows.add("energy_total_j", e.total());
-        rows.add("tasks_completed", srv->tasksCompleted());
-        rows.add("wake_transitions", srv->wakeTransitions());
-        rows.add("sleep_transitions", srv->sleepTransitions());
-        const StateResidency &r = srv->residency();
-        auto frac = [&r](ServerState st) {
-            return r.fraction(static_cast<int>(st));
-        };
-        rows.add("frac_active", frac(ServerState::active));
-        rows.add("frac_wakeup", frac(ServerState::wakingUp));
-        rows.add("frac_idle", frac(ServerState::idle));
-        rows.add("frac_pkg_c6", frac(ServerState::pkgC6));
-        rows.add("frac_sys_sleep", frac(ServerState::sysSleep));
-        if (_faults)
-            rows.add("frac_failed", frac(ServerState::failed));
-    }
-    rows.flush(os);
+    dumpServerRows(os, workers);
 
     if (_net) {
         StatGroup n("network");
@@ -566,6 +571,7 @@ DataCenter::dumpStats(std::ostream &os)
         n.add("solver_dirty_links", ss.dirtyLinks);
         n.add("fast_path_hits", ss.fastPathHits);
         n.dump(os);
+        StatGroup rows("");
         for (std::size_t i = 0; i < _net->numSwitches(); ++i) {
             Switch &sw = _net->switchAt(i);
             rows.row(os, "switch", sw.id());
@@ -577,6 +583,47 @@ DataCenter::dumpStats(std::ostream &os)
         }
         rows.flush(os);
     }
+}
+
+void
+DataCenter::dumpServerRows(std::ostream &os, unsigned workers)
+{
+    // Workers settle and format contiguous chunks into a ring of two
+    // buffers each while this thread writes the chunks in fleet order;
+    // with no workers, this thread does both, chunk by chunk.
+    const std::size_t n = _servers.size();
+    std::vector<StatGroup> ring(std::max(2 * workers, 1u), StatGroup(""));
+    auto produce = [&](std::size_t chunk, std::size_t slot) {
+        StatGroup &rows = ring[slot];
+        const std::size_t end = std::min(n, (chunk + 1) * statsChunkServers);
+        for (std::size_t i = chunk * statsChunkServers; i < end; ++i) {
+            Server &srv = *_servers[i];
+            srv.finishStats(); // a no-op after the serial finishStats()
+            rows.row("server", srv.id());
+            const EnergyBreakdown &e = srv.energy();
+            rows.add("energy_cpu_j", e.cpu);
+            rows.add("energy_dram_j", e.dram);
+            rows.add("energy_platform_j", e.platform);
+            rows.add("energy_total_j", e.total());
+            rows.add("tasks_completed", srv.tasksCompleted());
+            rows.add("wake_transitions", srv.wakeTransitions());
+            rows.add("sleep_transitions", srv.sleepTransitions());
+            const StateResidency &r = srv.residency();
+            auto frac = [&r](ServerState st) {
+                return r.fraction(static_cast<int>(st));
+            };
+            rows.add("frac_active", frac(ServerState::active));
+            rows.add("frac_wakeup", frac(ServerState::wakingUp));
+            rows.add("frac_idle", frac(ServerState::idle));
+            rows.add("frac_pkg_c6", frac(ServerState::pkgC6));
+            rows.add("frac_sys_sleep", frac(ServerState::sysSleep));
+            if (_faults)
+                rows.add("frac_failed", frac(ServerState::failed));
+        }
+    };
+    orderedPipeline(workers, (n + statsChunkServers - 1) / statsChunkServers,
+                    ring.size(), produce,
+                    [&](std::size_t, std::size_t slot) { ring[slot].flush(os); });
 }
 
 void

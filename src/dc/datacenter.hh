@@ -134,13 +134,30 @@ class DataCenter
      * Dump every runtime statistic the paper's Figure 1 lists
      * (power/energy, network delays, job latency, state
      * transitions) as gem5-style "component.stat value" lines.
-     * Calls finishStats() first.
+     * Closes every book first, as finishStats() does. A fleet of two
+     * chunks or more settles and formats its server rows on host
+     * threads while the calling thread writes them in fleet order;
+     * the bytes are those of the serial loop (DESIGN.md).
      */
     void dumpStats(std::ostream &os);
+    /**
+     * Servers one dumpStats worker settles and formats per chunk: at
+     * about 390 B a row, a chunk fits the 68 KiB a row buffer
+     * reserves, and each chunk costs the writer one hand-off.
+     */
+    static constexpr std::size_t statsChunkServers = 160;
     ///@}
 
   private:
     struct Pump;
+
+    /** Close every book but the servers': fabric, faults, telemetry. */
+    void finishSharedStats();
+    /** Threads that produce dumpStats' server rows; 0 keeps the
+     *  serial order, all on the calling thread. */
+    unsigned statsDumpWorkers() const;
+    /** Write every server row, settling each server first. */
+    void dumpServerRows(std::ostream &os, unsigned workers);
 
     DataCenterConfig _config;
     /** Owns the governor timer wheel (G = wheelGranularity in wheel

@@ -237,13 +237,24 @@ StatGroup::dump(std::ostream &os) const
     os.write(_lines.data(), static_cast<std::streamsize>(_lines.size()));
 }
 
+namespace {
+
+constexpr std::size_t rowFlushAt = 64 * 1024;
+
+} // namespace
+
 void
 StatGroup::row(std::ostream &os, std::string_view name, std::uint64_t id)
 {
-    constexpr std::size_t flushAt = 64 * 1024;
-    if (_lines.size() >= flushAt)
+    if (_lines.size() >= rowFlushAt)
         flush(os);
-    _lines.reserve(flushAt + 4096); // room for the row that crosses it
+    row(name, id);
+}
+
+void
+StatGroup::row(std::string_view name, std::uint64_t id)
+{
+    _lines.reserve(rowFlushAt + 4096); // room for the row that crosses it
     char buf[24];
     char *end = std::to_chars(buf, buf + sizeof buf, id).ptr;
     _prefix.assign(name).append(buf, end).append(1, '.');

@@ -158,6 +158,8 @@ class StatGroup
     /** Rename the group "<name><id>" for the next row; the lines so
      *  far go to @p os once they pass 64 KiB. */
     void row(std::ostream &os, std::string_view name, std::uint64_t id);
+    /** row() that keeps every line until flush(). */
+    void row(std::string_view name, std::uint64_t id);
     /** Write the lines to @p os and clear them, keeping the buffer. */
     void flush(std::ostream &os);
 

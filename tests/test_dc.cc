@@ -17,6 +17,7 @@
 
 #include "dc/datacenter.hh"
 #include "dc/validation.hh"
+#include "exp/parallel_for.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
 #include "workload/service.hh"
@@ -781,6 +782,107 @@ TEST(DataCenter, StatsDumpMatchesOstreamReference)
                << got.substr(from, 160) << "\n--- reference:\n"
                << want.substr(from, 160);
     }
+}
+
+namespace {
+
+/**
+ * 600 two-core servers (four dump chunks) on a star fabric with
+ * faults, run through 200 fan-out/in jobs: the rows carry the
+ * frac_failed column and the switch rows follow. @p trace_out, if
+ * set, installs a tracer there for the categories whose slices the
+ * dump closes (the task and flow ones name process-wide job ids).
+ */
+struct ChunkedPlant {
+    explicit ChunkedPlant(const std::string &trace_out = {})
+        : dc(config(trace_out)),
+          gen(fixedSvc(2 * msec), fixedSvc(20 * msec), fixedSvc(1 * msec),
+              3, 20'000)
+    {
+        dc.pump(std::make_unique<PoissonArrival>(400.0,
+                                                 dc.makeRng("arrivals")),
+                gen, 200);
+        dc.run();
+    }
+
+    static DataCenterConfig
+    config(const std::string &trace_out)
+    {
+        DataCenterConfig cfg;
+        cfg.nServers = 600;
+        cfg.nCores = 2;
+        cfg.seed = 5;
+        cfg.fabric = DataCenterConfig::Fabric::star;
+        cfg.fault.enabled = true;
+        cfg.fault.mttfHours = 2.0 / 3600.0; // 2 s per server
+        cfg.fault.mttrMinutes = 0.5 / 60.0;  // 0.5 s
+        cfg.fault.maxRetries = 5;
+        cfg.telemetry.enabled = !trace_out.empty();
+        cfg.telemetry.traceOut = trace_out;
+        cfg.telemetry.traceCategories = "server,core,network,fault";
+        return cfg;
+    }
+
+    std::string
+    dump()
+    {
+        std::ostringstream os;
+        dc.dumpStats(os);
+        return os.str();
+    }
+
+    DataCenter dc;
+    FanOutInGenerator gen;
+};
+
+} // namespace
+
+// A fleet of several chunks settles and formats its server rows on
+// worker threads while the caller writes them in fleet order. The
+// bytes must match the one-`ostream <<`-at-a-time reference, and the
+// serial loop a dump inside a parallelFor worker takes.
+TEST(DataCenter, ParallelStatsDumpMatchesReference)
+{
+    ASSERT_GE(600u, 2 * DataCenter::statsChunkServers);
+    ChunkedPlant plant;
+    const std::string got = plant.dump();
+    EXPECT_NE(got.find("\nserver599.frac_failed "), std::string::npos);
+    EXPECT_NE(got.find("\nswitch0.frac_asleep "), std::string::npos);
+    EXPECT_EQ(got.find("\nreliability.faults_injected 0\n"),
+              std::string::npos);
+    const std::string want = referenceDump(plant.dc);
+    EXPECT_EQ(got.size(), want.size());
+    EXPECT_TRUE(got == want) << "parallel dump differs from the reference";
+
+    std::string nested;
+    parallelFor(2, 1, [&](std::size_t) {
+        EXPECT_TRUE(inParallelWorker());
+        nested = plant.dump();
+    });
+    EXPECT_TRUE(nested == got) << "serial dump differs from the parallel one";
+}
+
+// A tracer keeps the dump on the serial loop, where servers close
+// their trace slices before the fabric does: the trace file is the
+// one the serial dump always wrote, byte for byte.
+TEST(DataCenter, TracedStatsDumpTraceIsGolden)
+{
+    const std::string path =
+        ::testing::TempDir() + "holdcsim_chunked_trace.json";
+    std::string dump;
+    {
+        ChunkedPlant plant(path);
+        dump = plant.dump();
+    }
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in.good());
+    std::stringstream trace;
+    trace << in.rdbuf();
+    EXPECT_EQ(dump, ChunkedPlant().dump());
+    EXPECT_EQ(trace.str().size(), 1443029u);
+    EXPECT_EQ(fnv1a64(trace.str()), 0x633ab7f101ea0471ULL)
+        << std::hex << fnv1a64(trace.str());
+    std::remove(path.c_str());
 }
 
 // -------------------------------------------------------- invariant auditor

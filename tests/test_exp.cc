@@ -1,8 +1,9 @@
 /**
  * @file
- * Tests for the experiment layer: parallelFor, the campaign runner's
- * grid (deterministic replica seeding, parallel == sequential),
- * sweep expansion and cross-replica aggregation.
+ * Tests for the experiment layer: parallelFor and orderedPipeline
+ * (nested calls run inline), the campaign runner's grid
+ * (deterministic replica seeding, parallel == sequential), sweep
+ * expansion and cross-replica aggregation.
  */
 
 #include <gtest/gtest.h>
@@ -84,6 +85,148 @@ TEST(ParallelFor, ThrowingIndexDoesNotStopOthers)
         }
         EXPECT_EQ(hits.load(), 180) << "workers=" << workers;
     }
+}
+
+TEST(ParallelFor, NestedCallRunsOnTheOuterWorker)
+{
+    // A call from a worker thread (a campaign cell that dumps a big
+    // fleet's stats) runs inline on that worker, in index order,
+    // instead of starting threads of its own.
+    EXPECT_FALSE(inParallelWorker());
+    std::vector<std::vector<std::size_t>> order(8);
+    std::vector<int> foreign(8, 0);
+    parallelFor(4, order.size(), [&](std::size_t i) {
+        EXPECT_TRUE(inParallelWorker());
+        const std::thread::id outer = std::this_thread::get_id();
+        parallelFor(4, 10, [&](std::size_t j) {
+            foreign[i] += std::this_thread::get_id() != outer;
+            order[i].push_back(j);
+        });
+    });
+    EXPECT_FALSE(inParallelWorker());
+    for (std::size_t i = 0; i < order.size(); ++i) {
+        EXPECT_EQ(foreign[i], 0) << "outer index " << i;
+        ASSERT_EQ(order[i].size(), 10u);
+        for (std::size_t j = 0; j < 10; ++j)
+            EXPECT_EQ(order[i][j], j);
+    }
+}
+
+// ------------------------------------------------------- orderedPipeline
+
+TEST(OrderedPipeline, ConsumesEveryChunkInOrderOnTheCaller)
+{
+    const std::thread::id caller = std::this_thread::get_id();
+    for (unsigned workers : {0u, 1u, 3u, 8u}) {
+        for (std::size_t slots : {1u, 2u, 6u}) {
+            std::vector<std::size_t> buffer(slots, 0);
+            std::atomic<int> in_flight{0};
+            std::atomic<int> peak{0};
+            std::vector<std::size_t> order;
+            orderedPipeline(
+                workers, 300, slots,
+                [&](std::size_t i, std::size_t slot) {
+                    const int now = ++in_flight;
+                    int seen = peak.load();
+                    while (now > seen && !peak.compare_exchange_weak(seen, now))
+                        ;
+                    buffer[slot] = i;
+                },
+                [&](std::size_t i, std::size_t slot) {
+                    EXPECT_EQ(std::this_thread::get_id(), caller);
+                    EXPECT_EQ(slot, i % slots);
+                    EXPECT_EQ(buffer[slot], i);
+                    order.push_back(i);
+                    --in_flight;
+                });
+            const std::string at = "workers=" + std::to_string(workers) +
+                                   " slots=" + std::to_string(slots);
+            ASSERT_EQ(order.size(), 300u) << at;
+            for (std::size_t i = 0; i < order.size(); ++i)
+                EXPECT_EQ(order[i], i) << at;
+            // A chunk waits for its slot: never more than `slots`
+            // produced and not yet consumed.
+            EXPECT_LE(peak.load(), static_cast<int>(slots)) << at;
+        }
+    }
+    int calls = 0;
+    orderedPipeline(
+        3, 0, 2, [&](std::size_t, std::size_t) { ++calls; },
+        [&](std::size_t, std::size_t) { ++calls; });
+    EXPECT_EQ(calls, 0);
+}
+
+TEST(OrderedPipeline, ThrowRethrowsLowestChunkWithoutHanging)
+{
+    // A throwing produce (a server's finishStats failing on a dump
+    // worker) reaches the caller once the threads have joined: the
+    // lowest throwing chunk's exception, after every chunk below it
+    // was consumed in order, at every worker and slot count.
+    for (unsigned workers : {0u, 1u, 3u, 8u}) {
+        for (std::size_t slots : {1u, 2u, 6u}) {
+            std::vector<std::size_t> consumed;
+            try {
+                orderedPipeline(
+                    workers, 400, slots,
+                    [&](std::size_t i, std::size_t) {
+                        if (i >= 37 && i % 5 == 2)
+                            throw std::runtime_error("boom " +
+                                                     std::to_string(i));
+                    },
+                    [&](std::size_t i, std::size_t) {
+                        consumed.push_back(i);
+                    });
+                FAIL() << "expected a rethrow";
+            } catch (const std::runtime_error &e) {
+                EXPECT_STREQ(e.what(), "boom 37")
+                    << "workers=" << workers << " slots=" << slots;
+            }
+            ASSERT_EQ(consumed.size(), 37u);
+            for (std::size_t i = 0; i < consumed.size(); ++i)
+                EXPECT_EQ(consumed[i], i);
+        }
+    }
+}
+
+TEST(OrderedPipeline, ThrowingConsumeStopsTheWorkers)
+{
+    for (unsigned workers : {0u, 3u}) {
+        std::atomic<std::size_t> produced{0};
+        try {
+            orderedPipeline(
+                workers, 1000, 4,
+                [&](std::size_t, std::size_t) { ++produced; },
+                [&](std::size_t i, std::size_t) {
+                    if (i == 10)
+                        throw std::runtime_error("sink full");
+                });
+            FAIL() << "expected a rethrow";
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "sink full");
+        }
+        // Chunks 0..10 were produced; at most `slots` more started.
+        EXPECT_GE(produced.load(), 11u);
+        EXPECT_LE(produced.load(), 11u + 4u) << "workers=" << workers;
+    }
+}
+
+TEST(OrderedPipeline, NestedCallRunsInline)
+{
+    std::vector<int> foreign(4, 0);
+    parallelFor(4, foreign.size(), [&](std::size_t i) {
+        const std::thread::id outer = std::this_thread::get_id();
+        std::size_t next = 0;
+        orderedPipeline(
+            3, 20, 2,
+            [&](std::size_t c, std::size_t) {
+                foreign[i] += std::this_thread::get_id() != outer;
+                foreign[i] += c != next;
+            },
+            [&](std::size_t, std::size_t) { ++next; });
+        EXPECT_EQ(next, 20u);
+    });
+    for (int f : foreign)
+        EXPECT_EQ(f, 0);
 }
 
 TEST(ParallelFor, ManySimulatorsInParallel)
