@@ -1,7 +1,11 @@
 #include "datacenter.hh"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
+#include <new>
 #include <ostream>
 
 #include "exp/parallel_for.hh"
@@ -10,6 +14,78 @@
 #include "sim/stats.hh"
 
 namespace holdcsim {
+
+namespace {
+
+/** A transparent huge page: one PMD extent with 4 KiB base pages. */
+constexpr std::size_t hugePageBytes = std::size_t{2} << 20;
+
+std::size_t
+roundUp(std::size_t n, std::size_t to)
+{
+    return (n + to - 1) / to * to;
+}
+
+} // namespace
+
+void
+DataCenter::Fleet::map(std::size_t n, unsigned n_cores)
+{
+    _serverBytes = roundUp(sizeof(Server), CorePool::slotBlockAlign());
+    _stride = roundUp(_serverBytes + CorePool::slotBlockBytes(n_cores),
+                      alignof(Server));
+    const std::size_t bytes = n * _stride;
+    if (bytes == 0)
+        return;
+    // A block of one extent or more spans whole extents from a 2 MiB
+    // boundary, so each can be one huge page: over-map by an extent,
+    // then trim to the boundary. A smaller block could not get a huge
+    // page anyway, so it keeps 4 KiB pages and its footprint.
+    const bool huge = bytes >= hugePageBytes;
+    const std::size_t slack = huge ? hugePageBytes : 0;
+    _mapped = roundUp(bytes, huge ? hugePageBytes
+                                  : static_cast<std::size_t>(
+                                        sysconf(_SC_PAGESIZE)));
+    void *p = mmap(nullptr, _mapped + slack, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED)
+        throw std::bad_alloc();
+    const auto addr = reinterpret_cast<std::uintptr_t>(p);
+    const std::size_t head = huge ? roundUp(addr, hugePageBytes) - addr : 0;
+    _base = static_cast<std::byte *>(p) + head;
+    if (head > 0)
+        munmap(p, head);
+    if (slack > head)
+        munmap(_base + _mapped, slack - head);
+#ifdef MADV_HUGEPAGE
+    // Advice only: where THP is off the block stays on 4 KiB pages.
+    if (huge)
+        madvise(_base, _mapped, MADV_HUGEPAGE);
+#endif
+}
+
+Server &
+DataCenter::Fleet::emplace(Simulator &sim, const ServerConfig &config,
+                           std::shared_ptr<const ServerPowerProfile> profile)
+{
+    if ((_built + 1) * _stride > _mapped ||
+        _serverBytes + CorePool::slotBlockBytes(config.nCores) > _stride)
+        HOLDCSIM_PANIC("server ", _built, " does not fit the fleet block");
+    std::byte *at = _base + _built * _stride;
+    Server *server = new (at)
+        Server(sim, config, std::move(profile), at + _serverBytes);
+    ++_built;
+    return *server;
+}
+
+DataCenter::Fleet::~Fleet()
+{
+    for (std::size_t i = 0; i < _built; ++i)
+        std::launder(reinterpret_cast<Server *>(_base + i * _stride))
+            ->~Server();
+    if (_base)
+        munmap(_base, _mapped);
+}
 
 /** One workload source feeding the scheduler. */
 struct DataCenter::Pump {
@@ -138,7 +214,7 @@ DataCenter::DataCenter(const DataCenterConfig &config)
     // One immutable profile for the whole fleet, not one per server.
     _serverProfile =
         std::make_shared<const ServerPowerProfile>(_config.serverProfile);
-    _servers.reserve(_config.nServers);
+    _fleet.map(_config.nServers, _config.nCores);
     // The scheduler keeps the one list of server pointers.
     std::vector<Server *> fleet;
     fleet.reserve(_config.nServers);
@@ -149,11 +225,10 @@ DataCenter::DataCenter(const DataCenterConfig &config)
         sc.queueMode = _config.queueMode;
         sc.corePick = _config.corePick;
         sc.allowPkgC6 = _config.allowPkgC6;
-        auto server = std::make_unique<Server>(_sim, sc, _serverProfile);
+        Server &server = _fleet.emplace(_sim, sc, _serverProfile);
         if (_config.controller == DataCenterConfig::Controller::delayTimer)
-            server->setDelayTimer(_config.delayTimerTau);
-        fleet.push_back(server.get());
-        _servers.push_back(std::move(server));
+            server.setDelayTimer(_config.delayTimerTau);
+        fleet.push_back(&server);
     }
 
     std::unique_ptr<DispatchPolicy> policy;
@@ -177,7 +252,7 @@ DataCenter::DataCenter(const DataCenterConfig &config)
     gsc.antiAffinity = _config.taskAntiAffinity;
     _sched = std::make_unique<GlobalScheduler>(
         _sim, std::move(fleet), std::move(policy), gsc, _net.get());
-    if (_config.mc.seedBug && _servers.size() >= 2)
+    if (_config.mc.seedBug && numServers() >= 2)
         _sched->debugArmPairCrashBug(0, 1);
 
     if (_config.fault.enabled) {
@@ -422,7 +497,7 @@ Watts
 DataCenter::serverPower() const
 {
     Watts total = 0.0;
-    for (const auto &s : _servers)
+    for (const Server *s : serverPtrs())
         total += s->power();
     return total;
 }
@@ -437,7 +512,7 @@ std::size_t
 DataCenter::awakeServers() const
 {
     std::size_t count = 0;
-    for (const auto &s : _servers)
+    for (const Server *s : serverPtrs())
         count += !s->isAsleep();
     return count;
 }
@@ -445,7 +520,7 @@ DataCenter::awakeServers() const
 void
 DataCenter::finishStats()
 {
-    for (auto &s : _servers)
+    for (Server *s : serverPtrs())
         s->finishStats();
     finishSharedStats();
 }
@@ -469,7 +544,7 @@ DataCenter::statsDumpWorkers() const
     // Serial with a tracer, which must see every server close its
     // slices on this thread and before the fabric's, as finishStats()
     // orders them; and in a parallelFor cell, which has its thread.
-    const std::size_t n = _servers.size();
+    const std::size_t n = numServers();
     if (n < 2 * statsChunkServers || _sim.tracer() || inParallelWorker())
         return 0;
     const std::size_t chunks = (n + statsChunkServers - 1) / statsChunkServers;
@@ -591,13 +666,13 @@ DataCenter::dumpServerRows(std::ostream &os, unsigned workers)
     // Workers settle and format contiguous chunks into a ring of two
     // buffers each while this thread writes the chunks in fleet order;
     // with no workers, this thread does both, chunk by chunk.
-    const std::size_t n = _servers.size();
+    const std::size_t n = numServers();
     std::vector<StatGroup> ring(std::max(2 * workers, 1u), StatGroup(""));
     auto produce = [&](std::size_t chunk, std::size_t slot) {
         StatGroup &rows = ring[slot];
         const std::size_t end = std::min(n, (chunk + 1) * statsChunkServers);
         for (std::size_t i = chunk * statsChunkServers; i < end; ++i) {
-            Server &srv = *_servers[i];
+            Server &srv = *serverPtrs()[i];
             srv.finishStats(); // a no-op after the serial finishStats()
             rows.row("server", srv.id());
             const EnergyBreakdown &e = srv.energy();
@@ -629,7 +704,7 @@ DataCenter::dumpServerRows(std::ostream &os, unsigned workers)
 void
 DataCenter::resetStats()
 {
-    for (auto &s : _servers)
+    for (Server *s : serverPtrs())
         s->resetStats();
     if (_net) {
         for (std::size_t i = 0; i < _net->numSwitches(); ++i)

@@ -1,5 +1,7 @@
 #include "parallel_for.hh"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
@@ -51,6 +53,12 @@ runThreads(std::size_t count, const Body &body, const Stop &stop,
 unsigned
 defaultWorkers()
 {
+    // The CPUs this thread may run on (taskset, cgroup cpusets), not
+    // every CPU the host has.
+    cpu_set_t cpus;
+    CPU_ZERO(&cpus);
+    if (sched_getaffinity(0, sizeof cpus, &cpus) == 0 && CPU_COUNT(&cpus) > 0)
+        return static_cast<unsigned>(CPU_COUNT(&cpus));
     unsigned n = std::thread::hardware_concurrency();
     return n > 0 ? n : 1;
 }

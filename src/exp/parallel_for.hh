@@ -23,7 +23,8 @@
 
 namespace holdcsim {
 
-/** Worker count used for workers = 0: one per hardware thread. */
+/** Worker count used for workers = 0: one per CPU the calling thread
+ *  may run on (its affinity mask), else one per hardware thread. */
 unsigned defaultWorkers();
 
 /** True on a thread parallelFor or orderedPipeline started. */

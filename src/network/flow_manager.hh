@@ -26,6 +26,10 @@
  * Transfers of at most `fast_path_kb` never enter the solver: they
  * complete after path latency plus serialization at the bottleneck
  * link rate (constant-latency model, SimGrid's network_constant).
+ *
+ * Model limit: only that fast path pays link latency. A solver flow
+ * carries none: it completes once its bytes have drained at its
+ * max-min rates, however many hops its path has.
  */
 
 #ifndef HOLDCSIM_NETWORK_FLOW_MANAGER_HH

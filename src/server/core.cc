@@ -1,5 +1,7 @@
 #include "core.hh"
 
+#include <memory>
+
 #include "sim/logging.hh"
 
 namespace holdcsim {
@@ -28,9 +30,11 @@ deeper(CoreCState s)
 CorePool::CorePool(Simulator &sim, CoreHost &host,
                    std::shared_ptr<const ServerPowerProfile> profile,
                    unsigned n_cores,
-                   const std::vector<double> &base_freqs_ghz)
-    : _size(n_cores), _sim(sim), _host(host),
-      _profile(std::move(profile)), _settledEpoch(sim.epoch())
+                   const std::vector<double> &base_freqs_ghz,
+                   void *slot_block)
+    : _size(n_cores), _ownsSlots(slot_block == nullptr), _sim(sim),
+      _host(host), _profile(std::move(profile)),
+      _settledEpoch(sim.epoch())
 {
     if (!_profile)
         fatal("a core pool needs a power profile");
@@ -39,18 +43,28 @@ CorePool::CorePool(Simulator &sim, CoreHost &host,
         fatal("a profile may define at most 256 P-states");
     if (n_cores == 0)
         fatal("a core pool needs at least one core");
+    if (n_cores != _size)
+        fatal("a core pool holds at most 2^31 - 1 cores");
     if (!base_freqs_ghz.empty() && base_freqs_ghz.size() != n_cores)
         fatal("base_freqs_ghz must be empty or have one entry per core");
     for (double f : base_freqs_ghz)
         if (f <= 0.0)
             fatal("core base frequency must be positive");
 
-    _slots = std::make_unique<Slot[]>(n_cores);
     if (!base_freqs_ghz.empty()) {
         _baseFreqGhz = std::make_unique<double[]>(n_cores);
         std::copy(base_freqs_ghz.begin(), base_freqs_ghz.end(),
                   _baseFreqGhz.get());
     }
+
+    // The pool's own block is held here until the pool is registered,
+    // so a throw on the way frees it.
+    auto release = [](void *block) { ::operator delete(block); };
+    std::unique_ptr<void, decltype(release)> own(
+        _ownsSlots ? ::operator new(slotBlockBytes(n_cores)) : nullptr,
+        release);
+    _slots = static_cast<Slot *>(_ownsSlots ? own.get() : slot_block);
+    std::uninitialized_value_construct_n(_slots, n_cores);
 
     const Tick now = sim.curTick();
     for (unsigned c = 0; c < n_cores; ++c) {
@@ -59,6 +73,7 @@ CorePool::CorePool(Simulator &sim, CoreHost &host,
         armStage(c, now);
     }
     sim.addDeferred(*this);
+    own.release();
 }
 
 CorePool::~CorePool()
@@ -68,6 +83,8 @@ CorePool::~CorePool()
             _sim.deschedule(b.completion);
     }
     _sim.removeDeferred(*this);
+    if (_ownsSlots)
+        ::operator delete(_slots);
 }
 
 double

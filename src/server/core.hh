@@ -13,11 +13,12 @@
  *
  * Storage layout: cores are not individually-allocated objects. A
  * server owns one CorePool, which keeps its cores in one exact-size
- * array of 80-byte per-core slots. A slot holds what every core
- * carries, idle or not -- C-state and P-state (a byte each), the tick
- * its next idle stage is due and its residency book, sized to the
- * five C-states -- which is all an idle-governor demotion or a power
- * sum reads. What matters only while a task runs (the task, its start
+ * array of 80-byte per-core slots: in the block its DataCenter builds
+ * the whole fleet in, or in one allocation of its own for a server
+ * built alone. A slot holds what every core carries, idle or not --
+ * C-state and P-state (a byte each), the tick its next idle stage is
+ * due and its residency book, sized to the five C-states -- which is
+ * all an idle-governor demotion or a power sum reads. What matters only while a task runs (the task, its start
  * tick and its completion event) lives in a second array, the busy
  * block, which the pool builds on its first task and keeps for its
  * life: a server whose cores never run a task never carries it, and a
@@ -54,6 +55,7 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "power_profile.hh"
@@ -121,11 +123,18 @@ class CorePool : public DeferredTimers
      *                       empty (every core runs at the profile's
      *                       P0 frequency) or one positive entry per
      *                       core
+     * @param slot_block     where the slots go: slotBlockBytes(n_cores)
+     *                       bytes aligned to slotBlockAlign() that the
+     *                       caller keeps for the pool's lifetime (a
+     *                       DataCenter puts every server's slots in its
+     *                       fleet block); null, the pool allocates and
+     *                       frees its own
      */
     CorePool(Simulator &sim, CoreHost &host,
              std::shared_ptr<const ServerPowerProfile> profile,
              unsigned n_cores,
-             const std::vector<double> &base_freqs_ghz = {});
+             const std::vector<double> &base_freqs_ghz = {},
+             void *slot_block = nullptr);
 
     /** As above, with a profile the caller keeps alive for the
      *  pool's lifetime (not owned). */
@@ -195,12 +204,15 @@ class CorePool : public DeferredTimers
     bool busyStateBuilt() const { return !_busy.empty(); }
     ///@}
 
-    /** Heap bytes of the slot block an @p n_cores pool holds. */
+    /** Bytes of the slot block an @p n_cores pool holds. */
     static std::size_t
     slotBlockBytes(unsigned n_cores)
     {
         return n_cores * sizeof(Slot);
     }
+
+    /** Alignment a caller's slot block needs. */
+    static constexpr std::size_t slotBlockAlign() { return alignof(Slot); }
 
     /** Heap bytes of the busy block an @p n_cores pool builds. */
     static std::size_t
@@ -244,6 +256,8 @@ using CoreResidency = StateBook<5>;
         CoreResidency residency;
     };
     static_assert(sizeof(Slot) <= 80, "the core slot grew");
+    /** Nothing to run when a slot block goes, whoever owns it. */
+    static_assert(std::is_trivially_destructible_v<Slot>);
 
     /** What one core carries only while it runs a task. */
     struct Busy {
@@ -276,13 +290,16 @@ using CoreResidency = StateBook<5>;
     Tick exitLatency(CoreCState from) const;
     void setTraceLabel(unsigned c, std::string label);
 
-    /** First, so it packs into DeferredTimers' tail padding. */
-    unsigned _size;
+    /** First, so they pack into DeferredTimers' tail padding. */
+    unsigned _size : 31;
+    /** Whether _slots is the pool's own allocation (no caller block). */
+    unsigned _ownsSlots : 1;
     Simulator &_sim;
     CoreHost &_host;
     std::shared_ptr<const ServerPowerProfile> _profile;
 
-    std::unique_ptr<Slot[]> _slots;
+    /** _size slots: the caller's block or the pool's own. */
+    Slot *_slots;
     /** Per-core P0 frequency; null when every core runs at the
      *  profile's (homogeneous pools). */
     std::unique_ptr<double[]> _baseFreqGhz;

@@ -17,9 +17,10 @@ Server::Server(Simulator &sim, const ServerConfig &config,
 {}
 
 Server::Server(Simulator &sim, const ServerConfig &config,
-               std::shared_ptr<const ServerPowerProfile> profile)
+               std::shared_ptr<const ServerPowerProfile> profile,
+               void *slot_block)
     : _corePool(sim, *this, std::move(profile), config.nCores,
-                config.coreFreqGhz),
+                config.coreFreqGhz, slot_block),
       _local(config.queueMode, config.corePick, config.nCores),
       _taskTypes(config.taskTypes.begin(), config.taskTypes.end()),
       _lastAccrue(sim.curTick()), _wakeDoneEvent(*this), _id(config.id),

@@ -134,9 +134,12 @@ class Server : private CoreHost
     /**
      * Build a server that shares the immutable @p profile: a plant
      * of identical servers holds one profile, not one per server.
+     * @p slot_block, when given, holds its core slots (see the
+     * CorePool constructor); by default the server allocates them.
      */
     Server(Simulator &sim, const ServerConfig &config,
-           std::shared_ptr<const ServerPowerProfile> profile);
+           std::shared_ptr<const ServerPowerProfile> profile,
+           void *slot_block = nullptr);
 
     Server(const Server &) = delete;
     Server &operator=(const Server &) = delete;

@@ -134,21 +134,29 @@ TEST(AllocBudget, WheelPlantConstructionPerServer)
     // directly: a Server can be as large as a 4-core busy block.)
     for (std::size_t i = 0; i < servers; ++i)
         EXPECT_FALSE(dc->server(i).busyStateBuilt()) << "server " << i;
+    // The servers and their core slots live in the fleet block, which
+    // is mapped, not allocated: its bytes count here too.
+    const double fleetPerServer =
+        static_cast<double>(dc->fleetBytes()) / servers;
     const double perServer =
-        static_cast<double>(bytesRequested) / servers;
+        static_cast<double>(bytesRequested + dc->fleetBytes()) / servers;
     const double allocsPerServer =
         static_cast<double>(allocations) / servers;
     RecordProperty("bytes_per_server", static_cast<int>(perServer));
+    RecordProperty("fleet_bytes_per_server",
+                   static_cast<int>(fleetPerServer));
     char allocs[32];
-    std::snprintf(allocs, sizeof allocs, "%.2f", allocsPerServer);
+    std::snprintf(allocs, sizeof allocs, "%.3f", allocsPerServer);
     RecordProperty("allocations_per_server", allocs);
-    // One block each for the server and its core slots (the delay
-    // timer is two fields of the server); the fleet vectors add a
-    // fraction more. No timer is armed: idle ladders are computed, not
-    // scheduled.
+    // A server and its core slots are one stride of the fleet block
+    // (the delay timer is two fields of the server); the fleet vectors
+    // add a fraction more, and no server allocates. No timer is armed:
+    // idle ladders are computed, not scheduled.
+    EXPECT_GE(fleetPerServer, sizeof(Server) + CorePool::slotBlockBytes(4));
     EXPECT_LE(perServer, 893.0)
-        << allocations << " allocations, " << bytesRequested << " bytes";
-    EXPECT_LE(allocsPerServer, 2.06)
+        << allocations << " allocations, " << bytesRequested << " bytes, "
+        << dc->fleetBytes() << " fleet bytes";
+    EXPECT_LE(allocsPerServer, 0.0255)
         << allocations << " allocations, " << bytesRequested << " bytes";
 }
 

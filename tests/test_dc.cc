@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -268,6 +270,80 @@ TEST(DataCenter, ServersShareOnePowerProfile)
     EXPECT_EQ(shared->pkgPc0, 12.5);
     for (std::size_t i = 1; i < dc.numServers(); ++i)
         EXPECT_EQ(&dc.server(i).profile(), shared) << "server " << i;
+}
+
+TEST(DataCenter, FleetIsOneBlock)
+{
+    constexpr std::uintptr_t extent = std::uintptr_t{2} << 20;
+    // 3 cores: 712 B a server, so 3,000 servers span two 2 MiB extents
+    // and 5 fit in one page.
+    for (unsigned n : {3000u, 5u}) {
+        DataCenterConfig cfg;
+        cfg.nServers = n;
+        cfg.nCores = 3;
+        DataCenter dc(cfg);
+        ASSERT_EQ(dc.numServers(), n);
+        // Both terms are whole multiples of the slot alignment.
+        ASSERT_EQ(sizeof(Server) % CorePool::slotBlockAlign(), 0u);
+        const std::size_t stride =
+            sizeof(Server) + CorePool::slotBlockBytes(cfg.nCores);
+        const auto *base = reinterpret_cast<const std::byte *>(&dc.server(0));
+        for (std::size_t i = 0; i < n; ++i) {
+            EXPECT_EQ(reinterpret_cast<const std::byte *>(&dc.server(i)),
+                      base + i * stride)
+                << "server " << i;
+            EXPECT_EQ(dc.server(i).id(), i);
+        }
+        const auto addr = reinterpret_cast<std::uintptr_t>(base);
+        EXPECT_GE(dc.fleetBytes(), n * stride);
+        if (n * stride >= extent) {
+            // Whole huge-page extents from a 2 MiB boundary.
+            EXPECT_EQ(addr % extent, 0u);
+            EXPECT_EQ(dc.fleetBytes() % extent, 0u);
+            EXPECT_LT(dc.fleetBytes(), n * stride + extent);
+        } else {
+            // A small fleet keeps its footprint: whole pages only.
+            EXPECT_LT(dc.fleetBytes(), n * stride + 64 * 1024);
+        }
+    }
+}
+
+// A fleet spanning two 2 MiB extents, torn down mid-run with tasks on
+// its cores and crashed servers' work waiting to retry: every server's
+// busy block, queue and pending events must go with it
+// (bench/run_sanitized.sh reports a missed ~Server as a leak).
+TEST(DataCenter, FaultedFleetTearsDownMidRun)
+{
+    DataCenterConfig cfg;
+    cfg.nServers = 5000;
+    cfg.nCores = 2;
+    cfg.seed = 5;
+    cfg.fault.enabled = true;
+    cfg.fault.mttfHours = 20.0 / 3600.0; // 20 s per server
+    cfg.fault.mttrMinutes = 0.5 / 60.0;  // 0.5 s
+    cfg.fault.maxRetries = 3;
+    auto dc = std::make_unique<DataCenter>(cfg);
+    ASSERT_GE(dc->fleetBytes(), 2 * (std::size_t{2} << 20));
+    SingleTaskGenerator gen(fixedSvc(200 * msec));
+    dc->pump(std::make_unique<PoissonArrival>(5'000.0,
+                                              dc->makeRng("arrivals")),
+             gen, 40'000);
+    dc->runUntil(1 * sec);
+
+    std::size_t busy = 0, crashed = 0, down = 0, running = 0;
+    for (std::size_t i = 0; i < dc->numServers(); ++i) {
+        const Server &s = dc->server(i);
+        busy += s.busyStateBuilt();
+        crashed += s.failures() > 0;
+        down += s.failed();
+        running += s.runningTasks();
+    }
+    EXPECT_GT(busy, 4000u);
+    EXPECT_GT(crashed, 100u);
+    EXPECT_GT(down, 10u);
+    EXPECT_GT(running, 500u);
+    EXPECT_TRUE(dc->sim().hasPendingEvents());
+    dc.reset();
 }
 
 TEST(DataCenter, FabricDictatesServerCount)

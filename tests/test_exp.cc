@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+#include <sched.h>
+
 #include <atomic>
 #include <cmath>
 #include <set>
@@ -29,6 +32,29 @@
 using namespace holdcsim;
 
 // ------------------------------------------------------------ parallelFor
+
+TEST(ParallelFor, DefaultWorkersHonoursAffinity)
+{
+    // Pin a thread of its own (not the test process) to the first CPU
+    // it may run on: one CPU means one worker.
+    unsigned pinned = 0;
+    int rc = -1;
+    std::thread([&] {
+        cpu_set_t cpus;
+        CPU_ZERO(&cpus);
+        ASSERT_EQ(sched_getaffinity(0, sizeof cpus, &cpus), 0);
+        int first = 0;
+        while (!CPU_ISSET(first, &cpus))
+            ++first;
+        CPU_ZERO(&cpus);
+        CPU_SET(first, &cpus);
+        rc = pthread_setaffinity_np(pthread_self(), sizeof cpus, &cpus);
+        pinned = defaultWorkers();
+    }).join();
+    ASSERT_EQ(rc, 0);
+    EXPECT_EQ(pinned, 1u);
+    EXPECT_GE(defaultWorkers(), 1u);
+}
 
 TEST(ParallelFor, EveryIndexRunsExactlyOnce)
 {
