@@ -15,18 +15,25 @@
  *
  * Runs on the campaign runner:
  *
- *   bench_fig4_provisioning [jobs [replicas]]
+ *   bench_fig4_provisioning [jobs [replicas]] [--json]
  *
  * Replica 0 keeps the historical seed (4), so its printed time
  * series is unchanged; extra replicas rerun the study under fresh
  * seeds and the summary reports cross-replica mean +/- 95% CI.
+ *
+ * --json prints one JSON object per line: every 2 s sample of
+ * replica 0 ("time_s", "active_jobs", "active_servers"), then one
+ * "totals" object of cross-replica means. tests/paper/
+ * fig4_provisioning.py gates it.
  */
 
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "common.hh"
 #include "dc/datacenter.hh"
 #include "dc/metrics.hh"
 #include "exp/aggregate.hh"
@@ -112,16 +119,22 @@ provisionRun(std::uint64_t seed, SeriesPair *series_out)
 int
 main(int argc, char **argv)
 {
+    std::vector<std::string> args;
+    const bool json =
+        bench::jsonFlag(argc, argv, &args, 2, "[jobs [replicas]] ");
     setQuiet(true);
-    unsigned n_jobs = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 1;
+    unsigned n_jobs =
+        args.size() > 0 ? std::strtoul(args[0].c_str(), nullptr, 10) : 1;
     std::size_t replicas =
-        argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 1;
+        args.size() > 1 ? std::strtoul(args[1].c_str(), nullptr, 10) : 1;
     if (replicas == 0)
         replicas = 1;
 
-    std::printf("== Figure 4: active jobs and active servers over "
-                "time (jobs=%u, replicas=%zu) ==\n",
-                n_jobs, replicas);
+    if (!json) {
+        std::printf("== Figure 4: active jobs and active servers over "
+                    "time (jobs=%u, replicas=%zu) ==\n",
+                    n_jobs, replicas);
+    }
 
     // Only replica 0 writes the series slot; with one attempt per
     // cell the runner runs each (point, replica) exactly once, so
@@ -140,6 +153,25 @@ main(int argc, char **argv)
                                 replica == 0 ? &series : nullptr);
         });
 
+    ResultTable table;
+    tabulate(res.records, table);
+
+    if (json) {
+        for (std::size_t i = 0; i < series.jobs.size(); ++i) {
+            std::printf("{\"time_s\": %.17g, \"active_jobs\": %.17g, "
+                        "\"active_servers\": %.17g}\n",
+                        toSeconds(series.jobs[i].when),
+                        series.jobs[i].value, series.servers[i].value);
+        }
+        std::printf("{\"totals\": true");
+        for (const std::string &metric : table.metrics()) {
+            std::printf(", \"%s\": %.17g", metric.c_str(),
+                        table.summary(0, metric).mean);
+        }
+        std::printf("}\n");
+        return 0;
+    }
+
     std::printf("time_s  active_jobs  active_servers\n");
     for (std::size_t i = 0; i < series.jobs.size(); i += 5) {
         std::printf("%6.0f  %11.0f  %14.0f\n",
@@ -147,8 +179,6 @@ main(int argc, char **argv)
                     series.jobs[i].value, series.servers[i].value);
     }
 
-    ResultTable table;
-    tabulate(res.records, table);
     if (replicas == 1) {
         std::printf("jobs completed: %.0f; park events: %.0f; "
                     "activate events: %.0f\n",

@@ -10,11 +10,17 @@
  * the deepest state (system sleep), with small wake-up/idle/pkg-C6
  * slivers -- i.e. the framework coordinates a minimal set of busy
  * servers and suspends the rest.
+ *
+ * Usage: bench_fig8_residency [--json]
+ *   --json  print one JSON object per (workload, rho) cell, one per
+ *           line, with the five residency fractions instead of the
+ *           tables. tests/paper/fig8_residency.py gates it.
  */
 
 #include <cstdio>
 #include <memory>
 
+#include "common.hh"
 #include "dc/datacenter.hh"
 #include "sched/adaptive_policy.hh"
 #include "sim/logging.hh"
@@ -25,11 +31,14 @@ using namespace holdcsim;
 namespace {
 
 void
-residencySweep(const char *name, Tick service, Tick duration)
+residencySweep(const char *name, const char *key, Tick service,
+               Tick duration, bool json)
 {
-    std::printf("-- %s (service %.0f ms), 10 x 10-core servers --\n",
-                name, toSeconds(service) * 1e3);
-    std::printf("rho   active  wakeup   idle   pkgC6  sysSleep\n");
+    if (!json) {
+        std::printf("-- %s (service %.0f ms), 10 x 10-core servers --\n",
+                    name, toSeconds(service) * 1e3);
+        std::printf("rho   active  wakeup   idle   pkgC6  sysSleep\n");
+    }
     for (int r = 1; r <= 9; ++r) {
         double rho = r / 10.0;
         DataCenterConfig cfg;
@@ -63,23 +72,37 @@ residencySweep(const char *name, Tick service, Tick duration)
         wasp.stop();
         dc.run();
         auto frac = dc.residency();
+        if (json) {
+            std::printf("{\"workload\": \"%s\", \"rho\": %.1f, "
+                        "\"active\": %.17g, \"wakeup\": %.17g, "
+                        "\"idle\": %.17g, \"pkg_c6\": %.17g, "
+                        "\"sys_sleep\": %.17g}\n",
+                        key, rho, frac[0], frac[1], frac[2], frac[3],
+                        frac[4]);
+            continue;
+        }
         std::printf("%.1f   %5.1f%%  %5.1f%%  %5.1f%%  %5.1f%%  "
                     "%6.1f%%\n",
                     rho, 100 * frac[0], 100 * frac[1], 100 * frac[2],
                     100 * frac[3], 100 * frac[4]);
     }
-    std::printf("\n");
+    if (!json)
+        std::printf("\n");
 }
 
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    const bool json = bench::jsonFlag(argc, argv);
     setQuiet(true);
-    std::printf("== Figure 8: state residency under the adaptive "
-                "framework ==\n");
-    residencySweep("web search", 5 * msec, 60 * sec);
-    residencySweep("web serving", 120 * msec, 120 * sec);
+    if (!json) {
+        std::printf("== Figure 8: state residency under the adaptive "
+                    "framework ==\n");
+    }
+    residencySweep("web search", "search", 5 * msec, 60 * sec, json);
+    residencySweep("web serving", "serving", 120 * msec, 120 * sec,
+                   json);
     return 0;
 }

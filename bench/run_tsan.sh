@@ -10,7 +10,9 @@
 # campaign runner's threads, and DataCenter's stats dump, whose
 # server rows settle and format on orderedPipeline workers while the
 # calling thread writes them (the faulted star plants of the dump
-# gates, with a nested serial dump and a traced one).
+# gates, with a nested serial dump and a traced one), and its fleet
+# build, whose servers are constructed and registered on parallelFor
+# workers (an 8,000-server faulted fleet, built and run twice).
 # Usage: bench/run_tsan.sh [build-dir]
 set -euo pipefail
 
@@ -26,4 +28,4 @@ TSAN_OPTIONS=halt_on_error=1 "$BUILD_DIR"/tests/test_pdes
 TSAN_OPTIONS=halt_on_error=1 "$BUILD_DIR"/tests/test_mc \
     --gtest_filter='Explorer.*:Oracle.*'
 TSAN_OPTIONS=halt_on_error=1 "$BUILD_DIR"/tests/test_dc \
-    --gtest_filter='DataCenter.*StatsDump*:IdleLadderGolden.*'
+    --gtest_filter='DataCenter.*StatsDump*:IdleLadderGolden.*:DataCenter.ParallelBuildMatchesSerialBuild'

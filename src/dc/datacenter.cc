@@ -34,6 +34,7 @@ DataCenter::Fleet::map(std::size_t n, unsigned n_cores)
     _serverBytes = roundUp(sizeof(Server), CorePool::slotBlockAlign());
     _stride = roundUp(_serverBytes + CorePool::slotBlockBytes(n_cores),
                       alignof(Server));
+    _n = n;
     const std::size_t bytes = n * _stride;
     if (bytes == 0)
         return;
@@ -64,25 +65,59 @@ DataCenter::Fleet::map(std::size_t n, unsigned n_cores)
 #endif
 }
 
-Server &
-DataCenter::Fleet::emplace(Simulator &sim, const ServerConfig &config,
-                           std::shared_ptr<const ServerPowerProfile> profile)
+std::size_t
+DataCenter::Fleet::chunkStart(std::size_t c) const
 {
-    if ((_built + 1) * _stride > _mapped ||
-        _serverBytes + CorePool::slotBlockBytes(config.nCores) > _stride)
-        HOLDCSIM_PANIC("server ", _built, " does not fit the fleet block");
-    std::byte *at = _base + _built * _stride;
-    Server *server = new (at)
-        Server(sim, config, std::move(profile), at + _serverBytes);
-    ++_built;
-    return *server;
+    return std::min(_n, (c * hugePageBytes + _stride - 1) / _stride);
+}
+
+template <typename Setup>
+void
+DataCenter::Fleet::build(
+    Simulator &sim, const ServerConfig &config,
+    const std::shared_ptr<const ServerPowerProfile> &profile, bool threads,
+    const Setup &setup)
+{
+    if (_serverBytes + CorePool::slotBlockBytes(config.nCores) > _stride)
+        HOLDCSIM_PANIC("a ", config.nCores,
+                       "-core server does not fit the fleet block");
+    const std::size_t used = _n * _stride;
+    const std::size_t chunks =
+        _n == 0 ? 0 : (used - _stride) / hugePageBytes + 1;
+    const std::size_t deferred = sim.reserveDeferred(_n);
+    _built.assign(chunks, 0);
+    const unsigned workers = threads && used >= 2 * hugePageBytes ? 0 : 1;
+    parallelFor(workers, chunks, [&](std::size_t c) {
+        ServerConfig sc = config;
+        // Counted here and stored once: chunks' counts share a line.
+        std::size_t built = 0;
+        try {
+            for (std::size_t i = chunkStart(c); i < chunkStart(c + 1);
+                 ++i) {
+                std::byte *at = _base + i * _stride;
+                const CorePlacement place{at + _serverBytes, deferred + i};
+                sc.id = static_cast<unsigned>(i);
+                Server *server = new (at) Server(sim, sc, profile, &place);
+                ++built;
+                setup(i, *server);
+            }
+        } catch (...) {
+            _built[c] = built;
+            throw;
+        }
+        _built[c] = built;
+    });
 }
 
 DataCenter::Fleet::~Fleet()
 {
-    for (std::size_t i = 0; i < _built; ++i)
-        std::launder(reinterpret_cast<Server *>(_base + i * _stride))
-            ->~Server();
+    for (std::size_t c = 0; c < _built.size(); ++c) {
+        for (std::size_t i = chunkStart(c), end = i + _built[c]; i < end;
+             ++i) {
+            std::launder(reinterpret_cast<Server *>(_base + i * _stride))
+                ->~Server();
+        }
+    }
     if (_base)
         munmap(_base, _mapped);
 }
@@ -211,26 +246,6 @@ DataCenter::DataCenter(const DataCenterConfig &config)
                                          _config.netConfig);
     }
 
-    // One immutable profile for the whole fleet, not one per server.
-    _serverProfile =
-        std::make_shared<const ServerPowerProfile>(_config.serverProfile);
-    _fleet.map(_config.nServers, _config.nCores);
-    // The scheduler keeps the one list of server pointers.
-    std::vector<Server *> fleet;
-    fleet.reserve(_config.nServers);
-    for (unsigned i = 0; i < _config.nServers; ++i) {
-        ServerConfig sc;
-        sc.id = i;
-        sc.nCores = _config.nCores;
-        sc.queueMode = _config.queueMode;
-        sc.corePick = _config.corePick;
-        sc.allowPkgC6 = _config.allowPkgC6;
-        Server &server = _fleet.emplace(_sim, sc, _serverProfile);
-        if (_config.controller == DataCenterConfig::Controller::delayTimer)
-            server.setDelayTimer(_config.delayTimerTau);
-        fleet.push_back(&server);
-    }
-
     std::unique_ptr<DispatchPolicy> policy;
     switch (_config.dispatch) {
       case DataCenterConfig::Dispatch::roundRobin:
@@ -250,8 +265,33 @@ DataCenter::DataCenter(const DataCenterConfig &config)
     GlobalSchedulerConfig gsc;
     gsc.useGlobalQueue = _config.useGlobalQueue;
     gsc.antiAffinity = _config.taskAntiAffinity;
+    // The scheduler keeps the one list of server pointers; it takes
+    // each server as it is built.
     _sched = std::make_unique<GlobalScheduler>(
-        _sim, std::move(fleet), std::move(policy), gsc, _net.get());
+        _sim, _config.nServers, std::move(policy), gsc, _net.get());
+
+    // One immutable profile for the whole fleet, not one per server:
+    // the config's, validated once by _config.validate() above, which
+    // outlives the fleet. Not owned, so sharing it costs no reference
+    // count.
+    const std::shared_ptr<const ServerPowerProfile> profile(
+        std::shared_ptr<const ServerPowerProfile>(), &_config.serverProfile);
+    ServerConfig sc;
+    sc.nCores = _config.nCores;
+    sc.queueMode = _config.queueMode;
+    sc.corePick = _config.corePick;
+    sc.allowPkgC6 = _config.allowPkgC6;
+    const bool delay_timer =
+        _config.controller == DataCenterConfig::Controller::delayTimer;
+    _fleet.map(_config.nServers, _config.nCores);
+    // A tracer keeps the build on this thread: servers register their
+    // trace tracks as they are built, and the track order is output.
+    _fleet.build(_sim, sc, profile, !_tracer,
+                 [&](std::size_t i, Server &server) {
+                     if (delay_timer)
+                         server.setDelayTimer(_config.delayTimerTau);
+                     _sched->adopt(i, server);
+                 });
     if (_config.mc.seedBug && numServers() >= 2)
         _sched->debugArmPairCrashBug(0, 1);
 

@@ -172,19 +172,38 @@ class DataCenter
 
         /** Map room for @p n servers of @p n_cores cores each. */
         void map(std::size_t n, unsigned n_cores);
-        /** Build the next server (ids in order) in its place. */
-        Server &emplace(Simulator &sim, const ServerConfig &config,
-                        std::shared_ptr<const ServerPowerProfile> profile);
+        /**
+         * Build every mapped server in its place, registering its core
+         * pool in a deferred-timer slot reserved for the whole fleet
+         * (server i in the i-th, as if each had appended itself), then
+         * call setup(i, server). Chunks of servers, those whose first
+         * byte lies in one 2 MiB extent, run on parallelFor workers:
+         * one extent, and so each huge page, per chunk. One worker, in
+         * id order on the calling thread, unless @p threads and the
+         * fleet spans two extents or more. A server's construction
+         * schedules no event and draws no random number, so the fleet
+         * is the same either way (DESIGN.md §4). If a server throws,
+         * the ones built so far stay built (the destructor destroys
+         * exactly those), and the lowest chunk's exception propagates.
+         */
+        template <typename Setup>
+        void build(Simulator &sim, const ServerConfig &config,
+                   const std::shared_ptr<const ServerPowerProfile> &profile,
+                   bool threads, const Setup &setup);
         std::size_t mappedBytes() const { return _mapped; }
 
       private:
+        /** First server of build chunk @p c (n past the last). */
+        std::size_t chunkStart(std::size_t c) const;
+
         std::byte *_base = nullptr;
         std::size_t _mapped = 0;
+        std::size_t _n = 0;
         /** Bytes of a Server, rounded up for its slot block. */
         std::size_t _serverBytes = 0;
         std::size_t _stride = 0;
-        /** Servers built so far. */
-        std::size_t _built = 0;
+        /** Servers built in each chunk, from its first one. */
+        std::vector<std::size_t> _built;
     };
 
     /** Close every book but the servers': fabric, faults, telemetry. */
@@ -208,8 +227,6 @@ class DataCenter
     std::unique_ptr<LayerProbe> _profiler;
     std::unique_ptr<Sampler> _sampler;
     std::unique_ptr<Network> _net;
-    /** The one power profile every server shares. */
-    std::shared_ptr<const ServerPowerProfile> _serverProfile;
     Fleet _fleet;
     /** Jitter stream handed to the scheduler; must outlive it. */
     std::unique_ptr<Rng> _retryJitter;

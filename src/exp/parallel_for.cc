@@ -91,20 +91,26 @@ parallelFor(unsigned workers, std::size_t n,
         }
     };
 
-    if (workers == 1 || tlInWorker) {
+    if (workers == 1 || tlInWorker || n == 0) {
         for (std::size_t i = 0; i < n; ++i)
             call(i);
     } else {
         std::atomic<std::size_t> next{0};
-        // A failed thread start lets the started threads finish their
-        // current index before the failure is reported.
-        runThreads(
-            std::min<std::size_t>(workers, n),
-            [&] {
-                for (std::size_t i = next++; i < n; i = next++)
-                    call(i);
-            },
-            [&] { next = n; }, [] {});
+        auto claim = [&] {
+            for (std::size_t i = next++; i < n; i = next++)
+                call(i);
+        };
+        // The calling thread is one of the workers, so nested calls it
+        // makes run inline too. A failed thread start lets the started
+        // threads finish their current index before the failure is
+        // reported.
+        runThreads(std::min<std::size_t>(workers, n) - 1, claim,
+                   [&] { next = n; },
+                   [&] {
+                       tlInWorker = true;
+                       claim();
+                       tlInWorker = false;
+                   });
     }
 
     if (error)

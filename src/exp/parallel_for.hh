@@ -27,7 +27,8 @@ namespace holdcsim {
  *  may run on (its affinity mask), else one per hardware thread. */
 unsigned defaultWorkers();
 
-/** True on a thread parallelFor or orderedPipeline started. */
+/** True on a thread parallelFor or orderedPipeline started, and on
+ *  a parallelFor caller while it claims indices with them. */
 bool inParallelWorker();
 
 /**
@@ -35,9 +36,10 @@ bool inParallelWorker();
  *
  * workers == 1, or a call from a worker thread, runs inline on the
  * calling thread in index order: the sequential reference. Otherwise
- * min(workers, n) threads (workers = 0 means defaultWorkers()) claim
- * indices from a shared counter, so iterations run concurrently and
- * in any order; fn must only touch per-index state.
+ * min(workers, n) workers (workers = 0 means defaultWorkers()) claim
+ * indices from a shared counter: the calling thread and
+ * min(workers, n) - 1 threads it starts. Iterations run concurrently
+ * and in any order; fn must only touch per-index state.
  *
  * A throwing fn(i) does not stop the other indices. After every
  * index has run, the exception of the lowest throwing index is

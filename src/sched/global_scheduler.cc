@@ -13,21 +13,34 @@ GlobalScheduler::GlobalScheduler(Simulator &sim,
                                  std::unique_ptr<DispatchPolicy> policy,
                                  GlobalSchedulerConfig config,
                                  Network *net)
-    : _sim(sim), _servers(std::move(servers)),
-      _policy(std::move(policy)), _config(config), _net(net),
-      _eligible(_servers.size(), true), _oneShots(sim, "sched.retry")
+    : GlobalScheduler(sim, servers.size(), std::move(policy), config, net)
 {
-    if (_servers.empty())
+    for (std::size_t i = 0; i < servers.size(); ++i)
+        adopt(i, *servers[i]);
+}
+
+GlobalScheduler::GlobalScheduler(Simulator &sim, std::size_t n,
+                                 std::unique_ptr<DispatchPolicy> policy,
+                                 GlobalSchedulerConfig config,
+                                 Network *net)
+    : _sim(sim), _servers(n), _policy(std::move(policy)), _config(config),
+      _net(net), _eligible(n, true), _oneShots(sim, "sched.retry")
+{
+    if (n == 0)
         fatal("global scheduler needs at least one server");
     if (!_policy)
         fatal("global scheduler needs a dispatch policy");
-    for (std::size_t i = 0; i < _servers.size(); ++i) {
-        if (_servers[i]->id() != i)
-            fatal("server ", i, " must be configured with id ", i);
-        _servers[i]->setTaskSink(this);
-    }
-    if (_net && _net->topology().numServers() < _servers.size())
+    if (_net && _net->topology().numServers() < n)
         fatal("network topology has fewer servers than the fleet");
+}
+
+void
+GlobalScheduler::adopt(std::size_t i, Server &server)
+{
+    if (server.id() != i)
+        fatal("server ", i, " must be configured with id ", i);
+    server.setTaskSink(this);
+    _servers[i] = &server;
 }
 
 void

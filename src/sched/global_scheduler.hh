@@ -77,6 +77,24 @@ class GlobalScheduler : private TaskSink
                     GlobalSchedulerConfig config = {},
                     Network *net = nullptr);
 
+    /**
+     * A scheduler for a fleet of @p n servers still to be built: the
+     * caller hands each over with adopt() before the first job. (A
+     * DataCenter does so on its build workers, while each server's
+     * memory is hot.) The other parameters are as above.
+     */
+    GlobalScheduler(Simulator &sim, std::size_t n,
+                    std::unique_ptr<DispatchPolicy> policy,
+                    GlobalSchedulerConfig config = {},
+                    Network *net = nullptr);
+
+    /**
+     * Take @p server, which must have id @p i, into the fleet as
+     * server i; its finished tasks come here. Calls for distinct
+     * servers may run concurrently.
+     */
+    void adopt(std::size_t i, Server &server);
+
     /** Accept a job (ownership transfers). */
     void submitJob(Job job);
 

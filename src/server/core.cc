@@ -31,16 +31,15 @@ CorePool::CorePool(Simulator &sim, CoreHost &host,
                    std::shared_ptr<const ServerPowerProfile> profile,
                    unsigned n_cores,
                    const std::vector<double> &base_freqs_ghz,
-                   void *slot_block)
-    : _size(n_cores), _ownsSlots(slot_block == nullptr), _sim(sim),
+                   const CorePlacement *placement)
+    : _size(n_cores), _ownsSlots(placement == nullptr), _sim(sim),
       _host(host), _profile(std::move(profile)),
       _settledEpoch(sim.epoch())
 {
     if (!_profile)
         fatal("a core pool needs a power profile");
-    _profile->validate();
-    if (_profile->pstates.size() > 256)
-        fatal("a profile may define at most 256 P-states");
+    if (!placement)
+        _profile->validate();
     if (n_cores == 0)
         fatal("a core pool needs at least one core");
     if (n_cores != _size)
@@ -63,7 +62,8 @@ CorePool::CorePool(Simulator &sim, CoreHost &host,
     std::unique_ptr<void, decltype(release)> own(
         _ownsSlots ? ::operator new(slotBlockBytes(n_cores)) : nullptr,
         release);
-    _slots = static_cast<Slot *>(_ownsSlots ? own.get() : slot_block);
+    _slots = static_cast<Slot *>(_ownsSlots ? own.get()
+                                            : placement->slotBlock);
     std::uninitialized_value_construct_n(_slots, n_cores);
 
     const Tick now = sim.curTick();
@@ -72,7 +72,10 @@ CorePool::CorePool(Simulator &sim, CoreHost &host,
         s.residency.enter(static_cast<int>(s.cstate), now);
         armStage(c, now);
     }
-    sim.addDeferred(*this);
+    if (placement)
+        sim.addDeferredAt(*this, placement->deferredSlot);
+    else
+        sim.addDeferred(*this);
     own.release();
 }
 

@@ -105,6 +105,20 @@ class CoreHost
 };
 
 /**
+ * Where a fleet that builds its servers in one block (DataCenter)
+ * places one server's core pool. The fleet keeps the slot block for
+ * the pool's lifetime, has reserved the pool's deferred-timer slot
+ * (Simulator::reserveDeferred()), and has validated the profile its
+ * servers share, once for all of them.
+ */
+struct CorePlacement {
+    /** slotBlockBytes(n_cores) bytes aligned to slotBlockAlign(). */
+    void *slotBlock = nullptr;
+    /** The pool's slot in the Simulator's deferred-timer list. */
+    std::size_t deferredSlot = 0;
+};
+
+/**
  * All cores of one server, in one exact-size array of per-core
  * slots. Fixed-size: the core count is set at construction.
  */
@@ -116,25 +130,23 @@ class CorePool : public DeferredTimers
      * @param host           owner notified of accrual/state/completion
      * @param profile        power/latency profile, shared with the
      *                       pool (a plant of identical servers holds
-     *                       one); validated here
+     *                       one); validated here unless placed
      * @param n_cores        number of cores, at least one
      * @param base_freqs_ghz per-core P0 frequencies (heterogeneous
      *                       processors give cores different bases):
      *                       empty (every core runs at the profile's
      *                       P0 frequency) or one positive entry per
      *                       core
-     * @param slot_block     where the slots go: slotBlockBytes(n_cores)
-     *                       bytes aligned to slotBlockAlign() that the
-     *                       caller keeps for the pool's lifetime (a
-     *                       DataCenter puts every server's slots in its
-     *                       fleet block); null, the pool allocates and
-     *                       frees its own
+     * @param placement      where a fleet puts the pool (see
+     *                       CorePlacement); null, the pool allocates
+     *                       and frees its own slots and appends itself
+     *                       to the deferred-timer list
      */
     CorePool(Simulator &sim, CoreHost &host,
              std::shared_ptr<const ServerPowerProfile> profile,
              unsigned n_cores,
              const std::vector<double> &base_freqs_ghz = {},
-             void *slot_block = nullptr);
+             const CorePlacement *placement = nullptr);
 
     /** As above, with a profile the caller keeps alive for the
      *  pool's lifetime (not owned). */

@@ -9,6 +9,8 @@ ServerPowerProfile::validate() const
 {
     if (pstates.empty())
         fatal("power profile needs at least one P-state");
+    if (pstates.size() > 256)
+        fatal("a profile may define at most 256 P-states");
     for (const auto &p : pstates) {
         if (p.freqGhz <= 0.0 || p.powerScale <= 0.0)
             fatal("P-state frequencies and power scales must be positive");

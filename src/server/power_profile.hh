@@ -92,7 +92,8 @@ struct ServerPowerProfile {
     Tick demoteC6After = 500 * usec;
     ///@}
 
-    /** Throw FatalError if the profile is inconsistent. */
+    /** Throw FatalError if the profile is inconsistent, or has more
+     *  than the 256 P-states a core's one-byte index can name. */
     void validate() const;
 
     /**

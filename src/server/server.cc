@@ -18,9 +18,9 @@ Server::Server(Simulator &sim, const ServerConfig &config,
 
 Server::Server(Simulator &sim, const ServerConfig &config,
                std::shared_ptr<const ServerPowerProfile> profile,
-               void *slot_block)
+               const CorePlacement *placement)
     : _corePool(sim, *this, std::move(profile), config.nCores,
-                config.coreFreqGhz, slot_block),
+                config.coreFreqGhz, placement),
       _local(config.queueMode, config.corePick, config.nCores),
       _taskTypes(config.taskTypes.begin(), config.taskTypes.end()),
       _lastAccrue(sim.curTick()), _wakeDoneEvent(*this), _id(config.id),

@@ -134,12 +134,12 @@ class Server : private CoreHost
     /**
      * Build a server that shares the immutable @p profile: a plant
      * of identical servers holds one profile, not one per server.
-     * @p slot_block, when given, holds its core slots (see the
-     * CorePool constructor); by default the server allocates them.
+     * @p placement, when given, is where a fleet puts its cores (see
+     * CorePlacement); by default the server allocates them.
      */
     Server(Simulator &sim, const ServerConfig &config,
            std::shared_ptr<const ServerPowerProfile> profile,
-           void *slot_block = nullptr);
+           const CorePlacement *placement = nullptr);
 
     Server(const Server &) = delete;
     Server &operator=(const Server &) = delete;

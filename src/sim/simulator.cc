@@ -138,17 +138,29 @@ Simulator::processPopped(Event &ev)
 void
 Simulator::addDeferred(DeferredTimers &d)
 {
-    if (_deferred.size() > std::numeric_limits<std::uint32_t>::max())
+    addDeferredAt(d, reserveDeferred(1));
+}
+
+std::size_t
+Simulator::reserveDeferred(std::size_t n)
+{
+    // Slot indices are 32 bits (DeferredTimers::_deferredSlot).
+    constexpr std::size_t maxSlots =
+        std::size_t{std::numeric_limits<std::uint32_t>::max()} + 1;
+    const std::size_t first = _deferred.size();
+    if (n > maxSlots - first)
         HOLDCSIM_PANIC("more than 2^32 deferred-timer entities");
-    d._deferredSlot = static_cast<std::uint32_t>(_deferred.size());
-    _deferred.push_back(&d);
+    _deferred.resize(first + n);
+    return first;
 }
 
 void
 Simulator::removeDeferred(DeferredTimers &d)
 {
     // Order is irrelevant (drains take a max): move the last entry
-    // into the hole.
+    // into the hole, once the empty slots behind it are dropped.
+    while (!_deferred.back())
+        _deferred.pop_back();
     DeferredTimers *last = _deferred.back();
     last->_deferredSlot = d._deferredSlot;
     _deferred[d._deferredSlot] = last;
@@ -161,7 +173,8 @@ Simulator::drainDeferred()
 {
     Tick last = 0;
     for (const DeferredTimers *d : _deferred)
-        last = std::max(last, d->lastDeferredTick());
+        if (d)
+            last = std::max(last, d->lastDeferredTick());
     if (last <= _curTick)
         return false;
     // The deferred transitions stand in for foreground events, so a

@@ -212,8 +212,30 @@ class Simulator
      * when a run() drains. Not owned.
      */
     ///@{
+    /** Register @p d at the end of the list. */
     void addDeferred(DeferredTimers &d);
+    /**
+     * Append @p n empty slots and return the first one's index: room
+     * for entities built on several threads at once (a DataCenter's
+     * fleet), each of which then registers with addDeferredAt() into
+     * its own slot. A slot left empty (a build that threw) is skipped.
+     */
+    std::size_t reserveDeferred(std::size_t n);
+    /**
+     * Register @p d in the empty slot @p slot of a reserveDeferred()
+     * range. Calls for distinct slots may run concurrently.
+     */
+    void addDeferredAt(DeferredTimers &d, std::size_t slot)
+    {
+        d._deferredSlot = static_cast<std::uint32_t>(slot);
+        _deferred[slot] = &d;
+    }
     void removeDeferred(DeferredTimers &d);
+    /** The registered entities in list order (null: an empty slot). */
+    const std::vector<DeferredTimers *> &deferred() const
+    {
+        return _deferred;
+    }
     ///@}
 
     /** Direct access to the queue (tests and advanced harnesses). */

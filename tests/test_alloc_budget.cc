@@ -156,7 +156,11 @@ TEST(AllocBudget, WheelPlantConstructionPerServer)
     EXPECT_LE(perServer, 893.0)
         << allocations << " allocations, " << bytesRequested << " bytes, "
         << dc->fleetBytes() << " fleet bytes";
-    EXPECT_LE(allocsPerServer, 0.0255)
+    // 15 allocations for 1,000 servers: the fleet vectors are sized
+    // once. A fleet under two 2 MiB extents builds on this thread; a
+    // build worker would add at least two (its state and the vector
+    // of threads).
+    EXPECT_LE(allocsPerServer, 0.0153)
         << allocations << " allocations, " << bytesRequested << " bytes";
 }
 

@@ -346,6 +346,101 @@ TEST(DataCenter, FaultedFleetTearsDownMidRun)
     dc.reset();
 }
 
+namespace {
+
+/** What one build and run of faultedFleetRun()'s plant shows. */
+struct FleetRun {
+    std::string dump;
+    Tick end = 0;
+    /** Event-queue schedules made while the plant was built. */
+    std::uint64_t buildSchedules = 0;
+};
+
+/**
+ * Build an 8,000 x 4-core fleet (four 2 MiB extents) with a delay
+ * timer and 32 server crashes, check that its deferred-timer list
+ * holds each server's core pool, in id order, run 16,000 jobs and
+ * dump.
+ */
+FleetRun
+faultedFleetRun()
+{
+    DataCenterConfig cfg;
+    cfg.nServers = 8000;
+    cfg.nCores = 4;
+    cfg.seed = 7;
+    cfg.controller = DataCenterConfig::Controller::delayTimer;
+    cfg.delayTimerTau = 100 * msec;
+    cfg.dispatch = DataCenterConfig::Dispatch::roundRobin;
+    cfg.fault.enabled = true;
+    cfg.fault.maxRetries = 3;
+    // A finite schedule, so that the drained run ends: crashes at
+    // 0.1-1.34 s, each repaired 0.5 s later.
+    cfg.fault.useSchedule = true;
+    for (std::size_t k = 0; k < 32; ++k) {
+        const Tick down = (100 + 40 * k) * msec;
+        cfg.fault.schedule.push_back(
+            {{FaultKind::server, 250 * k + 3, 0}, {down, down + 500 * msec}});
+    }
+    DataCenter dc(cfg);
+    EXPECT_GE(dc.fleetBytes(), 3 * (std::size_t{2} << 20));
+    FleetRun run;
+    run.buildSchedules = dc.sim().eventQueue().counters().schedules;
+
+    // One entry per server: the pool inside it, as if each server had
+    // appended itself in id order.
+    const std::vector<DeferredTimers *> &list = dc.sim().deferred();
+    EXPECT_EQ(list.size(), dc.numServers());
+    const auto offset = [&](std::size_t i) {
+        return reinterpret_cast<std::uintptr_t>(list[i]) -
+               reinterpret_cast<std::uintptr_t>(&dc.server(i));
+    };
+    EXPECT_LT(offset(0), sizeof(Server));
+    for (std::size_t i = 0; i < list.size(); ++i)
+        EXPECT_EQ(offset(i), offset(0)) << "server " << i;
+
+    SingleTaskGenerator gen(fixedSvc(50 * msec));
+    dc.pump(std::make_unique<PoissonArrival>(8'000.0,
+                                             dc.makeRng("arrivals")),
+            gen, 16'000);
+    run.end = dc.run();
+    EXPECT_EQ(dc.scheduler().jobsCompleted() + dc.scheduler().jobsFailed(),
+              16'000u);
+    std::ostringstream os;
+    dc.dumpStats(os);
+    run.dump = os.str();
+    return run;
+}
+
+} // namespace
+
+// A fleet of two extents or more is built on worker threads; inside a
+// parallelFor cell the same loop runs on one thread, in id order. Both
+// builds give the same plant: the same run, to the byte.
+TEST(DataCenter, ParallelBuildMatchesSerialBuild)
+{
+    const FleetRun parallel = faultedFleetRun();
+    FleetRun serial;
+    parallelFor(2, 1, [&](std::size_t) { serial = faultedFleetRun(); });
+    EXPECT_NE(parallel.dump.find("\nserver7999.frac_failed "),
+              std::string::npos);
+    EXPECT_NE(parallel.dump.find("\nreliability.faults_injected "),
+              std::string::npos);
+    EXPECT_EQ(parallel.end, serial.end);
+    EXPECT_EQ(parallel.buildSchedules, serial.buildSchedules);
+    EXPECT_EQ(parallel.dump.size(), serial.dump.size());
+    EXPECT_TRUE(parallel.dump == serial.dump)
+        << "the parallel build's run differs from the serial one's";
+
+    // Building servers schedules nothing: a fleet without faults has
+    // an empty queue until its first job.
+    DataCenterConfig cfg;
+    cfg.nServers = 8000;
+    cfg.controller = DataCenterConfig::Controller::delayTimer;
+    DataCenter idle(cfg);
+    EXPECT_EQ(idle.sim().eventQueue().counters().schedules, 0u);
+}
+
 TEST(DataCenter, FabricDictatesServerCount)
 {
     DataCenterConfig cfg;

@@ -10,6 +10,7 @@
 #include <deque>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/event.hh"
@@ -227,6 +228,70 @@ TEST(Simulator, EventScheduledDuringProcessingRuns)
     sim.run();
     EXPECT_EQ(log, (std::vector<int>{1, 2}));
     EXPECT_EQ(sim.curTick(), 10u);
+}
+
+namespace {
+
+/** A deferred-timer entity whose last pending transition is fixed. */
+struct FixedDeferred : DeferredTimers {
+    explicit FixedDeferred(Tick last) : last(last) {}
+    Tick lastDeferredTick() const override { return last; }
+    Tick last;
+};
+
+} // namespace
+
+TEST(Simulator, ReservedDeferredSlotsFillFromThreads)
+{
+    Simulator sim;
+    FixedDeferred first(5);
+    sim.addDeferred(first);
+    std::vector<std::unique_ptr<FixedDeferred>> fleet;
+    for (Tick t = 0; t < 64; ++t)
+        fleet.push_back(std::make_unique<FixedDeferred>(10 + t % 7));
+    const std::size_t slot = sim.reserveDeferred(fleet.size());
+    EXPECT_EQ(slot, 1u);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < 4; ++t) {
+        threads.emplace_back([&, t] {
+            for (std::size_t i = t; i < fleet.size(); i += 4)
+                sim.addDeferredAt(*fleet[i], slot + i);
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    // The list appending each in turn would have built.
+    ASSERT_EQ(sim.deferred().size(), 65u);
+    EXPECT_EQ(sim.deferred()[0], &first);
+    for (std::size_t i = 0; i < fleet.size(); ++i)
+        EXPECT_EQ(sim.deferred()[slot + i], fleet[i].get()) << i;
+    EXPECT_EQ(sim.run(), 16u);
+
+    // Removal still moves the last entry into the hole.
+    sim.removeDeferred(*fleet[3]);
+    ASSERT_EQ(sim.deferred().size(), 64u);
+    EXPECT_EQ(sim.deferred()[slot + 3], fleet.back().get());
+    fleet.back()->last = 40;
+    EXPECT_EQ(sim.run(), 40u);
+}
+
+TEST(Simulator, EmptyReservedSlotsAreSkipped)
+{
+    // As a fleet build that threw leaves them: the drain skips the
+    // empty slots, and removals drop those behind the last entry.
+    Simulator sim;
+    FixedDeferred a(7), b(3);
+    const std::size_t slot = sim.reserveDeferred(4);
+    sim.addDeferredAt(a, slot + 1);
+    sim.addDeferredAt(b, slot + 3);
+    EXPECT_EQ(sim.run(), 7u);
+    sim.removeDeferred(a);
+    sim.removeDeferred(b);
+    for (const DeferredTimers *d : sim.deferred())
+        EXPECT_EQ(d, nullptr);
+    FixedDeferred c(9);
+    sim.addDeferred(c);
+    EXPECT_EQ(sim.run(), 9u);
 }
 
 TEST(Types, UnitConversions)
