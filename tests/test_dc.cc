@@ -12,15 +12,18 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "dc/datacenter.hh"
 #include "dc/validation.hh"
 #include "exp/parallel_for.hh"
 #include "sim/logging.hh"
+#include "sim/one_shot.hh"
 #include "sim/random.hh"
 #include "workload/service.hh"
 
@@ -800,6 +803,223 @@ TEST(IdleLadderGolden, ExactTimersTauTiesC6)
     EXPECT_EQ(r.digest.rows, 24011u);
     EXPECT_EQ(r.digest.hash,
               0xfbfcf90a4258c1fcULL) << std::hex << r.digest.hash;
+}
+
+// Network idle ladders: port LPI, line-card sleep and whole-switch
+// sleep. Each plant pins the end tick and a digest of its model rows
+// plus every port's, line card's and switch's residency in ticks
+// (the dump folds those into switch energy).
+
+namespace {
+
+/** @p dc's model rows and fabric residencies, after a drained run. */
+LadderRun
+networkLadderRun(DataCenter &dc)
+{
+    LadderRun r;
+    r.end = dc.sim().curTick();
+    std::ostringstream os;
+    dc.dumpStats(os);
+    Network &net = *dc.network();
+    auto books = [&os](const std::string &name, const StateResidency &res,
+                       int states) {
+        os << name << ".residency";
+        for (int st = 0; st < states; ++st)
+            os << ' ' << res.residency(st);
+        os << '\n';
+    };
+    for (std::size_t i = 0; i < net.numSwitches(); ++i) {
+        Switch &sw = net.switchAt(i);
+        const std::string name = "switch" + std::to_string(i);
+        books(name, sw.residency(), 2);
+        for (unsigned p = 0; p < sw.numPorts(); ++p)
+            books(name + ".port" + std::to_string(p),
+                  sw.port(p).residency(), 3);
+        for (unsigned lc = 0; lc < sw.numLineCards(); ++lc)
+            books(name + ".lc" + std::to_string(lc),
+                  sw.lineCard(lc).residency(), 3);
+    }
+    r.digest = modelRowDigest(os.str());
+    return r;
+}
+
+/**
+ * TimerModeProperty's plant as a DataCenter: 8 two-core servers on a
+ * star, bursty two-stage jobs whose stages land on different servers,
+ * and a 20 ms whole-switch sleep, so ports, the line card and the
+ * switch all cycle through their ladders between bursts.
+ */
+LadderRun
+starLadderPlant(Tick granularity)
+{
+    DataCenterConfig cfg;
+    cfg.nServers = 8;
+    cfg.nCores = 2;
+    cfg.fabric = DataCenterConfig::Fabric::star;
+    cfg.netConfig.switchSleepDelay = 20 * msec;
+    cfg.taskAntiAffinity = true;
+    if (granularity > 1) {
+        cfg.timerMode = DataCenterConfig::TimerMode::wheel;
+        cfg.wheelGranularity = granularity;
+    }
+    cfg.seed = 42;
+    DataCenter dc(cfg);
+    auto svc = std::make_shared<ExponentialService>(4 * msec,
+                                                    dc.makeRng("svc"));
+    ChainJobGenerator gen({svc, svc}, {0, 0}, 32 * 1024);
+    dc.pump(std::make_unique<PoissonArrival>(120.0,
+                                             dc.makeRng("arrivals")),
+            gen, 600);
+    dc.run();
+    return networkLadderRun(dc);
+}
+
+} // namespace
+
+TEST(IdleLadderGolden, ExactTimersStarFabric)
+{
+    const LadderRun r = starLadderPlant(1);
+    EXPECT_EQ(r.end, 5038068246u);
+    EXPECT_EQ(r.digest.rows, 134u);
+    EXPECT_EQ(r.digest.hash,
+              0x05b5ed395e6f1bcbULL) << std::hex << r.digest.hash;
+}
+
+TEST(IdleLadderGolden, CoarseWheelStarFabric)
+{
+    const LadderRun r = starLadderPlant(1 * msec);
+    EXPECT_EQ(r.end, 5031000000u);
+    EXPECT_EQ(r.digest.rows, 134u);
+    EXPECT_EQ(r.digest.hash,
+              0x0a42b65966510b47ULL) << std::hex << r.digest.hash;
+}
+
+// A k = 4 fat tree (20 four-port switches) with two ports per line
+// card, so a switch sleeps only after both of its cards have.
+TEST(IdleLadderGolden, FatTreeTwoCardSwitches)
+{
+    DataCenterConfig cfg;
+    cfg.fabric = DataCenterConfig::Fabric::fatTree;
+    cfg.fabricParam = 4;
+    cfg.nServers = 16;
+    cfg.nCores = 2;
+    cfg.netConfig.portsPerLinecard = 2;
+    cfg.netConfig.switchSleepDelay = 5 * msec;
+    cfg.switchProfile.linecardSleepThreshold = 2 * msec;
+    cfg.taskAntiAffinity = true;
+    cfg.seed = 3;
+    DataCenter dc(cfg);
+    auto svc = std::make_shared<ExponentialService>(2 * msec,
+                                                    dc.makeRng("svc"));
+    ChainJobGenerator gen({svc, svc, svc}, {0, 0, 0}, 16 * 1024);
+    dc.pump(std::make_unique<PoissonArrival>(300.0,
+                                             dc.makeRng("arrivals")),
+            gen, 400);
+    dc.run();
+    const LadderRun r = networkLadderRun(dc);
+    EXPECT_EQ(r.end, 1843247902u);
+    EXPECT_EQ(r.digest.rows, 455u);
+    EXPECT_EQ(r.digest.hash,
+              0x74e835072410284fULL) << std::hex << r.digest.hash;
+}
+
+// Forced ties on a 4-server star: each transfer starts at, one tick
+// before or one tick after the LPI deadline its predecessor left on
+// the switch ports, with a line-card threshold of 0 and a switch
+// sleep delay equal to it, so port, card and switch all come due on
+// the tick the next transfer wakes them. Packets take the same walk.
+TEST(IdleLadderGolden, ForcedTiesAtTheLpiDeadline)
+{
+    DataCenterConfig cfg;
+    cfg.nServers = 4;
+    cfg.nCores = 1;
+    cfg.fabric = DataCenterConfig::Fabric::star;
+    cfg.switchProfile.linecardSleepThreshold = 0;
+    cfg.switchProfile.switchWakeLatency = 300 * usec;
+    cfg.netConfig.switchSleepDelay = 0;
+    DataCenter dc(cfg);
+    Network &net = *dc.network();
+    const Tick lpi = cfg.switchProfile.lpiIdleThreshold;
+    const Tick latency = cfg.linkLatency;
+    OneShotPool shots(dc.sim(), "test.tie");
+    // Offsets from the deadline; even rounds send a flow, odd ones a
+    // packet (whose egress port armed LPI one link latency before
+    // the delivery).
+    const std::vector<std::int64_t> offsets = {0, 0, -1, 1, 0, 0, 1, -1};
+    std::size_t round = 0;
+    std::function<void(Tick)> next = [&](Tick deadline) {
+        if (round == offsets.size())
+            return;
+        const std::int64_t off = offsets[round];
+        const std::size_t src = round % 4, dst = (round + 1) % 4;
+        const bool flow = round % 2 == 0;
+        ++round;
+        shots.scheduleAt(static_cast<Tick>(deadline + off), [&, src, dst,
+                                                              flow] {
+            if (flow) {
+                net.startFlow(src, dst, 8 * 1024, [&] {
+                    next(dc.sim().curTick() + lpi);
+                });
+            } else {
+                net.sendPacket(src, dst, 1500, [&](const Packet &) {
+                    next(dc.sim().curTick() - latency + lpi);
+                });
+            }
+        });
+    };
+    next(1 * msec);
+    dc.run();
+    ASSERT_EQ(round, offsets.size());
+    const LadderRun r = networkLadderRun(dc);
+    EXPECT_EQ(r.end, 10937144u);
+    EXPECT_EQ(r.digest.rows, 82u);
+    EXPECT_EQ(r.digest.hash,
+              0x22b8a98d9c36f921ULL) << std::hex << r.digest.hash;
+}
+
+// The star's switch fails 7 ms into its 20 ms sleep countdown and is
+// repaired 5 ms later, which restarts the countdown; the second
+// failure outlasts the countdown it cut. On a 1 ms wheel.
+TEST(IdleLadderGolden, SwitchFailedMidCountdown)
+{
+    DataCenterConfig cfg;
+    cfg.nServers = 4;
+    cfg.nCores = 1;
+    cfg.fabric = DataCenterConfig::Fabric::star;
+    cfg.netConfig.switchSleepDelay = 20 * msec;
+    cfg.timerMode = DataCenterConfig::TimerMode::wheel;
+    cfg.wheelGranularity = 1 * msec;
+    DataCenter dc(cfg);
+    Network &net = *dc.network();
+    const SwitchPowerProfile &prof = cfg.switchProfile;
+    // The switch's countdown starts once its card has slept.
+    const Tick countdown = prof.lpiIdleThreshold +
+                           prof.linecardSleepThreshold;
+    OneShotPool shots(dc.sim(), "test.fault");
+    shots.scheduleAt(1 * msec, [&] {
+        net.startFlow(0, 1, 64 * 1024, [&] {
+            shots.schedule(countdown + 7 * msec,
+                           [&] { net.failSwitch(0); });
+            shots.schedule(countdown + 12 * msec, [&] {
+                net.repairSwitch(0);
+                shots.schedule(30 * msec, [&] {
+                    net.startFlow(2, 3, 64 * 1024, [&] {
+                        shots.schedule(countdown + 3 * msec,
+                                       [&] { net.failSwitch(0); });
+                        shots.schedule(countdown + 40 * msec,
+                                       [&] { net.repairSwitch(0); });
+                    });
+                });
+            });
+        });
+    });
+    dc.run();
+    const LadderRun r = networkLadderRun(dc);
+    EXPECT_EQ(dc.network()->switchAt(0).sleepTransitions(), 2u);
+    EXPECT_EQ(r.end, 226000000u);
+    EXPECT_EQ(r.digest.rows, 82u);
+    EXPECT_EQ(r.digest.hash,
+              0xaa7c0e80cfbc93cfULL) << std::hex << r.digest.hash;
 }
 
 namespace {
