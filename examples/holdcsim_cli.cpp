@@ -113,11 +113,12 @@ options:
                         autoscaler; implies --orch
   --profile             profile the DES kernel; adds profile.* stats
                         and a hot-events table to the dump
-  --timer-mode=M        governor timer wheel: events (default;
-                        1-tick buckets, one kernel event per
-                        timeout) | wheel (buckets of
-                        --wheel-granularity-us; adds profile.wheel.*
-                        stats under --profile)
+  --timer-mode=M        governor timer deadlines: events
+                        (default; exact, 1-tick buckets) | wheel
+                        (quantized up to --wheel-granularity-us;
+                        adds profile.wheel.granularity_ticks under
+                        --profile). Neither schedules an event
+                        per timeout
   --wheel-granularity-us=N
                         wheel bucket width in us (default and
                         minimum 0.001 = 1 ns, exact firing)

@@ -15,13 +15,15 @@
  * --queue=heap|calendar selects the event-queue backend. Both pop in
  * the same order, so stdout is identical and timing alternating runs
  * of the two measures the calendar queue end to end (README
- * "Performance"). The governor timers always ride the simulator's
- * timer wheel; --timer-mode=wheel sets its bucket width to
- * --wheel-granularity-us (under one tick means exact 1-tick firing,
- * the events-mode default) and prints its profile.wheel.* stats
- * under --profile. --profile attaches the layer probe (telemetry/layer_probe.hh)
- * and prints its profile.* stats, hot-events table and per-layer
- * host-time split, as holdcsim_cli --profile does. The probe counts
+ * "Performance"). Governor timers (core ladders, port LPI, line
+ * card and switch sleep) schedule no events: each entity settles its
+ * due stages when read. --timer-mode=wheel quantizes their deadlines
+ * up to --wheel-granularity-us (under one tick means exact 1-tick
+ * deadlines, the events-mode default) and prints
+ * profile.wheel.granularity_ticks under --profile. --profile
+ * attaches the layer probe (telemetry/layer_probe.hh) and prints its
+ * profile.* stats, hot-events table and per-layer host-time split,
+ * as holdcsim_cli --profile does. The probe counts
  * every event but times only one in LayerProbe::timingStride, which
  * keeps its cost to a few percent of the plain run (README
  * "Observability").

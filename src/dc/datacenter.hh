@@ -72,7 +72,8 @@ class DataCenter
     /** Null unless config.audit.enabled. */
     InvariantAuditor *auditor() { return _auditor.get(); }
     /** The engine's timer wheel when config.timerMode ==
-     *  TimerMode::wheel, else null (its stats are then not reported). */
+     *  TimerMode::wheel, else null (its granularity is then not
+     *  reported). */
     TimerWheel *
     timerWheel()
     {
@@ -215,8 +216,8 @@ class DataCenter
     void dumpServerRows(std::ostream &os, unsigned workers);
 
     DataCenterConfig _config;
-    /** Owns the governor timer wheel (G = wheelGranularity in wheel
-     *  mode, 1 tick otherwise). */
+    /** Owns the governor timer granularity (G = wheelGranularity in
+     *  wheel mode, 1 tick otherwise). */
     Simulator _sim;
     /**
      * Telemetry sits between the engine and the plant: constructed

@@ -62,13 +62,12 @@ struct DataCenterConfig {
     /** @name Kernel timer discipline */
     ///@{
     /**
-     * Bucket width of the engine's governor timer wheel (port LPI,
-     * line card / switch sleep; core C-state stages land on the same
-     * boundaries without arming it): 1 tick, one
-     * kernel event per timeout (events), or wheelGranularity, which
-     * fires each bucket's timeouts from one event, quantized up
-     * (wheel; also reports the wheel's stats). wheel with
-     * wheelGranularity = 1 fires exactly like events.
+     * Bucket width governor timers (core C-state stages, delay timers,
+     * port LPI, line card / switch sleep) are quantized up to: 1 tick,
+     * exact (events), or wheelGranularity (wheel; also reports the
+     * granularity under profiling). wheel with wheelGranularity = 1
+     * is exactly events. No governor timer schedules a kernel event
+     * either way.
      */
     enum class TimerMode { events, wheel };
     TimerMode timerMode = TimerMode::events;

@@ -1,6 +1,9 @@
 #include "linecard.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
+#include "switch.hh"
 
 namespace holdcsim {
 
@@ -8,93 +11,50 @@ static_assert(static_cast<int>(LineCardState::off) <
                   StateResidency::maxStates,
               "every line-card state needs a residency book");
 
-LineCard::LineCard(Simulator &sim, unsigned id,
-                   const SwitchPowerProfile &profile, AccrueFn accrue,
-                   StateChangedFn state_changed)
-    : _sim(sim), _id(id), _profile(profile),
-      _accrue(std::move(accrue)),
-      _stateChanged(std::move(state_changed))
+LineCard::LineCard(Switch &sw, PortPool &ports, unsigned id,
+                   unsigned first_port, unsigned n_ports,
+                   const SwitchPowerProfile &profile)
+    : _switch(sw), _ports(ports), _id(id), _firstPort(first_port),
+      _nPorts(n_ports), _profile(profile)
 {
-    _residency.enter(static_cast<int>(_state), sim.curTick());
+    _residency.enter(static_cast<int>(_state), sw.simulator().curTick());
 }
 
-LineCard::~LineCard()
+LineCardState
+LineCard::state() const
 {
-    _sim.timerWheel().cancel(_sleepHandle);
-}
-
-void
-LineCard::timerFired(std::uint64_t, Tick)
-{
-    _sleepHandle = {}; // the firing handle is already dead
-    if (!anyPortActive() && _state == LineCardState::active)
-        setState(LineCardState::sleep);
-}
-
-void
-LineCard::armSleep(Tick delay)
-{
-    _sim.timerWheel().rearm(_sleepHandle, *this, 0, delay);
-}
-
-void
-LineCard::cancelSleep()
-{
-    _sim.timerWheel().cancel(_sleepHandle);
-}
-
-bool
-LineCard::anyPortActive() const
-{
-    for (const Port *p : _ports) {
-        if (p->busy() || p->state() == PortState::active)
-            return true;
-    }
-    return false;
-}
-
-void
-LineCard::portActivityChanged()
-{
-    if (_state == LineCardState::off)
-        return;
-    if (anyPortActive()) {
-        cancelSleep();
-        return;
-    }
-    if (_state == LineCardState::active)
-        armSleep(_profile.linecardSleepThreshold);
+    _switch.settle();
+    return _state;
 }
 
 Tick
 LineCard::wake()
 {
-    cancelSleep();
-    switch (_state) {
-      case LineCardState::active:
-        return 0;
-      case LineCardState::sleep:
-        setState(LineCardState::active);
-        return _profile.linecardWakeLatency;
-      case LineCardState::off:
-        fatal("cannot route traffic through a powered-off line card");
-    }
-    HOLDCSIM_PANIC("unknown LineCardState");
+    _switch.settle();
+    return wakeNow();
 }
 
 void
 LineCard::powerOff()
 {
-    for (const Port *p : _ports) {
-        if (p->busy())
+    _switch.settle();
+    for (unsigned p = _firstPort; p < _firstPort + _nPorts; ++p) {
+        if (_ports.busy(p))
             fatal("cannot power off a line card with busy ports");
     }
-    cancelSleep();
-    setState(LineCardState::off);
+    _sleepAt = maxTick;
+    setState(LineCardState::off, _switch.simulator().curTick());
 }
 
 Watts
 LineCard::power() const
+{
+    _switch.settle();
+    return powerNow();
+}
+
+Watts
+LineCard::powerNow() const
 {
     switch (_state) {
       case LineCardState::active:
@@ -107,29 +67,127 @@ LineCard::power() const
     HOLDCSIM_PANIC("unknown LineCardState");
 }
 
+const StateResidency &
+LineCard::residency() const
+{
+    _switch.settle();
+    return _residency;
+}
+
 void
-LineCard::setState(LineCardState next)
+LineCard::finishStats(Tick now)
+{
+    _switch.settle();
+    _residency.finish(now);
+}
+
+void
+LineCard::resetStats(Tick now)
+{
+    _switch.settle();
+    _residency.reset();
+    _residency.enter(static_cast<int>(_state), now);
+}
+
+bool
+LineCard::quiet() const
+{
+    for (unsigned p = _firstPort; p < _firstPort + _nPorts; ++p) {
+        if (_ports.busy(p) || _ports._state[p] == PortState::active)
+            return false;
+    }
+    return true;
+}
+
+void
+LineCard::portActivityChanged(Tick at)
+{
+    if (_state == LineCardState::off)
+        return;
+    if (!quiet()) {
+        _sleepAt = maxTick;
+        return;
+    }
+    if (_state == LineCardState::active) {
+        _sleepAt = _switch.simulator().timerWheel().deadlineAt(
+            at, _profile.linecardSleepThreshold);
+        _switch.noteDue(_sleepAt);
+    }
+}
+
+Tick
+LineCard::wakeNow()
+{
+    _sleepAt = maxTick;
+    switch (_state) {
+      case LineCardState::active:
+        return 0;
+      case LineCardState::sleep:
+        setState(LineCardState::active, _switch.simulator().curTick());
+        return _profile.linecardWakeLatency;
+      case LineCardState::off:
+        fatal("cannot route traffic through a powered-off line card");
+    }
+    HOLDCSIM_PANIC("unknown LineCardState");
+}
+
+void
+LineCard::sleepDue(Tick at)
+{
+    _sleepAt = maxTick;
+    if (quiet() && _state == LineCardState::active)
+        setState(LineCardState::sleep, at);
+}
+
+Tick
+LineCard::sleepsAt() const
+{
+    if (_state != LineCardState::active)
+        return 0;
+    if (_sleepAt != maxTick)
+        return _sleepAt;
+    // No countdown yet: it starts when the last pending port LPI
+    // stage makes every member port quiescent.
+    Tick quiet_at = maxTick;
+    for (unsigned p = _firstPort; p < _firstPort + _nPorts; ++p) {
+        if (_ports.busy(p))
+            return maxTick;
+        if (_ports._state[p] != PortState::active)
+            continue;
+        const Tick lpi = _ports._lpiAt[p];
+        if (lpi == maxTick)
+            return maxTick;
+        quiet_at = quiet_at == maxTick ? lpi : std::max(quiet_at, lpi);
+    }
+    if (quiet_at == maxTick)
+        return maxTick;
+    return _switch.simulator().timerWheel().deadlineAt(
+        quiet_at, _profile.linecardSleepThreshold);
+}
+
+void
+LineCard::setState(LineCardState next, Tick at)
 {
     if (next == _state)
         return;
-    _accrue();
+    _switch.accrueTo(at);
     _state = next;
-    _residency.enter(static_cast<int>(next), _sim.curTick());
-    traceState();
-    _stateChanged();
+    _residency.enter(static_cast<int>(next), at);
+    traceState(at);
+    _switch.linecardStateChanged(at);
 }
 
 void
 LineCard::setTraceLabel(std::string label)
 {
     _traceLabel = std::move(label);
-    traceState();
+    traceState(_switch.simulator().curTick());
 }
 
 void
-LineCard::traceState()
+LineCard::traceState(Tick at)
 {
-    TraceManager *tr = _sim.tracer();
+    TraceManager *tr = _switch.simulator().tracer();
     if (!tr || _traceLabel.empty() ||
         !tr->wants(TraceCategory::network)) {
         return;
@@ -139,8 +197,7 @@ LineCard::traceState()
     const char *name = _state == LineCardState::active ? "active"
                        : _state == LineCardState::sleep ? "sleep"
                                                         : "off";
-    tr->transition(_traceTrack, TraceCategory::network, name,
-                   _sim.curTick());
+    tr->transition(_traceTrack, TraceCategory::network, name, at);
 }
 
 } // namespace holdcsim

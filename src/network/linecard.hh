@@ -3,18 +3,21 @@
  * Line card model (paper section III-B): a group of ports with
  * shared packet-processing hardware that supports active, sleep and
  * off power states.
+ *
+ * The sleep countdown schedules nothing: once every member port is
+ * quiescent, the card keeps only the tick its sleep is due, and its
+ * Switch replays it on the switch's next read (see switch.hh), so
+ * every public read or change of a card settles the switch first.
  */
 
 #ifndef HOLDCSIM_NETWORK_LINECARD_HH
 #define HOLDCSIM_NETWORK_LINECARD_HH
 
-#include <functional>
-#include <vector>
+#include <string>
 
 #include "port.hh"
 #include "sim/simulator.hh"
 #include "sim/stats.hh"
-#include "sim/timer_wheel.hh"
 #include "switch_power.hh"
 #include "telemetry/trace_manager.hh"
 
@@ -27,38 +30,22 @@ enum class LineCardState { active, sleep, off };
  * A line card hosting a contiguous group of ports. The card sleeps
  * when all of its ports have been quiescent (LPI or off) for the
  * profile's threshold and wakes -- paying the wake latency -- when
- * traffic returns. The sleep countdown rides the shared TimerWheel
- * when one is installed, a private event otherwise.
+ * traffic returns.
  */
-class LineCard : private TimerClient
+class LineCard
 {
   public:
-    using AccrueFn = std::function<void()>;
-    /** Invoked after this card changes state (switch-level checks). */
-    using StateChangedFn = std::function<void()>;
-
-    LineCard(Simulator &sim, unsigned id,
-             const SwitchPowerProfile &profile, AccrueFn accrue,
-             StateChangedFn state_changed);
-    ~LineCard();
+    /** Ports [@p first_port, @p first_port + @p n_ports) of @p sw. */
+    LineCard(Switch &sw, PortPool &ports, unsigned id,
+             unsigned first_port, unsigned n_ports,
+             const SwitchPowerProfile &profile);
     LineCard(const LineCard &) = delete;
     LineCard &operator=(const LineCard &) = delete;
 
     unsigned id() const { return _id; }
-    LineCardState state() const { return _state; }
+    LineCardState state() const;
 
-    /** Register a member port (wired once by the switch). */
-    void addPort(Port *port) { _ports.push_back(port); }
-    std::size_t numPorts() const { return _ports.size(); }
-
-    /** Whether any member port is active-state or busy. */
-    bool anyPortActive() const;
-
-    /**
-     * React to member-port activity edges: wake-relevant changes
-     * cancel the sleep countdown; quiescence arms it.
-     */
-    void portActivityChanged();
+    std::size_t numPorts() const { return _nPorts; }
 
     /**
      * Wake a sleeping card; returns the wake latency the caller
@@ -72,42 +59,50 @@ class LineCard : private TimerClient
     /** Card electronics power (member ports accounted separately). */
     Watts power() const;
 
-    const StateResidency &residency() const { return _residency; }
-    void finishStats(Tick now) { _residency.finish(now); }
+    const StateResidency &residency() const;
+    void finishStats(Tick now);
     /** Zero residency (end of warmup). */
-    void
-    resetStats(Tick now)
-    {
-        _residency.reset();
-        _residency.enter(static_cast<int>(_state), now);
-    }
+    void resetStats(Tick now);
 
     /**
      * Name this card on the timeline ("sw2.lc0"); assigned by the
-     * owning switch (a card does not know its switch). Until set, the
-     * card emits no trace records.
+     * owning switch (a card does not know its switch's name). Until
+     * set, the card emits no trace records.
      */
     void setTraceLabel(std::string label);
 
   private:
-    void setState(LineCardState next);
-    /** Emit the current state to the timeline tracer. */
-    void traceState();
-    /** TimerClient: the sleep countdown expired. */
-    void timerFired(std::uint64_t token, Tick deadline) override;
-    const char *timerName() const override { return "linecard.sleep"; }
-    void armSleep(Tick delay);
-    void cancelSleep();
+    friend class Switch;
 
-    Simulator &_sim;
+    /** @name Unsettled internals (the Switch settles first) */
+    ///@{
+    /** Whether every member port is idle and in LPI or off. */
+    bool quiet() const;
+    Watts powerNow() const;
+    /** A member port crossed a busy/idle edge at @p at: activity
+     *  cancels the sleep countdown, quiescence starts it. */
+    void portActivityChanged(Tick at);
+    Tick wakeNow();
+    /** The sleep stage due at @p at came. */
+    void sleepDue(Tick at);
+    /** When the card sleeps if nothing touches it again: 0 when it
+     *  already sleeps or is off, maxTick when it never will. */
+    Tick sleepsAt() const;
+    void setState(LineCardState next, Tick at);
+    ///@}
+    /** Emit the state entered at @p at to the timeline tracer. */
+    void traceState(Tick at);
+
+    Switch &_switch;
+    PortPool &_ports;
     unsigned _id;
+    unsigned _firstPort;
+    unsigned _nPorts;
     const SwitchPowerProfile &_profile;
-    AccrueFn _accrue;
-    StateChangedFn _stateChanged;
-    TimerWheel::Handle _sleepHandle;
 
     LineCardState _state = LineCardState::active;
-    std::vector<Port *> _ports;
+    /** Tick the sleep stage is due (maxTick: none pending). */
+    Tick _sleepAt = maxTick;
     StateResidency _residency;
 
     std::string _traceLabel;

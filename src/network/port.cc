@@ -1,17 +1,20 @@
 #include "port.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
+#include "switch.hh"
 
 namespace holdcsim {
 
 static_assert(static_cast<int>(PortState::off) < StateResidency::maxStates,
               "every port state needs a residency book");
 
-PortPool::PortPool(Simulator &sim, PortHost &host,
+PortPool::PortPool(Simulator &sim, Switch &sw,
                    const SwitchPowerProfile &profile,
                    std::vector<BitsPerSec> line_rates,
                    std::size_t buffer_capacity)
-    : _sim(sim), _host(host), _profile(profile),
+    : _sim(sim), _switch(sw), _profile(profile),
       _bufferCapacity(buffer_capacity)
 {
     for (BitsPerSec r : line_rates)
@@ -25,7 +28,7 @@ PortPool::PortPool(Simulator &sim, PortHost &host,
     _rateFraction.assign(n, 1.0);
     _activeFlows.assign(n, 0);
     _lineRate = std::move(line_rates);
-    _lpi.resize(n);
+    _lpiAt.assign(n, maxTick);
     _residency.resize(n);
     _packetsSent.assign(n, 0);
     _packetsDropped.assign(n, 0);
@@ -38,7 +41,6 @@ PortPool::PortPool(Simulator &sim, PortHost &host,
         _txDone[p].pool = this;
         _txDone[p].port = p;
         _residency[p].enter(static_cast<int>(_state[p]), now);
-        maybeArmLpi(p);
     }
 }
 
@@ -47,41 +49,56 @@ PortPool::~PortPool()
     for (unsigned p = 0; p < size(); ++p)
         if (_txDone[p].scheduled())
             _sim.deschedule(_txDone[p]);
-    for (auto &h : _lpi)
-        _sim.timerWheel().cancel(h);
 }
 
 void
-PortPool::timerFired(std::uint64_t token, Tick)
+PortPool::settle() const
 {
-    const unsigned p = static_cast<unsigned>(token);
-    _lpi[p] = {}; // the firing handle is already dead
-    if (!busy(p) && _state[p] == PortState::active) {
-        setState(p, PortState::lpi);
-        _host.portActivityChanged(p);
+    _switch.settle();
+}
+
+Tick
+PortPool::nextLpi() const
+{
+    Tick next = maxTick;
+    for (Tick at : _lpiAt)
+        next = std::min(next, at);
+    return next;
+}
+
+void
+PortPool::enterLpi(Tick at)
+{
+    for (unsigned p = 0; p < size(); ++p) {
+        if (_lpiAt[p] != at)
+            continue;
+        _lpiAt[p] = maxTick;
+        setState(p, PortState::lpi, at);
+        _switch.portActivityChanged(p, at);
     }
 }
 
 void
-PortPool::setState(unsigned p, PortState next)
+PortPool::setState(unsigned p, PortState next, Tick at)
 {
     if (next == _state[p])
         return;
-    _host.portAccrue();
+    _switch.accrueTo(at);
     _state[p] = next;
-    _residency[p].enter(static_cast<int>(next), _sim.curTick());
+    _residency[p].enter(static_cast<int>(next), at);
 }
 
 Tick
 PortPool::wake(unsigned p)
 {
-    cancelLpi(p);
+    _lpiAt[p] = maxTick;
     if (_state[p] == PortState::active)
         return 0;
     if (_state[p] == PortState::off)
         fatal("cannot route traffic through a powered-off port");
-    setState(p, PortState::active);
-    _host.portActivityChanged(p);
+    const Tick now = _sim.curTick();
+    setState(p, PortState::active, now);
+    _switch.portActivityChanged(p, now);
     return _profile.lpiExitLatency;
 }
 
@@ -90,9 +107,10 @@ PortPool::powerOff(unsigned p)
 {
     if (busy(p))
         fatal("cannot power off a busy port");
-    cancelLpi(p);
-    setState(p, PortState::off);
-    _host.portActivityChanged(p);
+    _lpiAt[p] = maxTick;
+    const Tick now = _sim.curTick();
+    setState(p, PortState::off, now);
+    _switch.portActivityChanged(p, now);
 }
 
 void
@@ -100,7 +118,7 @@ PortPool::setRateFraction(unsigned p, double fraction)
 {
     if (fraction <= 0.0 || fraction > 1.0)
         fatal("port rate fraction must be in (0, 1]");
-    _host.portAccrue();
+    _switch.accrueTo(_sim.curTick());
     _rateFraction[p] = fraction;
 }
 
@@ -135,6 +153,7 @@ PortPool::startNext(unsigned p, Tick extra_delay)
 void
 PortPool::transmitDone(unsigned p)
 {
+    settle();
     PortIo &io = _io[p];
     PacketPtr pkt = std::move(io.inFlight);
     io.transmitting = false;
@@ -173,13 +192,9 @@ PortPool::maybeArmLpi(unsigned p)
         return;
     if (_profile.lpiIdleThreshold == maxTick)
         return; // LPI disabled (e.g. pre-802.3az hardware)
-    _sim.timerWheel().rearm(_lpi[p], *this, p, _profile.lpiIdleThreshold);
-}
-
-void
-PortPool::cancelLpi(unsigned p)
-{
-    _sim.timerWheel().cancel(_lpi[p]);
+    _lpiAt[p] = _sim.timerWheel().deadlineAt(_sim.curTick(),
+                                             _profile.lpiIdleThreshold);
+    _switch.noteDue(_lpiAt[p]);
 }
 
 Watts
@@ -200,6 +215,7 @@ void
 Port::resetStats(Tick now)
 {
     PortPool &p = *_pool;
+    p.settle();
     p._packetsSent[_id] = 0;
     p._packetsDropped[_id] = 0;
     p._bytesSent[_id] = 0;

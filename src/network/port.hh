@@ -5,16 +5,17 @@
  *
  * Storage layout mirrors the server core pool: a switch owns one
  * PortPool with the hot per-port state (power state, rate fraction,
- * flow refcount, residency cursor, pending LPI timer) in dense
+ * flow refcount, residency cursor, LPI due tick) in dense
  * struct-of-arrays vectors, and `Port` is a copyable view (pool
  * pointer + dense id). Cold I/O state (egress FIFO, in-flight packet,
  * deliver callback) lives in a parallel per-port struct touched only
  * when the port actually moves traffic, and the per-port transmit
  * completion events in one exact-size block.
  *
- * LPI countdowns arm timers on the Simulator's TimerWheel, one handle
- * per port; at the default 1-tick granularity each countdown is its
- * own "port.lpi" kernel event.
+ * LPI entry schedules nothing: an idle port keeps only the tick its
+ * LPI stage is due, and its Switch replays it on the switch's next
+ * read (see switch.hh), so every public read or change of a port
+ * settles the switch first.
  */
 
 #ifndef HOLDCSIM_NETWORK_PORT_HH
@@ -30,7 +31,6 @@
 #include "sim/event.hh"
 #include "sim/simulator.hh"
 #include "sim/stats.hh"
-#include "sim/timer_wheel.hh"
 #include "switch_power.hh"
 
 namespace holdcsim {
@@ -39,22 +39,10 @@ namespace holdcsim {
 enum class PortState { active, lpi, off };
 
 class Port;
-
-/** The entity that owns a PortPool (a Switch, or a test fixture). */
-class PortHost
-{
-  public:
-    virtual ~PortHost() = default;
-
-    /** Invoked before any power-relevant port state change. */
-    virtual void portAccrue() = 0;
-
-    /** Port @p port crossed a busy/idle edge (card management). */
-    virtual void portActivityChanged(unsigned port) = 0;
-};
+class Switch;
 
 /** Dense struct-of-arrays storage for all ports of one switch. */
-class PortPool : public TimerClient
+class PortPool
 {
   public:
     /** Hands a fully serialized packet to the far end of the link. */
@@ -62,31 +50,33 @@ class PortPool : public TimerClient
 
     /**
      * @param sim        owning engine
-     * @param host       owner notified of accrual/activity edges
+     * @param sw         owning switch, told of accrual and activity
+     *                   edges (not yet constructed: stored only)
      * @param profile    power profile (not owned; must outlive pool)
      * @param line_rates full line rate per port (one entry per port,
      *                   all positive)
      * @param buffer_capacity max queued packets per port (> 0)
      */
-    PortPool(Simulator &sim, PortHost &host,
+    PortPool(Simulator &sim, Switch &sw,
              const SwitchPowerProfile &profile,
              std::vector<BitsPerSec> line_rates,
              std::size_t buffer_capacity);
 
-    /** Deschedules pending transmissions and cancels LPI timers. */
-    ~PortPool() override;
+    /** Deschedules pending transmissions. */
+    ~PortPool();
 
     PortPool(const PortPool &) = delete;
     PortPool &operator=(const PortPool &) = delete;
 
     unsigned size() const { return static_cast<unsigned>(_state.size()); }
 
-    /** TimerClient: an LPI deadline expired (token = port id). */
-    void timerFired(std::uint64_t token, Tick deadline) override;
-    const char *timerName() const override { return "port.lpi"; }
-
   private:
     friend class Port;
+    friend class LineCard;
+    friend class Switch;
+
+    /** Settle the owning switch (Port's reads and changes do). */
+    void settle() const;
 
     bool busy(unsigned p) const
     {
@@ -104,11 +94,15 @@ class PortPool : public TimerClient
         return _lineRate[p] * _rateFraction[p];
     }
     Watts power(unsigned p) const;
-    void setState(unsigned p, PortState next);
+    /** Enter @p next at tick @p at (<= curTick()). */
+    void setState(unsigned p, PortState next, Tick at);
     void startNext(unsigned p, Tick extra_delay);
     void transmitDone(unsigned p);
     void maybeArmLpi(unsigned p);
-    void cancelLpi(unsigned p);
+    /** Earliest pending LPI stage (maxTick: none). */
+    Tick nextLpi() const;
+    /** Replay every LPI stage due at @p at. */
+    void enterLpi(Tick at);
 
     /**
      * One port's transmit-completion event: pool + port id, no
@@ -131,7 +125,7 @@ class PortPool : public TimerClient
     };
 
     Simulator &_sim;
-    PortHost &_host;
+    Switch &_switch;
     const SwitchPowerProfile &_profile;
     std::size_t _bufferCapacity;
 
@@ -140,7 +134,8 @@ class PortPool : public TimerClient
     std::vector<double> _rateFraction;
     std::vector<unsigned> _activeFlows;
     std::vector<BitsPerSec> _lineRate;
-    std::vector<TimerWheel::Handle> _lpi;
+    /** Tick each port's LPI stage is due (maxTick: none pending). */
+    std::vector<Tick> _lpiAt;
     std::vector<StateResidency> _residency;
     std::vector<std::uint64_t> _packetsSent;
     std::vector<std::uint64_t> _packetsDropped;
@@ -167,7 +162,12 @@ class Port
     Port(PortPool &pool, unsigned id) : _pool(&pool), _id(id) {}
 
     unsigned id() const { return _id; }
-    PortState state() const { return _pool->_state[_id]; }
+    PortState
+    state() const
+    {
+        _pool->settle();
+        return _pool->_state[_id];
+    }
 
     /** Whether traffic or registered flows keep this port busy. */
     bool busy() const { return _pool->busy(_id); }
@@ -186,15 +186,26 @@ class Port
      */
     bool sendPacket(const PacketPtr &pkt, Tick extra_delay = 0)
     {
+        _pool->settle();
         return _pool->sendPacket(_id, pkt, extra_delay);
     }
 
     /** @name Flow-model activity refcounting */
     ///@{
     /** A flow began traversing this port. */
-    void flowStarted() { _pool->flowStarted(_id); }
+    void
+    flowStarted()
+    {
+        _pool->settle();
+        _pool->flowStarted(_id);
+    }
     /** A flow stopped traversing this port. */
-    void flowEnded() { _pool->flowEnded(_id); }
+    void
+    flowEnded()
+    {
+        _pool->settle();
+        _pool->flowEnded(_id);
+    }
     unsigned activeFlows() const { return _pool->_activeFlows[_id]; }
     ///@}
 
@@ -202,16 +213,27 @@ class Port
      * Wake the port if it is in LPI; returns the exit latency the
      * caller must account for (0 when already active).
      */
-    Tick wake() { return _pool->wake(_id); }
+    Tick
+    wake()
+    {
+        _pool->settle();
+        return _pool->wake(_id);
+    }
 
     /** Power the port off (unused ports). @pre !busy(). */
-    void powerOff() { _pool->powerOff(_id); }
+    void
+    powerOff()
+    {
+        _pool->settle();
+        _pool->powerOff(_id);
+    }
 
     /** @name Adaptive link rate */
     ///@{
     /** Set the operating rate as a fraction of line rate, in (0,1]. */
     void setRateFraction(double fraction)
     {
+        _pool->settle();
         _pool->setRateFraction(_id, fraction);
     }
     double rateFraction() const { return _pool->_rateFraction[_id]; }
@@ -220,7 +242,12 @@ class Port
     ///@}
 
     /** Instantaneous power. */
-    Watts power() const { return _pool->power(_id); }
+    Watts
+    power() const
+    {
+        _pool->settle();
+        return _pool->power(_id);
+    }
 
     /** @name Stats */
     ///@{
@@ -233,9 +260,15 @@ class Port
     std::size_t queueLength() const { return _pool->_io[_id].queue.size(); }
     const StateResidency &residency() const
     {
+        _pool->settle();
         return _pool->_residency[_id];
     }
-    void finishStats(Tick now) { _pool->_residency[_id].finish(now); }
+    void
+    finishStats(Tick now)
+    {
+        _pool->settle();
+        _pool->_residency[_id].finish(now);
+    }
     /** Zero packet counters and residency (end of warmup). */
     void resetStats(Tick now);
     ///@}

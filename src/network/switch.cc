@@ -1,5 +1,7 @@
 #include "switch.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace holdcsim {
@@ -33,104 +35,147 @@ Switch::Switch(Simulator &sim, const SwitchConfig &config,
     : _sim(sim), _config(config), _profile(profile),
       _portPool(sim, *this, _profile, checkedPortRates(config, _profile),
                 config.portBufferCapacity),
-      _lastAccrue(sim.curTick())
+      _settledEpoch(sim.epoch()), _lastAccrue(sim.curTick())
 {
-    unsigned n_ports = _portPool.size();
-    unsigned n_cards =
-        (n_ports + config.portsPerLinecard - 1) /
-        config.portsPerLinecard;
-    for (unsigned lc = 0; lc < n_cards; ++lc) {
+    const unsigned n_ports = _portPool.size();
+    const unsigned per_card = config.portsPerLinecard;
+    for (unsigned first = 0; first < n_ports; first += per_card) {
         _linecards.push_back(std::make_unique<LineCard>(
-            sim, lc, _profile, [this] { accrue(); },
-            [this] { linecardStateChanged(); }));
+            *this, _portPool, first / per_card, first,
+            std::min(per_card, n_ports - first), _profile));
         if (sim.tracer()) {
             _linecards.back()->setTraceLabel(
                 "sw" + std::to_string(config.id) + ".lc" +
-                std::to_string(lc));
+                std::to_string(first / per_card));
         }
     }
     _ports.reserve(n_ports);
-    for (unsigned p = 0; p < n_ports; ++p) {
+    for (unsigned p = 0; p < n_ports; ++p)
         _ports.emplace_back(_portPool, p);
-        _linecards[p / config.portsPerLinecard]->addPort(&_ports.back());
-    }
     _residency.enter(0, sim.curTick()); // awake
-    traceState();
-    // Ports arm their LPI timers at construction; the resulting
-    // quiescence will cascade into line card / switch sleep per the
-    // configured thresholds.
+    traceState(sim.curTick());
+    // Idle ports start their LPI countdowns; the resulting quiescence
+    // cascades into line card / switch sleep per the thresholds.
+    for (unsigned p = 0; p < n_ports; ++p)
+        _portPool.maybeArmLpi(p);
+    sim.addDeferred(*this);
 }
 
 Switch::~Switch()
 {
-    _sim.timerWheel().cancel(_sleepHandle);
+    _sim.removeDeferred(*this);
 }
 
 void
-Switch::timerFired(std::uint64_t, Tick)
+Switch::settleDue()
 {
-    _sleepHandle = {}; // the firing handle is already dead
-    trySleep();
+    const Tick now = _sim.curTick();
+    for (;;) {
+        // The earliest pending stage. On a tie ports go first, then
+        // cards, then the switch: each level's countdown starts when
+        // the level below it finished.
+        const Tick port_at = _portPool.nextLpi();
+        Tick card_at = maxTick;
+        for (const auto &lc : _linecards)
+            card_at = std::min(card_at, lc->_sleepAt);
+        const Tick at = std::min({port_at, card_at, _sleepAt});
+        if (at > now) {
+            _nextDue = at;
+            return;
+        }
+        if (port_at == at) {
+            _portPool.enterLpi(at);
+        } else if (card_at == at) {
+            for (const auto &lc : _linecards)
+                if (lc->_sleepAt == at)
+                    lc->sleepDue(at);
+        } else {
+            _sleepAt = maxTick;
+            if (!_asleep && !anyPortBusy())
+                setAsleep(true, at);
+        }
+    }
 }
 
-void
-Switch::armSleep()
+Tick
+Switch::lastDeferredTick() const
 {
-    _sim.timerWheel().rearm(_sleepHandle, *this, 0,
-                            _config.switchSleepDelay);
-}
-
-void
-Switch::cancelSleep()
-{
-    _sim.timerWheel().cancel(_sleepHandle);
+    // Where the pending cascade ends if nothing touches the switch
+    // again: every port's LPI stage, each card's sleep, and the
+    // switch's sleep once the last card sleeps.
+    Tick last = _sleepAt == maxTick ? 0 : _sleepAt;
+    for (Tick at : _portPool._lpiAt)
+        if (at != maxTick)
+            last = std::max(last, at);
+    Tick cards_asleep = 0;
+    for (const auto &lc : _linecards)
+        cards_asleep = std::max(cards_asleep, lc->sleepsAt());
+    if (cards_asleep == maxTick)
+        return last;
+    last = std::max(last, cards_asleep);
+    if (_sleepAt == maxTick && cards_asleep != 0 && !_asleep &&
+        !_failed && _config.switchSleepDelay != maxTick) {
+        last = std::max(last, _sim.timerWheel().deadlineAt(
+                                  cards_asleep, _config.switchSleepDelay));
+    }
+    return last;
 }
 
 Tick
 Switch::wakeForActivity(unsigned port_idx)
 {
+    settle();
     Tick delay = 0;
     if (_asleep) {
-        setAsleep(false);
+        setAsleep(false, _sim.curTick());
         delay += _profile.switchWakeLatency;
     }
-    cancelSleep();
-    unsigned lc = port_idx / _config.portsPerLinecard;
-    delay += _linecards.at(lc)->wake();
-    delay += _ports.at(port_idx).wake();
+    _sleepAt = maxTick;
+    delay += _linecards.at(port_idx / _config.portsPerLinecard)->wakeNow();
+    delay += _portPool.wake(port_idx);
     return delay;
 }
 
 bool
 Switch::trySleep()
 {
+    settle();
     if (_asleep)
         return true;
-    for (const auto &p : _ports) {
-        if (p.busy())
-            return false;
-    }
-    setAsleep(true);
+    if (anyPortBusy())
+        return false;
+    setAsleep(true, _sim.curTick());
     return true;
+}
+
+bool
+Switch::anyPortBusy() const
+{
+    for (unsigned p = 0; p < _portPool.size(); ++p)
+        if (_portPool.busy(p))
+            return true;
+    return false;
 }
 
 void
 Switch::setFailed(bool failed)
 {
+    settle();
     if (failed == _failed)
         return;
-    accrue();
+    const Tick now = _sim.curTick();
+    accrueTo(now);
     _failed = failed;
     if (failed) {
-        cancelSleep();
+        _sleepAt = maxTick;
     } else {
         // A repaired switch whose line cards are all still quiescent
         // would otherwise stay awake forever: no port edge means no
         // one ever restarts the sleep countdown the failure
         // cancelled.
-        linecardStateChanged();
+        linecardStateChanged(now);
     }
-    traceState();
+    traceState(now);
 }
 
 bool
@@ -140,8 +185,8 @@ Switch::forwardPacket(const PacketPtr &pkt, unsigned out_port)
         return false; // a dead switch drops everything
     Tick wake_delay = wakeForActivity(out_port);
     ++_packetsForwarded;
-    return _ports.at(out_port).sendPacket(
-        pkt, wake_delay + _forwardingDelay);
+    return _portPool.sendPacket(out_port, pkt,
+                                wake_delay + _forwardingDelay);
 }
 
 Tick
@@ -149,20 +194,21 @@ Switch::flowStarted(unsigned in_port, unsigned out_port)
 {
     Tick delay = wakeForActivity(in_port);
     delay += wakeForActivity(out_port);
-    _ports.at(in_port).flowStarted();
-    _ports.at(out_port).flowStarted();
+    _portPool.flowStarted(in_port);
+    _portPool.flowStarted(out_port);
     return delay;
 }
 
 void
 Switch::flowEnded(unsigned in_port, unsigned out_port)
 {
-    _ports.at(in_port).flowEnded();
-    _ports.at(out_port).flowEnded();
+    settle();
+    _portPool.flowEnded(in_port);
+    _portPool.flowEnded(out_port);
 }
 
 Watts
-Switch::power() const
+Switch::powerNow() const
 {
     if (_failed)
         return 0.0;
@@ -170,22 +216,21 @@ Switch::power() const
         return _profile.switchSleep;
     Watts total = _profile.chassisBase;
     for (const auto &lc : _linecards)
-        total += lc->power();
-    for (const auto &p : _ports)
-        total += p.power();
+        total += lc->powerNow();
+    for (unsigned p = 0; p < _portPool.size(); ++p)
+        total += _portPool.power(p);
     return total;
 }
 
 void
-Switch::accrue()
+Switch::accrueTo(Tick at)
 {
-    Tick now = _sim.curTick();
-    if (now == _lastAccrue)
+    if (at == _lastAccrue)
         return;
-    if (now < _lastAccrue)
+    if (at < _lastAccrue)
         HOLDCSIM_PANIC("switch ", id(), " accrue() with time reversed");
-    _energy += energyOver(power(), now - _lastAccrue);
-    _lastAccrue = now;
+    _energy += energyOver(powerNow(), at - _lastAccrue);
+    _lastAccrue = at;
 }
 
 std::uint64_t
@@ -229,41 +274,41 @@ Switch::resetStats()
 }
 
 void
-Switch::portActivityChanged(unsigned port)
+Switch::portActivityChanged(unsigned port, Tick at)
 {
-    _linecards.at(port / _config.portsPerLinecard)
-        ->portActivityChanged();
+    _linecards[port / _config.portsPerLinecard]->portActivityChanged(at);
 }
 
 void
-Switch::linecardStateChanged()
+Switch::linecardStateChanged(Tick at)
 {
     if (_config.switchSleepDelay == maxTick || _asleep || _failed)
         return;
-    // Arm the whole-switch sleep countdown once every line card has
+    // Start the whole-switch sleep countdown once every line card has
     // gone to sleep (or off).
     for (const auto &lc : _linecards) {
-        if (lc->state() == LineCardState::active)
+        if (lc->_state == LineCardState::active)
             return;
     }
-    armSleep();
+    _sleepAt = _sim.timerWheel().deadlineAt(at, _config.switchSleepDelay);
+    noteDue(_sleepAt);
 }
 
 void
-Switch::setAsleep(bool asleep)
+Switch::setAsleep(bool asleep, Tick at)
 {
     if (asleep == _asleep)
         return;
-    accrue();
+    accrueTo(at);
     _asleep = asleep;
     if (asleep)
         ++_sleepTransitions;
-    _residency.enter(asleep ? 1 : 0, _sim.curTick());
-    traceState();
+    _residency.enter(asleep ? 1 : 0, at);
+    traceState(at);
 }
 
 void
-Switch::traceState()
+Switch::traceState(Tick at)
 {
     TraceManager *tr = _sim.tracer();
     if (!tr || !tr->wants(TraceCategory::network))
@@ -275,8 +320,7 @@ Switch::traceState()
     const char *name = _failed ? "failed"
                        : _asleep ? "asleep"
                                  : "awake";
-    tr->transition(_traceTrack, TraceCategory::network, name,
-                   _sim.curTick());
+    tr->transition(_traceTrack, TraceCategory::network, name, at);
 }
 
 } // namespace holdcsim

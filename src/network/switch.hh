@@ -3,6 +3,26 @@
  * Network switch model (paper section III-B): chassis, line cards
  * and ports, with hierarchical power states, per-port packet queuing
  * and store-and-forward behavior.
+ *
+ * Timer discipline: the switch's idle ladder schedules nothing, like
+ * a server's (see core.hh). Its three levels keep only the tick their
+ * next stage is due: an idle port its LPI entry, a line card whose
+ * ports are all quiescent its sleep, and a switch whose cards all
+ * sleep its own sleep. Each stage is placed with
+ * TimerWheel::deadlineAt() from the tick the stage below it finished
+ * -- a card's countdown starts when its last port entered LPI, the
+ * switch's when its last card slept -- which is where an armed timer
+ * would fire, at any granularity.
+ *
+ * settle() replays every stage due by curTick(), in time order (on a
+ * tie ports first, then cards, then the switch), through the same
+ * state changes, accruals and trace records a timer event would have
+ * made at its own tick. Everything that reads or changes the switch,
+ * its ports or its cards settles first, at most once per
+ * Simulator::epoch(): a stage armed for curTick() inside the current
+ * event is due only in the next one, as a same-tick timer event would
+ * have run only after it. The switch registers as DeferredTimers, so a
+ * drained run() still ends at its last pending stage.
  */
 
 #ifndef HOLDCSIM_NETWORK_SWITCH_HH
@@ -39,12 +59,12 @@ struct SwitchConfig {
 };
 
 /** A store-and-forward switch with hierarchical power management. */
-class Switch : private PortHost, private TimerClient
+class Switch : public DeferredTimers
 {
   public:
     Switch(Simulator &sim, const SwitchConfig &config,
            const SwitchPowerProfile &profile);
-    ~Switch();
+    ~Switch() override;
     Switch(const Switch &) = delete;
     Switch &operator=(const Switch &) = delete;
 
@@ -56,7 +76,12 @@ class Switch : private PortHost, private TimerClient
     LineCard &lineCard(unsigned i) { return *_linecards.at(i); }
 
     /** Whether the whole switch is in its sleep state. */
-    bool asleep() const { return _asleep; }
+    bool
+    asleep()
+    {
+        settle();
+        return _asleep;
+    }
 
     /**
      * Crash/repair the whole switch (fault subsystem). A failed
@@ -99,42 +124,99 @@ class Switch : private PortHost, private TimerClient
 
     /** @name Power and energy */
     ///@{
-    Watts power() const;
-    Joules energy() const { return _energy; }
-    void accrue();
+    Watts
+    power()
+    {
+        settle();
+        return powerNow();
+    }
+    /** Energy accrued up to the last accrue(). */
+    Joules
+    energy()
+    {
+        settle();
+        return _energy;
+    }
+    void
+    accrue()
+    {
+        settle();
+        accrueTo(_sim.curTick());
+    }
     ///@}
 
     /** @name Stats */
     ///@{
     std::uint64_t packetsForwarded() const { return _packetsForwarded; }
     std::uint64_t packetsDropped() const;
-    std::uint64_t sleepTransitions() const { return _sleepTransitions; }
+    std::uint64_t
+    sleepTransitions()
+    {
+        settle();
+        return _sleepTransitions;
+    }
     /** Residency over {awake=0, asleep=1}. */
-    const StateResidency &residency() const { return _residency; }
+    const StateResidency &
+    residency()
+    {
+        settle();
+        return _residency;
+    }
     void finishStats();
     /** Zero energy, residency and counters (end of warmup). */
     void resetStats();
     ///@}
 
+    /**
+     * Replay every idle stage due by curTick() (see the file comment).
+     * At most once per Simulator::epoch().
+     */
+    void
+    settle()
+    {
+        const std::uint64_t epoch = _sim.epoch();
+        if (_settledEpoch == epoch)
+            return;
+        _settledEpoch = epoch;
+        if (_nextDue <= _sim.curTick())
+            settleDue();
+    }
+
+    /** DeferredTimers: the last stage still pending. */
+    Tick lastDeferredTick() const override;
+
     Simulator &simulator() { return _sim; }
     const SwitchConfig &config() const { return _config; }
 
   private:
-    /** @name PortHost interface (driven by the port pool) */
+    friend class PortPool;
+    friend class LineCard;
+
+    /** @name Unsettled internals (callers settle first) */
     ///@{
-    void portAccrue() override { accrue(); }
-    /** Route a port's busy/idle edge to its line card. */
-    void portActivityChanged(unsigned port) override;
+    /** The settle() slow path: something may be due. */
+    void settleDue();
+    /** A stage is now due at @p at: settle() must look by then. */
+    void
+    noteDue(Tick at)
+    {
+        if (at < _nextDue)
+            _nextDue = at;
+    }
+    Watts powerNow() const;
+    /** Book energy up to tick @p at (<= curTick()). */
+    void accrueTo(Tick at);
+    /** Route a port's busy/idle edge at @p at to its line card. */
+    void portActivityChanged(unsigned port, Tick at);
+    /** A card changed state at @p at: start the sleep countdown once
+     *  every card is asleep or off. */
+    void linecardStateChanged(Tick at);
+    bool anyPortBusy() const;
+    void setAsleep(bool asleep, Tick at);
     ///@}
-    /** TimerClient: the whole-switch sleep countdown expired. */
-    void timerFired(std::uint64_t token, Tick deadline) override;
-    const char *timerName() const override { return "switch.sleep"; }
-    void linecardStateChanged();
-    void armSleep();
-    void cancelSleep();
-    void setAsleep(bool asleep);
-    /** Emit the chassis state (awake/asleep/failed) to the tracer. */
-    void traceState();
+    /** Emit the chassis state (awake/asleep/failed) entered at @p at
+     *  to the tracer. */
+    void traceState(Tick at);
 
     Simulator &_sim;
     SwitchConfig _config;
@@ -144,14 +226,20 @@ class Switch : private PortHost, private TimerClient
 
     /** Hot per-port state, struct-of-arrays (see port.hh). */
     PortPool _portPool;
-    /** Thin per-port views (stable addresses; line cards point in). */
+    /** Thin per-port views (stable: port() hands out references). */
     std::vector<Port> _ports;
     std::vector<std::unique_ptr<LineCard>> _linecards;
 
     bool _asleep = false;
     bool _failed = false;
     Tick _forwardingDelay = 1 * usec;
-    TimerWheel::Handle _sleepHandle;
+    /** Tick the whole-switch sleep is due (maxTick: none pending). */
+    Tick _sleepAt = maxTick;
+    /** No stage is due before this tick (a lower bound; settleDue()
+     *  makes it exact). */
+    Tick _nextDue = maxTick;
+    /** Simulator::epoch() of the last settle(). */
+    std::uint64_t _settledEpoch;
 
     Tick _lastAccrue = 0;
     Joules _energy = 0.0;

@@ -89,9 +89,10 @@ class KernelProbe
 
 /**
  * An entity whose timers are computed in closed form instead of being
- * scheduled (the server idle ladder, see CorePool): it replays what is
- * due whenever it is next read. Registered with its Simulator, so a
- * drained run() can still end where the timers' events would have.
+ * scheduled (a server's idle ladder, see CorePool; a switch's, see
+ * Switch): it replays what is due whenever it is next read.
+ * Registered with its Simulator, so a drained run() can still end
+ * where the timers' events would have.
  */
 class DeferredTimers
 {
@@ -117,14 +118,14 @@ class Simulator
   public:
     /**
      * @param backend           event-queue implementation
-     * @param timer_granularity bucket width of the governor timer
-     *                          wheel; 1 (the default) fires every
-     *                          governor timer at its exact tick
+     * @param timer_granularity bucket width governor timers are
+     *                          quantized to; 1 (the default) puts
+     *                          every one at its exact tick
      */
     explicit Simulator(
         EventQueue::Backend backend = EventQueue::Backend::calendar,
         Tick timer_granularity = 1)
-        : _queue(backend), _timerWheel(*this, timer_granularity)
+        : _queue(backend), _timerWheel(timer_granularity)
     {}
     Simulator(const Simulator &) = delete;
     Simulator &operator=(const Simulator &) = delete;
@@ -254,9 +255,8 @@ class Simulator
     TraceManager *tracer() const { return _tracer; }
 
     /**
-     * The governor timer wheel every core pool, port pool, line card
-     * and switch arms its power-state timeouts on. Its granularity is
-     * fixed at construction (see TimerWheel for the two modes).
+     * Where every core pool and switch places its governor timers'
+     * deadlines. Its granularity is fixed at construction.
      */
     TimerWheel &timerWheel() { return _timerWheel; }
     const TimerWheel &timerWheel() const { return _timerWheel; }
@@ -387,8 +387,6 @@ class Simulator
     std::vector<std::pair<std::string,
                           std::function<void(std::ostream &)>>>
         _abortContexts;
-    /** Declared last, so destroyed first: its dtor deschedules its
-     *  events from the queue. */
     TimerWheel _timerWheel;
 };
 

@@ -31,21 +31,6 @@ addQueueStats(StatGroup &group, const EventQueue &queue)
     group.add("queue.bucket_width_ticks", std::uint64_t{queue.bucketWidth()});
 }
 
-void
-addWheelStats(StatGroup &group, const TimerWheel &wheel)
-{
-    const TimerWheel::Stats &s = wheel.stats();
-    group.add("wheel.granularity_ticks", std::uint64_t{wheel.granularity()});
-    group.add("wheel.slots", std::uint64_t{wheel.numSlots()});
-    group.add("wheel.armed", s.armed);
-    group.add("wheel.cancelled", s.cancelled);
-    group.add("wheel.fired", s.fired);
-    group.add("wheel.tick_events", s.tickEvents);
-    group.add("wheel.max_batch", s.maxBatch);
-    group.add("wheel.overflow_migrations", s.overflowMigrations);
-    group.add("wheel.max_live", s.maxLive);
-}
-
 } // namespace
 
 LayerProbe::Layer
@@ -56,18 +41,16 @@ LayerProbe::layerOf(std::string_view name)
         Layer layer;
     };
     using L = Layer;
-    // First match wins. Core ladders and delay timers schedule no
-    // events (see core.hh); server governor events are wake-ups and
-    // DVFS ticks.
+    // First match wins. Idle ladders and delay timers schedule no
+    // events (see core.hh, switch.hh); governor events are server
+    // wake-ups, DVFS and ALR ticks, and port transmissions.
     static constexpr Rule rules[] = {
         {"core.completion", L::serverCompletion},
         {"dvfs.", L::serverGovernor}, {"server.", L::serverGovernor},
         {"flow.", L::networkFlow}, {"net.", L::networkFlow},
-        {"port.", L::networkGovernor}, {"linecard.", L::networkGovernor},
-        {"switch.", L::networkGovernor}, {"alr.", L::networkGovernor},
+        {"port.", L::networkGovernor}, {"alr.", L::networkGovernor},
         {"pump.", L::sched}, {"sched.", L::sched}, {"adaptive.", L::sched},
-        {"provisioning.", L::sched},
-        {"wheel.tick", L::wheel}, {"orch.", L::orch}, {"fault.", L::fault},
+        {"provisioning.", L::sched}, {"orch.", L::orch}, {"fault.", L::fault},
         {"sampler", L::telemetry}, {"invariant_audit", L::telemetry},
     };
     for (const Rule &r : rules) {
@@ -82,9 +65,8 @@ LayerProbe::layerName(Layer layer)
 {
     static constexpr const char *names[numLayers] = {
         "server_completion", "server_governor", "network_flow",
-        "network_governor",  "sched",           "wheel",
-        "orch",              "fault",           "telemetry",
-        "other",
+        "network_governor",  "sched",           "orch",
+        "fault",             "telemetry",       "other",
     };
     return names[static_cast<std::size_t>(layer)];
 }
@@ -235,8 +217,10 @@ LayerProbe::dump(std::ostream &os, const EventQueue &queue,
         addLayer(layerName(static_cast<Layer>(l)), layer_ns[l]);
     addLayer("kernel", kernel);
     addQueueStats(group, queue);
-    if (wheel)
-        addWheelStats(group, *wheel);
+    if (wheel) {
+        group.add("wheel.granularity_ticks",
+                  std::uint64_t{wheel->granularity()});
+    }
     group.dump(os);
 
     // The "# " table: event types, hottest first.

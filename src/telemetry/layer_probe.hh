@@ -36,11 +36,11 @@ class LayerProbe : public KernelProbe
     /** Where an event's host time is booked (see layerOf()). */
     enum class Layer : std::uint8_t {
         serverCompletion, serverGovernor, networkFlow, networkGovernor,
-        sched, wheel, orch, fault, telemetry,
+        sched, orch, fault, telemetry,
         /** Every name no rule knows; the hot table lists them. */
         other,
     };
-    static constexpr std::size_t numLayers = 10;
+    static constexpr std::size_t numLayers = 9;
 
     /** One event in this many is timed. Prime, so a periodic event
      *  pattern aliases onto one phase only if its period is a multiple. */
@@ -89,7 +89,7 @@ class LayerProbe : public KernelProbe
     /**
      * Dump the profile.* stats (per-type counts and host time, per-
      * layer host time, @p queue's occupancy and bucket-spill counters
-     * and, when @p wheel is non-null, its coalescing counters)
+     * and, when @p wheel is non-null, its granularity)
      * followed by the "# "-prefixed hot-events table.
      */
     void dump(std::ostream &os, const EventQueue &queue,

@@ -13,11 +13,12 @@
  * that an empty local queue requests none, checks that a server
  * builds its cores' busy state on its first task and never again,
  * and bounds the allocations of a stats dump, which must not grow
- * with the fleet either, checks that a bare Simulator's 1-tick
- * timer wheel allocates no ring, and that an idle plant run to drain
- * processes no kernel event. Last, it bounds the allocations of one
- * job on a warmed-up three-tier plant, from building the job to
- * shipping its results, which reuses the scheduler's job slots.
+ * with the fleet either, checks that a bare Simulator allocates no
+ * more than its event queue at any timer granularity, and that an
+ * idle plant run to drain processes no kernel event. Last, it bounds
+ * the allocations of one job on a warmed-up three-tier plant, from
+ * building the job to shipping its results, which reuses the
+ * scheduler's job slots, and records the kernel events per job.
  */
 
 #include <gtest/gtest.h>
@@ -36,7 +37,6 @@
 #include "network/network.hh"
 #include "server/local_scheduler.hh"
 #include "server/server.hh"
-#include "sim/timer_wheel.hh"
 #include "workload/arrival.hh"
 #include "workload/job_generator.hh"
 #include "workload/service.hh"
@@ -200,8 +200,8 @@ TEST(AllocBudget, IdleFleetSchedulesNothing)
 {
     // The same plant with no jobs: every server walks its core C-state
     // ladder and suspends tau after construction, yet an idle server
-    // costs nothing between interactions -- no kernel event, no wheel
-    // timer. The drained run still ends at the last suspend, tau.
+    // costs nothing between interactions: no kernel event. The
+    // drained run still ends at the last suspend, tau.
     const DataCenterConfig cfg = wheelPlant(1000);
     DataCenter dc(cfg);
     EXPECT_EQ(dc.run(), cfg.delayTimerTau);
@@ -209,7 +209,6 @@ TEST(AllocBudget, IdleFleetSchedulesNothing)
     RecordProperty("idle_plant_events",
                    static_cast<int>(sim.eventsProcessed()));
     EXPECT_EQ(sim.eventsProcessed(), 0u);
-    EXPECT_EQ(sim.timerWheel().stats().armed, 0u);
     for (std::size_t i = 0; i < dc.numServers(); ++i) {
         ASSERT_TRUE(dc.server(i).isAsleep()) << "server " << i;
         ASSERT_EQ(dc.server(i).sleepTransitions(), 1u) << "server " << i;
@@ -259,10 +258,9 @@ TEST(AllocBudget, FirstTaskBuildsBusyStateOnce)
 
 TEST(AllocBudget, BareSimulatorAllocatesNoWheelRing)
 {
-    // Every Simulator owns a timer wheel. At the default 1-tick
-    // granularity it has no ring, so a bare Simulator requests no
-    // more heap than its event queue; a 100 us wheel shows what the
-    // check would catch.
+    // Every Simulator owns a timer wheel, which only places deadlines:
+    // at any granularity a bare Simulator requests no more heap than
+    // its event queue.
     const auto bytesOf = [](auto build) {
         bytesRequested = allocations = 0;
         counting = true;
@@ -272,11 +270,10 @@ TEST(AllocBudget, BareSimulatorAllocatesNoWheelRing)
     };
     const std::size_t queue = bytesOf([] { EventQueue q; });
     const std::size_t exact = bytesOf([] { Simulator sim; });
-    const std::size_t ring = bytesOf(
+    const std::size_t coarse = bytesOf(
         [] { Simulator sim(EventQueue::Backend::calendar, 100 * usec); });
     EXPECT_EQ(exact, queue);
-    EXPECT_GT(ring, queue);
-    EXPECT_EQ(Simulator().timerWheel().numSlots(), 0u);
+    EXPECT_EQ(coarse, queue);
 }
 
 TEST(AllocBudget, EmptyLocalSchedulerRequestsNoHeap)
@@ -390,6 +387,14 @@ TEST(AllocBudget, StatsDumpAllocationsDoNotScaleWithServers)
 
 namespace {
 
+/** What one job of the three-tier plant costs. */
+struct ThreeTierJobCost {
+    /** Heap allocations per measured job. */
+    double allocations = 0.0;
+    /** Kernel events per job over the whole run. */
+    double events = 0.0;
+};
+
 /**
  * The perfbench three_tier plant at small scale: 12 servers typed
  * web/app/db behind one star switch, least-loaded dispatch, Poisson
@@ -398,8 +403,8 @@ namespace {
  * while the next @p measured arrive, per job: building each job,
  * dispatching its tasks, running them and shipping both results.
  */
-double
-threeTierAllocationsPerJob(std::size_t warmup, std::size_t measured)
+ThreeTierJobCost
+threeTierJobCost(std::size_t warmup, std::size_t measured)
 {
     Simulator sim;
     Network net(sim, Topology::star(12, 1e9, 5 * usec),
@@ -446,17 +451,23 @@ threeTierAllocationsPerJob(std::size_t warmup, std::size_t measured)
     sim.run();
     counting = false;
     EXPECT_EQ(sched.jobsCompleted(), warmup + measured);
-    return static_cast<double>(allocations) / measured;
+    return {static_cast<double>(allocations) / measured,
+            static_cast<double>(sim.eventsProcessed()) /
+                static_cast<double>(warmup + measured)};
 }
 
 } // namespace
 
 TEST(AllocBudget, ThreeTierJobAllocations)
 {
-    const double perJob = threeTierAllocationsPerJob(2000, 2000);
+    const ThreeTierJobCost cost = threeTierJobCost(2000, 2000);
+    const double perJob = cost.allocations;
     char text[32];
     std::snprintf(text, sizeof text, "%.2f", perJob);
     RecordProperty("allocations_per_three_tier_job", text);
+    // Arrivals, completions and flow events: governor timers add none.
+    std::snprintf(text, sizeof text, "%.2f", cost.events);
+    RecordProperty("three_tier_events_per_job", text);
     // The job's three arrays (tasks, index, edge bytes; the edges wait
     // in the index until validate()) and the amortized growth of the
     // latency samples. Job and flow state, routes and transfer

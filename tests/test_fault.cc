@@ -23,7 +23,6 @@
 #include "server/server.hh"
 #include "sim/logging.hh"
 #include "sim/simulator.hh"
-#include "sim/timer_wheel.hh"
 #include "workload/job.hh"
 
 using namespace holdcsim;
@@ -484,11 +483,10 @@ TEST_F(FaultFixture, RepairedServerServesAgain)
 TEST_F(FaultFixture, WheelModeFaultCycleLeavesNoZombieTimers)
 {
     // Same crash/retry scenario as CrashedTaskRetriesOnHealthyServer,
-    // watched through the simulator's governor timer wheel. A server
+    // watched through the governor timers' deferred stages. A server
     // failure forces cores into deep sleep mid-ladder; no stage
     // pending before the crash may survive it -- a zombie would
     // either fire into a failed machine or keep the run alive.
-    TimerWheel &wheel = sim.timerWheel();
     makeFleet(2);
     makeScheduler(flatPolicy(3));
     auto trace = std::make_unique<TraceFaultModel>();
@@ -507,17 +505,16 @@ TEST_F(FaultFixture, WheelModeFaultCycleLeavesNoZombieTimers)
     EXPECT_EQ(servers[1]->tasksCompleted(), 1u);
 
     // The run drained: every governor ladder ran dry, and no zombie
-    // wheel entry survives the fail/repair cycles. Server 1's unused
-    // 200 ms fault cycle legitimately remains queued -- injection
-    // events are background -- so the check is that nothing
-    // *foreground* (i.e. no wheel tick) is left: re-running must not
-    // advance the clock.
-    EXPECT_EQ(wheel.live(), 0u);
+    // stage survives the fail/repair cycles. Server 1's unused 200 ms
+    // fault cycle legitimately remains queued -- injection events are
+    // background -- so the check is that nothing foreground and no
+    // deferred stage is left: re-running must not advance the clock.
     const Tick done = sim.curTick();
+    EXPECT_EQ(sim.eventQueue().foregroundCount(), 0u);
+    for (const DeferredTimers *d : sim.deferred())
+        EXPECT_LE(d->lastDeferredTick(), done);
     sim.run();
     EXPECT_EQ(sim.curTick(), done);
-    // Server core ladders are computed, never armed on the wheel.
-    EXPECT_EQ(wheel.stats().armed, 0u);
     // Every ladder ran dry: each core of both servers sits in C6.
     for (Server *s : servers)
         for (unsigned c = 0; c < s->numCores(); ++c)
@@ -629,12 +626,11 @@ TEST_F(NetFaultFixture, ManagerDrivesSwitchFaults)
 
 TEST(NetFaultWheel, SwitchFaultCancelsWheelSleepTimers)
 {
-    // Wheel-mode switch: LPI / line card / switch sleep countdowns
-    // all live on the shared wheel. Failing the switch mid-countdown
-    // must cancel them (a zombie timer would put a dead switch to
-    // sleep), and the repair must restart the ladder cleanly.
+    // LPI, line card and switch sleep countdowns are the switch's
+    // deferred stages. Failing the switch mid-countdown must cancel
+    // its sleep (a zombie stage would put a dead switch to sleep), and
+    // the repair must restart the ladder cleanly.
     Simulator sim;
-    TimerWheel &wheel = sim.timerWheel();
     NetworkConfig net_cfg;
     net_cfg.switchSleepDelay = 50 * msec;
     {
@@ -649,21 +645,27 @@ TEST(NetFaultWheel, SwitchFaultCancelsWheelSleepTimers)
         FaultManager fm(sim, std::move(trace), {}, &net, nullptr,
                         cfg);
 
+        Switch &sw = net.switchAt(0);
         sim.runUntil(100 * msec);
-        EXPECT_TRUE(net.switchAt(0).failed());
+        EXPECT_TRUE(sw.failed());
+        // Ports and the card go idle while the switch is down, but a
+        // failed switch starts no sleep countdown: nothing is pending.
+        EXPECT_FALSE(sw.asleep());
+        EXPECT_EQ(sw.lineCard(0).state(), LineCardState::sleep);
+        EXPECT_EQ(sw.lastDeferredTick(), 0u);
         // Injection events are background, so run() alone would stop
         // before the 200 ms repair: step past it with runUntil, which
         // drains background events too.
         sim.runUntil(400 * msec);
-        EXPECT_FALSE(net.switchAt(0).failed());
-        EXPECT_TRUE(net.switchAt(0).asleep());
-        EXPECT_EQ(wheel.live(), 0u);
+        EXPECT_FALSE(sw.failed());
+        EXPECT_TRUE(sw.asleep());
+        EXPECT_EQ(sw.sleepTransitions(), 1u);
+        EXPECT_EQ(sw.lastDeferredTick(), 0u);
         EXPECT_FALSE(sim.hasPendingEvents());
-        EXPECT_GT(wheel.stats().fired, 0u);
+        ASSERT_EQ(sim.deferred().size(), 1u);
     }
-    // Network destroyed while the wheel is alive: port/card/switch
-    // dtors cancelled every handle they still held.
-    EXPECT_EQ(wheel.live(), 0u);
+    // The destroyed switch left the simulator's deferred list.
+    EXPECT_TRUE(sim.deferred().empty());
 }
 
 // -------------------------------------------------------- DataCenter wiring

@@ -26,7 +26,6 @@
 #include "network/routing.hh"
 #include "sched/dispatch_policy.hh"
 #include "sim/logging.hh"
-#include "sim/timer_wheel.hh"
 #include "workload/service.hh"
 #include "workload/trace.hh"
 
@@ -857,23 +856,16 @@ TEST_P(TimerModeProperty, CoarseWheelConservesResidencyPartitions)
 
 namespace {
 
-/** Completed work and kernel counters of one fleet run. */
+/** Completed work and kernel events of one fleet run. */
 struct WheelRun {
     std::uint64_t done = 0;
     std::uint64_t events = 0;
-    std::uint64_t fired = 0;
-    std::uint64_t ticks = 0;
 };
 
 WheelRun
 wheelCounters(const Simulator &sim, std::uint64_t done)
 {
-    WheelRun r;
-    r.done = done;
-    r.events = sim.eventsProcessed();
-    r.fired = sim.timerWheel().stats().fired;
-    r.ticks = sim.timerWheel().stats().tickEvents;
-    return r;
+    return {done, sim.eventsProcessed()};
 }
 
 /** The examples/three_tier fleet (12 typed servers, star fabric)
@@ -961,35 +953,30 @@ runWarehouseWaves(EventQueue::Backend backend, Tick granularity)
 
 TEST_P(TimerModeProperty, CoarseWheelThreeTierReplayCounters)
 {
-    // A 1 ms wheel completes every request while folding the
-    // network's governor timers (port LPI) into shared ticks:
-    // 22872 -> 18289 events. Core ladders arm no timer in either
-    // mode.
+    // A 1 ms wheel completes every request. Neither granularity
+    // schedules a governor timer (port LPI, line card and switch
+    // sleep are settled in closed form, like core ladders), so both
+    // runs take the same 8 events per request: its arrival, three
+    // completions and two flows.
     const WheelRun events = runThreeTierReplay(GetParam(), 1);
     const WheelRun coarse = runThreeTierReplay(GetParam(), 1 * msec);
     EXPECT_EQ(events.done, 2000u);
     EXPECT_EQ(coarse.done, events.done);
-    EXPECT_EQ(events.events, 22872u);
-    // Exact mode: every firing is its own kernel event.
-    EXPECT_EQ(events.ticks, events.fired);
-    EXPECT_EQ(coarse.events, 18289u);
-    EXPECT_EQ(coarse.fired, 6223u);
-    EXPECT_EQ(coarse.ticks, 2289u);
+    EXPECT_EQ(events.events, 16000u);
+    EXPECT_EQ(coarse.events, 16000u);
 }
 
 TEST_P(TimerModeProperty, CoarseWheelWarehouseCounters)
 {
-    // A flat fleet's only governors are core ladders, which arm no
-    // timer: at either granularity the run is the 2 wave events and
-    // the 8192 completions, and the wheel never fires.
+    // A flat fleet's only governors are core ladders, which schedule
+    // nothing: at either granularity the run is the 2 wave events and
+    // the 8192 completions.
     const WheelRun events = runWarehouseWaves(GetParam(), 1);
     const WheelRun coarse = runWarehouseWaves(GetParam(), 100 * usec);
     EXPECT_EQ(events.done, 8192u);
     EXPECT_EQ(coarse.done, 8192u);
     EXPECT_EQ(events.events, 8194u);
     EXPECT_EQ(coarse.events, 8194u);
-    EXPECT_EQ(coarse.fired, 0u);
-    EXPECT_EQ(coarse.ticks, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -1299,8 +1286,8 @@ TEST(FaultedEnergyProperty, LedgerConservedAndModeInvariant)
 // ---------------------------------------------------------------------------
 // Property: the event queue dispatches in total (tick, priority)
 // order even under heavy fault-style churn -- events descheduled and
-// rescheduled mid-run, and, in the _wheel runs, governor timers armed
-// and cancelled -- on both backends.
+// rescheduled mid-run, and, in the _wheel runs, a switch's governor
+// countdowns started and cut short -- on both backends.
 // ---------------------------------------------------------------------------
 
 using ChurnParam = std::tuple<EventQueue::Backend, bool>;
@@ -1308,18 +1295,12 @@ using ChurnParam = std::tuple<EventQueue::Backend, bool>;
 class EventOrderProperty
     : public ::testing::TestWithParam<ChurnParam>
 {
-  protected:
-    struct Counter : TimerClient {
-        int fired = 0;
-        void timerFired(std::uint64_t, Tick) override { ++fired; }
-    };
 };
 
 TEST_P(EventOrderProperty, TotalOrderSurvivesFaultCancelChurn)
 {
     const auto [backend, use_wheel] = GetParam();
     Simulator sim(backend);
-    TimerWheel &wheel = sim.timerWheel();
 
     Rng rng(2024, "churn");
     const int prios[4] = {Event::powerPriority, Event::mailboxPriority,
@@ -1341,24 +1322,35 @@ TEST_P(EventOrderProperty, TotalOrderSurvivesFaultCancelChurn)
         events.push_back(std::move(ev));
     }
 
-    // Wheel-mode extra churn: timers armed and a third cancelled, the
-    // way a fault tears down a governor ladder mid-countdown.
-    Counter counter;
-    int armed = 0, cancelled = 0;
-    std::vector<TimerWheel::Handle> handles;
+    // Wheel-mode extra churn: 90 toggles of flows through a
+    // two-card switch, each starting or ending one, so port LPI, card
+    // and switch sleep countdowns start and are cut short mid-run,
+    // the way a fault tears down a governor ladder.
+    std::unique_ptr<Switch> sw;
+    std::vector<std::unique_ptr<EventFunctionWrapper>> toggles;
+    std::vector<bool> flowing(4, false);
     if (use_wheel) {
+        SwitchConfig sc;
+        sc.portRates.assign(8, 1e9);
+        sc.portsPerLinecard = 4;
+        sc.switchSleepDelay = 20 * msec;
+        sw = std::make_unique<Switch>(sim, sc,
+                                      SwitchPowerProfile::cisco2960_24());
         for (int i = 0; i < 90; ++i) {
-            handles.push_back(wheel.arm(
-                counter, static_cast<std::uint64_t>(i),
-                1 + static_cast<Tick>(
-                        rng.uniformInt(0, 900'000'000))));
-            ++armed;
-        }
-        for (int i = 0; i < 90; i += 3) {
-            if (wheel.pending(handles[i])) {
-                wheel.cancel(handles[i]);
-                ++cancelled;
-            }
+            const unsigned pair =
+                static_cast<unsigned>(rng.uniformInt(0, 3));
+            auto ev = std::make_unique<EventFunctionWrapper>(
+                [&sw, &flowing, pair] {
+                    if (flowing[pair])
+                        sw->flowEnded(pair, pair + 4);
+                    else
+                        sw->flowStarted(pair, pair + 4);
+                    flowing[pair] = !flowing[pair];
+                },
+                "churn.flow" + std::to_string(i));
+            sim.schedule(*ev, 1 + static_cast<Tick>(
+                                      rng.uniformInt(0, 900'000'000)));
+            toggles.push_back(std::move(ev));
         }
     }
 
@@ -1390,8 +1382,28 @@ TEST_P(EventOrderProperty, TotalOrderSurvivesFaultCancelChurn)
     EXPECT_EQ(fired.size(), 300u);
     for (const auto &ev : events)
         EXPECT_FALSE(ev->scheduled());
-    if (use_wheel)
-        EXPECT_EQ(counter.fired, armed - cancelled);
+    if (use_wheel) {
+        // The run outlasted every countdown the churn left, and each
+        // residency book still partitions the run.
+        const Tick end = sim.curTick();
+        EXPECT_LE(sw->lastDeferredTick(), end);
+        sw->finishStats();
+        EXPECT_EQ(sw->residency().residency(0) +
+                      sw->residency().residency(1),
+                  end);
+        for (unsigned p = 0; p < sw->numPorts(); ++p) {
+            const StateResidency &r = sw->port(p).residency();
+            EXPECT_EQ(r.residency(0) + r.residency(1) + r.residency(2),
+                      end)
+                << "port " << p;
+        }
+        for (unsigned lc = 0; lc < sw->numLineCards(); ++lc) {
+            const StateResidency &r = sw->lineCard(lc).residency();
+            EXPECT_EQ(r.residency(0) + r.residency(1) + r.residency(2),
+                      end)
+                << "card " << lc;
+        }
+    }
     // ...and dispatch never went backwards in (tick, priority).
     for (std::size_t i = 1; i < fired.size(); ++i) {
         ASSERT_LE(fired[i - 1].tick, fired[i].tick) << "slot " << i;

@@ -516,9 +516,10 @@ TEST(KernelProfilerTest, LayerMapByPrefix)
     EXPECT_EQ(LayerProbe::layerOf("server.wakeDone"), L::serverGovernor);
     EXPECT_EQ(LayerProbe::layerOf("dvfs.tick"), L::serverGovernor);
     EXPECT_EQ(LayerProbe::layerOf("flow.completion"), L::networkFlow);
-    EXPECT_EQ(LayerProbe::layerOf("port.lpi"), L::networkGovernor);
+    EXPECT_EQ(LayerProbe::layerOf("port.txDone"), L::networkGovernor);
     EXPECT_EQ(LayerProbe::layerOf("pump.arrival"), L::sched);
-    EXPECT_EQ(LayerProbe::layerOf("wheel.tick"), L::wheel);
+    // Governor timers schedule no events, so the wheel has no layer.
+    EXPECT_EQ(LayerProbe::layerOf("wheel.tick"), L::other);
     EXPECT_EQ(LayerProbe::layerOf("orch.reconcile"), L::orch);
     EXPECT_EQ(LayerProbe::layerOf("fault.switch"), L::fault);
     EXPECT_EQ(LayerProbe::layerOf("invariant_audit"), L::telemetry);
@@ -678,7 +679,7 @@ TEST(TelemetryIntegration, ProfiledRunMatchesKernelCount)
 namespace {
 
 /** A plant that exercises every layer: star fabric, faults, orch,
- *  audit, the sampler and the timer wheel, profiled. */
+ *  audit and the sampler, on a coarse timer wheel, profiled. */
 DataCenterConfig
 everyLayerConfig()
 {
@@ -688,8 +689,6 @@ everyLayerConfig()
     cfg.seed = 5;
     cfg.fabric = DataCenterConfig::Fabric::star;
     cfg.timerMode = DataCenterConfig::TimerMode::wheel;
-    // A 1-tick wheel fires each timer as its own governor event; a
-    // coarser one books its ticks to the wheel layer.
     cfg.wheelGranularity = 100 * usec;
     cfg.fault.enabled = true;
     cfg.fault.mttfHours = 1.0 / 3600.0;
@@ -743,8 +742,8 @@ TEST(TelemetryIntegration, EveryDataCenterEventHasALayer)
     EXPECT_EQ(sum, dc.sim().eventsProcessed());
     for (LayerProbe::Layer l :
          {LayerProbe::Layer::serverCompletion, LayerProbe::Layer::networkFlow,
-          LayerProbe::Layer::sched, LayerProbe::Layer::wheel,
-          LayerProbe::Layer::orch, LayerProbe::Layer::fault,
+          LayerProbe::Layer::sched, LayerProbe::Layer::orch,
+          LayerProbe::Layer::fault,
           LayerProbe::Layer::telemetry}) {
         EXPECT_GT(layerCount(probe, l), 0u) << LayerProbe::layerName(l);
     }
