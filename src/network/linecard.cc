@@ -42,7 +42,7 @@ LineCard::powerOff()
         if (_ports.busy(p))
             fatal("cannot power off a line card with busy ports");
     }
-    _sleepAt = maxTick;
+    _switch._cardSleep.clear(_id);
     setState(LineCardState::off, _switch.simulator().curTick());
 }
 
@@ -105,20 +105,21 @@ LineCard::portActivityChanged(Tick at)
     if (_state == LineCardState::off)
         return;
     if (!quiet()) {
-        _sleepAt = maxTick;
+        _switch._cardSleep.clear(_id);
         return;
     }
     if (_state == LineCardState::active) {
-        _sleepAt = _switch.simulator().timerWheel().deadlineAt(
+        const Tick due = _switch.simulator().timerWheel().deadlineAt(
             at, _profile.linecardSleepThreshold);
-        _switch.noteDue(_sleepAt);
+        _switch._cardSleep.set(_id, due);
+        _switch.noteDue(due);
     }
 }
 
 Tick
 LineCard::wakeNow()
 {
-    _sleepAt = maxTick;
+    _switch._cardSleep.clear(_id);
     switch (_state) {
       case LineCardState::active:
         return 0;
@@ -134,7 +135,7 @@ LineCard::wakeNow()
 void
 LineCard::sleepDue(Tick at)
 {
-    _sleepAt = maxTick;
+    _switch._cardSleep.clear(_id);
     if (quiet() && _state == LineCardState::active)
         setState(LineCardState::sleep, at);
 }
@@ -144,8 +145,9 @@ LineCard::sleepsAt() const
 {
     if (_state != LineCardState::active)
         return 0;
-    if (_sleepAt != maxTick)
-        return _sleepAt;
+    const Tick due = _switch._cardSleep.at(_id);
+    if (due != maxTick)
+        return due;
     // No countdown yet: it starts when the last pending port LPI
     // stage makes every member port quiescent.
     Tick quiet_at = maxTick;
@@ -154,7 +156,7 @@ LineCard::sleepsAt() const
             return maxTick;
         if (_ports._state[p] != PortState::active)
             continue;
-        const Tick lpi = _ports._lpiAt[p];
+        const Tick lpi = _ports._lpi.at(p);
         if (lpi == maxTick)
             return maxTick;
         quiet_at = quiet_at == maxTick ? lpi : std::max(quiet_at, lpi);

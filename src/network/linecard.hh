@@ -5,9 +5,9 @@
  * off power states.
  *
  * The sleep countdown schedules nothing: once every member port is
- * quiescent, the card keeps only the tick its sleep is due, and its
- * Switch replays it on the switch's next read (see switch.hh), so
- * every public read or change of a card settles the switch first.
+ * quiescent, the card's Switch keeps only the tick its sleep is due
+ * and replays it on the switch's next read (see switch.hh), so every
+ * public read or change of a card settles the switch first.
  */
 
 #ifndef HOLDCSIM_NETWORK_LINECARD_HH
@@ -101,8 +101,6 @@ class LineCard
     const SwitchPowerProfile &_profile;
 
     LineCardState _state = LineCardState::active;
-    /** Tick the sleep stage is due (maxTick: none pending). */
-    Tick _sleepAt = maxTick;
     StateResidency _residency;
 
     std::string _traceLabel;

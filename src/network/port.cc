@@ -1,7 +1,5 @@
 #include "port.hh"
 
-#include <algorithm>
-
 #include "sim/logging.hh"
 #include "switch.hh"
 
@@ -15,7 +13,8 @@ PortPool::PortPool(Simulator &sim, Switch &sw,
                    std::vector<BitsPerSec> line_rates,
                    std::size_t buffer_capacity)
     : _sim(sim), _switch(sw), _profile(profile),
-      _bufferCapacity(buffer_capacity)
+      _bufferCapacity(buffer_capacity),
+      _lpi(static_cast<unsigned>(line_rates.size()))
 {
     for (BitsPerSec r : line_rates)
         if (r <= 0.0)
@@ -28,7 +27,6 @@ PortPool::PortPool(Simulator &sim, Switch &sw,
     _rateFraction.assign(n, 1.0);
     _activeFlows.assign(n, 0);
     _lineRate = std::move(line_rates);
-    _lpiAt.assign(n, maxTick);
     _residency.resize(n);
     _packetsSent.assign(n, 0);
     _packetsDropped.assign(n, 0);
@@ -57,22 +55,12 @@ PortPool::settle() const
     _switch.settle();
 }
 
-Tick
-PortPool::nextLpi() const
-{
-    Tick next = maxTick;
-    for (Tick at : _lpiAt)
-        next = std::min(next, at);
-    return next;
-}
-
 void
 PortPool::enterLpi(Tick at)
 {
-    for (unsigned p = 0; p < size(); ++p) {
-        if (_lpiAt[p] != at)
-            continue;
-        _lpiAt[p] = maxTick;
+    while (_lpi.front() == at) {
+        const unsigned p = _lpi.frontId();
+        _lpi.clear(p);
         setState(p, PortState::lpi, at);
         _switch.portActivityChanged(p, at);
     }
@@ -91,7 +79,7 @@ PortPool::setState(unsigned p, PortState next, Tick at)
 Tick
 PortPool::wake(unsigned p)
 {
-    _lpiAt[p] = maxTick;
+    _lpi.clear(p);
     if (_state[p] == PortState::active)
         return 0;
     if (_state[p] == PortState::off)
@@ -107,7 +95,7 @@ PortPool::powerOff(unsigned p)
 {
     if (busy(p))
         fatal("cannot power off a busy port");
-    _lpiAt[p] = maxTick;
+    _lpi.clear(p);
     const Tick now = _sim.curTick();
     setState(p, PortState::off, now);
     _switch.portActivityChanged(p, now);
@@ -192,9 +180,10 @@ PortPool::maybeArmLpi(unsigned p)
         return;
     if (_profile.lpiIdleThreshold == maxTick)
         return; // LPI disabled (e.g. pre-802.3az hardware)
-    _lpiAt[p] = _sim.timerWheel().deadlineAt(_sim.curTick(),
-                                             _profile.lpiIdleThreshold);
-    _switch.noteDue(_lpiAt[p]);
+    const Tick at = _sim.timerWheel().deadlineAt(_sim.curTick(),
+                                                 _profile.lpiIdleThreshold);
+    _lpi.set(p, at);
+    _switch.noteDue(at);
 }
 
 Watts

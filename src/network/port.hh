@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "packet.hh"
+#include "sim/due_list.hh"
 #include "sim/event.hh"
 #include "sim/simulator.hh"
 #include "sim/stats.hh"
@@ -99,8 +100,6 @@ class PortPool
     void startNext(unsigned p, Tick extra_delay);
     void transmitDone(unsigned p);
     void maybeArmLpi(unsigned p);
-    /** Earliest pending LPI stage (maxTick: none). */
-    Tick nextLpi() const;
     /** Replay every LPI stage due at @p at. */
     void enterLpi(Tick at);
 
@@ -134,8 +133,8 @@ class PortPool
     std::vector<double> _rateFraction;
     std::vector<unsigned> _activeFlows;
     std::vector<BitsPerSec> _lineRate;
-    /** Tick each port's LPI stage is due (maxTick: none pending). */
-    std::vector<Tick> _lpiAt;
+    /** Tick each port's LPI stage is due. */
+    DueList _lpi;
     std::vector<StateResidency> _residency;
     std::vector<std::uint64_t> _packetsSent;
     std::vector<std::uint64_t> _packetsDropped;
@@ -257,7 +256,6 @@ class Port
         return _pool->_packetsDropped[_id];
     }
     Bytes bytesSent() const { return _pool->_bytesSent[_id]; }
-    std::size_t queueLength() const { return _pool->_io[_id].queue.size(); }
     const StateResidency &residency() const
     {
         _pool->settle();

@@ -32,10 +32,13 @@ checkedPortRates(const SwitchConfig &config,
 
 Switch::Switch(Simulator &sim, const SwitchConfig &config,
                const SwitchPowerProfile &profile)
-    : _sim(sim), _config(config), _profile(profile),
+    : DeferredTimers(sim.epoch()), _sim(sim), _config(config),
+      _profile(profile),
       _portPool(sim, *this, _profile, checkedPortRates(config, _profile),
                 config.portBufferCapacity),
-      _settledEpoch(sim.epoch()), _lastAccrue(sim.curTick())
+      _cardSleep((_portPool.size() + config.portsPerLinecard - 1) /
+                 config.portsPerLinecard),
+      _lastAccrue(sim.curTick())
 {
     const unsigned n_ports = _portPool.size();
     const unsigned per_card = config.portsPerLinecard;
@@ -74,10 +77,8 @@ Switch::settleDue()
         // The earliest pending stage. On a tie ports go first, then
         // cards, then the switch: each level's countdown starts when
         // the level below it finished.
-        const Tick port_at = _portPool.nextLpi();
-        Tick card_at = maxTick;
-        for (const auto &lc : _linecards)
-            card_at = std::min(card_at, lc->_sleepAt);
+        const Tick port_at = _portPool._lpi.front();
+        const Tick card_at = _cardSleep.front();
         const Tick at = std::min({port_at, card_at, _sleepAt});
         if (at > now) {
             _nextDue = at;
@@ -86,9 +87,7 @@ Switch::settleDue()
         if (port_at == at) {
             _portPool.enterLpi(at);
         } else if (card_at == at) {
-            for (const auto &lc : _linecards)
-                if (lc->_sleepAt == at)
-                    lc->sleepDue(at);
+            _linecards[_cardSleep.frontId()]->sleepDue(at);
         } else {
             _sleepAt = maxTick;
             if (!_asleep && !anyPortBusy())
@@ -104,9 +103,8 @@ Switch::lastDeferredTick() const
     // again: every port's LPI stage, each card's sleep, and the
     // switch's sleep once the last card sleeps.
     Tick last = _sleepAt == maxTick ? 0 : _sleepAt;
-    for (Tick at : _portPool._lpiAt)
-        if (at != maxTick)
-            last = std::max(last, at);
+    if (_portPool._lpi.back() != maxTick)
+        last = std::max(last, _portPool._lpi.back());
     Tick cards_asleep = 0;
     for (const auto &lc : _linecards)
         cards_asleep = std::max(cards_asleep, lc->sleepsAt());

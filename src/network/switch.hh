@@ -8,21 +8,22 @@
  * a server's (see core.hh). Its three levels keep only the tick their
  * next stage is due: an idle port its LPI entry, a line card whose
  * ports are all quiescent its sleep, and a switch whose cards all
- * sleep its own sleep. Each stage is placed with
- * TimerWheel::deadlineAt() from the tick the stage below it finished
- * -- a card's countdown starts when its last port entered LPI, the
- * switch's when its last card slept -- which is where an armed timer
- * would fire, at any granularity.
+ * sleep its own sleep (ports' and cards' in one DueList each). Each
+ * stage is placed with TimerWheel::deadlineAt() from the tick the
+ * stage below it finished -- a card's countdown starts when its last
+ * port entered LPI, the switch's when its last card slept -- which is
+ * where an armed timer would fire, at any granularity.
  *
  * settle() replays every stage due by curTick(), in time order (on a
  * tie ports first, then cards, then the switch), through the same
  * state changes, accruals and trace records a timer event would have
  * made at its own tick. Everything that reads or changes the switch,
  * its ports or its cards settles first, at most once per
- * Simulator::epoch(): a stage armed for curTick() inside the current
- * event is due only in the next one, as a same-tick timer event would
- * have run only after it. The switch registers as DeferredTimers, so a
- * drained run() still ends at its last pending stage.
+ * Simulator::epoch() (DeferredTimers::mustSettle()): a stage armed for
+ * curTick() inside the current event is due only in the next one, as
+ * a same-tick timer event would have run only after it. The switch
+ * registers as DeferredTimers, so a drained run() still ends at its
+ * last pending stage and a traced run settles it before returning.
  */
 
 #ifndef HOLDCSIM_NETWORK_SWITCH_HH
@@ -34,6 +35,7 @@
 #include "linecard.hh"
 #include "packet.hh"
 #include "port.hh"
+#include "sim/due_list.hh"
 #include "sim/simulator.hh"
 #include "sim/stats.hh"
 #include "switch_power.hh"
@@ -174,16 +176,13 @@ class Switch : public DeferredTimers
     void
     settle()
     {
-        const std::uint64_t epoch = _sim.epoch();
-        if (_settledEpoch == epoch)
-            return;
-        _settledEpoch = epoch;
-        if (_nextDue <= _sim.curTick())
+        if (mustSettle(_sim, _nextDue))
             settleDue();
     }
 
     /** DeferredTimers: the last stage still pending. */
     Tick lastDeferredTick() const override;
+    void settleDeferred() override { settle(); }
 
     Simulator &simulator() { return _sim; }
     const SwitchConfig &config() const { return _config; }
@@ -229,6 +228,8 @@ class Switch : public DeferredTimers
     /** Thin per-port views (stable: port() hands out references). */
     std::vector<Port> _ports;
     std::vector<std::unique_ptr<LineCard>> _linecards;
+    /** Tick each line card's sleep is due. */
+    DueList _cardSleep;
 
     bool _asleep = false;
     bool _failed = false;
@@ -238,8 +239,6 @@ class Switch : public DeferredTimers
     /** No stage is due before this tick (a lower bound; settleDue()
      *  makes it exact). */
     Tick _nextDue = maxTick;
-    /** Simulator::epoch() of the last settle(). */
-    std::uint64_t _settledEpoch;
 
     Tick _lastAccrue = 0;
     Joules _energy = 0.0;

@@ -32,9 +32,9 @@ CorePool::CorePool(Simulator &sim, CoreHost &host,
                    unsigned n_cores,
                    const std::vector<double> &base_freqs_ghz,
                    const CorePlacement *placement)
-    : _size(n_cores), _ownsSlots(placement == nullptr), _sim(sim),
-      _host(host), _profile(std::move(profile)),
-      _settledEpoch(sim.epoch())
+    : DeferredTimers(sim.epoch()), _size(n_cores),
+      _ownsSlots(placement == nullptr), _sim(sim), _host(host),
+      _profile(std::move(profile))
 {
     if (!_profile)
         fatal("a core pool needs a power profile");

@@ -178,11 +178,7 @@ class CorePool : public DeferredTimers
     void
     settle()
     {
-        const std::uint64_t epoch = _sim.epoch();
-        if (_settledEpoch == epoch)
-            return;
-        _settledEpoch = epoch;
-        if (std::min(_nextStage, _hostTimer) <= _sim.curTick())
+        if (mustSettle(_sim, std::min(_nextStage, _hostTimer)))
             settleDue();
     }
 
@@ -203,6 +199,7 @@ class CorePool : public DeferredTimers
 
     /** DeferredTimers: the last stage or countdown still pending. */
     Tick lastDeferredTick() const override;
+    void settleDeferred() override { settle(); }
 
     /** @name Per-core queries at the last settle() (Core settles) */
     ///@{
@@ -319,8 +316,6 @@ using CoreResidency = StateBook<5>;
     Tick _nextStage = maxTick;
     /** When the host's countdown runs out; maxTick when none. */
     Tick _hostTimer = maxTick;
-    /** Simulator::epoch() of the last settle(). */
-    std::uint64_t _settledEpoch;
     /** One entry per core; empty until the pool's first task. */
     std::vector<Busy> _busy;
     /** One label per core; null until a core is first labelled. */

@@ -167,6 +167,16 @@ Simulator::removeDeferred(DeferredTimers &d)
     _deferred.pop_back();
 }
 
+void
+Simulator::settleForTrace()
+{
+    if (!_tracer)
+        return;
+    for (DeferredTimers *d : _deferred)
+        if (d)
+            d->settleDeferred();
+}
+
 template <bool WithProbe>
 bool
 Simulator::drainDeferred()
@@ -203,6 +213,7 @@ Simulator::runLoop()
         }
     } while (!_stopRequested && drainDeferred<WithProbe>());
     ++_epoch;
+    settleForTrace();
     return _curTick;
 }
 
@@ -223,6 +234,7 @@ Simulator::runUntilLoop(Tick limit)
         if (_queue.nextTick() > limit) {
             _curTick = limit;
             ++_epoch;
+            settleForTrace();
             return _curTick;
         }
         processOne<WithProbe>();
@@ -233,6 +245,7 @@ Simulator::runUntilLoop(Tick limit)
     if (!_stopRequested && _curTick < limit)
         _curTick = limit;
     ++_epoch;
+    settleForTrace();
     return _curTick;
 }
 

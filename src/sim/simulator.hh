@@ -26,6 +26,7 @@
 
 namespace holdcsim {
 
+class Simulator;
 class TraceManager;
 
 /**
@@ -92,7 +93,9 @@ class KernelProbe
  * scheduled (a server's idle ladder, see CorePool; a switch's, see
  * Switch): it replays what is due whenever it is next read.
  * Registered with its Simulator, so a drained run() can still end
- * where the timers' events would have.
+ * where the timers' events would have, and a traced run() or
+ * runUntil() settles it before returning (its trace records are
+ * written by then).
  */
 class DeferredTimers
 {
@@ -105,8 +108,26 @@ class DeferredTimers
      */
     virtual Tick lastDeferredTick() const = 0;
 
+    /** Replay every transition due by curTick() (its settle()). */
+    virtual void settleDeferred() {}
+
+  protected:
+    /** @param epoch Simulator::epoch() at construction */
+    explicit DeferredTimers(std::uint64_t epoch = 0) : _settledEpoch(epoch)
+    {}
+
+    /**
+     * The settle() guard: true at most once per Simulator::epoch(), and
+     * only if @p next_due (nothing is due before it) has come. So a
+     * stage armed for curTick() inside an event is due only in the next
+     * epoch, as a timer event for the current tick would run only after
+     * the event that armed it.
+     */
+    inline bool mustSettle(const Simulator &sim, Tick next_due);
+
   private:
     friend class Simulator;
+    std::uint64_t _settledEpoch;
     /** Position in the Simulator's list (O(1) removal). Four bytes:
      *  a derived class may pack a member into the tail padding. */
     std::uint32_t _deferredSlot = 0;
@@ -362,6 +383,8 @@ class Simulator
      *  due before the last deferred transition, or else advance the
      *  clock to that transition. @return whether to keep running. */
     template <bool WithProbe> bool drainDeferred();
+    /** With a tracer installed, settle every DeferredTimers. */
+    void settleForTrace();
     template <bool WithProbe> Tick runUntilLoop(Tick limit);
     template <bool WithProbe> Tick runBeforeLoop(Tick bound);
 
@@ -389,6 +412,16 @@ class Simulator
         _abortContexts;
     TimerWheel _timerWheel;
 };
+
+bool
+DeferredTimers::mustSettle(const Simulator &sim, Tick next_due)
+{
+    const std::uint64_t epoch = sim.epoch();
+    if (_settledEpoch == epoch)
+        return false;
+    _settledEpoch = epoch;
+    return next_due <= sim.curTick();
+}
 
 } // namespace holdcsim
 

@@ -7,10 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
+#include <string>
 
 #include "network/switch.hh"
 #include "sim/logging.hh"
 #include "sim/simulator.hh"
+#include "telemetry/trace_manager.hh"
+#include "telemetry/trace_sink.hh"
 
 using namespace holdcsim;
 
@@ -96,6 +100,32 @@ TEST_F(SwitchFixture, WholeSwitchSleepsWhenEnabled)
     EXPECT_TRUE(sw->asleep());
     EXPECT_DOUBLE_EQ(sw->power(), prof.switchSleep);
     EXPECT_EQ(sw->sleepTransitions(), 1u);
+}
+
+// The ladder is replayed when the switch is read, but a traced run
+// settles it before returning: a tracer flushed without anyone reading
+// the switch still holds the card's and the switch's sleep.
+TEST_F(SwitchFixture, TracedRunWritesTheLadderNobodyRead)
+{
+    std::ostringstream os;
+    const Tick card_at = prof.lpiIdleThreshold + prof.linecardSleepThreshold;
+    {
+        TraceManager tm(std::make_unique<JsonTraceSink>(os));
+        sim.setTracer(&tm);
+        makeSwitch(2, 1 * msec);
+        EXPECT_EQ(sim.run(), card_at + 1 * msec);
+        sim.setTracer(nullptr);
+    }
+    // The card slept at 10.05 ms, the switch 1 ms later.
+    const std::string doc = os.str();
+    EXPECT_NE(doc.find("\"name\":\"sleep\",\"cat\":\"network\","
+                       "\"ts\":10050.000"),
+              std::string::npos)
+        << doc;
+    EXPECT_NE(doc.find("\"name\":\"asleep\",\"cat\":\"network\","
+                       "\"ts\":11050.000"),
+              std::string::npos)
+        << doc;
 }
 
 TEST_F(SwitchFixture, SleepDisabledByDefault)

@@ -4,7 +4,8 @@
  * TimerWheel::deadlineAt() places a stage -- exactly at G = 1,
  * quantized up to a bucket boundary otherwise, never early -- the
  * granularity and overflow checks, and a switch's closed-form port
- * LPI stages against a reference model of those deadlines.
+ * LPI stages against a reference model of those deadlines, and the
+ * DueList that keeps a level's stages in tick order.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "network/switch.hh"
+#include "sim/due_list.hh"
 #include "sim/logging.hh"
 #include "sim/simulator.hh"
 #include "sim/timer_wheel.hh"
@@ -176,3 +178,39 @@ TEST_P(WheelOrderTest, RandomArmCancelRearmMatchesReferenceModel)
 
 INSTANTIATE_TEST_SUITE_P(Granularity, WheelOrderTest,
                          ::testing::Values(Tick{1}, Tick{7}, Tick{256}));
+
+// A DueList against a model that orders ids by (tick, arm order):
+// mostly ticks in arm order, as a level arms them, some out of order
+// and some equal, with clears of any id in between.
+TEST(DueListTest, OrdersLikeASortedModel)
+{
+    constexpr unsigned n = 8;
+    DueList list(n);
+    std::vector<std::pair<Tick, unsigned>> model(n, {maxTick, 0});
+    std::mt19937_64 rng(7);
+    Tick clock = 0;
+    unsigned armed = 0;
+    for (unsigned step = 0; step < 5000; ++step) {
+        const unsigned id = static_cast<unsigned>(rng() % n);
+        if (rng() % 3 == 0) {
+            list.clear(id);
+            model[id] = {maxTick, 0};
+        } else {
+            clock += rng() % 3; // repeats make ties
+            const Tick at = rng() % 5 == 0 ? rng() % (clock + 1) : clock;
+            list.set(id, at);
+            model[id] = {at, ++armed};
+        }
+        const auto first = std::min_element(model.begin(), model.end());
+        Tick last = 0;
+        for (const auto &m : model)
+            if (m.first != maxTick)
+                last = std::max(last, m.first);
+        ASSERT_EQ(list.front(), first->first) << "step " << step;
+        ASSERT_EQ(list.back(), first->first == maxTick ? maxTick : last);
+        if (first->first != maxTick)
+            ASSERT_EQ(list.frontId(), first - model.begin());
+        for (unsigned i = 0; i < n; ++i)
+            ASSERT_EQ(list.at(i), model[i].first);
+    }
+}
