@@ -100,6 +100,9 @@ DataCenter::Fleet::build(
                 Server *server = new (at) Server(sim, sc, profile, &place);
                 ++built;
                 setup(i, *server);
+                // Recorded while the server is hot, so a drain need
+                // not visit it until it is next touched.
+                sim.recordDeferred(deferred + i);
             }
         } catch (...) {
             _built[c] = built;

@@ -43,7 +43,7 @@ CorePool::CorePool(Simulator &sim, CoreHost &host,
     if (n_cores == 0)
         fatal("a core pool needs at least one core");
     if (n_cores != _size)
-        fatal("a core pool holds at most 2^31 - 1 cores");
+        fatal("a core pool holds at most 32,767 cores");
     if (!base_freqs_ghz.empty() && base_freqs_ghz.size() != n_cores)
         fatal("base_freqs_ghz must be empty or have one entry per core");
     for (double f : base_freqs_ghz)
@@ -81,9 +81,11 @@ CorePool::CorePool(Simulator &sim, CoreHost &host,
 
 CorePool::~CorePool()
 {
-    for (Busy &b : _busy) {
-        if (b.completion.scheduled())
-            _sim.deschedule(b.completion);
+    if (_busy) {
+        for (unsigned c = 0; c < _size; ++c)
+            if (_busy[c].completion.scheduled())
+                _sim.deschedule(_busy[c].completion);
+        releaseBusy();
     }
     _sim.removeDeferred(*this);
     if (_ownsSlots)
@@ -155,15 +157,19 @@ CorePool::startTask(unsigned c, const TaskRef &task, Tick extra_wake)
 {
     if (busy(c))
         HOLDCSIM_PANIC("core ", c, " given a task while busy");
-    if (_busy.empty()) {
-        // Vector assignment, not resize: Busy holds a pinned Event.
-        _busy = std::vector<Busy>(_size);
-        for (unsigned i = 0; i < _size; ++i) {
-            _busy[i].completion.pool = this;
-            _busy[i].completion.core = i;
+    if (!_busy) {
+        _busy = static_cast<Busy *>(
+            _sim.blockCache().take(&destroyBusy, _size));
+        if (!_busy) {
+            void *block = ::operator new(busyBlockBytes(_size));
+            _busy = static_cast<Busy *>(block);
+            std::uninitialized_default_construct_n(_busy, _size);
         }
     }
+    ++_running;
     Busy &b = _busy[c];
+    b.completion.pool = this;
+    b.completion.core = c;
     Tick wake = exitLatency(_slots[c].cstate) + extra_wake;
     const Tick now = _sim.curTick();
     stopStage(c);
@@ -186,7 +192,27 @@ CorePool::complete(unsigned c)
     const Tick now = _sim.curTick();
     setCState(c, CoreCState::c0Idle, now);
     armStage(c, now);
+    --_running;
     _host.coreTaskDone(c, finished);
+    // The host may have started more work here, or aborted the rest
+    // (which hands the block back itself); the event running now is
+    // not touched again once this returns.
+    if (_running == 0 && _busy)
+        releaseBusy();
+}
+
+void
+CorePool::releaseBusy()
+{
+    _sim.blockCache().give(_busy, &destroyBusy, _size);
+    _busy = nullptr;
+}
+
+void
+CorePool::destroyBusy(void *block, std::size_t n_cores)
+{
+    std::destroy_n(static_cast<Busy *>(block), n_cores);
+    ::operator delete(block);
 }
 
 Watts
@@ -397,6 +423,8 @@ Core::abortTask()
     const Tick now = p._sim.curTick();
     p.setCState(c, CoreCState::c0Idle, now);
     p.armStage(c, now);
+    if (--p._running == 0)
+        p.releaseBusy();
     return out;
 }
 

@@ -18,11 +18,15 @@
  * built alone. A slot holds what every core carries, idle or not --
  * C-state and P-state (a byte each), the tick its next idle stage is
  * due and its residency book, sized to the five C-states -- which is
- * all an idle-governor demotion or a power sum reads. What matters only while a task runs (the task, its start
- * tick and its completion event) lives in a second array, the busy
- * block, which the pool builds on its first task and keeps for its
- * life: a server whose cores never run a task never carries it, and a
- * demotion touches only the slot. Per-core base frequencies
+ * all an idle-governor demotion or a power sum reads. What matters
+ * only while a task runs (the task, its start tick and its completion
+ * event) lives in a second array, the busy block, which the pool holds
+ * only while one of its cores runs a task: the first task start takes
+ * one from the Simulator's BlockCache (built, and only built when the
+ * cache has none of this core count), and the last completion or
+ * abort gives it back. A running-core count decides both, so neither
+ * side scans the cores, and a fleet holds as many busy blocks as it
+ * ever had servers busy at once. Per-core base frequencies
  * (heterogeneous pools only) and trace labels are likewise one
  * pool-level array each, allocated only when given. The `Core` class
  * is a 16-byte copyable view (pool pointer + dense id) carrying the
@@ -46,7 +50,9 @@
  * current event is not due until the next one (Simulator::epoch()):
  * a timer event scheduled for the current tick would run only after
  * the event that armed it. The pool registers as DeferredTimers, so a
- * drained run() still ends at its last pending stage or countdown.
+ * drained run() still ends at its last pending stage or countdown;
+ * since every change settles first, the Simulator's record of that
+ * tick goes stale exactly when the pool is touched.
  */
 
 #ifndef HOLDCSIM_SERVER_CORE_HH
@@ -108,8 +114,9 @@ class CoreHost
  * Where a fleet that builds its servers in one block (DataCenter)
  * places one server's core pool. The fleet keeps the slot block for
  * the pool's lifetime, has reserved the pool's deferred-timer slot
- * (Simulator::reserveDeferred()), and has validated the profile its
- * servers share, once for all of them.
+ * (Simulator::reserveDeferred()) and records the pool's horizon once
+ * the server is set up (Simulator::recordDeferred()), and has
+ * validated the profile its servers share, once for all of them.
  */
 struct CorePlacement {
     /** slotBlockBytes(n_cores) bytes aligned to slotBlockAlign(). */
@@ -209,8 +216,8 @@ class CorePool : public DeferredTimers
     }
     CoreCState cstate(unsigned c) const { return _slots[c].cstate; }
     Watts power(unsigned c) const;
-    /** Whether the busy block exists (a task has started here). */
-    bool busyStateBuilt() const { return !_busy.empty(); }
+    /** Whether the pool holds a busy block (a core runs a task). */
+    bool holdsBusyBlock() const { return _busy != nullptr; }
     ///@}
 
     /** Bytes of the slot block an @p n_cores pool holds. */
@@ -223,7 +230,7 @@ class CorePool : public DeferredTimers
     /** Alignment a caller's slot block needs. */
     static constexpr std::size_t slotBlockAlign() { return alignof(Slot); }
 
-    /** Heap bytes of the busy block an @p n_cores pool builds. */
+    /** Heap bytes of the busy block an @p n_cores pool holds. */
     static std::size_t
     busyBlockBytes(unsigned n_cores)
     {
@@ -237,7 +244,8 @@ class CorePool : public DeferredTimers
 using CoreResidency = StateBook<5>;
 
     /**
-     * One core's completion event: pool + core id, no std::function.
+     * One core's completion event: pool + core id, no std::function,
+     * set at each task start (a block serves many pools in turn).
      * Default-constructible, so completions sit in the busy block,
      * which never moves (Event is pinned).
      */
@@ -296,13 +304,19 @@ using CoreResidency = StateBook<5>;
     /** Apply the earliest due stage (lowest core id among ties). */
     void demoteNext();
     void complete(unsigned c);
+    /** Hand the busy block back to the cache (no core runs). */
+    void releaseBusy();
+    /** BlockCache::Destroy for a busy block. */
+    static void destroyBusy(void *block, std::size_t n_cores);
     Tick exitLatency(CoreCState from) const;
     void setTraceLabel(unsigned c, std::string label);
 
     /** First, so they pack into DeferredTimers' tail padding. */
-    unsigned _size : 31;
+    unsigned _size : 15;
     /** Whether _slots is the pool's own allocation (no caller block). */
     unsigned _ownsSlots : 1;
+    /** Cores running a task; the busy block is held while nonzero. */
+    unsigned _running : 16 = 0;
     Simulator &_sim;
     CoreHost &_host;
     std::shared_ptr<const ServerPowerProfile> _profile;
@@ -316,8 +330,8 @@ using CoreResidency = StateBook<5>;
     Tick _nextStage = maxTick;
     /** When the host's countdown runs out; maxTick when none. */
     Tick _hostTimer = maxTick;
-    /** One entry per core; empty until the pool's first task. */
-    std::vector<Busy> _busy;
+    /** One entry per core while a core runs a task; else null. */
+    Busy *_busy = nullptr;
     /** One label per core; null until a core is first labelled. */
     std::unique_ptr<std::string[]> _traceLabel;
 };

@@ -149,8 +149,8 @@ class Server : private CoreHost
 
     unsigned id() const { return _id; }
     unsigned numCores() const { return _corePool.size(); }
-    /** Whether the cores' busy state exists (a task has started). */
-    bool busyStateBuilt() const { return _corePool.busyStateBuilt(); }
+    /** Whether the cores' busy block is held (a core runs a task). */
+    bool holdsBusyBlock() const { return _corePool.holdsBusyBlock(); }
     /** View of core @p i; panics unless i < numCores(). */
     Core core(unsigned i);
 

@@ -151,6 +151,7 @@ Simulator::reserveDeferred(std::size_t n)
     if (n > maxSlots - first)
         HOLDCSIM_PANIC("more than 2^32 deferred-timer entities");
     _deferred.resize(first + n);
+    _horizon.resize(first + n);
     return first;
 }
 
@@ -158,13 +159,34 @@ void
 Simulator::removeDeferred(DeferredTimers &d)
 {
     // Order is irrelevant (drains take a max): move the last entry
-    // into the hole, once the empty slots behind it are dropped.
-    while (!_deferred.back())
+    // and its horizon into the hole, once the empty slots behind it
+    // are dropped.
+    while (!_deferred.back()) {
         _deferred.pop_back();
+        _horizon.pop_back();
+    }
     DeferredTimers *last = _deferred.back();
     last->_deferredSlot = d._deferredSlot;
     _deferred[d._deferredSlot] = last;
+    _horizon[d._deferredSlot] = _horizon.back();
     _deferred.pop_back();
+    _horizon.pop_back();
+}
+
+Tick
+Simulator::deferredHorizon()
+{
+    Tick last = 0;
+    for (std::size_t i = 0, n = _horizon.size(); i < n; ++i) {
+        Tick h = _horizon[i];
+        if (h == staleHorizon) {
+            recordDeferred(i);
+            h = _horizon[i];
+            ++_horizonRefreshes;
+        }
+        last = std::max(last, h);
+    }
+    return last;
 }
 
 void
@@ -181,10 +203,7 @@ template <bool WithProbe>
 bool
 Simulator::drainDeferred()
 {
-    Tick last = 0;
-    for (const DeferredTimers *d : _deferred)
-        if (d)
-            last = std::max(last, d->lastDeferredTick());
+    const Tick last = deferredHorizon();
     if (last <= _curTick)
         return false;
     // The deferred transitions stand in for foreground events, so a

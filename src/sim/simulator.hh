@@ -20,9 +20,11 @@
 #include <utility>
 #include <vector>
 
+#include "block_cache.hh"
 #include "event_queue.hh"
 #include "timer_wheel.hh"
 #include "types.hh"
+#include "zeroed_allocator.hh"
 
 namespace holdcsim {
 
@@ -96,6 +98,14 @@ class KernelProbe
  * where the timers' events would have, and a traced run() or
  * runUntil() settles it before returning (its trace records are
  * written by then).
+ *
+ * The Simulator keeps each entity's horizon -- lastDeferredTick() as
+ * last evaluated -- and re-evaluates it only after the entity may
+ * have changed. Every read or change of an entity's state settles it
+ * first (mustSettle()), and its first settle in an epoch after its
+ * horizon was recorded marks that horizon stale. An entity whose
+ * horizon can move without a settle reports it with
+ * Simulator::deferredChanged().
  */
 class DeferredTimers
 {
@@ -105,6 +115,8 @@ class DeferredTimers
     /**
      * Tick of the last transition this entity still has pending if
      * nothing touches it again (0 when none). run() ends no earlier.
+     * A function of the entity's state alone: unchanged until the
+     * entity next settles or reports a change.
      */
     virtual Tick lastDeferredTick() const = 0;
 
@@ -121,12 +133,16 @@ class DeferredTimers
      * only if @p next_due (nothing is due before it) has come. So a
      * stage armed for curTick() inside an event is due only in the next
      * epoch, as a timer event for the current tick would run only after
-     * the event that armed it.
+     * the event that armed it. The first call in an epoch after the
+     * Simulator recorded this entity's horizon marks it stale.
      */
-    inline bool mustSettle(const Simulator &sim, Tick next_due);
+    inline bool mustSettle(Simulator &sim, Tick next_due);
 
   private:
     friend class Simulator;
+    /** Set in _settledEpoch while the Simulator holds a fresh horizon;
+     *  an epoch never reaches it. */
+    static constexpr std::uint64_t horizonHeld = std::uint64_t{1} << 63;
     std::uint64_t _settledEpoch;
     /** Position in the Simulator's list (O(1) removal). Four bytes:
      *  a derived class may pack a member into the tail padding. */
@@ -230,35 +246,81 @@ class Simulator
     void stop() { _stopRequested = true; }
 
     /** @name Deferred timers (see DeferredTimers)
-     * An entity registers for its lifetime; the list is scanned only
-     * when a run() drains. Not owned.
+     * An entity registers for its lifetime. A drained run() reads
+     * their horizons from one array beside the list, re-evaluating
+     * only the ones marked stale. Not owned.
      */
     ///@{
-    /** Register @p d at the end of the list. */
+    /** Register @p d at the end of the list, its horizon stale. */
     void addDeferred(DeferredTimers &d);
     /**
      * Append @p n empty slots and return the first one's index: room
      * for entities built on several threads at once (a DataCenter's
      * fleet), each of which then registers with addDeferredAt() into
-     * its own slot. A slot left empty (a build that threw) is skipped.
+     * its own slot. The slots are not written here (see
+     * ZeroedAllocator): each builder faults in its own. A slot left
+     * empty (a build that threw) is skipped.
      */
     std::size_t reserveDeferred(std::size_t n);
     /**
      * Register @p d in the empty slot @p slot of a reserveDeferred()
-     * range. Calls for distinct slots may run concurrently.
+     * range, its horizon stale. Calls for distinct slots may run
+     * concurrently.
      */
     void addDeferredAt(DeferredTimers &d, std::size_t slot)
     {
         d._deferredSlot = static_cast<std::uint32_t>(slot);
         _deferred[slot] = &d;
+        _horizon[slot] = staleHorizon;
+    }
+    /**
+     * Record the horizon of the entity in @p slot now, while its
+     * builder has it hot, so that no drain visits it before it is next
+     * touched. Calls for distinct slots may run concurrently.
+     */
+    void
+    recordDeferred(std::size_t slot)
+    {
+        DeferredTimers &d = *_deferred[slot];
+        _horizon[slot] = d.lastDeferredTick();
+        d._settledEpoch |= DeferredTimers::horizonHeld;
     }
     void removeDeferred(DeferredTimers &d);
+    /**
+     * @p d's horizon may have moved: re-evaluate it at the next drain.
+     * Its first settle in an epoch says so itself; an entity whose
+     * horizon can change without settling calls this. Calls for
+     * distinct entities may run concurrently (a stats dump settles
+     * servers on worker threads).
+     */
+    void
+    deferredChanged(DeferredTimers &d)
+    {
+        d._settledEpoch &= ~DeferredTimers::horizonHeld;
+        _horizon[d._deferredSlot] = staleHorizon;
+    }
+    /**
+     * The last pending transition over every registered entity, what
+     * a drained run() ends at: the max of the recorded horizons, after
+     * re-evaluating the stale ones (0 when none).
+     */
+    Tick deferredHorizon();
+    /** Stale horizons deferredHorizon() has re-evaluated so far. */
+    std::uint64_t horizonRefreshes() const { return _horizonRefreshes; }
     /** The registered entities in list order (null: an empty slot). */
-    const std::vector<DeferredTimers *> &deferred() const
+    const std::vector<DeferredTimers *, ZeroedAllocator<DeferredTimers *>> &
+    deferred() const
     {
         return _deferred;
     }
     ///@}
+
+    /**
+     * Built blocks model components recycle between their users (a
+     * core pool's busy block, see core.hh); destroyed with the
+     * Simulator.
+     */
+    BlockCache &blockCache() { return _blockCache; }
 
     /** Direct access to the queue (tests and advanced harnesses). */
     EventQueue &eventQueue() { return _queue; }
@@ -394,11 +456,22 @@ class Simulator
     /** abortDump + throw SimAbortError (internal inconsistency). */
     [[noreturn]] void abortSim(const std::string &reason) const;
 
+    /** A horizon to re-evaluate: registered, or changed since. */
+    static constexpr Tick staleHorizon = maxTick;
+
+    /** Destroyed after every member below that could hand it a block
+     *  on its way out. */
+    BlockCache _blockCache;
     EventQueue _queue;
     Tick _curTick = 0;
     std::uint64_t _eventsProcessed = 0;
     std::uint64_t _epoch = 0;
-    std::vector<DeferredTimers *> _deferred;
+    std::vector<DeferredTimers *, ZeroedAllocator<DeferredTimers *>>
+        _deferred;
+    /** Per slot of _deferred: its entity's lastDeferredTick() as last
+     *  evaluated, or staleHorizon; 0 for an empty slot. */
+    std::vector<Tick, ZeroedAllocator<Tick>> _horizon;
+    std::uint64_t _horizonRefreshes = 0;
     bool _stopRequested = false;
     TraceManager *_tracer = nullptr;
     KernelProbe *_probe = nullptr;
@@ -414,12 +487,20 @@ class Simulator
 };
 
 bool
-DeferredTimers::mustSettle(const Simulator &sim, Tick next_due)
+DeferredTimers::mustSettle(Simulator &sim, Tick next_due)
 {
     const std::uint64_t epoch = sim.epoch();
-    if (_settledEpoch == epoch)
+    const std::uint64_t settled = _settledEpoch;
+    if (settled == epoch)
         return false;
     _settledEpoch = epoch;
+    if (settled & horizonHeld) {
+        sim.deferredChanged(*this);
+        // Recorded in this very epoch, after it had settled: a change
+        // now must still reach the horizon, but the settle is done.
+        if ((settled & ~horizonHeld) == epoch)
+            return false;
+    }
     return next_due <= sim.curTick();
 }
 

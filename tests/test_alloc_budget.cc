@@ -133,7 +133,7 @@ TEST(AllocBudget, WheelPlantConstructionPerServer)
     // No core has run a task, so no server holds busy state. (Asked
     // directly: a Server can be as large as a 4-core busy block.)
     for (std::size_t i = 0; i < servers; ++i)
-        EXPECT_FALSE(dc->server(i).busyStateBuilt()) << "server " << i;
+        EXPECT_FALSE(dc->server(i).holdsBusyBlock()) << "server " << i;
     // The servers and their core slots live in the fleet block, which
     // is mapped, not allocated: its bytes count here too.
     const double fleetPerServer =
@@ -238,15 +238,20 @@ TEST(AllocBudget, FirstTaskBuildsBusyStateOnce)
     counting = false;
     EXPECT_EQ(watchedHits, 0u);
 
-    // The first task builds the block for all four cores ...
+    // The first task builds the block for all four cores, and the
+    // server holds it only while a core runs ...
     counting = true;
     server.submit(task);
     counting = false;
     EXPECT_EQ(watchedHits, 1u);
+    EXPECT_TRUE(server.holdsBusyBlock());
     sim.run();
     ASSERT_EQ(server.tasksCompleted(), 1u);
+    EXPECT_FALSE(server.holdsBusyBlock());
+    EXPECT_EQ(sim.blockCache().spares(), 1u);
 
-    // ... and neither a second task nor a full server builds another.
+    // ... and neither a second task nor a full server builds another:
+    // they take the one the first handed back.
     counting = true;
     for (TaskId t = 1; t <= 5; ++t)
         server.submit(TaskRef{2, t, 5 * msec, 1.0, 0});
@@ -254,6 +259,45 @@ TEST(AllocBudget, FirstTaskBuildsBusyStateOnce)
     counting = false;
     EXPECT_EQ(watchedHits, 1u);
     EXPECT_EQ(server.tasksCompleted(), 6u);
+    EXPECT_FALSE(server.holdsBusyBlock());
+}
+
+TEST(AllocBudget, BusyBlocksFollowPeakNotFleet)
+{
+    // One 2 ms task on each of the first 1,000 servers of a 2,000-
+    // server plant in turn, one every millisecond: with the 0.7 ms of
+    // core and package C6 exit, at most three servers are busy at
+    // once, so three busy blocks serve all 1,000.
+    // The drained run re-evaluates the horizons of the servers the
+    // tasks touched and no other.
+    constexpr std::size_t servers = 2000;
+    constexpr std::size_t touched = 1000;
+    DataCenter dc(wheelPlant(servers));
+    SingleTaskGenerator gen(std::make_shared<FixedService>(2 * msec));
+    std::vector<Tick> arrivals;
+    for (std::size_t i = 0; i < touched; ++i)
+        arrivals.push_back(i * msec);
+    dc.pumpTrace(std::move(arrivals), gen);
+
+    watchedSize = CorePool::busyBlockBytes(4);
+    watchedHits = 0;
+    const std::uint64_t refreshes = dc.sim().horizonRefreshes();
+    counting = true;
+    const Tick end = dc.run();
+    counting = false;
+    const std::uint64_t drained = dc.sim().horizonRefreshes() - refreshes;
+    RecordProperty("busy_blocks_built", static_cast<int>(watchedHits));
+    RecordProperty("drain_horizon_refreshes", static_cast<int>(drained));
+    EXPECT_EQ(watchedHits, 3u);
+    EXPECT_EQ(dc.sim().blockCache().spares(), 3u);
+    EXPECT_EQ(drained, touched);
+    for (std::size_t i = 0; i < servers; ++i) {
+        ASSERT_EQ(dc.server(i).tasksCompleted(), i < touched ? 1u : 0u)
+            << "server " << i;
+        ASSERT_FALSE(dc.server(i).holdsBusyBlock()) << "server " << i;
+    }
+    // The last server suspends tau after its task.
+    EXPECT_GT(end, (touched - 1) * msec + 2 * msec + 50 * msec);
 }
 
 TEST(AllocBudget, BareSimulatorAllocatesNoWheelRing)

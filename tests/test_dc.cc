@@ -333,15 +333,17 @@ TEST(DataCenter, FaultedFleetTearsDownMidRun)
              gen, 40'000);
     dc->runUntil(1 * sec);
 
-    std::size_t busy = 0, crashed = 0, down = 0, running = 0;
+    std::size_t ran = 0, crashed = 0, down = 0, running = 0;
     for (std::size_t i = 0; i < dc->numServers(); ++i) {
         const Server &s = dc->server(i);
-        busy += s.busyStateBuilt();
+        // A busy block is held exactly while a core runs a task.
+        EXPECT_EQ(s.holdsBusyBlock(), s.runningTasks() > 0) << "server " << i;
+        ran += s.tasksCompleted() + s.tasksKilled() + s.runningTasks() > 0;
         crashed += s.failures() > 0;
         down += s.failed();
         running += s.runningTasks();
     }
-    EXPECT_GT(busy, 4000u);
+    EXPECT_GT(ran, 4000u);
     EXPECT_GT(crashed, 100u);
     EXPECT_GT(down, 10u);
     EXPECT_GT(running, 500u);
@@ -392,7 +394,7 @@ faultedFleetRun()
 
     // One entry per server: the pool inside it, as if each server had
     // appended itself in id order.
-    const std::vector<DeferredTimers *> &list = dc.sim().deferred();
+    const auto &list = dc.sim().deferred();
     EXPECT_EQ(list.size(), dc.numServers());
     const auto offset = [&](std::size_t i) {
         return reinterpret_cast<std::uintptr_t>(list[i]) -

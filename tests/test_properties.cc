@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "dc/datacenter.hh"
+#include "dc/metrics.hh"
 #include "dc/pod_cluster.hh"
 #include "fault/fault_manager.hh"
 #include "fault/fault_model.hh"
@@ -24,6 +25,7 @@
 #include "network/flow_manager.hh"
 #include "network/network.hh"
 #include "network/routing.hh"
+#include "sched/adaptive_policy.hh"
 #include "sched/dispatch_policy.hh"
 #include "sim/logging.hh"
 #include "workload/service.hh"
@@ -1469,3 +1471,381 @@ INSTANTIATE_TEST_SUITE_P(
         return "parts" + std::to_string(std::get<0>(info.param)) +
                "_seed" + std::to_string(std::get<1>(info.param));
     });
+
+// ---------------------------------------------------------------------------
+// Random plants for the drain-horizon and metamorphic properties. One
+// seed draws the fabric (none, a star, or a k = 4 fat tree), the core
+// count, the dispatch policy, an always-on or delay-timer controller,
+// exact or wheel governor timers, whole-switch sleep, a schedule of
+// server and switch faults, and whether the adaptive pool policy runs.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+struct RandomPlant {
+    DataCenterConfig cfg;
+    bool adaptive = false;
+    std::size_t jobs = 0;
+    double rate = 0.0;
+    Tick meanService = 0;
+    /** Bytes shipped between a chain's two stages (fabric only). */
+    Bytes transfer = 0;
+};
+
+RandomPlant
+randomPlant(std::uint64_t seed)
+{
+    Rng rng(seed, "random-plant");
+    auto pick = [&rng](auto... options) {
+        const std::vector<std::common_type_t<decltype(options)...>> v{
+            options...};
+        return v[rng.uniformInt(0, v.size() - 1)];
+    };
+    RandomPlant p;
+    DataCenterConfig &cfg = p.cfg;
+    cfg.seed = seed;
+    cfg.nCores = static_cast<unsigned>(rng.uniformInt(1, 4));
+    cfg.nServers = static_cast<unsigned>(rng.uniformInt(6, 24));
+    using Fabric = DataCenterConfig::Fabric;
+    cfg.fabric = pick(Fabric::none, Fabric::star, Fabric::fatTree);
+    const bool fabric = cfg.fabric != Fabric::none;
+    if (cfg.fabric == Fabric::fatTree)
+        cfg.fabricParam = 4;
+    if (fabric) {
+        cfg.netConfig.switchSleepDelay = pick(maxTick, 2 * msec, 20 * msec);
+        p.transfer = 2 * rng.uniformInt(2048, 32768);
+    }
+    using Dispatch = DataCenterConfig::Dispatch;
+    cfg.dispatch = fabric ? pick(Dispatch::roundRobin, Dispatch::leastLoaded,
+                                 Dispatch::random, Dispatch::networkAware)
+                          : pick(Dispatch::roundRobin, Dispatch::leastLoaded,
+                                 Dispatch::random);
+    cfg.taskAntiAffinity = rng.bernoulli(0.5);
+    if (rng.bernoulli(0.6)) {
+        cfg.controller = DataCenterConfig::Controller::delayTimer;
+        cfg.delayTimerTau = pick(Tick{0}, 600 * usec, 20 * msec, 100 * msec);
+    }
+    if (rng.bernoulli(0.5)) {
+        cfg.timerMode = DataCenterConfig::TimerMode::wheel;
+        cfg.wheelGranularity = pick(100 * usec, 1 * msec);
+    }
+    if (rng.bernoulli(0.6)) {
+        cfg.fault.enabled = true;
+        cfg.fault.useSchedule = true;
+        cfg.fault.maxRetries = 4;
+        cfg.fault.faultSwitches = fabric;
+        const std::size_t faults = rng.uniformInt(1, 4);
+        for (std::size_t k = 0; k < faults; ++k) {
+            const Tick down = rng.uniformInt(1, 800) * msec + k;
+            const Tick up = down + rng.uniformInt(5, 300) * msec;
+            FaultTarget target{FaultKind::server,
+                               rng.uniformInt(0, cfg.nServers - 1), 0};
+            if (cfg.fabric == Fabric::star && rng.bernoulli(0.3))
+                target = {FaultKind::swtch, 0, 0};
+            cfg.fault.schedule.push_back({target, {down, up}});
+        }
+    }
+    // The adaptive pool policy sets every server's delay timer itself.
+    p.adaptive = cfg.controller == DataCenterConfig::Controller::alwaysOn &&
+                 rng.bernoulli(0.4);
+    p.meanService = pick(2 * msec, 5 * msec);
+    p.jobs = rng.uniformInt(80, 240);
+    const unsigned servers = cfg.fabric == Fabric::fatTree ? 16 : cfg.nServers;
+    const double rho = rng.uniform(0.1, 0.5);
+    p.rate = rho * servers * cfg.nCores / (2 * toSeconds(p.meanService));
+    return p;
+}
+
+/** A DataCenter built from a RandomPlant, its stream pumped. */
+struct PlantRun {
+    explicit PlantRun(const RandomPlant &p)
+        : dc(p.cfg), svc(std::make_shared<ExponentialService>(
+                         p.meanService, dc.makeRng("service"))),
+          gen({svc, svc}, {0, 0}, p.transfer)
+    {
+        if (p.adaptive) {
+            AdaptiveConfig ac;
+            ac.initialActive = 2;
+            ac.deepSleepAfter = 50 * msec;
+            ac.transitionCooldown = 20 * msec;
+            ac.checkInterval = 10 * msec;
+            adaptive = std::make_unique<AdaptivePoolPolicy>(dc.scheduler(), ac);
+            adaptive->start();
+        }
+        dc.pump(std::make_unique<PoissonArrival>(p.rate,
+                                                 dc.makeRng("arrivals")),
+                gen, p.jobs);
+    }
+
+    DataCenter dc;
+    std::shared_ptr<ExponentialService> svc;
+    ChainJobGenerator gen;
+    std::unique_ptr<AdaptivePoolPolicy> adaptive;
+};
+
+/** The last pending deferred transition, from every entity afresh. */
+Tick
+fullHorizonScan(const Simulator &sim)
+{
+    Tick last = 0;
+    for (const DeferredTimers *d : sim.deferred())
+        if (d)
+            last = std::max(last, d->lastDeferredTick());
+    return last;
+}
+
+/**
+ * Checks the cached horizon against a full scan before each event a
+ * drain processes: run() found no foreground event, so it is about to
+ * end at deferredHorizon() or is running a background event before it.
+ */
+struct DrainCheck : KernelProbe {
+    explicit DrainCheck(Simulator &sim) : sim(sim) {}
+    void
+    beginEvent(const Event &, std::size_t) override
+    {
+        if (sim.eventQueue().foregroundCount() != 0)
+            return;
+        ++checks;
+        EXPECT_EQ(sim.deferredHorizon(), fullHorizonScan(sim))
+            << "before a drained event at tick " << sim.curTick();
+    }
+    void endEvent() override {}
+
+    Simulator &sim;
+    std::size_t checks = 0;
+};
+
+} // namespace
+
+// ---------------------------------------------------------------------------
+// Property: a drain ends where a full scan of every deferred-timer
+// entity says it must. The Simulator keeps each entity's horizon and
+// re-evaluates only those touched since (DeferredTimers); at every
+// pause, around the API calls made between runs, before every event a
+// drain processes and at the end of each run, the cached max must
+// equal lastDeferredTick() taken over every entity.
+// ---------------------------------------------------------------------------
+
+class DeferredHorizonProperty
+    : public ::testing::TestWithParam<std::uint64_t>
+{};
+
+TEST_P(DeferredHorizonProperty, CachedMaxEqualsFullScan)
+{
+    const RandomPlant p = randomPlant(GetParam());
+    PlantRun run(p);
+    DataCenter &dc = run.dc;
+    Simulator &sim = dc.sim();
+    auto check = [&](const char *where) {
+        EXPECT_EQ(sim.deferredHorizon(), fullHorizonScan(sim))
+            << where << " at tick " << sim.curTick();
+    };
+    // Still the build's epoch: the fleet recorded every server's
+    // horizon, and a server reconfigured now must be seen again.
+    check("after the build");
+    Rng rng(GetParam(), "horizon-api");
+    dc.server(rng.uniformInt(0, dc.numServers() - 1))
+        .setDelayTimer(rng.uniformInt(1, 30) * msec);
+    check("after a reconfiguration in the build's epoch");
+
+    DrainCheck drains(sim);
+    sim.setProbe(&drains);
+    // Pauses with API calls between runs: each may move the horizon
+    // of a server or switch that no event touches afterwards.
+    Tick at = 0;
+    for (int pause = 0; pause < 6; ++pause) {
+        at += rng.uniformInt(50, 400) * msec;
+        dc.runUntil(at);
+        check("at a pause");
+        Server &s = dc.server(rng.uniformInt(0, dc.numServers() - 1));
+        switch (rng.uniformInt(0, 4)) {
+          case 0:
+            s.setDelayTimer(rng.uniformInt(0, 40) * msec);
+            break;
+          case 1:
+            s.sleep(SState::s3);
+            break;
+          case 2:
+            s.wakeUp();
+            break;
+          case 3:
+            s.setAllowPkgC6(rng.bernoulli(0.5));
+            break;
+          default:
+            if (Network *net = dc.network())
+                net->switchAt(rng.uniformInt(0, net->numSwitches() - 1))
+                    .trySleep();
+            break;
+        }
+        check("after an API call");
+    }
+    const Tick end = dc.run();
+    check("after the drained run");
+    EXPECT_EQ(end, sim.curTick());
+    EXPECT_LE(fullHorizonScan(sim), end);
+    // A second drained run from rest ends where it starts.
+    EXPECT_EQ(dc.run(), end);
+    sim.setProbe(nullptr);
+    EXPECT_EQ(dc.scheduler().jobsCompleted() + dc.scheduler().jobsFailed(),
+              p.jobs);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DeferredHorizonProperty,
+                         ::testing::Range<std::uint64_t>(1, 21));
+
+// ---------------------------------------------------------------------------
+// Metamorphic properties: exact scaling laws between two runs, with no
+// recorded value. A factor of two only moves a double's exponent, so
+// each relation holds bit for bit on full-precision values, and the
+// dump's text must match wherever the relation leaves a row alone.
+//
+// - Power x 2: doubling every server and switch power key doubles
+//   every energy and leaves every other row, residency tick and
+//   latency alone. No policy here reads watts (the adaptive pool
+//   policy and dispatch count load, network-aware dispatch counts
+//   sleeping switches), so none is left out. It also pins the order
+//   energy is accrued in: a reordered sum rounds differently at one
+//   scale only by chance, and the identity covers every row.
+// - Link rate and transfer size / 2: every transfer takes as long as
+//   before, so the whole dump is unchanged.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/** A stats dump plus the full-precision values its rows print. */
+struct ModelValues {
+    std::string dump;
+    /** Energies: per server cpu, dram, platform, total; per switch;
+     *  the fabric's total; the wasted joules of crashes. */
+    std::vector<double> energy;
+    /** Residency ticks of every server, switch, port and line card. */
+    std::vector<Tick> ticks;
+    /** Job and flow latencies, and the end tick. */
+    std::vector<double> other;
+};
+
+ModelValues
+runModel(const RandomPlant &p)
+{
+    PlantRun run(p);
+    DataCenter &dc = run.dc;
+    dc.run();
+    ModelValues v;
+    std::ostringstream os;
+    dc.dumpStats(os);
+    v.dump = os.str();
+    auto books = [&v](const auto &res, int states) {
+        for (int st = 0; st < states; ++st)
+            v.ticks.push_back(res.residency(st));
+    };
+    for (std::size_t i = 0; i < dc.numServers(); ++i) {
+        const Server &s = dc.server(i);
+        const EnergyBreakdown &e = s.energy();
+        v.energy.insert(v.energy.end(), {e.cpu, e.dram, e.platform, e.total()});
+        books(s.residency(), StateResidency::maxStates);
+    }
+    if (Network *net = dc.network()) {
+        for (std::size_t i = 0; i < net->numSwitches(); ++i) {
+            Switch &sw = net->switchAt(i);
+            v.energy.push_back(sw.energy());
+            books(sw.residency(), 2);
+            for (unsigned q = 0; q < sw.numPorts(); ++q)
+                books(sw.port(q).residency(), 3);
+            for (unsigned lc = 0; lc < sw.numLineCards(); ++lc)
+                books(sw.lineCard(lc).residency(), 3);
+        }
+        v.energy.push_back(net->switchEnergy());
+        v.other.push_back(net->flows().flowLatency().mean());
+    }
+    v.energy.push_back(fleetReliability(dc.serverPtrs()).wastedJoules);
+    const Percentile &lat = dc.scheduler().jobLatency();
+    v.other.insert(v.other.end(), {lat.mean(), lat.p50(), lat.p99()});
+    v.other.push_back(static_cast<double>(dc.sim().curTick()));
+    return v;
+}
+
+/** The dump's lines, with those naming an energy dropped if asked. */
+std::vector<std::string>
+dumpRows(const std::string &dump, bool drop_energy)
+{
+    std::vector<std::string> rows;
+    std::istringstream in(dump);
+    for (std::string line; std::getline(in, line);) {
+        const std::string key = line.substr(0, line.find(' '));
+        const bool energy = key.size() > 2 &&
+                            (key.compare(key.size() - 2, 2, "_j") == 0 ||
+                             key.find("joules") != std::string::npos);
+        if (!(drop_energy && energy))
+            rows.push_back(line);
+    }
+    return rows;
+}
+
+void
+doublePower(DataCenterConfig &cfg)
+{
+    ServerPowerProfile &s = cfg.serverProfile;
+    for (Watts *w : {&s.coreActive, &s.coreC0Idle, &s.coreC1, &s.coreC3,
+                     &s.coreC6, &s.pkgPc0, &s.pkgPc2, &s.pkgPc6,
+                     &s.dramActive, &s.dramIdle, &s.dramSelfRefresh,
+                     &s.platformS0, &s.platformS3, &s.platformS5})
+        *w *= 2.0;
+    SwitchPowerProfile &n = cfg.switchProfile;
+    for (Watts *w : {&n.chassisBase, &n.switchSleep, &n.linecardActive,
+                     &n.linecardSleep, &n.linecardOff, &n.portActive,
+                     &n.portLpi, &n.portOff})
+        *w *= 2.0;
+}
+
+} // namespace
+
+class MetamorphicProperty
+    : public ::testing::TestWithParam<std::uint64_t>
+{};
+
+TEST_P(MetamorphicProperty, DoublingPowerDoublesEveryEnergyAlone)
+{
+    const RandomPlant p = randomPlant(GetParam());
+    RandomPlant twice = p;
+    doublePower(twice.cfg);
+    const ModelValues a = runModel(p);
+    const ModelValues b = runModel(twice);
+
+    ASSERT_EQ(a.energy.size(), b.energy.size());
+    std::size_t nonzero = 0;
+    for (std::size_t i = 0; i < a.energy.size(); ++i) {
+        EXPECT_EQ(b.energy[i], 2.0 * a.energy[i]) << "energy " << i;
+        nonzero += a.energy[i] != 0.0;
+    }
+    EXPECT_GT(nonzero, a.energy.size() / 2);
+    EXPECT_EQ(a.ticks, b.ticks);
+    EXPECT_EQ(a.other, b.other);
+    EXPECT_EQ(dumpRows(a.dump, true), dumpRows(b.dump, true));
+    // The energy rows it dropped are there, and they moved.
+    EXPECT_LT(dumpRows(a.dump, true).size(), dumpRows(a.dump, false).size());
+    EXPECT_NE(a.dump, b.dump);
+}
+
+TEST_P(MetamorphicProperty, HalvingLinkRateAndTransfersChangesNothing)
+{
+    RandomPlant p = randomPlant(GetParam());
+    if (p.cfg.fabric == DataCenterConfig::Fabric::none) {
+        // No fabric: no link to halve. Give the plant a star, so every
+        // seed tests the relation.
+        p.cfg.fabric = DataCenterConfig::Fabric::star;
+        p.transfer = 16 * 1024;
+    }
+    RandomPlant half = p;
+    half.cfg.linkRate /= 2.0;
+    half.transfer /= 2;
+    const ModelValues a = runModel(p);
+    const ModelValues b = runModel(half);
+    EXPECT_EQ(a.energy, b.energy);
+    EXPECT_EQ(a.ticks, b.ticks);
+    EXPECT_EQ(a.other, b.other);
+    EXPECT_TRUE(a.dump == b.dump);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MetamorphicProperty,
+                         ::testing::Range<std::uint64_t>(1, 21));

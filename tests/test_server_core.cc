@@ -188,24 +188,59 @@ TEST_F(CoreFixture, ForceDeepSleepFromIdle)
 TEST_F(CoreFixture, IdlePoolNeverBuildsBusyState)
 {
     // The governor ladder, a forced sleep and destruction need no
-    // busy state; only a task start builds it.
+    // busy state; a task start takes a block, its completion or abort
+    // hands it back to the simulator's cache, and the next start takes
+    // that one again.
     makeCore();
     sim.runUntil(10 * msec);
     EXPECT_EQ(core->cstate(), CoreCState::c6);
     core->forceDeepSleep();
-    EXPECT_FALSE(pool->busyStateBuilt());
+    EXPECT_FALSE(pool->holdsBusyBlock());
+    EXPECT_EQ(sim.blockCache().spares(), 0u);
     core->startTask(task(1 * msec), 0);
-    EXPECT_TRUE(pool->busyStateBuilt());
+    EXPECT_TRUE(pool->holdsBusyBlock());
     sim.run();
-    EXPECT_TRUE(pool->busyStateBuilt());
+    EXPECT_FALSE(pool->holdsBusyBlock());
+    EXPECT_EQ(sim.blockCache().spares(), 1u);
+    core->startTask(task(1 * msec), 0);
+    EXPECT_TRUE(pool->holdsBusyBlock());
+    EXPECT_EQ(sim.blockCache().spares(), 0u);
+    core->abortTask();
+    EXPECT_FALSE(pool->holdsBusyBlock());
+    EXPECT_EQ(sim.blockCache().spares(), 1u);
 
     RecordingHost other;
     other.sim = &sim;
     {
         CorePool idle(sim, other, prof, 4);
         Core(idle, 3).forceDeepSleep();
-        EXPECT_FALSE(idle.busyStateBuilt());
+        EXPECT_FALSE(idle.holdsBusyBlock());
     }
+    EXPECT_FALSE(sim.hasPendingEvents());
+}
+
+TEST_F(CoreFixture, BusyBlockStaysWhileAnyCoreRuns)
+{
+    // Two cores of one pool: the block goes back only when the last
+    // of them stops, whether it completes or is aborted, and a pool
+    // destroyed mid-task hands its block back too.
+    host.sim = &sim;
+    CorePool two(sim, host, prof, 2);
+    Core a(two, 0), b(two, 1);
+    a.startTask(task(1 * msec), 0);
+    b.startTask(task(3 * msec), 0);
+    sim.runUntil(2 * msec);
+    ASSERT_EQ(host.done.size(), 1u);
+    EXPECT_TRUE(two.holdsBusyBlock());
+    b.abortTask();
+    EXPECT_FALSE(two.holdsBusyBlock());
+    EXPECT_EQ(sim.blockCache().spares(), 1u);
+    {
+        CorePool doomed(sim, host, prof, 2);
+        Core(doomed, 1).startTask(task(1 * msec), 0);
+        EXPECT_EQ(sim.blockCache().spares(), 0u);
+    }
+    EXPECT_EQ(sim.blockCache().spares(), 1u);
     EXPECT_FALSE(sim.hasPendingEvents());
 }
 

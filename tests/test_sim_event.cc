@@ -232,10 +232,19 @@ TEST(Simulator, EventScheduledDuringProcessingRuns)
 
 namespace {
 
-/** A deferred-timer entity whose last pending transition is fixed. */
+/**
+ * A deferred-timer entity whose last pending transition is set from
+ * outside: it never settles, so it reports each change itself.
+ */
 struct FixedDeferred : DeferredTimers {
     explicit FixedDeferred(Tick last) : last(last) {}
     Tick lastDeferredTick() const override { return last; }
+    void
+    set(Simulator &sim, Tick at)
+    {
+        last = at;
+        sim.deferredChanged(*this);
+    }
     Tick last;
 };
 
@@ -271,7 +280,7 @@ TEST(Simulator, ReservedDeferredSlotsFillFromThreads)
     sim.removeDeferred(*fleet[3]);
     ASSERT_EQ(sim.deferred().size(), 64u);
     EXPECT_EQ(sim.deferred()[slot + 3], fleet.back().get());
-    fleet.back()->last = 40;
+    fleet.back()->set(sim, 40);
     EXPECT_EQ(sim.run(), 40u);
 }
 
