@@ -12,7 +12,10 @@
 # calling thread writes them (the faulted star plants of the dump
 # gates, with a nested serial dump and a traced one), and its fleet
 # build, whose servers are constructed and registered on parallelFor
-# workers (an 8,000-server faulted fleet, built and run twice).
+# workers (an 8,000-server faulted fleet, built and run twice), and
+# the drain horizons those workers record and the dump's workers mark
+# stale (the horizon properties, random plants and an 8,000-server
+# fleet built, dumped and drained).
 # Usage: bench/run_tsan.sh [build-dir]
 set -euo pipefail
 
@@ -21,7 +24,7 @@ BUILD_DIR="${1:-build-tsan}"
 
 cmake -B "$BUILD_DIR" -S . -DHOLDCSIM_TSAN=ON
 cmake --build "$BUILD_DIR" -j --target test_exp test_pdes test_mc \
-    test_dc
+    test_dc test_properties
 
 TSAN_OPTIONS=halt_on_error=1 "$BUILD_DIR"/tests/test_exp
 TSAN_OPTIONS=halt_on_error=1 "$BUILD_DIR"/tests/test_pdes
@@ -29,3 +32,5 @@ TSAN_OPTIONS=halt_on_error=1 "$BUILD_DIR"/tests/test_mc \
     --gtest_filter='Explorer.*:Oracle.*'
 TSAN_OPTIONS=halt_on_error=1 "$BUILD_DIR"/tests/test_dc \
     --gtest_filter='DataCenter.*StatsDump*:IdleLadderGolden.*:DataCenter.ParallelBuildMatchesSerialBuild'
+TSAN_OPTIONS=halt_on_error=1 "$BUILD_DIR"/tests/test_properties \
+    --gtest_filter='Seeds/DeferredHorizonProperty.*:DeferredHorizonFleet.*'

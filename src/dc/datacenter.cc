@@ -159,7 +159,7 @@ struct DataCenter::Pump {
     onArrival()
     {
         --remaining;
-        Job job = gen.makeJob(dc._sim.curTick());
+        Job job = gen.makeJob(dc._sim.curTick(), dc._nextJobId++);
         // With orchestration on, generated jobs route through the
         // default deployment unless the generator tagged them itself.
         if (dc._orch && dc._config.orch.tagJobs && job.orchGroup() < 0)

@@ -92,7 +92,9 @@ class DataCenter
 
     /** @name Workload pumps
      * The JobGenerator must outlive the simulation run. Several
-     * pumps may be active at once (multi-workload experiments).
+     * pumps may be active at once (multi-workload experiments); the
+     * jobs they make are numbered 0, 1, ... per plant, so a job
+     * submitted to scheduler() directly needs an id of its own.
      */
     ///@{
     /**
@@ -238,6 +240,8 @@ class DataCenter
     std::unique_ptr<Orchestrator> _orch;
     std::unique_ptr<InvariantAuditor> _auditor;
     std::vector<std::unique_ptr<Pump>> _pumps;
+    /** The id of the next job a pump makes (ids count per plant). */
+    JobId _nextJobId = 0;
 };
 
 } // namespace holdcsim

@@ -22,9 +22,12 @@
 namespace holdcsim {
 
 /**
- * Produces Jobs on demand. Job ids are drawn from a process-wide
- * counter so several generators can feed one scheduler (multi-
- * workload experiments) without id collisions.
+ * Produces Jobs on demand. A DataCenter numbers the jobs its pumps
+ * make per plant, from 0 (makeJob(Tick, JobId)), so one plant's ids,
+ * and the trace that names them, do not depend on what else the
+ * process ran; several pumps of one plant share its count.
+ * makeJob(Tick) draws from a process-wide counter instead, for
+ * harnesses that submit jobs to a scheduler themselves.
  */
 class JobGenerator
 {

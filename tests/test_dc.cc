@@ -1187,8 +1187,10 @@ namespace {
  * dump closes (the task and flow ones name process-wide job ids).
  */
 struct ChunkedPlant {
-    explicit ChunkedPlant(const std::string &trace_out = {})
-        : dc(config(trace_out)),
+    explicit ChunkedPlant(
+        const std::string &trace_out = {},
+        const std::string &categories = "server,core,network,fault")
+        : dc(config(trace_out, categories)),
           gen(fixedSvc(2 * msec), fixedSvc(20 * msec), fixedSvc(1 * msec),
               3, 20'000)
     {
@@ -1199,7 +1201,7 @@ struct ChunkedPlant {
     }
 
     static DataCenterConfig
-    config(const std::string &trace_out)
+    config(const std::string &trace_out, const std::string &categories)
     {
         DataCenterConfig cfg;
         cfg.nServers = 600;
@@ -1212,7 +1214,7 @@ struct ChunkedPlant {
         cfg.fault.maxRetries = 5;
         cfg.telemetry.enabled = !trace_out.empty();
         cfg.telemetry.traceOut = trace_out;
-        cfg.telemetry.traceCategories = "server,core,network,fault";
+        cfg.telemetry.traceCategories = categories;
         return cfg;
     }
 
@@ -1313,6 +1315,29 @@ TEST(DataCenter, TracedStatsDumpTraceIsGolden)
     EXPECT_EQ(fnv1a64(trace.str()), 0x58da42a4b80d6c9dULL)
         << std::hex << fnv1a64(trace.str());
     std::remove(path.c_str());
+
+    // With the task and flow categories too, whose records name jobs:
+    // a plant numbers the jobs it pumps itself, so its file does not
+    // depend on the plants this process built before it (two of them
+    // by now, and a third between these runs).
+    auto allCategories = [&path] {
+        { ChunkedPlant plant(path, "server,core,network,fault,task,flow"); }
+        std::ifstream all(path, std::ios::binary);
+        std::stringstream bytes;
+        bytes << all.rdbuf();
+        std::remove(path.c_str());
+        return bytes.str();
+    };
+    const std::string first = allCategories();
+    EXPECT_NE(first.find("\"j199.t"), std::string::npos);
+    EXPECT_NE(first.find("\"cat\":\"flow\""), std::string::npos);
+    ChunkedPlant between;
+    EXPECT_TRUE(allCategories() == first);
+    EXPECT_EQ(first.size(), 1951372u);
+    EXPECT_EQ(fnv1a64(recordsByTrack(first)), 0xfd0dbd33337e24e0ULL)
+        << std::hex << fnv1a64(recordsByTrack(first));
+    EXPECT_EQ(fnv1a64(first), 0xbac731a23811ca9eULL)
+        << std::hex << fnv1a64(first);
 }
 
 // -------------------------------------------------------- invariant auditor

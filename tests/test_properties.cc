@@ -1694,6 +1694,46 @@ TEST_P(DeferredHorizonProperty, CachedMaxEqualsFullScan)
 INSTANTIATE_TEST_SUITE_P(Seeds, DeferredHorizonProperty,
                          ::testing::Range<std::uint64_t>(1, 21));
 
+// The same check where threads write horizons: a fleet of several
+// 2 MiB extents records each server's horizon on its build worker, and
+// a stats dump of several chunks settles servers, marking their
+// horizons stale, on its pipeline workers.
+TEST(DeferredHorizonFleet, ParallelBuildAndDumpKeepTheCache)
+{
+    DataCenterConfig cfg;
+    cfg.nServers = 8000;
+    cfg.nCores = 4;
+    cfg.seed = 3;
+    cfg.controller = DataCenterConfig::Controller::delayTimer;
+    cfg.delayTimerTau = 40 * msec;
+    cfg.dispatch = DataCenterConfig::Dispatch::roundRobin;
+    cfg.timerMode = DataCenterConfig::TimerMode::wheel;
+    cfg.wheelGranularity = 100 * usec;
+    DataCenter dc(cfg);
+    Simulator &sim = dc.sim();
+    EXPECT_EQ(sim.deferredHorizon(), fullHorizonScan(sim));
+    // Nothing touched since the build: the drain re-evaluates nothing.
+    EXPECT_EQ(sim.horizonRefreshes(), 0u);
+
+    SingleTaskGenerator gen(std::make_shared<ExponentialService>(
+        5 * msec, dc.makeRng("service")));
+    dc.pump(std::make_unique<PoissonArrival>(20'000.0,
+                                             dc.makeRng("arrivals")),
+            gen, 3000);
+    dc.runUntil(60 * msec);
+    EXPECT_EQ(sim.deferredHorizon(), fullHorizonScan(sim));
+    std::ostringstream first;
+    dc.dumpStats(first);
+    EXPECT_EQ(sim.deferredHorizon(), fullHorizonScan(sim));
+    dc.runUntil(120 * msec);
+    std::ostringstream second;
+    dc.dumpStats(second);
+    const Tick end = dc.run();
+    EXPECT_EQ(sim.deferredHorizon(), fullHorizonScan(sim));
+    EXPECT_LE(fullHorizonScan(sim), end);
+    EXPECT_EQ(dc.scheduler().jobsCompleted(), 3000u);
+}
+
 // ---------------------------------------------------------------------------
 // Metamorphic properties: exact scaling laws between two runs, with no
 // recorded value. A factor of two only moves a double's exponent, so
