@@ -161,9 +161,12 @@ CorePool::startTask(unsigned c, const TaskRef &task, Tick extra_wake)
         _busy = static_cast<Busy *>(
             _sim.blockCache().take(&destroyBusy, _size));
         if (!_busy) {
-            void *block = ::operator new(busyBlockBytes(_size));
-            _busy = static_cast<Busy *>(block);
-            std::uninitialized_default_construct_n(_busy, _size);
+            auto release = [](void *block) { ::operator delete(block); };
+            std::unique_ptr<void, decltype(release)> block(
+                ::operator new(busyBlockBytes(_size)), release);
+            std::uninitialized_default_construct_n(
+                static_cast<Busy *>(block.get()), _size);
+            _busy = static_cast<Busy *>(block.release());
         }
     }
     ++_running;

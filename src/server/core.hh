@@ -336,6 +336,8 @@ using CoreResidency = StateBook<5>;
     std::unique_ptr<std::string[]> _traceLabel;
 };
 
+static_assert(sizeof(CorePool) <= 104, "the core pool grew");
+
 /** Copyable view of one processing unit inside a server's pool. */
 class Core
 {

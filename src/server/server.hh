@@ -431,7 +431,7 @@ class Server : private CoreHost
     bool _inDispatch = false;
 };
 
-static_assert(sizeof(Server) <= 472, "the Server object grew");
+static_assert(sizeof(Server) <= 456, "the Server object grew");
 
 } // namespace holdcsim
 

@@ -307,12 +307,10 @@ class Simulator
     Tick deferredHorizon();
     /** Stale horizons deferredHorizon() has re-evaluated so far. */
     std::uint64_t horizonRefreshes() const { return _horizonRefreshes; }
+    using DeferredList =
+        std::vector<DeferredTimers *, ZeroedAllocator<DeferredTimers *>>;
     /** The registered entities in list order (null: an empty slot). */
-    const std::vector<DeferredTimers *, ZeroedAllocator<DeferredTimers *>> &
-    deferred() const
-    {
-        return _deferred;
-    }
+    const DeferredList &deferred() const { return _deferred; }
     ///@}
 
     /**
@@ -466,8 +464,7 @@ class Simulator
     Tick _curTick = 0;
     std::uint64_t _eventsProcessed = 0;
     std::uint64_t _epoch = 0;
-    std::vector<DeferredTimers *, ZeroedAllocator<DeferredTimers *>>
-        _deferred;
+    DeferredList _deferred;
     /** Per slot of _deferred: its entity's lastDeferredTick() as last
      *  evaluated, or staleHorizon; 0 for an empty slot. */
     std::vector<Tick, ZeroedAllocator<Tick>> _horizon;

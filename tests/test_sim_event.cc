@@ -284,6 +284,32 @@ TEST(Simulator, ReservedDeferredSlotsFillFromThreads)
     EXPECT_EQ(sim.run(), 40u);
 }
 
+TEST(Simulator, DrainReadsRecordedHorizons)
+{
+    // A drain evaluates each entity once, then reads the horizon it
+    // recorded until the entity reports a change; removal carries the
+    // moved entity's horizon into the hole.
+    Simulator sim;
+    FixedDeferred a(5), b(9), c(7);
+    sim.addDeferred(a);
+    sim.addDeferred(b);
+    sim.addDeferred(c);
+    EXPECT_EQ(sim.run(), 9u);
+    EXPECT_EQ(sim.horizonRefreshes(), 3u);
+    a.last = 30; // unreported: the recorded 5 stands
+    EXPECT_EQ(sim.deferredHorizon(), 9u);
+    EXPECT_EQ(sim.horizonRefreshes(), 3u);
+    a.set(sim, 20);
+    EXPECT_EQ(sim.run(), 20u);
+    EXPECT_EQ(sim.horizonRefreshes(), 4u);
+    c.set(sim, 40);
+    sim.removeDeferred(a); // c moves into a's slot, still stale
+    EXPECT_EQ(sim.run(), 40u);
+    EXPECT_EQ(sim.horizonRefreshes(), 5u);
+    sim.removeDeferred(c);
+    EXPECT_EQ(sim.deferredHorizon(), 9u);
+}
+
 TEST(Simulator, EmptyReservedSlotsAreSkipped)
 {
     // As a fleet build that threw leaves them: the drain skips the
