@@ -198,6 +198,13 @@ class GlobalScheduler : private TaskSink
     std::size_t globalQueueLength() const { return _globalQueue.size(); }
     /** Offered tasks (queued + running) per eligible server. */
     double loadPerEligibleServer() const;
+    /** Eligible healthy servers that serve @p type, in id order: the
+     *  cached list push dispatch picks from. */
+    const std::vector<std::size_t> &
+    candidates(int type) const
+    {
+        return cachedCandidates(type);
+    }
     const std::vector<Server *> &servers() const { return _servers; }
     Simulator &simulator() { return _sim; }
     Network *network() { return _net; }

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -27,6 +28,7 @@
 #include "network/routing.hh"
 #include "sched/adaptive_policy.hh"
 #include "sched/dispatch_policy.hh"
+#include "sched/provisioning.hh"
 #include "sim/logging.hh"
 #include "workload/service.hh"
 #include "workload/trace.hh"
@@ -1888,4 +1890,254 @@ TEST_P(MetamorphicProperty, HalvingLinkRateAndTransfersChangesNothing)
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MetamorphicProperty,
+                         ::testing::Range<std::uint64_t>(1, 21));
+
+// ---------------------------------------------------------------------------
+// Property: every cached candidate list is the list a brute-force scan
+// of the fleet gives. Random plants mix typed and untyped servers, push
+// (round-robin, least-loaded, random) and pull dispatch, an adaptive or
+// provisioning pool flipping eligibility, and scheduled server crashes
+// and repairs. After every event, each type's cached list must equal
+// eligible(i) && !failed() && servesType(type) taken over every server.
+// Each plant's model values are pinned by a digest, so the lists
+// dispatch picks from stay the lists it always picked from.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+constexpr int kCandidateTypes = 3;
+
+/** Compares each type's cached list with a scan after every event. */
+struct CandidateCheck : KernelProbe {
+    CandidateCheck(const Simulator &sim, const GlobalScheduler &sched)
+        : sim(sim), sched(sched)
+    {}
+    void beginEvent(const Event &, std::size_t) override {}
+    void
+    endEvent() override
+    {
+        const std::vector<Server *> &servers = sched.servers();
+        for (int type = 0; type < kCandidateTypes; ++type) {
+            std::vector<std::size_t> scan;
+            for (std::size_t i = 0; i < servers.size(); ++i) {
+                if (sched.eligible(i) && !servers[i]->failed() &&
+                    servers[i]->servesType(type))
+                    scan.push_back(i);
+            }
+            if (sched.candidates(type) != scan && mismatches++ == 0) {
+                ADD_FAILURE() << "type " << type << " list is stale at tick "
+                              << sim.curTick();
+            }
+        }
+        ++checks;
+    }
+
+    const Simulator &sim;
+    const GlobalScheduler &sched;
+    std::size_t checks = 0;
+    std::size_t mismatches = 0;
+};
+
+/** FNV-1a over the plant's model values. */
+struct Digest {
+    std::uint64_t h = 14695981039346656037ull;
+    void
+    add(std::uint64_t v)
+    {
+        for (int b = 0; b < 8; ++b) {
+            h ^= (v >> (8 * b)) & 0xff;
+            h *= 1099511628211ull;
+        }
+    }
+    void
+    add(double v)
+    {
+        std::uint64_t bits;
+        std::memcpy(&bits, &v, sizeof bits);
+        add(bits);
+    }
+};
+
+struct CandidateRun {
+    std::uint64_t digest = 0;
+    std::size_t checks = 0;
+    std::size_t mismatches = 0;
+    std::size_t typed = 0;
+    std::uint64_t flips = 0;
+    std::uint64_t faults = 0;
+};
+
+CandidateRun
+runCandidatePlant(std::uint64_t seed)
+{
+    Rng rng(seed, "candidate-plant");
+    auto pick = [&rng](auto... options) {
+        const std::vector<std::common_type_t<decltype(options)...>> v{
+            options...};
+        return v[rng.uniformInt(0, v.size() - 1)];
+    };
+    CandidateRun out;
+    Simulator sim;
+    const auto n = static_cast<unsigned>(rng.uniformInt(6, 16));
+    const auto cores = static_cast<unsigned>(rng.uniformInt(1, 4));
+    const int pool = static_cast<int>(rng.uniformInt(0, 2));
+    std::vector<std::unique_ptr<Server>> owned;
+    std::vector<Server *> servers;
+    for (unsigned i = 0; i < n; ++i) {
+        ServerConfig sc;
+        sc.id = i;
+        sc.nCores = cores;
+        // Server 0 serves every type, so no type is served by nobody.
+        if (i > 0 && rng.bernoulli(0.5)) {
+            sc.taskTypes.insert(
+                static_cast<int>(rng.uniformInt(0, kCandidateTypes - 1)));
+            if (rng.bernoulli(0.3))
+                sc.taskTypes.insert(
+                    static_cast<int>(rng.uniformInt(0, kCandidateTypes - 1)));
+            ++out.typed;
+        }
+        owned.push_back(
+            std::make_unique<Server>(sim, sc, ServerPowerProfile{}));
+        servers.push_back(owned.back().get());
+        if (pool != 1 && rng.bernoulli(0.5))
+            servers.back()->setDelayTimer(pick(Tick{0}, 5 * msec, 30 * msec));
+    }
+    GlobalSchedulerConfig gsc;
+    gsc.useGlobalQueue = rng.bernoulli(0.3);
+    std::unique_ptr<DispatchPolicy> policy;
+    switch (rng.uniformInt(0, 2)) {
+      case 0:
+        policy = std::make_unique<RoundRobinPolicy>();
+        break;
+      case 1:
+        policy = std::make_unique<LeastLoadedPolicy>();
+        break;
+      default:
+        policy = std::make_unique<RandomPolicy>(Rng(seed, "dispatch"));
+        break;
+    }
+    GlobalScheduler sched(sim, servers, std::move(policy), gsc);
+    RetryPolicy retry;
+    retry.maxAttempts = 5;
+    sched.setRetryPolicy(retry);
+    Digest d;
+    sched.setJobDoneCallback([&d](JobId id, Tick latency) {
+        d.add(id);
+        d.add(latency);
+    });
+
+    std::vector<ScheduledFault> faults;
+    if (rng.bernoulli(0.7)) {
+        const std::size_t k = rng.uniformInt(1, 4);
+        for (std::size_t f = 0; f < k; ++f) {
+            const Tick down = rng.uniformInt(1, 600) * msec + f;
+            const Tick up = down + rng.uniformInt(5, 200) * msec;
+            faults.push_back({{FaultKind::server, rng.uniformInt(0, n - 1), 0},
+                              {down, up}});
+        }
+    }
+    FaultManager fm(sim, std::make_unique<ScheduleFaultModel>(faults),
+                    servers, nullptr, &sched);
+
+    std::unique_ptr<AdaptivePoolPolicy> adaptive;
+    std::unique_ptr<ProvisioningPolicy> provisioning;
+    if (pool == 1) {
+        AdaptiveConfig ac;
+        ac.initialActive = 2;
+        ac.deepSleepAfter = 50 * msec;
+        ac.transitionCooldown = 20 * msec;
+        ac.checkInterval = 10 * msec;
+        adaptive = std::make_unique<AdaptivePoolPolicy>(sched, ac);
+        adaptive->start();
+    } else if (pool == 2) {
+        ProvisioningConfig pc;
+        pc.minLoadPerServer = 0.3;
+        pc.maxLoadPerServer = 1.0;
+        pc.checkInterval = 10 * msec;
+        provisioning = std::make_unique<ProvisioningPolicy>(sched, pc);
+        provisioning->start();
+    }
+
+    const Tick mean = pick(2 * msec, 5 * msec);
+    auto svc = std::make_shared<ExponentialService>(mean, Rng(seed, "service"));
+    const std::size_t stages = rng.uniformInt(1, 2);
+    std::vector<std::shared_ptr<ServiceModel>> models(stages, svc);
+    std::vector<int> types;
+    for (std::size_t s = 0; s < stages; ++s)
+        types.push_back(static_cast<int>(rng.uniformInt(0, kCandidateTypes - 1)));
+    ChainJobGenerator gen(models, types, 0);
+    const double rho = rng.uniform(0.1, 0.6);
+    PoissonArrival arrivals(rho * n * cores / (stages * toSeconds(mean)),
+                            Rng(seed, "arrivals"));
+    const std::size_t jobs = rng.uniformInt(100, 240);
+    JobId next = 0;
+    EventFunctionWrapper inject(
+        [&] {
+            sched.submitJob(gen.makeJob(sim.curTick(), next));
+            if (++next < jobs)
+                sim.schedule(inject, arrivals.nextArrival());
+        },
+        "inject");
+    sim.schedule(inject, arrivals.nextArrival());
+
+    CandidateCheck check(sim, sched);
+    sim.setProbe(&check);
+    sim.run();
+    sim.setProbe(nullptr);
+
+    EXPECT_EQ(sched.jobsCompleted() + sched.jobsFailed(), jobs);
+    for (std::uint64_t v : {sched.jobsCompleted(), sched.jobsFailed(),
+                            sched.tasksDispatched(), sched.taskRetries(),
+                            fm.faultsInjected()})
+        d.add(v);
+    for (const Server *s : servers) {
+        d.add(s->energy().total());
+        for (int st = 0; st < StateResidency::maxStates; ++st)
+            d.add(static_cast<std::uint64_t>(s->residency().residency(st)));
+    }
+    d.add(static_cast<std::uint64_t>(sim.curTick()));
+    out.digest = d.h;
+    out.checks = check.checks;
+    out.mismatches = check.mismatches;
+    out.flips = adaptive ? adaptive->promotions() + adaptive->demotions()
+                : provisioning ? provisioning->parkEvents() +
+                                     provisioning->activateEvents()
+                               : 0;
+    out.faults = fm.faultsInjected();
+    return out;
+}
+
+} // namespace
+
+class CandidateListProperty
+    : public ::testing::TestWithParam<std::uint64_t>
+{};
+
+TEST_P(CandidateListProperty, CachedListsEqualAFleetScan)
+{
+    // Plants whose eligible pool lacks a type warn on each fallback.
+    setQuiet(true);
+    const CandidateRun run = runCandidatePlant(GetParam());
+    setQuiet(false);
+    EXPECT_GT(run.checks, 0u);
+    EXPECT_EQ(run.mismatches, 0u);
+    // Job latencies, scheduler counters, per-server energy and
+    // residency, and the end tick of seeds 1-20, as the scan-built
+    // lists left them.
+    static constexpr std::uint64_t golden[] = {
+        0x916563c2862d3b4bull, 0xc5cc488a453d7b85ull, 0x0e7db23c8145aa3full,
+        0x4996cecc9f1f1d92ull, 0x1836852385644b83ull, 0x591cd932904fb728ull,
+        0x28cb0b8f0ed3894cull, 0xef0caf1e8fd4ae88ull, 0xa8b4f98ae610b788ull,
+        0xfea3fe89dcc964b5ull, 0x097dfce33d6f0362ull, 0x1cc9108a17d0eba8ull,
+        0x7635d41378f7116eull, 0xb4f48cb4d028385cull, 0x72523c1eb026c50dull,
+        0x31b5e8877742bbcbull, 0x0aa6746d22ca1a2cull, 0x2ed7c730aebd2b23ull,
+        0x0ca69f4b01440384ull, 0x4657c3f49cbab8fbull,
+    };
+    EXPECT_EQ(run.digest, golden[GetParam() - 1])
+        << std::hex << "digest 0x" << run.digest << std::dec << ", "
+        << run.typed << " typed servers, " << run.flips
+        << " pool flips, " << run.faults << " crashes";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CandidateListProperty,
                          ::testing::Range<std::uint64_t>(1, 21));
