@@ -15,7 +15,9 @@
 # workers (an 8,000-server faulted fleet, built and run twice), and
 # the drain horizons those workers record and the dump's workers mark
 # stale (the horizon properties, random plants and an 8,000-server
-# fleet built, dumped and drained).
+# fleet built, dumped and drained), and the dispatch bytes adopt()
+# writes from those workers, one byte per server, which the candidate
+# lists are built from (the candidate-list property).
 # Usage: bench/run_tsan.sh [build-dir]
 set -euo pipefail
 
@@ -33,4 +35,4 @@ TSAN_OPTIONS=halt_on_error=1 "$BUILD_DIR"/tests/test_mc \
 TSAN_OPTIONS=halt_on_error=1 "$BUILD_DIR"/tests/test_dc \
     --gtest_filter='DataCenter.*StatsDump*:IdleLadderGolden.*:DataCenter.ParallelBuildMatchesSerialBuild'
 TSAN_OPTIONS=halt_on_error=1 "$BUILD_DIR"/tests/test_properties \
-    --gtest_filter='Seeds/DeferredHorizonProperty.*:DeferredHorizonFleet.*'
+    --gtest_filter='Seeds/DeferredHorizonProperty.*:DeferredHorizonFleet.*:Seeds/CandidateListProperty.*'

@@ -24,7 +24,7 @@ GlobalScheduler::GlobalScheduler(Simulator &sim, std::size_t n,
                                  GlobalSchedulerConfig config,
                                  Network *net)
     : _sim(sim), _servers(n), _policy(std::move(policy)), _config(config),
-      _net(net), _eligible(n, true), _oneShots(sim, "sched.retry")
+      _net(net), _dispatch(n), _numEligible(n), _oneShots(sim, "sched.retry")
 {
     if (n == 0)
         fatal("global scheduler needs at least one server");
@@ -41,6 +41,12 @@ GlobalScheduler::adopt(std::size_t i, Server &server)
         fatal("server ", i, " must be configured with id ", i);
     server.setTaskSink(this);
     _servers[i] = &server;
+    // Build workers write distinct bytes, and a default server none.
+    if (server.failed() || server.typed()) {
+        _dispatch[i] = static_cast<std::uint8_t>(
+            (server.failed() ? failedBit : 0) |
+            (server.typed() ? typedBit : 0));
+    }
 }
 
 void
@@ -84,16 +90,12 @@ GlobalScheduler::resumeTask(JobId job, TaskId t)
 void
 GlobalScheduler::setEligible(std::size_t idx, bool eligible)
 {
-    if (_eligible.at(idx) != eligible)
-        invalidateCandidateCache();
-    _eligible.at(idx) = eligible;
-}
-
-std::size_t
-GlobalScheduler::numEligible() const
-{
-    return static_cast<std::size_t>(
-        std::count(_eligible.begin(), _eligible.end(), true));
+    std::uint8_t &state = _dispatch.at(idx);
+    if (!(state & ineligibleBit) == eligible)
+        return;
+    state ^= ineligibleBit;
+    _numEligible = eligible ? _numEligible + 1 : _numEligible - 1;
+    invalidateCandidateCache();
 }
 
 double
@@ -104,7 +106,7 @@ GlobalScheduler::loadPerEligibleServer() const
         return 0.0;
     std::size_t total = _globalQueue.size();
     for (std::size_t i = 0; i < _servers.size(); ++i) {
-        if (_eligible[i])
+        if (!(_dispatch[i] & ineligibleBit))
             total += _servers[i]->load();
     }
     return static_cast<double>(total) / static_cast<double>(eligible);
@@ -219,21 +221,24 @@ GlobalScheduler::releaseJob(JobId id)
 }
 
 const std::vector<std::size_t> &
-GlobalScheduler::cachedCandidates(int type) const
+GlobalScheduler::candidates(int type) const
 {
     // Cached per type and invalidated whenever eligibility changes:
     // O(N) to rebuild, then O(1) per dispatch (handed out by reference).
     auto it = _candidateCache.find(type);
     if (it != _candidateCache.end())
         return it->second;
+    // Crashed servers drop out of the cached lists too; the fault
+    // hooks invalidate the cache on every transition.
+    const std::uint8_t skip = ineligibleBit | failedBit;
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < _dispatch.size(); ++i)
+        n += dispatchable(i, type, skip);
     std::vector<std::size_t> out;
-    for (std::size_t i = 0; i < _servers.size(); ++i) {
-        // Crashed servers drop out of the cached lists too; the
-        // fault hooks invalidate the cache on every transition.
-        if (_eligible[i] && !_servers[i]->failed() &&
-            _servers[i]->servesType(type)) {
+    out.reserve(n);
+    for (std::size_t i = 0; i < _dispatch.size(); ++i) {
+        if (dispatchable(i, type, skip))
             out.push_back(i);
-        }
     }
     return _candidateCache.emplace(type, std::move(out)).first->second;
 }
@@ -243,13 +248,10 @@ GlobalScheduler::freeCandidates(int type) const
 {
     std::vector<std::size_t> out;
     for (std::size_t i = 0; i < _servers.size(); ++i) {
-        if (!_eligible[i] || _servers[i]->failed() ||
-            !_servers[i]->servesType(type)) {
-            continue;
+        if (dispatchable(i, type, ineligibleBit | failedBit) &&
+            _servers[i]->load() < _servers[i]->numCores()) {
+            out.push_back(i);
         }
-        if (_servers[i]->load() >= _servers[i]->numCores())
-            continue;
-        out.push_back(i);
     }
     return out;
 }
@@ -311,7 +313,7 @@ GlobalScheduler::taskReady(RuntimeJob &rt, TaskId t)
 
     // pick() never calls back into the scheduler, so the cached list
     // it reads by reference stays valid; copy only to change it.
-    const std::vector<std::size_t> *candidates = &cachedCandidates(ref.type);
+    const std::vector<std::size_t> *candidates = &this->candidates(ref.type);
     std::vector<std::size_t> filtered;
     if (_config.antiAffinity && parent && candidates->size() > 1 &&
         std::binary_search(candidates->begin(), candidates->end(),
@@ -324,10 +326,8 @@ GlobalScheduler::taskReady(RuntimeJob &rt, TaskId t)
         // Eligibility filtered everything out: fall back to any
         // healthy type-capable server rather than deadlock.
         for (std::size_t i = 0; i < _servers.size(); ++i) {
-            if (!_servers[i]->failed() &&
-                _servers[i]->servesType(ref.type)) {
+            if (dispatchable(i, ref.type, failedBit))
                 filtered.push_back(i);
-            }
         }
         if (filtered.empty()) {
             if (_retryEnabled) {
@@ -600,6 +600,7 @@ GlobalScheduler::onServerFailed(std::size_t idx,
         _servers.at(_pairBug.first)->failed()) {
         debugInjectTaskLeak();
     }
+    _dispatch.at(idx) |= failedBit;
     invalidateCandidateCache();
     for (const TaskRef &ref : killed)
         taskAttemptFailed(ref.job, ref.task);
@@ -609,6 +610,7 @@ GlobalScheduler::onServerFailed(std::size_t idx,
 void
 GlobalScheduler::onServerRepaired(std::size_t idx)
 {
+    _dispatch.at(idx) &= static_cast<std::uint8_t>(~failedBit);
     invalidateCandidateCache();
     if (_config.useGlobalQueue)
         drainGlobalQueue(*_servers.at(idx));

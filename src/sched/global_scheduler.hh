@@ -33,6 +33,7 @@
 #include "sim/simulator.hh"
 #include "sim/slot_index.hh"
 #include "sim/stats.hh"
+#include "sim/zeroed_allocator.hh"
 #include "telemetry/trace_manager.hh"
 #include "workload/job.hh"
 
@@ -115,8 +116,12 @@ class GlobalScheduler : private TaskSink
     ///@{
     /** Allow/disallow dispatching new tasks to server @p idx. */
     void setEligible(std::size_t idx, bool eligible);
-    bool eligible(std::size_t idx) const { return _eligible.at(idx); }
-    std::size_t numEligible() const;
+    bool
+    eligible(std::size_t idx) const
+    {
+        return !(_dispatch.at(idx) & ineligibleBit);
+    }
+    std::size_t numEligible() const { return _numEligible; }
     ///@}
 
     /** @name Fault tolerance (fault subsystem) */
@@ -199,12 +204,8 @@ class GlobalScheduler : private TaskSink
     /** Offered tasks (queued + running) per eligible server. */
     double loadPerEligibleServer() const;
     /** Eligible healthy servers that serve @p type, in id order: the
-     *  cached list push dispatch picks from. */
-    const std::vector<std::size_t> &
-    candidates(int type) const
-    {
-        return cachedCandidates(type);
-    }
+     *  list push dispatch picks from (cached; O(N) bytes to rebuild). */
+    const std::vector<std::size_t> &candidates(int type) const;
     const std::vector<Server *> &servers() const { return _servers; }
     Simulator &simulator() { return _sim; }
     Network *network() { return _net; }
@@ -378,8 +379,18 @@ class GlobalScheduler : private TaskSink
     void armTaskTimeout(RuntimeJob &rt, TaskId t);
     /** Let a freed-up server pull from the global queue. */
     void drainGlobalQueue(Server &server);
-    /** Eligible servers that can serve @p type (sorted, cached). */
-    const std::vector<std::size_t> &cachedCandidates(int type) const;
+    /**
+     * Whether server @p i can take a @p type task, unless its
+     * dispatch byte has one of the @p skip bits. Only a typed
+     * server's Server is read.
+     */
+    bool
+    dispatchable(std::size_t i, int type, std::uint8_t skip) const
+    {
+        const std::uint8_t s = _dispatch[i];
+        return !(s & skip) &&
+               (!(s & typedBit) || _servers[i]->servesType(type));
+    }
     /** Eligible servers for @p type with a free core (not cached). */
     std::vector<std::size_t> freeCandidates(int type) const;
     void invalidateCandidateCache() { _candidateCache.clear(); }
@@ -402,8 +413,22 @@ class GlobalScheduler : private TaskSink
     GlobalSchedulerConfig _config;
     Network *_net;
 
-    std::vector<bool> _eligible;
-    /** Cached eligibility+type candidate lists (O(N) to rebuild). */
+    /**
+     * One byte of dispatch state per server. A zero byte is an
+     * eligible, healthy server that serves every type, so a default
+     * fleet's candidate lists are built from these bytes alone, and
+     * calloc'd storage leaves its bytes unwritten. The bits change
+     * exactly where the candidate cache is invalidated.
+     */
+    enum : std::uint8_t {
+        ineligibleBit = 1, ///< setEligible(false)
+        failedBit = 2,     ///< crashed (onServerFailed)
+        typedBit = 4,      ///< serves only its taskTypes
+    };
+    std::vector<std::uint8_t, ZeroedAllocator<std::uint8_t>> _dispatch;
+    /** Servers without ineligibleBit. */
+    std::size_t _numEligible;
+    /** Cached candidate lists per type, rebuilt from _dispatch. */
     mutable std::map<int, std::vector<std::size_t>> _candidateCache;
     /**
      * The job slab. A deque keeps slot addresses stable while a task

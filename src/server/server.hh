@@ -162,6 +162,8 @@ class Server : private CoreHost
 
     /** Whether this server is configured to serve @p type tasks. */
     bool servesType(int type) const;
+    /** Whether it serves only its ServerConfig::taskTypes. */
+    bool typed() const { return !_taskTypes.empty(); }
 
     /**
      * Submit a task. If the server sleeps, the task is buffered and

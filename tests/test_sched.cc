@@ -275,6 +275,53 @@ TEST_F(SchedFixture, TypeRestrictedServers)
     EXPECT_EQ(servers[1]->tasksCompleted(), 1u);
 }
 
+TEST_F(SchedFixture, NumEligibleFollowsRandomFlipsAndCrashes)
+{
+    makeFleet(40);
+    makeScheduler(std::make_unique<RoundRobinPolicy>());
+    Rng rng(7, "eligibility-flips");
+    for (int k = 0; k < 2000; ++k) {
+        const std::size_t i = rng.uniformInt(0, servers.size() - 1);
+        if (rng.bernoulli(0.1)) {
+            // A crash leaves the pool alone: it only empties the lists.
+            if (servers[i]->failed()) {
+                servers[i]->repair();
+                sched->onServerRepaired(i);
+            } else {
+                sched->onServerFailed(i, servers[i]->fail());
+            }
+        } else {
+            sched->setEligible(i, rng.bernoulli(0.5));
+        }
+        std::size_t eligible = 0;
+        std::vector<std::size_t> healthy;
+        for (std::size_t s = 0; s < servers.size(); ++s) {
+            eligible += sched->eligible(s);
+            if (sched->eligible(s) && !servers[s]->failed())
+                healthy.push_back(s);
+        }
+        ASSERT_EQ(sched->numEligible(), eligible) << "after step " << k;
+        ASSERT_EQ(sched->candidates(0), healthy) << "after step " << k;
+    }
+}
+
+TEST_F(SchedFixture, DefaultFleetCandidatesReadNoServer)
+{
+    // Untyped, healthy servers: the candidate lists come from the
+    // scheduler's own dispatch state. Only server 0 is adopted, so
+    // reading any other Server would dereference null.
+    makeFleet(1);
+    GlobalScheduler big(sim, 100'000, std::make_unique<RoundRobinPolicy>());
+    big.adopt(0, *servers[0]);
+    const std::vector<std::size_t> &all = big.candidates(3);
+    ASSERT_EQ(all.size(), 100'000u);
+    EXPECT_EQ(all.front(), 0u);
+    EXPECT_EQ(all.back(), 99'999u);
+    big.setEligible(5, false);
+    EXPECT_EQ(big.candidates(3).size(), 99'999u);
+    EXPECT_EQ(big.numEligible(), 99'999u);
+}
+
 TEST_F(SchedFixture, GlobalQueueHoldsTasksUntilCapacity)
 {
     makeFleet(2, 1);
