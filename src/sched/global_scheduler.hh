@@ -380,9 +380,8 @@ class GlobalScheduler : private TaskSink
     /** Let a freed-up server pull from the global queue. */
     void drainGlobalQueue(Server &server);
     /**
-     * Whether server @p i can take a @p type task, unless its
-     * dispatch byte has one of the @p skip bits. Only a typed
-     * server's Server is read.
+     * Whether server @p i serves @p type and its dispatch byte has
+     * none of the @p skip bits. Only a typed server's Server is read.
      */
     bool
     dispatchable(std::size_t i, int type, std::uint8_t skip) const

@@ -283,7 +283,7 @@ TEST_F(SchedFixture, NumEligibleFollowsRandomFlipsAndCrashes)
     for (int k = 0; k < 2000; ++k) {
         const std::size_t i = rng.uniformInt(0, servers.size() - 1);
         if (rng.bernoulli(0.1)) {
-            // A crash leaves the pool alone: it only empties the lists.
+            // A crash leaves the pool alone; it only leaves the lists.
             if (servers[i]->failed()) {
                 servers[i]->repair();
                 sched->onServerRepaired(i);
