@@ -74,6 +74,16 @@ struct FaultFixture : ::testing::Test {
                                              sched.get(), cfg);
     }
 
+    /** A model replaying @p faults exactly as written. */
+    static std::unique_ptr<FaultModel>
+    script(const std::vector<ScheduledFault> &faults)
+    {
+        auto model = std::make_unique<TraceFaultModel>();
+        for (const ScheduledFault &f : faults)
+            model->addFault(f.target, f.record.downAt, f.record.upAt);
+        return model;
+    }
+
     Job
     singleTaskJob(JobId id, Tick service)
     {
@@ -379,6 +389,30 @@ TEST_F(FaultFixture, EpisodeLogExportsRealizedScheduleForReplay)
     EXPECT_EQ(parsed[0].record.upAt, 300 * msec);
     EXPECT_EQ(parsed[1].record.downAt, 200 * msec);
     EXPECT_EQ(parsed[1].record.upAt, sim.curTick() + 1);
+}
+
+TEST_F(FaultFixture, ScheduleTraceBytesAreGolden)
+{
+    // The exported trace is what --fault-schedule-out writes and what
+    // fault_trace and --replay-schedule read back: pin its bytes. The
+    // episodes are listed in firing order (server 1 first), and server
+    // 0's second episode is still open when the trace is written.
+    makeFleet(2);
+    makeManager(script({
+        {{FaultKind::server, 0, 0}, {100 * msec, 300 * msec}},
+        {{FaultKind::server, 0, 0}, {400 * msec + 1, 10 * sec}},
+        {{FaultKind::server, 1, 0}, {50 * msec, 150 * msec}},
+    }));
+    sim.runUntil(1 * sec);
+
+    std::ostringstream os;
+    mgr->writeScheduleTrace(os);
+    EXPECT_EQ(os.str(),
+              "# realized fault schedule (3 episodes, exported at tick "
+              "1000000000)\n"
+              "server 1 0.050000000 0.150000000\n"
+              "server 0 0.100000000 0.300000000\n"
+              "server 0 0.400000001 1.000000001\n");
 }
 
 TEST_F(FaultFixture, AbortDumpNamesTheActiveFaultSchedule)

@@ -101,6 +101,33 @@ TEST(FaultSchedule, HashIsOrderIndependentAndDiscriminates)
     EXPECT_NE(a.hash(), c.hash());
 }
 
+TEST(FaultSchedule, CanonicalTextAndHashAreGolden)
+{
+    // Campaign journal keys embed hash() and repro files carry the
+    // text, so both are pinned byte for byte. All four kinds, given
+    // out of order, with a downAt tie between two targets and ticks
+    // that are not whole milliseconds.
+    FaultSchedule s;
+    s.faults = {
+        {{FaultKind::link, 7, 0}, {300 * msec, 450 * msec}},
+        {{FaultKind::linecard, 1, 2}, {100 * msec, 250 * msec}},
+        serverFault(3, 123456789, 987654321),
+        {{FaultKind::swtch, 0, 0}, {100 * msec, 150 * msec}},
+        serverFault(0, 300 * msec, 2 * sec),
+    };
+    EXPECT_EQ(s.canonicalText(),
+              "switch 0 0.100000000 0.150000000\n"
+              "linecard 1 2 0.100000000 0.250000000\n"
+              "server 3 0.123456789 0.987654321\n"
+              "server 0 0.300000000 2.000000000\n"
+              "link 7 0.300000000 0.450000000\n");
+    EXPECT_EQ(s.hash(), 0xd55e6cbf71212732ULL);
+    std::ostringstream repro;
+    writeReproFile(repro, s, {"verdict: pass", "replay: x"});
+    EXPECT_EQ(repro.str(),
+              "# verdict: pass\n# replay: x\n" + s.canonicalText());
+}
+
 TEST(FaultSchedule, ReproFileParsesBackWithHeadersIgnored)
 {
     FaultSchedule s;
