@@ -507,8 +507,7 @@ main(int argc, char **argv)
     }
 
     if (!replay_path.empty()) {
-        mc::FaultSchedule schedule =
-            mc::FaultSchedule::fromTraceFile(replay_path);
+        mc::FaultSchedule schedule{readFaultTrace(replay_path)};
         auto seed = static_cast<std::uint64_t>(
             cfg.getInt("datacenter.seed", 1));
         mc::OracleOutcome oc =

@@ -309,11 +309,12 @@ DataCenter::DataCenter(const DataCenterConfig &config)
         _sched->setRetryPolicy(rp, _retryJitter.get());
 
         std::unique_ptr<FaultModel> model;
-        if (_config.fault.useSchedule) {
-            model = std::make_unique<ScheduleFaultModel>(
-                _config.fault.schedule);
+        if (_config.fault.schedule) {
+            model = std::make_unique<ScriptedFaultModel>(
+                *_config.fault.schedule);
         } else if (!_config.fault.faultTrace.empty()) {
-            model = TraceFaultModel::fromFile(_config.fault.faultTrace);
+            model = std::make_unique<ScriptedFaultModel>(
+                readFaultTrace(_config.fault.faultTrace));
         } else {
             auto dist = _config.fault.distribution == "weibull"
                 ? StochasticFaultModel::Distribution::weibull

@@ -358,7 +358,7 @@ DataCenterConfig::validate() const
         if ((fault.faultSwitches || fault.faultLinecards ||
              fault.faultLinks) && fabric == Fabric::none)
             fatal("network faults require a fabric");
-        if (fault.faultTrace.empty() &&
+        if (!fault.schedule && fault.faultTrace.empty() &&
             (fault.mttfHours <= 0.0 || fault.mttrMinutes <= 0.0)) {
             fatal("stochastic faults need positive MTTF and MTTR");
         }

@@ -118,14 +118,11 @@ struct DataCenterConfig {
         Tick taskTimeout = 0;
         /**
          * Explicit in-memory schedule (the src/mc explorer's
-         * injection path). When useSchedule is true the episodes
-         * below override both the trace file and the distributions
-         * and are replayed through a ScheduleFaultModel, which
-         * fatals on any drift instead of resynchronizing. Built
-         * programmatically; not an INI key.
+         * injection path). When set it overrides both the trace file
+         * and the distributions. Built programmatically; not an INI
+         * key.
          */
-        bool useSchedule = false;
-        std::vector<ScheduledFault> schedule;
+        std::optional<std::vector<ScheduledFault>> schedule;
     };
     FaultSettings fault;
     ///@}

@@ -109,7 +109,7 @@ FaultManager::onEvent(TargetState &ts)
         ts.stats.residency.enter(1, _sim.curTick());
         ts.openEpisode = _episodeLog.size();
         _episodeLog.push_back(
-            FiredEpisode{ts.stats.target, _sim.curTick(), maxTick});
+            {ts.stats.target, {_sim.curTick(), maxTick}});
         traceEdge(ts, true);
         Tick up = ts.pending.upAt;
         Tick now = _sim.curTick();
@@ -122,7 +122,7 @@ FaultManager::onEvent(TargetState &ts)
     Tick now = _sim.curTick();
     ts.stats.residency.enter(0, now);
     if (ts.openEpisode != static_cast<std::size_t>(-1)) {
-        _episodeLog.at(ts.openEpisode).upAt = now;
+        _episodeLog.at(ts.openEpisode).record.upAt = now;
         ts.openEpisode = static_cast<std::size_t>(-1);
     }
     traceEdge(ts, false);
@@ -133,16 +133,19 @@ void
 FaultManager::writeScheduleTrace(std::ostream &os) const
 {
     Tick now = _sim.curTick();
-    os << "# realized fault schedule (" << _episodeLog.size()
-       << " episodes, exported at tick " << now << ")\n";
-    for (const FiredEpisode &ep : _episodeLog) {
-        // Still-down components get a synthetic repair just past the
-        // clock: the replay injects the same down edge and the repair
-        // lands beyond the horizon that mattered.
-        Tick up = ep.upAt == maxTick ? now + 1 : ep.upAt;
-        ScheduledFault fault{ep.target, FaultRecord{ep.downAt, up}};
-        os << formatFaultTraceLine(fault) << '\n';
+    // Still-down components get a synthetic repair just past the
+    // clock: the replay injects the same down edge and the repair
+    // lands beyond the horizon that mattered.
+    std::vector<ScheduledFault> faults = _episodeLog;
+    for (ScheduledFault &fault : faults) {
+        if (fault.record.upAt == maxTick)
+            fault.record.upAt = now + 1;
     }
+    writeFaultTrace(os, faults,
+                    {"realized fault schedule (" +
+                     std::to_string(faults.size()) +
+                     " episodes, exported at tick " + std::to_string(now) +
+                     ")"});
 }
 
 void
@@ -160,12 +163,12 @@ FaultManager::dumpAbortContext(std::ostream &os) const
     }
     os << '\n';
     os << "  episodes (down_tick up_tick target):\n";
-    for (const FiredEpisode &ep : _episodeLog) {
-        os << "    " << ep.downAt << ' ';
-        if (ep.upAt == maxTick)
+    for (const ScheduledFault &ep : _episodeLog) {
+        os << "    " << ep.record.downAt << ' ';
+        if (ep.record.upAt == maxTick)
             os << "pending";
         else
-            os << ep.upAt;
+            os << ep.record.upAt;
         os << ' ' << toString(ep.target) << '\n';
     }
 }
@@ -282,8 +285,7 @@ FaultManager::resetStats()
         // the measured interval's start.
         if (ts->stats.down) {
             ts->openEpisode = _episodeLog.size();
-            _episodeLog.push_back(
-                FiredEpisode{ts->stats.target, now, maxTick});
+            _episodeLog.push_back({ts->stats.target, {now, maxTick}});
         } else {
             ts->openEpisode = static_cast<std::size_t>(-1);
         }

@@ -94,26 +94,22 @@ class FaultManager
 
     /** @name Realized schedule (repro export, post-mortems) */
     ///@{
-    /** One injected episode at its actual fire ticks. */
-    struct FiredEpisode {
-        FaultTarget target;
-        Tick downAt = 0;
-        /** maxTick while the component is still down. */
-        Tick upAt = maxTick;
-    };
-
-    /** Every episode injected so far, in injection order. */
-    const std::vector<FiredEpisode> &episodeLog() const
+    /**
+     * Every episode injected so far, in firing order, at its actual
+     * fire ticks; record.upAt is maxTick while the component is still
+     * down.
+     */
+    const std::vector<ScheduledFault> &episodeLog() const
     {
         return _episodeLog;
     }
 
     /**
-     * Write the realized episode sequence as a fault trace that
-     * TraceFaultModel::fromFile() (or --replay-schedule) loads, so
-     * any run -- stochastic included -- replays deterministically
-     * without its original seed. Episodes still open are closed one
-     * tick past the current clock.
+     * Write episodeLog() as a fault trace (writeFaultTrace) that
+     * fault.fault_trace or --replay-schedule replays, so any run --
+     * stochastic included -- replays deterministically without its
+     * original seed. Episodes still open are closed one tick past the
+     * current clock.
      */
     void writeScheduleTrace(std::ostream &os) const;
     ///@}
@@ -184,7 +180,7 @@ class FaultManager
 
     ServerEventFn _serverEvent;
     std::vector<std::unique_ptr<TargetState>> _targets;
-    std::vector<FiredEpisode> _episodeLog;
+    std::vector<ScheduledFault> _episodeLog;
     std::uint64_t _faultsInjected = 0;
     std::size_t _currentlyDown = 0;
 };

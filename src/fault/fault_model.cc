@@ -88,90 +88,46 @@ parseFaultTraceLine(const std::string &line, const std::string &where,
     return true;
 }
 
-// ----------------------------------------------------------- TraceFaultModel
-
-void
-TraceFaultModel::addFault(const FaultTarget &target, Tick down_at,
-                          Tick up_at)
+std::vector<ScheduledFault>
+readFaultTrace(std::istream &in, const std::string &where)
 {
-    if (up_at <= down_at)
-        fatal("fault on ", toString(target),
-              " repairs before (or as) it breaks");
-    _episodes[target].push_back(FaultRecord{down_at, up_at});
-    _finalized = false;
-}
-
-void
-TraceFaultModel::finalize()
-{
-    for (auto &[target, queue] : _episodes) {
-        std::sort(queue.begin(), queue.end(),
-                  [](const FaultRecord &a, const FaultRecord &b) {
-                      return a.downAt < b.downAt;
-                  });
-        for (std::size_t i = 1; i < queue.size(); ++i) {
-            if (queue[i].downAt < queue[i - 1].upAt)
-                fatal("overlapping fault episodes for ",
-                      toString(target));
-        }
+    std::vector<ScheduledFault> faults;
+    std::string line;
+    for (std::size_t lineno = 1; std::getline(in, line); ++lineno) {
+        ScheduledFault fault;
+        if (parseFaultTraceLine(line, where + ":" + std::to_string(lineno),
+                                fault))
+            faults.push_back(fault);
     }
-    _finalized = true;
+    return faults;
 }
 
-std::optional<FaultRecord>
-TraceFaultModel::nextFault(const FaultTarget &target, Tick now)
-{
-    if (!_finalized)
-        finalize();
-    auto it = _episodes.find(target);
-    if (it == _episodes.end())
-        return std::nullopt;
-    auto &queue = it->second;
-    // Skip episodes the caller's clock has already passed (the trace
-    // may start before a warmup-reset consumer begins asking).
-    while (!queue.empty() && queue.front().upAt <= now)
-        queue.pop_front();
-    if (queue.empty())
-        return std::nullopt;
-    FaultRecord rec = queue.front();
-    queue.pop_front();
-    if (rec.downAt < now)
-        rec.downAt = now;
-    return rec;
-}
-
-std::unique_ptr<TraceFaultModel>
-TraceFaultModel::fromFile(const std::string &path)
+std::vector<ScheduledFault>
+readFaultTrace(const std::string &path)
 {
     std::ifstream in(path);
     if (!in)
         fatal("cannot open fault trace '", path, "'");
-    auto model = std::make_unique<TraceFaultModel>();
-    std::string line;
-    std::size_t lineno = 0;
-    while (std::getline(in, line)) {
-        ++lineno;
-        ScheduledFault fault;
-        if (!parseFaultTraceLine(line,
-                                 path + ":" + std::to_string(lineno),
-                                 fault)) {
-            continue;
-        }
-        model->addFault(fault.target, fault.record.downAt,
-                        fault.record.upAt);
-    }
-    model->finalize();
-    return model;
+    return readFaultTrace(in, path);
 }
 
-// --------------------------------------------------------- ScheduleFaultModel
-
-ScheduleFaultModel::ScheduleFaultModel(
-    std::vector<ScheduledFault> schedule)
+void
+writeFaultTrace(std::ostream &os, const std::vector<ScheduledFault> &faults,
+                const std::vector<std::string> &header_lines)
 {
-    for (const ScheduledFault &fault : schedule) {
+    for (const std::string &line : header_lines)
+        os << "# " << line << '\n';
+    for (const ScheduledFault &fault : faults)
+        os << formatFaultTraceLine(fault) << '\n';
+}
+
+// -------------------------------------------------------- ScriptedFaultModel
+
+ScriptedFaultModel::ScriptedFaultModel(std::vector<ScheduledFault> faults)
+{
+    for (const ScheduledFault &fault : faults) {
         if (fault.record.upAt <= fault.record.downAt)
-            fatal("scheduled fault on ", toString(fault.target),
+            fatal("fault on ", toString(fault.target),
                   " repairs before (or as) it breaks");
         _episodes[fault.target].push_back(fault.record);
     }
@@ -182,28 +138,23 @@ ScheduleFaultModel::ScheduleFaultModel(
                   });
         for (std::size_t i = 1; i < queue.size(); ++i) {
             if (queue[i].downAt < queue[i - 1].upAt)
-                fatal("overlapping scheduled faults for ",
-                      toString(target));
+                fatal("overlapping fault episodes for ", toString(target));
         }
     }
 }
 
 std::optional<FaultRecord>
-ScheduleFaultModel::nextFault(const FaultTarget &target, Tick now)
+ScriptedFaultModel::nextFault(const FaultTarget &target, Tick now)
 {
     auto it = _episodes.find(target);
     if (it == _episodes.end() || it->second.empty())
         return std::nullopt;
-    FaultRecord rec = it->second.front();
-    // A schedule is an exact script, not a trace to resynchronize
-    // against: an episode the clock has already passed means the
-    // harness built an unreplayable schedule.
+    const FaultRecord rec = it->second.front();
     if (rec.downAt < now)
-        fatal("scheduled fault on ", toString(target), " at tick ",
-              rec.downAt, " requested at tick ", now,
-              " -- schedule is not replayable");
+        fatal("fault on ", toString(target), " goes down at tick ",
+              rec.downAt, " but is asked for at tick ", now,
+              ": the schedule cannot replay as written");
     it->second.pop_front();
-    _consumed.push_back(ScheduledFault{target, rec});
     return rec;
 }
 

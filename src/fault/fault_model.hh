@@ -6,8 +6,8 @@
  * A FaultModel answers one question -- given a component and the time
  * its last repair finished, when does it next go down and when does
  * it come back. Two implementations cover the usual studies:
- * TraceFaultModel replays a deterministic schedule (reproducing a
- * specific incident or a published failure trace), and
+ * ScriptedFaultModel replays an explicit schedule (a specific
+ * incident, a published failure trace, or an explored schedule), and
  * StochasticFaultModel draws times-to-failure from exponential or
  * Weibull distributions with per-component seeded streams, so runs
  * are reproducible and adding a component never perturbs another's
@@ -18,8 +18,8 @@
 #define HOLDCSIM_FAULT_FAULT_MODEL_HH
 
 #include <deque>
+#include <iosfwd>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <tuple>
@@ -85,9 +85,12 @@ struct ScheduledFault {
 };
 
 /**
- * Format @p fault as one fault-trace line -- the exact text
- * TraceFaultModel::fromFile() parses. Times are printed as seconds
- * with nanosecond precision, so the round-trip is tick-exact.
+ * The fault-trace format, one episode per line:
+ *   <kind> <index> <down_s> <up_s>        for server/switch/link
+ *   linecard <switch> <card> <down_s> <up_s>
+ * with times in seconds from simulation start; '#' starts a comment.
+ * formatFaultTraceLine prints nanosecond precision, so a written trace
+ * reads back tick-exact.
  */
 std::string formatFaultTraceLine(const ScheduledFault &fault);
 
@@ -98,6 +101,23 @@ std::string formatFaultTraceLine(const ScheduledFault &fault);
  */
 bool parseFaultTraceLine(const std::string &line,
                          const std::string &where, ScheduledFault &out);
+
+/**
+ * Every episode of the fault trace in @p in, in file order (@p where
+ * prefixes diagnostics with the line number).
+ */
+std::vector<ScheduledFault> readFaultTrace(std::istream &in,
+                                           const std::string &where);
+/** The fault trace in file @p path; fatal if it cannot be opened. */
+std::vector<ScheduledFault> readFaultTrace(const std::string &path);
+
+/**
+ * Write @p faults as a fault trace, in the given order, after
+ * @p header_lines, one "# "-prefixed comment each.
+ */
+void writeFaultTrace(std::ostream &os,
+                     const std::vector<ScheduledFault> &faults,
+                     const std::vector<std::string> &header_lines);
 
 /** When does a component next fail, and for how long. */
 class FaultModel
@@ -114,64 +134,25 @@ class FaultModel
     nextFault(const FaultTarget &target, Tick now) = 0;
 };
 
-/** Replays a deterministic, explicitly scripted fault schedule. */
-class TraceFaultModel : public FaultModel
-{
-  public:
-    /** Append one episode; episodes per target must not overlap. */
-    void addFault(const FaultTarget &target, Tick down_at, Tick up_at);
-
-    /**
-     * Parse a fault trace file. Each non-comment line is
-     *   <kind> <index> <down_s> <up_s>        for server/switch/link
-     *   linecard <switch> <card> <down_s> <up_s>
-     * with times in seconds from simulation start. '#' starts a
-     * comment. Episodes may appear in any order; they are sorted and
-     * validated per target.
-     */
-    static std::unique_ptr<TraceFaultModel>
-    fromFile(const std::string &path);
-
-    /** Sort and validate every per-target schedule. */
-    void finalize();
-
-    std::optional<FaultRecord> nextFault(const FaultTarget &target,
-                                         Tick now) override;
-
-  private:
-    std::map<FaultTarget, std::deque<FaultRecord>> _episodes;
-    bool _finalized = false;
-};
-
 /**
- * Replays an explicit, fully enumerated fault schedule and records
- * every episode it hands out.
- *
- * The model-checking explorer's injection vehicle (src/mc): unlike
- * TraceFaultModel it is built from an in-memory episode list, never
- * clamps or skips past episodes silently -- a schedule that cannot
- * replay exactly as written is a harness bug and fatals -- and keeps
- * the hand-out log from which the realized schedule is exported for
- * repro files.
+ * Replays an explicit fault schedule exactly as written: a fault trace
+ * (readFaultTrace), an explorer schedule (src/mc) or a realized
+ * schedule a FaultManager exported. Each target's episodes are played
+ * in time order. An empty episode, two overlapping episodes of one
+ * target, or an episode its target asks for only after the episode's
+ * downAt is fatal: a schedule that cannot replay as written is an
+ * error, never resynchronized.
  */
-class ScheduleFaultModel : public FaultModel
+class ScriptedFaultModel : public FaultModel
 {
   public:
-    /** @param schedule episodes; per-target overlaps are fatal. */
-    explicit ScheduleFaultModel(std::vector<ScheduledFault> schedule);
+    explicit ScriptedFaultModel(std::vector<ScheduledFault> faults);
 
     std::optional<FaultRecord> nextFault(const FaultTarget &target,
                                          Tick now) override;
 
-    /** Episodes handed out so far, in hand-out order. */
-    const std::vector<ScheduledFault> &consumed() const
-    {
-        return _consumed;
-    }
-
   private:
     std::map<FaultTarget, std::deque<FaultRecord>> _episodes;
-    std::vector<ScheduledFault> _consumed;
 };
 
 /** Draws failure/repair times from lifetime distributions. */

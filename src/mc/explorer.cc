@@ -52,7 +52,6 @@ runScheduleOracle(const Config &cfg, const FaultSchedule &schedule,
         // The oracle configuration: the exact schedule under test,
         // every invariant armed and fatal.
         dc_cfg.fault.enabled = true;
-        dc_cfg.fault.useSchedule = true;
         dc_cfg.fault.schedule = schedule.faults;
         dc_cfg.audit.enabled = true;
         dc_cfg.audit.fatal = true;

@@ -15,8 +15,8 @@
  * On the first failure (in deterministic grid order, independent of
  * worker count), the failing schedule is delta-debugged
  * (src/mc/shrink.hh) against the same-failure-signature oracle down
- * to a 1-minimal reproducer, written as a TraceFaultModel-loadable
- * file whose header carries the verdict and the exact replay command.
+ * to a 1-minimal reproducer, written as a fault trace (readFaultTrace
+ * loads it) whose header carries the verdict and the exact replay command.
  */
 
 #ifndef HOLDCSIM_MC_EXPLORER_HH
@@ -65,7 +65,7 @@ std::string failureSignature(const OracleOutcome &outcome);
 /**
  * Run @p schedule through the plant described by @p cfg under
  * @p seed: audit always on and fatal, the schedule injected through
- * a ScheduleFaultModel, the simulated-event budget from [mc]
+ * a ScriptedFaultModel, the simulated-event budget from [mc]
  * event_budget as the hang oracle. @p limits carries campaign
  * cancellation; a genuine external cancel rethrows SimInterrupted,
  * every deterministic failure is returned as an outcome.

@@ -1,12 +1,8 @@
 #include "fault_schedule.hh"
 
 #include <algorithm>
-#include <fstream>
-#include <ostream>
 #include <sstream>
-#include <tuple>
 
-#include "sim/logging.hh"
 #include "sim/random.hh"
 
 namespace holdcsim::mc {
@@ -27,14 +23,9 @@ FaultSchedule::canonicalize()
 std::string
 FaultSchedule::canonicalText() const
 {
-    FaultSchedule sorted = *this;
-    sorted.canonicalize();
-    std::string text;
-    for (const ScheduledFault &f : sorted.faults) {
-        text += formatFaultTraceLine(f);
-        text += '\n';
-    }
-    return text;
+    std::ostringstream os;
+    writeReproFile(os, *this, {});
+    return os.str();
 }
 
 std::uint64_t
@@ -43,42 +34,13 @@ FaultSchedule::hash() const
     return fnv1a64(canonicalText());
 }
 
-FaultSchedule
-FaultSchedule::fromTraceText(const std::string &text,
-                             const std::string &where)
-{
-    FaultSchedule out;
-    std::istringstream in(text);
-    std::string line;
-    std::size_t lineno = 0;
-    while (std::getline(in, line)) {
-        ++lineno;
-        ScheduledFault fault;
-        if (parseFaultTraceLine(
-                line, where + ":" + std::to_string(lineno), fault))
-            out.faults.push_back(fault);
-    }
-    return out;
-}
-
-FaultSchedule
-FaultSchedule::fromTraceFile(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        fatal("cannot open fault schedule '", path, "'");
-    std::ostringstream text;
-    text << in.rdbuf();
-    return fromTraceText(text.str(), path);
-}
-
 void
 writeReproFile(std::ostream &os, const FaultSchedule &schedule,
                const std::vector<std::string> &header_lines)
 {
-    for (const std::string &line : header_lines)
-        os << "# " << line << '\n';
-    os << schedule.canonicalText();
+    FaultSchedule sorted = schedule;
+    sorted.canonicalize();
+    writeFaultTrace(os, sorted.faults, header_lines);
 }
 
 } // namespace holdcsim::mc

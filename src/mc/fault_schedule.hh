@@ -6,8 +6,8 @@
  * over a bounded horizon -- the "input word" the model-checking
  * explorer enumerates, runs through the deterministic simulator, and
  * delta-debugs down to a minimal reproducer. Schedules have a
- * canonical text form (exactly the fault-trace format
- * TraceFaultModel::fromFile() parses, sorted) and a stable 64-bit
+ * canonical text form (the fault-trace format writeFaultTrace
+ * writes and readFaultTrace reads, sorted) and a stable 64-bit
  * hash over it, used for deduplication across strategy tiers and for
  * campaign-journal keying, so interrupted explorations resume
  * without re-running completed schedules.
@@ -37,10 +37,7 @@ struct FaultSchedule {
      */
     void canonicalize();
 
-    /**
-     * The canonical text: one fault-trace line per episode, sorted.
-     * Parseable by TraceFaultModel::fromFile() and fromTraceText().
-     */
+    /** The canonical text: writeFaultTrace of the sorted episodes. */
     std::string canonicalText() const;
 
     /**
@@ -57,19 +54,12 @@ struct FaultSchedule {
     {
         return faults == o.faults;
     }
-
-    /** Parse from fault-trace text (@p where prefixes diagnostics). */
-    static FaultSchedule fromTraceText(const std::string &text,
-                                       const std::string &where);
-
-    /** Parse a fault-trace file (same format as TraceFaultModel). */
-    static FaultSchedule fromTraceFile(const std::string &path);
 };
 
 /**
- * Write @p schedule as a replayable repro file: @p header_lines (one
- * "# "-prefixed comment each, e.g. the oracle verdict and the exact
- * replay command) followed by the canonical trace lines.
+ * Write @p schedule as a replayable repro file: writeFaultTrace of the
+ * sorted episodes after @p header_lines (e.g. the oracle verdict and
+ * the exact replay command). readFaultTrace reads it back.
  */
 void writeReproFile(std::ostream &os, const FaultSchedule &schedule,
                     const std::vector<std::string> &header_lines);

@@ -12,15 +12,15 @@
  *    optional overcommit cap;
  *  - a periodic reconciler: places stragglers, advances rolling
  *    updates (surge one fresh replica, retire one stale replica per
- *    pass), runs the threshold autoscaler, and optionally migrates
- *    containers off overcommitted servers;
- *  - live migration: iterative dirty-page pre-copy rounds are real
- *    flows through the modeled fabric (round r re-dirties
- *    memBytes * dirtyFrac^r, so migrated bytes are a deterministic
- *    function of the model -- identical across network tiers --
- *    while durations follow topology, link health and tier), ending
- *    in a stop-and-copy downtime window during which new tasks for
- *    the container are deferred;
+ *    pass) and runs the threshold autoscaler;
+ *  - live migration, started only by migrate() and drainServer():
+ *    iterative dirty-page pre-copy rounds are real flows through the
+ *    modeled fabric (round r re-dirties memBytes * dirtyFrac^r, so
+ *    migrated bytes are a deterministic function of the model --
+ *    identical across network tiers -- while durations follow
+ *    topology, link health and tier), ending in a stop-and-copy
+ *    downtime window during which new tasks for the container are
+ *    deferred;
  *  - degradation models: co-located containers on an overcommitted
  *    server take an interference slowdown, and containers whose
  *    remote-memory home is across the fabric take a latency

@@ -125,8 +125,8 @@ dumpConfig(const DataCenterConfig &c)
     f("fault.retryBackoffBase", u(c.fault.retryBackoffBase));
     f("fault.retryBackoffMax", u(c.fault.retryBackoffMax));
     f("fault.taskTimeout", u(c.fault.taskTimeout));
-    f("fault.useSchedule", b(c.fault.useSchedule));
-    f("fault.schedule", u(c.fault.schedule.size()));
+    f("fault.schedule",
+      c.fault.schedule ? u(c.fault.schedule->size()) : "none");
     f("telemetry.enabled", b(c.telemetry.enabled));
     f("telemetry.traceOut", c.telemetry.traceOut);
     f("telemetry.traceFormat", c.telemetry.traceFormat);
@@ -284,13 +284,9 @@ class ScratchDir
         std::filesystem::current_path(_dir);
         std::ofstream("knobs_arrivals_a.txt") << "0.01\n0.02\n0.05\n0.1\n";
         std::ofstream("knobs_arrivals_b.txt") << "0.03\n0.04\n0.2\n";
-        ScheduledFault f;
-        f.target.kind = FaultKind::server;
-        f.target.index = 1;
-        f.record.downAt = 50 * msec;
-        f.record.upAt = 150 * msec;
-        std::ofstream("knobs_fault.trace") << formatFaultTraceLine(f)
-                                           << "\n";
+        std::ofstream trace("knobs_fault.trace");
+        writeFaultTrace(
+            trace, {{{FaultKind::server, 1, 0}, {50 * msec, 150 * msec}}}, {});
     }
 
     ~ScratchDir()
@@ -313,8 +309,10 @@ struct Golden {
 
 // Recorded from the parser as it stood before the key table: the
 // default config's dump hash and workload fingerprint, then per row
-// the dump lines its perturbed INI changes and its fingerprint.
-constexpr std::uint64_t kDefaultDumpHash = 0xfd4d530c2a1e0821ULL;
+// the dump lines its perturbed INI changes and its fingerprint. The
+// default hash was re-recorded when the dump's two schedule lines
+// (a flag and a size) became one optional schedule line.
+constexpr std::uint64_t kDefaultDumpHash = 0x58ad76203daaa048ULL;
 constexpr std::uint64_t kDefaultWorkload = 0xd48554ccc2b4682fULL;
 
 const Golden kGolden[] = {

@@ -381,10 +381,10 @@ faultedFleetRun()
     cfg.fault.maxRetries = 3;
     // A finite schedule, so that the drained run ends: crashes at
     // 0.1-1.34 s, each repaired 0.5 s later.
-    cfg.fault.useSchedule = true;
+    cfg.fault.schedule.emplace();
     for (std::size_t k = 0; k < 32; ++k) {
         const Tick down = (100 + 40 * k) * msec;
-        cfg.fault.schedule.push_back(
+        cfg.fault.schedule->push_back(
             {{FaultKind::server, 250 * k + 3, 0}, {down, down + 500 * msec}});
     }
     DataCenter dc(cfg);

@@ -1,9 +1,10 @@
 /**
  * @file
- * Tests for the fault subsystem: fault models (trace + stochastic),
- * the fault manager's injection/repair cycle and availability books,
- * retry/backoff in the global scheduler, and fault-driven flow
- * aborts in the network.
+ * Tests for the fault subsystem: fault models (scripted + stochastic),
+ * the fault-trace reader, the fault manager's injection/repair cycle
+ * and availability books, retry/backoff in the global scheduler,
+ * fault-driven flow aborts in the network, and a warmup reset on a
+ * faulted plant.
  */
 
 #include <gtest/gtest.h>
@@ -78,10 +79,7 @@ struct FaultFixture : ::testing::Test {
     static std::unique_ptr<FaultModel>
     script(const std::vector<ScheduledFault> &faults)
     {
-        auto model = std::make_unique<TraceFaultModel>();
-        for (const ScheduledFault &f : faults)
-            model->addFault(f.target, f.record.downAt, f.record.upAt);
-        return model;
+        return std::make_unique<ScriptedFaultModel>(faults);
     }
 
     Job
@@ -141,87 +139,111 @@ TEST(RetryPolicy, JitterStaysWithinBounds)
 
 // ------------------------------------------------------------- fault models
 
-TEST(TraceFaultModel, ReplaysSortedEpisodes)
+TEST(ScriptedFaultModel, ReplaysSortedEpisodes)
 {
-    TraceFaultModel m;
-    FaultTarget t{FaultKind::server, 0, 0};
-    // Added out of order; the model must sort per target.
-    m.addFault(t, 300 * msec, 400 * msec);
-    m.addFault(t, 100 * msec, 200 * msec);
+    FaultTarget s0{FaultKind::server, 0, 0};
+    FaultTarget s1{FaultKind::server, 1, 0};
+    // Given out of order; the model hands each target's episodes out
+    // in time order, whatever order the targets ask in.
+    ScriptedFaultModel m({
+        {s0, {300 * msec, 400 * msec}},
+        {s0, {100 * msec, 200 * msec}},
+        {s1, {150 * msec, 250 * msec}},
+    });
 
-    auto first = m.nextFault(t, 0);
+    auto first = m.nextFault(s0, 0);
     ASSERT_TRUE(first.has_value());
     EXPECT_EQ(first->downAt, 100 * msec);
     EXPECT_EQ(first->upAt, 200 * msec);
-
-    auto second = m.nextFault(t, 200 * msec);
+    auto other = m.nextFault(s1, 0);
+    ASSERT_TRUE(other.has_value());
+    EXPECT_EQ(other->downAt, 150 * msec);
+    auto second = m.nextFault(s0, 200 * msec);
     ASSERT_TRUE(second.has_value());
     EXPECT_EQ(second->downAt, 300 * msec);
 
-    EXPECT_FALSE(m.nextFault(t, 400 * msec).has_value());
+    EXPECT_FALSE(m.nextFault(s0, 400 * msec).has_value());
+    EXPECT_FALSE(m.nextFault(s1, 250 * msec).has_value());
     // A different target has no schedule at all.
     EXPECT_FALSE(
-        m.nextFault({FaultKind::server, 1, 0}, 0).has_value());
+        m.nextFault({FaultKind::server, 2, 0}, 0).has_value());
 }
 
-TEST(TraceFaultModel, SkipsStaleAndClampsEpisodes)
+TEST(ScriptedFaultModel, PassedEpisodeIsFatal)
 {
-    TraceFaultModel m;
     FaultTarget t{FaultKind::link, 3, 0};
-    m.addFault(t, 100 * msec, 200 * msec);
-    m.addFault(t, 300 * msec, 500 * msec);
+    ScriptedFaultModel m({
+        {t, {100 * msec, 200 * msec}},
+        {t, {300 * msec, 500 * msec}},
+    });
+    ASSERT_TRUE(m.nextFault(t, 0).has_value());
 
-    // Asking from inside the second episode clamps its start to now.
-    auto rec = m.nextFault(t, 350 * msec);
-    ASSERT_TRUE(rec.has_value());
-    EXPECT_EQ(rec->downAt, 350 * msec);
-    EXPECT_EQ(rec->upAt, 500 * msec);
+    // Asking from inside the second episode: it cannot replay as
+    // written, and the model neither clamps nor skips it. The message
+    // names the target and both ticks.
+    try {
+        m.nextFault(t, 350 * msec);
+        FAIL() << "a passed episode was handed out";
+    } catch (const FatalError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("link.3"), std::string::npos) << what;
+        EXPECT_NE(what.find(std::to_string(300 * msec)), std::string::npos)
+            << what;
+        EXPECT_NE(what.find(std::to_string(350 * msec)), std::string::npos)
+            << what;
+    }
 }
 
-TEST(TraceFaultModel, RejectsOverlapAndEmptyEpisodes)
+TEST(ScriptedFaultModel, RejectsOverlapAndEmptyEpisodes)
 {
     FaultTarget t{FaultKind::server, 0, 0};
-    {
-        TraceFaultModel m;
-        EXPECT_THROW(m.addFault(t, 200 * msec, 200 * msec),
-                     FatalError);
-    }
-    {
-        TraceFaultModel m;
-        m.addFault(t, 100 * msec, 300 * msec);
-        m.addFault(t, 200 * msec, 400 * msec);
-        EXPECT_THROW(m.finalize(), FatalError);
-    }
+    EXPECT_THROW(ScriptedFaultModel({{t, {200 * msec, 200 * msec}}}),
+                 FatalError);
+    EXPECT_THROW(ScriptedFaultModel({
+                     {t, {100 * msec, 300 * msec}},
+                     {t, {200 * msec, 400 * msec}},
+                 }),
+                 FatalError);
+    // Back to back is not an overlap.
+    EXPECT_NO_THROW(ScriptedFaultModel({
+        {t, {100 * msec, 200 * msec}},
+        {t, {200 * msec, 400 * msec}},
+    }));
 }
 
-TEST(TraceFaultModel, ParsesTraceFile)
+TEST(FaultTrace, ReadsTraceFile)
 {
     std::string path = ::testing::TempDir() + "holdcsim_faults.txt";
     {
         std::ofstream f(path);
         f << "# component index down_s up_s\n";
         f << "server 2 1.0 2.5\n";
-        f << "switch 0 0.5 0.75\n";
+        f << "\n";
+        f << "switch 0 0.5 0.75  # trailing comment\n";
         f << "link 7 3.0 3.5\n";
         f << "linecard 1 3 4.0 5.0\n";
     }
-    auto m = TraceFaultModel::fromFile(path);
+    const std::vector<ScheduledFault> faults = readFaultTrace(path);
+    // File order, comments and blank lines dropped.
+    const std::vector<ScheduledFault> expect = {
+        {{FaultKind::server, 2, 0}, {fromSeconds(1.0), fromSeconds(2.5)}},
+        {{FaultKind::swtch, 0, 0}, {fromSeconds(0.5), fromSeconds(0.75)}},
+        {{FaultKind::link, 7, 0}, {fromSeconds(3.0), fromSeconds(3.5)}},
+        {{FaultKind::linecard, 1, 3}, {fromSeconds(4.0), fromSeconds(5.0)}},
+    };
+    EXPECT_EQ(faults, expect);
 
-    auto srv = m->nextFault({FaultKind::server, 2, 0}, 0);
-    ASSERT_TRUE(srv.has_value());
-    EXPECT_EQ(srv->downAt, fromSeconds(1.0));
-    EXPECT_EQ(srv->upAt, fromSeconds(2.5));
-
-    auto sw = m->nextFault({FaultKind::swtch, 0, 0}, 0);
-    ASSERT_TRUE(sw.has_value());
-    EXPECT_EQ(sw->downAt, fromSeconds(0.5));
-
-    auto lc = m->nextFault({FaultKind::linecard, 1, 3}, 0);
-    ASSERT_TRUE(lc.has_value());
-    EXPECT_EQ(lc->downAt, fromSeconds(4.0));
-
-    EXPECT_THROW(TraceFaultModel::fromFile("/nonexistent/faults"),
-                 FatalError);
+    EXPECT_THROW(readFaultTrace("/nonexistent/faults"), FatalError);
+    // A malformed line names its file and line number.
+    std::istringstream bad("server 1 0.1 0.2\nlink seven 0.1 0.2\n");
+    try {
+        readFaultTrace(bad, "bad.trace");
+        FAIL() << "a malformed line was accepted";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("bad.trace:2"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(StochasticFaultModel, SameSeedSameSchedule)
@@ -257,52 +279,6 @@ TEST(StochasticFaultModel, ComponentsDrawIndependentStreams)
     EXPECT_NE(a->downAt, b->downAt);
 }
 
-// ------------------------------------------------- explicit fault schedules
-
-TEST(ScheduleFaultModel, HandsOutEpisodesAndRecordsThem)
-{
-    FaultTarget s0{FaultKind::server, 0, 0};
-    FaultTarget s1{FaultKind::server, 1, 0};
-    std::vector<ScheduledFault> sched = {
-        {s0, {300 * msec, 400 * msec}},
-        {s0, {100 * msec, 200 * msec}},
-        {s1, {150 * msec, 250 * msec}},
-    };
-    ScheduleFaultModel m(sched);
-
-    auto first = m.nextFault(s0, 0);
-    ASSERT_TRUE(first.has_value());
-    EXPECT_EQ(first->downAt, 100 * msec);
-    auto other = m.nextFault(s1, 0);
-    ASSERT_TRUE(other.has_value());
-    EXPECT_EQ(other->downAt, 150 * msec);
-    auto second = m.nextFault(s0, 200 * msec);
-    ASSERT_TRUE(second.has_value());
-    EXPECT_EQ(second->downAt, 300 * msec);
-    EXPECT_FALSE(m.nextFault(s0, 400 * msec).has_value());
-
-    // The hand-out log keeps episodes in hand-out order.
-    ASSERT_EQ(m.consumed().size(), 3u);
-    EXPECT_EQ(m.consumed()[0].record.downAt, 100 * msec);
-    EXPECT_EQ(m.consumed()[1].record.downAt, 150 * msec);
-    EXPECT_EQ(m.consumed()[2].record.downAt, 300 * msec);
-}
-
-TEST(ScheduleFaultModel, FatalsInsteadOfDriftingFromTheScript)
-{
-    FaultTarget t{FaultKind::server, 0, 0};
-    // Overlapping episodes are a harness bug, not a schedule.
-    EXPECT_THROW(ScheduleFaultModel({
-                     {t, {100 * msec, 300 * msec}},
-                     {t, {200 * msec, 400 * msec}},
-                 }),
-                 FatalError);
-    // An episode the clock has already passed cannot replay exactly
-    // as written; TraceFaultModel would clamp, this model refuses.
-    ScheduleFaultModel m({{t, {100 * msec, 200 * msec}}});
-    EXPECT_THROW(m.nextFault(t, 150 * msec), FatalError);
-}
-
 TEST(FaultTraceLine, RoundTripIsTickExact)
 {
     // Deliberately awkward tick values: the 9-decimal seconds text
@@ -331,10 +307,9 @@ TEST(FaultTraceLine, RoundTripIsTickExact)
 TEST_F(FaultFixture, DowntimeResidencySumsToWallTime)
 {
     makeFleet(1);
-    auto trace = std::make_unique<TraceFaultModel>();
-    trace->addFault({FaultKind::server, 0, 0}, 100 * msec,
-                    300 * msec);
-    makeManager(std::move(trace));
+    makeManager(script({
+        {{FaultKind::server, 0, 0}, {100 * msec, 300 * msec}},
+    }));
 
     sim.runUntil(1 * sec);
     mgr->finishStats();
@@ -357,33 +332,26 @@ TEST_F(FaultFixture, DowntimeResidencySumsToWallTime)
 TEST_F(FaultFixture, EpisodeLogExportsRealizedScheduleForReplay)
 {
     makeFleet(2);
-    auto trace = std::make_unique<TraceFaultModel>();
-    trace->addFault({FaultKind::server, 0, 0}, 100 * msec,
-                    300 * msec);
-    trace->addFault({FaultKind::server, 1, 0}, 200 * msec, 10 * sec);
-    makeManager(std::move(trace));
+    makeManager(script({
+        {{FaultKind::server, 0, 0}, {100 * msec, 300 * msec}},
+        {{FaultKind::server, 1, 0}, {200 * msec, 10 * sec}},
+    }));
 
     sim.runUntil(1 * sec);
 
     ASSERT_EQ(mgr->episodeLog().size(), 2u);
-    EXPECT_EQ(mgr->episodeLog()[0].downAt, 100 * msec);
-    EXPECT_EQ(mgr->episodeLog()[0].upAt, 300 * msec);
-    EXPECT_EQ(mgr->episodeLog()[1].downAt, 200 * msec);
+    EXPECT_EQ(mgr->episodeLog()[0].record.downAt, 100 * msec);
+    EXPECT_EQ(mgr->episodeLog()[0].record.upAt, 300 * msec);
+    EXPECT_EQ(mgr->episodeLog()[1].record.downAt, 200 * msec);
     // Server 1 is still down: the log keeps the episode open...
-    EXPECT_EQ(mgr->episodeLog()[1].upAt, maxTick);
+    EXPECT_EQ(mgr->episodeLog()[1].record.upAt, maxTick);
 
     // ...and the exported trace closes it one tick past the clock,
-    // in text TraceFaultModel (and the mc explorer) can load.
+    // in text readFaultTrace (fault_trace, the mc explorer) loads.
     std::ostringstream os;
     mgr->writeScheduleTrace(os);
     std::istringstream in(os.str());
-    std::string line;
-    std::vector<ScheduledFault> parsed;
-    while (std::getline(in, line)) {
-        ScheduledFault f;
-        if (parseFaultTraceLine(line, "export", f))
-            parsed.push_back(f);
-    }
+    const std::vector<ScheduledFault> parsed = readFaultTrace(in, "export");
     ASSERT_EQ(parsed.size(), 2u);
     EXPECT_EQ(parsed[0].record.downAt, 100 * msec);
     EXPECT_EQ(parsed[0].record.upAt, 300 * msec);
@@ -418,11 +386,10 @@ TEST_F(FaultFixture, ScheduleTraceBytesAreGolden)
 TEST_F(FaultFixture, AbortDumpNamesTheActiveFaultSchedule)
 {
     makeFleet(2);
-    auto trace = std::make_unique<TraceFaultModel>();
-    trace->addFault({FaultKind::server, 0, 0}, 100 * msec,
-                    300 * msec);
-    trace->addFault({FaultKind::server, 1, 0}, 200 * msec, 10 * sec);
-    makeManager(std::move(trace));
+    makeManager(script({
+        {{FaultKind::server, 0, 0}, {100 * msec, 300 * msec}},
+        {{FaultKind::server, 1, 0}, {200 * msec, 10 * sec}},
+    }));
     sim.runUntil(500 * msec);
 
     // A fault-provoked abort names the faults, not just the damage.
@@ -447,10 +414,10 @@ TEST_F(FaultFixture, CrashedTaskRetriesOnHealthyServer)
 {
     makeFleet(2);
     makeScheduler(flatPolicy(3));
-    auto trace = std::make_unique<TraceFaultModel>();
     // Round-robin places job 0 on server 0; kill it mid-run.
-    trace->addFault({FaultKind::server, 0, 0}, 10 * msec, 50 * msec);
-    makeManager(std::move(trace));
+    makeManager(script({
+        {{FaultKind::server, 0, 0}, {10 * msec, 50 * msec}},
+    }));
 
     sched->submitJob(singleTaskJob(0, 100 * msec));
     sim.run();
@@ -475,10 +442,10 @@ TEST_F(FaultFixture, RetryExhaustionFailsJob)
 {
     makeFleet(1);
     makeScheduler(flatPolicy(2));
-    auto trace = std::make_unique<TraceFaultModel>();
     // The only server stays down far past the retry budget.
-    trace->addFault({FaultKind::server, 0, 0}, 10 * msec, 10 * sec);
-    makeManager(std::move(trace));
+    makeManager(script({
+        {{FaultKind::server, 0, 0}, {10 * msec, 10 * sec}},
+    }));
 
     sched->submitJob(singleTaskJob(0, 100 * msec));
     sim.run();
@@ -496,9 +463,9 @@ TEST_F(FaultFixture, RepairedServerServesAgain)
 {
     makeFleet(1);
     makeScheduler(flatPolicy(5, 100 * msec));
-    auto trace = std::make_unique<TraceFaultModel>();
-    trace->addFault({FaultKind::server, 0, 0}, 10 * msec, 60 * msec);
-    makeManager(std::move(trace));
+    makeManager(script({
+        {{FaultKind::server, 0, 0}, {10 * msec, 60 * msec}},
+    }));
 
     sched->submitJob(singleTaskJob(0, 50 * msec));
     sim.run();
@@ -523,11 +490,10 @@ TEST_F(FaultFixture, WheelModeFaultCycleLeavesNoZombieTimers)
     // either fire into a failed machine or keep the run alive.
     makeFleet(2);
     makeScheduler(flatPolicy(3));
-    auto trace = std::make_unique<TraceFaultModel>();
-    trace->addFault({FaultKind::server, 0, 0}, 10 * msec, 50 * msec);
-    trace->addFault({FaultKind::server, 1, 0}, 200 * msec,
-                    300 * msec);
-    makeManager(std::move(trace));
+    makeManager(script({
+        {{FaultKind::server, 0, 0}, {10 * msec, 50 * msec}},
+        {{FaultKind::server, 1, 0}, {200 * msec, 300 * msec}},
+    }));
 
     sched->submitJob(singleTaskJob(0, 100 * msec));
     sim.run();
@@ -638,8 +604,10 @@ TEST_F(NetFaultFixture, UnreachableFlowAbortsAsynchronously)
 TEST_F(NetFaultFixture, ManagerDrivesSwitchFaults)
 {
     make(Topology::star(4, 1e9, 5 * usec));
-    auto trace = std::make_unique<TraceFaultModel>();
-    trace->addFault({FaultKind::swtch, 0, 0}, 100 * msec, 300 * msec);
+    auto trace = std::make_unique<ScriptedFaultModel>(
+        std::vector<ScheduledFault>{
+            {{FaultKind::swtch, 0, 0}, {100 * msec, 300 * msec}},
+        });
     FaultManagerConfig cfg;
     cfg.faultServers = false;
     cfg.faultSwitches = true;
@@ -670,9 +638,10 @@ TEST(NetFaultWheel, SwitchFaultCancelsWheelSleepTimers)
     {
         Network net(sim, Topology::star(4, 1e9, 5 * usec),
                     SwitchPowerProfile::cisco2960_24(), net_cfg);
-        auto trace = std::make_unique<TraceFaultModel>();
-        trace->addFault({FaultKind::swtch, 0, 0}, 10 * msec,
-                        200 * msec);
+        auto trace = std::make_unique<ScriptedFaultModel>(
+            std::vector<ScheduledFault>{
+                {{FaultKind::swtch, 0, 0}, {10 * msec, 200 * msec}},
+            });
         FaultManagerConfig cfg;
         cfg.faultServers = false;
         cfg.faultSwitches = true;
@@ -786,4 +755,96 @@ TEST(DcFault, EnabledRunIsDeterministic)
               std::string::npos);
     EXPECT_NE(a.str().find("reliability.wasted_joules"),
               std::string::npos);
+}
+
+namespace {
+
+/**
+ * 8 x 2-core servers on a star (delay timer 5 ms, switch sleep 1 ms)
+ * under 16 KiB chain jobs, with server 1 down 0.3-0.7 s, link 2 down
+ * 0.2-0.9 s and switch 0 down 1.2-1.3 s.
+ */
+struct FaultedStar {
+    DataCenter dc;
+    ConfiguredWorkload wl;
+
+    static DataCenterConfig
+    config()
+    {
+        DataCenterConfig cfg;
+        cfg.nServers = 8;
+        cfg.nCores = 2;
+        cfg.fabric = DataCenterConfig::Fabric::star;
+        cfg.controller = DataCenterConfig::Controller::delayTimer;
+        cfg.delayTimerTau = 5 * msec;
+        cfg.netConfig.switchSleepDelay = 1 * msec;
+        cfg.workload.job = DataCenterConfig::WorkloadSettings::Shape::chain;
+        cfg.workload.transferBytes = 16 * 1024;
+        cfg.workload.duration = 2 * sec;
+        cfg.fault.enabled = true;
+        cfg.fault.faultSwitches = true;
+        cfg.fault.faultLinks = true;
+        cfg.fault.schedule = {
+            {{FaultKind::server, 1, 0}, {300 * msec, 700 * msec}},
+            {{FaultKind::link, 2, 0}, {200 * msec, 900 * msec}},
+            {{FaultKind::swtch, 0, 0}, {1200 * msec, 1300 * msec}},
+        };
+        return cfg;
+    }
+
+    FaultedStar()
+        : dc(config()), wl(makeWorkload(dc.config().workload, dc.config(),
+                                        dc.config().seed))
+    {
+        dc.pump(std::move(wl.arrivals), *wl.jobs, wl.maxJobs, wl.until);
+    }
+};
+
+} // namespace
+
+TEST(DcFault, WarmupResetOnFaultedFabricRestartsEveryBook)
+{
+    FaultedStar plain;
+    const Tick plain_end = plain.dc.run();
+
+    FaultedStar warm;
+    const Tick reset_at = 500 * msec;
+    warm.dc.runUntil(reset_at);
+    warm.dc.resetStats();
+    const Tick end = warm.dc.run();
+    warm.dc.finishStats();
+
+    // The reset changes no event: same end tick, same event count.
+    EXPECT_EQ(end, plain_end);
+    EXPECT_EQ(warm.dc.sim().eventsProcessed(),
+              plain.dc.sim().eventsProcessed());
+
+    // Every residency book covers exactly the measured interval.
+    const Tick measured = end - reset_at;
+    for (std::size_t i = 0; i < warm.dc.numServers(); ++i)
+        EXPECT_EQ(warm.dc.server(i).residency().totalTime(), measured)
+            << "server " << i;
+    Switch &sw = warm.dc.network()->switchAt(0);
+    EXPECT_EQ(sw.residency().totalTime(), measured);
+    for (unsigned p = 0; p < sw.numPorts(); ++p)
+        EXPECT_EQ(sw.port(p).residency().totalTime(), measured)
+            << "port " << p;
+    for (unsigned c = 0; c < sw.numLineCards(); ++c)
+        EXPECT_EQ(sw.lineCard(c).residency().totalTime(), measured)
+            << "line card " << c;
+    FaultManager &faults = *warm.dc.faults();
+    for (std::size_t i = 0; i < faults.numTargets(); ++i)
+        EXPECT_EQ(faults.componentStats(i).residency.totalTime(), measured)
+            << toString(faults.componentStats(i).target);
+
+    // Only the switch fault fires after the reset; the server and the
+    // link, down across it, reopen their episodes at the reset tick.
+    EXPECT_EQ(faults.faultsInjected(), 1u);
+    std::ostringstream os;
+    faults.writeScheduleTrace(os);
+    EXPECT_EQ(os.str(), "# realized fault schedule (3 episodes, exported "
+                        "at tick " + std::to_string(end) + ")\n"
+                        "server 1 0.500000000 0.700000000\n"
+                        "link 2 0.500000000 0.900000000\n"
+                        "switch 0 1.200000000 1.300000000\n");
 }

@@ -79,8 +79,8 @@ TEST(FaultSchedule, CanonicalTextRoundTripsAndSortIsStable)
     ASSERT_EQ(s.size(), 2u);
     EXPECT_EQ(s.faults[0].record.downAt, 100 * msec);
 
-    FaultSchedule back =
-        FaultSchedule::fromTraceText(s.canonicalText(), "test");
+    std::istringstream text(s.canonicalText());
+    FaultSchedule back{readFaultTrace(text, "test")};
     EXPECT_TRUE(back == s);
     EXPECT_EQ(back.hash(), s.hash());
 }
@@ -140,12 +140,9 @@ TEST(FaultSchedule, ReproFileParsesBackWithHeadersIgnored)
                        {"holdcsim mc minimal reproducer",
                         "verdict: violation: test"});
     }
-    FaultSchedule back = FaultSchedule::fromTraceFile(path);
+    FaultSchedule back{readFaultTrace(path)};
     EXPECT_TRUE(back == s);
     std::remove(path.c_str());
-
-    EXPECT_THROW(FaultSchedule::fromTraceFile("/nonexistent/repro"),
-                 FatalError);
 }
 
 // ---------------------------------------------------------------- strategies
@@ -376,7 +373,7 @@ TEST(Explorer, FindsSeededBugShrinksItAndReplayReproduces)
               std::string::npos);
 
     // The written repro replays to the same failure, from the file.
-    FaultSchedule back = FaultSchedule::fromTraceFile(repro);
+    FaultSchedule back{readFaultTrace(repro)};
     EXPECT_TRUE(back == report.minimal);
     OracleOutcome replayed = runScheduleOracle(cfg, back, 7);
     EXPECT_EQ(failureSignature(replayed),

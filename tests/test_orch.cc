@@ -543,8 +543,8 @@ interference = 0.25
 replicas = 3
 container_cores = 2
 autoscale = true
-migration_dirty_frac = 0.125
-migration_stop_copy_mb = 2
+remote_mem_frac = 0.125
+container_mem_mb = 2
 )");
     DataCenterConfig dc_cfg = DataCenterConfig::fromConfig(cfg);
     EXPECT_TRUE(dc_cfg.orch.enabled); // implied by orch.* presence
@@ -554,9 +554,8 @@ migration_stop_copy_mb = 2
     EXPECT_EQ(dc_cfg.orch.replicas, 3u);
     EXPECT_DOUBLE_EQ(dc_cfg.orch.containerCores, 2.0);
     EXPECT_TRUE(dc_cfg.orch.autoscale);
-    EXPECT_DOUBLE_EQ(dc_cfg.orch.migrationDirtyFrac, 0.125);
-    EXPECT_EQ(dc_cfg.orch.migrationStopCopyBytes,
-              static_cast<Bytes>(2) << 20);
+    EXPECT_DOUBLE_EQ(dc_cfg.orch.remoteMemFrac, 0.125);
+    EXPECT_EQ(dc_cfg.orch.containerMemBytes, static_cast<Bytes>(2) << 20);
 
     // Explicit veto wins over key presence.
     cfg.set("orch.enabled", "false");

@@ -1183,15 +1183,13 @@ runFaultedLedger(EventQueue::Backend backend)
 
         // Several overlapping crash/repair cycles, including a
         // double-dip on server 0 and a blink on server 2.
-        auto trace = std::make_unique<TraceFaultModel>();
-        trace->addFault({FaultKind::server, 0, 0}, 100 * msec,
-                        300 * msec);
-        trace->addFault({FaultKind::server, 0, 0}, 600 * msec,
-                        800 * msec);
-        trace->addFault({FaultKind::server, 1, 0}, 200 * msec,
-                        400 * msec);
-        trace->addFault({FaultKind::server, 2, 0}, 50 * msec,
-                        55 * msec);
+        auto trace = std::make_unique<ScriptedFaultModel>(
+            std::vector<ScheduledFault>{
+                {{FaultKind::server, 0, 0}, {100 * msec, 300 * msec}},
+                {{FaultKind::server, 0, 0}, {600 * msec, 800 * msec}},
+                {{FaultKind::server, 1, 0}, {200 * msec, 400 * msec}},
+                {{FaultKind::server, 2, 0}, {50 * msec, 55 * msec}},
+            });
         FaultManager mgr(sim, std::move(trace), servers, nullptr,
                          &sched);
 
@@ -1533,7 +1531,7 @@ randomPlant(std::uint64_t seed)
     }
     if (rng.bernoulli(0.6)) {
         cfg.fault.enabled = true;
-        cfg.fault.useSchedule = true;
+        cfg.fault.schedule.emplace();
         cfg.fault.maxRetries = 4;
         cfg.fault.faultSwitches = fabric;
         const std::size_t faults = rng.uniformInt(1, 4);
@@ -1544,7 +1542,7 @@ randomPlant(std::uint64_t seed)
                                rng.uniformInt(0, cfg.nServers - 1), 0};
             if (cfg.fabric == Fabric::star && rng.bernoulli(0.3))
                 target = {FaultKind::swtch, 0, 0};
-            cfg.fault.schedule.push_back({target, {down, up}});
+            cfg.fault.schedule->push_back({target, {down, up}});
         }
     }
     // The adaptive pool policy sets every server's delay timer itself.
@@ -2036,7 +2034,7 @@ runCandidatePlant(std::uint64_t seed)
                               {down, up}});
         }
     }
-    FaultManager fm(sim, std::make_unique<ScheduleFaultModel>(faults),
+    FaultManager fm(sim, std::make_unique<ScriptedFaultModel>(faults),
                     servers, nullptr, &sched);
 
     std::unique_ptr<AdaptivePoolPolicy> adaptive;

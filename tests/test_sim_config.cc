@@ -126,7 +126,7 @@ enabled = true
 placement = spread
 replicas = 3
 autoscale = true
-migration_dirty_frac = 0.25
+remote_mem_frac = 0.25
 [sweep]
 datacenter.servers = 1, 2
 )");
