@@ -141,10 +141,36 @@ TEST(RetryPolicy, JitterStaysWithinBounds)
 
 TEST(ScriptedFaultModel, ReplaysSortedEpisodes)
 {
+    FaultTarget t{FaultKind::server, 0, 0};
+    // Given out of order; the model hands the episodes out in time
+    // order.
+    ScriptedFaultModel m({
+        {t, {300 * msec, 400 * msec}},
+        {t, {100 * msec, 200 * msec}},
+    });
+
+    auto first = m.nextFault(t, 0);
+    ASSERT_TRUE(first.has_value());
+    EXPECT_EQ(first->downAt, 100 * msec);
+    EXPECT_EQ(first->upAt, 200 * msec);
+
+    auto second = m.nextFault(t, 200 * msec);
+    ASSERT_TRUE(second.has_value());
+    EXPECT_EQ(second->downAt, 300 * msec);
+    EXPECT_EQ(second->upAt, 400 * msec);
+
+    EXPECT_FALSE(m.nextFault(t, 400 * msec).has_value());
+    // A different target has no schedule at all.
+    EXPECT_FALSE(
+        m.nextFault({FaultKind::server, 1, 0}, 0).has_value());
+}
+
+TEST(ScriptedFaultModel, HandsOutTargetsIndependently)
+{
     FaultTarget s0{FaultKind::server, 0, 0};
     FaultTarget s1{FaultKind::server, 1, 0};
-    // Given out of order; the model hands each target's episodes out
-    // in time order, whatever order the targets ask in.
+    // Each target keeps its own queue, whatever order the targets ask
+    // in.
     ScriptedFaultModel m({
         {s0, {300 * msec, 400 * msec}},
         {s0, {100 * msec, 200 * msec}},
@@ -154,19 +180,16 @@ TEST(ScriptedFaultModel, ReplaysSortedEpisodes)
     auto first = m.nextFault(s0, 0);
     ASSERT_TRUE(first.has_value());
     EXPECT_EQ(first->downAt, 100 * msec);
-    EXPECT_EQ(first->upAt, 200 * msec);
     auto other = m.nextFault(s1, 0);
     ASSERT_TRUE(other.has_value());
     EXPECT_EQ(other->downAt, 150 * msec);
+    EXPECT_EQ(other->upAt, 250 * msec);
     auto second = m.nextFault(s0, 200 * msec);
     ASSERT_TRUE(second.has_value());
     EXPECT_EQ(second->downAt, 300 * msec);
 
     EXPECT_FALSE(m.nextFault(s0, 400 * msec).has_value());
     EXPECT_FALSE(m.nextFault(s1, 250 * msec).has_value());
-    // A different target has no schedule at all.
-    EXPECT_FALSE(
-        m.nextFault({FaultKind::server, 2, 0}, 0).has_value());
 }
 
 TEST(ScriptedFaultModel, PassedEpisodeIsFatal)
@@ -191,6 +214,26 @@ TEST(ScriptedFaultModel, PassedEpisodeIsFatal)
             << what;
         EXPECT_NE(what.find(std::to_string(350 * msec)), std::string::npos)
             << what;
+    }
+}
+
+TEST(ScriptedFaultModel, FatalsInsteadOfDriftingFromTheScript)
+{
+    FaultTarget t{FaultKind::server, 0, 0};
+    // Asking exactly at an episode's start still replays it as
+    // written.
+    {
+        ScriptedFaultModel m({{t, {100 * msec, 200 * msec}}});
+        auto rec = m.nextFault(t, 100 * msec);
+        ASSERT_TRUE(rec.has_value());
+        EXPECT_EQ(rec->downAt, 100 * msec);
+        EXPECT_EQ(rec->upAt, 200 * msec);
+    }
+    // One tick later the first episode has passed: the model refuses
+    // rather than shift or drop it.
+    {
+        ScriptedFaultModel m({{t, {100 * msec, 200 * msec}}});
+        EXPECT_THROW(m.nextFault(t, 100 * msec + 1), FatalError);
     }
 }
 
