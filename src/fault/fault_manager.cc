@@ -1,5 +1,6 @@
 #include "fault_manager.hh"
 
+#include <algorithm>
 #include <ostream>
 
 #include "network/network.hh"
@@ -64,7 +65,7 @@ FaultManager::FaultManager(Simulator &sim,
     Tick now = _sim.curTick();
     for (const FaultTarget &t : targets) {
         auto ts = std::make_unique<TargetState>(*this, t);
-        ts->stats.residency.enter(0, now);
+        ts->stats.residency.start(now);
         _targets.push_back(std::move(ts));
         armNext(*_targets.back(), now);
     }
@@ -93,8 +94,9 @@ FaultManager::armNext(TargetState &ts, Tick from)
         fatal("fault model produced an empty episode for ",
               toString(ts.stats.target));
     ts.pending = *rec;
-    Tick at = ts.pending.downAt;
-    _sim.schedule(ts.event, at > from ? at : from + 1);
+    // An episode may start at the very tick the last one ended
+    // (back-to-back trace lines): it fires then, after the repair.
+    _sim.schedule(ts.event, std::max(ts.pending.downAt, from));
 }
 
 void
@@ -106,7 +108,7 @@ FaultManager::onEvent(TargetState &ts)
         ++ts.stats.faults;
         ++_faultsInjected;
         ++_currentlyDown;
-        ts.stats.residency.enter(1, _sim.curTick());
+        ts.stats.residency.accrue(0, _sim.curTick());
         ts.openEpisode = _episodeLog.size();
         _episodeLog.push_back(
             {ts.stats.target, {_sim.curTick(), maxTick}});
@@ -120,7 +122,7 @@ FaultManager::onEvent(TargetState &ts)
     ts.stats.down = false;
     --_currentlyDown;
     Tick now = _sim.curTick();
-    ts.stats.residency.enter(0, now);
+    ts.stats.residency.accrue(1, now);
     if (ts.openEpisode != static_cast<std::size_t>(-1)) {
         _episodeLog.at(ts.openEpisode).record.upAt = now;
         ts.openEpisode = static_cast<std::size_t>(-1);
@@ -268,7 +270,7 @@ FaultManager::finishStats()
 {
     Tick now = _sim.curTick();
     for (auto &ts : _targets)
-        ts->stats.residency.finish(now);
+        ts->stats.residency.accrue(ts->stats.down ? 1 : 0, now);
 }
 
 void
@@ -278,8 +280,7 @@ FaultManager::resetStats()
     _episodeLog.clear();
     for (auto &ts : _targets) {
         ts->stats.faults = 0;
-        ts->stats.residency.reset();
-        ts->stats.residency.enter(ts->stats.down ? 1 : 0, now);
+        ts->stats.residency.start(now);
         // A component down across the reset re-opens its episode at
         // the reset tick: the exported schedule stays replayable from
         // the measured interval's start.

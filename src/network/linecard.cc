@@ -17,7 +17,7 @@ LineCard::LineCard(Switch &sw, PortPool &ports, unsigned id,
     : _switch(sw), _ports(ports), _id(id), _firstPort(first_port),
       _nPorts(n_ports), _profile(profile)
 {
-    _residency.enter(static_cast<int>(_state), sw.simulator().curTick());
+    _residency.start(sw.simulator().curTick());
 }
 
 LineCardState
@@ -78,15 +78,14 @@ void
 LineCard::finishStats(Tick now)
 {
     _switch.settle();
-    _residency.finish(now);
+    _residency.accrue(static_cast<int>(_state), now);
 }
 
 void
 LineCard::resetStats(Tick now)
 {
     _switch.settle();
-    _residency.reset();
-    _residency.enter(static_cast<int>(_state), now);
+    _residency.start(now);
 }
 
 bool
@@ -173,8 +172,8 @@ LineCard::setState(LineCardState next, Tick at)
     if (next == _state)
         return;
     _switch.accrueTo(at);
+    _residency.accrue(static_cast<int>(_state), at);
     _state = next;
-    _residency.enter(static_cast<int>(next), at);
     traceState(at);
     _switch.linecardStateChanged(at);
 }

@@ -38,7 +38,7 @@ PortPool::PortPool(Simulator &sim, Switch &sw,
     for (unsigned p = 0; p < n; ++p) {
         _txDone[p].pool = this;
         _txDone[p].port = p;
-        _residency[p].enter(static_cast<int>(_state[p]), now);
+        _residency[p].start(now);
     }
 }
 
@@ -72,8 +72,8 @@ PortPool::setState(unsigned p, PortState next, Tick at)
     if (next == _state[p])
         return;
     _switch.accrueTo(at);
+    _residency[p].accrue(static_cast<int>(_state[p]), at);
     _state[p] = next;
-    _residency[p].enter(static_cast<int>(next), at);
 }
 
 Tick
@@ -208,9 +208,7 @@ Port::resetStats(Tick now)
     p._packetsSent[_id] = 0;
     p._packetsDropped[_id] = 0;
     p._bytesSent[_id] = 0;
-    StateResidency &res = p._residency[_id];
-    res.reset();
-    res.enter(static_cast<int>(p._state[_id]), now);
+    p._residency[_id].start(now);
 }
 
 } // namespace holdcsim

@@ -265,7 +265,8 @@ class Port
     finishStats(Tick now)
     {
         _pool->settle();
-        _pool->_residency[_id].finish(now);
+        _pool->_residency[_id].accrue(static_cast<int>(_pool->_state[_id]),
+                                      now);
     }
     /** Zero packet counters and residency (end of warmup). */
     void resetStats(Tick now);

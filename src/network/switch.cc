@@ -55,7 +55,7 @@ Switch::Switch(Simulator &sim, const SwitchConfig &config,
     _ports.reserve(n_ports);
     for (unsigned p = 0; p < n_ports; ++p)
         _ports.emplace_back(_portPool, p);
-    _residency.enter(0, sim.curTick()); // awake
+    _residency.start(sim.curTick()); // awake
     traceState(sim.curTick());
     // Idle ports start their LPI countdowns; the resulting quiescence
     // cascades into line card / switch sleep per the thresholds.
@@ -245,7 +245,7 @@ Switch::finishStats()
 {
     accrue();
     Tick now = _sim.curTick();
-    _residency.finish(now);
+    _residency.accrue(_asleep ? 1 : 0, now);
     for (auto &p : _ports)
         p.finishStats(now);
     for (auto &lc : _linecards)
@@ -260,8 +260,7 @@ Switch::resetStats()
     _packetsForwarded = 0;
     _sleepTransitions = 0;
     Tick now = _sim.curTick();
-    _residency.reset();
-    _residency.enter(_asleep ? 1 : 0, now);
+    _residency.start(now);
     // Cascade: a warmup reset must also zero the per-port packet
     // counters and the port/line-card residencies, or post-warmup
     // dumps double-count the warmup interval.
@@ -298,10 +297,10 @@ Switch::setAsleep(bool asleep, Tick at)
     if (asleep == _asleep)
         return;
     accrueTo(at);
+    _residency.accrue(_asleep ? 1 : 0, at);
     _asleep = asleep;
     if (asleep)
         ++_sleepTransitions;
-    _residency.enter(asleep ? 1 : 0, at);
     traceState(at);
 }
 

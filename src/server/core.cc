@@ -50,11 +50,8 @@ CorePool::CorePool(Simulator &sim, CoreHost &host,
         if (f <= 0.0)
             fatal("core base frequency must be positive");
 
-    if (!base_freqs_ghz.empty()) {
-        _baseFreqGhz = std::make_unique<double[]>(n_cores);
-        std::copy(base_freqs_ghz.begin(), base_freqs_ghz.end(),
-                  _baseFreqGhz.get());
-    }
+    if (!base_freqs_ghz.empty())
+        extras().baseFreqGhz = base_freqs_ghz;
 
     // The pool's own block is held here until the pool is registered,
     // so a throw on the way frees it.
@@ -68,8 +65,7 @@ CorePool::CorePool(Simulator &sim, CoreHost &host,
 
     const Tick now = sim.curTick();
     for (unsigned c = 0; c < n_cores; ++c) {
-        Slot &s = _slots[c];
-        s.residency.enter(static_cast<int>(s.cstate), now);
+        _slots[c].residency.start(now);
         armStage(c, now);
     }
     if (placement)
@@ -96,7 +92,9 @@ double
 CorePool::frequencyGhz(unsigned c) const
 {
     const auto &ps = _profile->pstates;
-    const double base = _baseFreqGhz ? _baseFreqGhz[c] : ps[0].freqGhz;
+    const double base = _extras && !_extras->baseFreqGhz.empty()
+                            ? _extras->baseFreqGhz[c]
+                            : ps[0].freqGhz;
     return base * ps[_slots[c].pstate].freqGhz / ps[0].freqGhz;
 }
 
@@ -244,8 +242,8 @@ CorePool::setCState(unsigned c, CoreCState next, Tick at)
     if (next == s.cstate)
         return;
     _host.coreAccrue(at);
+    s.residency.accrue(static_cast<int>(s.cstate), at);
     s.cstate = next;
-    s.residency.enter(static_cast<int>(next), at);
     traceCState(c, at);
     _host.coreStateChanged(at);
 }
@@ -253,9 +251,10 @@ CorePool::setCState(unsigned c, CoreCState next, Tick at)
 void
 CorePool::setTraceLabel(unsigned c, std::string label)
 {
-    if (!_traceLabel)
-        _traceLabel = std::make_unique<std::string[]>(size());
-    _traceLabel[c] = std::move(label);
+    std::vector<std::string> &labels = extras().traceLabel;
+    if (labels.empty())
+        labels.resize(size());
+    labels[c] = std::move(label);
     // Open the initial state's slice right away so the timeline
     // starts at construction, not at the first transition.
     traceCState(c, _sim.curTick());
@@ -275,13 +274,21 @@ CorePool::traceCState(unsigned c, Tick at)
 TraceTrackId
 CorePool::traceTrack(unsigned c, TraceManager &tr)
 {
-    if (!_traceLabel || _traceLabel[c].empty() ||
-        !tr.wants(TraceCategory::core))
+    if (!_extras || _extras->traceLabel.empty() ||
+        _extras->traceLabel[c].empty() || !tr.wants(TraceCategory::core))
         return noTraceTrack;
     TraceTrackId &track = _slots[c].traceTrack;
     if (track == noTraceTrack)
-        track = tr.track("cores", _traceLabel[c]);
+        track = tr.track("cores", _extras->traceLabel[c]);
     return track;
+}
+
+CorePool::Extras &
+CorePool::extras()
+{
+    if (!_extras)
+        _extras = std::make_unique<Extras>();
+    return *_extras;
 }
 
 Tick

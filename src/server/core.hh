@@ -13,7 +13,7 @@
  *
  * Storage layout: cores are not individually-allocated objects. A
  * server owns one CorePool, which keeps its cores in one exact-size
- * array of 80-byte per-core slots: in the block its DataCenter builds
+ * array of 72-byte per-core slots: in the block its DataCenter builds
  * the whole fleet in, or in one allocation of its own for a server
  * built alone. A slot holds what every core carries, idle or not --
  * C-state and P-state (a byte each), the tick its next idle stage is
@@ -27,8 +27,8 @@
  * abort gives it back. A running-core count decides both, so neither
  * side scans the cores, and a fleet holds as many busy blocks as it
  * ever had servers busy at once. Per-core base frequencies
- * (heterogeneous pools only) and trace labels are likewise one
- * pool-level array each, allocated only when given. The `Core` class
+ * (heterogeneous pools only) and trace labels share one pool-level
+ * block, allocated only when either is given. The `Core` class
  * is a 16-byte copyable view (pool pointer + dense id) carrying the
  * familiar per-core API.
  *
@@ -221,7 +221,7 @@ class CorePool : public DeferredTimers
     ///@}
 
     /** Bytes of the slot block an @p n_cores pool holds. */
-    static std::size_t
+    static constexpr std::size_t
     slotBlockBytes(unsigned n_cores)
     {
         return n_cores * sizeof(Slot);
@@ -240,9 +240,6 @@ class CorePool : public DeferredTimers
   private:
     friend class Core;
 
-/** A core's residency book: one entry per CoreCState. */
-using CoreResidency = StateBook<5>;
-
     /**
      * One core's completion event: pool + core id, no std::function,
      * set at each task start (a block serves many pools in turn).
@@ -258,8 +255,9 @@ using CoreResidency = StateBook<5>;
 
     /**
      * What one core carries busy or idle, indexed by dense core id:
-     * 80 B on x86-64, 56 of them the residency book. The fields
-     * every dispatch, demotion and power sum reads come first.
+     * 72 B on x86-64, 48 of them the residency book (which cstate
+     * feeds). The fields every dispatch, demotion and power sum read
+     * come first.
      */
     struct Slot {
         CoreCState cstate = CoreCState::c0Idle;
@@ -272,7 +270,7 @@ using CoreResidency = StateBook<5>;
         std::uint64_t tasksExecuted = 0;
         CoreResidency residency;
     };
-    static_assert(sizeof(Slot) <= 80, "the core slot grew");
+    static_assert(sizeof(Slot) <= 72, "the core slot grew");
     /** Nothing to run when a slot block goes, whoever owns it. */
     static_assert(std::is_trivially_destructible_v<Slot>);
 
@@ -311,6 +309,16 @@ using CoreResidency = StateBook<5>;
     Tick exitLatency(CoreCState from) const;
     void setTraceLabel(unsigned c, std::string label);
 
+    /** What few pools carry: one entry per core each, or empty. */
+    struct Extras {
+        /** Per-core P0 frequency (heterogeneous pools). */
+        std::vector<double> baseFreqGhz;
+        /** Per-core timeline label. */
+        std::vector<std::string> traceLabel;
+    };
+    /** _extras, built on first use. */
+    Extras &extras();
+
     /** First, so they pack into DeferredTimers' tail padding. */
     unsigned _size : 15;
     /** Whether _slots is the pool's own allocation (no caller block). */
@@ -323,20 +331,18 @@ using CoreResidency = StateBook<5>;
 
     /** _size slots: the caller's block or the pool's own. */
     Slot *_slots;
-    /** Per-core P0 frequency; null when every core runs at the
-     *  profile's (homogeneous pools). */
-    std::unique_ptr<double[]> _baseFreqGhz;
+    /** Base frequencies and trace labels; null while a pool has
+     *  neither (every core runs at the profile's P0 frequency). */
+    std::unique_ptr<Extras> _extras;
     /** Earliest Slot::stageAt. */
     Tick _nextStage = maxTick;
     /** When the host's countdown runs out; maxTick when none. */
     Tick _hostTimer = maxTick;
     /** One entry per core while a core runs a task; else null. */
     Busy *_busy = nullptr;
-    /** One label per core; null until a core is first labelled. */
-    std::unique_ptr<std::string[]> _traceLabel;
 };
 
-static_assert(sizeof(CorePool) <= 104, "the core pool grew");
+static_assert(sizeof(CorePool) <= 96, "the core pool grew");
 
 /** Copyable view of one processing unit inside a server's pool. */
 class Core
@@ -446,7 +452,8 @@ class Core
     finishStats(Tick now)
     {
         _pool->settle();
-        _pool->_slots[_id].residency.finish(now);
+        CorePool::Slot &slot = _pool->_slots[_id];
+        slot.residency.accrue(static_cast<int>(slot.cstate), now);
     }
 
     /** Zero residency and counters (end of warmup). */
@@ -455,8 +462,7 @@ class Core
     {
         _pool->settle();
         CorePool::Slot &slot = _pool->_slots[_id];
-        slot.residency.reset();
-        slot.residency.enter(static_cast<int>(slot.cstate), now);
+        slot.residency.start(now);
         slot.tasksExecuted = 0;
     }
 

@@ -1,63 +1,73 @@
 #include "local_scheduler.hh"
 
 #include <algorithm>
+#include <new>
 
 #include "sim/logging.hh"
 
 namespace holdcsim {
 
+TaskFifo::~TaskFifo()
+{
+    ::operator delete(_ring);
+}
+
+void
+TaskFifo::grow()
+{
+    const std::size_t capacity = _ring ? 2 * _ring->capacity : 1;
+    auto *ring = static_cast<Ring *>(
+        ::operator new(sizeof(Ring) + capacity * sizeof(TaskRef)));
+    ring->capacity = capacity;
+    ring->head = 0;
+    ring->size = size();
+    for (std::size_t i = 0; i < ring->size; ++i)
+        ::new (ring->items() + i) TaskRef(_ring->at(i));
+    ::operator delete(_ring);
+    _ring = ring;
+}
+
 void
 TaskFifo::push(const TaskRef &task)
 {
-    // Before the vector would grow, reclaim the popped prefix if it
-    // is at least half the buffer: a queue that never drains then
-    // stays within twice its live size, at amortized O(1) per push.
-    if (_buf.size() == _buf.capacity() && _head > 0 &&
-        2 * _head >= _buf.size()) {
-        _buf.erase(_buf.begin(),
-                   _buf.begin() + static_cast<std::ptrdiff_t>(_head));
-        _head = 0;
-    }
-    _buf.push_back(task);
+    if (!_ring || _ring->size == _ring->capacity)
+        grow();
+    ::new (&_ring->at(_ring->size)) TaskRef(task);
+    ++_ring->size;
 }
 
 TaskRef
 TaskFifo::pop()
 {
-    TaskRef t = _buf[_head++];
-    if (empty())
-        clear();
+    TaskRef t = _ring->at(0);
+    if (++_ring->head == _ring->capacity)
+        _ring->head = 0;
+    --_ring->size;
     return t;
 }
 
 bool
 TaskFifo::remove(JobId job, TaskId task)
 {
-    auto it = std::find_if(
-        _buf.begin() + static_cast<std::ptrdiff_t>(_head), _buf.end(),
-        [&](const TaskRef &t) { return t.job == job && t.task == task; });
-    if (it == _buf.end())
-        return false;
-    _buf.erase(it);
-    if (empty())
-        clear();
-    return true;
+    for (std::size_t i = 0; i < size(); ++i) {
+        const TaskRef &t = _ring->at(i);
+        if (t.job != job || t.task != task)
+            continue;
+        for (; i + 1 < _ring->size; ++i)
+            _ring->at(i) = _ring->at(i + 1);
+        --_ring->size;
+        return true;
+    }
+    return false;
 }
 
 void
 TaskFifo::drainInto(std::vector<TaskRef> &out)
 {
-    out.insert(out.end(),
-               _buf.begin() + static_cast<std::ptrdiff_t>(_head),
-               _buf.end());
-    clear();
-}
-
-void
-TaskFifo::clear()
-{
-    _buf.clear();
-    _head = 0;
+    for (std::size_t i = 0; i < size(); ++i)
+        out.push_back(_ring->at(i));
+    if (_ring)
+        _ring->head = _ring->size = 0;
 }
 
 LocalScheduler::LocalScheduler(LocalQueueMode mode, CorePickPolicy pick,

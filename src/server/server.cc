@@ -22,10 +22,13 @@ Server::Server(Simulator &sim, const ServerConfig &config,
     : _corePool(sim, *this, std::move(profile), config.nCores,
                 config.coreFreqGhz, placement),
       _local(config.queueMode, config.corePick, config.nCores),
-      _taskTypes(config.taskTypes.begin(), config.taskTypes.end()),
       _lastAccrue(sim.curTick()), _wakeDoneEvent(*this), _id(config.id),
       _allowPkgC6(config.allowPkgC6)
 {
+    if (!config.taskTypes.empty()) {
+        extras().taskTypes.assign(config.taskTypes.begin(),
+                                  config.taskTypes.end());
+    }
     // Labels feed the timeline tracer only; skip the 2 * nCores heap
     // strings per server when no tracer is installed (100k-server
     // plants). DataCenter installs its tracer before the plant.
@@ -37,7 +40,8 @@ Server::Server(Simulator &sim, const ServerConfig &config,
     }
     const Tick now = sim.curTick();
     recomputePkgState(now);
-    _residency.enter(static_cast<int>(stateNow()), now);
+    _residency.start(now);
+    _recordedState = static_cast<std::uint8_t>(stateNow());
     traceState(now);
 }
 
@@ -91,8 +95,24 @@ Server::becameIdle()
 bool
 Server::servesType(int type) const
 {
-    return _taskTypes.empty() ||
-           std::binary_search(_taskTypes.begin(), _taskTypes.end(), type);
+    return !typed() || std::binary_search(_extras->taskTypes.begin(),
+                                          _extras->taskTypes.end(), type);
+}
+
+Server::Extras &
+Server::extras()
+{
+    if (!_extras)
+        _extras = std::make_unique<Extras>();
+    return *_extras;
+}
+
+void
+Server::countKilled(const Core::AbortResult &aborted)
+{
+    Extras &x = extras();
+    x.wastedJoules += aborted.wasted;
+    ++x.tasksKilled;
 }
 
 void
@@ -166,7 +186,7 @@ Server::fail()
     const Tick now = simulator().curTick();
     accrueTo(now); // integrate pre-crash power before the rates drop to 0
     _failed = true;
-    ++_failures;
+    ++extras().failures;
     if (_wakeDoneEvent.scheduled())
         simulator().deschedule(_wakeDoneEvent);
     _waking = false;
@@ -175,8 +195,7 @@ Server::fail()
         if (!core(c).busy())
             continue;
         Core::AbortResult aborted = core(c).abortTask();
-        _wastedJoules += aborted.wasted;
-        ++_tasksKilled;
+        countKilled(aborted);
         killed.push_back(aborted.task);
     }
     _running = 0;
@@ -221,9 +240,7 @@ Server::cancelTask(JobId job, TaskId task)
             core.currentTask().task != task) {
             continue;
         }
-        Core::AbortResult aborted = core.abortTask();
-        _wastedJoules += aborted.wasted;
-        ++_tasksKilled;
+        countKilled(core.abortTask());
         if (_running == 0)
             HOLDCSIM_PANIC("server ", id(), " cancelled an unaccounted task");
         --_running;
@@ -344,7 +361,7 @@ Server::finishStats()
     settle();
     Tick now = simulator().curTick();
     accrueTo(now);
-    _residency.finish(now);
+    _residency.accrue(_recordedState, now);
     for (unsigned c = 0; c < numCores(); ++c)
         core(c).finishStats(now);
 }
@@ -359,11 +376,13 @@ Server::resetStats()
     _tasksCompleted = 0;
     _wakeTransitions = 0;
     _sleepTransitions = 0;
-    _failures = 0;
-    _tasksKilled = 0;
-    _wastedJoules = 0.0;
-    _residency.reset();
-    _residency.enter(static_cast<int>(stateNow()), now);
+    if (_extras) {
+        _extras->failures = 0;
+        _extras->tasksKilled = 0;
+        _extras->wastedJoules = 0.0;
+    }
+    _residency.start(now);
+    _recordedState = static_cast<std::uint8_t>(stateNow());
     for (unsigned c = 0; c < numCores(); ++c)
         core(c).resetStats(now);
 }
@@ -455,9 +474,10 @@ Server::recomputePkgState(Tick at)
 void
 Server::updateResidency(Tick at)
 {
-    auto s = static_cast<int>(stateNow());
-    if (s != _residency.currentState()) {
-        _residency.enter(s, at);
+    const auto s = static_cast<std::uint8_t>(stateNow());
+    if (s != _recordedState) {
+        _residency.accrue(_recordedState, at);
+        _recordedState = s;
         traceState(at);
     }
 }

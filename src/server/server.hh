@@ -30,11 +30,13 @@
  * already has at curTick(). The server keeps only tau and the sleep
  * target; the countdown is the pool's host timer.
  *
- * Footprint: a 4-core server is one 472-byte Server (the pool and the
- * local scheduler inline) plus its 320-byte block of core slots; it
+ * Footprint: a 4-core server is one 344-byte Server (the pool and the
+ * local scheduler inline) plus its 288-byte block of core slots; it
  * shares its profile and its task sink with the fleet, and builds its
- * cores' busy state only on its first task. A 100k-server plant is
- * mostly these two blocks, so AllocBudget bounds them.
+ * cores' busy state only on its first task. What only typed, faulted
+ * or cancelling servers touch (task types, crash and kill counters)
+ * sits in a block built on first use. A 100k-server plant is mostly
+ * these two blocks, so AllocBudget bounds them.
  */
 
 #ifndef HOLDCSIM_SERVER_SERVER_HH
@@ -163,7 +165,7 @@ class Server : private CoreHost
     /** Whether this server is configured to serve @p type tasks. */
     bool servesType(int type) const;
     /** Whether it serves only its ServerConfig::taskTypes. */
-    bool typed() const { return !_taskTypes.empty(); }
+    bool typed() const { return _extras && !_extras->taskTypes.empty(); }
 
     /**
      * Submit a task. If the server sleeps, the task is buffered and
@@ -309,11 +311,19 @@ class Server : private CoreHost
         return _sleepTransitions;
     }
     /** Number of crashes injected into this server. */
-    std::uint64_t failures() const { return _failures; }
+    std::uint64_t failures() const { return _extras ? _extras->failures : 0; }
     /** Tasks aborted mid-execution by crashes or cancellation. */
-    std::uint64_t tasksKilled() const { return _tasksKilled; }
+    std::uint64_t
+    tasksKilled() const
+    {
+        return _extras ? _extras->tasksKilled : 0;
+    }
     /** Energy burned on executions that were later discarded. */
-    Joules wastedJoules() const { return _wastedJoules; }
+    Joules
+    wastedJoules() const
+    {
+        return _extras ? _extras->wastedJoules : 0.0;
+    }
     /** Accrue energy and close residency books at the current tick. */
     void finishStats();
     /** Zero energies, residencies and counters (end of warmup). */
@@ -394,14 +404,27 @@ class Server : private CoreHost
         Watts cpu, dram, platform;
     };
     ComponentPower componentPower() const;
+    /** Count @p aborted as a killed task and its energy as wasted. */
+    void countKilled(const Core::AbortResult &aborted);
+
+    /** What an untyped, fault-free server never touches. */
+    struct Extras {
+        /** ServerConfig::taskTypes, sorted; empty = all types. */
+        std::vector<int> taskTypes;
+        std::uint64_t failures = 0;
+        std::uint64_t tasksKilled = 0;
+        Joules wastedJoules = 0.0;
+    };
+    /** _extras, built on first use. */
+    Extras &extras();
 
     /** Per-core state, one slot per core, the shared profile, the
      *  simulator and the delay timer's countdown (see core.hh).
      *  Mutable: const reads settle it. */
     mutable CorePool _corePool;
     LocalScheduler _local;
-    /** ServerConfig::taskTypes, sorted; empty = all types. */
-    std::vector<int> _taskTypes;
+    /** Task types and fault counters; null until first needed. */
+    std::unique_ptr<Extras> _extras;
     TaskSink *_taskSink = nullptr;
     /** The delay timer's tau; maxTick when off. */
     Tick _tau = maxTick;
@@ -412,9 +435,6 @@ class Server : private CoreHost
     std::uint64_t _tasksCompleted = 0;
     std::uint64_t _wakeTransitions = 0;
     std::uint64_t _sleepTransitions = 0;
-    std::uint64_t _failures = 0;
-    std::uint64_t _tasksKilled = 0;
-    Joules _wastedJoules = 0.0;
     WakeEvent _wakeDoneEvent;
 
     unsigned _id;
@@ -431,9 +451,14 @@ class Server : private CoreHost
     /** Whether the package may enter PC6 (runtime-tunable). */
     bool _allowPkgC6;
     bool _inDispatch = false;
+    /** The ServerState _residency last entered (what it credits). */
+    std::uint8_t _recordedState = 0;
 };
 
-static_assert(sizeof(Server) <= 456, "the Server object grew");
+static_assert(sizeof(Server) <= 344, "the Server object grew");
+// One fleet stride of a default server; AllocBudget records it.
+static_assert(sizeof(Server) + CorePool::slotBlockBytes(4) <= 648,
+              "a 4-core server grew");
 
 } // namespace holdcsim
 

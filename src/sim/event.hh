@@ -5,6 +5,10 @@
  * Model code derives from Event and implements process(), or uses
  * EventFunctionWrapper to wrap a lambda. Events are owned by the model
  * (never by the queue); the queue only references scheduled events.
+ *
+ * An event's name is a C string that outlives it: a literal at every
+ * hot site, or a name built at run time and interned once with
+ * internEventName() (the std::string constructors do that for you).
  */
 
 #ifndef HOLDCSIM_SIM_EVENT_HH
@@ -13,6 +17,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "types.hh"
@@ -20,6 +25,13 @@
 namespace holdcsim {
 
 class EventQueue;
+
+/**
+ * A process-lifetime copy of @p name, one per distinct text, for an
+ * event name built at run time. Thread-safe; takes a lock, so build
+ * a name once per owner, not once per event.
+ */
+const char *internEventName(std::string_view name);
 
 /**
  * An occurrence scheduled to happen at a simulated instant.
@@ -52,9 +64,15 @@ class Event
         exitPriority = 100,
     };
 
-    explicit Event(std::string name = "event",
+    /** @param name a literal, or any C string that outlives the event */
+    explicit Event(const char *name = "event",
                    int priority = defaultPriority)
-        : _name(std::move(name)), _priority(priority)
+        : _name(name), _priority(priority)
+    {}
+
+    /** A name built at run time, interned (see internEventName()). */
+    explicit Event(const std::string &name, int priority = defaultPriority)
+        : Event(internEventName(name), priority)
     {}
 
     Event(const Event &) = delete;
@@ -65,7 +83,7 @@ class Event
     virtual void process() = 0;
 
     /** Debug name of this event. */
-    const std::string &name() const { return _name; }
+    const char *name() const { return _name; }
 
     /** Priority within a tick (lower runs first). */
     int priority() const { return _priority; }
@@ -99,7 +117,7 @@ class Event
     /** _qBucket value meaning "in the overflow heap, not a bucket". */
     static constexpr std::uint32_t inHeap = 0xffffffffu;
 
-    std::string _name;
+    const char *_name;
     int _priority;
     bool _background = false;
     bool _scheduled = false;
@@ -107,12 +125,13 @@ class Event
     /** Calendar bucket (physical ring index) holding this event, or
      *  Event::inHeap when it sits in the overflow heap. */
     std::uint32_t _qBucket = inHeap;
-    /** Slot inside that bucket's vector, or heap index. */
-    std::size_t _qSlot = 0;
+    /** Slot inside that bucket's vector, or heap index (the queue
+     *  holds fewer than 2^32 events; EventQueue::schedule checks). */
+    std::uint32_t _qSlot = 0;
 };
 
 // Every server embeds one (its wake event); AllocBudget records it.
-static_assert(sizeof(Event) <= 72, "the Event base grew");
+static_assert(sizeof(Event) <= 40, "the Event base grew");
 
 /**
  * Event that runs a std::function. The workhorse for model code:
@@ -124,9 +143,15 @@ class EventFunctionWrapper : public Event
 {
   public:
     EventFunctionWrapper(std::function<void()> fn,
-                         std::string name = "lambda",
+                         const char *name = "lambda",
                          int priority = defaultPriority)
-        : Event(std::move(name), priority), _fn(std::move(fn))
+        : Event(name, priority), _fn(std::move(fn))
+    {}
+
+    /** A name built at run time, interned (see internEventName()). */
+    EventFunctionWrapper(std::function<void()> fn, const std::string &name,
+                         int priority = defaultPriority)
+        : Event(name, priority), _fn(std::move(fn))
     {}
 
     void process() override { _fn(); }

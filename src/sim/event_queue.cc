@@ -1,6 +1,8 @@
 #include "event_queue.hh"
 
 #include <algorithm>
+#include <mutex>
+#include <unordered_set>
 #include <utility>
 
 #include "logging.hh"
@@ -26,6 +28,16 @@ constexpr std::uint64_t calibrateGaps = 8192;
 constexpr std::size_t headSpillThreshold = 64;
 
 } // namespace
+
+const char *
+internEventName(std::string_view name)
+{
+    // Nodes never move, so each c_str() lives as long as the process.
+    static std::mutex lock;
+    static std::unordered_set<std::string> names;
+    std::lock_guard<std::mutex> guard(lock);
+    return names.emplace(name).first->c_str();
+}
 
 Event::~Event()
 {
@@ -77,7 +89,7 @@ EventQueue::earlier(const Entry &a, const Entry &b)
 void
 EventQueue::heapPlace(std::size_t idx)
 {
-    _heap[idx].event->_qSlot = idx;
+    _heap[idx].event->_qSlot = static_cast<std::uint32_t>(idx);
 }
 
 void
@@ -145,7 +157,7 @@ EventQueue::bucketInsert(std::size_t bucket, const Entry &e)
 {
     auto &vec = _buckets[bucket];
     e.event->_qBucket = static_cast<std::uint32_t>(bucket);
-    e.event->_qSlot = vec.size();
+    e.event->_qSlot = static_cast<std::uint32_t>(vec.size());
     vec.push_back(e);
     ++_bucketCount;
 }
@@ -157,7 +169,7 @@ EventQueue::bucketRemoveAt(std::size_t bucket, std::size_t slot)
     std::size_t last = vec.size() - 1;
     if (slot != last) {
         vec[slot] = vec[last];
-        vec[slot].event->_qSlot = slot;
+        vec[slot].event->_qSlot = static_cast<std::uint32_t>(slot);
     }
     vec.pop_back();
     --_bucketCount;
@@ -200,8 +212,12 @@ EventQueue::schedule(Event &ev, Tick when)
     if (ev.background())
         ++_liveBackground;
     ++_counters.schedules;
-    if (size() > _counters.peakSize)
+    if (size() > _counters.peakSize) {
+        // Event::_qSlot indexes a bucket or the heap in 32 bits.
+        if (size() > std::size_t{0xffffffffu})
+            HOLDCSIM_PANIC("more than 2^32 events scheduled at once");
         _counters.peakSize = size();
+    }
     // Dynamic calendar: keep ~0.5..8 live entries per bucket by
     // doubling the ring when the population outgrows it. Total size
     // (not just bucket occupancy) drives the trigger, because a

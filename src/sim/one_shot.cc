@@ -41,7 +41,7 @@ class OneShotPool::Shot : public Event
 };
 
 OneShotPool::OneShotPool(Simulator &sim, std::string name, int priority)
-    : _sim(sim), _name(std::move(name)), _priority(priority)
+    : _sim(sim), _name(internEventName(name)), _priority(priority)
 {}
 
 OneShotPool::~OneShotPool()

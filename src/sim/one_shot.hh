@@ -70,7 +70,8 @@ class OneShotPool
     Shot *acquire(std::function<void()> fn);
 
     Simulator &_sim;
-    std::string _name;
+    /** Interned once, so shots need not copy it. */
+    const char *_name;
     int _priority;
     /** In-flight shots; each shot knows its index (swap-remove). */
     std::vector<Shot *> _live;

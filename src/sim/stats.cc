@@ -131,36 +131,14 @@ Percentile::reset()
 
 template <int States>
 void
-StateBook<States>::accrueCurrent(Tick delta)
-{
-    _residency[static_cast<std::size_t>(_current)] += delta;
-}
-
-template <int States>
-void
-StateBook<States>::enter(int state, Tick now)
+StateBook<States>::accrue(int state, Tick now)
 {
     if (state < 0 || state >= maxStates)
         HOLDCSIM_PANIC("StateResidency state ", state, " outside [0, ",
                        maxStates, ")");
-    if (_current >= 0) {
-        if (now < _lastTick)
-            HOLDCSIM_PANIC("StateResidency fed a tick that moves backwards");
-        accrueCurrent(now - _lastTick);
-    }
-    _current = static_cast<std::int8_t>(state);
-    _lastTick = now;
-}
-
-template <int States>
-void
-StateBook<States>::finish(Tick now)
-{
-    if (_current < 0)
-        return;
     if (now < _lastTick)
-        HOLDCSIM_PANIC("StateResidency finished with a tick in the past");
-    accrueCurrent(now - _lastTick);
+        HOLDCSIM_PANIC("StateResidency fed a tick that moves backwards");
+    _residency[static_cast<std::size_t>(state)] += now - _lastTick;
     _lastTick = now;
 }
 

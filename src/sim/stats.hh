@@ -83,12 +83,14 @@ class Percentile
  *
  * Every state enum in the simulator is small and dense (ServerState,
  * the largest, has 6 states; CoreCState 5, PortState 3, ...), so the
- * books are an inline array sized to it: a book costs 8 + 8 * (1 +
+ * books are an inline array sized to it: a book costs 8 * (1 +
  * States) bytes with zero heap allocations, which matters when a
- * 100k-server plant carries one per core, port and card. Components
- * with up to six states share StateResidency; the core slot sizes its
- * book to the five C-states. Each user static_asserts that its states
- * fit.
+ * 100k-server plant carries one per core, port and card. The book
+ * does not store the state itself: every owner already holds it (a
+ * core slot's C-state, a port's state byte, ...), and hands it in
+ * when the time since the last call is credited. Components with up
+ * to six states share StateResidency; the core slot sizes its book to
+ * the five C-states. Each user static_asserts that its states fit.
  */
 template <int States>
 class StateBook
@@ -97,14 +99,17 @@ class StateBook
     static_assert(0 < States && States <= 127);
     static constexpr int maxStates = States;
 
-    /**
-     * Record a transition into @p state at tick @p now.
-     * Panics unless 0 <= @p state < maxStates.
-     */
-    void enter(int state, Tick now);
+    /** Zero every total and start the clock at tick @p now. */
+    void start(Tick now) { *this = StateBook{}; _lastTick = now; }
 
-    /** Close the books at tick @p now before reading residencies. */
-    void finish(Tick now);
+    /**
+     * Credit @p state, the state held since the last call (or
+     * start()), with the ticks up to @p now: call it just before the
+     * owner leaves @p state, and with the current state to close the
+     * books before reading them. Panics unless 0 <= @p state <
+     * maxStates and @p now is not before the last call.
+     */
+    void accrue(int state, Tick now);
 
     /** Total ticks spent in @p state so far (0 if never entered). */
     Tick residency(int state) const;
@@ -115,16 +120,9 @@ class StateBook
     /** Total observed time: the per-state totals summed. */
     Tick totalTime() const;
 
-    /** The state last entered, or -1 before the first enter(). */
-    int currentState() const { return _current; }
-    void reset() { *this = StateBook{}; }
-
   private:
-    std::int8_t _current = -1;
     Tick _lastTick = 0;
     std::array<Tick, States> _residency{};
-
-    void accrueCurrent(Tick delta);
 };
 
 extern template class StateBook<5>;
@@ -132,7 +130,7 @@ extern template class StateBook<6>;
 
 /** The residency book of components with up to six states. */
 using StateResidency = StateBook<6>;
-static_assert(sizeof(StateResidency) <= 64);
+static_assert(sizeof(StateResidency) <= 56);
 
 /**
  * Named registry of scalar statistics for human-readable dumps.

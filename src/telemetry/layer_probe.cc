@@ -96,7 +96,7 @@ LayerProbe::rebuildSlots(std::size_t slots)
 }
 
 LayerProbe::Slot &
-LayerProbe::slotOf(const std::string &name)
+LayerProbe::slotOf(std::string_view name)
 {
     Slot key;
     key.size = static_cast<std::uint32_t>(name.size());
@@ -114,7 +114,7 @@ LayerProbe::slotOf(const std::string &name)
             return _slots[i];
     }
     key.type = static_cast<std::uint32_t>(_types.size());
-    _types.push_back(EventType{name, layerOf(name)});
+    _types.push_back(EventType{std::string(name), layerOf(name)});
     _slots[i] = key;
     // Keep the table at most half full so probes stay short.
     if (2 * _types.size() <= _slots.size())

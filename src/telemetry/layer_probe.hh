@@ -111,7 +111,7 @@ class LayerProbe : public KernelProbe
     };
 
     /** The slot of @p name, interning it on first sight. */
-    Slot &slotOf(const std::string &name);
+    Slot &slotOf(std::string_view name);
     /** First slot of @p key's probe sequence. */
     std::size_t home(const Slot &key) const;
     /** Re-seat every occupied slot in a table of @p slots slots. */

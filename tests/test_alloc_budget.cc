@@ -158,7 +158,7 @@ TEST(AllocBudget, WheelPlantConstructionPerServer)
     // add a fraction more, and no server allocates. No timer is armed:
     // idle ladders are computed, not scheduled.
     EXPECT_GE(fleetPerServer, sizeof(Server) + CorePool::slotBlockBytes(4));
-    EXPECT_LE(perServer, 820.0)
+    EXPECT_LE(perServer, 680.0)
         << allocations << " allocations, " << bytesRequested << " bytes, "
         << dc->fleetBytes() << " fleet bytes, " << registry
         << " registry bytes";
@@ -180,6 +180,9 @@ TEST(AllocBudget, ServerLayoutBytes)
     RecordProperty("core_slot_bytes",
                    static_cast<int>(CorePool::slotBlockBytes(1)));
     RecordProperty("event_bytes", static_cast<int>(sizeof(Event)));
+    RecordProperty("server_stride_bytes",
+                   static_cast<int>(sizeof(Server) +
+                                    CorePool::slotBlockBytes(4)));
 
     // Building a 4-core server with a shared profile and a delay timer
     // requests exactly those two blocks. (The simulator's deferred-

@@ -144,23 +144,28 @@ TEST(StateResidency, FractionsAndTransitions)
 {
     enum { idle, active, asleep };
     StateResidency sr;
-    sr.enter(idle, 0);
-    sr.enter(active, 10 * sec);
-    sr.enter(idle, 30 * sec);
-    sr.enter(asleep, 40 * sec);
-    sr.finish(100 * sec);
+    sr.start(0);
+    sr.accrue(idle, 10 * sec);
+    sr.accrue(active, 30 * sec);
+    sr.accrue(idle, 40 * sec);
+    sr.accrue(asleep, 100 * sec);
     EXPECT_EQ(sr.totalTime(), 100 * sec);
     EXPECT_DOUBLE_EQ(sr.fraction(idle), 0.2);
     EXPECT_DOUBLE_EQ(sr.fraction(active), 0.2);
     EXPECT_DOUBLE_EQ(sr.fraction(asleep), 0.6);
-    EXPECT_EQ(sr.currentState(), asleep);
+    // start() zeroes the books and restarts the clock.
+    sr.start(120 * sec);
+    sr.accrue(active, 125 * sec);
+    EXPECT_EQ(sr.totalTime(), 5 * sec);
+    EXPECT_EQ(sr.residency(active), 5 * sec);
+    EXPECT_EQ(sr.residency(asleep), 0u);
 }
 
 TEST(StateResidency, UnseenStateIsZero)
 {
     StateResidency sr;
-    sr.enter(2, 0);
-    sr.finish(10);
+    sr.start(0);
+    sr.accrue(2, 10);
     // Never-entered states, inside and outside [0, maxStates).
     for (int state : {0, 1, 3, StateResidency::maxStates - 1, -1,
                       StateResidency::maxStates, 99}) {
@@ -173,16 +178,18 @@ TEST(StateResidency, UnseenStateIsZero)
 TEST(StateResidencyDeathTest, EnteringOutOfRangeStatePanics)
 {
     StateResidency sr;
-    EXPECT_DEATH(sr.enter(StateResidency::maxStates, 0), "outside");
-    EXPECT_DEATH(sr.enter(-1, 0), "outside");
+    EXPECT_DEATH(sr.accrue(StateResidency::maxStates, 0), "outside");
+    EXPECT_DEATH(sr.accrue(-1, 0), "outside");
+    sr.start(10);
+    EXPECT_DEATH(sr.accrue(0, 9), "backwards");
 }
 
 TEST(StateResidency, ReenteringSameStateAccumulates)
 {
     StateResidency sr;
-    sr.enter(1, 0);
-    sr.enter(1, 10);
-    sr.finish(30);
+    sr.start(0);
+    sr.accrue(1, 10);
+    sr.accrue(1, 30);
     EXPECT_EQ(sr.residency(1), 30u);
 }
 
