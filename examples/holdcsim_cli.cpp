@@ -62,6 +62,7 @@
 #include "exp/campaign.hh"
 #include "exp/sweep.hh"
 #include "mc/explorer.hh"
+#include "sim/logging.hh"
 
 using namespace holdcsim;
 
@@ -315,10 +316,9 @@ printSummaries(const ResultTable &table, const SweepSpec &spec)
     }
 }
 
-} // namespace
-
+/** main() but for its FatalError handler. */
 int
-main(int argc, char **argv)
+runCli(int argc, char **argv)
 {
     std::string config_path;
     std::string value;
@@ -646,4 +646,19 @@ main(int argc, char **argv)
     writeScheduleOut();
     dc.dumpStats(std::cout);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // A bad config or input file is the user's to fix: name it and
+    // exit 1, which a script tells apart from a crash.
+    try {
+        return runCli(argc, argv);
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "fatal: %s\n", e.what());
+        return 1;
+    }
 }

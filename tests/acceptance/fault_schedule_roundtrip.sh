@@ -4,7 +4,9 @@
 # --fault-schedule-out; the same plant with fault_trace = that file and
 # no MTTF/MTTR keys must print a byte-identical stats dump; and
 # --replay-schedule of the file must run the explorer's oracle to a
-# pass (exit 0).
+# pass (exit 0). A trace of back-to-back episodes (each starting at the
+# tick the last one ended, one-tick ones included) must export as
+# itself, byte for byte.
 # Usage: fault_schedule_roundtrip.sh <holdcsim_cli binary>
 set -euo pipefail
 
@@ -51,4 +53,17 @@ cmp stochastic.dump replay.dump
 
 "$CLI" stochastic.ini --replay-schedule=schedule.trace > replay.out
 grep -q '^mc.replay.outcome pass' replay.out
+
+cat > back_to_back.trace <<'TRACE'
+server 0 0.100000000 0.200000000
+server 0 0.200000000 0.300000000
+server 0 0.300000000 0.300000001
+server 0 0.300000001 0.300000002
+server 0 0.300000002 0.500000000
+link 2 0.600000000 0.700000000
+link 2 0.700000000 0.800000000
+TRACE
+{ cat plant.ini; printf 'fault_trace = back_to_back.trace\n'; } > b2b.ini
+"$CLI" b2b.ini --fault-schedule-out=b2b.out > b2b.dump
+grep -v '^#' b2b.out | cmp - back_to_back.trace
 echo "fault schedule round trip ok ($(grep -c '^[a-z]' schedule.trace) episodes)"

@@ -19,6 +19,7 @@
 #include <iterator>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -769,6 +770,102 @@ TEST(ConfigKeys, Census)
     RecordProperty("config_keys_exempt", static_cast<int>(exempt));
 }
 
+namespace {
+
+/**
+ * The number each key's liveness test name ends in (`# GetParam() =
+ * N`): the key's index here, which was its row in configKeys() when
+ * the suite was instantiated over row indices. A test finds its row
+ * by key name, so adding, moving or deleting a row renames no other
+ * row's test. Never reorder this list, and keep a deleted key's entry
+ * so no later number moves; a key missing from it (added later) prints
+ * its own name.
+ */
+constexpr const char *kLivenessIds[] = {
+    "datacenter.servers", "datacenter.cores", "datacenter.seed",
+    "datacenter.timer_mode", "datacenter.wheel_granularity_us",
+    "server.queue_mode", "server.core_pick", "server.allow_pkg_c6",
+    "server.controller", "server.tau_ms", "scheduler.policy",
+    "scheduler.global_queue", "scheduler.anti_affinity", "network.fabric",
+    "network.param", "network.param2", "network.link_rate_gbps",
+    "network.link_latency_us", "network.switch_sleep_ms",
+    "network.fast_path_kb", "fault.enabled", "fault.mttf_hours",
+    "fault.mttr_minutes", "fault.distribution", "fault.weibull_shape",
+    "fault.fault_trace", "fault.fault_servers", "fault.fault_switches",
+    "fault.fault_linecards", "fault.fault_links", "fault.max_retries",
+    "fault.retry_backoff_base_ms", "fault.retry_backoff_max_ms",
+    "fault.task_timeout_ms", "orch.enabled", "orch.placement",
+    "orch.reconcile_ms", "orch.overcommit", "orch.interference",
+    "orch.remote_mem_penalty_per_us", "orch.server_mem_mb", "orch.autoscale",
+    "orch.autoscale_high", "orch.autoscale_low", "orch.migration_dirty_frac",
+    "orch.migration_stop_copy_mb", "orch.migration_max_rounds",
+    "orch.tag_jobs", "orch.replicas", "orch.min_replicas",
+    "orch.max_replicas", "orch.container_cores", "orch.container_mem_mb",
+    "orch.remote_mem_frac", "orch.anti_affinity", "telemetry.enabled",
+    "telemetry.trace_out", "telemetry.trace_format",
+    "telemetry.trace_categories", "telemetry.sample_out",
+    "telemetry.sample_period_ms", "telemetry.profile", "audit.enabled",
+    "audit.period_ms", "audit.fatal", "audit.energy_tolerance", "mc.strategy",
+    "mc.horizon_ms", "mc.budget", "mc.event_budget", "mc.repair_ms",
+    "mc.max_faults", "mc.seed_bug", "campaign.journal",
+    "campaign.watchdog_sec", "campaign.max_events", "campaign.max_attempts",
+    "campaign.retry_backoff_base_ms", "campaign.retry_backoff_max_ms",
+    "workload.arrival", "workload.rate", "workload.utilization",
+    "workload.duration_s", "workload.max_jobs", "workload.service",
+    "workload.service_mean_ms", "workload.service_max_ms", "workload.job",
+    "workload.stages", "workload.transfer_kb", "workload.burst_ratio",
+    "workload.burst_fraction", "workload.trace_file",
+    "server_power.core_active_w", "server_power.core_c0_idle_w",
+    "server_power.core_c1_w", "server_power.core_c3_w",
+    "server_power.core_c6_w", "server_power.pkg_pc0_w",
+    "server_power.pkg_pc2_w", "server_power.pkg_pc6_w",
+    "server_power.dram_active_w", "server_power.dram_idle_w",
+    "server_power.dram_self_refresh_w", "server_power.platform_s0_w",
+    "server_power.platform_s3_w", "server_power.platform_s5_w",
+    "server_power.s3_wake_ms", "server_power.s3_entry_ms",
+    "switch_power.chassis_base_w", "switch_power.switch_sleep_w",
+    "switch_power.linecard_active_w", "switch_power.linecard_sleep_w",
+    "switch_power.port_active_w", "switch_power.port_lpi_w",
+    "switch_power.switch_wake_ms", "switch_power.linecard_wake_ms",
+};
+
+/** A KnobLiveness parameter: one configKeys() row, by key name. */
+struct KnobRow {
+    const char *key;
+};
+
+void
+PrintTo(const KnobRow &row, std::ostream *os)
+{
+    const auto *it = std::find_if(
+        std::begin(kLivenessIds), std::end(kLivenessIds),
+        [&](const char *id) { return std::string(id) == row.key; });
+    if (it == std::end(kLivenessIds))
+        *os << row.key;
+    else
+        *os << it - std::begin(kLivenessIds);
+}
+
+std::vector<KnobRow>
+knobRows()
+{
+    std::vector<KnobRow> rows;
+    for (const ConfigKey &k : configKeys())
+        rows.push_back({k.name});
+    return rows;
+}
+
+const ConfigKey &
+keyNamed(const char *name)
+{
+    for (const ConfigKey &k : configKeys())
+        if (std::string(k.name) == name)
+            return k;
+    throw std::out_of_range(name);
+}
+
+} // namespace
+
 /**
  * Liveness: each row's perturbed value, on top of its companion
  * lines, changes what holdcsim_cli prints or writes for the plant,
@@ -776,15 +873,15 @@ TEST(ConfigKeys, Census)
  * perturbed audit.fatal = false survives a violation). An exempt row
  * is skipped with its reason.
  */
-class KnobLiveness : public ::testing::TestWithParam<std::size_t>
+class KnobLiveness : public ::testing::TestWithParam<KnobRow>
 {};
 
 TEST_P(KnobLiveness, PerturbedValueChangesAnOutput)
 {
-    const ConfigKey &k = configKeys()[GetParam()];
+    const ConfigKey &k = keyNamed(GetParam().key);
     if (*k.exempt)
         GTEST_SKIP() << k.name << " is exempt: " << k.exempt;
-    ScratchDir dir(std::to_string(GetParam()));
+    ScratchDir dir(k.name);
     std::string flags;
     if (section(k) == "mc")
         flags = " --explore --repro-out=knobs_repro.fault";
@@ -799,9 +896,9 @@ TEST_P(KnobLiveness, PerturbedValueChangesAnOutput)
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Rows, KnobLiveness, ::testing::Range<std::size_t>(0, configKeys().size()),
-    [](const ::testing::TestParamInfo<std::size_t> &info) {
-        std::string name = configKeys()[info.param].name;
+    Rows, KnobLiveness, ::testing::ValuesIn(knobRows()),
+    [](const ::testing::TestParamInfo<KnobRow> &info) {
+        std::string name = info.param.key;
         std::replace(name.begin(), name.end(), '.', '_');
         return name;
     });

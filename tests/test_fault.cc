@@ -426,6 +426,33 @@ TEST_F(FaultFixture, ScheduleTraceBytesAreGolden)
               "server 0 0.400000001 1.000000001\n");
 }
 
+TEST_F(FaultFixture, BackToBackTraceRoundTripsByteForByte)
+{
+    // An episode that starts at the tick the previous one ended is
+    // replayed at that tick, not one later: the export of a trace of
+    // back-to-back episodes, one-tick ones included, is the trace.
+    const std::string episodes = "server 0 0.100000000 0.200000000\n"
+                                 "server 0 0.200000000 0.300000000\n"
+                                 "server 0 0.300000000 0.300000001\n"
+                                 "server 0 0.300000001 0.300000002\n"
+                                 "server 0 0.300000002 0.300000003\n"
+                                 "server 0 0.300000003 0.400000000\n"
+                                 "server 1 0.400000000 0.500000000\n"
+                                 "server 1 0.500000000 0.600000000\n";
+    std::istringstream in(episodes);
+    makeFleet(2);
+    makeManager(script(readFaultTrace(in, "back_to_back")));
+    sim.runUntil(1 * sec);
+
+    std::ostringstream os;
+    mgr->writeScheduleTrace(os);
+    EXPECT_EQ(os.str(), "# realized fault schedule (8 episodes, exported at "
+                        "tick 1000000000)\n" +
+                            episodes);
+    EXPECT_EQ(mgr->componentStats(0).faults, 6u);
+    EXPECT_EQ(mgr->componentStats(0).residency.residency(1), 300 * msec);
+}
+
 TEST_F(FaultFixture, AbortDumpNamesTheActiveFaultSchedule)
 {
     makeFleet(2);
