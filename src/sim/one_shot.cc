@@ -40,8 +40,8 @@ class OneShotPool::Shot : public Event
     std::size_t _liveIdx = 0;
 };
 
-OneShotPool::OneShotPool(Simulator &sim, std::string name, int priority)
-    : _sim(sim), _name(internEventName(name)), _priority(priority)
+OneShotPool::OneShotPool(Simulator &sim, const char *name, int priority)
+    : _sim(sim), _name(name), _priority(priority)
 {}
 
 OneShotPool::~OneShotPool()

@@ -34,11 +34,12 @@ class OneShotPool
   public:
     /**
      * @param sim      engine the shots are scheduled against
-     * @param name     event-name prefix for diagnostics
+     * @param name     event name for diagnostics: a literal, or a
+     *                 name interned with internEventName()
      * @param priority tick-priority every shot of this pool fires at
      *                 (mailbox-delivery pools use mailboxPriority)
      */
-    explicit OneShotPool(Simulator &sim, std::string name = "oneShot",
+    explicit OneShotPool(Simulator &sim, const char *name = "oneShot",
                          int priority = Event::defaultPriority);
 
     /** Deschedules and frees every still-pending shot. */
@@ -70,7 +71,6 @@ class OneShotPool
     Shot *acquire(std::function<void()> fn);
 
     Simulator &_sim;
-    /** Interned once, so shots need not copy it. */
     const char *_name;
     int _priority;
     /** In-flight shots; each shot knows its index (swap-remove). */

@@ -38,7 +38,9 @@ class Partition
      */
     Partition(std::uint32_t index, Simulator &sim)
         : _index(index), _sim(sim),
-          _delivery(sim, "pdes.deliver[" + std::to_string(index) + "]",
+          _delivery(sim,
+                    internEventName("pdes.deliver[" + std::to_string(index) +
+                                    "]"),
                     Event::mailboxPriority)
     {}
 
