@@ -106,11 +106,6 @@ class Event
     bool background() const { return _background; }
     void setBackground(bool background);
 
-  protected:
-    /** Rename the event (pooled events that serve one owner after
-     *  another take each owner's name). */
-    void rename(const char *name) { _name = name; }
-
   private:
     friend class EventQueue;
 

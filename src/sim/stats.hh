@@ -96,7 +96,7 @@ template <int States>
 class StateBook
 {
   public:
-    static_assert(0 < States && States <= 127);
+    static_assert(0 < States);
     static constexpr int maxStates = States;
 
     /** Zero every total and start the clock at tick @p now. */
