@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -122,6 +123,12 @@ struct QueueCase {
     unsigned cores;
     double rho;
 };
+
+void
+PrintTo(const QueueCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 /** Mean response time of M/M/k at arrival rate @p lambda, service
  *  rate @p mu (Erlang C). */
