@@ -53,8 +53,9 @@ TaskFifo::remove(JobId job, TaskId task)
         const TaskRef &t = _ring->at(i);
         if (t.job != job || t.task != task)
             continue;
-        for (; i + 1 < _ring->size; ++i)
-            _ring->at(i) = _ring->at(i + 1);
+        // Close the gap: every later task moves up one place.
+        for (std::size_t k = i + 1; k < _ring->size; ++k)
+            _ring->at(k - 1) = _ring->at(k);
         --_ring->size;
         return true;
     }
